@@ -1,0 +1,191 @@
+"""Exact joint port and retire scheduling over per-cycle patterns.
+
+A unit takes one port from each of its port choice sets, all distinct
+within its cycle, and `weight` of the cycle's retire slots. Overlapping
+units are the arithmetic ones, the others the memory units. Cycles are
+interchangeable, so a schedule is a multiset of per-cycle patterns: count
+vectors over the unit kinds whose units get distinct ports and whose weight
+fits the retire width. The pattern table is enumerated once per kind set
+and retire width. Whether all units fit in T cycles with the arithmetic in
+s of them is then decided by a memoized search that fills one cycle at a
+time, branches only on the patterns maximal under the counts still to
+place, and prunes a state when a port (Hall) or retire-slot bound shows
+the rest cannot fit. The search is exact and has no budget.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+from operator import add, ge, mul, sub
+
+
+@dataclass(frozen=True)
+class Unit:
+    """What issues and retires in one cycle: a load, a store's address and
+    data, or an arithmetic uop."""
+
+    port_choices: tuple[frozenset[int], ...]  # one port from each set, all in the same cycle
+    weight: int
+    overlapping: bool
+
+
+def port_set_unions(sets) -> set[frozenset[int]]:
+    """Every union of one or more of the given port sets."""
+    closure = set(sets)
+    frontier = list(closure)
+    while frontier:
+        s = frontier.pop()
+        for t in list(closure):
+            u = s | t
+            if u not in closure:
+                closure.add(u)
+                frontier.append(u)
+    return closure
+
+
+def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    return sum(map(mul, a, b))
+
+
+@dataclass(frozen=True)
+class PatternTable:
+    """Single-cycle patterns of one kind set, and the bounds they put on the
+    counts that fit a number of cycles."""
+
+    weights: tuple[int, ...]
+    arithmetic: tuple[int, ...]  # indices of the overlapping kinds
+    maximal: tuple[tuple[int, ...], ...]  # patterns no unit can be added to
+    # (y, cap_any, cap_memory): see pattern_table
+    bounds: tuple[tuple[tuple[int, ...], int, int], ...]
+
+
+@lru_cache(maxsize=32)
+def pattern_table(kinds: tuple[Unit, ...], width: int) -> PatternTable | None:
+    """The pattern table, or None if some unit cannot fit a cycle on its own.
+
+    A cycle holds at most cap_any of y . pattern, and a cycle without
+    arithmetic at most cap_memory, so counts that fit a cycles and m more
+    memory-only cycles have y . counts <= cap_any * a + cap_memory * m.
+    The table keeps that bound for y over the port needs inside each union
+    of the kinds' port sets (Hall bounds), and over the unit count and the
+    retire weight of each subset of kinds. The retire weight of all kinds gives the retire-slot
+    bound and the memory-weight bound: the memory weight that the
+    memory-only cycles cannot take must fit in the slots the arithmetic
+    leaves free. Bounds implied by one or two others are dropped.
+    """
+    n = len(kinds)
+    weights = tuple(k.weight for k in kinds)
+    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    # needs of each kind inside each union of port sets, with the smallest
+    # union per need vector; by Hall's theorem the units of a pattern get
+    # distinct ports iff no union holds more needs than it has ports
+    hall = {
+        tuple(sum(ports <= subset for ports in k.port_choices) for k in kinds): len(subset)
+        for subset in sorted(port_set_unions(p for k in kinds for p in k.port_choices), key=len, reverse=True)
+    }
+
+    def fits(vector: tuple[int, ...]) -> bool:
+        return _dot(vector, weights) <= width and all(_dot(y, vector) <= size for y, size in hall.items())
+
+    if not all(fits(u) for u in unit):
+        return None
+    vectors = [()]
+    for j in range(n):
+        vectors = [
+            v + (count,) for v in vectors for count in range(width + 1) if fits(v + (count,) + (0,) * (n - j - 1))
+        ]
+    feasible = set(vectors)
+    arithmetic = tuple(j for j, k in enumerate(kinds) if k.overlapping)
+    memory = [v for v in vectors if not any(v[j] for j in arithmetic)]
+    maximal = tuple(v for v in vectors if not any(tuple(map(add, v, u)) in feasible for u in unit))
+    ys = set(hall)
+    for mask in range(1, 2**n):
+        ys.add(tuple(mask >> j & 1 for j in range(n)))
+        ys.add(tuple(w * (mask >> j & 1) for j, w in enumerate(weights)))
+    caps = {y: (max(_dot(y, p) for p in maximal), max(_dot(y, p) for p in memory)) for y in ys if any(y)}
+
+    def implied(y, cap_any, cap_memory) -> bool:
+        for other, (other_any, other_memory) in caps.items():
+            if all(map(ge, other, y)) and other_any <= cap_any and other_memory <= cap_memory:
+                return True
+            rest = caps.get(tuple(map(sub, y, other)))
+            if rest and other_any + rest[0] <= cap_any and other_memory + rest[1] <= cap_memory:
+                return True
+        return False
+
+    for y in sorted(caps, key=sum, reverse=True):
+        cap = caps.pop(y)
+        if not implied(y, *cap):
+            caps[y] = cap
+    return PatternTable(weights, arithmetic, maximal, tuple((y, *cap) for y, cap in caps.items()))
+
+
+class PackingSearch:
+    """Decides whether counts fit a number of cycles with the arithmetic
+    confined to some of them; remembers failed states and counts the states
+    it visits."""
+
+    def __init__(self, table: PatternTable):
+        self.table = table
+        # (counts, arithmetic cycles) -> most memory-only cycles known to be too few
+        self.failed: dict[tuple[tuple[int, ...], int], int] = {}
+        self.states = 0
+
+    def fits(self, counts: tuple[int, ...], arith_cycles: int, memory_cycles: int) -> bool:
+        t = self.table
+        if not any(counts[j] for j in t.arithmetic):
+            # with the arithmetic placed, every cycle left is memory-only
+            if not any(counts):
+                return True
+            arith_cycles, memory_cycles = 0, memory_cycles + arith_cycles
+        elif not arith_cycles:
+            return False
+        key = (counts, arith_cycles)
+        if self.failed.get(key, -1) >= memory_cycles:
+            return False
+        self.states += 1
+        for y, cap_any, cap_memory in t.bounds:
+            if _dot(y, counts) > cap_any * arith_cycles + cap_memory * memory_cycles:
+                return False
+        # once the arithmetic is placed, these truncate to the memory-only patterns
+        steps = {tuple(map(min, pattern, counts)) for pattern in t.maximal}
+        taken: list[tuple[int, ...]] = []
+        # heaviest first, so a step that contains another is tried before it
+        for step in sorted(steps, key=lambda v: (-_dot(v, t.weights), v)):
+            if any(all(map(ge, big, step)) for big in taken):
+                continue
+            taken.append(step)
+            rest = tuple(map(sub, counts, step))
+            if arith_cycles:
+                found = self.fits(rest, arith_cycles - 1, memory_cycles)
+            else:
+                found = self.fits(rest, 0, memory_cycles - 1)
+            if found:
+                return True
+        self.failed[key] = memory_cycles
+        return False
+
+
+def least_span(units: dict[Unit, int], width: int, lower: int, raw_ol: int) -> tuple[int, int]:
+    """The least span of the arithmetic and the search states visited.
+
+    T is the first cycle count, counting up from `lower`, into which all
+    `units` (kind -> count) fit; the span is the least s >= raw_ol such that
+    they fit T cycles with the arithmetic in s of them. raw_ol is returned
+    as it is when some unit cannot fit a cycle on its own.
+    """
+    kinds = tuple(sorted(units, key=lambda u: (u.overlapping, -u.weight, [sorted(p) for p in u.port_choices])))
+    table = pattern_table(kinds, width)
+    if table is None:
+        return raw_ol, 0
+    counts = tuple(units[k] for k in kinds)
+    search = PackingSearch(table)
+    # The first try, span raw_ol at the lowest total, is the common answer.
+    # A fit at any span means the total fits, and span = total fits whenever
+    # the total does, so the first total with a fit is T.
+    for total in range(lower, sum(counts) + 1):
+        for span in range(raw_ol, total + 1):
+            if search.fits(counts, span, total - span):
+                return span, search.states
+    raise AssertionError("unreachable: a cycle per unit always fits")

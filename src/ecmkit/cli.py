@@ -117,7 +117,10 @@ def cmd_predict(args, out) -> int:
     shown = adjusted or pred
 
     prof = traffic(kernel)
-    mups = single_core_performance(shown, kernel, machine)
+    try:
+        mups = single_core_performance(shown, kernel, machine)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     rows = []
     for level, cycles in zip(_PREDICTION_CELLS, shown.cells()):
         level_mups = machine.frequency_ghz * 1000 * iterations_per_cacheline(kernel) / cycles if cycles else None

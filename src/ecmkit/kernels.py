@@ -272,7 +272,10 @@ def kernel_from_dict(data: dict, context: str = "kernel") -> KernelModel:
             raise SchemaError(f"{ctx}: unknown key(s) {sorted(unknown)}")
         if "array" not in entry or "access" not in entry:
             raise SchemaError(f"{ctx}: needs 'array' and 'access'")
-        streams.append(Stream(entry["array"], entry["access"], bool(entry.get("nontemporal", False))))
+        nontemporal = entry.get("nontemporal", False)
+        if not isinstance(nontemporal, bool):
+            raise SchemaError(f"{ctx}: nontemporal must be a boolean, got {nontemporal!r}")
+        streams.append(Stream(entry["array"], entry["access"], nontemporal))
 
     uops = []
     for i, entry in enumerate(data["uops"]):

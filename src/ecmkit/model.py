@@ -140,7 +140,9 @@ def apply_penalty(pred: ECMPrediction, kernel: KernelModel, config: PenaltyConfi
         t_mem=pred.t_mem + 2 * per_level,
         penalty_applied=True,
     )
-    assert adjusted.t_core <= adjusted.t_l2 <= adjusted.t_l3 <= adjusted.t_mem
+    if not adjusted.t_core <= adjusted.t_l2 <= adjusted.t_l3 <= adjusted.t_mem:
+        cells = ", ".join(str(c) for c in adjusted.cells())
+        raise ValueError(f"penalized prediction cells must not decrease from L1 to memory, got {cells}")
     return adjusted
 
 

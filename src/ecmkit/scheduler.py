@@ -1,12 +1,17 @@
 """In-core cycle counts per cache line from minimum-makespan uop-to-port
-assignment, plus the frontend retirement bound.
+assignment, joint retire pairing and the frontend retirement bound.
 
 The core time splits into two components: cycles spent on loads and stores,
 which block concurrent L1-L2 traffic, and cycles spent on arithmetic, which
-overlaps with it. Each component is the minimum number of cycles needed to
-place its uops on allowed issue ports at one uop per port and cycle. The
-retirement frontend caps total throughput and, when it binds, the deficit is
-charged to the arithmetic component.
+overlaps with it. Each component starts from the minimum number of cycles
+needed to place its uops on allowed issue ports at one uop per port and
+cycle. The arithmetic component then grows to its pairing span: in the
+first cycle count T, counting up from the port and frontend makespans, that
+fits a joint schedule of all uops under the per-cycle port and retire
+limits, the fewest cycles the arithmetic can be confined to. An exact
+solver over per-cycle patterns finds T and the span. The retirement
+frontend caps total throughput and, when it binds, the deficit is charged
+to the arithmetic component.
 """
 
 from __future__ import annotations
@@ -14,14 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil
 
+from ._pairing import Unit, least_span, port_set_unions
 from .errors import CapabilityError, SchemaError
 from .kernels import KernelModel
 from .machine import MachineModel
 
 # arithmetic uop class -> port capability that executes it
 _ARITH_CAPABILITY = {"fma": "fma", "add": "add", "mul": "mul", "lea": "lea"}
-
-_SEARCH_NODE_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -77,19 +81,9 @@ def _binding_bound(problem: SchedulingProblem) -> tuple[int, frozenset[int] | No
     if not items:
         return 0, None
 
-    closure: set[frozenset[int]] = {ports for ports, _ in items}
-    frontier = list(closure)
-    while frontier:
-        s = frontier.pop()
-        for t in list(closure):
-            u = s | t
-            if u not in closure:
-                closure.add(u)
-                frontier.append(u)
-
     best_cycles = 0
     best_subset: frozenset[int] | None = None
-    for subset in sorted(closure, key=lambda s: (len(s), sorted(s))):
+    for subset in sorted(port_set_unions(ports for ports, _ in items), key=lambda s: (len(s), sorted(s))):
         load = sum(mult for ports, mult in items if ports <= subset)
         bound = ceil(load / len(subset))
         if bound > best_cycles:
@@ -156,107 +150,51 @@ def frontend_bound(kernel: KernelModel, machine: MachineModel) -> int:
 #
 # The arithmetic component can exceed its pure port makespan: every cycle
 # retires at most retire_width slots, so arithmetic uops must share retire
-# groups with the load/store traffic and may be forced apart. The span search
-# below finds the fewest distinct cycles the arithmetic uops can occupy in any
-# feasible joint schedule (per-cycle port capacity of one, per-cycle retire
-# budget, a store issuing address, data and retire slots in one cycle).
+# groups with the load/store traffic and may be forced apart. A joint
+# schedule places every unit in a cycle: one uop per port and cycle, at most
+# retire_width retire slots per cycle, and a store's address, data and
+# retire slots all in one cycle. The pairing takes the first cycle count T,
+# counting up from the makespan, that fits a joint schedule, and then the
+# least span s >= raw_ol such that a schedule in T cycles confines the
+# arithmetic to s of them.
+#
+# The units fall into at most 7 kinds: loads, stores per addressing mode,
+# and the arithmetic classes, where classes with equal port needs share a
+# kind. The _pairing module finds T and the span exactly, with no budget and
+# no fallback, by a search over per-cycle patterns of these kinds; its
+# pattern table is cached per port layout, retire width, store weight and
+# kind set.
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
-@dataclass(frozen=True)
-class _Unit:
-    port_choices: tuple[frozenset[int], ...]  # one port from each set, all in the same cycle
-    weight: int
-    overlapping: bool
-
-
-def _joint_units(kernel: KernelModel, machine: MachineModel) -> tuple[list[_Unit], list[_Unit]]:
+def _joint_units(kernel: KernelModel, machine: MachineModel) -> dict[Unit, int]:
+    """Count of each unit kind; uop classes with the same port needs share one."""
     full = machine.ports_with("load-agu-full")
     data = machine.ports_with("store-data")
-    nol: list[_Unit] = []
-    ol: list[_Unit] = []
-    for g in sorted(kernel.uops, key=lambda g: (g.uop_class, g.addressing or "")):
+    counts: dict[Unit, int] = {}
+    for g in kernel.uops:
         if g.uop_class == "load":
-            nol.extend([_Unit((full,), 1, False)] * g.count)
+            unit = Unit((full,), 1, False)
         elif g.uop_class == "store":
-            addr = _agu_ports(machine, g.addressing)
-            nol.extend([_Unit((addr, data), machine.store_uop_weight, False)] * g.count)
+            unit = Unit((_agu_ports(machine, g.addressing), data), machine.store_uop_weight, False)
         else:
-            ports = machine.ports_with(_ARITH_CAPABILITY[g.uop_class])
-            ol.extend([_Unit((ports,), 1, True)] * g.count)
-    return nol, ol
+            unit = Unit((machine.ports_with(_ARITH_CAPABILITY[g.uop_class]),), 1, True)
+        counts[unit] = counts.get(unit, 0) + g.count
+    return counts
 
 
-def _port_choices(requirements, used: set[int]):
-    if len(requirements) == 1:
-        for p in sorted(requirements[0] - used):
-            yield (p,)
-        return
-    first, second = requirements
-    for a in sorted(first - used):
-        for b in sorted(second - used):
-            if a != b:
-                yield (a, b)
+def _pairing_span(kernel: KernelModel, machine: MachineModel, t_nol: int, raw_ol: int, fe: int) -> tuple[int, int]:
+    """The pairing span and the number of search states visited to find it.
 
-
-def _co_schedulable(units: list[_Unit], n_cycles: int, ol_window: int, width: int, budget: list[int]) -> bool:
-    """Can all units be placed, overlapping ones within cycles < ol_window?"""
-    ports_used: list[set[int]] = [set() for _ in range(n_cycles)]
-    slots_used = [0] * n_cycles
-
-    def place(i: int, min_cycle: int) -> bool:
-        if i == len(units):
-            return True
-        unit = units[i]
-        limit = ol_window if unit.overlapping else n_cycles
-        # identical neighbours are interchangeable; force non-decreasing cycles
-        start = min_cycle if i > 0 and units[i - 1] == unit else 0
-        for c in range(start, limit):
-            budget[0] -= 1
-            if budget[0] <= 0:
-                raise _BudgetExceeded
-            if slots_used[c] + unit.weight > width:
-                continue
-            for combo in _port_choices(unit.port_choices, ports_used[c]):
-                ports_used[c].update(combo)
-                slots_used[c] += unit.weight
-                if place(i + 1, c):
-                    return True
-                slots_used[c] -= unit.weight
-                ports_used[c].difference_update(combo)
-        return False
-
-    return place(0, 0)
-
-
-def _pairing_span(kernel: KernelModel, machine: MachineModel, t_nol: int, raw_ol: int, fe: int) -> int:
-    """Fewest distinct cycles the arithmetic uops can span alongside the
-    load/store schedule; falls back to the pure port makespan if the search
-    budget runs out."""
-    nol_units, ol_units = _joint_units(kernel, machine)
-    if not ol_units or not nol_units:
-        return raw_ol
-    width = machine.retire_width
-    if any(u.weight > width for u in nol_units + ol_units):
-        return raw_ol  # a single uop exceeds the retire budget; pairing model void
-
-    joint = SchedulingProblem(build_nol_problem(kernel, machine).items + build_ol_problem(kernel, machine).items)
-    makespan = max(t_nol, raw_ol, fe, min_cycles(joint))
-    # stores first, then loads, then arithmetic: most constrained first
-    units = sorted(nol_units, key=lambda u: (-u.weight, -len(u.port_choices))) + ol_units
-    try:
-        for extra in range(0, 9):
-            total = makespan + extra
-            budget = [_SEARCH_NODE_BUDGET]
-            for span in range(raw_ol, total + 1):
-                if _co_schedulable(units, total, span, width, budget):
-                    return span
-    except _BudgetExceeded:
-        pass
-    return raw_ol
+    T is the first cycle count, counting up from max(t_nol, raw_ol, fe),
+    that fits a joint schedule; the span is the least s >= raw_ol such that
+    a schedule in T cycles confines the arithmetic to s of them. Both are
+    exact. raw_ol is returned as it is when the kernel has no memory unit,
+    or when some unit cannot fit a cycle on its own.
+    """
+    units = _joint_units(kernel, machine)
+    if all(u.overlapping for u in units):
+        return raw_ol, 0
+    return least_span(units, machine.retire_width, max(t_nol, raw_ol, fe), raw_ol)
 
 
 def _ports_label(ports: frozenset[int]) -> str:
@@ -268,9 +206,11 @@ def core_timing(kernel: KernelModel, machine: MachineModel) -> CoreTiming:
     """Both in-core cycle components plus the binding constraint.
 
     t_nol is the load/store port makespan. t_ol starts from the arithmetic
-    port makespan, grows if retire pairing forces the arithmetic uops across
-    more cycles, and absorbs any remaining frontend deficit so that
-    max(t_ol, t_nol) never undercuts the retirement bound.
+    port makespan and grows to the pairing span when retire pairing forces
+    the arithmetic uops across more cycles: the least number of cycles the
+    arithmetic can be confined to in the first cycle count that fits a
+    joint schedule of all uops. It then absorbs any remaining frontend
+    deficit so that max(t_ol, t_nol) never undercuts the retirement bound.
     """
     t_nol, nol_subset = _binding_bound(build_nol_problem(kernel, machine))
     raw_ol, ol_subset = _binding_bound(build_ol_problem(kernel, machine))
@@ -279,7 +219,7 @@ def core_timing(kernel: KernelModel, machine: MachineModel) -> CoreTiming:
     t_ol = raw_ol
     retire_limited = False
     if raw_ol > 0:
-        span = _pairing_span(kernel, machine, t_nol, raw_ol, fe)
+        span, _states = _pairing_span(kernel, machine, t_nol, raw_ol, fe)
         if span > raw_ol:
             t_ol = span
             retire_limited = True

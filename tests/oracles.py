@@ -5,6 +5,7 @@ traffic code paths."""
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import count
 
 
 def brute_force_min_cycles(uop_port_sets: list[frozenset[int]]) -> int:
@@ -72,6 +73,67 @@ def matching_min_cycles(uop_port_sets: list[frozenset[int]]) -> int:
         if full_matching_exists(limit):
             return limit
     raise AssertionError("unreachable")
+
+
+def _port_choices(requirements, used: set[int]):
+    if len(requirements) == 1:
+        for p in sorted(requirements[0] - used):
+            yield (p,)
+        return
+    first, second = requirements
+    for a in sorted(first - used):
+        for b in sorted(second - used):
+            if a != b:
+                yield (a, b)
+
+
+def _co_schedulable(units, n_cycles: int, ol_window: int, width: int) -> bool:
+    """Can all units be placed, overlapping ones within cycles < ol_window?"""
+    ports_used: list[set[int]] = [set() for _ in range(n_cycles)]
+    slots_used = [0] * n_cycles
+
+    def place(i: int, min_cycle: int) -> bool:
+        if i == len(units):
+            return True
+        choices, weight, overlapping = units[i]
+        limit = ol_window if overlapping else n_cycles
+        # identical neighbours are interchangeable; force non-decreasing cycles
+        start = min_cycle if i > 0 and units[i - 1] == units[i] else 0
+        for c in range(start, limit):
+            if slots_used[c] + weight > width:
+                continue
+            for combo in _port_choices(choices, ports_used[c]):
+                ports_used[c].update(combo)
+                slots_used[c] += weight
+                if place(i + 1, c):
+                    return True
+                slots_used[c] -= weight
+                ports_used[c].difference_update(combo)
+        return False
+
+    return place(0, 0)
+
+
+def backtracking_pairing_span(units: list[tuple[tuple[frozenset[int], ...], int, bool]], width: int, raw_ol: int) -> int:
+    """Fewest cycles, at least raw_ol, that the overlapping units can span in
+    the first cycle count that fits a joint schedule, by placing the units
+    one by one into cycles (exponential; small instances only).
+
+    A unit is (port choices, retire weight, overlapping): it takes one port
+    from each choice set, all distinct, in one cycle, and weight of the
+    cycle's `width` retire slots. Returns raw_ol when a unit cannot fit a
+    cycle on its own.
+    """
+    if any(weight > width or not any(_port_choices(choices, set())) for choices, weight, _ in units):
+        return raw_ol
+    # stores first, then loads, then arithmetic: most constrained first
+    ordered = sorted(units, key=lambda u: (u[2], -u[1], -len(u[0]), [sorted(p) for p in u[0]]))
+    lower = max(raw_ol, 1, -(-sum(weight for _, weight, _ in units) // width))
+    for total in count(lower):
+        for span in range(raw_ol, total + 1):
+            if _co_schedulable(ordered, total, span, width):
+                return span
+    raise AssertionError("unreachable: a cycle per unit always fits")
 
 
 class _Cache:

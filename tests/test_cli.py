@@ -41,6 +41,28 @@ def test_predict_invalid_machine_file(tmp_path, capsys):
     assert code == 2
 
 
+def write_kernel(tmp_path, streams, uops):
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps({"name": "k", "element_bytes": 8, "streams": streams, "uops": uops}))
+    return str(path)
+
+
+def test_predict_string_nontemporal_flag_is_an_error(tmp_path, capsys):
+    store = {"count": 2, "class": "store", "addressing": "base-index-offset"}
+    path = write_kernel(tmp_path, [{"array": "A", "access": "write", "nontemporal": "false"}], [store])
+    code, text = invoke("predict", "-k", path)
+    assert (code, text) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "nontemporal" in err[0]
+
+
+def test_predict_kernel_without_streams_or_uops_is_an_error(tmp_path, capsys):
+    code, text = invoke("predict", "-k", write_kernel(tmp_path, [], []))
+    assert (code, text) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: prediction has zero memory-level cycles"]
+
+
 def test_traffic_copy():
     code, text = invoke("traffic", "-k", "copy")
     assert code == 0

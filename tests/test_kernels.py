@@ -138,6 +138,15 @@ def test_load_kernel_nt_read_rejected(tmp_path):
         load_kernel(path)
 
 
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+def test_load_kernel_nontemporal_must_be_a_boolean(tmp_path, flag):
+    data = dict(DDOT_FILE, streams=[{"array": "A", "access": "write", "nontemporal": flag}])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SchemaError, match="nontemporal must be a boolean"):
+        load_kernel(path)
+
+
 def test_load_kernel_unknown_key_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(dict(DDOT_FILE, body="s += A[i]*B[i]")))

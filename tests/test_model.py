@@ -125,6 +125,14 @@ def test_penalty_preserves_monotonicity():
         assert adjusted.t_core <= adjusted.t_l2 <= adjusted.t_l3 <= adjusted.t_mem
 
 
+def test_penalty_rejects_cells_that_would_decrease():
+    pred = predict(ecm_input(KERNELS["ddot"], HASWELL))
+    with pytest.raises(ValueError, match="must not decrease"):
+        apply_penalty(pred, KERNELS["ddot"], PenaltyConfig(cycles_per_load_stream_per_level=Fraction(-3)))
+    with pytest.raises(ValueError, match="must not decrease"):
+        apply_penalty(ECMPrediction(Fraction(5), Fraction(3), Fraction(6), Fraction(9)), KERNELS["ddot"])
+
+
 def test_penalty_moves_memory_prediction_toward_measurement():
     for name in ("ddot", "load"):
         pred = predict(ecm_input(KERNELS[name], HASWELL))

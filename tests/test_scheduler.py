@@ -1,4 +1,6 @@
 import random
+from dataclasses import replace
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -15,11 +17,12 @@ from ecmkit import (
     min_cycles,
 )
 from ecmkit.errors import CapabilityError
-from ecmkit.kernels import KernelModel
+from ecmkit.kernels import KernelModel, UopGroup
 from ecmkit.machine import MachineModel, MemoryModel, NumaConfig, PortSpec
-from ecmkit.scheduler import SchedItem, SchedulingProblem
+from ecmkit._pairing import PackingSearch, pattern_table
+from ecmkit.scheduler import SchedItem, SchedulingProblem, _joint_units, _pairing_span
 
-from oracles import brute_force_min_cycles, matching_min_cycles
+from oracles import backtracking_pairing_span, brute_force_min_cycles, matching_min_cycles
 
 HASWELL = builtin_haswell()
 KERNELS = builtin_kernels()
@@ -200,3 +203,153 @@ def test_min_cycles_monotone_in_ports(sets, new_port, data):
     widened_sets[index] = widened_sets[index] | {new_port}
     widened = SchedulingProblem(tuple(SchedItem(f"u{i}", s) for i, s in enumerate(widened_sets)))
     assert min_cycles(widened) <= min_cycles(base)
+
+
+# ---------------------------------------------------------------------------
+# joint retire/port pairing
+
+BIO, OFFSET = "base-index-offset", "offset-only"
+MEMORY_UOPS = (("load", BIO), ("load", OFFSET), ("store", BIO), ("store", OFFSET))
+ARITH_UOPS = ("fma", "add", "mul", "lea")
+CAPABILITIES = ("load-agu-full", "agu-simple", "store-data") + ARITH_UOPS
+# 0-2 extra arithmetic uops on top of an unrolled built-in
+EXTRAS = [extras for n in range(3) for extras in combinations_with_replacement(("add", "mul", "lea"), n)]
+# most search states any unrolled built-in below may visit; the exhaustive
+# uop-by-uop search needed up to 200 000 nodes and more on these kernels
+PAIRING_STATE_LIMIT = 150
+
+
+def unrolled(kernel, factor, extras=()):
+    uops = tuple(replace(g, count=g.count * factor) for g in kernel.uops)
+    return replace(kernel, uops=uops + tuple(UopGroup(1, extra) for extra in extras))
+
+
+def pairing(kernel, machine):
+    """(span, search states) as core_timing asks for them."""
+    t_nol = min_cycles(build_nol_problem(kernel, machine))
+    raw_ol = min_cycles(build_ol_problem(kernel, machine))
+    return _pairing_span(kernel, machine, t_nol, raw_ol, frontend_bound(kernel, machine))
+
+
+def oracle_span(kernel, machine):
+    """The backtracking oracle on units built straight from the machine's
+    port capabilities."""
+    full = machine.ports_with("load-agu-full")
+    data = machine.ports_with("store-data")
+    units = []
+    for g in kernel.uops:
+        if g.uop_class == "load":
+            unit = ((full,), 1, False)
+        elif g.uop_class == "store":
+            address = full | machine.ports_with("agu-simple") if g.addressing == OFFSET else full
+            unit = ((address, data), machine.store_uop_weight, False)
+        else:
+            unit = ((machine.ports_with(g.uop_class),), 1, True)
+        units += [unit] * g.count
+    raw_ol = brute_force_min_cycles([choices[0] for choices, _, overlapping in units if overlapping])
+    return backtracking_pairing_span(units, machine.retire_width, raw_ol)
+
+
+def random_kernel(rng, memory_uops, arith_uops, max_uops):
+    """At least one memory and one arithmetic uop, at most max_uops in all."""
+    picks = [rng.choice(memory_uops), (rng.choice(arith_uops), None)]
+    picks += [rng.choice(memory_uops + tuple((a, None) for a in arith_uops)) for _ in range(rng.randint(0, max_uops - 2))]
+    counts = {}
+    for pick in picks:
+        counts[pick] = counts.get(pick, 0) + 1
+    return KernelModel("random", (), 8, tuple(UopGroup(n, cls, addressing) for (cls, addressing), n in counts.items()))
+
+
+def random_machine(rng):
+    """A few ports with random capabilities, a random retire width and store
+    weight; the uop kinds it can run."""
+    while True:
+        ports = tuple(
+            PortSpec(i, frozenset(rng.sample(CAPABILITIES, rng.randint(1, 3)))) for i in range(rng.randint(3, 6))
+        )
+        machine = replace(HASWELL, ports=ports, retire_width=rng.randint(2, 4), store_uop_weight=rng.randint(1, 2))
+        full, data = machine.ports_with("load-agu-full"), machine.ports_with("store-data")
+        simple = machine.ports_with("agu-simple")
+        memory = tuple(
+            (cls, addressing)
+            for cls, addressing in MEMORY_UOPS
+            if full and (cls == "load" or data) or (cls == "store" and addressing == OFFSET and simple and data)
+        )
+        arith = tuple(a for a in ARITH_UOPS if machine.ports_with(a))
+        if memory and arith:
+            return machine, memory, arith
+
+
+def test_pairing_span_agrees_with_backtracking_oracle_on_builtin_machine():
+    rng = random.Random(0x1511)
+    for _ in range(150):
+        kernel = random_kernel(rng, MEMORY_UOPS, ARITH_UOPS, max_uops=10)
+        assert pairing(kernel, HASWELL)[0] == oracle_span(kernel, HASWELL), kernel.uops
+
+
+def test_pairing_span_agrees_with_backtracking_oracle_on_random_port_layouts():
+    rng = random.Random(0x0363)
+    for _ in range(150):
+        machine, memory, arith = random_machine(rng)
+        kernel = random_kernel(rng, memory, arith, max_uops=8)
+        assert pairing(kernel, machine)[0] == oracle_span(kernel, machine), (machine.ports, kernel.uops)
+
+
+def first_total(search, counts):
+    total = 1
+    while not search.fits(counts, total, 0):
+        total += 1
+    return total
+
+
+def least_span_at(search, counts, total):
+    return next(span for span in range(1, total + 1) if search.fits(counts, span, total - span))
+
+
+def test_pairing_never_gets_easier_when_a_uop_is_added():
+    """Adding a unit never lowers the joint cycle count, nor, at a given
+    cycle count, the span the arithmetic needs. (The span at each kernel's
+    own first cycle count can fall: see the unrolled update below.)"""
+    rng = random.Random(0xECA)
+    for _ in range(60):
+        kernel = unrolled(random_kernel(rng, MEMORY_UOPS, ARITH_UOPS, max_uops=6), rng.randint(1, 3))
+        units = _joint_units(kernel, HASWELL)
+        kinds = tuple(units)
+        table = pattern_table(kinds, HASWELL.retire_width)
+        counts = tuple(units[k] for k in kinds)
+        grown = list(counts)
+        grown[rng.randrange(len(kinds))] += 1
+        grown = tuple(grown)
+        total = first_total(PackingSearch(table), grown)
+        assert total >= first_total(PackingSearch(table), counts)
+        assert least_span_at(PackingSearch(table), grown, total) >= least_span_at(PackingSearch(table), counts, total)
+
+
+@pytest.mark.parametrize("factor", [1, 2, 4, 8])
+def test_unrolled_update_pairs_one_multiply_per_cycle(factor):
+    # every cycle carries a store (port 4, two retire slots) and a load, so
+    # one retire slot is left for a multiply
+    timing = core_timing(unrolled(KERNELS["update"], factor), HASWELL)
+    assert (timing.t_ol, timing.t_nol) == (2 * factor, 2 * factor)
+
+
+def test_unrolled_update_with_one_more_load_needs_a_cycle_more_and_spreads_less():
+    # the ninth load pushes the joint schedule to 9 cycles; three of them
+    # retire only a store and a load, and the 8 multiplies fit in the other 6
+    kernel = unrolled(KERNELS["update"], 4)
+    kernel = replace(kernel, uops=kernel.uops + (UopGroup(1, "load", BIO),))
+    timing = core_timing(kernel, HASWELL)
+    assert (timing.t_ol, timing.t_nol, timing.frontend_cycles) == (6, 9, 9)
+
+
+def test_pairing_search_work_stays_bounded_on_unrolled_builtins():
+    over = []
+    for name, kernel in sorted(KERNELS.items()):
+        if any(s.nontemporal for s in kernel.streams):
+            continue
+        for factor in (1, 2, 4, 8):
+            for extras in EXTRAS:
+                _, states = pairing(unrolled(kernel, factor, extras), HASWELL)
+                if states > PAIRING_STATE_LIMIT:
+                    over.append((name, factor, extras, states))
+    assert not over
