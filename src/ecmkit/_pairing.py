@@ -10,7 +10,11 @@ and retire width. Whether all units fit in T cycles with the arithmetic in
 s of them is then decided by a memoized search that fills one cycle at a
 time, branches only on the patterns maximal under the counts still to
 place, and prunes a state when a port (Hall) or retire-slot bound shows
-the rest cannot fit. The search is exact and has no budget.
+the rest cannot fit. The search is exact and has no budget; it keeps its
+path on an explicit stack, so its depth is not bounded by recursion. Solves
+are memoized by pattern table (kind set and retire width), count vector and
+starting bounds in a bounded least-recently-used cache, so repeated queries
+and kernels with equal unit counts run the search once.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, ge, mul, sub
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -48,10 +53,11 @@ def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return sum(map(mul, a, b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PatternTable:
     """Single-cycle patterns of one kind set, and the bounds they put on the
-    counts that fit a number of cycles."""
+    counts that fit a number of cycles. Tables are cached and compare by
+    identity."""
 
     weights: tuple[int, ...]
     arithmetic: tuple[int, ...]  # indices of the overlapping kinds
@@ -133,6 +139,28 @@ class PackingSearch:
         self.states = 0
 
     def fits(self, counts: tuple[int, ...], arith_cycles: int, memory_cycles: int) -> bool:
+        # depth-first over one cycle per level, with an explicit stack so
+        # that the depth (the cycle count) is not bounded by recursion
+        stack = []
+        state = self._visit(counts, arith_cycles, memory_cycles)
+        while state is not True:
+            if state is not False:
+                stack.append(state)
+            while stack:
+                key, memory, children = stack[-1]
+                child = next(children, None)
+                if child is not None:
+                    state = self._visit(*child)
+                    break
+                self.failed[key] = memory
+                stack.pop()
+            else:
+                return False
+        return True
+
+    def _visit(self, counts: tuple[int, ...], arith_cycles: int, memory_cycles: int):
+        """True or False when the state is decided without branching, else
+        its memo key, its memory-only cycles and the states one cycle on."""
         t = self.table
         if not any(counts[j] for j in t.arithmetic):
             # with the arithmetic placed, every cycle left is memory-only
@@ -148,6 +176,10 @@ class PackingSearch:
         for y, cap_any, cap_memory in t.bounds:
             if _dot(y, counts) > cap_any * arith_cycles + cap_memory * memory_cycles:
                 return False
+        return key, memory_cycles, self._children(counts, arith_cycles, memory_cycles)
+
+    def _children(self, counts: tuple[int, ...], arith_cycles: int, memory_cycles: int) -> Iterator:
+        t = self.table
         # once the arithmetic is placed, these truncate to the memory-only patterns
         steps = {tuple(map(min, pattern, counts)) for pattern in t.maximal}
         taken: list[tuple[int, ...]] = []
@@ -158,17 +190,13 @@ class PackingSearch:
             taken.append(step)
             rest = tuple(map(sub, counts, step))
             if arith_cycles:
-                found = self.fits(rest, arith_cycles - 1, memory_cycles)
+                yield rest, arith_cycles - 1, memory_cycles
             else:
-                found = self.fits(rest, 0, memory_cycles - 1)
-            if found:
-                return True
-        self.failed[key] = memory_cycles
-        return False
+                yield rest, 0, memory_cycles - 1
 
 
 def least_span(units: dict[Unit, int], width: int, lower: int, raw_ol: int) -> tuple[int, int]:
-    """The least span of the arithmetic and the search states visited.
+    """The least span of the arithmetic and the search states its solve visited.
 
     T is the first cycle count, counting up from `lower`, into which all
     `units` (kind -> count) fit; the span is the least s >= raw_ol such that
@@ -179,7 +207,14 @@ def least_span(units: dict[Unit, int], width: int, lower: int, raw_ol: int) -> t
     table = pattern_table(kinds, width)
     if table is None:
         return raw_ol, 0
-    counts = tuple(units[k] for k in kinds)
+    return _least_span(table, tuple(units[k] for k in kinds), lower, raw_ol)
+
+
+@lru_cache(maxsize=1024)
+def _least_span(table: PatternTable, counts: tuple[int, ...], lower: int, raw_ol: int) -> tuple[int, int]:
+    """least_span memoized by count vector. The cached table stands for its
+    kind set and retire width and is keyed by identity, so kernels with equal
+    unit counts share a solve and an entry holds no units of its own."""
     search = PackingSearch(table)
     # The first try, span raw_ol at the lowest total, is the common answer.
     # A fit at any span means the total fits, and span = total fits whenever

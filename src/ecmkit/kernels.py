@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import SchemaError
-from .machine import CACHE_LINE_BYTES
+from .machine import CACHE_LINE_BYTES, _as_int, _as_list, _as_str
 
 ACCESS_KINDS = ("read", "write", "readwrite")
 UOP_CLASSES = ("load", "store", "fma", "add", "mul", "lea")
@@ -261,9 +261,12 @@ def kernel_from_dict(data: dict, context: str = "kernel") -> KernelModel:
     missing = {"name", "element_bytes", "streams", "uops"} - set(data)
     if missing:
         raise SchemaError(f"{context}: missing key(s) {sorted(missing)}")
+    name = _as_str(data["name"], f"{context}: name")
+    element_bytes = _as_int(data["element_bytes"], f"{context}: element_bytes")
+    flops = _as_int(data.get("flops_per_iteration", 0), f"{context}: flops_per_iteration")
 
     streams = []
-    for i, entry in enumerate(data["streams"]):
+    for i, entry in enumerate(_as_list(data["streams"], f"{context}: streams")):
         ctx = f"{context}: streams[{i}]"
         if not isinstance(entry, dict):
             raise SchemaError(f"{ctx}: expected an object")
@@ -275,10 +278,10 @@ def kernel_from_dict(data: dict, context: str = "kernel") -> KernelModel:
         nontemporal = entry.get("nontemporal", False)
         if not isinstance(nontemporal, bool):
             raise SchemaError(f"{ctx}: nontemporal must be a boolean, got {nontemporal!r}")
-        streams.append(Stream(entry["array"], entry["access"], nontemporal))
+        streams.append(Stream(_as_str(entry["array"], f"{ctx}: array"), entry["access"], nontemporal))
 
     uops = []
-    for i, entry in enumerate(data["uops"]):
+    for i, entry in enumerate(_as_list(data["uops"], f"{context}: uops")):
         ctx = f"{context}: uops[{i}]"
         if not isinstance(entry, dict):
             raise SchemaError(f"{ctx}: expected an object")
@@ -290,11 +293,11 @@ def kernel_from_dict(data: dict, context: str = "kernel") -> KernelModel:
         uops.append(UopGroup(entry["count"], entry["class"], entry.get("addressing")))
 
     return KernelModel(
-        name=data["name"],
+        name=name,
         streams=tuple(streams),
-        element_bytes=data["element_bytes"],
+        element_bytes=element_bytes,
         uops=tuple(uops),
-        flops_per_iteration=data.get("flops_per_iteration", 0),
+        flops_per_iteration=flops,
     )
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isfinite
 from pathlib import Path
 
 from ._num import as_fraction
@@ -253,7 +254,21 @@ def _as_int(value, context: str) -> int:
 def _as_number(value, context: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{context}: expected a number, got {value!r}")
+    if isinstance(value, float) and not isfinite(value):
+        raise SchemaError(f"{context}: expected a finite number, got {value!r}")
     return as_fraction(value)
+
+
+def _as_list(value, context: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{context}: expected a list, got {value!r}")
+    return value
+
+
+def _as_str(value, context: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(f"{context}: expected a string, got {value!r}")
+    return value
 
 
 def machine_from_dict(data: dict, context: str = "machine") -> MachineModel:
@@ -264,11 +279,10 @@ def machine_from_dict(data: dict, context: str = "machine") -> MachineModel:
         set(),
         context,
     )
-    if not isinstance(data["name"], str):
-        raise SchemaError(f"{context}: name must be a string")
+    name = _as_str(data["name"], f"{context}: name")
 
     ports = []
-    for i, entry in enumerate(data["ports"]):
+    for i, entry in enumerate(_as_list(data["ports"], f"{context}: ports")):
         ctx = f"{context}: ports[{i}]"
         _check_keys(entry, {"id", "capabilities"}, set(), ctx)
         caps = entry["capabilities"]
@@ -277,7 +291,7 @@ def machine_from_dict(data: dict, context: str = "machine") -> MachineModel:
         ports.append(PortSpec(_as_int(entry["id"], f"{ctx}: id"), frozenset(caps)))
 
     boundaries = []
-    for i, entry in enumerate(data["boundaries"]):
+    for i, entry in enumerate(_as_list(data["boundaries"], f"{context}: boundaries")):
         ctx = f"{context}: boundaries[{i}]"
         _check_keys(entry, {"name", "bytes_per_cycle"}, set(), ctx)
         bpc = entry["bytes_per_cycle"]
@@ -288,7 +302,7 @@ def machine_from_dict(data: dict, context: str = "machine") -> MachineModel:
     mem = data["memory"]
     _check_keys(mem, {"default_bandwidth_gbs"}, {"table", "noncod_derating"}, f"{context}: memory")
     table: dict[Signature, Fraction] = {}
-    for i, row in enumerate(mem.get("table", [])):
+    for i, row in enumerate(_as_list(mem.get("table", []), f"{context}: memory.table")):
         ctx = f"{context}: memory.table[{i}]"
         _check_keys(row, {"loads", "stores", "nt_stores", "gbs"}, set(), ctx)
         sig = (
@@ -316,7 +330,7 @@ def machine_from_dict(data: dict, context: str = "machine") -> MachineModel:
     )
 
     return MachineModel(
-        name=data["name"],
+        name=name,
         frequency_ghz=_as_number(data["frequency_ghz"], f"{context}: frequency_ghz"),
         retire_width=_as_int(data["retire_width"], f"{context}: retire_width"),
         store_uop_weight=_as_int(data["store_uop_weight"], f"{context}: store_uop_weight"),

@@ -153,13 +153,13 @@ def apply_penalty(pred: ECMPrediction, kernel: KernelModel, config: PenaltyConfi
 def format_cycles(value) -> str:
     """Canonical cycle display: minimum digits, fractional values to one
     decimal, halves away from zero."""
-    r = round_half_away(value, 1)
-    if r.denominator == 1:
-        return str(r.numerator)
-    tenths = r * 10
-    sign = "-" if tenths < 0 else ""
-    n = abs(tenths.numerator)
-    return f"{sign}{n // 10}.{n % 10}"
+    v = as_fraction(value)
+    n, d = v.numerator, v.denominator
+    # |v| in tenths, rounded half up: floor((20 |n| + d) / 2d)
+    tenths = (20 * abs(n) + d) // (2 * d)
+    sign = "-" if n < 0 and tenths else ""
+    whole, tenth = divmod(tenths, 10)
+    return f"{sign}{whole}" if not tenth else f"{sign}{whole}.{tenth}"
 
 
 def format_ecm(value: ECMInput | ECMPrediction) -> str:
@@ -172,7 +172,7 @@ def format_ecm(value: ECMInput | ECMPrediction) -> str:
     raise TypeError(f"cannot format {type(value).__name__}")
 
 
-_NUMBER = re.compile(r"\d+(?:\.\d+)?")
+_NUMBER = re.compile(r"(\d+)(?:\.(\d+))?")
 
 
 def parse_ecm(text: str) -> ECMInput | ECMPrediction:
@@ -199,7 +199,8 @@ def parse_ecm(text: str) -> ECMInput | ECMPrediction:
         if not match:
             raise ECMParseError("expected a number", pos)
         pos = match.end()
-        return Fraction(match.group())
+        whole, frac = match.group(1), match.group(2) or ""
+        return Fraction(int(whole + frac), 10 ** len(frac))
 
     expect("{")
     values = [number()]

@@ -112,23 +112,27 @@ def scale(
     p1 = single_core_performance(pred, kernel, machine)
     ceiling = bandwidth_ceiling(kernel, machine, mode)
 
-    points = []
-    last_cap: Fraction | None = None
-    for n in range(1, max_cores + 1):
-        linear = n * p1
-        if ceiling.compute_bound:
-            points.append(PerformancePoint(n, linear, bandwidth_bound=False))
-            continue
+    cores = range(1, max_cores + 1)
+    if ceiling.compute_bound:
+        points = [PerformancePoint(n, n * p1, bandwidth_bound=False) for n in cores]
+        last_cap = None
+    else:
         if mode == "cod":
+            numa = machine.numa
+            # the cap of each number of occupied domains, computed once per curve
+            by_domains = [k * ceiling.per_domain_mups for k in range(numa.n_domains + 1)]
             if pinning == "domain-sequential":
-                occupied = ceil(n / machine.numa.cores_per_domain)
+                caps = [by_domains[ceil(n / numa.cores_per_domain)] for n in cores]
             else:
-                occupied = min(n, machine.numa.n_domains)
-            cap = occupied * ceiling.per_domain_mups
+                caps = [by_domains[min(n, numa.n_domains)] for n in cores]
         else:
-            cap = ceiling.per_chip_mups
-        last_cap = cap
-        points.append(PerformancePoint(n, min(linear, cap), bandwidth_bound=linear >= cap))
+            caps = [ceiling.per_chip_mups] * max_cores
+        points = []
+        for n, cap in zip(cores, caps):
+            linear = n * p1
+            bound = linear >= cap
+            points.append(PerformancePoint(n, cap if bound else linear, bandwidth_bound=bound))
+        last_cap = caps[-1]
 
     saturation = None
     for point in reversed(points):

@@ -163,7 +163,10 @@ def frontend_bound(kernel: KernelModel, machine: MachineModel) -> int:
 # kind. The _pairing module finds T and the span exactly, with no budget and
 # no fallback, by a search over per-cycle patterns of these kinds; its
 # pattern table is cached per port layout, retire width, store weight and
-# kind set.
+# kind set. Each solve is memoized by pattern table, count vector and
+# starting bounds in a bounded least-recently-used cache, so repeated
+# queries, and kernels or machines that reduce to equal unit counts, run the
+# search once; the port and frontend bounds are still computed per call.
 
 
 def _joint_units(kernel: KernelModel, machine: MachineModel) -> dict[Unit, int]:

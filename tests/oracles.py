@@ -5,6 +5,7 @@ traffic code paths."""
 from __future__ import annotations
 
 from collections import OrderedDict
+from fractions import Fraction
 from itertools import count
 
 
@@ -218,3 +219,27 @@ def cache_replay_traffic(stream_kinds: list[str], n_lines: int = 256) -> tuple[i
 
     assert all(t % n_lines == 0 for t in transfers), transfers
     return tuple(t // n_lines for t in transfers)
+
+
+def rational_format_cycles(value: Fraction) -> str:
+    """The shorthand cell display by Fraction rounding: one decimal, halves
+    away from zero, integers without a decimal point."""
+
+    def round_half_away(v: Fraction) -> Fraction:
+        if v < 0:
+            return -round_half_away(-v)
+        scaled = v * 10
+        return Fraction((2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator), 10)
+
+    r = round_half_away(Fraction(value))
+    if r.denominator == 1:
+        return str(r.numerator)
+    tenths = r * 10
+    sign = "-" if tenths < 0 else ""
+    n = abs(tenths.numerator)
+    return f"{sign}{n // 10}.{n % 10}"
+
+
+def decimal_fraction(text: str) -> Fraction:
+    """A decimal literal read by Fraction's own string parser."""
+    return Fraction(text)

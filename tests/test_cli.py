@@ -63,6 +63,46 @@ def test_predict_kernel_without_streams_or_uops_is_an_error(tmp_path, capsys):
     assert err == ["error: prediction has zero memory-level cycles"]
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("element_bytes", "8"), ("element_bytes", 8.0), ("name", 7), ("flops_per_iteration", "2"), ("streams", 5)],
+)
+def test_predict_kernel_field_of_the_wrong_type_is_an_error(tmp_path, capsys, key, value):
+    load = {"count": 2, "class": "load", "addressing": "base-index-offset"}
+    data = {"name": "k", "element_bytes": 8, "streams": [{"array": "A", "access": "read"}], "uops": [load], key: value}
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(data))
+    code, text = invoke("predict", "-k", str(path))
+    assert (code, text) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_predict_non_finite_machine_number_is_an_error(tmp_path, capsys, literal):
+    text = json.dumps(serialize_machine(builtin_haswell()))
+    text = text.replace('"frequency_ghz": 2.3', f'"frequency_ghz": {literal}')
+    assert literal in text
+    path = tmp_path / "machine.json"
+    path.write_text(text)
+    code, out = invoke("predict", "-m", str(path), "-k", "ddot")
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "frequency_ghz" in err[0]
+
+
+@pytest.mark.parametrize("section", ["ports", "boundaries", "table"])
+def test_predict_machine_section_that_is_not_a_list_is_an_error(tmp_path, capsys, section):
+    data = serialize_machine(builtin_haswell())
+    (data["memory"] if section == "table" else data)[section] = 5
+    path = tmp_path / "machine.json"
+    path.write_text(json.dumps(data))
+    code, out = invoke("predict", "-m", str(path), "-k", "ddot")
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and section in err[0]
+
+
 def test_traffic_copy():
     code, text = invoke("traffic", "-k", "copy")
     assert code == 0

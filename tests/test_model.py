@@ -25,6 +25,8 @@ from ecmkit import (
 from ecmkit.errors import SchemaError
 from ecmkit.reference import reference_cells, reference_measurement, REFERENCE_KERNELS
 
+from oracles import decimal_fraction, rational_format_cycles
+
 HASWELL = builtin_haswell()
 KERNELS = builtin_kernels()
 
@@ -184,6 +186,31 @@ def test_parse_rejects_trailing_garbage():
 
 
 one_decimal = st.integers(min_value=0, max_value=500).map(lambda n: Fraction(n, 10))
+
+
+# any size and sign, exact halves of a tenth, and values that round to 0
+cycle_values = st.one_of(
+    st.fractions(),
+    st.builds(lambda k, sign: Fraction(sign * (2 * k + 1), 20), st.integers(0, 10**6), st.sampled_from((1, -1))),
+    st.fractions(min_value=Fraction(-1, 20), max_value=Fraction(1, 20)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cycle_values)
+def test_format_cycles_agrees_with_fraction_rounding(value):
+    assert format_cycles(value) == rational_format_cycles(value)
+
+
+digits = st.text("0123456789", min_size=1, max_size=25)
+decimal_text = st.builds(lambda whole, frac: whole if frac is None else f"{whole}.{frac}", digits, st.none() | digits)
+
+
+@settings(max_examples=100, deadline=None)
+@given(decimal_text, decimal_text, decimal_text, decimal_text)
+def test_parse_reads_decimals_as_fraction_does(a, b, c, d):
+    value = parse_ecm(f"{{{a} \\ {b} \\ {c} \\ {d}}}")
+    assert value.cells() == tuple(decimal_fraction(text) for text in (a, b, c, d))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,4 +1,6 @@
+from dataclasses import replace
 from fractions import Fraction
+from math import ceil
 
 import pytest
 
@@ -14,7 +16,8 @@ from ecmkit import (
     single_core_performance,
 )
 from ecmkit.kernels import KernelModel
-from ecmkit.machine import MachineModel
+from ecmkit.machine import MachineModel, MemoryModel
+from ecmkit.model import PenaltyConfig, apply_penalty
 
 HASWELL = builtin_haswell()
 KERNELS = builtin_kernels()
@@ -129,6 +132,45 @@ def test_scale_round_robin_reaches_both_domains_early():
     sequential = scale(KERNELS["ddot"], HASWELL, mode="cod", max_cores=4, pinning="domain-sequential")
     spread = scale(KERNELS["ddot"], HASWELL, mode="cod", max_cores=4, pinning="round-robin")
     assert spread.points[-1].performance_mups >= sequential.points[-1].performance_mups
+
+
+@pytest.mark.parametrize("mode", ["cod", "noncod"])
+@pytest.mark.parametrize("pinning", ["domain-sequential", "round-robin"])
+@pytest.mark.parametrize("penalty", [None, PenaltyConfig()])
+def test_scale_points_follow_the_capped_linear_formula(mode, pinning, penalty):
+    numa = HASWELL.numa
+    for kernel in KERNELS.values():
+        curve = scale(kernel, HASWELL, mode=mode, pinning=pinning, penalty=penalty)
+        pred = predict(ecm_input(kernel, HASWELL, mode))
+        if penalty is not None:
+            pred = apply_penalty(pred, kernel, penalty)
+        p1 = single_core_performance(pred, kernel, HASWELL)
+        ceiling = bandwidth_ceiling(kernel, HASWELL, mode)
+        expected = []
+        for n in range(1, numa.total_cores + 1):
+            if ceiling.compute_bound:
+                expected.append((n, n * p1, False))
+                continue
+            if mode == "noncod":
+                cap = ceiling.per_chip_mups
+            elif pinning == "domain-sequential":
+                cap = ceil(n / numa.cores_per_domain) * ceiling.per_domain_mups
+            else:
+                cap = min(n, numa.n_domains) * ceiling.per_domain_mups
+            expected.append((n, min(n * p1, cap), n * p1 >= cap))
+        assert [(p.cores, p.performance_mups, p.bandwidth_bound) for p in curve.points] == expected, kernel.name
+        assert curve.ceiling_mups == (None if ceiling.compute_bound else cap)
+
+
+def test_scale_point_exactly_at_the_ceiling_is_bandwidth_bound():
+    # 73.6 GB/s chip-wide: ddot's T_L3Mem is 2 * 64 * 2.3 / 73.6 = 4, so one
+    # core does 2300 * 8 / 12 MUp/s and three reach the 73 600 / 16 = 4600
+    # MUp/s ceiling exactly
+    machine = replace(HASWELL, memory=MemoryModel(default_bandwidth_gbs=Fraction("36.8"), bandwidth_table={}))
+    curve = scale(KERNELS["ddot"], machine, mode="noncod", max_cores=4)
+    assert [p.performance_mups for p in curve.points] == [Fraction(4600, 3) * n for n in (1, 2)] + [4600, 4600]
+    assert [p.bandwidth_bound for p in curve.points] == [False, False, True, True]
+    assert curve.saturation_cores == 3
 
 
 def test_scale_rejects_out_of_range_cores():

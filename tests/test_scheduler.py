@@ -19,7 +19,7 @@ from ecmkit import (
 from ecmkit.errors import CapabilityError
 from ecmkit.kernels import KernelModel, UopGroup
 from ecmkit.machine import MachineModel, MemoryModel, NumaConfig, PortSpec
-from ecmkit._pairing import PackingSearch, pattern_table
+from ecmkit._pairing import PackingSearch, _least_span, pattern_table
 from ecmkit.scheduler import SchedItem, SchedulingProblem, _joint_units, _pairing_span
 
 from oracles import backtracking_pairing_span, brute_force_min_cycles, matching_min_cycles
@@ -353,3 +353,24 @@ def test_pairing_search_work_stays_bounded_on_unrolled_builtins():
                 if states > PAIRING_STATE_LIMIT:
                     over.append((name, factor, extras, states))
     assert not over
+
+
+def test_pairing_search_depth_is_not_bounded_by_recursion():
+    # the search goes one cycle deeper per level: 1 500 cycles here
+    kernel = KernelModel("deep", (), 8, (UopGroup(1500, "load", BIO), UopGroup(1500, "store", BIO), UopGroup(1500, "mul")))
+    timing = core_timing(kernel, HASWELL)
+    assert (timing.t_ol, timing.t_nol) == (1500, 1500)
+    # a few states per cycle (5 248 in all), not a blow-up with the depth
+    _, states = pairing(kernel, HASWELL)
+    assert states <= 4 * 1500
+
+
+def test_equal_unit_counts_share_one_pairing_solve():
+    kernel = unrolled(KERNELS["update"], 3, ("lea",))
+    expected = core_timing(kernel, HASWELL)
+    before = _least_span.cache_info()
+    for other in (replace(kernel, name="renamed"), replace(kernel, uops=tuple(replace(g) for g in kernel.uops))):
+        assert other is not kernel
+        assert core_timing(other, HASWELL) == expected
+    after = _least_span.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 2)
