@@ -6,22 +6,27 @@ units are the arithmetic ones, the others the memory units. Cycles are
 interchangeable, so a schedule is a multiset of per-cycle patterns: count
 vectors over the unit kinds whose units get distinct ports and whose weight
 fits the retire width. The pattern table is enumerated once per kind set
-and retire width. Whether all units fit in T cycles with the arithmetic in
-s of them is then decided by a memoized search that fills one cycle at a
-time, branches only on the patterns maximal under the counts still to
-place, and prunes a state when a port (Hall) or retire-slot bound shows
-the rest cannot fit. The search is exact and has no budget; it keeps its
-path on an explicit stack, so its depth is not bounded by recursion. Solves
-are memoized by pattern table (kind set and retire width), count vector and
-starting bounds in a bounded least-recently-used cache, so repeated queries
-and kernels with equal unit counts run the search once.
+and retire width, one kind at a time, each kind's count stopping at the
+first that does not fit, so its cost depends on the port layout and not on
+the width. Whether all units fit in T cycles with the arithmetic in s of
+them is then decided by a memoized search that fills one cycle at a time,
+branches only on the patterns maximal under the counts still to place, and
+prunes a state when a port (Hall) or retire-slot bound shows the rest
+cannot fit. The table memoizes that branch list per count vector clamped
+to the largest count of each kind in a maximal pattern, so states with
+equal clamped counts share one list. The search is exact and has no
+budget; it keeps its path on an explicit stack, so its depth is not bounded
+by recursion. Solves are memoized by pattern table (kind set and retire
+width), count vector and starting bounds in a bounded least-recently-used
+cache, so repeated queries and kernels with equal unit counts run the
+search once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import add, ge, mul, sub
+from operator import add, ge, gt, mul, sub
 from typing import Iterator
 
 
@@ -57,28 +62,58 @@ def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
 class PatternTable:
     """Single-cycle patterns of one kind set, and the bounds they put on the
     counts that fit a number of cycles. Tables are cached and compare by
-    identity."""
+    identity.
+
+    A search state branches on the maximal patterns truncated to the counts
+    it has left. Every maximal pattern lies under `peak`, so the truncation
+    depends on the counts only through clamp = min(counts, peak), and the
+    step list is memoized per clamp on the table; the cache that bounds the
+    tables bounds these lists too.
+    """
 
     weights: tuple[int, ...]
     arithmetic: tuple[int, ...]  # indices of the overlapping kinds
     maximal: tuple[tuple[int, ...], ...]  # patterns no unit can be added to
     # (y, cap_any, cap_memory): see pattern_table
     bounds: tuple[tuple[tuple[int, ...], int, int], ...]
+    peak: tuple[int, ...]  # the largest count of each kind in a maximal pattern
+    _steps: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = field(default_factory=dict, init=False, repr=False)
+
+    def steps(self, counts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """The distinct maximal patterns truncated to `counts`, heaviest
+        first, without those another one contains."""
+        clamp = tuple(map(min, counts, self.peak))
+        steps = self._steps.get(clamp)
+        if steps is None:
+            taken: list[tuple[int, ...]] = []
+            # heaviest first, so a step that contains another is kept before it
+            truncated = {tuple(map(min, pattern, clamp)) for pattern in self.maximal}
+            for step in sorted(truncated, key=lambda v: (-_dot(v, self.weights), v)):
+                if not any(all(map(ge, big, step)) for big in taken):
+                    taken.append(step)
+            steps = self._steps[clamp] = tuple(taken)
+        return steps
 
 
 @lru_cache(maxsize=32)
 def pattern_table(kinds: tuple[Unit, ...], width: int) -> PatternTable | None:
     """The pattern table, or None if some unit cannot fit a cycle on its own.
 
+    The patterns are enumerated one kind at a time. Each partial pattern
+    carries its retire weight and its port needs inside each union, and a
+    kind's count stops at the first count that does not fit: adding a unit
+    never makes a pattern fit, and a kind cannot outnumber the ports of its
+    own port sets, so the cost depends on the port layout, not on `width`.
+
     A cycle holds at most cap_any of y . pattern, and a cycle without
     arithmetic at most cap_memory, so counts that fit a cycles and m more
     memory-only cycles have y . counts <= cap_any * a + cap_memory * m.
     The table keeps that bound for y over the port needs inside each union
     of the kinds' port sets (Hall bounds), and over the unit count and the
-    retire weight of each subset of kinds. The retire weight of all kinds gives the retire-slot
-    bound and the memory-weight bound: the memory weight that the
-    memory-only cycles cannot take must fit in the slots the arithmetic
-    leaves free. Bounds implied by one or two others are dropped.
+    retire weight of each subset of kinds. The retire weight of all kinds
+    gives the retire-slot bound and the memory-weight bound: the memory
+    weight that the memory-only cycles cannot take must fit in the slots the
+    arithmetic leaves free. Bounds implied by one or two others are dropped.
     """
     n = len(kinds)
     weights = tuple(k.weight for k in kinds)
@@ -90,21 +125,31 @@ def pattern_table(kinds: tuple[Unit, ...], width: int) -> PatternTable | None:
         tuple(sum(ports <= subset for ports in k.port_choices) for k in kinds): len(subset)
         for subset in sorted(port_set_unions(p for k in kinds for p in k.port_choices), key=len, reverse=True)
     }
-
-    def fits(vector: tuple[int, ...]) -> bool:
-        return _dot(vector, weights) <= width and all(_dot(y, vector) <= size for y, size in hall.items())
-
-    if not all(fits(u) for u in unit):
+    sizes = tuple(hall.values())
+    if any(w > width for w in weights) or any(y[j] > size for y, size in hall.items() for j in range(n)):
         return None
-    vectors = [()]
-    for j in range(n):
-        vectors = [
-            v + (count,) for v in vectors for count in range(width + 1) if fits(v + (count,) + (0,) * (n - j - 1))
-        ]
+    # (pattern so far, its retire weight, its needs inside each union)
+    partial = [((), 0, (0,) * len(hall))]
+    for j, w in enumerate(weights):
+        column = tuple(y[j] for y in hall)
+        grown = []
+        for v, weight, needs in partial:
+            count = 0
+            while True:
+                grown.append((v + (count,), weight, needs))
+                weight += w
+                needs = tuple(map(add, needs, column))
+                if weight > width or any(map(gt, needs, sizes)):
+                    break
+                count += 1
+        partial = grown
+    vectors = [v for v, _, _ in partial]
     feasible = set(vectors)
     arithmetic = tuple(j for j, k in enumerate(kinds) if k.overlapping)
-    memory = [v for v in vectors if not any(v[j] for j in arithmetic)]
     maximal = tuple(v for v in vectors if not any(tuple(map(add, v, u)) in feasible for u in unit))
+    # every memory-only pattern lies under a maximal one with its arithmetic
+    # dropped, so these give the memory-only maxima of any y >= 0
+    memory = {tuple(0 if j in arithmetic else c for j, c in enumerate(v)) for v in maximal}
     ys = set(hall)
     for mask in range(1, 2**n):
         ys.add(tuple(mask >> j & 1 for j in range(n)))
@@ -113,18 +158,22 @@ def pattern_table(kinds: tuple[Unit, ...], width: int) -> PatternTable | None:
 
     def implied(y, cap_any, cap_memory) -> bool:
         for other, (other_any, other_memory) in caps.items():
-            if all(map(ge, other, y)) and other_any <= cap_any and other_memory <= cap_memory:
-                return True
-            rest = caps.get(tuple(map(sub, y, other)))
-            if rest and other_any + rest[0] <= cap_any and other_memory + rest[1] <= cap_memory:
-                return True
+            difference = tuple(map(sub, y, other))
+            if max(difference) <= 0:  # other >= y
+                if other_any <= cap_any and other_memory <= cap_memory:
+                    return True
+            else:  # y = other + rest with rest in the table
+                rest = caps.get(difference)
+                if rest and other_any + rest[0] <= cap_any and other_memory + rest[1] <= cap_memory:
+                    return True
         return False
 
     for y in sorted(caps, key=sum, reverse=True):
         cap = caps.pop(y)
         if not implied(y, *cap):
             caps[y] = cap
-    return PatternTable(weights, arithmetic, maximal, tuple((y, *cap) for y, cap in caps.items()))
+    peak = tuple(max(p[j] for p in maximal) for j in range(n))
+    return PatternTable(weights, arithmetic, maximal, tuple((y, *cap) for y, cap in caps.items()), peak)
 
 
 class PackingSearch:
@@ -179,15 +228,8 @@ class PackingSearch:
         return key, memory_cycles, self._children(counts, arith_cycles, memory_cycles)
 
     def _children(self, counts: tuple[int, ...], arith_cycles: int, memory_cycles: int) -> Iterator:
-        t = self.table
-        # once the arithmetic is placed, these truncate to the memory-only patterns
-        steps = {tuple(map(min, pattern, counts)) for pattern in t.maximal}
-        taken: list[tuple[int, ...]] = []
-        # heaviest first, so a step that contains another is tried before it
-        for step in sorted(steps, key=lambda v: (-_dot(v, t.weights), v)):
-            if any(all(map(ge, big, step)) for big in taken):
-                continue
-            taken.append(step)
+        # once the arithmetic is placed, the steps truncate to memory-only patterns
+        for step in self.table.steps(counts):
             rest = tuple(map(sub, counts, step))
             if arith_cycles:
                 yield rest, arith_cycles - 1, memory_cycles

@@ -493,7 +493,7 @@ def run(argv=None, out=None) -> int:
     except (SchemaError, CapabilityError, ECMParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

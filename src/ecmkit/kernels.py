@@ -8,13 +8,12 @@ line. Ships the built-in streaming benchmark set.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import SchemaError
-from .machine import CACHE_LINE_BYTES, _as_int, _as_list, _as_str
+from .machine import CACHE_LINE_BYTES, _as_int, _as_list, _as_str, _read_json
 
 ACCESS_KINDS = ("read", "write", "readwrite")
 UOP_CLASSES = ("load", "store", "fma", "add", "mul", "lea")
@@ -304,12 +303,7 @@ def kernel_from_dict(data: dict, context: str = "kernel") -> KernelModel:
 def load_kernel(path) -> KernelModel:
     """Load and validate a kernel file; uop/stream mismatches warn, not fail."""
     path = Path(path)
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    kernel = kernel_from_dict(data, context=str(path))
+    kernel = kernel_from_dict(_read_json(path), context=str(path))
     for message in consistency_warnings(kernel):
         warnings.warn(message, KernelConsistencyWarning, stacklevel=2)
     return kernel

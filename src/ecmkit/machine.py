@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import isfinite
 from pathlib import Path
 
@@ -161,7 +162,15 @@ class MachineModel:
         return self.boundary(boundary_name).cycles_per_cl()
 
     def ports_with(self, capability: str) -> frozenset[int]:
-        return frozenset(p.id for p in self.ports if capability in p.capabilities)
+        return self._ports_by_capability.get(capability, frozenset())
+
+    @cached_property
+    def _ports_by_capability(self) -> dict[str, frozenset[int]]:
+        ports: dict[str, set[int]] = {}
+        for p in self.ports:
+            for capability in p.capabilities:
+                ports.setdefault(capability, set()).add(p.id)
+        return {capability: frozenset(ids) for capability, ids in ports.items()}
 
     def bandwidth(self, signature: Signature, mode: str | None = None) -> Fraction:
         """Sustained GB/s for a stream signature: per-domain in clustered mode,
@@ -341,15 +350,22 @@ def machine_from_dict(data: dict, context: str = "machine") -> MachineModel:
     )
 
 
+def _read_json(path: Path):
+    """The JSON value in a UTF-8 file; text that is not UTF-8 or not JSON is
+    a SchemaError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+
+
 def load_machine(path) -> MachineModel:
     """Load and validate a machine file (JSON, schema above)."""
     path = Path(path)
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    return machine_from_dict(data, context=str(path))
+    return machine_from_dict(_read_json(path), context=str(path))
 
 
 def _json_number(value: Fraction):

@@ -268,8 +268,11 @@ def read_measurements(source) -> dict[str, Measurement]:
     """Read a measurement CSV (header kernel,level,cycles_per_cl) into
     Measurement values keyed by kernel name."""
     if isinstance(source, (str, Path)):
-        with open(source, newline="") as fh:
-            return read_measurements(fh)
+        with open(source, newline="", encoding="utf-8") as fh:
+            try:
+                return read_measurements(fh)
+            except UnicodeDecodeError as exc:
+                raise SchemaError(f"measurement CSV {source}: not UTF-8 text: {exc}") from exc
 
     reader = csv.reader(source)
     try:

@@ -17,6 +17,7 @@ to the arithmetic component.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import ceil
 
 from ._pairing import Unit, least_span, port_set_unions
@@ -83,12 +84,19 @@ def _binding_bound(problem: SchedulingProblem) -> tuple[int, frozenset[int] | No
 
     best_cycles = 0
     best_subset: frozenset[int] | None = None
-    for subset in sorted(port_set_unions(ports for ports, _ in items), key=lambda s: (len(s), sorted(s))):
+    for subset in _unions_in_order(frozenset(ports for ports, _ in items)):
         load = sum(mult for ports, mult in items if ports <= subset)
         bound = ceil(load / len(subset))
         if bound > best_cycles:
             best_cycles, best_subset = bound, subset
     return best_cycles, best_subset
+
+
+@lru_cache(maxsize=64)
+def _unions_in_order(sets: frozenset[frozenset[int]]) -> tuple[frozenset[int], ...]:
+    """The unions of the port sets, smallest first, then by port ids;
+    memoized, since every core_timing call for a kernel asks for the same."""
+    return tuple(sorted(port_set_unions(sets), key=lambda s: (len(s), sorted(s))))
 
 
 def _agu_ports(machine: MachineModel, addressing: str) -> frozenset[int]:
@@ -163,10 +171,16 @@ def frontend_bound(kernel: KernelModel, machine: MachineModel) -> int:
 # kind. The _pairing module finds T and the span exactly, with no budget and
 # no fallback, by a search over per-cycle patterns of these kinds; its
 # pattern table is cached per port layout, retire width, store weight and
-# kind set. Each solve is memoized by pattern table, count vector and
-# starting bounds in a bounded least-recently-used cache, so repeated
-# queries, and kernels or machines that reduce to equal unit counts, run the
-# search once; the port and frontend bounds are still computed per call.
+# kind set. Building a table costs the same at any retire width, since each
+# kind's count stops at the first that does not fit a cycle, and the table
+# memoizes each search state's branch list by the state's counts clamped to
+# the most units of each kind one cycle can hold, so a cold solve does not
+# rebuild that list per state. Each solve is memoized by pattern table,
+# count vector and starting bounds in a bounded least-recently-used cache,
+# so repeated queries, and kernels or machines that reduce to equal unit
+# counts, run the search once; the port and frontend bounds are still
+# computed per call, from port sets the machine maps once per capability
+# and unions of them that are memoized.
 
 
 def _joint_units(kernel: KernelModel, machine: MachineModel) -> dict[Unit, int]:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from fractions import Fraction
-from itertools import count
+from itertools import combinations, count
 
 
 def brute_force_min_cycles(uop_port_sets: list[frozenset[int]]) -> int:
@@ -135,6 +135,76 @@ def backtracking_pairing_span(units: list[tuple[tuple[frozenset[int], ...], int,
             if _co_schedulable(ordered, total, span, width):
                 return span
     raise AssertionError("unreachable: a cycle per unit always fits")
+
+
+def _dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def truncated_steps(maximal, weights, counts) -> list[tuple[int, ...]]:
+    """The steps a pairing search state with `counts` left branches on,
+    recomputed on every call: the maximal patterns truncated to the counts,
+    heaviest first, without those another one contains."""
+    steps = {tuple(map(min, pattern, counts)) for pattern in maximal}
+    taken = []
+    for step in sorted(steps, key=lambda v: (-_dot(v, weights), v)):
+        if not any(all(b >= s for b, s in zip(big, step)) for big in taken):
+            taken.append(step)
+    return taken
+
+
+def enumerated_pattern_table(kinds, width: int):
+    """(maximal patterns, set of bounds) of a kind set, or None if some unit
+    cannot fit a cycle on its own, by testing every count 0..width of each
+    kind against the retire width and every Hall union of port sets.
+
+    A kind is (port choices, retire weight, overlapping). The bounds are
+    (y, cap_any, cap_memory) as the pairing module defines them, with the
+    bounds that one or two others imply dropped in order of decreasing sum
+    of y. They come back as a set: a search state is pruned when any bound
+    fails, so their order is not part of the result.
+    """
+    n = len(kinds)
+    weights = tuple(weight for _, weight, _ in kinds)
+    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    port_sets = sorted({ports for choices, _, _ in kinds for ports in choices}, key=sorted)
+    unions = {frozenset().union(*group) for r in range(1, len(port_sets) + 1) for group in combinations(port_sets, r)}
+    hall = {}
+    for subset in sorted(unions, key=len, reverse=True):
+        hall[tuple(sum(ports <= subset for ports in choices) for choices, _, _ in kinds)] = len(subset)
+
+    def fits(vector) -> bool:
+        return _dot(vector, weights) <= width and all(_dot(y, vector) <= size for y, size in hall.items())
+
+    if not all(fits(u) for u in unit):
+        return None
+    vectors = [()]
+    for j in range(n):
+        vectors = [v + (c,) for v in vectors for c in range(width + 1) if fits(v + (c,) + (0,) * (n - j - 1))]
+    feasible = set(vectors)
+    arithmetic = [j for j, (_, _, overlapping) in enumerate(kinds) if overlapping]
+    memory = [v for v in vectors if not any(v[j] for j in arithmetic)]
+    maximal = tuple(v for v in vectors if not any(tuple(a + b for a, b in zip(v, u)) in feasible for u in unit))
+    ys = set(hall)
+    for mask in range(1, 2**n):
+        ys.add(tuple(mask >> j & 1 for j in range(n)))
+        ys.add(tuple(w * (mask >> j & 1) for j, w in enumerate(weights)))
+    caps = {y: (max(_dot(y, p) for p in maximal), max(_dot(y, p) for p in memory)) for y in ys if any(y)}
+
+    def implied(y, cap_any, cap_memory) -> bool:
+        for other, (other_any, other_memory) in caps.items():
+            if all(o >= v for o, v in zip(other, y)) and other_any <= cap_any and other_memory <= cap_memory:
+                return True
+            rest = caps.get(tuple(v - o for v, o in zip(y, other)))
+            if rest and other_any + rest[0] <= cap_any and other_memory + rest[1] <= cap_memory:
+                return True
+        return False
+
+    for y in sorted(caps, key=sum, reverse=True):
+        cap = caps.pop(y)
+        if not implied(y, *cap):
+            caps[y] = cap
+    return maximal, {(y, *cap) for y, cap in caps.items()}
 
 
 class _Cache:

@@ -1,11 +1,19 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import ecmkit
 from ecmkit import builtin_haswell, serialize_machine
 from ecmkit.cli import run
+
+SRC = str(Path(ecmkit.__file__).resolve().parent.parent)
 
 
 def invoke(*argv):
@@ -101,6 +109,45 @@ def test_predict_machine_section_that_is_not_a_list_is_an_error(tmp_path, capsys
     assert (code, out) == (2, "")
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and section in err[0]
+
+
+def test_predict_runs_at_any_retire_width(tmp_path):
+    """The pattern table's cost does not grow with the retire width: a width
+    no uop mix can fill gives the same output as width 64."""
+    outputs = []
+    for width in (64, 10**9):
+        path = tmp_path / f"width{width}.json"
+        path.write_text(json.dumps(serialize_machine(replace(builtin_haswell(), retire_width=width))))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+        argv = [sys.executable, "-m", "ecmkit", "predict", "-m", str(path), "-k", "stream_triad"]
+        result = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "argv,content",
+    [
+        (["predict", "-k"], b'{"name": "\xff"}'),
+        (["predict", "-k", "ddot", "-m"], b'{"name": "\xff"}'),
+        (["compare", "--measurements"], b"kernel,level,cycles_per_cl\nddot\xff,L1,2\n"),
+    ],
+)
+def test_input_file_that_is_not_utf8_is_an_error(tmp_path, capsys, argv, content):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    code, out = invoke(*argv, str(path))
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "not UTF-8" in err[0]
+
+
+def test_compare_measurements_directory_is_an_error(tmp_path, capsys):
+    code, out = invoke("compare", "--measurements", str(tmp_path))
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(tmp_path) in err[0]
 
 
 def test_traffic_copy():

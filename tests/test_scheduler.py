@@ -19,10 +19,16 @@ from ecmkit import (
 from ecmkit.errors import CapabilityError
 from ecmkit.kernels import KernelModel, UopGroup
 from ecmkit.machine import MachineModel, MemoryModel, NumaConfig, PortSpec
-from ecmkit._pairing import PackingSearch, _least_span, pattern_table
+from ecmkit._pairing import PackingSearch, Unit, _least_span, pattern_table
 from ecmkit.scheduler import SchedItem, SchedulingProblem, _joint_units, _pairing_span
 
-from oracles import backtracking_pairing_span, brute_force_min_cycles, matching_min_cycles
+from oracles import (
+    backtracking_pairing_span,
+    brute_force_min_cycles,
+    enumerated_pattern_table,
+    matching_min_cycles,
+    truncated_steps,
+)
 
 HASWELL = builtin_haswell()
 KERNELS = builtin_kernels()
@@ -353,6 +359,92 @@ def test_pairing_search_work_stays_bounded_on_unrolled_builtins():
                 if states > PAIRING_STATE_LIMIT:
                     over.append((name, factor, extras, states))
     assert not over
+
+
+# search states of each unrolled built-in, in EXTRAS order; a change to the
+# search order or to the pruning shows up here
+PAIRING_STATES = {
+    ("copy", 1): (2, 2, 2, 2, 2, 5, 5, 5, 5, 5),
+    ("copy", 2): (4, 4, 4, 4, 4, 7, 7, 7, 7, 7),
+    ("copy", 4): (8, 8, 8, 8, 8, 11, 11, 11, 11, 11),
+    ("copy", 8): (16, 16, 16, 16, 16, 19, 19, 19, 19, 19),
+    ("ddot", 1): (2, 2, 2, 4, 2, 2, 4, 2, 3, 4),
+    ("ddot", 2): (4, 4, 4, 6, 4, 4, 6, 4, 5, 7),
+    ("ddot", 4): (8, 8, 8, 10, 8, 8, 10, 8, 9, 11),
+    ("ddot", 8): (16, 16, 16, 18, 16, 16, 18, 16, 17, 19),
+    ("load", 1): (2, 3, 2, 2, 4, 3, 3, 2, 2, 3),
+    ("load", 2): (4, 5, 4, 4, 6, 5, 5, 4, 4, 5),
+    ("load", 4): (8, 9, 8, 8, 10, 9, 9, 8, 8, 9),
+    ("load", 8): (16, 17, 16, 16, 18, 17, 17, 16, 16, 17),
+    ("schoenauer_triad", 1): (4, 4, 4, 6, 4, 4, 6, 4, 5, 6),
+    ("schoenauer_triad", 2): (8, 8, 8, 10, 8, 8, 10, 8, 9, 11),
+    ("schoenauer_triad", 4): (16, 16, 16, 18, 16, 16, 18, 16, 17, 19),
+    ("schoenauer_triad", 8): (32, 32, 32, 34, 32, 32, 34, 32, 33, 35),
+    ("schoenauer_triad_opt", 1): (4, 4, 4, 4, 4, 4, 4, 4, 4, 4),
+    ("schoenauer_triad_opt", 2): (8, 7, 7, 8, 8, 8, 7, 8, 7, 7),
+    ("schoenauer_triad_opt", 4): (14, 15, 15, 14, 17, 17, 16, 17, 16, 15),
+    ("schoenauer_triad_opt", 8): (28, 29, 29, 28, 31, 31, 30, 31, 30, 29),
+    ("store", 1): (2, 2, 2, 2, 2, 2, 2, 2, 2, 2),
+    ("store", 2): (4, 4, 4, 4, 4, 4, 4, 4, 4, 4),
+    ("store", 4): (8, 8, 8, 8, 8, 8, 8, 8, 8, 8),
+    ("store", 8): (16, 16, 16, 16, 16, 16, 16, 16, 16, 16),
+    ("stream_triad", 1): (3, 3, 3, 5, 6, 6, 8, 6, 7, 8),
+    ("stream_triad", 2): (6, 6, 6, 8, 9, 9, 11, 9, 10, 12),
+    ("stream_triad", 4): (12, 12, 12, 14, 15, 15, 17, 15, 16, 18),
+    ("stream_triad", 8): (24, 24, 24, 26, 27, 27, 29, 27, 28, 30),
+    ("update", 1): (5, 3, 3, 3, 3, 3, 3, 3, 3, 3),
+    ("update", 2): (12, 6, 6, 6, 8, 7, 6, 7, 6, 7),
+    ("update", 4): (26, 16, 16, 18, 20, 19, 20, 19, 20, 21),
+    ("update", 8): (54, 44, 44, 46, 48, 47, 48, 47, 48, 49),
+}
+
+
+def test_pairing_search_visits_the_pinned_states_on_unrolled_builtins():
+    states = {
+        (name, factor): tuple(pairing(unrolled(kernel, factor, extras), HASWELL)[1] for extras in EXTRAS)
+        for name, kernel in sorted(KERNELS.items())
+        if not any(s.nontemporal for s in kernel.streams)
+        for factor in (1, 2, 4, 8)
+    }
+    assert states == PAIRING_STATES
+
+
+def random_kinds(rng):
+    """1-5 distinct unit kinds on 2-8 ports, and a retire width of 1-6."""
+    ports = range(rng.randint(2, 8))
+    kinds = {
+        Unit(
+            tuple(frozenset(rng.sample(ports, rng.randint(1, len(ports)))) for _ in range(rng.choice((1, 1, 2)))),
+            rng.randint(1, 3),
+            rng.random() < 0.5,
+        )
+        for _ in range(rng.randint(1, 5))
+    }
+    return tuple(kinds), rng.randint(1, 6)
+
+
+def test_pattern_table_equals_the_enumeration_of_every_count():
+    rng = random.Random(0x4A5)
+    for _ in range(300):
+        kinds, width = random_kinds(rng)
+        table = pattern_table(kinds, width)
+        oracle = enumerated_pattern_table([(k.port_choices, k.weight, k.overlapping) for k in kinds], width)
+        if oracle is None:
+            assert table is None, (kinds, width)
+        else:
+            assert (table.maximal, set(table.bounds)) == oracle, (kinds, width)
+
+
+def test_pattern_table_steps_equal_the_truncated_maximal_patterns():
+    rng = random.Random(0x5EB)
+    tables = [t for t in (pattern_table(*random_kinds(rng)) for _ in range(150)) if t is not None]
+    for table in tables:
+        for _ in range(10):
+            counts = tuple(rng.randint(0, peak + 2) for peak in table.peak)
+            steps = table.steps(counts)
+            assert list(steps) == truncated_steps(table.maximal, table.weights, counts), (table, counts)
+            # counts above the peak share the clamped counts' memoized list
+            assert table.steps(tuple(map(min, counts, table.peak))) is steps
 
 
 def test_pairing_search_depth_is_not_bounded_by_recursion():
