@@ -25,8 +25,8 @@ search once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from operator import add, ge, gt, mul, sub
+from functools import cached_property, lru_cache
+from operator import add, attrgetter, ge, gt, mul, sub
 from typing import Iterator
 
 
@@ -38,6 +38,12 @@ class Unit:
     port_choices: tuple[frozenset[int], ...]  # one port from each set, all in the same cycle
     weight: int
     overlapping: bool
+
+    @cached_property
+    def order(self) -> tuple:
+        """The kind's place in a pattern table: memory kinds first, heavier
+        first, then by port ids. Derived once per Unit object."""
+        return (self.overlapping, -self.weight, [sorted(p) for p in self.port_choices])
 
 
 def port_set_unions(sets) -> set[frozenset[int]]:
@@ -245,7 +251,7 @@ def least_span(units: dict[Unit, int], width: int, lower: int, raw_ol: int) -> t
     they fit T cycles with the arithmetic in s of them. raw_ol is returned
     as it is when some unit cannot fit a cycle on its own.
     """
-    kinds = tuple(sorted(units, key=lambda u: (u.overlapping, -u.weight, [sorted(p) for p in u.port_choices])))
+    kinds = tuple(sorted(units, key=attrgetter("order")))
     table = pattern_table(kinds, width)
     if table is None:
         return raw_ol, 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 from .errors import SchemaError
@@ -80,6 +81,17 @@ class KernelModel:
     def uop_count(self, uop_class: str) -> int:
         return sum(g.count for g in self.uops if g.uop_class == uop_class)
 
+    @cached_property
+    def _tally(self) -> tuple[int, int, int, int]:
+        """(reads, read-modify-writes, writes, non-temporal writes), counted
+        once per kernel object. Other streams make a new object, and the
+        cache is no field, so it takes no part in ==, hash or repr."""
+        reads = sum(1 for s in self.streams if s.access == "read")
+        readwrites = sum(1 for s in self.streams if s.access == "readwrite")
+        writes = sum(1 for s in self.streams if s.access == "write" and not s.nontemporal)
+        nt_writes = sum(1 for s in self.streams if s.access == "write" and s.nontemporal)
+        return reads, readwrites, writes, nt_writes
+
 
 @dataclass(frozen=True)
 class StreamCounts:
@@ -91,21 +103,13 @@ class StreamCounts:
     write_streams: int
 
 
-def _tally(kernel: KernelModel) -> tuple[int, int, int, int]:
-    reads = sum(1 for s in kernel.streams if s.access == "read")
-    readwrites = sum(1 for s in kernel.streams if s.access == "readwrite")
-    writes = sum(1 for s in kernel.streams if s.access == "write" and not s.nontemporal)
-    nt_writes = sum(1 for s in kernel.streams if s.access == "write" and s.nontemporal)
-    return reads, readwrites, writes, nt_writes
-
-
 def stream_signature(kernel: KernelModel) -> tuple[int, int, int]:
     """Reporting signature (explicit load streams, store streams, NT store streams).
 
     A read-modify-write stream appears on both sides: its load is explicit
     and its line is stored to.
     """
-    reads, readwrites, writes, nt_writes = _tally(kernel)
+    reads, readwrites, writes, nt_writes = kernel._tally
     return (reads + readwrites, writes + readwrites, nt_writes)
 
 
@@ -116,12 +120,12 @@ def bandwidth_signature(kernel: KernelModel) -> tuple[int, int, int]:
     side only: its memory-boundary traffic (line in, dirty line out) matches a
     plain store stream's pattern, and bandwidth is measured per pattern.
     """
-    reads, readwrites, writes, nt_writes = _tally(kernel)
+    reads, readwrites, writes, nt_writes = kernel._tally
     return (reads, writes + readwrites, nt_writes)
 
 
 def stream_counts(kernel: KernelModel) -> StreamCounts:
-    reads, readwrites, writes, nt_writes = _tally(kernel)
+    reads, readwrites, writes, nt_writes = kernel._tally
     return StreamCounts(
         explicit_loads=reads + readwrites,
         rfo_streams=writes,
@@ -132,8 +136,8 @@ def stream_counts(kernel: KernelModel) -> StreamCounts:
 def load_streams_with_rfo(kernel: KernelModel) -> int:
     """Streams that load cache lines: explicit reads, read-modify-writes and
     write-allocate misses."""
-    counts = stream_counts(kernel)
-    return counts.explicit_loads + counts.rfo_streams
+    reads, readwrites, writes, _nt_writes = kernel._tally
+    return reads + readwrites + writes
 
 
 def with_nt_stores(kernel: KernelModel, nontemporal: bool = True) -> KernelModel:
@@ -153,7 +157,7 @@ def consistency_warnings(kernel: KernelModel) -> list[str]:
     if kernel.element_bytes != 8:
         return []
     ops_per_cl = CACHE_LINE_BYTES // VECTOR_OP_BYTES
-    reads, readwrites, writes, nt_writes = _tally(kernel)
+    reads, readwrites, writes, nt_writes = kernel._tally
     problems = []
     expected_loads = ops_per_cl * (reads + readwrites)
     actual_loads = kernel.uop_count("load")

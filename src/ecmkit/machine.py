@@ -172,17 +172,31 @@ class MachineModel:
                 ports.setdefault(capability, set()).add(p.id)
         return {capability: frozenset(ids) for capability, ids in ports.items()}
 
+    @cached_property
+    def boundary_widths(self) -> dict[str, int]:
+        """Bytes per cycle of each cache boundary, by boundary name."""
+        return {b.name: b.bytes_per_cycle for b in self.boundaries}
+
+    def resolve_mode(self, mode: str | None) -> str:
+        """The bandwidth interpretation a query runs in: `mode` itself, or the
+        machine's configured mode when it is None."""
+        if mode is None:
+            return "cod" if self.numa.cod_enabled else "noncod"
+        if mode not in ("cod", "noncod"):
+            raise ValueError(f"mode must be 'cod' or 'noncod', got {mode!r}")
+        return mode
+
     def bandwidth(self, signature: Signature, mode: str | None = None) -> Fraction:
         """Sustained GB/s for a stream signature: per-domain in clustered mode,
         full chip otherwise."""
-        if mode is None:
-            mode = "cod" if self.numa.cod_enabled else "noncod"
         per_domain = self.memory.lookup(signature)
-        if mode == "cod":
+        if self.resolve_mode(mode) == "cod":
             return per_domain
-        if mode == "noncod":
-            return per_domain * self.numa.n_domains * self.memory.noncod_derating
-        raise ValueError(f"mode must be 'cod' or 'noncod', got {mode!r}")
+        derating = self.memory.noncod_derating
+        return Fraction(
+            per_domain.numerator * self.numa.n_domains * derating.numerator,
+            per_domain.denominator * derating.denominator,
+        )
 
 
 def lookup_bandwidth(machine: MachineModel, signature: Signature) -> Fraction:

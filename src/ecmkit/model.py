@@ -4,16 +4,23 @@ heuristic, formats/parses the shorthand notation, and scores predictions
 against measurements.
 
 All cycle values are exact rationals; rounding happens only in the formatter
-(one decimal, halves away from zero).
+(one decimal, halves away from zero). Every cell is a Fraction, but the sums,
+maxima and products behind it run on integer numerators and denominators
+(read through `.numerator` and `.denominator`, which int and Fraction share)
+with one Fraction built per cell, since Fraction operators normalize and
+type-check on every step.
 """
 
 from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import lcm
 from pathlib import Path
+from typing import NoReturn
 
 from ._num import as_fraction, round_half_away
 from .errors import ECMParseError, SchemaError
@@ -82,14 +89,23 @@ class PenaltyConfig:
     low_cycle_threshold: Fraction | None = None
 
 
+def _memory_cycles(lines: int, bandwidth, frequency) -> Fraction:
+    """Cycles to move `lines` cache lines over the memory interface:
+    lines * 64 B * f / b, exact."""
+    return Fraction(
+        lines * CACHE_LINE_BYTES * frequency.numerator * bandwidth.denominator,
+        frequency.denominator * bandwidth.numerator,
+    )
+
+
 def mem_cycles_per_cl(bandwidth_gbs, frequency_ghz) -> Fraction:
     """Cycles to move one cache line over the memory interface:
     64 B * f / b, exact."""
     bandwidth = as_fraction(bandwidth_gbs)
     frequency = as_fraction(frequency_ghz)
-    if bandwidth <= 0 or frequency <= 0:
+    if bandwidth.numerator <= 0 or frequency.numerator <= 0:
         raise ValueError("bandwidth and frequency must be > 0")
-    return Fraction(CACHE_LINE_BYTES) * frequency / bandwidth
+    return _memory_cycles(1, bandwidth, frequency)
 
 
 def ecm_input(kernel: KernelModel, machine: MachineModel, mode: str | None = None) -> ECMInput:
@@ -101,23 +117,34 @@ def ecm_input(kernel: KernelModel, machine: MachineModel, mode: str | None = Non
     timing = core_timing(kernel, machine)
     prof = traffic(kernel)
     bandwidth = machine.bandwidth(bandwidth_signature(kernel), mode)
+    widths = machine.boundary_widths
     return ECMInput(
         t_ol=Fraction(timing.t_ol),
         t_nol=Fraction(timing.t_nol),
-        t_l1l2=prof.cls_l1l2 * machine.cycles_per_cl("L1L2"),
-        t_l2l3=prof.cls_l2l3 * machine.cycles_per_cl("L2L3"),
-        t_l3mem=prof.cls_l3mem * mem_cycles_per_cl(bandwidth, machine.frequency_ghz),
+        t_l1l2=Fraction(prof.cls_l1l2 * CACHE_LINE_BYTES, widths["L1L2"]),
+        t_l2l3=Fraction(prof.cls_l2l3 * CACHE_LINE_BYTES, widths["L2L3"]),
+        t_l3mem=_memory_cycles(prof.cls_l3mem, bandwidth, machine.frequency_ghz),
     )
 
 
 def predict(inp: ECMInput) -> ECMPrediction:
     """Per-level prediction: the slower of the overlapping component and the
-    non-overlapping component plus all transfers down to that level."""
-    data = Fraction(0)
+    non-overlapping component plus all transfers down to that level.
+
+    The cells go over one common denominator, so the running sums and maxima
+    are integer operations; each level is then one Fraction, and a level
+    equal to the one before reuses its object.
+    """
+    cells = inp.cells()
+    denominator = lcm(*(c.denominator for c in cells))
+    ol, nol, l1l2, l2l3, l3mem = (c.numerator * (denominator // c.denominator) for c in cells)
     levels = []
-    for transfer in (Fraction(0), inp.t_l1l2, inp.t_l2l3, inp.t_l3mem):
-        data += transfer
-        levels.append(max(inp.t_ol, inp.t_nol + data))
+    previous = value = None
+    for reach in (nol, nol + l1l2, nol + l1l2 + l2l3, nol + l1l2 + l2l3 + l3mem):
+        level = max(ol, reach)
+        if level != previous:
+            previous, value = level, Fraction(level, denominator)
+        levels.append(value)
     return ECMPrediction(*levels)
 
 
@@ -133,17 +160,21 @@ def apply_penalty(pred: ECMPrediction, kernel: KernelModel, config: PenaltyConfi
         return pred
     if config.low_cycle_threshold is not None and pred.t_core >= config.low_cycle_threshold:
         return pred
-    per_level = load_streams_with_rfo(kernel) * as_fraction(config.cycles_per_load_stream_per_level)
-    adjusted = replace(
-        pred,
-        t_l3=pred.t_l3 + per_level,
-        t_mem=pred.t_mem + 2 * per_level,
-        penalty_applied=True,
-    )
-    if not adjusted.t_core <= adjusted.t_l2 <= adjusted.t_l3 <= adjusted.t_mem:
-        cells = ", ".join(str(c) for c in adjusted.cells())
+    cycles = as_fraction(config.cycles_per_load_stream_per_level)
+    # the loading streams' cycles per level are extra / d
+    extra, d = load_streams_with_rfo(kernel) * cycles.numerator, cycles.denominator
+    core, l2, l3, mem = pred.cells()
+    l3 = Fraction(l3.numerator * d + extra * l3.denominator, l3.denominator * d)
+    mem = Fraction(mem.numerator * d + 2 * extra * mem.denominator, mem.denominator * d)
+    if not (_at_most(core, l2) and _at_most(l2, l3) and _at_most(l3, mem)):
+        cells = ", ".join(str(c) for c in (core, l2, l3, mem))
         raise ValueError(f"penalized prediction cells must not decrease from L1 to memory, got {cells}")
-    return adjusted
+    return ECMPrediction(core, l2, l3, mem, penalty_applied=True)
+
+
+def _at_most(a, b) -> bool:
+    """a <= b for ints and Fractions, by integer cross-multiplication."""
+    return a.numerator * b.denominator <= b.numerator * a.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +206,46 @@ def format_ecm(value: ECMInput | ECMPrediction) -> str:
 _NUMBER = re.compile(r"(\d+)(?:\.(\d+))?")
 
 
+@cache
+def _shapes() -> tuple[re.Pattern, re.Pattern]:
+    """The input and the prediction shape, whitespace allowed around every
+    token; compiled on the first parse rather than at import."""
+    cell = r"\s*(\d+)(?:\.(\d+))?\s*"
+    return (
+        re.compile(rf"\s*\{{{cell}\|\|{cell}\|{cell}\|{cell}\|{cell}\}}\s*"),
+        re.compile(rf"\s*\{{{cell}\\{cell}\\{cell}\\{cell}\}}\s*"),
+    )
+
+
 def parse_ecm(text: str) -> ECMInput | ECMPrediction:
     """Parse shorthand notation back into a value; inverse of format_ecm on
-    canonical strings."""
+    canonical strings.
+
+    A value is read from one full match of the input or the prediction
+    shape, each cell an exact decimal. Text that matches neither is scanned
+    token by token only to report where it goes wrong.
+    """
+    input_shape, prediction_shape = _shapes()
+    match = input_shape.fullmatch(text)
+    if match is not None:
+        return ECMInput(*_decimals(match.groups()))
+    match = prediction_shape.fullmatch(text)
+    if match is not None:
+        return ECMPrediction(*_decimals(match.groups()))
+    _reject(text)
+
+
+def _decimals(groups) -> list[Fraction]:
+    """Exact values of the matched cells, given as (whole, fraction digits) pairs."""
+    return [
+        Fraction(int(whole)) if frac is None else Fraction(int(whole + frac), 10 ** len(frac))
+        for whole, frac in zip(groups[::2], groups[1::2])
+    ]
+
+
+def _reject(text: str) -> NoReturn:
+    """Raise the ECMParseError for text that matches neither shape: scan it
+    token by token to the first that does not fit, or report its shape."""
     pos = 0
 
     def skip_ws():
@@ -192,19 +260,16 @@ def parse_ecm(text: str) -> ECMInput | ECMPrediction:
             raise ECMParseError(f"expected {token!r}", pos)
         pos += len(token)
 
-    def number() -> Fraction:
+    def number():
         nonlocal pos
         skip_ws()
         match = _NUMBER.match(text, pos)
         if not match:
             raise ECMParseError("expected a number", pos)
         pos = match.end()
-        whole, frac = match.group(1), match.group(2) or ""
-        return Fraction(int(whole + frac), 10 ** len(frac))
 
     expect("{")
-    values = [number()]
-    separators = []
+    number()
     while True:
         skip_ws()
         if pos >= len(text):
@@ -214,23 +279,16 @@ def parse_ecm(text: str) -> ECMInput | ECMPrediction:
             break
         for sep in ("||", "|", "\\"):
             if text.startswith(sep, pos):
-                separators.append(sep)
                 pos += len(sep)
                 break
         else:
             raise ECMParseError("expected '||', '|', '\\' or '}'", pos)
-        values.append(number())
+        number()
     skip_ws()
     if pos != len(text):
         raise ECMParseError("trailing characters after '}'", pos)
-
-    if separators == ["||", "|", "|", "|"]:
-        return ECMInput(*values)
-    if separators == ["\\", "\\", "\\"]:
-        return ECMPrediction(*values)
-    raise ECMParseError(
-        "malformed shorthand: expected {a || b | c | d | e} or {a \\ b \\ c \\ d}", len(text) - 1
-    )
+    # every token is well formed, but the separators fit neither shape
+    raise ECMParseError("malformed shorthand: expected {a || b | c | d | e} or {a \\ b \\ c \\ d}", len(text) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,12 @@
 memory-bandwidth ceiling binds, per NUMA domain or per chip, plus
 non-temporal-store speedup estimates. Performance is in MUp/s (million loop
 iterations per second).
+
+Every performance figure is an exact Fraction. The single-core figure and
+the ceilings are built from integer numerators and denominators, and the
+curve decides each point's bound by integer cross-multiplication: only
+points below their cap build a Fraction, and bandwidth-bound points share
+their cap's object.
 """
 
 from __future__ import annotations
@@ -52,36 +58,32 @@ class NtEstimate:
     nontemporal: BandwidthCeiling
 
 
-def _resolve_mode(machine: MachineModel, mode: str | None) -> str:
-    if mode is None:
-        return "cod" if machine.numa.cod_enabled else "noncod"
-    if mode not in ("cod", "noncod"):
-        raise ValueError(f"mode must be 'cod' or 'noncod', got {mode!r}")
-    return mode
-
-
 def iterations_per_cacheline(kernel: KernelModel) -> int:
     return CACHE_LINE_BYTES // kernel.element_bytes
 
 
 def single_core_performance(pred: ECMPrediction, kernel: KernelModel, machine: MachineModel) -> Fraction:
     """MUp/s for one core with data from memory: f * iterations per line / t_mem."""
-    if pred.t_mem == 0:
+    t_mem, frequency = pred.t_mem, machine.frequency_ghz
+    if t_mem.numerator == 0:
         raise ValueError("prediction has zero memory-level cycles")
-    return machine.frequency_ghz * 1000 * iterations_per_cacheline(kernel) / pred.t_mem
+    return Fraction(
+        frequency.numerator * 1000 * iterations_per_cacheline(kernel) * t_mem.denominator,
+        frequency.denominator * t_mem.numerator,
+    )
 
 
 def bandwidth_ceiling(kernel: KernelModel, machine: MachineModel, mode: str | None = None) -> BandwidthCeiling:
     """Memory-bandwidth-bound performance per domain and per chip."""
-    mode = _resolve_mode(machine, mode)
+    mode = machine.resolve_mode(mode)
     bytes_per_it = traffic(kernel).mem_bytes_per_iteration
     if bytes_per_it == 0:
         return BandwidthCeiling(None, None, compute_bound=True)
+    gbs = machine.bandwidth(bandwidth_signature(kernel), mode)
+    n, d = gbs.numerator * 1000, gbs.denominator * bytes_per_it
     if mode == "cod":
-        per_domain = machine.bandwidth(bandwidth_signature(kernel), "cod") * 1000 / bytes_per_it
-        return BandwidthCeiling(per_domain, per_domain * machine.numa.n_domains, compute_bound=False)
-    per_chip = machine.bandwidth(bandwidth_signature(kernel), "noncod") * 1000 / bytes_per_it
-    return BandwidthCeiling(None, per_chip, compute_bound=False)
+        return BandwidthCeiling(Fraction(n, d), Fraction(n * machine.numa.n_domains, d), compute_bound=False)
+    return BandwidthCeiling(None, Fraction(n, d), compute_bound=False)
 
 
 def scale(
@@ -97,7 +99,7 @@ def scale(
     chip. Domain-sequential pinning fills one domain before the next;
     round-robin spreads cores across domains.
     """
-    mode = _resolve_mode(machine, mode)
+    mode = machine.resolve_mode(mode)
     if pinning not in PINNING_POLICIES:
         raise ValueError(f"pinning must be one of {PINNING_POLICIES}")
     total = machine.numa.total_cores
@@ -112,27 +114,35 @@ def scale(
     p1 = single_core_performance(pred, kernel, machine)
     ceiling = bandwidth_ceiling(kernel, machine, mode)
 
+    # n cores run n * p1 = n * a / b MUp/s below their cap
+    a, b = p1.numerator, p1.denominator
     cores = range(1, max_cores + 1)
     if ceiling.compute_bound:
-        points = [PerformancePoint(n, n * p1, bandwidth_bound=False) for n in cores]
+        points = [PerformancePoint(n, Fraction(n * a, b), bandwidth_bound=False) for n in cores]
         last_cap = None
     else:
         if mode == "cod":
             numa = machine.numa
-            # the cap of each number of occupied domains, computed once per curve
-            by_domains = [k * ceiling.per_domain_mups for k in range(numa.n_domains + 1)]
             if pinning == "domain-sequential":
-                caps = [by_domains[ceil(n / numa.cores_per_domain)] for n in cores]
+                domains = [ceil(n / numa.cores_per_domain) for n in cores]
             else:
-                caps = [by_domains[min(n, numa.n_domains)] for n in cores]
+                domains = [min(n, numa.n_domains) for n in cores]
+            unit = ceiling.per_domain_mups
+            # the cap of each number of occupied domains, built once per curve
+            caps = {k: Fraction(k * unit.numerator, unit.denominator) for k in range(2, numa.n_domains)}
+            caps[1], caps[numa.n_domains] = unit, ceiling.per_chip_mups
         else:
-            caps = [ceiling.per_chip_mups] * max_cores
+            unit = ceiling.per_chip_mups
+            domains, caps = [1] * max_cores, {1: unit}
+        # k domains cap n cores at k * c / d, which n * a / b reaches iff n * a * d >= k * c * b
+        c, d = unit.numerator, unit.denominator
         points = []
-        for n, cap in zip(cores, caps):
-            linear = n * p1
-            bound = linear >= cap
-            points.append(PerformancePoint(n, cap if bound else linear, bandwidth_bound=bound))
-        last_cap = caps[-1]
+        for n, k in zip(cores, domains):
+            if n * a * d >= k * c * b:
+                points.append(PerformancePoint(n, caps[k], bandwidth_bound=True))
+            else:
+                points.append(PerformancePoint(n, Fraction(n * a, b), bandwidth_bound=False))
+        last_cap = caps[domains[-1]]
 
     saturation = None
     for point in reversed(points):

@@ -99,11 +99,11 @@ def _unions_in_order(sets: frozenset[frozenset[int]]) -> tuple[frozenset[int], .
     return tuple(sorted(port_set_unions(sets), key=lambda s: (len(s), sorted(s))))
 
 
-def _agu_ports(machine: MachineModel, addressing: str) -> frozenset[int]:
+def _address_ports(machine: MachineModel) -> dict[str, frozenset[int]]:
+    """Store-address ports by addressing mode: full address generation, plus
+    the simple unit for offset-only addresses."""
     full = machine.ports_with("load-agu-full")
-    if addressing == "offset-only":
-        return full | machine.ports_with("agu-simple")
-    return full
+    return {"base-index-offset": full, "offset-only": full | machine.ports_with("agu-simple")}
 
 
 def build_nol_problem(kernel: KernelModel, machine: MachineModel) -> SchedulingProblem:
@@ -112,6 +112,7 @@ def build_nol_problem(kernel: KernelModel, machine: MachineModel) -> SchedulingP
     into an address uop and a data uop."""
     full = machine.ports_with("load-agu-full")
     data = machine.ports_with("store-data")
+    address = _address_ports(machine)
     items = []
     for g in kernel.uops:
         if g.uop_class == "load":
@@ -119,7 +120,7 @@ def build_nol_problem(kernel: KernelModel, machine: MachineModel) -> SchedulingP
                 raise CapabilityError(f"kernel {kernel.name!r} needs load-agu-full ports")
             items.append(SchedItem(f"load[{g.addressing}]", full, g.count))
         elif g.uop_class == "store":
-            addr = _agu_ports(machine, g.addressing)
+            addr = address[g.addressing]
             if not addr:
                 raise CapabilityError(f"kernel {kernel.name!r} needs address-generation ports")
             if not data:
@@ -183,18 +184,25 @@ def frontend_bound(kernel: KernelModel, machine: MachineModel) -> int:
 # and unions of them that are memoized.
 
 
+@lru_cache(maxsize=256)
+def _unit(port_choices: tuple[frozenset[int], ...], weight: int, overlapping: bool) -> Unit:
+    """One Unit object per kind, so that its sort order is derived once."""
+    return Unit(port_choices, weight, overlapping)
+
+
 def _joint_units(kernel: KernelModel, machine: MachineModel) -> dict[Unit, int]:
     """Count of each unit kind; uop classes with the same port needs share one."""
     full = machine.ports_with("load-agu-full")
     data = machine.ports_with("store-data")
+    address = _address_ports(machine)
     counts: dict[Unit, int] = {}
     for g in kernel.uops:
         if g.uop_class == "load":
-            unit = Unit((full,), 1, False)
+            unit = _unit((full,), 1, False)
         elif g.uop_class == "store":
-            unit = Unit((_agu_ports(machine, g.addressing), data), machine.store_uop_weight, False)
+            unit = _unit((address[g.addressing], data), machine.store_uop_weight, False)
         else:
-            unit = Unit((machine.ports_with(_ARITH_CAPABILITY[g.uop_class]),), 1, True)
+            unit = _unit((machine.ports_with(_ARITH_CAPABILITY[g.uop_class]),), 1, True)
         counts[unit] = counts.get(unit, 0) + g.count
     return counts
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kernels import KernelModel, _tally, with_nt_stores
+from .kernels import KernelModel, with_nt_stores
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class TrafficProfile:
 
 
 def traffic(kernel: KernelModel) -> TrafficProfile:
-    reads, readwrites, writes, nt_writes = _tally(kernel)
+    reads, readwrites, writes, nt_writes = kernel._tally
     cache_cls = reads + 2 * readwrites + 2 * writes
     return TrafficProfile(
         cls_l1l2=cache_cls,

@@ -313,3 +313,127 @@ def rational_format_cycles(value: Fraction) -> str:
 def decimal_fraction(text: str) -> Fraction:
     """A decimal literal read by Fraction's own string parser."""
     return Fraction(text)
+
+
+# ---------------------------------------------------------------------------
+# The model arithmetic on Fraction operators, one step at a time, and the
+# token-by-token shorthand scanner: the package's earlier forms of predict,
+# the penalty, the memory cycles, the single-core figure, the capped-linear
+# curve and parse_ecm.
+
+
+def fraction_predict(t_ol, t_nol, t_l1l2, t_l2l3, t_l3mem) -> tuple:
+    """Per-level cycles: max(t_ol, t_nol + the transfers down to the level)."""
+    data = Fraction(0)
+    levels = []
+    for transfer in (Fraction(0), t_l1l2, t_l2l3, t_l3mem):
+        data += transfer
+        levels.append(max(t_ol, t_nol + data))
+    return tuple(levels)
+
+
+def fraction_penalty(cells, load_streams: int, cycles_per_stream) -> tuple:
+    """The cells with the per-stream cycles added once at L3 and twice at
+    memory; ValueError, with the package's message, if they then decrease."""
+    core, l2, l3, mem = cells
+    per_level = load_streams * Fraction(cycles_per_stream)
+    adjusted = (core, l2, l3 + per_level, mem + 2 * per_level)
+    if not adjusted[0] <= adjusted[1] <= adjusted[2] <= adjusted[3]:
+        shown = ", ".join(str(c) for c in adjusted)
+        raise ValueError(f"penalized prediction cells must not decrease from L1 to memory, got {shown}")
+    return adjusted
+
+
+def fraction_mem_cycles_per_cl(bandwidth_gbs, frequency_ghz) -> Fraction:
+    """64 B * f / b."""
+    return Fraction(64) * Fraction(frequency_ghz) / Fraction(bandwidth_gbs)
+
+
+def fraction_single_core_performance(t_mem, frequency_ghz, iterations_per_line: int) -> Fraction:
+    """MUp/s of one core: f * 1000 * iterations per line / t_mem."""
+    return Fraction(frequency_ghz) * 1000 * iterations_per_line / t_mem
+
+
+def capped_linear_points(p1, cap_of_cores, max_cores: int) -> list[tuple[int, Fraction, bool]]:
+    """(cores, MUp/s, bandwidth bound) for 1..max_cores: n * p1 until it
+    reaches the cap of n cores, then the cap; None caps nothing."""
+    points = []
+    for n in range(1, max_cores + 1):
+        linear = n * p1
+        cap = cap_of_cores(n)
+        bound = cap is not None and linear >= cap
+        points.append((n, cap if bound else linear, bound))
+    return points
+
+
+def scan_ecm(text: str) -> tuple:
+    """("input", cells) or ("prediction", cells) for shorthand text, else
+    ("error", message, position) with the message as the package states it."""
+    pos = 0
+
+    class Fail(Exception):
+        pass
+
+    def fail(message):
+        raise Fail(message)
+
+    def skip_ws():
+        nonlocal pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+
+    def expect(token):
+        nonlocal pos
+        skip_ws()
+        if not text.startswith(token, pos):
+            fail(f"expected {token!r}")
+        pos += len(token)
+
+    def number():
+        nonlocal pos
+        skip_ws()
+        start = pos
+        while pos < len(text) and text[pos].isdecimal():
+            pos += 1
+        if pos == start:
+            fail("expected a number")
+        whole, frac = text[start:pos], ""
+        if pos + 1 < len(text) and text[pos] == "." and text[pos + 1].isdecimal():
+            pos += 1
+            begin = pos
+            while pos < len(text) and text[pos].isdecimal():
+                pos += 1
+            frac = text[begin:pos]
+        return Fraction(int(whole + frac), 10 ** len(frac))
+
+    try:
+        expect("{")
+        values = [number()]
+        separators = []
+        while True:
+            skip_ws()
+            if pos >= len(text):
+                fail("unterminated value, expected '}'")
+            if text[pos] == "}":
+                pos += 1
+                break
+            for sep in ("||", "|", "\\"):
+                if text.startswith(sep, pos):
+                    separators.append(sep)
+                    pos += len(sep)
+                    break
+            else:
+                fail("expected '||', '|', '\\' or '}'")
+            values.append(number())
+        skip_ws()
+        if pos != len(text):
+            fail("trailing characters after '}'")
+    except Fail as exc:
+        return ("error", f"{exc} (at position {pos})", pos)
+    if separators == ["||", "|", "|", "|"]:
+        return ("input", tuple(values))
+    if separators == ["\\", "\\", "\\"]:
+        return ("prediction", tuple(values))
+    position = len(text) - 1
+    message = "malformed shorthand: expected {a || b | c | d | e} or {a \\ b \\ c \\ d}"
+    return ("error", f"{message} (at position {position})", position)

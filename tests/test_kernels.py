@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,9 +11,10 @@ from ecmkit import (
     load_kernel,
     stream_counts,
     stream_signature,
+    traffic,
     with_nt_stores,
 )
-from ecmkit.kernels import KernelModel, Stream, UopGroup, consistency_warnings
+from ecmkit.kernels import KernelModel, Stream, UopGroup, consistency_warnings, load_streams_with_rfo
 
 ALL_BUILTINS = (
     "ddot",
@@ -110,6 +112,46 @@ def test_with_nt_stores_toggles_only_writes():
     assert [s.nontemporal for s in nt.streams] == [False, False, True]
     back = with_nt_stores(nt, nontemporal=False)
     assert back == triad
+
+
+def stream_figures(kernel):
+    return (
+        traffic(kernel),
+        bandwidth_signature(kernel),
+        stream_signature(kernel),
+        stream_counts(kernel),
+        load_streams_with_rfo(kernel),
+    )
+
+
+def rebuilt(kernel):
+    """An equal kernel that has computed nothing yet."""
+    return KernelModel(kernel.name, kernel.streams, kernel.element_bytes, kernel.uops, kernel.flops_per_iteration)
+
+
+def test_stream_figures_follow_new_streams_after_the_tally_is_cached():
+    triad = builtin_kernels()["stream_triad"]
+    stream_figures(triad)  # fills the tally of this object
+    variants = [
+        replace(triad, streams=(Stream("B", "read"), Stream("A", "readwrite"))),
+        replace(triad, streams=triad.streams[:1]),
+        with_nt_stores(triad),
+        with_nt_stores(with_nt_stores(triad), nontemporal=False),
+    ]
+    for variant in variants:
+        assert stream_figures(variant) == stream_figures(rebuilt(variant))
+    assert bandwidth_signature(variants[0]) == (1, 1, 0)
+    assert traffic(variants[2]).cls_l3mem == 3
+    assert stream_signature(variants[2]) == (2, 0, 1)
+
+
+def test_cached_tally_takes_no_part_in_equality_hash_or_repr():
+    for kernel in builtin_kernels().values():
+        fresh = rebuilt(kernel)
+        stream_figures(kernel)
+        assert "_tally" in vars(kernel) and "_tally" not in vars(fresh)
+        assert kernel == fresh and hash(kernel) == hash(fresh) and repr(kernel) == repr(fresh)
+        assert "tally" not in repr(kernel)
 
 
 DDOT_FILE = {

@@ -23,9 +23,17 @@ from ecmkit import (
     read_measurements,
 )
 from ecmkit.errors import SchemaError
+from ecmkit.kernels import KernelModel, Stream
 from ecmkit.reference import reference_cells, reference_measurement, REFERENCE_KERNELS
 
-from oracles import decimal_fraction, rational_format_cycles
+from oracles import (
+    decimal_fraction,
+    fraction_mem_cycles_per_cl,
+    fraction_penalty,
+    fraction_predict,
+    rational_format_cycles,
+    scan_ecm,
+)
 
 HASWELL = builtin_haswell()
 KERNELS = builtin_kernels()
@@ -90,6 +98,72 @@ def test_predict_monotone_property(ol, nol, l1l2, l2l3, l3mem):
     assert pred.t_core <= pred.t_l2 <= pred.t_l3 <= pred.t_mem
     if l1l2 == l2l3 == l3mem == 0:
         assert pred.cells() == (pred.t_core,) * 4
+
+
+# ints and Fractions with denominators up to 10^6, zero transfers, and
+# overlapping times far above and far below the data path
+fraction_cell = st.builds(Fraction, st.integers(0, 10**7), st.integers(1, 10**6))
+cell = st.one_of(st.integers(0, 10**4), fraction_cell)
+transfer = st.one_of(st.just(0), st.just(Fraction(0)), cell)
+overlapping = st.one_of(cell, st.integers(10**7, 10**8), st.just(0))
+
+
+def all_fractions(values) -> bool:
+    return all(type(v) is Fraction for v in values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(overlapping, cell, transfer, transfer, transfer)
+def test_predict_equals_the_fraction_operator_oracle(ol, nol, l1l2, l2l3, l3mem):
+    pred = predict(ECMInput(ol, nol, l1l2, l2l3, l3mem))
+    assert pred.cells() == fraction_predict(ol, nol, l1l2, l2l3, l3mem)
+    assert all_fractions(pred.cells())
+
+
+stream_kinds = st.sampled_from((("read", False), ("readwrite", False), ("write", False), ("write", True)))
+
+
+def streams_kernel(kinds) -> KernelModel:
+    streams = tuple(Stream(f"s{i}", access, nt) for i, (access, nt) in enumerate(kinds))
+    return KernelModel("streams", streams, 8, ())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    overlapping,
+    cell,
+    transfer,
+    transfer,
+    transfer,
+    st.lists(stream_kinds, max_size=5),
+    st.one_of(fraction_cell, fraction_cell.map(lambda f: -f), st.integers(-3, 3)),
+)
+def test_apply_penalty_equals_the_fraction_operator_oracle(ol, nol, l1l2, l2l3, l3mem, kinds, cycles):
+    kernel = streams_kernel(kinds)
+    pred = predict(ECMInput(ol, nol, l1l2, l2l3, l3mem))
+    loading = sum(1 for access, nt in kinds if not nt)
+    config = PenaltyConfig(cycles_per_load_stream_per_level=cycles)
+    try:
+        expected = fraction_penalty(pred.cells(), loading, cycles)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            apply_penalty(pred, kernel, config)
+        assert str(raised.value) == str(exc)
+        return
+    adjusted = apply_penalty(pred, kernel, config)
+    assert adjusted.cells() == expected and adjusted.penalty_applied
+    assert all_fractions(adjusted.cells())
+
+
+positive = st.one_of(st.integers(1, 10**4), st.builds(Fraction, st.integers(1, 10**7), st.integers(1, 10**6)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(positive, positive)
+def test_mem_cycles_per_cl_equals_the_fraction_operator_oracle(bandwidth, frequency):
+    cycles = mem_cycles_per_cl(bandwidth, frequency)
+    assert cycles == fraction_mem_cycles_per_cl(bandwidth, frequency)
+    assert type(cycles) is Fraction
 
 
 def test_penalty_ddot():
@@ -225,6 +299,58 @@ def test_parse_format_roundtrip_inputs(a, b, c, d, e):
 def test_parse_format_roundtrip_predictions(a, b, c, d):
     value = ECMPrediction(a, b, c, d)
     assert parse_ecm(format_ecm(value)) == value
+
+
+input_values = st.tuples(*[one_decimal] * 5).map(lambda cells: ECMInput(*cells))
+prediction_values = st.tuples(*[one_decimal] * 4).map(lambda cells: ECMPrediction(*cells))
+canonical = st.one_of(input_values, prediction_values).map(format_ecm)
+
+
+def parsed_or_error(text: str) -> tuple:
+    try:
+        value = parse_ecm(text)
+    except ECMParseError as exc:
+        return ("error", str(exc), exc.position)
+    return ("input" if isinstance(value, ECMInput) else "prediction", value.cells())
+
+
+@settings(max_examples=100, deadline=None)
+@given(canonical, st.data())
+def test_parse_agrees_with_the_scanner_on_canonical_text_and_one_character_edits(text, data):
+    assert parsed_or_error(text) == scan_ecm(text)
+    where = data.draw(st.integers(0, len(text)))
+    char = data.draw(st.sampled_from("0123456789.|\\{} \tx"))
+    edit = data.draw(st.sampled_from(("replace", "insert", "delete")))
+    if edit == "insert":
+        mutated = text[:where] + char + text[where:]
+    elif edit == "replace":
+        mutated = text[:where] + char + text[where + 1 :]
+    else:
+        mutated = text[:where] + text[where + 1 :]
+    assert parsed_or_error(mutated) == scan_ecm(mutated)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "   ",
+        "{",
+        "{}",
+        "{1",
+        "{1 ||",
+        "{1.}",
+        "{1 \\ 2 \\ 3 \\ 4 \\ 5}",
+        "{1 || 2 | 3 | 4 | 5 | 6}",
+        " {1\\2\\3\\4} ",
+        "{1 |2||3|4|5}",
+        # any Unicode whitespace between tokens, any decimal digits in cells
+        "\t{1\n||\t2 | 3 |\u00a04 | 5}\n",
+        "{\u0661.5 \\ 2 \\ 3 \\ 4}",
+    ],
+)
+def test_parse_errors_and_values_match_the_scanner_on_edge_cases(text):
+    assert parsed_or_error(text) == scan_ecm(text)
 
 
 def test_model_error_examples():

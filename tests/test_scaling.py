@@ -3,10 +3,13 @@ from fractions import Fraction
 from math import ceil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecmkit import (
     ECMPrediction,
     bandwidth_ceiling,
+    bandwidth_signature,
     builtin_haswell,
     builtin_kernels,
     ecm_input,
@@ -14,10 +17,13 @@ from ecmkit import (
     predict,
     scale,
     single_core_performance,
+    traffic,
 )
 from ecmkit.kernels import KernelModel
-from ecmkit.machine import MachineModel, MemoryModel
+from ecmkit.machine import MachineModel, MemoryModel, NumaConfig
 from ecmkit.model import PenaltyConfig, apply_penalty
+
+from oracles import capped_linear_points, fraction_single_core_performance
 
 HASWELL = builtin_haswell()
 KERNELS = builtin_kernels()
@@ -194,3 +200,104 @@ def test_nt_speedup_ceiling_ratio_matches_volume_ratio():
 def test_nt_speedup_requires_write_stream():
     with pytest.raises(ValueError):
         nt_speedup(KERNELS["ddot"], HASWELL)
+
+
+positive = st.builds(Fraction, st.integers(1, 10**7), st.integers(1, 10**6))
+frequency = st.one_of(st.integers(1, 5), positive)
+
+
+@settings(max_examples=50, deadline=None)
+@given(positive, frequency, st.sampled_from((1, 2, 4, 8, 16, 32, 64)))
+def test_single_core_performance_equals_the_fraction_operator_oracle(t_mem, f, element_bytes):
+    kernel = replace(KERNELS["ddot"], element_bytes=element_bytes)
+    pred = ECMPrediction(Fraction(1), Fraction(1), Fraction(1), t_mem)
+    mups = single_core_performance(pred, kernel, replace(HASWELL, frequency_ghz=f))
+    assert mups == fraction_single_core_performance(t_mem, f, 64 // element_bytes)
+    assert type(mups) is Fraction
+
+
+def oracle_curve(kernel, machine, mode, pinning, penalty, max_cores):
+    """The capped-linear points from the package's prediction and a ceiling
+    recomputed on Fraction operators."""
+    pred = predict(ecm_input(kernel, machine, mode))
+    if penalty is not None:
+        pred = apply_penalty(pred, kernel, penalty)
+    p1 = fraction_single_core_performance(pred.t_mem, machine.frequency_ghz, 64 // kernel.element_bytes)
+    bytes_per_it = traffic(kernel).mem_bytes_per_iteration
+    numa, memory = machine.numa, machine.memory
+    per_domain = memory.lookup(bandwidth_signature(kernel)) * Fraction(1000) / bytes_per_it if bytes_per_it else None
+
+    def cap_of_cores(n):
+        if per_domain is None:
+            return None
+        if mode == "noncod":
+            return per_domain * numa.n_domains * memory.noncod_derating
+        if pinning == "domain-sequential":
+            return ceil(n / numa.cores_per_domain) * per_domain
+        return min(n, numa.n_domains) * per_domain
+
+    return capped_linear_points(p1, cap_of_cores, max_cores), cap_of_cores(max_cores)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(KERNELS)),
+    frequency,
+    positive,
+    st.sampled_from((Fraction(1), Fraction(9, 10), Fraction(3, 2))),
+    st.integers(1, 4),
+    st.integers(1, 8),
+    st.sampled_from(("cod", "noncod")),
+    st.sampled_from(("domain-sequential", "round-robin")),
+    st.sampled_from((None, PenaltyConfig())),
+    st.data(),
+)
+def test_scale_equals_the_capped_linear_oracle(name, f, gbs, derating, domains, per_domain, mode, pinning, penalty, data):
+    memory = MemoryModel(default_bandwidth_gbs=gbs, noncod_derating=derating)
+    machine = replace(HASWELL, frequency_ghz=f, memory=memory, numa=NumaConfig(domains, per_domain, True))
+    max_cores = data.draw(st.integers(1, domains * per_domain))
+    curve = scale(KERNELS[name], machine, mode=mode, max_cores=max_cores, pinning=pinning, penalty=penalty)
+    expected, last_cap = oracle_curve(KERNELS[name], machine, mode, pinning, penalty, max_cores)
+    assert [(p.cores, p.performance_mups, p.bandwidth_bound) for p in curve.points] == expected
+    assert curve.ceiling_mups == last_cap
+    assert all(type(p.performance_mups) is Fraction for p in curve.points)
+    assert last_cap is None or type(curve.ceiling_mups) is Fraction
+
+
+@settings(max_examples=30, deadline=None)
+@given(frequency, st.integers(2, 14))
+def test_scale_point_exactly_at_the_cap_is_bound_at_any_frequency(f, n):
+    # ddot moves 2 lines over the memory interface per line of work: 2 * 64 f / B
+    # cycles on top of T_nOL + 2 + 4 = 8, so n * p1 = n * 8000 f / (8 + 128 f / B)
+    # equals the chip cap 1000 B / 16 exactly when B = 16 f (n - 1)
+    chip = 16 * Fraction(f) * (n - 1)
+    machine = replace(
+        HASWELL, frequency_ghz=Fraction(f), memory=MemoryModel(default_bandwidth_gbs=chip / 2, bandwidth_table={})
+    )
+    curve = scale(KERNELS["ddot"], machine, mode="noncod", max_cores=14)
+    expected, cap = oracle_curve(KERNELS["ddot"], machine, "noncod", "domain-sequential", None, 14)
+    assert [(p.cores, p.performance_mups, p.bandwidth_bound) for p in curve.points] == expected
+    at_cap = curve.points[n - 1]
+    assert at_cap.bandwidth_bound and at_cap.performance_mups == cap == n * curve.points[0].performance_mups
+    assert not curve.points[n - 2].bandwidth_bound
+
+
+def test_one_mode_resolution_for_every_query():
+    clustered = HASWELL
+    flat = replace(HASWELL, numa=replace(HASWELL.numa, cod_enabled=False))
+    assert (clustered.resolve_mode(None), flat.resolve_mode(None)) == ("cod", "noncod")
+    assert flat.resolve_mode("cod") == "cod"
+    ddot = KERNELS["ddot"]
+    assert scale(ddot, flat).mode == "noncod"
+    assert bandwidth_ceiling(ddot, flat) == bandwidth_ceiling(ddot, HASWELL, "noncod")
+    queries = [
+        lambda: HASWELL.resolve_mode("numa"),
+        lambda: HASWELL.bandwidth((2, 0, 0), "numa"),
+        lambda: bandwidth_ceiling(ddot, HASWELL, "numa"),
+        lambda: scale(ddot, HASWELL, mode="numa"),
+        lambda: ecm_input(ddot, HASWELL, "numa"),
+    ]
+    for query in queries:
+        with pytest.raises(ValueError) as raised:
+            query()
+        assert str(raised.value) == "mode must be 'cod' or 'noncod', got 'numa'"

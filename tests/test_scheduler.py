@@ -466,3 +466,12 @@ def test_equal_unit_counts_share_one_pairing_solve():
         assert core_timing(other, HASWELL) == expected
     after = _least_span.cache_info()
     assert (after.misses, after.hits) == (before.misses, before.hits + 2)
+
+
+def test_each_unit_kind_is_one_object_with_its_sort_order_derived_once():
+    for kernel in KERNELS.values():
+        first, again = _joint_units(kernel, HASWELL), _joint_units(unrolled(kernel, 2), HASWELL)
+        assert list(first) == list(again) and all(a is b for a, b in zip(first, again))
+        for unit in first:
+            assert unit.order is unit.order
+            assert unit.order == (unit.overlapping, -unit.weight, [sorted(p) for p in unit.port_choices])
