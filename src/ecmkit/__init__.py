@@ -26,7 +26,6 @@ from .machine import (
     PortSpec,
     builtin_haswell,
     load_machine,
-    lookup_bandwidth,
     serialize_machine,
 )
 from .model import (
@@ -108,7 +107,6 @@ __all__ = [
     "frontend_bound",
     "load_kernel",
     "load_machine",
-    "lookup_bandwidth",
     "mem_cycles_per_cl",
     "min_cycles",
     "model_error",

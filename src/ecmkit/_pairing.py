@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from operator import add, attrgetter, ge, gt, mul, sub
+from operator import add, ge, gt, mul, sub
 from typing import Iterator
 
 
@@ -243,26 +243,13 @@ class PackingSearch:
                 yield rest, 0, memory_cycles - 1
 
 
-def least_span(units: dict[Unit, int], width: int, lower: int, raw_ol: int) -> tuple[int, int]:
-    """The least span of the arithmetic and the search states its solve visited.
-
-    T is the first cycle count, counting up from `lower`, into which all
-    `units` (kind -> count) fit; the span is the least s >= raw_ol such that
-    they fit T cycles with the arithmetic in s of them. raw_ol is returned
-    as it is when some unit cannot fit a cycle on its own.
-    """
-    kinds = tuple(sorted(units, key=attrgetter("order")))
-    table = pattern_table(kinds, width)
-    if table is None:
-        return raw_ol, 0
-    return _least_span(table, tuple(units[k] for k in kinds), lower, raw_ol)
-
-
 @lru_cache(maxsize=1024)
 def _least_span(table: PatternTable, counts: tuple[int, ...], lower: int, raw_ol: int) -> tuple[int, int]:
-    """least_span memoized by count vector. The cached table stands for its
-    kind set and retire width and is keyed by identity, so kernels with equal
-    unit counts share a solve and an entry holds no units of its own."""
+    """The least span s >= raw_ol of the arithmetic in the first cycle count
+    T >= lower that fits `counts` of the table's kinds, and the search states
+    visited. The cached table stands for its kind set and retire width and
+    is keyed by identity, so kernels with equal unit counts share a solve and
+    an entry holds no units of its own."""
     search = PackingSearch(table)
     # The first try, span raw_ol at the lowest total, is the common answer.
     # A fit at any span means the total fits, and span = total fits whenever

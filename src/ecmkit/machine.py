@@ -173,6 +173,13 @@ class MachineModel:
         return {capability: frozenset(ids) for capability, ids in ports.items()}
 
     @cached_property
+    def _core_layout(self):
+        """scheduler.CoreLayout of this machine, built on first use; like the
+        maps above, not part of ==, repr or serialization."""
+        from .scheduler import CoreLayout  # the scheduler imports this module
+        return CoreLayout(self)
+
+    @cached_property
     def boundary_widths(self) -> dict[str, int]:
         """Bytes per cycle of each cache boundary, by boundary name."""
         return {b.name: b.bytes_per_cycle for b in self.boundaries}
@@ -197,11 +204,6 @@ class MachineModel:
             per_domain.numerator * self.numa.n_domains * derating.numerator,
             per_domain.denominator * derating.denominator,
         )
-
-
-def lookup_bandwidth(machine: MachineModel, signature: Signature) -> Fraction:
-    """Bandwidth-table hit for an exact signature, else the default. Never fails."""
-    return machine.memory.lookup(signature)
 
 
 def builtin_haswell() -> MachineModel:

@@ -12,15 +12,21 @@ limits, the fewest cycles the arithmetic can be confined to. An exact
 solver over per-cycle patterns finds T and the span. The retirement
 frontend caps total throughput and, when it binds, the deficit is charged
 to the arithmetic component.
+
+core_timing reads the machine through its CoreLayout, compiled once per
+MachineModel: each uop class's port sets, all their unions and the unit
+kinds. Port bounds over the machine's unions equal those over the kernel's
+own (see _binding_bound).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import compress
 from math import ceil
+from operator import attrgetter
 
-from ._pairing import Unit, least_span, port_set_unions
+from ._pairing import PatternTable, Unit, _least_span, pattern_table, port_set_unions
 from .errors import CapabilityError, SchemaError
 from .kernels import KernelModel
 from .machine import MachineModel
@@ -62,48 +68,96 @@ class CoreTiming:
     bottleneck: str
 
 
+def _hall_order(ports: frozenset[int]) -> tuple:
+    return len(ports), sorted(ports)
+
+
+def _hall_unions(sets: list[frozenset[int]], start: int = 0) -> tuple:
+    """Every union of the port sets in Hall order (size, then port ids), as
+    (union, its size, the indices from `start` of the sets inside it)."""
+    return tuple(
+        (union, len(union), tuple(i for i, s in enumerate(sets, start) if s <= union))
+        for union in sorted(port_set_unions(sets), key=_hall_order)
+    )
+
+
 def min_cycles(problem: SchedulingProblem) -> int:
     """Minimum T such that every uop fits on an allowed port with no port
     receiving more than T uops."""
-    cycles, _ = _binding_bound(problem)
-    return cycles
+    loads: dict[frozenset[int], int] = {}
+    for it in problem.items:
+        loads[it.ports] = loads.get(it.ports, 0) + it.multiplicity
+    return _binding_bound(_hall_unions(list(loads)), list(loads.values()))[0]
 
 
-def _binding_bound(problem: SchedulingProblem) -> tuple[int, frozenset[int] | None]:
-    """Makespan and the port subset that forces it.
+def _binding_bound(unions: tuple, loads: list[int]) -> tuple[int, frozenset[int] | None]:
+    """Makespan and the port subset that forces it, for `loads[i]` uops on
+    port set i and the unions of those sets from _hall_unions.
 
     By a Hall-condition argument the optimum equals the maximum over port
     subsets S of ceil(load(S) / |S|), where load(S) counts uops whose whole
-    allowed set lies inside S. Only unions of the distinct allowed sets can
-    attain the maximum, so enumerating that closure suffices. Ties break
-    toward the smallest subset, then lexicographic port ids.
+    allowed set lies inside S; ties break toward the first S in Hall order.
+    The unions of any family of sets that holds the loaded ones suffice: for
+    S with load(S) > 0, the union S' of the loaded sets inside S has the
+    same load and |S'| <= |S|, so S' bounds at least as high and comes first
+    unless S' = S. So the unions of all the machine's sets give the maximum
+    and first maximizer that the unions of a kernel's own sets give.
     """
-    items = [(it.ports, it.multiplicity) for it in problem.items]
-    if not items:
-        return 0, None
-
     best_cycles = 0
     best_subset: frozenset[int] | None = None
-    for subset in _unions_in_order(frozenset(ports for ports, _ in items)):
-        load = sum(mult for ports, mult in items if ports <= subset)
-        bound = ceil(load / len(subset))
+    for subset, size, members in unions:
+        load = 0
+        for i in members:
+            load += loads[i]
+        bound = -(-load // size)
         if bound > best_cycles:
             best_cycles, best_subset = bound, subset
     return best_cycles, best_subset
 
 
-@lru_cache(maxsize=64)
-def _unions_in_order(sets: frozenset[frozenset[int]]) -> tuple[frozenset[int], ...]:
-    """The unions of the port sets, smallest first, then by port ids;
-    memoized, since every core_timing call for a kernel asks for the same."""
-    return tuple(sorted(port_set_unions(sets), key=lambda s: (len(s), sorted(s))))
+class CoreLayout:
+    """A machine's issue ports compiled for core_timing, once per MachineModel.
 
+    `needs` maps (uop class, addressing) to (missing load/store capability,
+    missing arithmetic capability, indices of the port sets it loads, index of
+    its kind in `units`). Load/store sets precede arithmetic ones, `units` is
+    in pattern table order, and `tables` maps flags over `units` to tables."""
 
-def _address_ports(machine: MachineModel) -> dict[str, frozenset[int]]:
-    """Store-address ports by addressing mode: full address generation, plus
-    the simple unit for offset-only addresses."""
-    full = machine.ports_with("load-agu-full")
-    return {"base-index-offset": full, "offset-only": full | machine.ports_with("agu-simple")}
+    def __init__(self, machine: MachineModel):
+        full = machine.ports_with("load-agu-full")
+        data = machine.ports_with("store-data")
+        rows = []  # (key, missing capabilities as in needs, load/store sets, arithmetic sets, unit)
+        for addressing, address in (("base-index-offset", full), ("offset-only", full | machine.ports_with("agu-simple"))):
+            rows.append((("load", addressing), None if full else "load-agu-full", None, (full,), (), Unit((full,), 1, False)))
+            missing = "address-generation" if not address else None if data else "store-data"
+            unit = Unit((address, data), machine.store_uop_weight, False)
+            rows.append((("store", addressing), missing, None, (address, data), (), unit))
+        for uop_class, capability in _ARITH_CAPABILITY.items():
+            ports = machine.ports_with(capability)
+            rows.append(((uop_class, None), None, None if ports else capability, (), (ports,), Unit((ports,), 1, True)))
+        nol = [s for s in dict.fromkeys(s for row in rows for s in row[3]) if s]
+        ol = [s for s in dict.fromkeys(s for row in rows for s in row[4]) if s]
+        self.n_sets = len(nol) + len(ol)
+        self.nol_unions = _hall_unions(nol)
+        self.ol_unions = _hall_unions(ol, len(nol))
+        self.units = tuple(sorted(dict.fromkeys(row[5] for row in rows), key=attrgetter("order")))
+        self.needs = {}
+        for key, nol_missing, ol_missing, nol_sets, ol_sets, unit in rows:
+            members = tuple(nol.index(s) for s in nol_sets if s) + tuple(len(nol) + ol.index(s) for s in ol_sets if s)
+            self.needs[key] = (nol_missing, ol_missing, members, self.units.index(unit))
+        self.width = machine.retire_width
+        self.tables: dict[tuple[bool, ...], PatternTable | None] = {}
+
+    def span(self, counts: list[int], lower: int, raw_ol: int) -> tuple[int, int]:
+        """_pairing_span for unit counts in `units` order."""
+        present = tuple(map(bool, counts))
+        if present not in self.tables:
+            kinds = tuple(compress(self.units, present))
+            self.tables[present] = None if all(k.overlapping for k in kinds) else pattern_table(kinds, self.width)
+        table = self.tables[present]
+        if table is None:
+            return raw_ol, 0
+        return _least_span(table, tuple(filter(None, counts)), lower, raw_ol)
 
 
 def build_nol_problem(kernel: KernelModel, machine: MachineModel) -> SchedulingProblem:
@@ -112,7 +166,6 @@ def build_nol_problem(kernel: KernelModel, machine: MachineModel) -> SchedulingP
     into an address uop and a data uop."""
     full = machine.ports_with("load-agu-full")
     data = machine.ports_with("store-data")
-    address = _address_ports(machine)
     items = []
     for g in kernel.uops:
         if g.uop_class == "load":
@@ -120,7 +173,7 @@ def build_nol_problem(kernel: KernelModel, machine: MachineModel) -> SchedulingP
                 raise CapabilityError(f"kernel {kernel.name!r} needs load-agu-full ports")
             items.append(SchedItem(f"load[{g.addressing}]", full, g.count))
         elif g.uop_class == "store":
-            addr = address[g.addressing]
+            addr = full | machine.ports_with("agu-simple") if g.addressing == "offset-only" else full
             if not addr:
                 raise CapabilityError(f"kernel {kernel.name!r} needs address-generation ports")
             if not data:
@@ -170,39 +223,25 @@ def frontend_bound(kernel: KernelModel, machine: MachineModel) -> int:
 # The units fall into at most 7 kinds: loads, stores per addressing mode,
 # and the arithmetic classes, where classes with equal port needs share a
 # kind. The _pairing module finds T and the span exactly, with no budget and
-# no fallback, by a search over per-cycle patterns of these kinds; its
-# pattern table is cached per port layout, retire width, store weight and
-# kind set. Building a table costs the same at any retire width, since each
-# kind's count stops at the first that does not fit a cycle, and the table
+# no fallback, by a search over per-cycle patterns of these kinds. Building
+# a pattern table costs the same at any retire width, since each kind's
+# count stops at the first that does not fit a cycle, and the table
 # memoizes each search state's branch list by the state's counts clamped to
 # the most units of each kind one cycle can hold, so a cold solve does not
 # rebuild that list per state. Each solve is memoized by pattern table,
 # count vector and starting bounds in a bounded least-recently-used cache,
 # so repeated queries, and kernels or machines that reduce to equal unit
-# counts, run the search once; the port and frontend bounds are still
-# computed per call, from port sets the machine maps once per capability
-# and unions of them that are memoized.
-
-
-@lru_cache(maxsize=256)
-def _unit(port_choices: tuple[frozenset[int], ...], weight: int, overlapping: bool) -> Unit:
-    """One Unit object per kind, so that its sort order is derived once."""
-    return Unit(port_choices, weight, overlapping)
+# counts, run the search once. The machine's CoreLayout holds one Unit per
+# kind and the pattern table of each kind set used, so a warm call builds
+# no unit, union or table, and computes only the port and frontend bounds.
 
 
 def _joint_units(kernel: KernelModel, machine: MachineModel) -> dict[Unit, int]:
     """Count of each unit kind; uop classes with the same port needs share one."""
-    full = machine.ports_with("load-agu-full")
-    data = machine.ports_with("store-data")
-    address = _address_ports(machine)
+    layout = machine._core_layout
     counts: dict[Unit, int] = {}
     for g in kernel.uops:
-        if g.uop_class == "load":
-            unit = _unit((full,), 1, False)
-        elif g.uop_class == "store":
-            unit = _unit((address[g.addressing], data), machine.store_uop_weight, False)
-        else:
-            unit = _unit((machine.ports_with(_ARITH_CAPABILITY[g.uop_class]),), 1, True)
+        unit = layout.units[layout.needs[g.uop_class, g.addressing][3]]
         counts[unit] = counts.get(unit, 0) + g.count
     return counts
 
@@ -216,10 +255,9 @@ def _pairing_span(kernel: KernelModel, machine: MachineModel, t_nol: int, raw_ol
     exact. raw_ol is returned as it is when the kernel has no memory unit,
     or when some unit cannot fit a cycle on its own.
     """
+    layout = machine._core_layout
     units = _joint_units(kernel, machine)
-    if all(u.overlapping for u in units):
-        return raw_ol, 0
-    return least_span(units, machine.retire_width, max(t_nol, raw_ol, fe), raw_ol)
+    return layout.span([units.get(u, 0) for u in layout.units], max(t_nol, raw_ol, fe), raw_ol)
 
 
 def _ports_label(ports: frozenset[int]) -> str:
@@ -236,15 +274,30 @@ def core_timing(kernel: KernelModel, machine: MachineModel) -> CoreTiming:
     arithmetic can be confined to in the first cycle count that fits a
     joint schedule of all uops. It then absorbs any remaining frontend
     deficit so that max(t_ol, t_nol) never undercuts the retirement bound.
+    A missing load/store capability is reported before an arithmetic one.
     """
-    t_nol, nol_subset = _binding_bound(build_nol_problem(kernel, machine))
-    raw_ol, ol_subset = _binding_bound(build_ol_problem(kernel, machine))
+    layout = machine._core_layout
+    loads = [0] * layout.n_sets
+    units = [0] * len(layout.units)
+    ol_missing = None
+    for g in kernel.uops:
+        nol_missing, missing, members, unit = layout.needs[g.uop_class, g.addressing]
+        if nol_missing:
+            raise CapabilityError(f"kernel {kernel.name!r} needs {nol_missing} ports")
+        ol_missing = ol_missing or missing
+        for i in members:
+            loads[i] += g.count
+        units[unit] += g.count
+    if ol_missing:
+        raise CapabilityError(f"kernel {kernel.name!r} needs {ol_missing} ports")
+    t_nol, nol_subset = _binding_bound(layout.nol_unions, loads)
+    raw_ol, ol_subset = _binding_bound(layout.ol_unions, loads)
     fe = frontend_bound(kernel, machine)
 
     t_ol = raw_ol
     retire_limited = False
     if raw_ol > 0:
-        span, _states = _pairing_span(kernel, machine, t_nol, raw_ol, fe)
+        span, _states = layout.span(units, max(t_nol, raw_ol, fe), raw_ol)
         if span > raw_ol:
             t_ol = span
             retire_limited = True
@@ -260,7 +313,7 @@ def core_timing(kernel: KernelModel, machine: MachineModel) -> CoreTiming:
         if t_ol == t_core and not retire_limited and ol_subset is not None:
             candidates.append(ol_subset)
     if candidates:
-        bottleneck = _ports_label(min(candidates, key=lambda s: (len(s), sorted(s))))
+        bottleneck = _ports_label(min(candidates, key=_hall_order))
     elif t_core > 0:
         bottleneck = "frontend"
     else:

@@ -437,3 +437,94 @@ def scan_ecm(text: str) -> tuple:
     position = len(text) - 1
     message = "malformed shorthand: expected {a || b | c | d | e} or {a \\ b \\ c \\ d}"
     return ("error", f"{message} (at position {position})", position)
+
+
+# ---------------------------------------------------------------------------
+# core_timing as the package computed it before it compiled a port layout per
+# machine: per-call port-set lists for the load/store and the arithmetic
+# problems, the Hall bound over the unions of the kernel's own port sets, and
+# pairing units built from the machine's capabilities. The pairing solve is
+# the package's exact one (ecmkit._pairing), which the layout leaves alone.
+
+
+def _problem_binding_bound(items: list[tuple[frozenset[int], int]]) -> tuple[int, frozenset[int] | None]:
+    """max over unions S of the items' port sets of ceil(load(S) / |S|), and
+    its first maximizer by size, then port ids."""
+    closure = {ports for ports, _ in items}
+    grown = True
+    while grown:
+        new = {a | b for a in closure for b in closure} - closure
+        closure |= new
+        grown = bool(new)
+    best, subset = 0, None
+    for union in sorted(closure, key=lambda s: (len(s), sorted(s))):
+        bound = -(-sum(mult for ports, mult in items if ports <= union) // len(union))
+        if bound > best:
+            best, subset = bound, union
+    return best, subset
+
+
+def problem_core_timing(kernel, machine) -> tuple[int, int, int, str]:
+    """(t_ol, t_nol, frontend cycles, bottleneck), raising the package's
+    CapabilityError with its messages: load/store checks in uop order first,
+    then the arithmetic ones."""
+    from ecmkit._pairing import Unit, _least_span, pattern_table
+    from ecmkit.errors import CapabilityError
+
+    full = machine.ports_with("load-agu-full")
+    data = machine.ports_with("store-data")
+    nol, ol, units = [], [], {}
+    for g in kernel.uops:
+        if g.uop_class == "load":
+            if not full:
+                raise CapabilityError(f"kernel {kernel.name!r} needs load-agu-full ports")
+            nol.append((full, g.count))
+            unit = Unit((full,), 1, False)
+        elif g.uop_class == "store":
+            address = full | machine.ports_with("agu-simple") if g.addressing == "offset-only" else full
+            if not address:
+                raise CapabilityError(f"kernel {kernel.name!r} needs address-generation ports")
+            if not data:
+                raise CapabilityError(f"kernel {kernel.name!r} needs store-data ports")
+            nol += [(address, g.count), (data, g.count)]
+            unit = Unit((address, data), machine.store_uop_weight, False)
+        else:
+            unit = Unit((machine.ports_with(g.uop_class),), 1, True)
+        units[unit] = units.get(unit, 0) + g.count
+    for g in kernel.uops:
+        if g.uop_class not in ("load", "store"):
+            ports = machine.ports_with(g.uop_class)
+            if not ports:
+                raise CapabilityError(f"kernel {kernel.name!r} needs {g.uop_class} ports")
+            ol.append((ports, g.count))
+
+    t_nol, nol_subset = _problem_binding_bound(nol)
+    raw_ol, ol_subset = _problem_binding_bound(ol)
+    slots = sum(g.count * (machine.store_uop_weight if g.uop_class == "store" else 1) for g in kernel.uops)
+    fe = -(-slots // machine.retire_width)
+
+    t_ol, retire_limited = raw_ol, False
+    if raw_ol > 0 and not all(u.overlapping for u in units):
+        kinds = tuple(sorted(units, key=lambda u: u.order))
+        table = pattern_table(kinds, machine.retire_width)
+        if table is not None:
+            span, _ = _least_span(table, tuple(units[k] for k in kinds), max(t_nol, raw_ol, fe), raw_ol)
+            if span > raw_ol:
+                t_ol, retire_limited = span, True
+    if max(t_ol, t_nol) < fe:
+        t_ol, retire_limited = fe, True
+
+    t_core = max(t_ol, t_nol)
+    candidates = []
+    if t_core > 0:
+        if t_nol == t_core and nol_subset is not None:
+            candidates.append(nol_subset)
+        if t_ol == t_core and not retire_limited and ol_subset is not None:
+            candidates.append(ol_subset)
+    if candidates:
+        ports = min(candidates, key=lambda s: (len(s), sorted(s)))
+        ids = ",".join(str(p) for p in sorted(ports))
+        bottleneck = f"port {ids}" if len(ports) == 1 else f"ports {ids}"
+    else:
+        bottleneck = "frontend" if t_core > 0 else "none"
+    return t_ol, t_nol, fe, bottleneck

@@ -12,6 +12,7 @@ import pytest
 import ecmkit
 from ecmkit import builtin_haswell, serialize_machine
 from ecmkit.cli import run
+from ecmkit.machine import PortSpec
 
 SRC = str(Path(ecmkit.__file__).resolve().parent.parent)
 
@@ -269,6 +270,44 @@ def test_validate_detects_misconfigured_boundary(tmp_path):
     code, text = invoke("validate", "-m", str(path))
     assert code == 1
     assert "ddot" in text and "L3" in text
+
+
+def capability_machine(tmp_path, name, ports):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(serialize_machine(replace(builtin_haswell(), name=name, ports=ports))))
+    return str(path)
+
+
+def without(capabilities, ports=builtin_haswell().ports):
+    """The ports with the capabilities removed, and ports left with none dropped."""
+    return tuple(replace(p, capabilities=p.capabilities - set(capabilities)) for p in ports if p.capabilities - set(capabilities))
+
+
+FMA_BEFORE_STORE = [{"count": 2, "class": "fma"}, {"count": 2, "class": "store", "addressing": "base-index-offset"}]
+
+
+@pytest.mark.parametrize(
+    "ports,argv,line",
+    [
+        ((PortSpec(0, frozenset({"add"})),), ["predict", "-k", "ddot"], "error: kernel 'ddot' needs load-agu-full ports"),
+        ((PortSpec(0, frozenset({"add"})),), ["scale", "-k", "load"], "error: kernel 'load' needs load-agu-full ports"),
+        ((PortSpec(0, frozenset({"add"})),), ["compare"], "error: kernel 'copy' needs load-agu-full ports"),
+        ((PortSpec(0, frozenset({"add"})),), ["validate"], "error: kernel 'ddot' needs load-agu-full ports"),
+        (without({"load-agu-full"}), ["predict", "-k", "store"], "error: kernel 'store' needs address-generation ports"),
+        (without({"store-data"}), ["predict", "-k", "stream_triad"], "error: kernel 'stream_triad' needs store-data ports"),
+        (without({"store-data"}), ["validate"], "error: kernel 'store' needs store-data ports"),
+        (without({"fma"}), ["predict", "-k", "ddot"], "error: kernel 'ddot' needs fma ports"),
+        (without({"fma"}), ["compare"], "error: kernel 'ddot' needs fma ports"),
+        # a missing load/store capability is reported before an arithmetic
+        # one, also when the arithmetic uop comes first
+        (without({"fma", "store-data"}), ["predict", "-k", FMA_BEFORE_STORE], "error: kernel 'k' needs store-data ports"),
+    ],
+)
+def test_missing_port_capability_is_a_one_line_error(tmp_path, capsys, ports, argv, line):
+    argv = [write_kernel(tmp_path, [{"array": "A", "access": "write"}], a) if isinstance(a, list) else a for a in argv]
+    code, text = invoke(*argv, "-m", capability_machine(tmp_path, "lacking", ports))
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == line + "\n"
 
 
 def test_list_kernels_has_all_builtins():

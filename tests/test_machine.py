@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ecmkit import SchemaError, builtin_haswell, load_machine, lookup_bandwidth, serialize_machine
+from ecmkit import SchemaError, builtin_haswell, load_machine, serialize_machine
 from ecmkit.machine import CacheBoundary, MemoryModel, machine_from_dict
 
 
@@ -45,11 +45,11 @@ def test_builtin_port_layout(haswell):
     ],
 )
 def test_builtin_bandwidth_table(haswell, signature, gbs):
-    assert lookup_bandwidth(haswell, signature) == Fraction(gbs)
+    assert haswell.memory.lookup(signature) == Fraction(gbs)
 
 
 def test_lookup_falls_back_to_default(haswell):
-    assert lookup_bandwidth(haswell, (9, 9, 9)) == haswell.memory.default_bandwidth_gbs
+    assert haswell.memory.lookup((9, 9, 9)) == haswell.memory.default_bandwidth_gbs
 
 
 def test_all_bandwidths_positive(haswell):
@@ -109,7 +109,7 @@ def test_missing_table_uses_default_everywhere(haswell):
     data["memory"] = {"default_bandwidth_gbs": 27.1}
     machine = machine_from_dict(data)
     for signature in [(0, 0, 0), (2, 0, 0), (5, 5, 5)]:
-        assert lookup_bandwidth(machine, signature) == Fraction("27.1")
+        assert machine.memory.lookup(signature) == Fraction("27.1")
 
 
 def test_boundary_width_must_tile_cachelines():

@@ -88,7 +88,9 @@ def test_predict_monotone_levels():
         assert pred.t_core <= pred.t_l2 <= pred.t_l3 <= pred.t_mem
 
 
-nonneg = st.fractions(min_value=0, max_value=50).map(lambda f: f.limit_denominator(1000))
+# p/q in [0, 50] with q <= 1000, drawn directly: limiting the denominator of
+# st.fractions draws to that support spent most of the test's time
+nonneg = st.integers(1, 1000).flatmap(lambda q: st.integers(0, 50 * q).map(lambda p: Fraction(p, q)))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations_with_replacement
 
@@ -15,18 +16,21 @@ from ecmkit import (
     core_timing,
     frontend_bound,
     min_cycles,
+    serialize_machine,
 )
+from ecmkit import _pairing, scheduler
 from ecmkit.errors import CapabilityError
 from ecmkit.kernels import KernelModel, UopGroup
 from ecmkit.machine import MachineModel, MemoryModel, NumaConfig, PortSpec
 from ecmkit._pairing import PackingSearch, Unit, _least_span, pattern_table
-from ecmkit.scheduler import SchedItem, SchedulingProblem, _joint_units, _pairing_span
+from ecmkit.scheduler import CoreTiming, SchedItem, SchedulingProblem, _joint_units, _pairing_span
 
 from oracles import (
     backtracking_pairing_span,
     brute_force_min_cycles,
     enumerated_pattern_table,
     matching_min_cycles,
+    problem_core_timing,
     truncated_steps,
 )
 
@@ -475,3 +479,109 @@ def test_each_unit_kind_is_one_object_with_its_sort_order_derived_once():
         for unit in first:
             assert unit.order is unit.order
             assert unit.order == (unit.overlapping, -unit.weight, [sorted(p) for p in unit.port_choices])
+
+
+# ---------------------------------------------------------------------------
+# the per-machine port layout against the per-call problem builders
+
+
+def outcome(timing, kernel, machine):
+    """The CoreTiming, or the CapabilityError message."""
+    try:
+        return timing(kernel, machine)
+    except CapabilityError as exc:
+        return f"error: {exc}"
+
+
+def oracle_timing(kernel, machine):
+    return CoreTiming(*problem_core_timing(kernel, machine))
+
+
+def test_core_timing_equals_the_problem_builder_oracle_on_random_port_layouts():
+    rng = random.Random(0x1A7)
+    for _ in range(200):
+        machine, memory, arith = random_machine(rng)
+        kernel = unrolled(random_kernel(rng, memory, arith, max_uops=8), rng.choice((1, 1, 2, 3)))
+        assert core_timing(kernel, machine) == oracle_timing(kernel, machine), (machine.ports, kernel.uops)
+
+
+def test_core_timing_equals_the_problem_builder_oracle_on_unrolled_builtins():
+    for kernel in KERNELS.values():
+        for factor in (1, 2, 4, 8):
+            for extras in EXTRAS:
+                scaled = unrolled(kernel, factor, extras)
+                assert core_timing(scaled, HASWELL) == oracle_timing(scaled, HASWELL), (kernel.name, factor, extras)
+
+
+def test_capability_errors_equal_the_oracle_on_machines_that_lack_capabilities():
+    # any uop order: a missing load/store capability wins over an arithmetic
+    # one that comes earlier in the kernel
+    rng = random.Random(0xCAB)
+    kinds = MEMORY_UOPS + tuple((a, None) for a in ARITH_UOPS)
+    outcomes = Counter()
+    for _ in range(300):
+        ports = tuple(PortSpec(i, frozenset(rng.sample(CAPABILITIES, rng.randint(1, 2)))) for i in range(rng.randint(1, 4)))
+        machine = replace(HASWELL, ports=ports)
+        picks = [rng.choice(kinds) for _ in range(rng.randint(1, 5))]
+        kernel = KernelModel("k", (), 8, tuple(UopGroup(rng.randint(1, 3), cls, addressing) for cls, addressing in picks))
+        expected = outcome(oracle_timing, kernel, machine)
+        assert outcome(core_timing, kernel, machine) == expected, (ports, kernel.uops)
+        outcomes[expected.split(" needs ")[-1] if isinstance(expected, str) else "timing"] += 1
+    assert set(outcomes) == {"timing", "load-agu-full ports", "address-generation ports", "store-data ports"} | {
+        f"{a} ports" for a in ARITH_UOPS
+    }
+
+
+def test_replaced_machines_do_not_reuse_a_cached_layout():
+    machine = replace(HASWELL)
+    kernels = [unrolled(kernel, 2, ("add",)) for kernel in KERNELS.values()]
+    warm = [core_timing(kernel, machine) for kernel in kernels]
+    assert "_core_layout" in vars(machine)
+    second_data_port = tuple(replace(p, capabilities=p.capabilities | {"store-data"}) if p.id == 6 else p for p in machine.ports)
+    for other in (
+        replace(machine, ports=second_data_port),
+        replace(machine, retire_width=6),
+        replace(machine, store_uop_weight=1),
+    ):
+        assert "_core_layout" not in vars(other)
+        timings = [core_timing(kernel, other) for kernel in kernels]
+        assert timings == [oracle_timing(kernel, other) for kernel in kernels]
+        assert timings != warm
+
+
+def test_the_layout_is_not_part_of_equality_repr_or_serialization():
+    cold, warm = replace(HASWELL), replace(HASWELL)
+    core_timing(KERNELS["schoenauer_triad_opt"], warm)
+    assert "_core_layout" in vars(warm) and "_core_layout" not in vars(cold)
+    assert warm == cold
+    assert repr(warm) == repr(cold) and "Layout" not in repr(warm)
+    assert serialize_machine(warm) == serialize_machine(cold)
+
+
+def test_warm_core_timing_builds_no_units_problems_unions_or_tables(monkeypatch):
+    """A deterministic work count: after a machine's first call for each kind
+    set, core_timing constructs no Unit, SchedItem or SchedulingProblem and
+    enumerates no port-set unions or pattern tables."""
+    machine = replace(HASWELL)
+    kernels = [unrolled(kernel, 1, extras) for kernel in KERNELS.values() for extras in EXTRAS]
+    expected = [core_timing(kernel, machine) for kernel in kernels]
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for cls in (Unit, SchedItem, SchedulingProblem):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
+    for module in (scheduler, _pairing):
+        for name in ("port_set_unions", "pattern_table"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert [core_timing(kernel, machine) for kernel in kernels] == expected
+    # other counts of the same kind sets are new solves, not new tables
+    for kernel in kernels:
+        core_timing(unrolled(kernel, 3), machine)
+    assert calls == Counter()
