@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -355,3 +356,111 @@ def test_predict_table_csv_json_same_values():
         assert float(csv_rows[level]["cycles_per_cl"]) == float(json_rows[level]["cycles_per_cl"])
         assert f"{level}" in table_text
         assert csv_rows[level]["cycles_per_cl"] in table_text
+
+
+# ---------------------------------------------------------------------------
+# golden CLI bytes: every argv in tests/data/cli_golden.json must give the
+# recorded exit code, stdout and stderr. `<work>` stands for a directory
+# holding the files `write_golden_inputs` writes.
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+COMMANDS = ("predict", "traffic", "scale", "compare", "validate", "list-kernels", "show-machine", "nt-estimate")
+FORMATS = ("table", "csv", "json")
+
+
+def write_golden_inputs(work: Path) -> None:
+    """The built-in machine and kernels as files, a machine with a 64 B/c
+    L2L3 boundary, and a measurement CSV with only ddot's L1 row."""
+    machine = serialize_machine(builtin_haswell())
+    (work / "machine.json").write_text(json.dumps(machine, indent=2) + "\n")
+    for boundary in machine["boundaries"]:
+        if boundary["name"] == "L2L3":
+            boundary["bytes_per_cycle"] = 64
+    (work / "wide.json").write_text(json.dumps(machine))
+    (work / "partial.csv").write_text("kernel,level,cycles_per_cl\nddot,L1,2.1\n")
+    for name, kernel in ecmkit.builtin_kernels().items():
+        streams = [{"array": s.array_name, "access": s.access, "nontemporal": s.nontemporal} for s in kernel.streams]
+        uops = [{"count": g.count, "class": g.uop_class} for g in kernel.uops]
+        for entry, group in zip(uops, kernel.uops):
+            if group.addressing is not None:
+                entry["addressing"] = group.addressing
+        data = {"name": name, "element_bytes": kernel.element_bytes, "streams": streams, "uops": uops}
+        (work / f"{name}.json").write_text(json.dumps({**data, "flops_per_iteration": kernel.flops_per_iteration}))
+
+
+def golden_argvs() -> list[list[str]]:
+    """The benchmark's CLI probe argvs (every command and format, built-in
+    names and then files), the display and scaling options in every format,
+    warnings, a validation failure and three input errors."""
+    kernels = ecmkit.builtin_kernels()
+    names = sorted(kernels)
+    with_writes = sorted(n for n, k in kernels.items() if any(s.access == "write" for s in k.streams))
+    argvs = []
+    for i, (command, fmt) in enumerate((c, f) for c in COMMANDS for f in FORMATS):
+        pool = with_writes if command == "nt-estimate" else names
+        kernel = pool[i % len(pool)]
+        for from_files in (False, True):
+            argv = [command, "--format", fmt]
+            if command in ("predict", "traffic", "scale", "nt-estimate"):
+                argv += ["-k", f"<work>/{kernel}.json" if from_files else kernel]
+            if from_files:
+                argv += ["-m", "<work>/machine.json"]
+            if command in ("predict", "scale") and fmt != "csv":
+                argv.append("--penalty")
+            if command == "compare" and from_files:
+                argv.append("--no-penalty")
+            argvs.append(argv)
+    variants = [
+        ["predict", "-k", "schoenauer_triad", "--precise"],
+        ["scale", "-k", "stream_triad", "--precise"],
+        ["compare", "-k", "copy", "-k", "update", "--precise"],
+        ["show-machine", "--precise"],
+        ["nt-estimate", "-k", "stream_triad", "--precise"],
+        ["predict", "-k", "copy", "--mode", "noncod"],
+        ["scale", "-k", "copy", "--mode", "noncod"],
+        ["nt-estimate", "-k", "schoenauer_triad", "--mode", "noncod"],
+        ["scale", "-k", "ddot", "--pinning", "round-robin", "--cores", "9"],
+        ["scale", "-k", "update", "--penalty"],
+        ["compare", "-k", "ddot", "--measurements", "<work>/partial.csv"],
+        ["compare", "-k", "copy", "-k", "nosuch"],
+        ["validate", "-m", "<work>/wide.json"],
+    ]
+    argvs += [argv + ["--format", fmt] for argv in variants for fmt in FORMATS]
+    return argvs + [["nt-estimate", "-k", "ddot"], ["predict", "-k", "nosuch"], ["scale", "-k", "ddot", "--cores", "99"]]
+
+
+def run_golden(argv: list[str], work: Path) -> dict:
+    """One in-process run: the argv with <work> replaced, and its exit code,
+    stdout and stderr with the directory put back as <work>."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run([a.replace("<work>", str(work)) for a in argv], out=out)
+    return {
+        "argv": argv,
+        "code": code,
+        "stdout": out.getvalue().replace(str(work), "<work>"),
+        "stderr": err.getvalue().replace(str(work), "<work>"),
+    }
+
+
+def test_cli_output_matches_golden_bytes(tmp_path, monkeypatch):
+    monkeypatch.delenv("ECM_MACHINE_PATH", raising=False)
+    write_golden_inputs(tmp_path)
+    cases = json.loads(GOLDEN.read_text())
+    assert [case["argv"] for case in cases] == golden_argvs()
+    assert {case["code"] for case in cases} == {0, 1, 2}
+    for case in cases:
+        assert run_golden(case["argv"], tmp_path) == case
+
+
+if __name__ == "__main__":
+    # Rewrites the golden file from the current CLI:
+    # PYTHONPATH=src python tests/test_cli.py
+    import tempfile
+
+    os.environ.pop("ECM_MACHINE_PATH", None)
+    with tempfile.TemporaryDirectory() as work:
+        write_golden_inputs(Path(work))
+        cases = [run_golden(argv, Path(work)) for argv in golden_argvs()]
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(cases, indent=1) + "\n")
