@@ -23,15 +23,3 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"not a number: {value!r}")
-
-
-def round_half_away(value, decimals: int = 0) -> Fraction:
-    """Round to `decimals` decimal places with halves going away from zero."""
-    v = as_fraction(value)
-    if v < 0:
-        return -round_half_away(-v, decimals)
-    m = 10**decimals
-    scaled = v * m
-    # floor(scaled + 1/2) in integer arithmetic
-    n = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
-    return Fraction(n, m)

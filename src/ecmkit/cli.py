@@ -1,5 +1,5 @@
 """Command-line frontend: predict, traffic, scale, compare, validate,
-list-kernels, show-machine. Exit codes: 0 success, 1 validation/comparison
+list-kernels, show-machine, nt-estimate. Exit codes: 0 success, 1 validation
 failure, 2 usage or input error."""
 
 from __future__ import annotations
@@ -9,41 +9,40 @@ import csv
 import json
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
-from ._num import as_fraction, round_half_away
-from .errors import CapabilityError, ECMParseError, SchemaError
-from .kernels import (
-    KernelModel,
-    builtin_kernels,
-    load_kernel,
-    stream_counts,
-    stream_signature,
-)
+from ._num import as_fraction
+from .kernels import KernelModel, builtin_kernels, load_kernel, stream_counts, stream_signature
 from .machine import MachineModel, builtin_haswell, load_machine, serialize_machine
 from .model import (
-    LEVELS,
-    PenaltyConfig,
-    apply_penalty,
-    ecm_input,
-    format_cycles,
-    format_ecm,
-    model_error,
-    predict,
-    read_measurements,
+    LEVELS, PenaltyConfig, apply_penalty, ecm_input, format_cycles, format_ecm, model_error, predict, read_measurements
 )
 from .reference import REFERENCE_KERNELS, nt_reference, reference_cells, reference_measurements
 from .scaling import iterations_per_cacheline, nt_speedup, scale, single_core_performance
-from .traffic import nt_volume_ratio, traffic
+from .traffic import traffic
 
 BUILTIN_MACHINES = {"haswell": builtin_haswell}
 
 _INPUT_CELLS = ("T_OL", "T_nOL", "T_L1L2", "T_L2L3", "T_L3Mem")
-_PREDICTION_CELLS = ("L1", "L2", "L3", "MEM")
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """Input problem reported to the user; maps to exit code 2."""
+
+
+@dataclass(frozen=True)
+class Report:
+    """One command's result. `payload` is the JSON document and `rows` the
+    table and CSV body; a table frames the rows with `header` and `footer`.
+    A report without rows prints `header` and `footer` as its text in both
+    table and CSV. `code` is the exit code."""
+
+    payload: object
+    rows: list
+    header: str = ""
+    footer: str = ""
+    code: int = 0
 
 
 def _resolve_machine(spec: str | None) -> MachineModel:
@@ -75,99 +74,74 @@ def _resolve_kernel(spec: str) -> KernelModel:
 
 
 def _display(value, precise: bool):
-    """Canonical numeric display value: one-decimal rounding unless --precise."""
+    """Canonical numeric display value: the shorthand's one-decimal rounding
+    unless --precise. None stays None."""
+    if value is None:
+        return None
+    if not precise:
+        text = format_cycles(value)
+        return float(text) if "." in text else int(text)
     v = as_fraction(value)
-    if precise:
-        return int(v) if v.denominator == 1 else float(v)
-    r = round_half_away(v, 1)
-    return int(r) if r.denominator == 1 else float(r)
+    return int(v) if v.denominator == 1 else float(v)
 
 
-def _emit_rows(rows: list[dict], fmt: str, out) -> None:
-    """Render rows in the selected format; all formats carry identical values."""
-    if not rows:
-        return
-    columns = list(rows[0])
+def _render(report: Report, fmt: str, out) -> None:
+    """Write a report in the selected format; all formats carry identical values."""
     if fmt == "json":
-        json.dump(rows, out, indent=2)
+        json.dump(report.payload, out, indent=2)
         out.write("\n")
-    elif fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row[c] for c in columns])
-    else:
-        lines = [columns] + [[str(row[c]) for c in columns] for row in rows]
-        widths = [max(len(line[i]) for line in lines) for i in range(len(columns))]
-        for line in lines:
-            out.write("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)).rstrip() + "\n")
+        return
+    if not report.rows:
+        out.write(report.header + report.footer)
+        return
+    columns = list(report.rows[0])
+    lines = [columns] + [[str(row[c]) for c in columns] for row in report.rows]
+    if fmt == "csv":
+        csv.writer(out, lineterminator="\n").writerows(lines)
+        return
+    widths = [max(len(line[i]) for line in lines) for i in range(len(columns))]
+    out.write(report.header)
+    for line in lines:
+        out.write("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)).rstrip() + "\n")
+    out.write(report.footer)
 
 
-def _penalty_config(args) -> PenaltyConfig | None:
-    return PenaltyConfig() if getattr(args, "penalty", False) else None
-
-
-def cmd_predict(args, out) -> int:
+def cmd_predict(args) -> Report:
     machine = _resolve_machine(args.machine)
     kernel = _resolve_kernel(args.kernel)
     inp = ecm_input(kernel, machine, args.mode)
     pred = predict(inp)
-    penalty = _penalty_config(args)
-    adjusted = apply_penalty(pred, kernel, penalty) if penalty else None
+    adjusted = apply_penalty(pred, kernel, PenaltyConfig()) if args.penalty else None
     shown = adjusted or pred
-
     prof = traffic(kernel)
-    try:
-        mups = single_core_performance(shown, kernel, machine)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    mups = single_core_performance(shown, kernel, machine)
+    # MUp/s of a level whose cache line took one cycle
+    mups_at_one_cycle = machine.frequency_ghz * 1000 * iterations_per_cacheline(kernel)
     rows = []
-    for level, cycles in zip(_PREDICTION_CELLS, shown.cells()):
-        level_mups = machine.frequency_ghz * 1000 * iterations_per_cacheline(kernel) / cycles if cycles else None
-        rows.append(
-            {
-                "level": level,
-                "cycles_per_cl": _display(cycles, args.precise),
-                "mups": _display(level_mups, args.precise) if level_mups is not None else "",
-            }
-        )
-
-    if args.format == "json":
-        payload = {
-            "kernel": kernel.name,
-            "machine": machine.name,
-            "input": format_ecm(inp),
-            "prediction": format_ecm(pred),
-            "levels": rows,
-            "memory_mups": _display(mups, args.precise),
-            "memory_gbs_write_allocate": _display(mups * prof.mem_bytes_per_iteration / 1000, args.precise),
-            "memory_gbs_explicit": _display(mups * prof.payload_bytes_per_iteration / 1000, args.precise),
-        }
-        if adjusted:
-            payload["prediction_with_penalty"] = format_ecm(adjusted)
-        json.dump(payload, out, indent=2)
-        out.write("\n")
-        return 0
-
-    if args.format == "table":
-        out.write(f"kernel:     {kernel.name}\n")
-        out.write(f"machine:    {machine.name}\n")
-        out.write(f"input:      {format_ecm(inp)}\n")
-        out.write(f"prediction: {format_ecm(pred)}\n")
-        if adjusted:
-            out.write(f"with off-core penalty: {format_ecm(adjusted)}\n")
-        out.write("\n")
-    _emit_rows(rows, args.format, out)
-    if args.format == "table":
-        out.write(
-            f"\nmemory level: {_display(mups, args.precise)} MUp/s, "
-            f"{_display(mups * prof.mem_bytes_per_iteration / 1000, args.precise)} GB/s with write-allocate "
-            f"({_display(mups * prof.payload_bytes_per_iteration / 1000, args.precise)} GB/s explicit)\n"
-        )
-    return 0
+    for level, cycles in zip(LEVELS, shown.cells()):
+        level_mups = _display(mups_at_one_cycle / cycles, args.precise) if cycles else ""
+        rows.append({"level": level, "cycles_per_cl": _display(cycles, args.precise), "mups": level_mups})
+    memory_mups = _display(mups, args.precise)
+    gbs_write_allocate = _display(mups * prof.mem_bytes_per_iteration / 1000, args.precise)
+    gbs_explicit = _display(mups * prof.payload_bytes_per_iteration / 1000, args.precise)
+    payload = {"kernel": kernel.name, "machine": machine.name, "input": format_ecm(inp), "prediction": format_ecm(pred),
+               "levels": rows, "memory_mups": memory_mups, "memory_gbs_write_allocate": gbs_write_allocate,
+               "memory_gbs_explicit": gbs_explicit}
+    header = (
+        f"kernel:     {kernel.name}\n"
+        f"machine:    {machine.name}\n"
+        f"input:      {format_ecm(inp)}\n"
+        f"prediction: {format_ecm(pred)}\n"
+    )
+    if adjusted:
+        payload["prediction_with_penalty"] = format_ecm(adjusted)
+        header += f"with off-core penalty: {format_ecm(adjusted)}\n"
+    footer = f"\nmemory level: {memory_mups} MUp/s, {gbs_write_allocate} GB/s with write-allocate "
+    footer += f"({gbs_explicit} GB/s explicit)\n"
+    return Report(payload, rows, header + "\n", footer)
 
 
-def cmd_traffic(args, out) -> int:
+def cmd_traffic(args) -> Report:
     kernel = _resolve_kernel(args.kernel)
     prof = traffic(kernel)
     rows = [
@@ -175,89 +149,38 @@ def cmd_traffic(args, out) -> int:
         {"boundary": "L2L3", "cachelines_per_cl": prof.cls_l2l3},
         {"boundary": "L3MEM", "cachelines_per_cl": prof.cls_l3mem},
     ]
-    if args.format == "json":
-        json.dump(
-            {
-                "kernel": kernel.name,
-                "boundaries": rows,
-                "mem_bytes_per_iteration": prof.mem_bytes_per_iteration,
-                "payload_bytes_per_iteration": prof.payload_bytes_per_iteration,
-            },
-            out,
-            indent=2,
-        )
-        out.write("\n")
-        return 0
-    if args.format == "table":
-        out.write(f"kernel: {kernel.name}\n")
-    _emit_rows(rows, args.format, out)
-    if args.format == "table":
-        out.write(
-            f"\nmemory volume per iteration: {prof.mem_bytes_per_iteration} B with write-allocate, "
-            f"{prof.payload_bytes_per_iteration} B explicit\n"
-        )
-    return 0
+    payload = {"kernel": kernel.name, "boundaries": rows, "mem_bytes_per_iteration": prof.mem_bytes_per_iteration,
+               "payload_bytes_per_iteration": prof.payload_bytes_per_iteration}
+    footer = f"\nmemory volume per iteration: {prof.mem_bytes_per_iteration} B with write-allocate, "
+    footer += f"{prof.payload_bytes_per_iteration} B explicit\n"
+    return Report(payload, rows, f"kernel: {kernel.name}\n", footer)
 
 
-def cmd_scale(args, out) -> int:
+def cmd_scale(args) -> Report:
     machine = _resolve_machine(args.machine)
     kernel = _resolve_kernel(args.kernel)
-    try:
-        curve = scale(
-            kernel,
-            machine,
-            mode=args.mode,
-            max_cores=args.cores,
-            pinning=args.pinning,
-            penalty=_penalty_config(args),
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    rows = [
-        {
-            "cores": p.cores,
-            "mups": _display(p.performance_mups, args.precise),
-            "bound": "bandwidth" if p.bandwidth_bound else "core",
-        }
-        for p in curve.points
-    ]
-    if args.format == "json":
-        json.dump(
-            {
-                "kernel": kernel.name,
-                "machine": machine.name,
-                "mode": curve.mode,
-                "points": rows,
-                "saturation_cores": curve.saturation_cores,
-                "ceiling_mups": _display(curve.ceiling_mups, args.precise) if curve.ceiling_mups is not None else None,
-            },
-            out,
-            indent=2,
-        )
-        out.write("\n")
-        return 0
-    if args.format == "table":
-        out.write(f"kernel: {kernel.name}  machine: {machine.name}  mode: {curve.mode}\n")
-    _emit_rows(rows, args.format, out)
-    if args.format == "table":
-        if curve.ceiling_mups is None:
-            out.write("\ncompute bound: no bandwidth ceiling\n")
-        else:
-            saturation = curve.saturation_cores if curve.saturation_cores is not None else "never"
-            out.write(
-                f"\nceiling: {_display(curve.ceiling_mups, args.precise)} MUp/s, "
-                f"saturates at {saturation} cores\n"
-            )
-    return 0
-
-
-def cmd_compare(args, out) -> int:
-    machine = _resolve_machine(args.machine)
-    if args.measurements:
-        measurements = read_measurements(args.measurements)
+    penalty = PenaltyConfig() if args.penalty else None
+    curve = scale(kernel, machine, mode=args.mode, max_cores=args.cores, pinning=args.pinning, penalty=penalty)
+    rows = []
+    for p in curve.points:
+        bound = "bandwidth" if p.bandwidth_bound else "core"
+        rows.append({"cores": p.cores, "mups": _display(p.performance_mups, args.precise), "bound": bound})
+    ceiling = _display(curve.ceiling_mups, args.precise)
+    payload = {"kernel": kernel.name, "machine": machine.name, "mode": curve.mode, "points": rows,
+               "saturation_cores": curve.saturation_cores, "ceiling_mups": ceiling}
+    if ceiling is None:
+        footer = "\ncompute bound: no bandwidth ceiling\n"
     else:
-        measurements = reference_measurements()
-    kernel_names = args.kernel or sorted(measurements)
+        saturation = curve.saturation_cores if curve.saturation_cores is not None else "never"
+        footer = f"\nceiling: {ceiling} MUp/s, saturates at {saturation} cores\n"
+    return Report(payload, rows, f"kernel: {kernel.name}  machine: {machine.name}  mode: {curve.mode}\n", footer)
+
+
+def cmd_compare(args) -> Report:
+    machine = _resolve_machine(args.machine)
+    measurements = read_measurements(args.measurements) if args.measurements else reference_measurements()
+    # a kernel named twice is compared once, in the order first named
+    kernel_names = list(dict.fromkeys(args.kernel)) if args.kernel else sorted(measurements)
     penalty = None if args.no_penalty else PenaltyConfig()
 
     rows = []
@@ -275,108 +198,57 @@ def cmd_compare(args, out) -> int:
             if level not in measurement.levels:
                 print(f"warning: kernel {name!r} has no {level} measurement; skipped", file=sys.stderr)
                 continue
-            row = {
-                "kernel": name,
-                "level": level,
-                "predicted": _display(predicted, args.precise),
-                "measured": _display(measurement.levels[level], args.precise),
-                "signed_error_pct": errors.signed_pct[level],
-                "abs_error_pct": errors.absolute_pct[level],
-            }
+            row = {"kernel": name, "level": level, "predicted": _display(predicted, args.precise),
+                   "measured": _display(measurement.levels[level], args.precise),
+                   "signed_error_pct": errors.signed_pct[level], "abs_error_pct": errors.absolute_pct[level]}
             if adjusted:
                 row["predicted_penalty"] = _display(adjusted.level(level), args.precise)
                 row["abs_error_penalty_pct"] = adj_errors.absolute_pct[level]
             rows.append(row)
-    if args.format == "json":
-        json.dump(rows, out, indent=2)
-        out.write("\n")
-    else:
-        _emit_rows(rows, args.format, out)
-    return 0
+    return Report(rows, rows)
 
 
-def cmd_validate(args, out) -> int:
+def cmd_validate(args) -> Report:
     machine = _resolve_machine(args.machine)
     builtins = builtin_kernels()
-    input_mismatches = []
-    prediction_mismatches = []
-    input_total = prediction_total = 0
+    # per unit, (kernel, cell, expected, computed) of every reference cell
+    checked = {"input": [], "prediction": []}
     for name in REFERENCE_KERNELS:
-        kernel = builtins[name]
         expected_input, expected_pred = reference_cells(name)
-        inp = ecm_input(kernel, machine, "cod")
+        inp = ecm_input(builtins[name], machine, "cod")
         pred = predict(inp)
         for cell, computed, expected in zip(_INPUT_CELLS, inp.cells(), expected_input):
-            input_total += 1
-            if format_cycles(computed) != expected:
-                input_mismatches.append(
-                    {"kernel": name, "cell": cell, "expected": expected, "computed": format_cycles(computed)}
-                )
-        for cell, computed, expected in zip(_PREDICTION_CELLS, pred.cells(), expected_pred):
-            prediction_total += 1
-            if format_cycles(computed) != expected:
-                prediction_mismatches.append(
-                    {"kernel": name, "cell": cell, "expected": expected, "computed": format_cycles(computed)}
-                )
+            checked["input"].append((name, cell, expected, format_cycles(computed)))
+        for cell, computed, expected in zip(LEVELS, pred.cells(), expected_pred):
+            checked["prediction"].append((name, cell, expected, format_cycles(computed)))
 
-    ok = not input_mismatches and not prediction_mismatches
-    if args.format == "json":
-        json.dump(
-            {
-                "machine": machine.name,
-                "inputs": {"total": input_total, "matched": input_total - len(input_mismatches), "mismatches": input_mismatches},
-                "predictions": {
-                    "total": prediction_total,
-                    "matched": prediction_total - len(prediction_mismatches),
-                    "mismatches": prediction_mismatches,
-                },
-                "ok": ok,
-            },
-            out,
-            indent=2,
-        )
-        out.write("\n")
-    else:
-        for unit, mismatches in (("input", input_mismatches), ("prediction", prediction_mismatches)):
-            for m in mismatches:
-                out.write(
-                    f"MISMATCH {m['kernel']} {unit} {m['cell']}: expected {m['expected']}, computed {m['computed']}\n"
-                )
-        out.write(f"{input_total - len(input_mismatches)}/{input_total} input cells match\n")
-        out.write(f"{prediction_total - len(prediction_mismatches)}/{prediction_total} prediction cells match\n")
-    return 0 if ok else 1
+    payload = {"machine": machine.name}
+    mismatch_lines = counts = ""
+    for unit, cells in checked.items():
+        mismatches = [{"kernel": k, "cell": c, "expected": e, "computed": got} for k, c, e, got in cells if got != e]
+        matched = len(cells) - len(mismatches)
+        payload[f"{unit}s"] = {"total": len(cells), "matched": matched, "mismatches": mismatches}
+        for m in mismatches:
+            mismatch_lines += f"MISMATCH {m['kernel']} {unit} {m['cell']}: expected {m['expected']}, computed {m['computed']}\n"
+        counts += f"{matched}/{len(cells)} {unit} cells match\n"
+    payload["ok"] = ok = not mismatch_lines
+    return Report(payload, [], header=mismatch_lines + counts, code=0 if ok else 1)
 
 
-def cmd_list_kernels(args, out) -> int:
+def cmd_list_kernels(args) -> Report:
     rows = []
     for name, kernel in builtin_kernels().items():
         counts = stream_counts(kernel)
         uops = " ".join(f"{g.count}x{g.uop_class}" for g in kernel.uops)
-        rows.append(
-            {
-                "kernel": name,
-                "loads": counts.explicit_loads,
-                "rfo": counts.rfo_streams,
-                "writes": counts.write_streams,
-                "signature": "/".join(str(n) for n in stream_signature(kernel)),
-                "uops": uops,
-                "flops_per_it": kernel.flops_per_iteration,
-            }
-        )
-    if args.format == "json":
-        json.dump(rows, out, indent=2)
-        out.write("\n")
-    else:
-        _emit_rows(rows, args.format, out)
-    return 0
+        signature = "/".join(str(n) for n in stream_signature(kernel))
+        rows.append({"kernel": name, "loads": counts.explicit_loads, "rfo": counts.rfo_streams,
+                     "writes": counts.write_streams, "signature": signature, "uops": uops,
+                     "flops_per_it": kernel.flops_per_iteration})
+    return Report(rows, rows)
 
 
-def cmd_show_machine(args, out) -> int:
+def cmd_show_machine(args) -> Report:
     machine = _resolve_machine(args.machine_name or args.machine)
-    if args.format == "json":
-        json.dump(serialize_machine(machine), out, indent=2)
-        out.write("\n")
-        return 0
     rows = [
         {"parameter": "name", "value": machine.name},
         {"parameter": "frequency_ghz", "value": _display(machine.frequency_ghz, args.precise)},
@@ -391,51 +263,30 @@ def cmd_show_machine(args, out) -> int:
     rows.append({"parameter": "default GB/s", "value": _display(machine.memory.default_bandwidth_gbs, args.precise)})
     for sig, gbs in sorted(machine.memory.bandwidth_table.items()):
         rows.append({"parameter": f"GB/s {sig[0]}/{sig[1]}/{sig[2]} (loads/stores/nt)", "value": _display(gbs, args.precise)})
-    _emit_rows(rows, args.format, out)
-    return 0
+    return Report(serialize_machine(machine), rows)
 
 
-def cmd_nt(args, out) -> int:
+def cmd_nt(args) -> Report:
     machine = _resolve_machine(args.machine)
     kernel = _resolve_kernel(args.kernel)
-    try:
-        estimate = nt_speedup(kernel, machine, args.mode)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    payload = {
-        "kernel": kernel.name,
-        "volume_ratio": _display(estimate.volume_ratio, args.precise),
-        "regular_domain_mups": _display(estimate.regular.per_domain_mups, args.precise)
-        if estimate.regular.per_domain_mups is not None
-        else None,
-        "nt_domain_mups": _display(estimate.nontemporal.per_domain_mups, args.precise)
-        if estimate.nontemporal.per_domain_mups is not None
-        else None,
-        "regular_chip_mups": _display(estimate.regular.per_chip_mups, args.precise)
-        if estimate.regular.per_chip_mups is not None
-        else None,
-        "nt_chip_mups": _display(estimate.nontemporal.per_chip_mups, args.precise)
-        if estimate.nontemporal.per_chip_mups is not None
-        else None,
-        "measured_reference": nt_reference().get(kernel.name),
+    estimate = nt_speedup(kernel, machine, args.mode)
+    quantities = {
+        "volume_ratio": estimate.volume_ratio,
+        "regular_domain_mups": estimate.regular.per_domain_mups,
+        "nt_domain_mups": estimate.nontemporal.per_domain_mups,
+        "regular_chip_mups": estimate.regular.per_chip_mups,
+        "nt_chip_mups": estimate.nontemporal.per_chip_mups,
     }
-    if args.format == "json":
-        json.dump(payload, out, indent=2)
-        out.write("\n")
-        return 0
-    rows = [{"quantity": key, "value": value if value is not None else ""} for key, value in payload.items() if key != "measured_reference"]
-    _emit_rows(rows, args.format, out)
-    reference = payload["measured_reference"]
-    if reference and args.format == "table":
-        out.write(f"\nmeasured reference (MUp/s): {json.dumps(reference)}\n")
-    return 0
+    quantities = {key: _display(value, args.precise) for key, value in quantities.items()}
+    reference = nt_reference().get(kernel.name)
+    rows = [{"quantity": "kernel", "value": kernel.name}]
+    rows += [{"quantity": key, "value": value if value is not None else ""} for key, value in quantities.items()]
+    footer = f"\nmeasured reference (MUp/s): {json.dumps(reference)}\n" if reference else ""
+    return Report({"kernel": kernel.name, **quantities, "measured_reference": reference}, rows, footer=footer)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ecmkit",
-        description="Analytic runtime prediction for streaming loop kernels.",
-    )
+    parser = argparse.ArgumentParser(prog="ecmkit", description="Analytic runtime prediction for streaming loop kernels.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-m", "--machine", default=None, help="built-in machine name or machine file path")
     common.add_argument("--format", choices=("table", "csv", "json"), default="table")
@@ -482,25 +333,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None, out=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out = out or sys.stdout
+    """Run one command and write its report to `out` (default stdout). A ValueError,
+    the base of every package error, or an OSError is one `error:` line and exit 2."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, out)
-    except CliError as exc:
+        report = args.func(args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SchemaError, CapabilityError, ECMParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    _render(report, args.format, out or sys.stdout)
+    return report.code
 
 
 def main() -> None:
     sys.exit(run())
-
-
-if __name__ == "__main__":
-    main()

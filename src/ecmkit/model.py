@@ -22,7 +22,7 @@ from math import lcm
 from pathlib import Path
 from typing import NoReturn
 
-from ._num import as_fraction, round_half_away
+from ._num import as_fraction
 from .errors import ECMParseError, SchemaError
 from .kernels import KernelModel, bandwidth_signature, load_streams_with_rfo
 from .machine import CACHE_LINE_BYTES, MachineModel
@@ -316,9 +316,11 @@ def model_error(pred: ECMPrediction, measurement: Measurement) -> ModelError:
             continue
         if measured == 0:
             raise ValueError(f"measured value for {name} is zero")
-        rel = (predicted - measured) / measured * 100
-        signed[name] = int(round_half_away(rel))
-        absolute[name] = int(round_half_away(abs(rel)))
+        rel = as_fraction((predicted - measured) / measured * 100)
+        # |rel| rounded half away from zero, in integers as in format_cycles
+        n, d = rel.numerator, rel.denominator
+        absolute[name] = (2 * abs(n) + d) // (2 * d)
+        signed[name] = -absolute[name] if n < 0 else absolute[name]
     return ModelError(absolute_pct=absolute, signed_pct=signed)
 
 

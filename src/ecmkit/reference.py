@@ -4,7 +4,6 @@ measured cycles for the built-in kernels on the built-in Haswell model."""
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from functools import cache
 from importlib import resources
 
@@ -16,7 +15,7 @@ REFERENCE_KERNELS = ("ddot", "load", "store", "update", "copy", "stream_triad", 
 @cache
 def reference_table() -> dict:
     """Parsed reference data file: per kernel the expected input/prediction
-    cells (canonical strings), measurements, and rounded error percentages."""
+    cells (canonical strings) and rounded error percentages."""
     path = resources.files("ecmkit.data") / "reference_haswell.json"
     return json.loads(path.read_text())
 
@@ -45,8 +44,3 @@ def nt_reference() -> dict:
     is smaller than these measured speedups.
     """
     return reference_table()["nt_reference"]
-
-
-def reference_measurement(kernel: str) -> Measurement:
-    table = reference_table()["kernels"][kernel]
-    return Measurement(kernel=kernel, levels={k: Fraction(v) for k, v in table["measurement"].items()})

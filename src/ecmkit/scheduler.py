@@ -54,9 +54,6 @@ class SchedItem:
 class SchedulingProblem:
     items: tuple[SchedItem, ...]
 
-    def total_uops(self) -> int:
-        return sum(it.multiplicity for it in self.items)
-
 
 @dataclass(frozen=True)
 class CoreTiming:

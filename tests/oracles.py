@@ -4,6 +4,7 @@ traffic code paths."""
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from fractions import Fraction
 from itertools import combinations, count
@@ -352,6 +353,18 @@ def fraction_mem_cycles_per_cl(bandwidth_gbs, frequency_ghz) -> Fraction:
 def fraction_single_core_performance(t_mem, frequency_ghz, iterations_per_line: int) -> Fraction:
     """MUp/s of one core: f * 1000 * iterations per line / t_mem."""
     return Fraction(frequency_ghz) * 1000 * iterations_per_line / t_mem
+
+
+def fraction_model_error(predicted: dict, measured: dict) -> tuple[dict, dict]:
+    """(absolute, signed) percent errors (predicted - measured) / measured
+    of the levels both hold, each rounded by floor(|x| + 1/2) with the sign
+    put back, so halves go away from zero."""
+    absolute, signed = {}, {}
+    for level in predicted.keys() & measured.keys():
+        rel = (Fraction(predicted[level]) - measured[level]) / measured[level] * 100
+        absolute[level] = math.floor(abs(rel) + Fraction(1, 2))
+        signed[level] = absolute[level] if rel >= 0 else -absolute[level]
+    return absolute, signed
 
 
 def capped_linear_points(p1, cap_of_cores, max_cores: int) -> list[tuple[int, Fraction, bool]]:

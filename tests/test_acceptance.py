@@ -32,7 +32,7 @@ from ecmkit import (
 from ecmkit.cli import run as cli_run
 from ecmkit.kernels import KernelModel, Stream
 from ecmkit.model import ECMInput, ECMPrediction
-from ecmkit.reference import REFERENCE_KERNELS, reference_cells, reference_error_pct, reference_measurement
+from ecmkit.reference import REFERENCE_KERNELS, reference_cells, reference_error_pct, reference_measurements
 from ecmkit.scheduler import SchedItem, SchedulingProblem
 
 from oracles import brute_force_min_cycles, cache_replay_traffic
@@ -145,7 +145,7 @@ def test_acceptance_penalty():
     for name in ("ddot", "load"):
         raw = predict(ecm_input(KERNELS[name], HASWELL, "cod"))
         adj = apply_penalty(raw, KERNELS[name])
-        measured = reference_measurement(name).levels["MEM"]
+        measured = reference_measurements()[name].levels["MEM"]
         assert abs(adj.t_mem - measured) <= abs(raw.t_mem - measured), name
     _ok("penalty: ddot L3=10, Mem=21.1; memory error non-increasing for ddot and load")
 
@@ -156,7 +156,7 @@ def test_acceptance_model_error_band():
     worst = 0
     for name in REFERENCE_KERNELS:
         pred = predict(ecm_input(KERNELS[name], HASWELL, "cod"))
-        errors = model_error(pred, reference_measurement(name))
+        errors = model_error(pred, reference_measurements()[name])
         for level, expected in reference_error_pct(name).items():
             deviation = abs(errors.absolute_pct[level] - expected)
             worst = max(worst, deviation)

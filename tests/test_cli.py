@@ -229,6 +229,13 @@ def test_compare_synthetic_exact_measurements(tmp_path):
     assert [r["abs_error_pct"] for r in rows] == ["0", "0", "0", "0"]
 
 
+def test_compare_kernel_named_twice_is_compared_once():
+    _, once = invoke("compare", "-k", "ddot", "-k", "copy", "--format", "csv")
+    _, repeated = invoke("compare", "-k", "ddot", "-k", "copy", "-k", "ddot", "--format", "csv")
+    assert repeated == once
+    assert [row["kernel"] for row in csv.DictReader(io.StringIO(once))] == ["ddot"] * 4 + ["copy"] * 4
+
+
 def test_compare_malformed_csv(tmp_path, capsys):
     meas = tmp_path / "bad.csv"
     meas.write_text("kernel,level,cycles_per_cl\nddot,L1\n")

@@ -24,11 +24,13 @@ from ecmkit import (
 )
 from ecmkit.errors import SchemaError
 from ecmkit.kernels import KernelModel, Stream
-from ecmkit.reference import reference_cells, reference_measurement, REFERENCE_KERNELS
+from ecmkit.model import LEVELS
+from ecmkit.reference import reference_cells, reference_measurements, REFERENCE_KERNELS
 
 from oracles import (
     decimal_fraction,
     fraction_mem_cycles_per_cl,
+    fraction_model_error,
     fraction_penalty,
     fraction_predict,
     rational_format_cycles,
@@ -215,7 +217,7 @@ def test_penalty_moves_memory_prediction_toward_measurement():
     for name in ("ddot", "load"):
         pred = predict(ecm_input(KERNELS[name], HASWELL))
         adjusted = apply_penalty(pred, KERNELS[name])
-        measured = reference_measurement(name).levels["MEM"]
+        measured = reference_measurements()[name].levels["MEM"]
         assert abs(adjusted.t_mem - measured) <= abs(pred.t_mem - measured)
 
 
@@ -357,10 +359,10 @@ def test_parse_errors_and_values_match_the_scanner_on_edge_cases(text):
 
 def test_model_error_examples():
     copy_pred = predict(ecm_input(KERNELS["copy"], HASWELL))
-    errors = model_error(copy_pred, reference_measurement("copy"))
+    errors = model_error(copy_pred, reference_measurements()["copy"])
     assert errors.absolute_pct["MEM"] == 3
     schoen_pred = predict(ecm_input(KERNELS["schoenauer_triad"], HASWELL))
-    errors = model_error(schoen_pred, reference_measurement("schoenauer_triad"))
+    errors = model_error(schoen_pred, reference_measurements()["schoenauer_triad"])
     assert errors.absolute_pct["L2"] == 24
     assert errors.signed_pct["L2"] == -24  # model predicts fewer cycles than measured
 
@@ -370,6 +372,24 @@ def test_model_error_identical_is_zero():
     meas = Measurement("x", {"L1": Fraction(2), "L2": Fraction(4), "L3": Fraction(8), "MEM": Fraction(16)})
     errors = model_error(pred, meas)
     assert set(errors.absolute_pct.values()) == {0}
+
+
+# measured cycles, and signed errors in percent: exact halves (which the
+# rounding sends away from zero), negative ones, and any fraction above -100
+measured_cycles = st.tuples(st.integers(1, 10**5), st.integers(1, 1000)).map(lambda pq: Fraction(*pq))
+signed_error = st.one_of(
+    st.integers(-199, 400).map(lambda k: Fraction(k, 2)),
+    st.integers(1, 1000).flatmap(lambda q: st.integers(-99 * q, 300 * q).map(lambda p: Fraction(p, q))),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(measured_cycles, signed_error), min_size=4, max_size=4), st.sets(st.sampled_from(LEVELS)))
+def test_model_error_equals_the_fraction_rounding_oracle(cells, missing):
+    predicted = {level: m * (1 + e / 100) for level, (m, e) in zip(LEVELS, cells)}
+    measured = {level: m for level, (m, _) in zip(LEVELS, cells) if level not in missing}
+    errors = model_error(ECMPrediction(*predicted.values()), Measurement("k", measured))
+    assert (errors.absolute_pct, errors.signed_pct) == fraction_model_error(predicted, measured)
 
 
 def test_measurement_requires_positive_cycles():
