@@ -1,0 +1,76 @@
+"""The one reader of machine, kernel and measurement files.
+
+A loader returns a checked value or raises SchemaError with a one-line
+message; a fault found here names the file and the field, one a dataclass
+finds names the object and the field. A file that cannot be opened raises
+OSError. The CLI maps both to one `error:` line and exit code 2. Nothing is
+coerced: a number becomes a Fraction only by its exact decimal reading.
+"""
+
+from __future__ import annotations
+
+import json
+import reprlib
+from fractions import Fraction
+from math import isfinite
+
+from ._num import as_fraction
+from .errors import SchemaError
+
+_EXPECTED = {int: "an integer", Fraction: "a finite number", str: "a string", bool: "a boolean", list: "a list",
+             dict: "an object"}
+_ABSENT = object()
+
+
+def read_text(path) -> str:
+    """The file's UTF-8 text, newlines untranslated."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def read_json(path):
+    """The JSON value in a UTF-8 file; bad syntax, an integer literal longer than
+    int() converts and nesting deeper than the recursion limit all fail alike."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+
+
+def check(value, kind, context: str):
+    """`value` if of `kind` (a bool is no int); for Fraction, an int or finite
+    float by its decimal repr; for object, any value, for its dataclass to check."""
+    if type(value) is kind or kind is object:
+        return value
+    if kind is Fraction and (type(value) is int or type(value) is float and isfinite(value)):
+        return as_fraction(value)
+    # reprlib bounds the message for huge and deeply nested values
+    raise SchemaError(f"{context}: expected {_EXPECTED[kind]}, got {reprlib.repr(value)}")
+
+
+def fields(obj, context: str, spec: dict) -> list:
+    """The values of the keys in `spec`, in its order, from an object with no
+    other keys, each checked by `check`. A `(kind, default)` pair marks an
+    optional key, whose default is returned as given."""
+    if type(obj) is not dict:
+        raise SchemaError(f"{context}: expected an object, got {reprlib.repr(obj)}")
+    if not obj.keys() <= spec.keys():
+        raise SchemaError(f"{context}: unknown key(s) {sorted(obj.keys() - spec.keys())}")
+    values = []
+    for key, kind in spec.items():
+        value = obj.get(key, _ABSENT)
+        if type(kind) is tuple:
+            kind, default = kind
+            if value is _ABSENT:
+                values.append(default)
+                continue
+        elif value is _ABSENT:
+            missing = sorted(k for k, kd in spec.items() if type(kd) is not tuple and k not in obj)
+            raise SchemaError(f"{context}: missing key(s) {missing}")
+        values.append(value if type(value) is kind or kind is object else check(value, kind, f"{context}: {key}"))
+    return values

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -85,25 +86,21 @@ def _display(value, precise: bool):
     return int(v) if v.denominator == 1 else float(v)
 
 
-def _render(report: Report, fmt: str, out) -> None:
-    """Write a report in the selected format; all formats carry identical values."""
+def _render(report: Report, fmt: str) -> str:
+    """A report's text in the selected format; all formats carry identical values."""
     if fmt == "json":
-        json.dump(report.payload, out, indent=2)
-        out.write("\n")
-        return
+        return json.dumps(report.payload, indent=2) + "\n"
     if not report.rows:
-        out.write(report.header + report.footer)
-        return
+        return report.header + report.footer
     columns = list(report.rows[0])
     lines = [columns] + [[str(row[c]) for c in columns] for row in report.rows]
     if fmt == "csv":
+        out = io.StringIO()
         csv.writer(out, lineterminator="\n").writerows(lines)
-        return
+        return out.getvalue()
     widths = [max(len(line[i]) for line in lines) for i in range(len(columns))]
-    out.write(report.header)
-    for line in lines:
-        out.write("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)).rstrip() + "\n")
-    out.write(report.footer)
+    body = "".join("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)).rstrip() + "\n" for line in lines)
+    return report.header + body + report.footer
 
 
 def cmd_predict(args) -> Report:
@@ -188,7 +185,11 @@ def cmd_compare(args) -> Report:
         if name not in measurements:
             print(f"warning: no measurement rows for kernel {name!r}; skipped", file=sys.stderr)
             continue
-        kernel = _resolve_kernel(name)
+        try:
+            kernel = _resolve_kernel(name)
+        except CliError:
+            print(f"warning: unknown kernel {name!r}; skipped", file=sys.stderr)
+            continue
         pred = predict(ecm_input(kernel, machine, args.mode))
         adjusted = apply_penalty(pred, kernel, penalty) if penalty else None
         measurement = measurements[name]
@@ -290,27 +291,28 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-m", "--machine", default=None, help="built-in machine name or machine file path")
     common.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    common.add_argument("--precise", action="store_true", help="print unrounded values")
-    common.add_argument("--mode", choices=("cod", "noncod"), default=None, help="bandwidth interpretation")
+    display = argparse.ArgumentParser(add_help=False)
+    display.add_argument("--precise", action="store_true", help="print unrounded values")
+    display.add_argument("--mode", choices=("cod", "noncod"), default=None, help="bandwidth interpretation")
     kernel_arg = argparse.ArgumentParser(add_help=False)
     kernel_arg.add_argument("-k", "--kernel", required=True, help="built-in kernel name or kernel file path")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("predict", parents=[common, kernel_arg], help="single-core model input and prediction")
+    p = sub.add_parser("predict", parents=[common, display, kernel_arg], help="single-core model input and prediction")
     p.add_argument("--penalty", action="store_true", help="apply the off-core transfer penalty")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("traffic", parents=[common, kernel_arg], help="cache-line traffic per boundary")
     p.set_defaults(func=cmd_traffic)
 
-    p = sub.add_parser("scale", parents=[common, kernel_arg], help="multi-core scaling curve")
+    p = sub.add_parser("scale", parents=[common, display, kernel_arg], help="multi-core scaling curve")
     p.add_argument("--cores", type=int, default=None, help="core counts to evaluate (1..N)")
     p.add_argument("--pinning", choices=("domain-sequential", "round-robin"), default="domain-sequential")
     p.add_argument("--penalty", action="store_true", help="scale the penalty-adjusted prediction")
     p.set_defaults(func=cmd_scale)
 
-    p = sub.add_parser("compare", parents=[common], help="prediction vs measured cycles")
+    p = sub.add_parser("compare", parents=[common, display], help="prediction vs measured cycles")
     p.add_argument("-k", "--kernel", action="append", default=None, help="kernel(s) to compare; default: all measured")
     p.add_argument("--measurements", default=None, help="measurement CSV; default: embedded reference data")
     p.add_argument("--no-penalty", action="store_true", help="drop the penalty-adjusted columns")
@@ -323,10 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_list_kernels)
 
     p = sub.add_parser("show-machine", parents=[common], help="machine parameters")
+    p.add_argument("--precise", action="store_true", help="print unrounded values")
     p.add_argument("machine_name", nargs="?", default=None)
     p.set_defaults(func=cmd_show_machine)
 
-    p = sub.add_parser("nt-estimate", parents=[common, kernel_arg], help="non-temporal-store speedup estimate")
+    p = sub.add_parser("nt-estimate", parents=[common, display, kernel_arg], help="non-temporal-store speedup estimate")
     p.set_defaults(func=cmd_nt)
 
     return parser
@@ -334,14 +337,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None, out=None) -> int:
     """Run one command and write its report to `out` (default stdout). A ValueError,
-    the base of every package error, or an OSError is one `error:` line and exit 2."""
+    the base of every package error, an OSError or an OverflowError, also from
+    rendering, is one `error:` line, no output and exit 2."""
     args = build_parser().parse_args(argv)
     try:
         report = args.func(args)
-    except (ValueError, OSError) as exc:
+        text = _render(report, args.format)
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _render(report, args.format, out or sys.stdout)
+    (out or sys.stdout).write(text)
     return report.code
 
 

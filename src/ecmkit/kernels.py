@@ -11,10 +11,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
-from pathlib import Path
 
+from ._schema import fields, read_json
 from .errors import SchemaError
-from .machine import CACHE_LINE_BYTES, _as_int, _as_list, _as_str, _read_json
+from .machine import CACHE_LINE_BYTES
 
 ACCESS_KINDS = ("read", "write", "readwrite")
 UOP_CLASSES = ("load", "store", "fma", "add", "mul", "lea")
@@ -52,8 +52,8 @@ class UopGroup:
     addressing: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.count, int) or isinstance(self.count, bool) or self.count < 1:
-            raise SchemaError(f"uop group: count must be an integer >= 1, got {self.count!r}")
+        if self.count < 1:
+            raise SchemaError(f"uop group: count must be >= 1, got {self.count}")
         if self.uop_class not in UOP_CLASSES:
             raise SchemaError(f"uop group: class must be one of {UOP_CLASSES}, got {self.uop_class!r}")
         if self.uop_class in MEMORY_CLASSES:
@@ -253,61 +253,21 @@ def builtin_kernels() -> dict[str, KernelModel]:
 # ---------------------------------------------------------------------------
 # file schema
 
+_KERNEL = {"name": str, "element_bytes": int, "streams": list, "uops": list, "flops_per_iteration": (int, 0)}
+_STREAM = {"array": str, "access": object, "nontemporal": (bool, False)}
+_UOP_GROUP = {"count": int, "class": object, "addressing": (object, None)}
+
 
 def kernel_from_dict(data: dict, context: str = "kernel") -> KernelModel:
-    if not isinstance(data, dict):
-        raise SchemaError(f"{context}: expected an object")
-    allowed = {"name", "element_bytes", "streams", "uops", "flops_per_iteration"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise SchemaError(f"{context}: unknown key(s) {sorted(unknown)}")
-    missing = {"name", "element_bytes", "streams", "uops"} - set(data)
-    if missing:
-        raise SchemaError(f"{context}: missing key(s) {sorted(missing)}")
-    name = _as_str(data["name"], f"{context}: name")
-    element_bytes = _as_int(data["element_bytes"], f"{context}: element_bytes")
-    flops = _as_int(data.get("flops_per_iteration", 0), f"{context}: flops_per_iteration")
-
-    streams = []
-    for i, entry in enumerate(_as_list(data["streams"], f"{context}: streams")):
-        ctx = f"{context}: streams[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{ctx}: expected an object")
-        unknown = set(entry) - {"array", "access", "nontemporal"}
-        if unknown:
-            raise SchemaError(f"{ctx}: unknown key(s) {sorted(unknown)}")
-        if "array" not in entry or "access" not in entry:
-            raise SchemaError(f"{ctx}: needs 'array' and 'access'")
-        nontemporal = entry.get("nontemporal", False)
-        if not isinstance(nontemporal, bool):
-            raise SchemaError(f"{ctx}: nontemporal must be a boolean, got {nontemporal!r}")
-        streams.append(Stream(_as_str(entry["array"], f"{ctx}: array"), entry["access"], nontemporal))
-
-    uops = []
-    for i, entry in enumerate(_as_list(data["uops"], f"{context}: uops")):
-        ctx = f"{context}: uops[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{ctx}: expected an object")
-        unknown = set(entry) - {"count", "class", "addressing"}
-        if unknown:
-            raise SchemaError(f"{ctx}: unknown key(s) {sorted(unknown)}")
-        if "count" not in entry or "class" not in entry:
-            raise SchemaError(f"{ctx}: needs 'count' and 'class'")
-        uops.append(UopGroup(entry["count"], entry["class"], entry.get("addressing")))
-
-    return KernelModel(
-        name=name,
-        streams=tuple(streams),
-        element_bytes=element_bytes,
-        uops=tuple(uops),
-        flops_per_iteration=flops,
-    )
+    name, element_bytes, streams, uops, flops = fields(data, context, _KERNEL)
+    streams = tuple(Stream(*fields(s, f"{context}: streams[{i}]", _STREAM)) for i, s in enumerate(streams))
+    uops = tuple(UopGroup(*fields(u, f"{context}: uops[{i}]", _UOP_GROUP)) for i, u in enumerate(uops))
+    return KernelModel(name, streams, element_bytes, uops, flops)
 
 
 def load_kernel(path) -> KernelModel:
     """Load and validate a kernel file; uop/stream mismatches warn, not fail."""
-    path = Path(path)
-    kernel = kernel_from_dict(_read_json(path), context=str(path))
+    kernel = kernel_from_dict(read_json(path), context=str(path))
     for message in consistency_warnings(kernel):
         warnings.warn(message, KernelConsistencyWarning, stacklevel=2)
     return kernel

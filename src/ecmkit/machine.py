@@ -6,14 +6,11 @@ All types are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import isfinite
-from pathlib import Path
 
-from ._num import as_fraction
+from ._schema import check, fields, read_json
 from .errors import SchemaError
 
 CACHE_LINE_BYTES = 64
@@ -46,8 +43,8 @@ class PortSpec:
     capabilities: frozenset[str]
 
     def __post_init__(self):
-        if not isinstance(self.id, int) or isinstance(self.id, bool) or self.id < 0:
-            raise SchemaError(f"port id must be a small non-negative integer, got {self.id!r}")
+        if self.id < 0:
+            raise SchemaError(f"port id must be non-negative, got {self.id}")
         if not self.capabilities:
             raise SchemaError(f"port {self.id}: capabilities must be non-empty")
         unknown = set(self.capabilities) - PORT_CAPABILITIES
@@ -66,8 +63,8 @@ class CacheBoundary:
         if self.name not in BOUNDARY_NAMES:
             raise SchemaError(f"CacheBoundary: name must be one of {BOUNDARY_NAMES}, got {self.name!r}")
         b = self.bytes_per_cycle
-        if not isinstance(b, int) or isinstance(b, bool) or b <= 0:
-            raise SchemaError(f"CacheBoundary {self.name}: bytes_per_cycle must be a positive integer")
+        if b <= 0:
+            raise SchemaError(f"CacheBoundary {self.name}: bytes_per_cycle must be positive")
         # cycles per cache line must be an exact small rational
         if CACHE_LINE_BYTES % b != 0 and b % CACHE_LINE_BYTES != 0:
             raise SchemaError(
@@ -258,130 +255,53 @@ def builtin_haswell() -> MachineModel:
 # ---------------------------------------------------------------------------
 # file schema
 
-
-def _check_keys(obj: dict, required: set[str], optional: set[str], context: str) -> None:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{context}: expected an object")
-    unknown = set(obj) - required - optional
-    if unknown:
-        raise SchemaError(f"{context}: unknown key(s) {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise SchemaError(f"{context}: missing key(s) {sorted(missing)}")
-
-
-def _as_int(value, context: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{context}: expected an integer, got {value!r}")
-    return value
-
-
-def _as_number(value, context: str) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{context}: expected a number, got {value!r}")
-    if isinstance(value, float) and not isfinite(value):
-        raise SchemaError(f"{context}: expected a finite number, got {value!r}")
-    return as_fraction(value)
-
-
-def _as_list(value, context: str) -> list:
-    if not isinstance(value, list):
-        raise SchemaError(f"{context}: expected a list, got {value!r}")
-    return value
-
-
-def _as_str(value, context: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaError(f"{context}: expected a string, got {value!r}")
-    return value
+_MACHINE = {"name": str, "frequency_ghz": Fraction, "retire_width": int, "store_uop_weight": int, "ports": list,
+            "boundaries": list, "memory": dict, "numa": dict}
+_PORT = {"id": int, "capabilities": list}
+_BOUNDARY = {"name": object, "bytes_per_cycle": int}
+_MEMORY = {"default_bandwidth_gbs": Fraction, "table": (list, ()), "noncod_derating": (Fraction, Fraction(1))}
+_TABLE_ROW = {"loads": int, "stores": int, "nt_stores": int, "gbs": Fraction}
+_NUMA = {"domains": int, "cores_per_domain": int, "cod": bool}
 
 
 def machine_from_dict(data: dict, context: str = "machine") -> MachineModel:
     """Build and validate a MachineModel from a parsed machine file."""
-    _check_keys(
-        data,
-        {"name", "frequency_ghz", "retire_width", "store_uop_weight", "ports", "boundaries", "memory", "numa"},
-        set(),
-        context,
-    )
-    name = _as_str(data["name"], f"{context}: name")
-
-    ports = []
-    for i, entry in enumerate(_as_list(data["ports"], f"{context}: ports")):
+    name, frequency, retire_width, store_uop_weight, ports, boundaries, memory, numa = fields(data, context, _MACHINE)
+    port_specs = []
+    for i, entry in enumerate(ports):
         ctx = f"{context}: ports[{i}]"
-        _check_keys(entry, {"id", "capabilities"}, set(), ctx)
-        caps = entry["capabilities"]
-        if not isinstance(caps, list) or not all(isinstance(c, str) for c in caps):
-            raise SchemaError(f"{ctx}: capabilities must be a list of strings")
-        ports.append(PortSpec(_as_int(entry["id"], f"{ctx}: id"), frozenset(caps)))
+        port_id, capabilities = fields(entry, ctx, _PORT)
+        capabilities = frozenset(check(c, str, f"{ctx}: capabilities[{j}]") for j, c in enumerate(capabilities))
+        port_specs.append(PortSpec(port_id, capabilities))
 
-    boundaries = []
-    for i, entry in enumerate(_as_list(data["boundaries"], f"{context}: boundaries")):
-        ctx = f"{context}: boundaries[{i}]"
-        _check_keys(entry, {"name", "bytes_per_cycle"}, set(), ctx)
-        bpc = entry["bytes_per_cycle"]
-        if isinstance(bpc, float) and bpc.is_integer():
-            bpc = int(bpc)
-        boundaries.append(CacheBoundary(entry["name"], bpc))
-
-    mem = data["memory"]
-    _check_keys(mem, {"default_bandwidth_gbs"}, {"table", "noncod_derating"}, f"{context}: memory")
+    default_gbs, rows, derating = fields(memory, f"{context}: memory", _MEMORY)
     table: dict[Signature, Fraction] = {}
-    for i, row in enumerate(_as_list(mem.get("table", []), f"{context}: memory.table")):
-        ctx = f"{context}: memory.table[{i}]"
-        _check_keys(row, {"loads", "stores", "nt_stores", "gbs"}, set(), ctx)
-        sig = (
-            _as_int(row["loads"], f"{ctx}: loads"),
-            _as_int(row["stores"], f"{ctx}: stores"),
-            _as_int(row["nt_stores"], f"{ctx}: nt_stores"),
-        )
-        if sig in table:
-            raise SchemaError(f"{ctx}: duplicate signature {sig}")
-        table[sig] = _as_number(row["gbs"], f"{ctx}: gbs")
-    memory = MemoryModel(
-        default_bandwidth_gbs=_as_number(mem["default_bandwidth_gbs"], f"{context}: memory.default_bandwidth_gbs"),
-        bandwidth_table=table,
-        noncod_derating=_as_number(mem.get("noncod_derating", 1), f"{context}: memory.noncod_derating"),
-    )
+    for i, row in enumerate(rows):
+        ctx = f"{context}: memory: table[{i}]"
+        loads, stores, nt_stores, gbs = fields(row, ctx, _TABLE_ROW)
+        if (loads, stores, nt_stores) in table:
+            raise SchemaError(f"{ctx}: duplicate signature {(loads, stores, nt_stores)}")
+        table[loads, stores, nt_stores] = gbs
 
-    numa_obj = data["numa"]
-    _check_keys(numa_obj, {"domains", "cores_per_domain", "cod"}, set(), f"{context}: numa")
-    if not isinstance(numa_obj["cod"], bool):
-        raise SchemaError(f"{context}: numa.cod must be a boolean")
-    numa = NumaConfig(
-        n_domains=_as_int(numa_obj["domains"], f"{context}: numa.domains"),
-        cores_per_domain=_as_int(numa_obj["cores_per_domain"], f"{context}: numa.cores_per_domain"),
-        cod_enabled=numa_obj["cod"],
-    )
-
+    domains, cores_per_domain, cod = fields(numa, f"{context}: numa", _NUMA)
     return MachineModel(
         name=name,
-        frequency_ghz=_as_number(data["frequency_ghz"], f"{context}: frequency_ghz"),
-        retire_width=_as_int(data["retire_width"], f"{context}: retire_width"),
-        store_uop_weight=_as_int(data["store_uop_weight"], f"{context}: store_uop_weight"),
-        ports=tuple(ports),
-        boundaries=tuple(boundaries),
-        memory=memory,
-        numa=numa,
+        frequency_ghz=frequency,
+        retire_width=retire_width,
+        store_uop_weight=store_uop_weight,
+        ports=tuple(port_specs),
+        boundaries=tuple(
+            CacheBoundary(*fields(entry, f"{context}: boundaries[{i}]", _BOUNDARY))
+            for i, entry in enumerate(boundaries)
+        ),
+        memory=MemoryModel(default_bandwidth_gbs=default_gbs, bandwidth_table=table, noncod_derating=derating),
+        numa=NumaConfig(n_domains=domains, cores_per_domain=cores_per_domain, cod_enabled=cod),
     )
-
-
-def _read_json(path: Path):
-    """The JSON value in a UTF-8 file; text that is not UTF-8 or not JSON is
-    a SchemaError."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"{path}: not UTF-8 text: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def load_machine(path) -> MachineModel:
     """Load and validate a machine file (JSON, schema above)."""
-    path = Path(path)
-    return machine_from_dict(_read_json(path), context=str(path))
+    return machine_from_dict(read_json(path), context=str(path))
 
 
 def _json_number(value: Fraction):

@@ -14,15 +14,16 @@ type-check on every step.
 from __future__ import annotations
 
 import csv
+import io
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
-from pathlib import Path
 from typing import NoReturn
 
 from ._num import as_fraction
+from ._schema import read_text
 from .errors import ECMParseError, SchemaError
 from .kernels import KernelModel, bandwidth_signature, load_streams_with_rfo
 from .machine import CACHE_LINE_BYTES, MachineModel
@@ -314,8 +315,6 @@ def model_error(pred: ECMPrediction, measurement: Measurement) -> ModelError:
         measured = measurement.levels.get(name)
         if measured is None:
             continue
-        if measured == 0:
-            raise ValueError(f"measured value for {name} is zero")
         rel = as_fraction((predicted - measured) / measured * 100)
         # |rel| rounded half away from zero, in integers as in format_cycles
         n, d = rel.numerator, rel.denominator
@@ -324,41 +323,35 @@ def model_error(pred: ECMPrediction, measurement: Measurement) -> ModelError:
     return ModelError(absolute_pct=absolute, signed_pct=signed)
 
 
-def read_measurements(source) -> dict[str, Measurement]:
+def read_measurements(path) -> dict[str, Measurement]:
     """Read a measurement CSV (header kernel,level,cycles_per_cl) into
-    Measurement values keyed by kernel name."""
-    if isinstance(source, (str, Path)):
-        with open(source, newline="", encoding="utf-8") as fh:
-            try:
-                return read_measurements(fh)
-            except UnicodeDecodeError as exc:
-                raise SchemaError(f"measurement CSV {source}: not UTF-8 text: {exc}") from exc
-
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError("measurement CSV: empty file") from None
-    if header != ["kernel", "level", "cycles_per_cl"]:
-        raise SchemaError("measurement CSV: header must be 'kernel,level,cycles_per_cl'")
-
+    Measurement values keyed by kernel name. A cycle count is a plain decimal
+    such as 2 or 17.08, read exactly."""
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
     rows: dict[str, dict[str, Fraction]] = {}
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise SchemaError(f"measurement CSV row {line_no}: expected 3 columns, got {len(row)}")
-        kernel, level, cycles = row
-        if level not in LEVELS:
-            raise SchemaError(f"measurement CSV row {line_no}: level must be one of {LEVELS}, got {level!r}")
-        try:
-            value = Fraction(cycles)
-        except (ValueError, ZeroDivisionError):
-            raise SchemaError(f"measurement CSV row {line_no}: bad cycles_per_cl {cycles!r}") from None
-        if value <= 0:
-            raise SchemaError(f"measurement CSV row {line_no}: cycles_per_cl must be > 0")
-        per_kernel = rows.setdefault(kernel, {})
-        if level in per_kernel:
-            raise SchemaError(f"measurement CSV row {line_no}: duplicate row for ({kernel}, {level})")
-        per_kernel[level] = value
+    try:
+        if next(reader, None) != ["kernel", "level", "cycles_per_cl"]:
+            raise SchemaError(f"{path}: header must be 'kernel,level,cycles_per_cl'")
+        for row in reader:
+            where = f"{path}: row {reader.line_num}"
+            if not row:
+                continue
+            if len(row) != 3:
+                raise SchemaError(f"{where}: expected 3 columns, got {len(row)}")
+            kernel, level, cycles = row
+            if level not in LEVELS:
+                raise SchemaError(f"{where}: level must be one of {LEVELS}, got {level!r}")
+            match = _NUMBER.fullmatch(cycles)
+            try:
+                value = _decimals(match.groups())[0] if match else 0
+            except ValueError:  # more digits than int() converts
+                value = 0
+            if value <= 0:
+                raise SchemaError(f"{where}: cycles_per_cl must be a positive plain decimal, got {cycles!r}")
+            per_kernel = rows.setdefault(kernel, {})
+            if level in per_kernel:
+                raise SchemaError(f"{where}: duplicate row for ({kernel}, {level})")
+            per_kernel[level] = value
+    except csv.Error as exc:
+        raise SchemaError(f"{path}: row {reader.line_num}: {exc}") from None
     return {name: Measurement(kernel=name, levels=levels) for name, levels in rows.items()}

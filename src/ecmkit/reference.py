@@ -3,10 +3,10 @@ measured cycles for the built-in kernels on the built-in Haswell model."""
 
 from __future__ import annotations
 
-import json
 from functools import cache
 from importlib import resources
 
+from ._schema import read_json
 from .model import Measurement, read_measurements
 
 REFERENCE_KERNELS = ("ddot", "load", "store", "update", "copy", "stream_triad", "schoenauer_triad")
@@ -16,15 +16,12 @@ REFERENCE_KERNELS = ("ddot", "load", "store", "update", "copy", "stream_triad", 
 def reference_table() -> dict:
     """Parsed reference data file: per kernel the expected input/prediction
     cells (canonical strings) and rounded error percentages."""
-    path = resources.files("ecmkit.data") / "reference_haswell.json"
-    return json.loads(path.read_text())
+    return read_json(resources.files("ecmkit.data") / "reference_haswell.json")
 
 
 def reference_measurements() -> dict[str, Measurement]:
     """Embedded measured cycles per cache line, as Measurement values."""
-    path = resources.files("ecmkit.data") / "measurements_haswell.csv"
-    with path.open(newline="") as fh:
-        return read_measurements(fh)
+    return read_measurements(resources.files("ecmkit.data") / "measurements_haswell.csv")
 
 
 def reference_error_pct(kernel: str) -> dict[str, int]:

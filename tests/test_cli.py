@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import ecmkit
-from ecmkit import builtin_haswell, serialize_machine
+from ecmkit import SchemaError, builtin_haswell, load_kernel, load_machine, serialize_machine
 from ecmkit.cli import run
 from ecmkit.machine import PortSpec
 
@@ -101,6 +102,15 @@ def test_predict_non_finite_machine_number_is_an_error(tmp_path, capsys, literal
     assert len(err) == 1 and err[0].startswith("error: ") and "frequency_ghz" in err[0]
 
 
+def test_predict_value_too_large_for_a_float_is_an_error(tmp_path, capsys):
+    path = tmp_path / "machine.json"
+    path.write_text(json.dumps(serialize_machine(builtin_haswell())).replace('"frequency_ghz": 2.3', '"frequency_ghz": 1.7e308'))
+    code, out = invoke("predict", "-m", str(path), "-k", "ddot", "--precise")
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "too large" in err[0]
+
+
 @pytest.mark.parametrize("section", ["ports", "boundaries", "table"])
 def test_predict_machine_section_that_is_not_a_list_is_an_error(tmp_path, capsys, section):
     data = serialize_machine(builtin_haswell())
@@ -150,6 +160,57 @@ def test_compare_measurements_directory_is_an_error(tmp_path, capsys):
     assert (code, out) == (2, "")
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and str(tmp_path) in err[0]
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "kind,old,new,message",
+    [
+        ("machine", '"name": "haswell"', f'"name": {DEEP}', "not valid JSON"),
+        ("machine", '"retire_width": 4', '"retire_width": ' + "9" * 5000, "not valid JSON"),
+        ("machine", '"bytes_per_cycle": 64', '"bytes_per_cycle": 64.0', "bytes_per_cycle: expected an integer"),
+        ("kernel", '"name": "ddot"', f'"name": {DEEP}', "not valid JSON"),
+        ("kernel", '"count": 4', '"count": ' + "9" * 5000, "not valid JSON"),
+    ],
+    ids=["machine-deep", "machine-long-integer", "machine-float-width", "kernel-deep", "kernel-long-integer"],
+)
+def test_file_the_reader_rejects_is_a_one_line_error(tmp_path, capsys, kind, old, new, message):
+    """Deep nesting, an integer longer than int() converts and a float where
+    an integer belongs each fail in the loader and give one error line."""
+    seed = serialize_machine(builtin_haswell()) if kind == "machine" else kernel_dict(ecmkit.builtin_kernels()["ddot"])
+    text = json.dumps(seed)
+    assert old in text
+    path = tmp_path / f"{kind}.json"
+    path.write_text(text.replace(old, new, 1))
+    with pytest.raises(SchemaError, match=message):
+        (load_machine if kind == "machine" else load_kernel)(path)
+    code, out = invoke("predict", *(["-k", "ddot", "-m"] if kind == "machine" else ["-k"]), str(path))
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+
+@pytest.mark.parametrize(
+    "cycles,message",
+    [
+        ("1" * 131_073, "field larger than field limit"),
+        ("1e-5000", "plain decimal"),
+        ("1e2000000", "plain decimal"),
+    ],
+    ids=["long-field", "tiny-exponent", "huge-exponent"],
+)
+def test_measurement_the_reader_rejects_is_a_quick_one_line_error(tmp_path, capsys, cycles, message):
+    meas = tmp_path / "meas.csv"
+    meas.write_text(f"kernel,level,cycles_per_cl\nddot,L1,{cycles}\n")
+    start = time.perf_counter()
+    code, out = invoke("compare", "--measurements", str(meas))
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "row 2" in err[0] and message in err[0]
+    assert elapsed < 0.1
 
 
 def test_traffic_copy():
@@ -244,6 +305,15 @@ def test_compare_malformed_csv(tmp_path, capsys):
     assert "row 2" in capsys.readouterr().err
 
 
+def test_compare_skips_a_measured_kernel_it_cannot_resolve(tmp_path, capsys):
+    meas = tmp_path / "extra.csv"
+    meas.write_text("kernel,level,cycles_per_cl\nddot,L1,2.1\nfoo,L1,3\n")
+    code, text = invoke("compare", "--measurements", str(meas), "--format", "csv")
+    assert code == 0
+    assert [row["kernel"] for row in csv.DictReader(io.StringIO(text))] == ["ddot"]
+    assert "warning: unknown kernel 'foo'; skipped" in capsys.readouterr().err.splitlines()
+
+
 def test_compare_missing_level_warns(tmp_path, capsys):
     meas = tmp_path / "partial.csv"
     meas.write_text("kernel,level,cycles_per_cl\nddot,L1,2.1\n")
@@ -278,6 +348,25 @@ def test_validate_detects_misconfigured_boundary(tmp_path):
     code, text = invoke("validate", "-m", str(path))
     assert code == 1
     assert "ddot" in text and "L3" in text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--mode", "noncod"],
+        ["validate", "--precise"],
+        ["traffic", "-k", "ddot", "--mode", "cod"],
+        ["traffic", "-k", "ddot", "--precise"],
+        ["list-kernels", "--mode", "cod"],
+        ["list-kernels", "--precise"],
+        ["show-machine", "--mode", "noncod"],
+    ],
+)
+def test_option_the_command_does_not_use_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def capability_machine(tmp_path, name, ports):
@@ -375,6 +464,17 @@ COMMANDS = ("predict", "traffic", "scale", "compare", "validate", "list-kernels"
 FORMATS = ("table", "csv", "json")
 
 
+def kernel_dict(kernel) -> dict:
+    """A kernel in the kernel file schema, every key written."""
+    streams = [{"array": s.array_name, "access": s.access, "nontemporal": s.nontemporal} for s in kernel.streams]
+    uops = [{"count": g.count, "class": g.uop_class} for g in kernel.uops]
+    for entry, group in zip(uops, kernel.uops):
+        if group.addressing is not None:
+            entry["addressing"] = group.addressing
+    data = {"name": kernel.name, "element_bytes": kernel.element_bytes, "streams": streams, "uops": uops}
+    return {**data, "flops_per_iteration": kernel.flops_per_iteration}
+
+
 def write_golden_inputs(work: Path) -> None:
     """The built-in machine and kernels as files, a machine with a 64 B/c
     L2L3 boundary, and a measurement CSV with only ddot's L1 row."""
@@ -386,13 +486,7 @@ def write_golden_inputs(work: Path) -> None:
     (work / "wide.json").write_text(json.dumps(machine))
     (work / "partial.csv").write_text("kernel,level,cycles_per_cl\nddot,L1,2.1\n")
     for name, kernel in ecmkit.builtin_kernels().items():
-        streams = [{"array": s.array_name, "access": s.access, "nontemporal": s.nontemporal} for s in kernel.streams]
-        uops = [{"count": g.count, "class": g.uop_class} for g in kernel.uops]
-        for entry, group in zip(uops, kernel.uops):
-            if group.addressing is not None:
-                entry["addressing"] = group.addressing
-        data = {"name": name, "element_bytes": kernel.element_bytes, "streams": streams, "uops": uops}
-        (work / f"{name}.json").write_text(json.dumps({**data, "flops_per_iteration": kernel.flops_per_iteration}))
+        (work / f"{name}.json").write_text(json.dumps(kernel_dict(kernel)))
 
 
 def golden_argvs() -> list[list[str]]:

@@ -1,0 +1,169 @@
+"""Loader fuzz: mutated machine, kernel and measurement files stay inside the
+input contract. A loader returns a value or raises SchemaError; `cli.run`
+returns 0, 1 or 2, raises nothing, and on 2 prints one `error:` line and no
+output.
+
+Each example mutates a seed file: type swaps, dropped and extra keys, NaN,
+1e400, integers of 10^6 and more (and one longer than int() converts), wrong
+and deep nesting, and bytes that are not UTF-8. Kernel files run through
+`traffic`, whose cost does not grow with the uop counts a mutation can set.
+"""
+
+import contextlib
+import io
+import json
+import warnings
+from importlib import resources
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ecmkit import SchemaError, builtin_haswell, builtin_kernels, load_kernel, load_machine, read_measurements
+from ecmkit import serialize_machine
+from ecmkit.cli import run
+
+from test_cli import kernel_dict
+
+MACHINE_SEED = serialize_machine(builtin_haswell())
+KERNEL_SEED = kernel_dict(builtin_kernels()["schoenauer_triad_opt"])
+CSV_SEED = (resources.files("ecmkit.data") / "measurements_haswell.csv").read_text()
+
+# JSON text a Python value cannot carry; written as a string, then swapped in
+LITERALS = {
+    "@nan": "NaN",
+    "@inf": "1e400",
+    "@long-int": "9" * 5000,
+    "@deep": "[" * 100_000 + "]" * 100_000,
+    "@near-limit": "[" * 900 + "]" * 900,
+}
+SWAPS = st.one_of(
+    st.sampled_from(sorted(LITERALS)),
+    st.sampled_from([None, True, False, 0, -1, 1.5, 64.0, 1e-300, 1.7e308, 10**306, "", "x", "false"]),
+    st.sampled_from([[], {}, [1], {"k": 1}, [[]], {"name": "x"}]),
+    st.integers(min_value=10**6, max_value=10**40),
+)
+CELLS = [
+    "", "0", "-1", "2.5", " 2", "2.", ".5", "1/2", "0x10", "NaN", "inf", "1e400", "1e-5000", "1e2000000",
+    "9" * 5000, "0." + "0" * 4999 + "1", "9" * 200_000, '"', 'a"b', "L9", "MEM", "foo", "ddot", "\x00",
+]
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def mutate(tree, data):
+    """`tree` with one change at a node that `data` picks."""
+    if isinstance(tree, (dict, list)) and tree and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(sorted(tree) if isinstance(tree, dict) else range(len(tree))))
+        copy = dict(tree) if isinstance(tree, dict) else list(tree)
+        copy[key] = mutate(tree[key], data)
+        return copy
+    op = data.draw(st.sampled_from(["swap", "drop", "extra", "wrap", "unwrap", "empty"]))
+    if op == "drop" and isinstance(tree, dict) and tree:
+        key = data.draw(st.sampled_from(sorted(tree)))
+        return {k: v for k, v in tree.items() if k != key}
+    if op == "drop" and isinstance(tree, list) and tree:
+        return tree[1:]
+    if op == "extra" and isinstance(tree, dict):
+        return {**tree, "extra": data.draw(SWAPS)}
+    if op == "extra" and isinstance(tree, list):
+        return tree + tree[-1:] + [data.draw(SWAPS)]
+    if op == "wrap":
+        return data.draw(st.sampled_from([[tree], {"value": tree}]))
+    if op == "unwrap" and isinstance(tree, list) and tree:
+        return tree[0]
+    if op == "empty":
+        return type(tree)() if isinstance(tree, (dict, list, str)) else None
+    return data.draw(SWAPS)
+
+
+def mutated_json(seed, data) -> bytes:
+    tree = seed
+    for _ in range(data.draw(st.integers(1, 3))):
+        tree = mutate(tree, data)
+    text = json.dumps(tree)
+    for name, literal in LITERALS.items():
+        text = text.replace(json.dumps(name), literal)
+    return not_utf8(text.encode(), data)
+
+
+def mutated_csv(data) -> bytes:
+    rows = [line.split(",") for line in CSV_SEED.splitlines()]
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        op = data.draw(st.sampled_from(["cell", "cell", "cell", "drop", "duplicate", "extra column", "blank"]))
+        if op == "cell":
+            j = data.draw(st.integers(0, 2))
+            rows[i] = rows[i][:j] + [data.draw(st.sampled_from(CELLS))] + rows[i][j + 1:]
+        elif op == "drop":
+            del rows[i]
+        elif op == "duplicate":
+            rows.insert(i, rows[i])
+        elif op == "extra column":
+            rows[i] = rows[i] + ["1"]
+        else:
+            rows.insert(i, [])
+        if not rows:
+            break
+    return not_utf8("".join(",".join(row) + "\n" for row in rows).encode(), data)
+
+
+def not_utf8(raw: bytes, data) -> bytes:
+    """`raw`, or `raw` with a byte that breaks UTF-8 at a position `data` picks."""
+    if not data.draw(st.integers(0, 9)) == 0:
+        return raw
+    at = data.draw(st.integers(0, len(raw)))
+    return raw[:at] + data.draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + raw[at:]
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def loads_or_schema_error(loader, path):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            loader(path)
+    except SchemaError:
+        pass
+
+
+def runs_within_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = run(argv, out=out)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    assert all(line.startswith(("error: ", "warning: ")) for line in lines), lines
+    if code == 2:
+        assert out.getvalue() == "" and len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@SETTINGS
+@given(st.data())
+def test_mutated_machine_file(work, data):
+    path = work / "machine.json"
+    path.write_bytes(mutated_json(MACHINE_SEED, data))
+    loads_or_schema_error(load_machine, path)
+    runs_within_contract(["show-machine", "-m", str(path)])
+    runs_within_contract(["predict", "-k", "ddot", "--precise", "-m", str(path)])
+
+
+@SETTINGS
+@given(st.data())
+def test_mutated_kernel_file(work, data):
+    path = work / "kernel.json"
+    path.write_bytes(mutated_json(KERNEL_SEED, data))
+    loads_or_schema_error(load_kernel, path)
+    runs_within_contract(["traffic", "-k", str(path)])
+
+
+@SETTINGS
+@given(st.data())
+def test_mutated_measurement_file(work, data):
+    path = work / "measurements.csv"
+    path.write_bytes(mutated_csv(data))
+    loads_or_schema_error(read_measurements, path)
+    runs_within_contract(["compare", "--measurements", str(path)])

@@ -185,7 +185,7 @@ def test_load_kernel_nontemporal_must_be_a_boolean(tmp_path, flag):
     data = dict(DDOT_FILE, streams=[{"array": "A", "access": "write", "nontemporal": flag}])
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
-    with pytest.raises(SchemaError, match="nontemporal must be a boolean"):
+    with pytest.raises(SchemaError, match="nontemporal: expected a boolean"):
         load_kernel(path)
 
 

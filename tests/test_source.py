@@ -34,3 +34,25 @@ def test_unused_imports_are_found():
 def test_package_modules_have_no_unused_imports():
     found = {path.name: unused_imports(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def private_sibling_imports(source: str) -> list[str]:
+    """Leading-underscore names a module imports from a sibling module whose
+    own name has no leading underscore."""
+    return sorted(
+        f"line {node.lineno}: {alias.name} from .{node.module}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module and not node.module.startswith("_")
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+def test_private_sibling_imports_are_found():
+    source = "from ._pairing import _least_span\nfrom .machine import CACHE_LINE_BYTES, _as_int\nfrom os import _exit\n"
+    assert private_sibling_imports(source) == ["line 2: _as_int from .machine"]
+
+
+def test_package_modules_import_no_private_name_of_a_public_sibling():
+    found = {path.name: private_sibling_imports(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
