@@ -8,26 +8,31 @@ vectors over the unit kinds whose units get distinct ports and whose weight
 fits the retire width. The pattern table is enumerated once per kind set
 and retire width, one kind at a time, each kind's count stopping at the
 first that does not fit, so its cost depends on the port layout and not on
-the width. Whether all units fit in T cycles with the arithmetic in s of
-them is then decided by a memoized search that fills one cycle at a time,
-branches only on the patterns maximal under the counts still to place, and
-prunes a state when a port (Hall) or retire-slot bound shows the rest
-cannot fit. The table memoizes that branch list per count vector clamped
-to the largest count of each kind in a maximal pattern, so states with
-equal clamped counts share one list. The search is exact and has no
-budget; it keeps its path on an explicit stack, so its depth is not bounded
-by recursion. Solves are memoized by pattern table (kind set and retire
-width), count vector and starting bounds in a bounded least-recently-used
-cache, so repeated queries and kernels with equal unit counts run the
-search once.
+the width. Its bounds come from column sums: y . pattern over all maximal
+patterns at once adds one column per nonzero entry of y.
+
+Whether all units fit in T cycles with the arithmetic in s of them is then
+decided by a memoized search that fills one cycle at a time, branches only
+on the patterns maximal under the counts still to place, and prunes a state
+when a port (Hall) or retire-slot bound shows the rest cannot fit. A state
+carries the slack of every bound, and a child's slack is its parent's plus
+a delta stored with its step. Vectors are packed into integers with a field
+per entry, so a child costs a subtraction, its slack an addition and its
+pruning test a mask. The branch list and its deltas are memoized per count
+vector clamped to the largest count of each kind in a maximal pattern. The
+search is exact and has no budget; it keeps its path on an explicit stack,
+so its depth is not bounded by recursion. Solves are memoized by pattern
+table (kind set and retire width), count vector and starting bounds in a
+bounded least-recently-used cache, so repeated queries and kernels with
+equal unit counts run the search once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from operator import add, ge, gt, mul, sub
-from typing import Iterator
+from itertools import islice, product
+from operator import add, ge, mul
 
 
 @dataclass(frozen=True)
@@ -60,10 +65,6 @@ def port_set_unions(sets) -> set[frozenset[int]]:
     return closure
 
 
-def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    return sum(map(mul, a, b))
-
-
 @dataclass(frozen=True, eq=False)
 class PatternTable:
     """Single-cycle patterns of one kind set, and the bounds they put on the
@@ -73,8 +74,8 @@ class PatternTable:
     A search state branches on the maximal patterns truncated to the counts
     it has left. Every maximal pattern lies under `peak`, so the truncation
     depends on the counts only through clamp = min(counts, peak), and the
-    step list is memoized per clamp on the table; the cache that bounds the
-    tables bounds these lists too.
+    step list is memoized per clamp on the table, and per packed clamp on
+    each packing; the cache that bounds the tables bounds these lists too.
     """
 
     weights: tuple[int, ...]
@@ -84,6 +85,7 @@ class PatternTable:
     bounds: tuple[tuple[tuple[int, ...], int, int], ...]
     peak: tuple[int, ...]  # the largest count of each kind in a maximal pattern
     _steps: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = field(default_factory=dict, init=False, repr=False)
+    _packings: dict[int, _Packing] = field(default_factory=dict, init=False, repr=False)
 
     def steps(self, counts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         """The distinct maximal patterns truncated to `counts`, heaviest
@@ -94,11 +96,27 @@ class PatternTable:
             taken: list[tuple[int, ...]] = []
             # heaviest first, so a step that contains another is kept before it
             truncated = {tuple(map(min, pattern, clamp)) for pattern in self.maximal}
-            for step in sorted(truncated, key=lambda v: (-_dot(v, self.weights), v)):
+            for step in sorted(truncated, key=lambda v: (-sum(map(mul, v, self.weights)), v)):
                 if not any(all(map(ge, big, step)) for big in taken):
                     taken.append(step)
             steps = self._steps[clamp] = tuple(taken)
         return steps
+
+    def packing(self, largest: int) -> _Packing:
+        """The packing with room for `largest` in a field, shared by every
+        search on the table that needs no more."""
+        width = -(-(largest.bit_length() + 1) // 16) * 16
+        packing = self._packings.get(width)
+        if packing is None:
+            packing = self._packings[width] = _Packing(self, width)
+        return packing
+
+    @cached_property
+    def top(self) -> int:
+        """The largest cap_any or peak count. No entry of a bound's y exceeds
+        its cap_any, so no slack of counts in a + m cycles exceeds
+        top * max(sum(counts), a + m) in size."""
+        return max(max(cap_any for _, cap_any, _ in self.bounds), *self.peak)
 
 
 @lru_cache(maxsize=32)
@@ -123,124 +141,240 @@ def pattern_table(kinds: tuple[Unit, ...], width: int) -> PatternTable | None:
     """
     n = len(kinds)
     weights = tuple(k.weight for k in kinds)
-    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     # needs of each kind inside each union of port sets, with the smallest
     # union per need vector; by Hall's theorem the units of a pattern get
     # distinct ports iff no union holds more needs than it has ports
     hall = {
-        tuple(sum(ports <= subset for ports in k.port_choices) for k in kinds): len(subset)
+        tuple(sum(map(subset.issuperset, k.port_choices)) for k in kinds): len(subset)
         for subset in sorted(port_set_unions(p for k in kinds for p in k.port_choices), key=len, reverse=True)
     }
     sizes = tuple(hall.values())
     if any(w > width for w in weights) or any(y[j] > size for y, size in hall.items() for j in range(n)):
         return None
+    # patterns and needs are packed, a guard bit on top of each field (see
+    # _independent_bounds); no count or need gets past max(width, sizes) plus
+    # one kind's needs before its kind stops
+    bits = (max(width, *sizes) + max(map(max, hall), default=0)).bit_length() + 1
+    guard = _pack((1 << bits - 1,) * len(sizes), bits)
+    limit = _pack(sizes, bits) + guard  # needs fit iff limit - needs keeps every guard bit
     # (pattern so far, its retire weight, its needs inside each union)
-    partial = [((), 0, (0,) * len(hall))]
+    partial = [(0, 0, 0)]
     for j, w in enumerate(weights):
-        column = tuple(y[j] for y in hall)
+        column, unit = _pack((y[j] for y in hall), bits), 1 << bits * j
         grown = []
         for v, weight, needs in partial:
-            count = 0
             while True:
-                grown.append((v + (count,), weight, needs))
+                grown.append((v, weight, needs))
                 weight += w
-                needs = tuple(map(add, needs, column))
-                if weight > width or any(map(gt, needs, sizes)):
+                needs += column
+                if weight > width or (limit - needs) & guard != guard:
                     break
-                count += 1
+                v += unit
         partial = grown
-    vectors = [v for v, _, _ in partial]
-    feasible = set(vectors)
+    feasible = {v for v, _, _ in partial}
+    # v has a feasible successor iff v = f - unit for some feasible f
+    grows = set().union(*({f - (1 << bits * j) for f in feasible} for j in range(n)))
+    field = (1 << bits - 1) - 1
+    maximal = tuple(tuple(v >> bits * j & field for j in range(n)) for v, _, _ in partial if v not in grows)
     arithmetic = tuple(j for j, k in enumerate(kinds) if k.overlapping)
-    maximal = tuple(v for v in vectors if not any(tuple(map(add, v, u)) in feasible for u in unit))
-    # every memory-only pattern lies under a maximal one with its arithmetic
-    # dropped, so these give the memory-only maxima of any y >= 0
-    memory = {tuple(0 if j in arithmetic else c for j, c in enumerate(v)) for v in maximal}
     ys = set(hall)
-    for mask in range(1, 2**n):
-        ys.add(tuple(mask >> j & 1 for j in range(n)))
-        ys.add(tuple(w * (mask >> j & 1) for j, w in enumerate(weights)))
-    caps = {y: (max(_dot(y, p) for p in maximal), max(_dot(y, p) for p in memory)) for y in ys if any(y)}
+    for mask in islice(product((0, 1), repeat=n), 1, None):
+        ones = mask[::-1]  # the subset of kinds with bit j of 1, 2, ..., 2**n - 1
+        ys.add(ones)
+        ys.add(tuple(map(mul, ones, weights)))
+    columns = list(zip(*maximal))  # each kind's count in every maximal pattern
+    peak = tuple(map(max, columns))
+    bounds = _independent_bounds(_caps(ys, columns, arithmetic), n)
+    return PatternTable(weights, arithmetic, maximal, bounds, peak)
 
-    def implied(y, cap_any, cap_memory) -> bool:
-        for other, (other_any, other_memory) in caps.items():
-            difference = tuple(map(sub, y, other))
-            if max(difference) <= 0:  # other >= y
-                if other_any <= cap_any and other_memory <= cap_memory:
-                    return True
-            else:  # y = other + rest with rest in the table
-                rest = caps.get(difference)
+
+def _pack(vector, bits: int) -> int:
+    """The entries of `vector` in `bits`-bit fields of one integer, the first
+    entry lowest."""
+    return sum(c << bits * i for i, c in enumerate(vector))
+
+
+def _caps(ys, columns: list[tuple[int, ...]], arithmetic: tuple[int, ...]) -> list[tuple[tuple[int, ...], int, int]]:
+    """(y, cap_any, cap_memory) for every nonzero y, in the order of `ys`.
+
+    y . pattern over all maximal patterns at once is the sum of y[j] times
+    kind j's column. The memory-only patterns are the maximal ones with their
+    arithmetic dropped (every memory-only pattern lies under one), so
+    cap_memory is the largest sum over the memory kinds alone."""
+    memory = [j for j in range(len(columns)) if j not in arithmetic]
+    caps = []
+    for y in filter(any, ys):
+        total, maxima = (0,) * len(columns[0]), []
+        for kinds in (memory, arithmetic):
+            for j in kinds:
+                if y[j]:
+                    total = tuple(map(add, total, columns[j] if y[j] == 1 else [y[j] * c for c in columns[j]]))
+            maxima.append(max(total))
+        caps.append((y, maxima[1], maxima[0]))
+    return caps
+
+
+def _independent_bounds(caps: list[tuple[tuple[int, ...], int, int]], n: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """The bounds that no other bound left, nor the sum of two, implies: in
+    order of decreasing sum of y, a bound goes when another with y' >= y has
+    caps no larger, or y = y' + y'' for two others whose caps add to no more.
+
+    Each y is packed into an integer with one field per kind and a guard bit
+    on top of each field. Subtracting a packed y' from a packed y plus the
+    guard bits leaves every guard bit set iff y' <= y, and then leaves the
+    packed difference in the fields below the guards."""
+    bits = max(max(y) for y, _, _ in caps).bit_length() + 1
+    guard = _pack((1 << bits - 1,) * n, bits)
+    scale = [1 << bits * j for j in range(n)]
+    live = {sum(map(mul, y, scale)): (cap_any, cap_memory) for y, cap_any, cap_memory in caps}
+    kept = []
+    for y, cap_any, cap_memory in sorted(caps, key=lambda bound: sum(bound[0]), reverse=True):
+        key = sum(map(mul, y, scale))
+        del live[key]
+        above, below = key + guard, guard - key
+        for other, (other_any, other_memory) in live.items():
+            rest = above - other
+            if rest & guard == guard:  # other <= y: is y - other a bound too?
+                rest = live.get(rest - guard)
                 if rest and other_any + rest[0] <= cap_any and other_memory + rest[1] <= cap_memory:
-                    return True
-        return False
-
-    for y in sorted(caps, key=sum, reverse=True):
-        cap = caps.pop(y)
-        if not implied(y, *cap):
-            caps[y] = cap
-    peak = tuple(max(p[j] for p in maximal) for j in range(n))
-    return PatternTable(weights, arithmetic, maximal, tuple((y, *cap) for y, cap in caps.items()), peak)
+                    break
+            elif other_any <= cap_any and other_memory <= cap_memory and (other + below) & guard == guard:
+                break  # other >= y with caps no larger
+        else:
+            live[key] = (cap_any, cap_memory)
+            kept.append((y, cap_any, cap_memory))
+    return tuple(kept)
 
 
 class PackingSearch:
     """Decides whether counts fit a number of cycles with the arithmetic
     confined to some of them; remembers failed states and counts the states
-    it visits."""
+    it visits.
+
+    A state carries the slack of every bound, cap_any * arithmetic cycles +
+    cap_memory * memory-only cycles - y . counts, and is pruned when one is
+    negative. A child adds the delta stored with its step, y . step - cap_any
+    or y . step - cap_memory; where the arithmetic runs out, each arithmetic
+    cycle left turns memory-only and takes cap_any - cap_memory off. Only
+    the root's slack is computed from the bounds.
+    """
 
     def __init__(self, table: PatternTable):
         self.table = table
-        # (counts, arithmetic cycles) -> most memory-only cycles known to be too few
-        self.failed: dict[tuple[tuple[int, ...], int], int] = {}
+        # (packed counts, arithmetic cycles) -> most memory-only cycles known to be too few
+        self.failed: dict[tuple[int, int], int] = {}
         self.states = 0
+        self._packing: _Packing | None = None
 
     def fits(self, counts: tuple[int, ...], arith_cycles: int, memory_cycles: int) -> bool:
         # depth-first over one cycle per level, with an explicit stack so
         # that the depth (the cycle count) is not bounded by recursion
+        packing = self._packing
+        largest = self.table.top * max(sum(counts), arith_cycles + memory_cycles)
+        if packing is None or largest.bit_length() >= packing.width:
+            # the failed states are keyed by counts packed at one width
+            packing, self.failed = self.table.packing(largest), {}
+            self._packing = packing
+        failed, memo, width, gap = self.failed, packing.steps, packing.width, packing.gap
+        guard, peak, arithmetic, offset = packing.guard, packing.peak, packing.arithmetic, packing.offset
+        slack = packing.slack(counts, arith_cycles, memory_cycles)
+        counts, delta = packing.pack(counts), 0
+        # frames: (memo key, memory-only cycles, counts, arithmetic cycles, slack, steps left)
         stack = []
-        state = self._visit(counts, arith_cycles, memory_cycles)
-        while state is not True:
-            if state is not False:
-                stack.append(state)
+        while True:
+            # visit (counts, arith_cycles, memory_cycles), whose slack is slack + delta
+            if not counts & arithmetic:
+                # with the arithmetic placed, every cycle left is memory-only
+                if not counts:
+                    return True
+                if arith_cycles:
+                    arith_cycles, memory_cycles, delta = 0, memory_cycles + arith_cycles, delta - arith_cycles * gap
+                branch = True
+            else:
+                branch = arith_cycles > 0
+            if branch:
+                key = (counts, arith_cycles)
+                if failed.get(key, -1) < memory_cycles:
+                    self.states += 1
+                    slack += delta
+                    if slack & offset == offset:  # a negative slack clears its field's top bit
+                        # min(counts, peak) field by field: a guard bit survives
+                        # the subtraction where the count reaches the peak
+                        fill = (counts + guard - peak) & guard
+                        fill -= fill >> width - 1
+                        clamp = counts ^ ((counts ^ peak) & fill)
+                        steps = memo.get(clamp)
+                        if steps is None:
+                            steps = packing.branches(clamp)
+                        stack.append((key, memory_cycles, counts, arith_cycles, slack, iter(steps)))
+            # go to the next child of the deepest state that has one left
             while stack:
-                key, memory, children = stack[-1]
-                child = next(children, None)
-                if child is not None:
-                    state = self._visit(*child)
+                frame = stack[-1]
+                step = next(frame[5], None)
+                if step is not None:
                     break
-                self.failed[key] = memory
+                failed[frame[0]] = frame[1]
                 stack.pop()
             else:
                 return False
-        return True
-
-    def _visit(self, counts: tuple[int, ...], arith_cycles: int, memory_cycles: int):
-        """True or False when the state is decided without branching, else
-        its memo key, its memory-only cycles and the states one cycle on."""
-        t = self.table
-        if not any(counts[j] for j in t.arithmetic):
-            # with the arithmetic placed, every cycle left is memory-only
-            if not any(counts):
-                return True
-            arith_cycles, memory_cycles = 0, memory_cycles + arith_cycles
-        elif not arith_cycles:
-            return False
-        key = (counts, arith_cycles)
-        if self.failed.get(key, -1) >= memory_cycles:
-            return False
-        self.states += 1
-        for y, cap_any, cap_memory in t.bounds:
-            if _dot(y, counts) > cap_any * arith_cycles + cap_memory * memory_cycles:
-                return False
-        return key, memory_cycles, self._children(counts, arith_cycles, memory_cycles)
-
-    def _children(self, counts: tuple[int, ...], arith_cycles: int, memory_cycles: int) -> Iterator:
-        # once the arithmetic is placed, the steps truncate to memory-only patterns
-        for step in self.table.steps(counts):
-            rest = tuple(map(sub, counts, step))
+            _, memory_cycles, parent, arith_cycles, slack, _ = frame
+            step, to_arithmetic, to_memory = step
+            counts = parent - step
             if arith_cycles:
-                yield rest, arith_cycles - 1, memory_cycles
+                arith_cycles, delta = arith_cycles - 1, to_arithmetic
             else:
-                yield rest, 0, memory_cycles - 1
+                # once the arithmetic is placed, the steps truncate to memory-only patterns
+                memory_cycles, delta = memory_cycles - 1, to_memory
+
+
+class _Packing:
+    """A table's vectors packed into integers, `width` bits per field, the
+    top (guard) bit above any value the searches that share it need.
+
+    Counts keep the guard bits clear: counts minus a step they contain stay
+    in their fields, and counts plus the guard bits minus the peak keep a
+    field's guard bit iff the count reaches the peak. A slack is stored with
+    the guard bits added, so a field's stays set while its slack is not
+    negative. Packing is linear: the bounds' y . counts is the sum of
+    counts[j] times column j, the packed y[j] of every bound."""
+
+    def __init__(self, table: PatternTable, width: int):
+        self.table = table
+        self.width = width
+        self.field = field = (1 << width - 1) - 1
+        n = len(table.peak)
+        self.units = tuple(1 << width * j for j in range(n))  # packed counts = sum(counts[j] * units[j])
+        self.guard = (field + 1) * sum(self.units)
+        self.peak = self.pack(table.peak)
+        self.arithmetic = field * sum(self.units[j] for j in table.arithmetic)  # the arithmetic kinds' fields
+        bounds = table.bounds
+        self.offset = _pack((field + 1,) * len(bounds), width)  # every slack field's top bit
+        self.columns = tuple(_pack((y[j] for y, _, _ in bounds), width) for j in range(n))
+        self.cap_any = _pack((cap_any for _, cap_any, _ in bounds), width)
+        self.cap_memory = _pack((cap_memory for _, _, cap_memory in bounds), width)
+        self.gap = self.cap_any - self.cap_memory
+        # packed clamp -> the table's steps there, packed, with their deltas
+        self.steps: dict[int, tuple[tuple[int, int, int], ...]] = {}
+
+    def pack(self, counts: tuple[int, ...]) -> int:
+        return sum(map(mul, counts, self.units))
+
+    def slack(self, counts: tuple[int, ...], arith_cycles: int, memory_cycles: int) -> int:
+        """The packed slack of every bound, top bits added."""
+        load = sum(map(mul, counts, self.columns))
+        return self.cap_any * arith_cycles + self.cap_memory * memory_cycles - load + self.offset
+
+    def branches(self, clamp: int) -> tuple[tuple[int, int, int], ...]:
+        """The steps at a packed clamp, each as (packed step, packed delta in
+        an arithmetic cycle, packed delta in a memory-only cycle)."""
+        width, field, columns = self.width, self.field, self.columns
+        counts = tuple(clamp >> width * j & field for j in range(len(columns)))
+        branches = []
+        for step in self.table.steps(counts):
+            load = sum(map(mul, step, columns))
+            branches.append((self.pack(step), load - self.cap_any, load - self.cap_memory))
+        steps = self.steps[clamp] = tuple(branches)
+        return steps
 
 
 @lru_cache(maxsize=1024)

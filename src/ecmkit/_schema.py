@@ -1,8 +1,9 @@
 """The one reader of machine, kernel and measurement files.
 
 A loader returns a checked value or raises SchemaError with a one-line
-message; a fault found here names the file and the field, one a dataclass
-finds names the object and the field. A file that cannot be opened raises
+message that starts with the file's path: a fault found here names the
+field, one a dataclass invariant finds (through `build`) names the object
+and the field. A file that cannot be opened raises
 OSError. The CLI maps both to one `error:` line and exit code 2. Nothing is
 coerced: a number becomes a Fraction only by its exact decimal reading.
 """
@@ -74,3 +75,17 @@ def fields(obj, context: str, spec: dict) -> list:
             raise SchemaError(f"{context}: missing key(s) {missing}")
         values.append(value if type(value) is kind or kind is object else check(value, kind, f"{context}: {key}"))
     return values
+
+
+def build(cls, context: str, *args, **kwargs):
+    """cls(*args, **kwargs), with `context` put in front of the message of a
+    SchemaError that the dataclass's own invariants raise."""
+    try:
+        return cls(*args, **kwargs)
+    except SchemaError as exc:
+        raise SchemaError(f"{context}: {exc}") from None
+
+
+def build_fields(cls, obj, context: str, spec: dict):
+    """cls built from the `fields` of `obj`."""
+    return build(cls, context, *fields(obj, context, spec))

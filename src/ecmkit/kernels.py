@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from ._schema import fields, read_json
+from ._schema import build, build_fields, fields, read_json
 from .errors import SchemaError
 from .machine import CACHE_LINE_BYTES
 
@@ -22,6 +22,8 @@ MEMORY_CLASSES = ("load", "store")
 ADDRESSING_MODES = ("base-index-offset", "offset-only")
 
 VECTOR_OP_BYTES = 32  # width assumed by the stream/uop consistency check
+# the core timing's cost grows with the uop count, so a kernel may have no more
+MAX_UOPS_PER_LINE = 10_000
 
 
 class KernelConsistencyWarning(UserWarning):
@@ -77,6 +79,9 @@ class KernelModel:
         names = [s.array_name for s in self.streams]
         if len(names) != len(set(names)):
             raise SchemaError(f"kernel {self.name!r}: stream array names must be unique")
+        uops = sum(g.count for g in self.uops)
+        if uops > MAX_UOPS_PER_LINE:
+            raise SchemaError(f"kernel {self.name!r}: {uops} uops per cache line, more than {MAX_UOPS_PER_LINE}")
 
     def uop_count(self, uop_class: str) -> int:
         return sum(g.count for g in self.uops if g.uop_class == uop_class)
@@ -260,9 +265,9 @@ _UOP_GROUP = {"count": int, "class": object, "addressing": (object, None)}
 
 def kernel_from_dict(data: dict, context: str = "kernel") -> KernelModel:
     name, element_bytes, streams, uops, flops = fields(data, context, _KERNEL)
-    streams = tuple(Stream(*fields(s, f"{context}: streams[{i}]", _STREAM)) for i, s in enumerate(streams))
-    uops = tuple(UopGroup(*fields(u, f"{context}: uops[{i}]", _UOP_GROUP)) for i, u in enumerate(uops))
-    return KernelModel(name, streams, element_bytes, uops, flops)
+    streams = tuple(build_fields(Stream, s, f"{context}: streams[{i}]", _STREAM) for i, s in enumerate(streams))
+    uops = tuple(build_fields(UopGroup, u, f"{context}: uops[{i}]", _UOP_GROUP) for i, u in enumerate(uops))
+    return build(KernelModel, context, name, streams, element_bytes, uops, flops)
 
 
 def load_kernel(path) -> KernelModel:

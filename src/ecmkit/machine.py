@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from ._schema import check, fields, read_json
+from ._schema import build, build_fields, check, fields, read_json
 from .errors import SchemaError
 
 CACHE_LINE_BYTES = 64
@@ -30,6 +30,8 @@ PORT_CAPABILITIES = frozenset(
 )
 
 BOUNDARY_NAMES = ("L1L2", "L2L3")
+# a scaling curve has a point per core, so a chip may have no more
+MAX_CORES = 4096
 
 # stream-signature key of a bandwidth table entry
 Signature = tuple[int, int, int]
@@ -116,6 +118,8 @@ class NumaConfig:
             raise SchemaError("numa: domains must be >= 1")
         if self.cores_per_domain < 1:
             raise SchemaError("numa: cores_per_domain must be >= 1")
+        if self.total_cores > MAX_CORES:
+            raise SchemaError(f"numa: domains x cores_per_domain is {self.total_cores}, more than {MAX_CORES}")
 
     @property
     def total_cores(self) -> int:
@@ -272,7 +276,7 @@ def machine_from_dict(data: dict, context: str = "machine") -> MachineModel:
         ctx = f"{context}: ports[{i}]"
         port_id, capabilities = fields(entry, ctx, _PORT)
         capabilities = frozenset(check(c, str, f"{ctx}: capabilities[{j}]") for j, c in enumerate(capabilities))
-        port_specs.append(PortSpec(port_id, capabilities))
+        port_specs.append(build(PortSpec, ctx, port_id, capabilities))
 
     default_gbs, rows, derating = fields(memory, f"{context}: memory", _MEMORY)
     table: dict[Signature, Fraction] = {}
@@ -284,18 +288,19 @@ def machine_from_dict(data: dict, context: str = "machine") -> MachineModel:
         table[loads, stores, nt_stores] = gbs
 
     domains, cores_per_domain, cod = fields(numa, f"{context}: numa", _NUMA)
-    return MachineModel(
+    return build(
+        MachineModel,
+        context,
         name=name,
         frequency_ghz=frequency,
         retire_width=retire_width,
         store_uop_weight=store_uop_weight,
         ports=tuple(port_specs),
         boundaries=tuple(
-            CacheBoundary(*fields(entry, f"{context}: boundaries[{i}]", _BOUNDARY))
-            for i, entry in enumerate(boundaries)
+            build_fields(CacheBoundary, entry, f"{context}: boundaries[{i}]", _BOUNDARY) for i, entry in enumerate(boundaries)
         ),
-        memory=MemoryModel(default_bandwidth_gbs=default_gbs, bandwidth_table=table, noncod_derating=derating),
-        numa=NumaConfig(n_domains=domains, cores_per_domain=cores_per_domain, cod_enabled=cod),
+        memory=build(MemoryModel, context, default_bandwidth_gbs=default_gbs, bandwidth_table=table, noncod_derating=derating),
+        numa=build(NumaConfig, context, n_domains=domains, cores_per_domain=cores_per_domain, cod_enabled=cod),
     )
 
 

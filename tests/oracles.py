@@ -208,6 +208,81 @@ def enumerated_pattern_table(kinds, width: int):
     return maximal, {(y, *cap) for y, cap in caps.items()}
 
 
+# ---------------------------------------------------------------------------
+# the pairing search as the package ran it before its states carried their
+# bounds' slack: every bound's dot product recomputed at each state, children
+# from a generator, counts as tuples. It reads a table's bounds, arithmetic
+# kinds and step lists, so it searches the package's tables as they are.
+
+
+class ReferenceSearch:
+    """Decides whether counts fit a number of cycles with the arithmetic
+    confined to some of them; remembers failed states and counts the states
+    it visits."""
+
+    def __init__(self, table):
+        self.table = table
+        # (counts, arithmetic cycles) -> most memory-only cycles known to be too few
+        self.failed = {}
+        self.states = 0
+
+    def fits(self, counts, arith_cycles: int, memory_cycles: int) -> bool:
+        stack = []
+        state = self._visit(counts, arith_cycles, memory_cycles)
+        while state is not True:
+            if state is not False:
+                stack.append(state)
+            while stack:
+                key, memory, children = stack[-1]
+                child = next(children, None)
+                if child is not None:
+                    state = self._visit(*child)
+                    break
+                self.failed[key] = memory
+                stack.pop()
+            else:
+                return False
+        return True
+
+    def _visit(self, counts, arith_cycles: int, memory_cycles: int):
+        """True or False when the state is decided without branching, else
+        its memo key, its memory-only cycles and the states one cycle on."""
+        t = self.table
+        if not any(counts[j] for j in t.arithmetic):
+            if not any(counts):
+                return True
+            arith_cycles, memory_cycles = 0, memory_cycles + arith_cycles
+        elif not arith_cycles:
+            return False
+        key = (counts, arith_cycles)
+        if self.failed.get(key, -1) >= memory_cycles:
+            return False
+        self.states += 1
+        for y, cap_any, cap_memory in t.bounds:
+            if _dot(y, counts) > cap_any * arith_cycles + cap_memory * memory_cycles:
+                return False
+        return key, memory_cycles, self._children(counts, arith_cycles, memory_cycles)
+
+    def _children(self, counts, arith_cycles: int, memory_cycles: int):
+        for step in self.table.steps(counts):
+            rest = tuple(c - s for c, s in zip(counts, step))
+            if arith_cycles:
+                yield rest, arith_cycles - 1, memory_cycles
+            else:
+                yield rest, 0, memory_cycles - 1
+
+
+def reference_least_span(table, counts, lower: int, raw_ol: int) -> tuple[int, int]:
+    """(the least span >= raw_ol in the first total >= lower that fits, the
+    search states visited), by ReferenceSearch."""
+    search = ReferenceSearch(table)
+    for total in range(lower, sum(counts) + 1):
+        for span in range(raw_ol, total + 1):
+            if search.fits(counts, span, total - span):
+                return span, search.states
+    raise AssertionError("unreachable: a cycle per unit always fits")
+
+
 class _Cache:
     """Fully-associative LRU cache level with write-allocate and dirty eviction."""
 

@@ -8,8 +8,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from ecmkit import (
     apply_penalty,
     bandwidth_ceiling,

@@ -173,12 +173,17 @@ DEEP = "[" * 100_000 + "]" * 100_000
         ("machine", '"bytes_per_cycle": 64', '"bytes_per_cycle": 64.0', "bytes_per_cycle: expected an integer"),
         ("kernel", '"name": "ddot"', f'"name": {DEEP}', "not valid JSON"),
         ("kernel", '"count": 4', '"count": ' + "9" * 5000, "not valid JSON"),
+        ("machine", '"cores_per_domain": 7', '"cores_per_domain": 2049', "cores_per_domain is 4098, more than 4096"),
+        ("kernel", '"count": 4', '"count": 9999', "kernel 'ddot': 10001 uops per cache line, more than 10000"),
     ],
-    ids=["machine-deep", "machine-long-integer", "machine-float-width", "kernel-deep", "kernel-long-integer"],
+    ids=["machine-deep", "machine-long-integer", "machine-float-width", "kernel-deep", "kernel-long-integer",
+         "machine-core-cap", "kernel-uop-cap"],
 )
 def test_file_the_reader_rejects_is_a_one_line_error(tmp_path, capsys, kind, old, new, message):
-    """Deep nesting, an integer longer than int() converts and a float where
-    an integer belongs each fail in the loader and give one error line."""
+    """Deep nesting, an integer longer than int() converts, a float where an
+    integer belongs, and more cores or uops per cache line than the caps that
+    bound what a command costs each fail in the loader and give one error
+    line."""
     seed = serialize_machine(builtin_haswell()) if kind == "machine" else kernel_dict(ecmkit.builtin_kernels()["ddot"])
     text = json.dumps(seed)
     assert old in text

@@ -6,7 +6,9 @@ output.
 Each example mutates a seed file: type swaps, dropped and extra keys, NaN,
 1e400, integers of 10^6 and more (and one longer than int() converts), wrong
 and deep nesting, and bytes that are not UTF-8. Kernel files run through
-`traffic`, whose cost does not grow with the uop counts a mutation can set.
+`traffic` and `predict`, machine files through `show-machine`, `predict`
+and `scale`: the loaders cap the uop and core counts that set what those
+commands cost.
 """
 
 import contextlib
@@ -149,6 +151,7 @@ def test_mutated_machine_file(work, data):
     loads_or_schema_error(load_machine, path)
     runs_within_contract(["show-machine", "-m", str(path)])
     runs_within_contract(["predict", "-k", "ddot", "--precise", "-m", str(path)])
+    runs_within_contract(["scale", "-k", "ddot", "-m", str(path)])
 
 
 @SETTINGS
@@ -158,6 +161,7 @@ def test_mutated_kernel_file(work, data):
     path.write_bytes(mutated_json(KERNEL_SEED, data))
     loads_or_schema_error(load_kernel, path)
     runs_within_contract(["traffic", "-k", str(path)])
+    runs_within_contract(["predict", "-k", str(path)])
 
 
 @SETTINGS

@@ -14,7 +14,7 @@ from ecmkit import (
     traffic,
     with_nt_stores,
 )
-from ecmkit.kernels import KernelModel, Stream, UopGroup, consistency_warnings, load_streams_with_rfo
+from ecmkit.kernels import MAX_UOPS_PER_LINE, KernelModel, Stream, UopGroup, consistency_warnings, load_streams_with_rfo
 
 ALL_BUILTINS = (
     "ddot",
@@ -218,3 +218,26 @@ def test_addressing_required_for_memory_uops():
 def test_element_bytes_must_divide_cacheline():
     with pytest.raises(SchemaError, match="element_bytes"):
         KernelModel("bad", (), 10, ())
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"element_bytes": 3}, "kernel 'ddot': element_bytes must divide 64"),
+        ({"streams": [{"array": "A", "access": "append"}]}, "streams[0]: stream 'A': access must be one of"),
+        ({"uops": [{"count": 0, "class": "fma"}]}, "uops[0]: uop group: count must be >= 1, got 0"),
+    ],
+)
+def test_a_dataclass_invariant_error_names_the_file(tmp_path, change, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(DDOT_FILE, **change)))
+    with pytest.raises(SchemaError) as caught:
+        load_kernel(path)
+    assert str(caught.value).startswith(f"{path}: {message}")
+
+
+def test_more_uops_per_line_than_the_cap_rejected():
+    uops = (UopGroup(MAX_UOPS_PER_LINE // 2, "load", "base-index-offset"), UopGroup(MAX_UOPS_PER_LINE // 2, "fma"))
+    assert KernelModel("big", (), 8, uops).uop_count("fma") == MAX_UOPS_PER_LINE // 2
+    with pytest.raises(SchemaError, match=f"kernel 'bigger': {MAX_UOPS_PER_LINE + 1} uops per cache line, more than"):
+        KernelModel("bigger", (), 8, uops + (UopGroup(1, "add"),))

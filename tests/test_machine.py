@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ecmkit import SchemaError, builtin_haswell, load_machine, serialize_machine
-from ecmkit.machine import CacheBoundary, MemoryModel, machine_from_dict
+from ecmkit.machine import MAX_CORES, CacheBoundary, MemoryModel, machine_from_dict
 
 
 @pytest.fixture
@@ -143,4 +143,31 @@ def test_unknown_capability_rejected(haswell):
     data = serialize_machine(haswell)
     data["ports"][0]["capabilities"] = ["teleport"]
     with pytest.raises(SchemaError, match="teleport"):
+        machine_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "section,key,value,message",
+    [
+        (None, "retire_width", 0, "retire_width must be >= 1"),
+        ("numa", "domains", 0, "numa: domains must be >= 1"),
+        ("memory", "default_bandwidth_gbs", 0, "memory: default_bandwidth_gbs must be > 0"),
+    ],
+)
+def test_a_dataclass_invariant_error_names_the_file(haswell, tmp_path, section, key, value, message):
+    data = serialize_machine(haswell)
+    (data[section] if section else data)[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SchemaError) as caught:
+        load_machine(path)
+    assert str(caught.value) == f"{path}: {message}"
+
+
+def test_more_cores_than_the_cap_rejected(haswell):
+    data = serialize_machine(haswell)
+    data["numa"] = {"domains": 2, "cores_per_domain": MAX_CORES // 2, "cod": True}
+    assert machine_from_dict(data).numa.total_cores == MAX_CORES
+    data["numa"]["domains"] = 3
+    with pytest.raises(SchemaError, match=f"numa: domains x cores_per_domain is {3 * MAX_CORES // 2}, more than {MAX_CORES}"):
         machine_from_dict(data)

@@ -1,7 +1,8 @@
 import random
 from collections import Counter
 from dataclasses import replace
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, compress, product
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -26,11 +27,13 @@ from ecmkit._pairing import PackingSearch, Unit, _least_span, pattern_table
 from ecmkit.scheduler import CoreTiming, SchedItem, SchedulingProblem, _joint_units, _pairing_span
 
 from oracles import (
+    ReferenceSearch,
     backtracking_pairing_span,
     brute_force_min_cycles,
     enumerated_pattern_table,
     matching_min_cycles,
     problem_core_timing,
+    reference_least_span,
     truncated_steps,
 )
 
@@ -449,6 +452,76 @@ def test_pattern_table_steps_equal_the_truncated_maximal_patterns():
             assert list(steps) == truncated_steps(table.maximal, table.weights, counts), (table, counts)
             # counts above the peak share the clamped counts' memoized list
             assert table.steps(tuple(map(min, counts, table.peak))) is steps
+
+
+def test_pairing_search_finds_the_reference_search_span_and_states():
+    """The search that carries slack visits the states the reference search
+    (every bound recomputed at each state) visits, and finds the same span."""
+    # where the arithmetic runs out with arithmetic cycles left, those turn
+    # memory-only, and here that takes away slack that prunes (55 states, not 60)
+    kinds = (
+        Unit((frozenset({0, 1, 2, 3, 4}),), 2, False),
+        Unit((frozenset({1}), frozenset({4})), 3, False),
+        Unit((frozenset({3, 4}),), 1, False),
+        Unit((frozenset({2, 3}), frozenset({0, 2, 4})), 2, True),
+    )
+    table = pattern_table(kinds, 3)
+    assert _least_span.__wrapped__(table, (3, 1, 9, 1), 6, 6) == reference_least_span(table, (3, 1, 9, 1), 6, 6) == (6, 55)
+    rng = random.Random(0x51AC)
+    cases = 0
+    while cases < 400:
+        kinds, width = random_kinds(rng)
+        table = pattern_table(kinds, width)
+        if table is None:
+            continue
+        counts = tuple(rng.randint(1, 9) for _ in kinds)
+        lower = rng.randint(1, sum(counts))
+        raw_ol = rng.randint(1, lower)
+        assert _least_span.__wrapped__(table, counts, lower, raw_ol) == reference_least_span(table, counts, lower, raw_ol)
+        cases += 1
+        # the step lists are memoized by the clamped counts
+        for packing in table._packings.values():
+            for clamp in packing.steps:
+                clamp = [clamp >> packing.width * j & packing.field for j in range(len(kinds))]
+                assert all(c <= peak for c, peak in zip(clamp, table.peak)), (kinds, counts, clamp)
+
+
+def test_pairing_search_with_wider_fields_matches_the_reference_search():
+    """Counts whose slack needs more than 16 bits a field, and a search that
+    has to widen its packing between two calls."""
+    kinds = tuple(HASWELL._core_layout.units[i] for i in (0, 2, 3))  # store, load, fma/mul
+    table = pattern_table(kinds, HASWELL.retire_width)
+    small, large = (3, 2, 4), (4000, 2000, 4000)
+    assert table.top * sum(small) < 1 << 15 <= table.top * sum(large)
+    assert _least_span.__wrapped__(table, large, 4000, 4000) == reference_least_span(table, large, 4000, 4000)
+    search, reference = PackingSearch(table), ReferenceSearch(table)
+    for counts, arith_cycles, memory_cycles in [(small, 4, 0), (small, 2, 1), (large, 4000, 0), (large, 3999, 0)]:
+        expected = reference.fits(counts, arith_cycles, memory_cycles)
+        assert search.fits(counts, arith_cycles, memory_cycles) == expected, (counts, arith_cycles, memory_cycles)
+
+
+def test_pattern_table_of_every_haswell_kind_set_equals_the_enumeration():
+    """All 63 kind sets of the machine's 6 unit kinds, and the slack deltas
+    stored with the steps at every clamp: y . step - cap for every bound."""
+    units = HASWELL._core_layout.units
+    assert len(units) == 6
+    for present in product((False, True), repeat=6):
+        kinds = tuple(compress(units, present))
+        if not kinds:
+            continue
+        table = pattern_table(kinds, HASWELL.retire_width)
+        oracle = enumerated_pattern_table([(k.port_choices, k.weight, k.overlapping) for k in kinds], HASWELL.retire_width)
+        assert (table.maximal, set(table.bounds)) == oracle, kinds
+        packing = table.packing(table.top)
+        width = packing.width
+        for clamp in product(*(range(peak + 1) for peak in table.peak)):
+            branches = packing.branches(packing.pack(clamp))
+            assert len(branches) == len(table.steps(clamp))
+            for step, (packed, to_arithmetic, to_memory) in zip(table.steps(clamp), branches):
+                assert packed == sum(c << width * j for j, c in enumerate(step))
+                moved = [sum(map(mul, y, step)) for y, _, _ in table.bounds]
+                assert to_arithmetic == sum((m - cap_any) << width * i for i, (m, (_, cap_any, _)) in enumerate(zip(moved, table.bounds)))
+                assert to_memory == sum((m - cap_memory) << width * i for i, (m, (_, _, cap_memory)) in enumerate(zip(moved, table.bounds)))
 
 
 def test_pairing_search_depth_is_not_bounded_by_recursion():
