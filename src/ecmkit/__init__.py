@@ -56,8 +56,6 @@ from .scaling import (
 )
 from .scheduler import (
     CoreTiming,
-    SchedItem,
-    SchedulingProblem,
     build_nol_problem,
     build_ol_problem,
     core_timing,
@@ -87,8 +85,6 @@ __all__ = [
     "PerformancePoint",
     "PortSpec",
     "ScalingCurve",
-    "SchedItem",
-    "SchedulingProblem",
     "SchemaError",
     "Stream",
     "TrafficProfile",

@@ -5,11 +5,12 @@ within its cycle, and `weight` of the cycle's retire slots. Overlapping
 units are the arithmetic ones, the others the memory units. Cycles are
 interchangeable, so a schedule is a multiset of per-cycle patterns: count
 vectors over the unit kinds whose units get distinct ports and whose weight
-fits the retire width. The pattern table is enumerated once per kind set
-and retire width, one kind at a time, each kind's count stopping at the
-first that does not fit, so its cost depends on the port layout and not on
-the width. Its bounds come from column sums: y . pattern over all maximal
-patterns at once adds one column per nonzero entry of y.
+fits the retire width. A pattern table is enumerated one kind at a time,
+each kind's count stopping at the first that does not fit, so its cost
+depends on the port layout and not on the width; the caller holds each
+table it builds (a machine's scheduler.CoreLayout keeps one per kind set).
+Its bounds come from column sums: y . pattern over all maximal patterns at
+once adds one column per nonzero entry of y.
 
 Whether all units fit in T cycles with the arithmetic in s of them is then
 decided by a memoized search that fills one cycle at a time, branches only
@@ -18,13 +19,13 @@ when a port (Hall) or retire-slot bound shows the rest cannot fit. A state
 carries the slack of every bound, and a child's slack is its parent's plus
 a delta stored with its step. Vectors are packed into integers with a field
 per entry, so a child costs a subtraction, its slack an addition and its
-pruning test a mask. The branch list and its deltas are memoized per count
-vector clamped to the largest count of each kind in a maximal pattern. The
-search is exact and has no budget; it keeps its path on an explicit stack,
-so its depth is not bounded by recursion. Solves are memoized by pattern
-table (kind set and retire width), count vector and starting bounds in a
-bounded least-recently-used cache, so repeated queries and kernels with
-equal unit counts run the search once.
+pruning test a mask. The packed branch list and its deltas are memoized
+per count vector clamped to the largest count of each kind in a maximal
+pattern. The search is exact and has no budget; it keeps its path on an
+explicit stack, so its depth is not bounded by recursion. Solves are
+memoized by pattern table (by identity), count vector and starting bounds
+in a bounded least-recently-used cache, so repeated queries and kernels
+with equal unit counts on one table run the search once.
 """
 
 from __future__ import annotations
@@ -68,14 +69,14 @@ def port_set_unions(sets) -> set[frozenset[int]]:
 @dataclass(frozen=True, eq=False)
 class PatternTable:
     """Single-cycle patterns of one kind set, and the bounds they put on the
-    counts that fit a number of cycles. Tables are cached and compare by
-    identity.
+    counts that fit a number of cycles. Tables compare by identity and are
+    held by a machine's CoreLayout.tables and by the at most 1 024 entries of
+    _least_span's cache.
 
     A search state branches on the maximal patterns truncated to the counts
     it has left. Every maximal pattern lies under `peak`, so the truncation
-    depends on the counts only through clamp = min(counts, peak), and the
-    step list is memoized per clamp on the table, and per packed clamp on
-    each packing; the cache that bounds the tables bounds these lists too.
+    depends on the counts only through clamp = min(counts, peak), and each
+    packing memoizes the step list per packed clamp.
     """
 
     weights: tuple[int, ...]
@@ -84,23 +85,18 @@ class PatternTable:
     # (y, cap_any, cap_memory): see pattern_table
     bounds: tuple[tuple[tuple[int, ...], int, int], ...]
     peak: tuple[int, ...]  # the largest count of each kind in a maximal pattern
-    _steps: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = field(default_factory=dict, init=False, repr=False)
     _packings: dict[int, _Packing] = field(default_factory=dict, init=False, repr=False)
 
     def steps(self, counts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         """The distinct maximal patterns truncated to `counts`, heaviest
         first, without those another one contains."""
-        clamp = tuple(map(min, counts, self.peak))
-        steps = self._steps.get(clamp)
-        if steps is None:
-            taken: list[tuple[int, ...]] = []
-            # heaviest first, so a step that contains another is kept before it
-            truncated = {tuple(map(min, pattern, clamp)) for pattern in self.maximal}
-            for step in sorted(truncated, key=lambda v: (-sum(map(mul, v, self.weights)), v)):
-                if not any(all(map(ge, big, step)) for big in taken):
-                    taken.append(step)
-            steps = self._steps[clamp] = tuple(taken)
-        return steps
+        taken: list[tuple[int, ...]] = []
+        # heaviest first, so a step that contains another is kept before it
+        truncated = {tuple(map(min, pattern, counts)) for pattern in self.maximal}
+        for step in sorted(truncated, key=lambda v: (-sum(map(mul, v, self.weights)), v)):
+            if not any(all(map(ge, big, step)) for big in taken):
+                taken.append(step)
+        return tuple(taken)
 
     def packing(self, largest: int) -> _Packing:
         """The packing with room for `largest` in a field, shared by every
@@ -119,7 +115,6 @@ class PatternTable:
         return max(max(cap_any for _, cap_any, _ in self.bounds), *self.peak)
 
 
-@lru_cache(maxsize=32)
 def pattern_table(kinds: tuple[Unit, ...], width: int) -> PatternTable | None:
     """The pattern table, or None if some unit cannot fit a cycle on its own.
 
@@ -381,9 +376,9 @@ class _Packing:
 def _least_span(table: PatternTable, counts: tuple[int, ...], lower: int, raw_ol: int) -> tuple[int, int]:
     """The least span s >= raw_ol of the arithmetic in the first cycle count
     T >= lower that fits `counts` of the table's kinds, and the search states
-    visited. The cached table stands for its kind set and retire width and
-    is keyed by identity, so kernels with equal unit counts share a solve and
-    an entry holds no units of its own."""
+    visited. The table is keyed by identity, so kernels with equal unit
+    counts on one table share a solve and an entry holds no units of its
+    own."""
     search = PackingSearch(table)
     # The first try, span raw_ol at the lowest total, is the common answer.
     # A fit at any span means the total fits, and span = total fits whenever

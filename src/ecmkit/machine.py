@@ -74,9 +74,6 @@ class CacheBoundary:
                 f"{CACHE_LINE_BYTES} or be a multiple of it"
             )
 
-    def cycles_per_cl(self) -> Fraction:
-        return Fraction(CACHE_LINE_BYTES, self.bytes_per_cycle)
-
 
 @dataclass(frozen=True)
 class MemoryModel:
@@ -153,14 +150,8 @@ class MachineModel:
         if sorted(names) != sorted(BOUNDARY_NAMES):
             raise SchemaError(f"boundaries must contain exactly one of each of {BOUNDARY_NAMES}")
 
-    def boundary(self, name: str) -> CacheBoundary:
-        for b in self.boundaries:
-            if b.name == name:
-                return b
-        raise KeyError(name)
-
     def cycles_per_cl(self, boundary_name: str) -> Fraction:
-        return self.boundary(boundary_name).cycles_per_cl()
+        return Fraction(CACHE_LINE_BYTES, self.boundary_widths[boundary_name])
 
     def ports_with(self, capability: str) -> frozenset[int]:
         return self._ports_by_capability.get(capability, frozenset())

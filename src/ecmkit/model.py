@@ -55,7 +55,6 @@ class ECMPrediction:
     t_l2: Fraction
     t_l3: Fraction
     t_mem: Fraction
-    penalty_applied: bool = False
 
     def cells(self) -> tuple[Fraction, ...]:
         return (self.t_core, self.t_l2, self.t_l3, self.t_mem)
@@ -84,10 +83,7 @@ class PenaltyConfig:
     """Empirical off-core transfer penalty: extra cycles per loading stream and
     cache level beyond L2, for kernels with low core cycle counts."""
 
-    enabled: bool = True
     cycles_per_load_stream_per_level: Fraction = Fraction(1)
-    # apply only when the core prediction is below this; None = always
-    low_cycle_threshold: Fraction | None = None
 
 
 def _memory_cycles(lines: int, bandwidth, frequency) -> Fraction:
@@ -157,10 +153,6 @@ def apply_penalty(pred: ECMPrediction, kernel: KernelModel, config: PenaltyConfi
     memory; L1 and L2 are unchanged.
     """
     config = config or PenaltyConfig()
-    if not config.enabled:
-        return pred
-    if config.low_cycle_threshold is not None and pred.t_core >= config.low_cycle_threshold:
-        return pred
     cycles = as_fraction(config.cycles_per_load_stream_per_level)
     # the loading streams' cycles per level are extra / d
     extra, d = load_streams_with_rfo(kernel) * cycles.numerator, cycles.denominator
@@ -170,7 +162,7 @@ def apply_penalty(pred: ECMPrediction, kernel: KernelModel, config: PenaltyConfi
     if not (_at_most(core, l2) and _at_most(l2, l3) and _at_most(l3, mem)):
         cells = ", ".join(str(c) for c in (core, l2, l3, mem))
         raise ValueError(f"penalized prediction cells must not decrease from L1 to memory, got {cells}")
-    return ECMPrediction(core, l2, l3, mem, penalty_applied=True)
+    return ECMPrediction(core, l2, l3, mem)
 
 
 def _at_most(a, b) -> bool:
@@ -229,19 +221,25 @@ def parse_ecm(text: str) -> ECMInput | ECMPrediction:
     input_shape, prediction_shape = _shapes()
     match = input_shape.fullmatch(text)
     if match is not None:
-        return ECMInput(*_decimals(match.groups()))
+        return ECMInput(*_decimals(match))
     match = prediction_shape.fullmatch(text)
     if match is not None:
-        return ECMPrediction(*_decimals(match.groups()))
+        return ECMPrediction(*_decimals(match))
     _reject(text)
 
 
-def _decimals(groups) -> list[Fraction]:
-    """Exact values of the matched cells, given as (whole, fraction digits) pairs."""
-    return [
-        Fraction(int(whole)) if frac is None else Fraction(int(whole + frac), 10 ** len(frac))
-        for whole, frac in zip(groups[::2], groups[1::2])
-    ]
+def _decimals(match: re.Match) -> list[Fraction]:
+    """Exact values of the matched cells, given as (whole, fraction digits)
+    group pairs; a cell too long for int() raises ECMParseError at the cell."""
+    groups = match.groups()
+    values = []
+    for i in range(0, len(groups), 2):
+        whole, frac = groups[i], groups[i + 1]
+        try:
+            values.append(Fraction(int(whole)) if frac is None else Fraction(int(whole + frac), 10 ** len(frac)))
+        except ValueError:  # more digits than int() converts
+            raise ECMParseError("number has too many digits", match.start(i + 1)) from None
+    return values
 
 
 def _reject(text: str) -> NoReturn:
@@ -343,8 +341,8 @@ def read_measurements(path) -> dict[str, Measurement]:
                 raise SchemaError(f"{where}: level must be one of {LEVELS}, got {level!r}")
             match = _NUMBER.fullmatch(cycles)
             try:
-                value = _decimals(match.groups())[0] if match else 0
-            except ValueError:  # more digits than int() converts
+                value = _decimals(match)[0] if match else 0
+            except ECMParseError:  # more digits than int() converts
                 value = 0
             if value <= 0:
                 raise SchemaError(f"{where}: cycles_per_cl must be a positive plain decimal, got {cycles!r}")

@@ -14,45 +14,24 @@ frontend caps total throughput and, when it binds, the deficit is charged
 to the arithmetic component.
 
 core_timing reads the machine through its CoreLayout, compiled once per
-MachineModel: each uop class's port sets, all their unions and the unit
-kinds. Port bounds over the machine's unions equal those over the kernel's
-own (see _binding_bound).
+MachineModel: each uop class's port sets, all their unions, the unit kinds
+and the pattern table of each kind set used. Port bounds over the machine's
+unions equal those over the kernel's own (see _binding_bound).
+build_nol_problem and build_ol_problem give the two port problems as
+{allowed ports: uop count} maps for min_cycles, with the port sets taken from
+the machine's capabilities, not its CoreLayout, to check core_timing's bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from math import ceil
 from operator import attrgetter
 
 from ._pairing import PatternTable, Unit, _least_span, pattern_table, port_set_unions
 from .errors import CapabilityError, SchemaError
-from .kernels import KernelModel
+from .kernels import MEMORY_CLASSES, UOP_CLASSES, KernelModel
 from .machine import MachineModel
-
-# arithmetic uop class -> port capability that executes it
-_ARITH_CAPABILITY = {"fma": "fma", "add": "add", "mul": "mul", "lea": "lea"}
-
-
-@dataclass(frozen=True)
-class SchedItem:
-    """`multiplicity` identical uops, each needing one of the allowed ports."""
-
-    label: str
-    ports: frozenset[int]
-    multiplicity: int = 1
-
-    def __post_init__(self):
-        if not self.ports:
-            raise SchemaError(f"uop {self.label!r}: allowed-port set must be non-empty")
-        if self.multiplicity < 1:
-            raise SchemaError(f"uop {self.label!r}: multiplicity must be >= 1")
-
-
-@dataclass(frozen=True)
-class SchedulingProblem:
-    items: tuple[SchedItem, ...]
 
 
 @dataclass(frozen=True)
@@ -78,13 +57,13 @@ def _hall_unions(sets: list[frozenset[int]], start: int = 0) -> tuple:
     )
 
 
-def min_cycles(problem: SchedulingProblem) -> int:
+def min_cycles(problem: dict[frozenset[int], int]) -> int:
     """Minimum T such that every uop fits on an allowed port with no port
-    receiving more than T uops."""
-    loads: dict[frozenset[int], int] = {}
-    for it in problem.items:
-        loads[it.ports] = loads.get(it.ports, 0) + it.multiplicity
-    return _binding_bound(_hall_unions(list(loads)), list(loads.values()))[0]
+    receiving more than T uops, for `problem[ports]` uops that may each
+    issue on any one of `ports`."""
+    if not all(problem) or min(problem.values(), default=1) < 1:
+        raise SchemaError("every allowed-port set must be non-empty and every uop count >= 1")
+    return _binding_bound(_hall_unions(list(problem)), list(problem.values()))[0]
 
 
 def _binding_bound(unions: tuple, loads: list[int]) -> tuple[int, frozenset[int] | None]:
@@ -129,9 +108,10 @@ class CoreLayout:
             missing = "address-generation" if not address else None if data else "store-data"
             unit = Unit((address, data), machine.store_uop_weight, False)
             rows.append((("store", addressing), missing, None, (address, data), (), unit))
-        for uop_class, capability in _ARITH_CAPABILITY.items():
-            ports = machine.ports_with(capability)
-            rows.append(((uop_class, None), None, None if ports else capability, (), (ports,), Unit((ports,), 1, True)))
+        for uop_class in UOP_CLASSES:
+            if uop_class not in MEMORY_CLASSES:
+                ports = machine.ports_with(uop_class)
+                rows.append(((uop_class, None), None, None if ports else uop_class, (), (ports,), Unit((ports,), 1, True)))
         nol = [s for s in dict.fromkeys(s for row in rows for s in row[3]) if s]
         ol = [s for s in dict.fromkeys(s for row in rows for s in row[4]) if s]
         self.n_sets = len(nol) + len(ol)
@@ -146,7 +126,10 @@ class CoreLayout:
         self.tables: dict[tuple[bool, ...], PatternTable | None] = {}
 
     def span(self, counts: list[int], lower: int, raw_ol: int) -> tuple[int, int]:
-        """_pairing_span for unit counts in `units` order."""
+        """(span, search states) for unit counts in `units` order: the least
+        span s >= raw_ol of the arithmetic in the first cycle count T >= lower
+        that fits a joint schedule, or raw_ol as it is when the kernel has no
+        memory unit or some unit cannot fit a cycle on its own."""
         present = tuple(map(bool, counts))
         if present not in self.tables:
             kinds = tuple(compress(self.units, present))
@@ -157,41 +140,42 @@ class CoreLayout:
         return _least_span(table, tuple(filter(None, counts)), lower, raw_ol)
 
 
-def build_nol_problem(kernel: KernelModel, machine: MachineModel) -> SchedulingProblem:
-    """Load/store uops only. A load occupies one full address-generation port
-    (the offset-only unit serves store addresses, not loads); a store splits
-    into an address uop and a data uop."""
+def build_nol_problem(kernel: KernelModel, machine: MachineModel) -> dict[frozenset[int], int]:
+    """Load/store uops only, as {allowed ports: uop count} for min_cycles. A
+    load occupies one full address-generation port (the offset-only unit
+    serves store addresses, not loads); a store splits into an address uop
+    and a data uop."""
     full = machine.ports_with("load-agu-full")
     data = machine.ports_with("store-data")
-    items = []
+    problem: dict[frozenset[int], int] = {}
     for g in kernel.uops:
         if g.uop_class == "load":
             if not full:
                 raise CapabilityError(f"kernel {kernel.name!r} needs load-agu-full ports")
-            items.append(SchedItem(f"load[{g.addressing}]", full, g.count))
+            problem[full] = problem.get(full, 0) + g.count
         elif g.uop_class == "store":
             addr = full | machine.ports_with("agu-simple") if g.addressing == "offset-only" else full
             if not addr:
                 raise CapabilityError(f"kernel {kernel.name!r} needs address-generation ports")
             if not data:
                 raise CapabilityError(f"kernel {kernel.name!r} needs store-data ports")
-            items.append(SchedItem(f"store-address[{g.addressing}]", addr, g.count))
-            items.append(SchedItem("store-data", data, g.count))
-    return SchedulingProblem(tuple(items))
+            for ports in (addr, data):
+                problem[ports] = problem.get(ports, 0) + g.count
+    return problem
 
 
-def build_ol_problem(kernel: KernelModel, machine: MachineModel) -> SchedulingProblem:
-    """Arithmetic uops only (fma, add, mul, lea)."""
-    items = []
+def build_ol_problem(kernel: KernelModel, machine: MachineModel) -> dict[frozenset[int], int]:
+    """Arithmetic uops only (fma, add, mul, lea), each on the ports with the
+    capability of its class's name, as {allowed ports: uop count}."""
+    problem: dict[frozenset[int], int] = {}
     for g in kernel.uops:
-        capability = _ARITH_CAPABILITY.get(g.uop_class)
-        if capability is None:
+        if g.uop_class in MEMORY_CLASSES:
             continue
-        ports = machine.ports_with(capability)
+        ports = machine.ports_with(g.uop_class)
         if not ports:
-            raise CapabilityError(f"kernel {kernel.name!r} needs {capability} ports")
-        items.append(SchedItem(g.uop_class, ports, g.count))
-    return SchedulingProblem(tuple(items))
+            raise CapabilityError(f"kernel {kernel.name!r} needs {g.uop_class} ports")
+        problem[ports] = problem.get(ports, 0) + g.count
+    return problem
 
 
 def frontend_bound(kernel: KernelModel, machine: MachineModel) -> int:
@@ -201,7 +185,7 @@ def frontend_bound(kernel: KernelModel, machine: MachineModel) -> int:
     for g in kernel.uops:
         weight = machine.store_uop_weight if g.uop_class == "store" else 1
         slots += g.count * weight
-    return ceil(slots / machine.retire_width)
+    return -(-slots // machine.retire_width)
 
 
 # ---------------------------------------------------------------------------
@@ -219,42 +203,17 @@ def frontend_bound(kernel: KernelModel, machine: MachineModel) -> int:
 #
 # The units fall into at most 7 kinds: loads, stores per addressing mode,
 # and the arithmetic classes, where classes with equal port needs share a
-# kind. The _pairing module finds T and the span exactly, with no budget and
-# no fallback, by a search over per-cycle patterns of these kinds. Building
-# a pattern table costs the same at any retire width, since each kind's
-# count stops at the first that does not fit a cycle, and the table
-# memoizes each search state's branch list by the state's counts clamped to
-# the most units of each kind one cycle can hold, so a cold solve does not
-# rebuild that list per state. Each solve is memoized by pattern table,
-# count vector and starting bounds in a bounded least-recently-used cache,
-# so repeated queries, and kernels or machines that reduce to equal unit
-# counts, run the search once. The machine's CoreLayout holds one Unit per
-# kind and the pattern table of each kind set used, so a warm call builds
-# no unit, union or table, and computes only the port and frontend bounds.
-
-
-def _joint_units(kernel: KernelModel, machine: MachineModel) -> dict[Unit, int]:
-    """Count of each unit kind; uop classes with the same port needs share one."""
-    layout = machine._core_layout
-    counts: dict[Unit, int] = {}
-    for g in kernel.uops:
-        unit = layout.units[layout.needs[g.uop_class, g.addressing][3]]
-        counts[unit] = counts.get(unit, 0) + g.count
-    return counts
-
-
-def _pairing_span(kernel: KernelModel, machine: MachineModel, t_nol: int, raw_ol: int, fe: int) -> tuple[int, int]:
-    """The pairing span and the number of search states visited to find it.
-
-    T is the first cycle count, counting up from max(t_nol, raw_ol, fe),
-    that fits a joint schedule; the span is the least s >= raw_ol such that
-    a schedule in T cycles confines the arithmetic to s of them. Both are
-    exact. raw_ol is returned as it is when the kernel has no memory unit,
-    or when some unit cannot fit a cycle on its own.
-    """
-    layout = machine._core_layout
-    units = _joint_units(kernel, machine)
-    return layout.span([units.get(u, 0) for u in layout.units], max(t_nol, raw_ol, fe), raw_ol)
+# kind. core_timing tallies a kernel's units per kind of the machine's
+# CoreLayout, and CoreLayout.span finds T and the span exactly, with no
+# budget and no fallback, by the _pairing module's search over per-cycle
+# patterns of the kinds present. Building a pattern table costs the same at
+# any retire width, since each kind's count stops at the first that does
+# not fit a cycle. The CoreLayout holds one Unit per kind and builds the
+# pattern table of each kind set it meets once, so a warm call builds no
+# unit, union or table, and computes only the port and frontend bounds.
+# Each solve is memoized by table, count vector and starting bounds in a
+# bounded least-recently-used cache, so repeated queries, and kernels that
+# reduce to equal unit counts on one machine, run the search once.
 
 
 def _ports_label(ports: frozenset[int]) -> str:

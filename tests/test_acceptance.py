@@ -6,6 +6,7 @@ output; every tolerance is pinned here."""
 import itertools
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 from ecmkit import (
@@ -31,7 +32,6 @@ from ecmkit.cli import run as cli_run
 from ecmkit.kernels import KernelModel, Stream
 from ecmkit.model import ECMInput, ECMPrediction
 from ecmkit.reference import REFERENCE_KERNELS, reference_cells, reference_error_pct, reference_measurements
-from ecmkit.scheduler import SchedItem, SchedulingProblem
 
 from oracles import brute_force_min_cycles, cache_replay_traffic
 
@@ -94,9 +94,7 @@ def test_acceptance_port_scheduler():
             frozenset(rng.sample(universe, rng.randint(1, n_ports)))
             for _ in range(rng.randint(0, 10))
         ]
-        expected = brute_force_min_cycles(sets)
-        problem = SchedulingProblem(tuple(SchedItem(f"u{i}", s) for i, s in enumerate(sets)))
-        if min_cycles(problem) != expected:
+        if min_cycles(Counter(sets)) != brute_force_min_cycles(sets):
             mismatches += 1
     assert mismatches == 0
     _ok("port scheduler: 4c/3c addressing, update T_OL=2, 1000/1000 oracle agreement")
@@ -198,14 +196,12 @@ def test_acceptance_randomized_properties():
     for _ in range(300):
         universe = rng.sample(range(8), rng.randint(1, 8))
         sets = [frozenset(rng.sample(universe, rng.randint(1, len(universe)))) for _ in range(rng.randint(1, 8))]
-        base = SchedulingProblem(tuple(SchedItem(f"u{i}", s) for i, s in enumerate(sets)))
-        grown = SchedulingProblem(base.items + (SchedItem("x", frozenset(rng.sample(universe, 1))),))
-        assert min_cycles(grown) >= min_cycles(base)
+        base = min_cycles(Counter(sets))
+        assert min_cycles(Counter(sets + [frozenset(rng.sample(universe, 1))])) >= base
         index = rng.randrange(len(sets))
         widened_sets = list(sets)
         widened_sets[index] = widened_sets[index] | {rng.choice(universe)}
-        widened = SchedulingProblem(tuple(SchedItem(f"u{i}", s) for i, s in enumerate(widened_sets)))
-        assert min_cycles(widened) <= min_cycles(base)
+        assert min_cycles(Counter(widened_sets)) <= base
 
     for name, kernel in KERNELS.items():
         base_traffic = traffic(kernel)

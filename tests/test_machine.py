@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,8 @@ def test_builtin_reference_parameters(haswell):
     assert haswell.frequency_ghz == Fraction("2.3")
     assert haswell.retire_width == 4
     assert haswell.store_uop_weight == 2
-    assert haswell.boundary("L1L2").bytes_per_cycle == 64
-    assert haswell.boundary("L2L3").bytes_per_cycle == 32
+    assert haswell.boundary_widths == {"L1L2": 64, "L2L3": 32}
+    assert (haswell.cycles_per_cl("L1L2"), haswell.cycles_per_cl("L2L3")) == (1, 2)
     assert haswell.numa.n_domains == 2
     assert haswell.numa.cores_per_domain == 7
     assert haswell.numa.cod_enabled
@@ -112,10 +113,11 @@ def test_missing_table_uses_default_everywhere(haswell):
         assert machine.memory.lookup(signature) == Fraction("27.1")
 
 
-def test_boundary_width_must_tile_cachelines():
+def test_boundary_width_must_tile_cachelines(haswell):
     with pytest.raises(SchemaError):
         CacheBoundary("L1L2", 48)
-    assert CacheBoundary("L1L2", 128).cycles_per_cl() == Fraction(1, 2)
+    wide = replace(haswell, boundaries=(CacheBoundary("L1L2", 128), CacheBoundary("L2L3", 32)))
+    assert wide.cycles_per_cl("L1L2") == Fraction(1, 2)
 
 
 def test_duplicate_boundary_rejected(haswell):

@@ -24,7 +24,7 @@ from ecmkit.errors import CapabilityError
 from ecmkit.kernels import KernelModel, UopGroup
 from ecmkit.machine import MachineModel, MemoryModel, NumaConfig, PortSpec
 from ecmkit._pairing import PackingSearch, Unit, _least_span, pattern_table
-from ecmkit.scheduler import CoreTiming, SchedItem, SchedulingProblem, _joint_units, _pairing_span
+from ecmkit.scheduler import CoreTiming
 
 from oracles import (
     ReferenceSearch,
@@ -42,7 +42,7 @@ KERNELS = builtin_kernels()
 
 
 def problem(*items):
-    return SchedulingProblem(tuple(SchedItem(f"u{i}", frozenset(ports), mult) for i, (ports, mult) in enumerate(items)))
+    return {frozenset(ports): count for ports, count in items}
 
 
 @pytest.mark.parametrize(
@@ -62,7 +62,9 @@ def test_min_cycles_known_cases(items, expected):
 
 def test_empty_port_set_rejected():
     with pytest.raises(SchemaError, match="non-empty"):
-        SchedItem("u", frozenset())
+        min_cycles({frozenset(): 1})
+    with pytest.raises(SchemaError, match="uop count >= 1"):
+        min_cycles({frozenset({0}): 0})
 
 
 def test_nol_examples():
@@ -80,8 +82,11 @@ def test_ol_examples():
 
 
 def test_lea_excluded_from_nol():
-    nol = build_nol_problem(KERNELS["schoenauer_triad_opt"], HASWELL)
-    assert all("lea" not in item.label for item in nol.items)
+    # the loads and each store's address and data uop, none of the lea uops
+    kernel = KERNELS["schoenauer_triad_opt"]
+    assert kernel.uop_count("lea") > 0
+    nol = build_nol_problem(kernel, HASWELL)
+    assert sum(nol.values()) == kernel.uop_count("load") + 2 * kernel.uop_count("store")
 
 
 def test_frontend_bound_examples():
@@ -89,6 +94,15 @@ def test_frontend_bound_examples():
     assert frontend_bound(KERNELS["ddot"], HASWELL) == 2
     empty = KernelModel("empty", (), 8, ())
     assert frontend_bound(empty, HASWELL) == 0
+
+
+def test_frontend_bound_is_exact_above_two_to_the_53():
+    # 2 stores of 15000000000000001 slots at 4 a cycle; a float quotient
+    # rounds 7500000000000000.5 down to an integer and loses the last cycle
+    machine = replace(HASWELL, store_uop_weight=15_000_000_000_000_001)
+    kernel = KERNELS["store"]
+    assert frontend_bound(kernel, machine) == 7_500_000_000_000_001
+    assert core_timing(kernel, machine) == oracle_timing(kernel, machine)
 
 
 # (t_ol, t_nol) per kernel on the built-in machine
@@ -169,31 +183,14 @@ def test_min_cycles_agrees_with_exhaustive_oracle():
     rng = random.Random(0xEC)
     for _ in range(300):
         sets = _random_problem(rng)
-        expected = brute_force_min_cycles(sets)
-        items = tuple(SchedItem(f"u{i}", s) for i, s in enumerate(sets))
-        assert min_cycles(SchedulingProblem(items)) == expected
+        assert min_cycles(Counter(sets)) == brute_force_min_cycles(sets)
 
 
 def test_min_cycles_agrees_with_matching_oracle():
     rng = random.Random(0xCE)
     for _ in range(150):
         sets = _random_problem(rng, max_uops=8, max_ports=6)
-        items = tuple(SchedItem(f"u{i}", s) for i, s in enumerate(sets))
-        assert min_cycles(SchedulingProblem(items)) == matching_min_cycles(sets)
-
-
-def test_multiplicities_equivalent_to_repeated_items():
-    rng = random.Random(5)
-    for _ in range(50):
-        sets = _random_problem(rng, max_uops=6)
-        if not sets:
-            continue
-        expanded = tuple(SchedItem(f"u{i}", s) for i, s in enumerate(sets))
-        mults = {}
-        for s in sets:
-            mults[s] = mults.get(s, 0) + 1
-        grouped = tuple(SchedItem(f"g{i}", s, m) for i, (s, m) in enumerate(mults.items()))
-        assert min_cycles(SchedulingProblem(expanded)) == min_cycles(SchedulingProblem(grouped))
+        assert min_cycles(Counter(sets)) == matching_min_cycles(sets)
 
 
 port_sets = st.sets(st.integers(min_value=0, max_value=7), min_size=1, max_size=8).map(frozenset)
@@ -202,20 +199,16 @@ port_sets = st.sets(st.integers(min_value=0, max_value=7), min_size=1, max_size=
 @settings(max_examples=150, deadline=None)
 @given(st.lists(port_sets, min_size=0, max_size=9), port_sets)
 def test_min_cycles_monotone_in_uops(sets, extra):
-    base = SchedulingProblem(tuple(SchedItem(f"u{i}", s) for i, s in enumerate(sets)))
-    grown = SchedulingProblem(base.items + (SchedItem("extra", extra),))
-    assert min_cycles(grown) >= min_cycles(base)
+    assert min_cycles(Counter(sets + [extra])) >= min_cycles(Counter(sets))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(port_sets, min_size=1, max_size=9), st.integers(min_value=0, max_value=7), st.data())
 def test_min_cycles_monotone_in_ports(sets, new_port, data):
     index = data.draw(st.integers(min_value=0, max_value=len(sets) - 1))
-    base = SchedulingProblem(tuple(SchedItem(f"u{i}", s) for i, s in enumerate(sets)))
     widened_sets = list(sets)
     widened_sets[index] = widened_sets[index] | {new_port}
-    widened = SchedulingProblem(tuple(SchedItem(f"u{i}", s) for i, s in enumerate(widened_sets)))
-    assert min_cycles(widened) <= min_cycles(base)
+    assert min_cycles(Counter(widened_sets)) <= min_cycles(Counter(sets))
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +230,23 @@ def unrolled(kernel, factor, extras=()):
     return replace(kernel, uops=uops + tuple(UopGroup(1, extra) for extra in extras))
 
 
+def unit_counts(kernel, machine):
+    """The kernel's unit count of each kind, in the order of the machine's
+    CoreLayout.units."""
+    layout = machine._core_layout
+    counts = [0] * len(layout.units)
+    for g in kernel.uops:
+        counts[layout.needs[g.uop_class, g.addressing][3]] += g.count
+    return counts
+
+
 def pairing(kernel, machine):
-    """(span, search states) as core_timing asks for them."""
+    """(span, search states) as core_timing asks for them, from the port
+    bounds of the problem builders."""
     t_nol = min_cycles(build_nol_problem(kernel, machine))
     raw_ol = min_cycles(build_ol_problem(kernel, machine))
-    return _pairing_span(kernel, machine, t_nol, raw_ol, frontend_bound(kernel, machine))
+    lower = max(t_nol, raw_ol, frontend_bound(kernel, machine))
+    return machine._core_layout.span(unit_counts(kernel, machine), lower, raw_ol)
 
 
 def oracle_span(kernel, machine):
@@ -326,10 +331,10 @@ def test_pairing_never_gets_easier_when_a_uop_is_added():
     rng = random.Random(0xECA)
     for _ in range(60):
         kernel = unrolled(random_kernel(rng, MEMORY_UOPS, ARITH_UOPS, max_uops=6), rng.randint(1, 3))
-        units = _joint_units(kernel, HASWELL)
-        kinds = tuple(units)
+        counts = unit_counts(kernel, HASWELL)
+        kinds = tuple(compress(HASWELL._core_layout.units, counts))
         table = pattern_table(kinds, HASWELL.retire_width)
-        counts = tuple(units[k] for k in kinds)
+        counts = tuple(filter(None, counts))
         grown = list(counts)
         grown[rng.randrange(len(kinds))] += 1
         grown = tuple(grown)
@@ -450,8 +455,8 @@ def test_pattern_table_steps_equal_the_truncated_maximal_patterns():
             counts = tuple(rng.randint(0, peak + 2) for peak in table.peak)
             steps = table.steps(counts)
             assert list(steps) == truncated_steps(table.maximal, table.weights, counts), (table, counts)
-            # counts above the peak share the clamped counts' memoized list
-            assert table.steps(tuple(map(min, counts, table.peak))) is steps
+            # the steps depend on the counts only through the clamp
+            assert table.steps(tuple(map(min, counts, table.peak))) == steps
 
 
 def test_pairing_search_finds_the_reference_search_span_and_states():
@@ -546,12 +551,13 @@ def test_equal_unit_counts_share_one_pairing_solve():
 
 
 def test_each_unit_kind_is_one_object_with_its_sort_order_derived_once():
-    for kernel in KERNELS.values():
-        first, again = _joint_units(kernel, HASWELL), _joint_units(unrolled(kernel, 2), HASWELL)
-        assert list(first) == list(again) and all(a is b for a, b in zip(first, again))
-        for unit in first:
-            assert unit.order is unit.order
-            assert unit.order == (unit.overlapping, -unit.weight, [sorted(p) for p in unit.port_choices])
+    layout = HASWELL._core_layout
+    assert len(set(layout.units)) == len(layout.units)
+    assert {need[3] for need in layout.needs.values()} == set(range(len(layout.units)))
+    for unit in layout.units:
+        assert unit.order is unit.order
+        assert unit.order == (unit.overlapping, -unit.weight, [sorted(p) for p in unit.port_choices])
+    assert [unit.order for unit in layout.units] == sorted(unit.order for unit in layout.units)
 
 
 # ---------------------------------------------------------------------------
@@ -633,8 +639,8 @@ def test_the_layout_is_not_part_of_equality_repr_or_serialization():
 
 def test_warm_core_timing_builds_no_units_problems_unions_or_tables(monkeypatch):
     """A deterministic work count: after a machine's first call for each kind
-    set, core_timing constructs no Unit, SchedItem or SchedulingProblem and
-    enumerates no port-set unions or pattern tables."""
+    set, core_timing constructs no Unit and enumerates no port-set unions or
+    pattern tables."""
     machine = replace(HASWELL)
     kernels = [unrolled(kernel, 1, extras) for kernel in KERNELS.values() for extras in EXTRAS]
     expected = [core_timing(kernel, machine) for kernel in kernels]
@@ -647,8 +653,7 @@ def test_warm_core_timing_builds_no_units_problems_unions_or_tables(monkeypatch)
 
         return wrapper
 
-    for cls in (Unit, SchedItem, SchedulingProblem):
-        monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
+    monkeypatch.setattr(Unit, "__init__", counted("Unit", Unit.__init__))
     for module in (scheduler, _pairing):
         for name in ("port_set_unions", "pattern_table"):
             if hasattr(module, name):

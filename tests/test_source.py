@@ -59,3 +59,50 @@ def test_private_sibling_imports_are_found():
 def test_package_modules_import_no_private_name_of_a_public_sibling():
     found = {path.name: private_sibling_imports(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level names (one leading underscore, not dunder) that
+    no code of the given modules reads outside the name's own definition. A
+    read is a load of the bare name or an attribute of that name; importing
+    the name is not a read."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    defined = []  # (module, name, its defining statement)
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, name, node) for name in names if name.startswith("_") and not name.startswith("__")]
+    unread = []
+    for module, name, definition in defined:
+        inside = {id(n) for n in ast.walk(definition)}
+        read = any(
+            id(node) not in inside
+            and (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+                 or isinstance(node, ast.Attribute) and node.attr == name)
+            for tree in trees.values()
+            for node in ast.walk(tree)
+        )
+        if not read:
+            unread.append(f"{module}: {name}")
+    return sorted(unread)
+
+
+def test_unread_private_names_are_found():
+    sources = {
+        "a.py": "def _hook(x):\n    return _hook(x - 1)\n_TABLE = {}\n_used = 1\n__all__ = []\n",
+        "b.py": "from .a import _used\nprint(_used)\nclass _Memo:\n    def get(self):\n        return _Memo\n",
+    }
+    assert unread_private_names(sources) == ["a.py: _TABLE", "a.py: _hook", "b.py: _Memo"]
+
+
+def test_package_code_reads_every_private_module_level_name():
+    """A private helper that only tests call is a hook the package does not
+    need; tests reach the model through what the package itself uses."""
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []
