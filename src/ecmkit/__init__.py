@@ -6,10 +6,8 @@ performance scales the single-core prediction up to the memory-bandwidth
 ceiling. Machines and kernels are declarative (built-in or JSON files).
 """
 
-from .errors import CapabilityError, ECMParseError, SchemaError
+from .errors import ECMParseError, SchemaError
 from .kernels import (
-    KernelModel,
-    Stream,
     UopGroup,
     bandwidth_signature,
     builtin_kernels,
@@ -19,11 +17,6 @@ from .kernels import (
     with_nt_stores,
 )
 from .machine import (
-    CacheBoundary,
-    MachineModel,
-    MemoryModel,
-    NumaConfig,
-    PortSpec,
     builtin_haswell,
     load_machine,
     serialize_machine,
@@ -32,7 +25,6 @@ from .model import (
     ECMInput,
     ECMPrediction,
     Measurement,
-    ModelError,
     PenaltyConfig,
     apply_penalty,
     ecm_input,
@@ -45,49 +37,29 @@ from .model import (
     read_measurements,
 )
 from .scaling import (
-    BandwidthCeiling,
-    NtEstimate,
-    PerformancePoint,
-    ScalingCurve,
     bandwidth_ceiling,
     nt_speedup,
     scale,
     single_core_performance,
 )
 from .scheduler import (
-    CoreTiming,
     build_nol_problem,
     build_ol_problem,
     core_timing,
     frontend_bound,
     min_cycles,
 )
-from .traffic import TrafficProfile, nt_volume_ratio, traffic
+from .traffic import nt_volume_ratio, traffic
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandwidthCeiling",
-    "CacheBoundary",
-    "CapabilityError",
-    "CoreTiming",
     "ECMInput",
     "ECMParseError",
     "ECMPrediction",
-    "KernelModel",
-    "MachineModel",
     "Measurement",
-    "MemoryModel",
-    "ModelError",
-    "NtEstimate",
-    "NumaConfig",
     "PenaltyConfig",
-    "PerformancePoint",
-    "PortSpec",
-    "ScalingCurve",
     "SchemaError",
-    "Stream",
-    "TrafficProfile",
     "UopGroup",
     "apply_penalty",
     "bandwidth_ceiling",

@@ -16,10 +16,8 @@ def as_fraction(value) -> Fraction:
         return value
     if isinstance(value, bool):
         raise TypeError(f"not a number: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, float):
         return Fraction(str(value))
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"not a number: {value!r}")

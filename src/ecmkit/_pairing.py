@@ -10,7 +10,8 @@ each kind's count stopping at the first that does not fit, so its cost
 depends on the port layout and not on the width; the caller holds each
 table it builds (a machine's scheduler.CoreLayout keeps one per kind set).
 Its bounds come from column sums: y . pattern over all maximal patterns at
-once adds one column per nonzero entry of y.
+once adds one column per nonzero entry of y. It keeps every bound, in no
+set order: a state is pruned when any bound fails (see pattern_table).
 
 Whether all units fit in T cycles with the arithmetic in s of them is then
 decided by a memoized search that fills one cycle at a time, branches only
@@ -30,6 +31,7 @@ with equal unit counts on one table run the search once.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import islice, product
@@ -52,24 +54,21 @@ class Unit:
         return (self.overlapping, -self.weight, [sorted(p) for p in self.port_choices])
 
 
-def port_set_unions(sets) -> set[frozenset[int]]:
-    """Every union of one or more of the given port sets."""
-    closure = set(sets)
-    frontier = list(closure)
-    while frontier:
-        s = frontier.pop()
-        for t in list(closure):
-            u = s | t
-            if u not in closure:
-                closure.add(u)
-                frontier.append(u)
-    return closure
+def port_set_unions(sets) -> list[frozenset[int]]:
+    """Every union of one or more of the given port sets, in Hall order: by
+    size, then by sorted port ids. Each set joins the closure so far."""
+    closure: set[frozenset[int]] = set()
+    for s in sets:
+        closure |= {s | u for u in closure}
+        closure.add(s)
+    return sorted(closure, key=lambda union: (len(union), sorted(union)))
 
 
 @dataclass(frozen=True, eq=False)
 class PatternTable:
     """Single-cycle patterns of one kind set, and the bounds they put on the
-    counts that fit a number of cycles. Tables compare by identity and are
+    counts that fit a number of cycles, every bound pattern_table derives,
+    in an order that does not matter. Tables compare by identity and are
     held by a machine's CoreLayout.tables and by the at most 1 024 entries of
     _least_span's cache.
 
@@ -132,7 +131,9 @@ def pattern_table(kinds: tuple[Unit, ...], width: int) -> PatternTable | None:
     retire weight of each subset of kinds. The retire weight of all kinds
     gives the retire-slot bound and the memory-weight bound: the memory
     weight that the memory-only cycles cannot take must fit in the slots the
-    arithmetic leaves free. Bounds implied by one or two others are dropped.
+    arithmetic leaves free. Every bound is kept: a search state is pruned when
+    any slack is negative, so a bound that others imply prunes nothing they
+    do not, and the order of the bounds does not matter.
     """
     n = len(kinds)
     weights = tuple(k.weight for k in kinds)
@@ -141,14 +142,14 @@ def pattern_table(kinds: tuple[Unit, ...], width: int) -> PatternTable | None:
     # distinct ports iff no union holds more needs than it has ports
     hall = {
         tuple(sum(map(subset.issuperset, k.port_choices)) for k in kinds): len(subset)
-        for subset in sorted(port_set_unions(p for k in kinds for p in k.port_choices), key=len, reverse=True)
+        for subset in reversed(port_set_unions(p for k in kinds for p in k.port_choices))
     }
     sizes = tuple(hall.values())
     if any(w > width for w in weights) or any(y[j] > size for y, size in hall.items() for j in range(n)):
         return None
     # patterns and needs are packed, a guard bit on top of each field (see
-    # _independent_bounds); no count or need gets past max(width, sizes) plus
-    # one kind's needs before its kind stops
+    # _Packing); no count or need gets past max(width, sizes) plus one kind's
+    # needs before its kind stops
     bits = (max(width, *sizes) + max(map(max, hall), default=0)).bit_length() + 1
     guard = _pack((1 << bits - 1,) * len(sizes), bits)
     limit = _pack(sizes, bits) + guard  # needs fit iff limit - needs keeps every guard bit
@@ -179,7 +180,7 @@ def pattern_table(kinds: tuple[Unit, ...], width: int) -> PatternTable | None:
         ys.add(tuple(map(mul, ones, weights)))
     columns = list(zip(*maximal))  # each kind's count in every maximal pattern
     peak = tuple(map(max, columns))
-    bounds = _independent_bounds(_caps(ys, columns, arithmetic), n)
+    bounds = tuple(_caps(ys, columns, arithmetic))
     return PatternTable(weights, arithmetic, maximal, bounds, peak)
 
 
@@ -189,7 +190,7 @@ def _pack(vector, bits: int) -> int:
     return sum(c << bits * i for i, c in enumerate(vector))
 
 
-def _caps(ys, columns: list[tuple[int, ...]], arithmetic: tuple[int, ...]) -> list[tuple[tuple[int, ...], int, int]]:
+def _caps(ys, columns: list[tuple[int, ...]], arithmetic: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """(y, cap_any, cap_memory) for every nonzero y, in the order of `ys`.
 
     y . pattern over all maximal patterns at once is the sum of y[j] times
@@ -197,7 +198,6 @@ def _caps(ys, columns: list[tuple[int, ...]], arithmetic: tuple[int, ...]) -> li
     arithmetic dropped (every memory-only pattern lies under one), so
     cap_memory is the largest sum over the memory kinds alone."""
     memory = [j for j in range(len(columns)) if j not in arithmetic]
-    caps = []
     for y in filter(any, ys):
         total, maxima = (0,) * len(columns[0]), []
         for kinds in (memory, arithmetic):
@@ -205,40 +205,7 @@ def _caps(ys, columns: list[tuple[int, ...]], arithmetic: tuple[int, ...]) -> li
                 if y[j]:
                     total = tuple(map(add, total, columns[j] if y[j] == 1 else [y[j] * c for c in columns[j]]))
             maxima.append(max(total))
-        caps.append((y, maxima[1], maxima[0]))
-    return caps
-
-
-def _independent_bounds(caps: list[tuple[tuple[int, ...], int, int]], n: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-    """The bounds that no other bound left, nor the sum of two, implies: in
-    order of decreasing sum of y, a bound goes when another with y' >= y has
-    caps no larger, or y = y' + y'' for two others whose caps add to no more.
-
-    Each y is packed into an integer with one field per kind and a guard bit
-    on top of each field. Subtracting a packed y' from a packed y plus the
-    guard bits leaves every guard bit set iff y' <= y, and then leaves the
-    packed difference in the fields below the guards."""
-    bits = max(max(y) for y, _, _ in caps).bit_length() + 1
-    guard = _pack((1 << bits - 1,) * n, bits)
-    scale = [1 << bits * j for j in range(n)]
-    live = {sum(map(mul, y, scale)): (cap_any, cap_memory) for y, cap_any, cap_memory in caps}
-    kept = []
-    for y, cap_any, cap_memory in sorted(caps, key=lambda bound: sum(bound[0]), reverse=True):
-        key = sum(map(mul, y, scale))
-        del live[key]
-        above, below = key + guard, guard - key
-        for other, (other_any, other_memory) in live.items():
-            rest = above - other
-            if rest & guard == guard:  # other <= y: is y - other a bound too?
-                rest = live.get(rest - guard)
-                if rest and other_any + rest[0] <= cap_any and other_memory + rest[1] <= cap_memory:
-                    break
-            elif other_any <= cap_any and other_memory <= cap_memory and (other + below) & guard == guard:
-                break  # other >= y with caps no larger
-        else:
-            live[key] = (cap_any, cap_memory)
-            kept.append((y, cap_any, cap_memory))
-    return tuple(kept)
+        yield y, maxima[1], maxima[0]
 
 
 class PackingSearch:

@@ -10,17 +10,18 @@ import io
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 from ._num import as_fraction
-from .kernels import KernelModel, builtin_kernels, load_kernel, stream_counts, stream_signature
+from .kernels import KernelConsistencyWarning, KernelModel, builtin_kernels, load_kernel, stream_counts, stream_signature
 from .machine import MachineModel, builtin_haswell, load_machine, serialize_machine
 from .model import (
     LEVELS, PenaltyConfig, apply_penalty, ecm_input, format_cycles, format_ecm, model_error, predict, read_measurements
 )
 from .reference import REFERENCE_KERNELS, nt_reference, reference_cells, reference_measurements
-from .scaling import iterations_per_cacheline, nt_speedup, scale, single_core_performance
+from .scaling import nt_speedup, scale, single_core_performance
 from .traffic import traffic
 
 BUILTIN_MACHINES = {"haswell": builtin_haswell}
@@ -112,11 +113,9 @@ def cmd_predict(args) -> Report:
     shown = adjusted or pred
     prof = traffic(kernel)
     mups = single_core_performance(shown, kernel, machine)
-    # MUp/s of a level whose cache line took one cycle
-    mups_at_one_cycle = machine.frequency_ghz * 1000 * iterations_per_cacheline(kernel)
     rows = []
     for level, cycles in zip(LEVELS, shown.cells()):
-        level_mups = _display(mups_at_one_cycle / cycles, args.precise) if cycles else ""
+        level_mups = _display(mups * shown.t_mem / cycles, args.precise) if cycles else ""
         rows.append({"level": level, "cycles_per_cl": _display(cycles, args.precise), "mups": level_mups})
     memory_mups = _display(mups, args.precise)
     gbs_write_allocate = _display(mups * prof.mem_bytes_per_iteration / 1000, args.precise)
@@ -195,7 +194,7 @@ def cmd_compare(args) -> Report:
         measurement = measurements[name]
         errors = model_error(pred, measurement)
         adj_errors = model_error(adjusted, measurement) if adjusted else None
-        for level, predicted in zip(LEVELS, pred.cells()):
+        for level, predicted, with_penalty in zip(LEVELS, pred.cells(), (adjusted or pred).cells()):
             if level not in measurement.levels:
                 print(f"warning: kernel {name!r} has no {level} measurement; skipped", file=sys.stderr)
                 continue
@@ -203,7 +202,7 @@ def cmd_compare(args) -> Report:
                    "measured": _display(measurement.levels[level], args.precise),
                    "signed_error_pct": errors.signed_pct[level], "abs_error_pct": errors.absolute_pct[level]}
             if adjusted:
-                row["predicted_penalty"] = _display(adjusted.level(level), args.precise)
+                row["predicted_penalty"] = _display(with_penalty, args.precise)
                 row["abs_error_penalty_pct"] = adj_errors.absolute_pct[level]
             rows.append(row)
     return Report(rows, rows)
@@ -336,15 +335,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None, out=None) -> int:
-    """Run one command and write its report to `out` (default stdout). A ValueError,
-    the base of every package error, an OSError or an OverflowError, also from
-    rendering, is one `error:` line, no output and exit 2."""
+    """Run one command and write its report to `out` (default stdout). Each
+    kernel-consistency warning is one `warning:` line under any filter. A
+    ValueError, the base of every package error, an OSError or an
+    OverflowError, also from rendering, is one `error:` line and exit 2."""
     args = build_parser().parse_args(argv)
-    try:
-        report = args.func(args)
-        text = _render(report, args.format)
-    except (ValueError, OSError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", KernelConsistencyWarning)
+        try:
+            report = args.func(args)
+            text = _render(report, args.format)
+        except (ValueError, OSError, OverflowError) as exc:
+            report, text = None, f"error: {exc}"
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    if report is None:
+        print(text, file=sys.stderr)
         return 2
     (out or sys.stdout).write(text)
     return report.code

@@ -59,9 +59,6 @@ class ECMPrediction:
     def cells(self) -> tuple[Fraction, ...]:
         return (self.t_core, self.t_l2, self.t_l3, self.t_mem)
 
-    def level(self, name: str) -> Fraction:
-        return dict(zip(LEVELS, self.cells()))[name]
-
 
 @dataclass(frozen=True)
 class Measurement:

@@ -24,10 +24,6 @@ def reference_measurements() -> dict[str, Measurement]:
     return read_measurements(resources.files("ecmkit.data") / "measurements_haswell.csv")
 
 
-def reference_error_pct(kernel: str) -> dict[str, int]:
-    return dict(reference_table()["kernels"][kernel]["model_error_pct"])
-
-
 def reference_cells(kernel: str) -> tuple[list[str], list[str]]:
     """(input cells, prediction cells) as canonical display strings."""
     entry = reference_table()["kernels"][kernel]

@@ -58,17 +58,13 @@ class NtEstimate:
     nontemporal: BandwidthCeiling
 
 
-def iterations_per_cacheline(kernel: KernelModel) -> int:
-    return CACHE_LINE_BYTES // kernel.element_bytes
-
-
 def single_core_performance(pred: ECMPrediction, kernel: KernelModel, machine: MachineModel) -> Fraction:
     """MUp/s for one core with data from memory: f * iterations per line / t_mem."""
     t_mem, frequency = pred.t_mem, machine.frequency_ghz
     if t_mem.numerator == 0:
         raise ValueError("prediction has zero memory-level cycles")
     return Fraction(
-        frequency.numerator * 1000 * iterations_per_cacheline(kernel) * t_mem.denominator,
+        frequency.numerator * 1000 * (CACHE_LINE_BYTES // kernel.element_bytes) * t_mem.denominator,
         frequency.denominator * t_mem.numerator,
     )
 

@@ -14,9 +14,10 @@ frontend caps total throughput and, when it binds, the deficit is charged
 to the arithmetic component.
 
 core_timing reads the machine through its CoreLayout, compiled once per
-MachineModel: each uop class's port sets, all their unions, the unit kinds
-and the pattern table of each kind set used. Port bounds over the machine's
-unions equal those over the kernel's own (see _binding_bound).
+MachineModel: each uop class's port sets, all their unions in Hall order
+(port_set_unions), the unit kinds and the pattern table of each kind set
+used. Port bounds over the machine's unions equal those over the kernel's
+own (see _binding_bound). core_timing returns the two cycle counts only.
 build_nol_problem and build_ol_problem give the two port problems as
 {allowed ports: uop count} maps for min_cycles, with the port sets taken from
 the machine's capabilities, not its CoreLayout, to check core_timing's bounds.
@@ -40,20 +41,14 @@ class CoreTiming:
 
     t_ol: int
     t_nol: int
-    frontend_cycles: int
-    bottleneck: str
-
-
-def _hall_order(ports: frozenset[int]) -> tuple:
-    return len(ports), sorted(ports)
 
 
 def _hall_unions(sets: list[frozenset[int]], start: int = 0) -> tuple:
-    """Every union of the port sets in Hall order (size, then port ids), as
+    """Every union of the port sets in Hall order (see port_set_unions), as
     (union, its size, the indices from `start` of the sets inside it)."""
     return tuple(
         (union, len(union), tuple(i for i, s in enumerate(sets, start) if s <= union))
-        for union in sorted(port_set_unions(sets), key=_hall_order)
+        for union in port_set_unions(sets)
     )
 
 
@@ -216,13 +211,8 @@ def frontend_bound(kernel: KernelModel, machine: MachineModel) -> int:
 # reduce to equal unit counts on one machine, run the search once.
 
 
-def _ports_label(ports: frozenset[int]) -> str:
-    ids = ",".join(str(p) for p in sorted(ports))
-    return f"port {ids}" if len(ports) == 1 else f"ports {ids}"
-
-
 def core_timing(kernel: KernelModel, machine: MachineModel) -> CoreTiming:
-    """Both in-core cycle components plus the binding constraint.
+    """Both in-core cycle components.
 
     t_nol is the load/store port makespan. t_ol starts from the arithmetic
     port makespan and grows to the pairing span when retire pairing forces
@@ -246,32 +236,13 @@ def core_timing(kernel: KernelModel, machine: MachineModel) -> CoreTiming:
         units[unit] += g.count
     if ol_missing:
         raise CapabilityError(f"kernel {kernel.name!r} needs {ol_missing} ports")
-    t_nol, nol_subset = _binding_bound(layout.nol_unions, loads)
-    raw_ol, ol_subset = _binding_bound(layout.ol_unions, loads)
+    t_nol = _binding_bound(layout.nol_unions, loads)[0]
+    raw_ol = _binding_bound(layout.ol_unions, loads)[0]
     fe = frontend_bound(kernel, machine)
 
     t_ol = raw_ol
-    retire_limited = False
     if raw_ol > 0:
-        span, _states = layout.span(units, max(t_nol, raw_ol, fe), raw_ol)
-        if span > raw_ol:
-            t_ol = span
-            retire_limited = True
+        t_ol, _states = layout.span(units, max(t_nol, raw_ol, fe), raw_ol)
     if max(t_ol, t_nol) < fe:
         t_ol = fe
-        retire_limited = True
-
-    t_core = max(t_ol, t_nol)
-    candidates = []
-    if t_core > 0:
-        if t_nol == t_core and nol_subset is not None:
-            candidates.append(nol_subset)
-        if t_ol == t_core and not retire_limited and ol_subset is not None:
-            candidates.append(ol_subset)
-    if candidates:
-        bottleneck = _ports_label(min(candidates, key=_hall_order))
-    elif t_core > 0:
-        bottleneck = "frontend"
-    else:
-        bottleneck = "none"
-    return CoreTiming(t_ol=t_ol, t_nol=t_nol, frontend_cycles=fe, bottleneck=bottleneck)
+    return CoreTiming(t_ol=t_ol, t_nol=t_nol)

@@ -160,9 +160,8 @@ def enumerated_pattern_table(kinds, width: int):
     kind against the retire width and every Hall union of port sets.
 
     A kind is (port choices, retire weight, overlapping). The bounds are
-    (y, cap_any, cap_memory) as the pairing module defines them, with the
-    bounds that one or two others imply dropped in order of decreasing sum
-    of y. They come back as a set: a search state is pruned when any bound
+    (y, cap_any, cap_memory) as the pairing module defines them, every one
+    of them. They come back as a set: a search state is pruned when any bound
     fails, so their order is not part of the result.
     """
     n = len(kinds)
@@ -190,22 +189,32 @@ def enumerated_pattern_table(kinds, width: int):
     for mask in range(1, 2**n):
         ys.add(tuple(mask >> j & 1 for j in range(n)))
         ys.add(tuple(w * (mask >> j & 1) for j, w in enumerate(weights)))
-    caps = {y: (max(_dot(y, p) for p in maximal), max(_dot(y, p) for p in memory)) for y in ys if any(y)}
+    return maximal, {(y, max(_dot(y, p) for p in maximal), max(_dot(y, p) for p in memory)) for y in ys if any(y)}
+
+
+def independent_bounds(bounds):
+    """The bounds that no other bound left, nor the sum of two, implies, by
+    the rule pattern tables once pruned their bounds with: in order of
+    decreasing sum of y, a bound goes when another with y' >= y has caps no
+    larger, or y = y' + y'' for two others whose caps add to no more."""
+    live = {y: (cap_any, cap_memory) for y, cap_any, cap_memory in bounds}
 
     def implied(y, cap_any, cap_memory) -> bool:
-        for other, (other_any, other_memory) in caps.items():
+        for other, (other_any, other_memory) in live.items():
             if all(o >= v for o, v in zip(other, y)) and other_any <= cap_any and other_memory <= cap_memory:
                 return True
-            rest = caps.get(tuple(v - o for v, o in zip(y, other)))
+            rest = live.get(tuple(v - o for v, o in zip(y, other)))
             if rest and other_any + rest[0] <= cap_any and other_memory + rest[1] <= cap_memory:
                 return True
         return False
 
-    for y in sorted(caps, key=sum, reverse=True):
-        cap = caps.pop(y)
-        if not implied(y, *cap):
-            caps[y] = cap
-    return maximal, {(y, *cap) for y, cap in caps.items()}
+    kept = []
+    for y, cap_any, cap_memory in sorted(bounds, key=lambda bound: sum(bound[0]), reverse=True):
+        del live[y]
+        if not implied(y, cap_any, cap_memory):
+            live[y] = (cap_any, cap_memory)
+            kept.append((y, cap_any, cap_memory))
+    return tuple(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -535,25 +544,20 @@ def scan_ecm(text: str) -> tuple:
 # the package's exact one (ecmkit._pairing), which the layout leaves alone.
 
 
-def _problem_binding_bound(items: list[tuple[frozenset[int], int]]) -> tuple[int, frozenset[int] | None]:
-    """max over unions S of the items' port sets of ceil(load(S) / |S|), and
-    its first maximizer by size, then port ids."""
+def _problem_binding_bound(items: list[tuple[frozenset[int], int]]) -> int:
+    """max over unions S of the items' port sets of ceil(load(S) / |S|)."""
     closure = {ports for ports, _ in items}
     grown = True
     while grown:
         new = {a | b for a in closure for b in closure} - closure
         closure |= new
         grown = bool(new)
-    best, subset = 0, None
-    for union in sorted(closure, key=lambda s: (len(s), sorted(s))):
-        bound = -(-sum(mult for ports, mult in items if ports <= union) // len(union))
-        if bound > best:
-            best, subset = bound, union
-    return best, subset
+    loads = [sum(mult for ports, mult in items if ports <= union) for union in closure]
+    return max((-(-load // len(union)) for load, union in zip(loads, closure)), default=0)
 
 
-def problem_core_timing(kernel, machine) -> tuple[int, int, int, str]:
-    """(t_ol, t_nol, frontend cycles, bottleneck), raising the package's
+def problem_core_timing(kernel, machine) -> tuple[int, int]:
+    """(t_ol, t_nol), raising the package's
     CapabilityError with its messages: load/store checks in uop order first,
     then the arithmetic ones."""
     from ecmkit._pairing import Unit, _least_span, pattern_table
@@ -586,33 +590,19 @@ def problem_core_timing(kernel, machine) -> tuple[int, int, int, str]:
                 raise CapabilityError(f"kernel {kernel.name!r} needs {g.uop_class} ports")
             ol.append((ports, g.count))
 
-    t_nol, nol_subset = _problem_binding_bound(nol)
-    raw_ol, ol_subset = _problem_binding_bound(ol)
+    t_nol = _problem_binding_bound(nol)
+    raw_ol = _problem_binding_bound(ol)
     slots = sum(g.count * (machine.store_uop_weight if g.uop_class == "store" else 1) for g in kernel.uops)
     fe = -(-slots // machine.retire_width)
 
-    t_ol, retire_limited = raw_ol, False
+    t_ol = raw_ol
     if raw_ol > 0 and not all(u.overlapping for u in units):
         kinds = tuple(sorted(units, key=lambda u: u.order))
         table = pattern_table(kinds, machine.retire_width)
         if table is not None:
             span, _ = _least_span(table, tuple(units[k] for k in kinds), max(t_nol, raw_ol, fe), raw_ol)
             if span > raw_ol:
-                t_ol, retire_limited = span, True
+                t_ol = span
     if max(t_ol, t_nol) < fe:
-        t_ol, retire_limited = fe, True
-
-    t_core = max(t_ol, t_nol)
-    candidates = []
-    if t_core > 0:
-        if t_nol == t_core and nol_subset is not None:
-            candidates.append(nol_subset)
-        if t_ol == t_core and not retire_limited and ol_subset is not None:
-            candidates.append(ol_subset)
-    if candidates:
-        ports = min(candidates, key=lambda s: (len(s), sorted(s)))
-        ids = ",".join(str(p) for p in sorted(ports))
-        bottleneck = f"port {ids}" if len(ports) == 1 else f"ports {ids}"
-    else:
-        bottleneck = "frontend" if t_core > 0 else "none"
-    return t_ol, t_nol, fe, bottleneck
+        t_ol = fe
+    return t_ol, t_nol

@@ -19,6 +19,7 @@ from ecmkit import (
     ecm_input,
     format_cycles,
     format_ecm,
+    frontend_bound,
     min_cycles,
     model_error,
     nt_volume_ratio,
@@ -31,7 +32,7 @@ from ecmkit import (
 from ecmkit.cli import run as cli_run
 from ecmkit.kernels import KernelModel, Stream
 from ecmkit.model import ECMInput, ECMPrediction
-from ecmkit.reference import REFERENCE_KERNELS, reference_cells, reference_error_pct, reference_measurements
+from ecmkit.reference import REFERENCE_KERNELS, reference_cells, reference_measurements, reference_table
 
 from oracles import brute_force_min_cycles, cache_replay_traffic
 
@@ -83,7 +84,7 @@ def test_acceptance_port_scheduler():
     assert min_cycles(build_nol_problem(KERNELS["schoenauer_triad"], HASWELL)) == 4
     assert min_cycles(build_nol_problem(KERNELS["schoenauer_triad_opt"], HASWELL)) == 3
     timing = core_timing(KERNELS["update"], HASWELL)
-    assert timing.t_ol == 2 and timing.frontend_cycles == 2
+    assert timing.t_ol == 2 and frontend_bound(KERNELS["update"], HASWELL) == 2
 
     rng = random.Random(0xEC4)
     mismatches = 0
@@ -153,7 +154,7 @@ def test_acceptance_model_error_band():
     for name in REFERENCE_KERNELS:
         pred = predict(ecm_input(KERNELS[name], HASWELL, "cod"))
         errors = model_error(pred, reference_measurements()[name])
-        for level, expected in reference_error_pct(name).items():
+        for level, expected in reference_table()["kernels"][name]["model_error_pct"].items():
             deviation = abs(errors.absolute_pct[level] - expected)
             worst = max(worst, deviation)
             assert deviation <= 5, (name, level, errors.absolute_pct[level], expected)

@@ -138,6 +138,23 @@ def test_predict_runs_at_any_retire_width(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_kernel_consistency_warnings_are_warning_lines_under_any_filter(tmp_path):
+    """Three loads for one read stream: one `warning:` line and the same
+    output, also when Python's warnings are errors."""
+    load = {"count": 3, "class": "load", "addressing": "base-index-offset"}
+    path = write_kernel(tmp_path, [{"array": "A", "access": "read"}], [load, {"count": 1, "class": "add"}])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONWARNINGS", None)
+    results = []
+    for flags in ([], ["-W", "error"]):
+        argv = [sys.executable, *flags, "-m", "ecmkit", "predict", "-k", path]
+        results.append(subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60))
+    for result in results:
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == "warning: kernel 'k': 3 load uops per cache line, but streams imply 2\n"
+    assert results[0].stdout == results[1].stdout != ""
+
+
 @pytest.mark.parametrize(
     "argv,content",
     [

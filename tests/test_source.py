@@ -7,6 +7,7 @@ import ecmkit
 
 PACKAGE = Path(ecmkit.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
+BENCH = TESTS.parent / "bench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -106,3 +107,38 @@ def test_package_code_reads_every_private_module_level_name():
     need; tests reach the model through what the package itself uses."""
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def unread_exports(exports, bench_sources: list[str], test_sources: list[str]) -> list[str]:
+    """Names of `exports` that no bench module reads as `ek.NAME` and no test
+    module imports from ecmkit."""
+    read = set()
+    for source in bench_sources:
+        read |= {
+            node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "ek"
+        }
+    for source in test_sources:
+        read |= {
+            alias.name
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "ecmkit"
+            for alias in node.names
+        }
+    return sorted(set(exports) - read)
+
+
+def test_unread_exports_are_found():
+    bench = ["import ecmkit as ek\nek.predict(ek.builtin_haswell())\nother.scale()\n"]
+    tests = ["from ecmkit import traffic\nfrom ecmkit.model import parse_ecm\nimport ecmkit\necmkit.scale()\n"]
+    exports = ["builtin_haswell", "parse_ecm", "predict", "scale", "traffic"]
+    assert unread_exports(exports, bench, tests) == ["parse_ecm", "scale"]
+
+
+def test_the_package_exports_only_what_the_bench_or_the_tests_read():
+    """A re-export nothing reads from the package namespace is a second name
+    for something its own module already offers."""
+    bench = [path.read_text() for path in sorted(BENCH.glob("*.py"))]
+    tests = [path.read_text() for path in sorted(TESTS.glob("*.py"))]
+    assert unread_exports(ecmkit.__all__, bench, tests) == []
