@@ -19,23 +19,25 @@ on the patterns maximal under the counts still to place, and prunes a state
 when a port (Hall) or retire-slot bound shows the rest cannot fit. A state
 carries the slack of every bound, and a child's slack is its parent's plus
 a delta stored with its step. Vectors are packed into integers with a field
-per entry, so a child costs a subtraction, its slack an addition and its
-pruning test a mask. The packed branch list and its deltas are memoized
-per count vector clamped to the largest count of each kind in a maximal
-pattern. The search is exact and has no budget; it keeps its path on an
-explicit stack, so its depth is not bounded by recursion. Solves are
-memoized by pattern table (by identity), count vector and starting bounds
-in a bounded least-recently-used cache, so repeated queries and kernels
-with equal unit counts on one table run the search once.
+per entry, one field width per table that holds any slack of at most
+MAX_UOPS_PER_LINE units, so a child costs a subtraction, its slack an
+addition and its pruning test a mask. The packed branch list and its deltas
+are memoized per count vector clamped to the largest count of each kind in
+a maximal pattern. The search is exact and has no budget; it keeps its path
+on an explicit stack, so its depth is not bounded by recursion. This module
+keeps no solve: the caller that owns the table memoizes least_span's answers
+(CoreLayout.span does, per machine).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice, product
 from operator import add, ge, mul
+
+from .kernels import MAX_UOPS_PER_LINE
 
 
 @dataclass(frozen=True)
@@ -46,12 +48,6 @@ class Unit:
     port_choices: tuple[frozenset[int], ...]  # one port from each set, all in the same cycle
     weight: int
     overlapping: bool
-
-    @cached_property
-    def order(self) -> tuple:
-        """The kind's place in a pattern table: memory kinds first, heavier
-        first, then by port ids. Derived once per Unit object."""
-        return (self.overlapping, -self.weight, [sorted(p) for p in self.port_choices])
 
 
 def port_set_unions(sets) -> list[frozenset[int]]:
@@ -69,12 +65,11 @@ class PatternTable:
     """Single-cycle patterns of one kind set, and the bounds they put on the
     counts that fit a number of cycles, every bound pattern_table derives,
     in an order that does not matter. Tables compare by identity and are
-    held by a machine's CoreLayout.tables and by the at most 1 024 entries of
-    _least_span's cache.
+    held by a machine's CoreLayout.tables.
 
     A search state branches on the maximal patterns truncated to the counts
     it has left. Every maximal pattern lies under `peak`, so the truncation
-    depends on the counts only through clamp = min(counts, peak), and each
+    depends on the counts only through clamp = min(counts, peak), and the
     packing memoizes the step list per packed clamp.
     """
 
@@ -84,7 +79,6 @@ class PatternTable:
     # (y, cap_any, cap_memory): see pattern_table
     bounds: tuple[tuple[tuple[int, ...], int, int], ...]
     peak: tuple[int, ...]  # the largest count of each kind in a maximal pattern
-    _packings: dict[int, _Packing] = field(default_factory=dict, init=False, repr=False)
 
     def steps(self, counts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         """The distinct maximal patterns truncated to `counts`, heaviest
@@ -97,21 +91,14 @@ class PatternTable:
                 taken.append(step)
         return tuple(taken)
 
-    def packing(self, largest: int) -> _Packing:
-        """The packing with room for `largest` in a field, shared by every
-        search on the table that needs no more."""
-        width = -(-(largest.bit_length() + 1) // 16) * 16
-        packing = self._packings.get(width)
-        if packing is None:
-            packing = self._packings[width] = _Packing(self, width)
-        return packing
-
     @cached_property
-    def top(self) -> int:
-        """The largest cap_any or peak count. No entry of a bound's y exceeds
-        its cap_any, so no slack of counts in a + m cycles exceeds
-        top * max(sum(counts), a + m) in size."""
-        return max(max(cap_any for _, cap_any, _ in self.bounds), *self.peak)
+    def packing(self) -> _Packing:
+        """The packing every search on the table shares. No entry of a bound's
+        y exceeds its cap_any, so the slack of at most MAX_UOPS_PER_LINE units
+        in at most as many cycles is smaller than top * MAX_UOPS_PER_LINE in
+        size, where top is the largest cap_any or peak count."""
+        top = max(max(cap_any for _, cap_any, _ in self.bounds), *self.peak)
+        return _Packing(self, (top * MAX_UOPS_PER_LINE).bit_length() + 1)
 
 
 def pattern_table(kinds: tuple[Unit, ...], width: int) -> PatternTable | None:
@@ -222,21 +209,18 @@ class PackingSearch:
     """
 
     def __init__(self, table: PatternTable):
-        self.table = table
+        self.packing = table.packing
         # (packed counts, arithmetic cycles) -> most memory-only cycles known to be too few
         self.failed: dict[tuple[int, int], int] = {}
         self.states = 0
-        self._packing: _Packing | None = None
 
     def fits(self, counts: tuple[int, ...], arith_cycles: int, memory_cycles: int) -> bool:
+        """Whether `counts` fit arith_cycles + memory_cycles cycles with the
+        arithmetic confined to arith_cycles of them. The packing holds the
+        slack of at most MAX_UOPS_PER_LINE units in at most as many cycles."""
         # depth-first over one cycle per level, with an explicit stack so
         # that the depth (the cycle count) is not bounded by recursion
-        packing = self._packing
-        largest = self.table.top * max(sum(counts), arith_cycles + memory_cycles)
-        if packing is None or largest.bit_length() >= packing.width:
-            # the failed states are keyed by counts packed at one width
-            packing, self.failed = self.table.packing(largest), {}
-            self._packing = packing
+        packing = self.packing
         failed, memo, width, gap = self.failed, packing.steps, packing.width, packing.gap
         guard, peak, arithmetic, offset = packing.guard, packing.peak, packing.arithmetic, packing.offset
         slack = packing.slack(counts, arith_cycles, memory_cycles)
@@ -291,7 +275,7 @@ class PackingSearch:
 
 class _Packing:
     """A table's vectors packed into integers, `width` bits per field, the
-    top (guard) bit above any value the searches that share it need.
+    top (guard) bit above any value a search on the table needs.
 
     Counts keep the guard bits clear: counts minus a step they contain stay
     in their fields, and counts plus the guard bits minus the peak keep a
@@ -339,13 +323,13 @@ class _Packing:
         return steps
 
 
-@lru_cache(maxsize=1024)
-def _least_span(table: PatternTable, counts: tuple[int, ...], lower: int, raw_ol: int) -> tuple[int, int]:
+def least_span(table: PatternTable, counts: tuple[int, ...], lower: int, raw_ol: int) -> tuple[int, int]:
     """The least span s >= raw_ol of the arithmetic in the first cycle count
     T >= lower that fits `counts` of the table's kinds, and the search states
-    visited. The table is keyed by identity, so kernels with equal unit
-    counts on one table share a solve and an entry holds no units of its
-    own."""
+    visited. More than MAX_UOPS_PER_LINE units would overflow the packing's
+    fields, so they raise ValueError."""
+    if sum(counts) > MAX_UOPS_PER_LINE:
+        raise ValueError(f"{sum(counts)} units per cache line, more than {MAX_UOPS_PER_LINE}")
     search = PackingSearch(table)
     # The first try, span raw_ol at the lowest total, is the common answer.
     # A fit at any span means the total fits, and span = total fits whenever

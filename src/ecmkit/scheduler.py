@@ -16,8 +16,9 @@ to the arithmetic component.
 core_timing reads the machine through its CoreLayout, compiled once per
 MachineModel: each uop class's port sets, all their unions in Hall order
 (port_set_unions), the unit kinds and the pattern table of each kind set
-used. Port bounds over the machine's unions equal those over the kernel's
-own (see _binding_bound). core_timing returns the two cycle counts only.
+used, and its pairing solves. Port bounds over the machine's unions equal
+those over the kernel's own (see _binding_bound). core_timing returns the
+two cycle counts only.
 build_nol_problem and build_ol_problem give the two port problems as
 {allowed ports: uop count} maps for min_cycles, with the port sets taken from
 the machine's capabilities, not its CoreLayout, to check core_timing's bounds.
@@ -27,9 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from operator import attrgetter
 
-from ._pairing import PatternTable, Unit, _least_span, pattern_table, port_set_unions
+from ._pairing import PatternTable, Unit, least_span, pattern_table, port_set_unions
 from .errors import CapabilityError, SchemaError
 from .kernels import MEMORY_CLASSES, UOP_CLASSES, KernelModel
 from .machine import MachineModel
@@ -92,7 +92,10 @@ class CoreLayout:
     `needs` maps (uop class, addressing) to (missing load/store capability,
     missing arithmetic capability, indices of the port sets it loads, index of
     its kind in `units`). Load/store sets precede arithmetic ones, `units` is
-    in pattern table order, and `tables` maps flags over `units` to tables."""
+    in pattern table order (memory kinds first, heavier first, then by port
+    ids), `tables` maps flags over `units` to tables, and `spans` memoizes
+    span's answers, at most 1 024 of them, so the solves of equal unit counts
+    live as long as the machine."""
 
     def __init__(self, machine: MachineModel):
         full = machine.ports_with("load-agu-full")
@@ -112,27 +115,35 @@ class CoreLayout:
         self.n_sets = len(nol) + len(ol)
         self.nol_unions = _hall_unions(nol)
         self.ol_unions = _hall_unions(ol, len(nol))
-        self.units = tuple(sorted(dict.fromkeys(row[5] for row in rows), key=attrgetter("order")))
+        kinds = dict.fromkeys(row[5] for row in rows)
+        self.units = tuple(sorted(kinds, key=lambda u: (u.overlapping, -u.weight, [sorted(p) for p in u.port_choices])))
         self.needs = {}
         for key, nol_missing, ol_missing, nol_sets, ol_sets, unit in rows:
             members = tuple(nol.index(s) for s in nol_sets if s) + tuple(len(nol) + ol.index(s) for s in ol_sets if s)
             self.needs[key] = (nol_missing, ol_missing, members, self.units.index(unit))
         self.width = machine.retire_width
         self.tables: dict[tuple[bool, ...], PatternTable | None] = {}
+        self.spans: dict[tuple[tuple[int, ...], int, int], tuple[int, int]] = {}
 
     def span(self, counts: list[int], lower: int, raw_ol: int) -> tuple[int, int]:
         """(span, search states) for unit counts in `units` order: the least
         span s >= raw_ol of the arithmetic in the first cycle count T >= lower
         that fits a joint schedule, or raw_ol as it is when the kernel has no
         memory unit or some unit cannot fit a cycle on its own."""
-        present = tuple(map(bool, counts))
-        if present not in self.tables:
-            kinds = tuple(compress(self.units, present))
-            self.tables[present] = None if all(k.overlapping for k in kinds) else pattern_table(kinds, self.width)
-        table = self.tables[present]
-        if table is None:
-            return raw_ol, 0
-        return _least_span(table, tuple(filter(None, counts)), lower, raw_ol)
+        key = (tuple(counts), lower, raw_ol)
+        if key not in self.spans:
+            present = tuple(map(bool, counts))
+            if present not in self.tables:
+                kinds = tuple(compress(self.units, present))
+                self.tables[present] = None if all(k.overlapping for k in kinds) else pattern_table(kinds, self.width)
+            table = self.tables[present]
+            if len(self.spans) == 1024:
+                self.spans.clear()
+            if table is None:
+                self.spans[key] = raw_ol, 0
+            else:
+                self.spans[key] = least_span(table, tuple(filter(None, counts)), lower, raw_ol)
+        return self.spans[key]
 
 
 def build_nol_problem(kernel: KernelModel, machine: MachineModel) -> dict[frozenset[int], int]:
@@ -181,34 +192,6 @@ def frontend_bound(kernel: KernelModel, machine: MachineModel) -> int:
         weight = machine.store_uop_weight if g.uop_class == "store" else 1
         slots += g.count * weight
     return -(-slots // machine.retire_width)
-
-
-# ---------------------------------------------------------------------------
-# joint retire/port pairing
-#
-# The arithmetic component can exceed its pure port makespan: every cycle
-# retires at most retire_width slots, so arithmetic uops must share retire
-# groups with the load/store traffic and may be forced apart. A joint
-# schedule places every unit in a cycle: one uop per port and cycle, at most
-# retire_width retire slots per cycle, and a store's address, data and
-# retire slots all in one cycle. The pairing takes the first cycle count T,
-# counting up from the makespan, that fits a joint schedule, and then the
-# least span s >= raw_ol such that a schedule in T cycles confines the
-# arithmetic to s of them.
-#
-# The units fall into at most 7 kinds: loads, stores per addressing mode,
-# and the arithmetic classes, where classes with equal port needs share a
-# kind. core_timing tallies a kernel's units per kind of the machine's
-# CoreLayout, and CoreLayout.span finds T and the span exactly, with no
-# budget and no fallback, by the _pairing module's search over per-cycle
-# patterns of the kinds present. Building a pattern table costs the same at
-# any retire width, since each kind's count stops at the first that does
-# not fit a cycle. The CoreLayout holds one Unit per kind and builds the
-# pattern table of each kind set it meets once, so a warm call builds no
-# unit, union or table, and computes only the port and frontend bounds.
-# Each solve is memoized by table, count vector and starting bounds in a
-# bounded least-recently-used cache, so repeated queries, and kernels that
-# reduce to equal unit counts on one machine, run the search once.
 
 
 def core_timing(kernel: KernelModel, machine: MachineModel) -> CoreTiming:

@@ -560,7 +560,7 @@ def problem_core_timing(kernel, machine) -> tuple[int, int]:
     """(t_ol, t_nol), raising the package's
     CapabilityError with its messages: load/store checks in uop order first,
     then the arithmetic ones."""
-    from ecmkit._pairing import Unit, _least_span, pattern_table
+    from ecmkit._pairing import Unit, least_span, pattern_table
     from ecmkit.errors import CapabilityError
 
     full = machine.ports_with("load-agu-full")
@@ -597,10 +597,10 @@ def problem_core_timing(kernel, machine) -> tuple[int, int]:
 
     t_ol = raw_ol
     if raw_ol > 0 and not all(u.overlapping for u in units):
-        kinds = tuple(sorted(units, key=lambda u: u.order))
+        kinds = tuple(sorted(units, key=lambda u: (u.overlapping, -u.weight, [sorted(p) for p in u.port_choices])))
         table = pattern_table(kinds, machine.retire_width)
         if table is not None:
-            span, _ = _least_span(table, tuple(units[k] for k in kinds), max(t_nol, raw_ol, fe), raw_ol)
+            span, _ = least_span(table, tuple(units[k] for k in kinds), max(t_nol, raw_ol, fe), raw_ol)
             if span > raw_ol:
                 t_ol = span
     if max(t_ol, t_nol) < fe:

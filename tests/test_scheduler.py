@@ -1,4 +1,7 @@
+import gc
+import io
 import random
+import weakref
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations_with_replacement, compress, product
@@ -21,9 +24,10 @@ from ecmkit import (
 )
 from ecmkit import _pairing, scheduler
 from ecmkit.errors import CapabilityError
-from ecmkit.kernels import KernelModel, UopGroup
+from ecmkit.kernels import MAX_UOPS_PER_LINE, KernelModel, UopGroup
 from ecmkit.machine import MachineModel, MemoryModel, NumaConfig, PortSpec
-from ecmkit._pairing import PackingSearch, Unit, _least_span, pattern_table
+from ecmkit._pairing import PackingSearch, PatternTable, Unit, least_span, pattern_table
+from ecmkit.cli import run
 from ecmkit.scheduler import CoreTiming
 
 from oracles import (
@@ -479,7 +483,7 @@ def test_pairing_search_finds_the_reference_search_span_and_states():
         Unit((frozenset({2, 3}), frozenset({0, 2, 4})), 2, True),
     )
     table = pattern_table(kinds, 3)
-    assert _least_span.__wrapped__(table, (3, 1, 9, 1), 6, 6) == reference_least_span(table, (3, 1, 9, 1), 6, 6) == (6, 55)
+    assert least_span(table, (3, 1, 9, 1), 6, 6) == reference_least_span(table, (3, 1, 9, 1), 6, 6) == (6, 55)
     rng = random.Random(0x51AC)
     cases = 0
     while cases < 400:
@@ -490,13 +494,13 @@ def test_pairing_search_finds_the_reference_search_span_and_states():
         counts = tuple(rng.randint(1, 9) for _ in kinds)
         lower = rng.randint(1, sum(counts))
         raw_ol = rng.randint(1, lower)
-        assert _least_span.__wrapped__(table, counts, lower, raw_ol) == reference_least_span(table, counts, lower, raw_ol)
+        assert least_span(table, counts, lower, raw_ol) == reference_least_span(table, counts, lower, raw_ol)
         cases += 1
         # the step lists are memoized by the clamped counts
-        for packing in table._packings.values():
-            for clamp in packing.steps:
-                clamp = [clamp >> packing.width * j & packing.field for j in range(len(kinds))]
-                assert all(c <= peak for c, peak in zip(clamp, table.peak)), (kinds, counts, clamp)
+        packing = table.packing
+        for clamp in packing.steps:
+            clamp = [clamp >> packing.width * j & packing.field for j in range(len(kinds))]
+            assert all(c <= peak for c, peak in zip(clamp, table.peak)), (kinds, counts, clamp)
 
 
 def test_bounds_that_others_imply_change_no_search():
@@ -509,8 +513,8 @@ def test_bounds_that_others_imply_change_no_search():
     def same_search(table, counts, lower, raw_ol):
         pruned = replace(table, bounds=independent_bounds(table.bounds))
         dropped[len(table.bounds) > len(pruned.bounds)] += 1
-        expected = _least_span.__wrapped__(pruned, counts, lower, raw_ol)
-        assert _least_span.__wrapped__(table, counts, lower, raw_ol) == expected, (table, counts, lower, raw_ol)
+        expected = least_span(pruned, counts, lower, raw_ol)
+        assert least_span(table, counts, lower, raw_ol) == expected, (table, counts, lower, raw_ol)
 
     rng = random.Random(0x1D9)
     # all 63 kind sets of the machine's 6 unit kinds, a few counts each
@@ -548,17 +552,26 @@ def test_bounds_that_others_imply_change_no_search():
 
 
 def test_pairing_search_with_wider_fields_matches_the_reference_search():
-    """Counts whose slack needs more than 16 bits a field, and a search that
-    has to widen its packing between two calls."""
+    """Counts whose slack needs more than 16 bits a field: the table's one
+    packing holds the slack of MAX_UOPS_PER_LINE units, which these reach."""
     kinds = tuple(HASWELL._core_layout.units[i] for i in (0, 2, 3))  # store, load, fma/mul
     table = pattern_table(kinds, HASWELL.retire_width)
     small, large = (3, 2, 4), (4000, 2000, 4000)
-    assert table.top * sum(small) < 1 << 15 <= table.top * sum(large)
-    assert _least_span.__wrapped__(table, large, 4000, 4000) == reference_least_span(table, large, 4000, 4000)
+    top = max(max(cap_any for _, cap_any, _ in table.bounds), *table.peak)
+    assert sum(large) == MAX_UOPS_PER_LINE and top * sum(large) >= 1 << 15
+    assert table.packing.width == (top * MAX_UOPS_PER_LINE).bit_length() + 1
+    assert least_span(table, large, 4000, 4000) == reference_least_span(table, large, 4000, 4000)
     search, reference = PackingSearch(table), ReferenceSearch(table)
     for counts, arith_cycles, memory_cycles in [(small, 4, 0), (small, 2, 1), (large, 4000, 0), (large, 3999, 0)]:
         expected = reference.fits(counts, arith_cycles, memory_cycles)
         assert search.fits(counts, arith_cycles, memory_cycles) == expected, (counts, arith_cycles, memory_cycles)
+
+
+def test_least_span_refuses_more_units_than_a_packing_field_holds():
+    kinds = tuple(HASWELL._core_layout.units[i] for i in (0, 2, 3))
+    table = pattern_table(kinds, HASWELL.retire_width)
+    with pytest.raises(ValueError, match=f"10001 units per cache line, more than {MAX_UOPS_PER_LINE}"):
+        least_span(table, (4001, 2000, 4000), 4001, 4000)
 
 
 def test_pattern_table_of_every_haswell_kind_set_equals_the_enumeration():
@@ -573,7 +586,7 @@ def test_pattern_table_of_every_haswell_kind_set_equals_the_enumeration():
         table = pattern_table(kinds, HASWELL.retire_width)
         oracle = enumerated_pattern_table([(k.port_choices, k.weight, k.overlapping) for k in kinds], HASWELL.retire_width)
         assert (table.maximal, set(table.bounds)) == oracle, kinds
-        packing = table.packing(table.top)
+        packing = table.packing
         width = packing.width
         for clamp in product(*(range(peak + 1) for peak in table.peak)):
             branches = packing.branches(packing.pack(clamp))
@@ -595,25 +608,60 @@ def test_pairing_search_depth_is_not_bounded_by_recursion():
     assert states <= 4 * 1500
 
 
-def test_equal_unit_counts_share_one_pairing_solve():
+def test_equal_unit_counts_share_one_pairing_solve(monkeypatch):
+    """One search per machine for kernels with equal unit counts."""
+    searches = []
+
+    class CountedSearch(PackingSearch):
+        def __init__(self, table):
+            super().__init__(table)
+            searches.append(table)
+
+    monkeypatch.setattr(_pairing, "PackingSearch", CountedSearch)
+    machine = builtin_haswell()
     kernel = unrolled(KERNELS["update"], 3, ("lea",))
-    expected = core_timing(kernel, HASWELL)
-    before = _least_span.cache_info()
+    expected = core_timing(kernel, machine)
+    assert len(searches) == 1
     for other in (replace(kernel, name="renamed"), replace(kernel, uops=tuple(replace(g) for g in kernel.uops))):
         assert other is not kernel
-        assert core_timing(other, HASWELL) == expected
-    after = _least_span.cache_info()
-    assert (after.misses, after.hits) == (before.misses, before.hits + 2)
+        assert core_timing(other, machine) == expected
+    assert len(searches) == 1
+    assert core_timing(kernel, builtin_haswell()) == expected
+    assert len(searches) == 2
 
 
-def test_each_unit_kind_is_one_object_with_its_sort_order_derived_once():
+def test_pattern_tables_and_solves_die_with_their_machine():
+    """No process-wide cache holds a machine's tables or solves: a table dies
+    with its machine, and in-process CLI runs, each building its own machine,
+    leave no table behind."""
+    machine = builtin_haswell()
+    core_timing(KERNELS["stream_triad"], machine)
+    table = weakref.ref(next(t for t in machine._core_layout.tables.values() if t is not None))
+    del machine
+    gc.collect()
+    assert table() is None
+    before = weakref.WeakSet(o for o in gc.get_objects() if isinstance(o, PatternTable))
+    for name in sorted(KERNELS) * 4:
+        assert run(["predict", "-k", name, "--penalty"], out=io.StringIO()) == 0
+    gc.collect()
+    assert [o for o in gc.get_objects() if isinstance(o, PatternTable) and o not in before] == []
+
+
+def test_span_memo_is_cleared_when_it_holds_1024_solves():
+    layout = builtin_haswell()._core_layout
+    for count in range(1, 1026):  # arithmetic alone: no table, raw_ol as it is
+        assert layout.span([0, 0, 0, count, 0, 0], count, count) == (count, 0)
+    assert len(layout.spans) == 1
+
+
+def test_each_unit_kind_is_one_object_in_pattern_table_order():
+    """Memory kinds first, heavier first, then by port ids."""
     layout = HASWELL._core_layout
     assert len(set(layout.units)) == len(layout.units)
     assert {need[3] for need in layout.needs.values()} == set(range(len(layout.units)))
-    for unit in layout.units:
-        assert unit.order is unit.order
-        assert unit.order == (unit.overlapping, -unit.weight, [sorted(p) for p in unit.port_choices])
-    assert [unit.order for unit in layout.units] == sorted(unit.order for unit in layout.units)
+    orders = [(unit.overlapping, -unit.weight, [sorted(p) for p in unit.port_choices]) for unit in layout.units]
+    assert orders == sorted(orders)
+    assert [unit.overlapping for unit in layout.units] == [False] * 3 + [True] * 3
 
 
 # ---------------------------------------------------------------------------

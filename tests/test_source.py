@@ -53,12 +53,45 @@ def private_sibling_imports(source: str) -> list[str]:
 
 
 def test_private_sibling_imports_are_found():
-    source = "from ._pairing import _least_span\nfrom .machine import CACHE_LINE_BYTES, _as_int\nfrom os import _exit\n"
+    source = "from ._pairing import _pack\nfrom .machine import CACHE_LINE_BYTES, _as_int\nfrom os import _exit\n"
     assert private_sibling_imports(source) == ["line 2: _as_int from .machine"]
 
 
 def test_package_modules_import_no_private_name_of_a_public_sibling():
     found = {path.name: private_sibling_imports(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def memoized_functions_with_parameters(source: str) -> list[str]:
+    """Functions that take parameters and carry functools.cache or
+    lru_cache, which would keep every argument alive for the process."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            if a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg:
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                    if name in ("cache", "lru_cache"):
+                        found.append(f"line {node.lineno}: {node.name}")
+    return found
+
+
+def test_memoized_functions_with_parameters_are_found():
+    source = (
+        "import functools\nfrom functools import cache, cached_property, lru_cache\n"
+        "@cache\ndef table():\n    pass\n@lru_cache(maxsize=8)\ndef solve(x):\n    pass\n"
+        "@functools.cache\ndef grow(*x):\n    pass\n@cached_property\ndef order(self):\n    pass\n"
+        "class A:\n    @functools.lru_cache\n    def get(self):\n        pass\n"
+    )
+    assert memoized_functions_with_parameters(source) == ["line 7: solve", "line 10: grow", "line 17: get"]
+
+
+def test_package_functions_with_parameters_carry_no_process_wide_memo():
+    """A memo keyed by arguments belongs to the object whose lifetime
+    matches its key, as CoreLayout.spans does, not to the process."""
+    found = {path.name: memoized_functions_with_parameters(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
 
 
