@@ -18,22 +18,21 @@ decided by a memoized search that fills one cycle at a time, branches only
 on the patterns maximal under the counts still to place, and prunes a state
 when a port (Hall) or retire-slot bound shows the rest cannot fit. A state
 carries the slack of every bound, and a child's slack is its parent's plus
-a delta stored with its step. Vectors are packed into integers with a field
-per entry, one field width per table that holds any slack of at most
+a delta stored with its step. The table holds its vectors packed into
+integers with a field per entry, wide enough for any slack of at most
 MAX_UOPS_PER_LINE units, so a child costs a subtraction, its slack an
-addition and its pruning test a mask. The packed branch list and its deltas
-are memoized per count vector clamped to the largest count of each kind in
-a maximal pattern. The search is exact and has no budget; it keeps its path
-on an explicit stack, so its depth is not bounded by recursion. This module
-keeps no solve: the caller that owns the table memoizes least_span's answers
-(CoreLayout.span does, per machine).
+addition and its pruning test a mask. The table memoizes its packed step
+list and the deltas per count vector clamped to the largest count of each
+kind in a maximal pattern. The search is exact and has no budget; it keeps
+its path on an explicit stack, so its depth is not bounded by recursion.
+This module keeps no solve: the caller that owns the table memoizes
+least_span's answers (CoreLayout.span does, per machine).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice, product
 from operator import add, ge, mul
 
@@ -60,45 +59,78 @@ def port_set_unions(sets) -> list[frozenset[int]]:
     return sorted(closure, key=lambda union: (len(union), sorted(union)))
 
 
-@dataclass(frozen=True, eq=False)
 class PatternTable:
-    """Single-cycle patterns of one kind set, and the bounds they put on the
-    counts that fit a number of cycles, every bound pattern_table derives,
-    in an order that does not matter. Tables compare by identity and are
-    held by a machine's CoreLayout.tables.
+    """Single-cycle patterns of one kind set, the bounds they put on the
+    counts that fit a number of cycles (every bound pattern_table derives,
+    in an order that does not matter), and their packed form, which every
+    search on the table reads. A machine's CoreLayout.tables holds it.
+
+    The packed form holds vectors in integers, `width` bits per field, the
+    top (guard) bit above any value a search on the table needs. No entry of
+    a bound's y exceeds its cap_any, so the slack of at most MAX_UOPS_PER_LINE
+    units in at most as many cycles is smaller than top * MAX_UOPS_PER_LINE
+    in size, where top is the largest cap_any or peak count. Counts keep the
+    guard bits clear: counts minus a step they contain stay in their fields,
+    and counts plus the guard bits minus the peak keep a field's guard bit
+    iff the count reaches the peak. A slack is stored with the guard bits
+    added, so a field's stays set while its slack is not negative. Packing is
+    linear: the bounds' y . counts is the sum of counts[j] times column j,
+    the packed y[j] of every bound.
 
     A search state branches on the maximal patterns truncated to the counts
     it has left. Every maximal pattern lies under `peak`, so the truncation
     depends on the counts only through clamp = min(counts, peak), and the
-    packing memoizes the step list per packed clamp.
+    table memoizes the packed step list per packed clamp.
     """
 
-    weights: tuple[int, ...]
-    arithmetic: tuple[int, ...]  # indices of the overlapping kinds
-    maximal: tuple[tuple[int, ...], ...]  # patterns no unit can be added to
-    # (y, cap_any, cap_memory): see pattern_table
-    bounds: tuple[tuple[tuple[int, ...], int, int], ...]
-    peak: tuple[int, ...]  # the largest count of each kind in a maximal pattern
+    def __init__(self, weights, arithmetic, maximal, bounds, peak):
+        self.weights: tuple[int, ...] = weights
+        self.arithmetic: tuple[int, ...] = arithmetic  # indices of the overlapping kinds
+        self.maximal: tuple[tuple[int, ...], ...] = maximal  # patterns no unit can be added to
+        # (y, cap_any, cap_memory): see pattern_table
+        self.bounds: tuple[tuple[tuple[int, ...], int, int], ...] = bounds
+        self.peak: tuple[int, ...] = peak  # the largest count of each kind in a maximal pattern
+        top = max(max(cap_any for _, cap_any, _ in bounds), *peak)
+        self.width = width = (top * MAX_UOPS_PER_LINE).bit_length() + 1
+        self.field = field = (1 << width - 1) - 1
+        self.units = tuple(1 << width * j for j in range(len(peak)))  # packed counts = sum(counts[j] * units[j])
+        self.guard = (field + 1) * sum(self.units)
+        self.packed_peak = self.pack(peak)
+        self.arithmetic_fields = field * sum(self.units[j] for j in arithmetic)  # the arithmetic kinds' fields
+        self.offset = _pack((field + 1,) * len(bounds), width)  # every slack field's top bit
+        self.columns = tuple(_pack((y[j] for y, _, _ in bounds), width) for j in range(len(peak)))
+        self.cap_any = _pack((cap_any for _, cap_any, _ in bounds), width)
+        self.cap_memory = _pack((cap_memory for _, _, cap_memory in bounds), width)
+        self.gap = self.cap_any - self.cap_memory
+        # packed clamp -> steps(clamp)
+        self.memo: dict[int, tuple[tuple[int, int, int], ...]] = {}
 
-    def steps(self, counts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        """The distinct maximal patterns truncated to `counts`, heaviest
-        first, without those another one contains."""
+    def pack(self, counts: tuple[int, ...]) -> int:
+        return sum(map(mul, counts, self.units))
+
+    def slack(self, counts: tuple[int, ...], arith_cycles: int, memory_cycles: int) -> int:
+        """The packed slack of every bound, top bits added."""
+        load = sum(map(mul, counts, self.columns))
+        return self.cap_any * arith_cycles + self.cap_memory * memory_cycles - load + self.offset
+
+    def steps(self, clamp: int) -> tuple[tuple[int, int, int], ...]:
+        """The distinct maximal patterns truncated to the packed `clamp`,
+        heaviest first, without those another one contains, each as (packed
+        step, packed delta in an arithmetic cycle, packed delta in a
+        memory-only cycle), kept in `memo`, which a search reads first."""
+        counts = tuple(clamp >> self.width * j & self.field for j in range(len(self.units)))
         taken: list[tuple[int, ...]] = []
         # heaviest first, so a step that contains another is kept before it
         truncated = {tuple(map(min, pattern, counts)) for pattern in self.maximal}
         for step in sorted(truncated, key=lambda v: (-sum(map(mul, v, self.weights)), v)):
             if not any(all(map(ge, big, step)) for big in taken):
                 taken.append(step)
-        return tuple(taken)
-
-    @cached_property
-    def packing(self) -> _Packing:
-        """The packing every search on the table shares. No entry of a bound's
-        y exceeds its cap_any, so the slack of at most MAX_UOPS_PER_LINE units
-        in at most as many cycles is smaller than top * MAX_UOPS_PER_LINE in
-        size, where top is the largest cap_any or peak count."""
-        top = max(max(cap_any for _, cap_any, _ in self.bounds), *self.peak)
-        return _Packing(self, (top * MAX_UOPS_PER_LINE).bit_length() + 1)
+        steps = []
+        for step in taken:
+            load = sum(map(mul, step, self.columns))
+            steps.append((self.pack(step), load - self.cap_any, load - self.cap_memory))
+        self.memo[clamp] = result = tuple(steps)
+        return result
 
 
 def pattern_table(kinds: tuple[Unit, ...], width: int) -> PatternTable | None:
@@ -135,8 +167,8 @@ def pattern_table(kinds: tuple[Unit, ...], width: int) -> PatternTable | None:
     if any(w > width for w in weights) or any(y[j] > size for y, size in hall.items() for j in range(n)):
         return None
     # patterns and needs are packed, a guard bit on top of each field (see
-    # _Packing); no count or need gets past max(width, sizes) plus one kind's
-    # needs before its kind stops
+    # PatternTable); no count or need gets past max(width, sizes) plus one
+    # kind's needs before its kind stops
     bits = (max(width, *sizes) + max(map(max, hall), default=0)).bit_length() + 1
     guard = _pack((1 << bits - 1,) * len(sizes), bits)
     limit = _pack(sizes, bits) + guard  # needs fit iff limit - needs keeps every guard bit
@@ -197,8 +229,8 @@ def _caps(ys, columns: list[tuple[int, ...]], arithmetic: tuple[int, ...]) -> It
 
 class PackingSearch:
     """Decides whether counts fit a number of cycles with the arithmetic
-    confined to some of them; remembers failed states and counts the states
-    it visits.
+    confined to some of them, on a table's packed form and step lists;
+    remembers failed states and counts the states it visits.
 
     A state carries the slack of every bound, cap_any * arithmetic cycles +
     cap_memory * memory-only cycles - y . counts, and is pruned when one is
@@ -209,22 +241,22 @@ class PackingSearch:
     """
 
     def __init__(self, table: PatternTable):
-        self.packing = table.packing
+        self.table = table
         # (packed counts, arithmetic cycles) -> most memory-only cycles known to be too few
         self.failed: dict[tuple[int, int], int] = {}
         self.states = 0
 
     def fits(self, counts: tuple[int, ...], arith_cycles: int, memory_cycles: int) -> bool:
         """Whether `counts` fit arith_cycles + memory_cycles cycles with the
-        arithmetic confined to arith_cycles of them. The packing holds the
-        slack of at most MAX_UOPS_PER_LINE units in at most as many cycles."""
+        arithmetic confined to arith_cycles of them. The table's fields hold
+        the slack of at most MAX_UOPS_PER_LINE units in at most as many cycles."""
         # depth-first over one cycle per level, with an explicit stack so
         # that the depth (the cycle count) is not bounded by recursion
-        packing = self.packing
-        failed, memo, width, gap = self.failed, packing.steps, packing.width, packing.gap
-        guard, peak, arithmetic, offset = packing.guard, packing.peak, packing.arithmetic, packing.offset
-        slack = packing.slack(counts, arith_cycles, memory_cycles)
-        counts, delta = packing.pack(counts), 0
+        table = self.table
+        failed, memo, width, gap = self.failed, table.memo, table.width, table.gap
+        guard, peak, arithmetic, offset = table.guard, table.packed_peak, table.arithmetic_fields, table.offset
+        slack = table.slack(counts, arith_cycles, memory_cycles)
+        counts, delta = table.pack(counts), 0
         # frames: (memo key, memory-only cycles, counts, arithmetic cycles, slack, steps left)
         stack = []
         while True:
@@ -251,7 +283,7 @@ class PackingSearch:
                         clamp = counts ^ ((counts ^ peak) & fill)
                         steps = memo.get(clamp)
                         if steps is None:
-                            steps = packing.branches(clamp)
+                            steps = table.steps(clamp)
                         stack.append((key, memory_cycles, counts, arith_cycles, slack, iter(steps)))
             # go to the next child of the deepest state that has one left
             while stack:
@@ -273,61 +305,11 @@ class PackingSearch:
                 memory_cycles, delta = memory_cycles - 1, to_memory
 
 
-class _Packing:
-    """A table's vectors packed into integers, `width` bits per field, the
-    top (guard) bit above any value a search on the table needs.
-
-    Counts keep the guard bits clear: counts minus a step they contain stay
-    in their fields, and counts plus the guard bits minus the peak keep a
-    field's guard bit iff the count reaches the peak. A slack is stored with
-    the guard bits added, so a field's stays set while its slack is not
-    negative. Packing is linear: the bounds' y . counts is the sum of
-    counts[j] times column j, the packed y[j] of every bound."""
-
-    def __init__(self, table: PatternTable, width: int):
-        self.table = table
-        self.width = width
-        self.field = field = (1 << width - 1) - 1
-        n = len(table.peak)
-        self.units = tuple(1 << width * j for j in range(n))  # packed counts = sum(counts[j] * units[j])
-        self.guard = (field + 1) * sum(self.units)
-        self.peak = self.pack(table.peak)
-        self.arithmetic = field * sum(self.units[j] for j in table.arithmetic)  # the arithmetic kinds' fields
-        bounds = table.bounds
-        self.offset = _pack((field + 1,) * len(bounds), width)  # every slack field's top bit
-        self.columns = tuple(_pack((y[j] for y, _, _ in bounds), width) for j in range(n))
-        self.cap_any = _pack((cap_any for _, cap_any, _ in bounds), width)
-        self.cap_memory = _pack((cap_memory for _, _, cap_memory in bounds), width)
-        self.gap = self.cap_any - self.cap_memory
-        # packed clamp -> the table's steps there, packed, with their deltas
-        self.steps: dict[int, tuple[tuple[int, int, int], ...]] = {}
-
-    def pack(self, counts: tuple[int, ...]) -> int:
-        return sum(map(mul, counts, self.units))
-
-    def slack(self, counts: tuple[int, ...], arith_cycles: int, memory_cycles: int) -> int:
-        """The packed slack of every bound, top bits added."""
-        load = sum(map(mul, counts, self.columns))
-        return self.cap_any * arith_cycles + self.cap_memory * memory_cycles - load + self.offset
-
-    def branches(self, clamp: int) -> tuple[tuple[int, int, int], ...]:
-        """The steps at a packed clamp, each as (packed step, packed delta in
-        an arithmetic cycle, packed delta in a memory-only cycle)."""
-        width, field, columns = self.width, self.field, self.columns
-        counts = tuple(clamp >> width * j & field for j in range(len(columns)))
-        branches = []
-        for step in self.table.steps(counts):
-            load = sum(map(mul, step, columns))
-            branches.append((self.pack(step), load - self.cap_any, load - self.cap_memory))
-        steps = self.steps[clamp] = tuple(branches)
-        return steps
-
-
 def least_span(table: PatternTable, counts: tuple[int, ...], lower: int, raw_ol: int) -> tuple[int, int]:
     """The least span s >= raw_ol of the arithmetic in the first cycle count
     T >= lower that fits `counts` of the table's kinds, and the search states
-    visited. More than MAX_UOPS_PER_LINE units would overflow the packing's
-    fields, so they raise ValueError."""
+    visited. More than MAX_UOPS_PER_LINE units would overflow the table's
+    packed fields, so they raise ValueError."""
     if sum(counts) > MAX_UOPS_PER_LINE:
         raise ValueError(f"{sum(counts)} units per cache line, more than {MAX_UOPS_PER_LINE}")
     search = PackingSearch(table)

@@ -221,7 +221,9 @@ def independent_bounds(bounds):
 # the pairing search as the package ran it before its states carried their
 # bounds' slack: every bound's dot product recomputed at each state, children
 # from a generator, counts as tuples. It reads a table's bounds, arithmetic
-# kinds and step lists, so it searches the package's tables as they are.
+# kinds and maximal patterns, so it searches the package's tables as they
+# are, and truncates the patterns itself (truncated_steps), so it shares no
+# step code with the search it checks.
 
 
 class ReferenceSearch:
@@ -273,7 +275,8 @@ class ReferenceSearch:
         return key, memory_cycles, self._children(counts, arith_cycles, memory_cycles)
 
     def _children(self, counts, arith_cycles: int, memory_cycles: int):
-        for step in self.table.steps(counts):
+        t = self.table
+        for step in truncated_steps(t.maximal, t.weights, counts):
             rest = tuple(c - s for c, s in zip(counts, step))
             if arith_cycles:
                 yield rest, arith_cycles - 1, memory_cycles

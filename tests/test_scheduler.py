@@ -459,30 +459,40 @@ def test_pattern_table_equals_the_enumeration_of_every_count():
             assert (table.maximal, set(table.bounds)) == oracle, (kinds, width)
 
 
+def unpacked_steps(table, counts) -> list[tuple[int, ...]]:
+    """The table's steps at `counts`, each unpacked into a count vector."""
+    fields = range(len(counts))
+    return [tuple(step >> table.width * j & table.field for j in fields) for step, _, _ in table.steps(table.pack(counts))]
+
+
 def test_pattern_table_steps_equal_the_truncated_maximal_patterns():
     rng = random.Random(0x5EB)
     tables = [t for t in (pattern_table(*random_kinds(rng)) for _ in range(150)) if t is not None]
     for table in tables:
         for _ in range(10):
             counts = tuple(rng.randint(0, peak + 2) for peak in table.peak)
-            steps = table.steps(counts)
-            assert list(steps) == truncated_steps(table.maximal, table.weights, counts), (table, counts)
+            steps = unpacked_steps(table, counts)
+            assert steps == truncated_steps(table.maximal, table.weights, counts), (table, counts)
             # the steps depend on the counts only through the clamp
-            assert table.steps(tuple(map(min, counts, table.peak))) == steps
+            assert unpacked_steps(table, tuple(map(min, counts, table.peak))) == steps
+
+
+# where the arithmetic runs out with arithmetic cycles left, those turn
+# memory-only, and on these kinds at retire width 3, with counts (3, 1, 9, 1),
+# lower bound 6 and raw T_OL 6, that takes away slack that prunes (55 states,
+# not 60)
+PINNED_KINDS = (
+    Unit((frozenset({0, 1, 2, 3, 4}),), 2, False),
+    Unit((frozenset({1}), frozenset({4})), 3, False),
+    Unit((frozenset({3, 4}),), 1, False),
+    Unit((frozenset({2, 3}), frozenset({0, 2, 4})), 2, True),
+)
 
 
 def test_pairing_search_finds_the_reference_search_span_and_states():
     """The search that carries slack visits the states the reference search
     (every bound recomputed at each state) visits, and finds the same span."""
-    # where the arithmetic runs out with arithmetic cycles left, those turn
-    # memory-only, and here that takes away slack that prunes (55 states, not 60)
-    kinds = (
-        Unit((frozenset({0, 1, 2, 3, 4}),), 2, False),
-        Unit((frozenset({1}), frozenset({4})), 3, False),
-        Unit((frozenset({3, 4}),), 1, False),
-        Unit((frozenset({2, 3}), frozenset({0, 2, 4})), 2, True),
-    )
-    table = pattern_table(kinds, 3)
+    table = pattern_table(PINNED_KINDS, 3)
     assert least_span(table, (3, 1, 9, 1), 6, 6) == reference_least_span(table, (3, 1, 9, 1), 6, 6) == (6, 55)
     rng = random.Random(0x51AC)
     cases = 0
@@ -497,10 +507,21 @@ def test_pairing_search_finds_the_reference_search_span_and_states():
         assert least_span(table, counts, lower, raw_ol) == reference_least_span(table, counts, lower, raw_ol)
         cases += 1
         # the step lists are memoized by the clamped counts
-        packing = table.packing
-        for clamp in packing.steps:
-            clamp = [clamp >> packing.width * j & packing.field for j in range(len(kinds))]
+        for clamp in table.memo:
+            clamp = [clamp >> table.width * j & table.field for j in range(len(kinds))]
             assert all(c <= peak for c, peak in zip(clamp, table.peak)), (kinds, counts, clamp)
+
+
+def test_reference_search_does_not_call_the_step_code_it_checks(monkeypatch):
+    """The reference search truncates the maximal patterns itself, so a fault
+    in PatternTable.steps cannot show up on both sides of a comparison."""
+    table = pattern_table(PINNED_KINDS, 3)
+
+    def broken(self, clamp):
+        raise AssertionError("the reference search called PatternTable.steps")
+
+    monkeypatch.setattr(PatternTable, "steps", broken)
+    assert reference_least_span(table, (3, 1, 9, 1), 6, 6) == (6, 55)
 
 
 def test_bounds_that_others_imply_change_no_search():
@@ -511,7 +532,7 @@ def test_bounds_that_others_imply_change_no_search():
     dropped = Counter()
 
     def same_search(table, counts, lower, raw_ol):
-        pruned = replace(table, bounds=independent_bounds(table.bounds))
+        pruned = PatternTable(table.weights, table.arithmetic, table.maximal, independent_bounds(table.bounds), table.peak)
         dropped[len(table.bounds) > len(pruned.bounds)] += 1
         expected = least_span(pruned, counts, lower, raw_ol)
         assert least_span(table, counts, lower, raw_ol) == expected, (table, counts, lower, raw_ol)
@@ -552,14 +573,14 @@ def test_bounds_that_others_imply_change_no_search():
 
 
 def test_pairing_search_with_wider_fields_matches_the_reference_search():
-    """Counts whose slack needs more than 16 bits a field: the table's one
-    packing holds the slack of MAX_UOPS_PER_LINE units, which these reach."""
+    """Counts whose slack needs more than 16 bits a field: the table's
+    fields hold the slack of MAX_UOPS_PER_LINE units, which these reach."""
     kinds = tuple(HASWELL._core_layout.units[i] for i in (0, 2, 3))  # store, load, fma/mul
     table = pattern_table(kinds, HASWELL.retire_width)
     small, large = (3, 2, 4), (4000, 2000, 4000)
     top = max(max(cap_any for _, cap_any, _ in table.bounds), *table.peak)
     assert sum(large) == MAX_UOPS_PER_LINE and top * sum(large) >= 1 << 15
-    assert table.packing.width == (top * MAX_UOPS_PER_LINE).bit_length() + 1
+    assert table.width == (top * MAX_UOPS_PER_LINE).bit_length() + 1
     assert least_span(table, large, 4000, 4000) == reference_least_span(table, large, 4000, 4000)
     search, reference = PackingSearch(table), ReferenceSearch(table)
     for counts, arith_cycles, memory_cycles in [(small, 4, 0), (small, 2, 1), (large, 4000, 0), (large, 3999, 0)]:
@@ -586,12 +607,12 @@ def test_pattern_table_of_every_haswell_kind_set_equals_the_enumeration():
         table = pattern_table(kinds, HASWELL.retire_width)
         oracle = enumerated_pattern_table([(k.port_choices, k.weight, k.overlapping) for k in kinds], HASWELL.retire_width)
         assert (table.maximal, set(table.bounds)) == oracle, kinds
-        packing = table.packing
-        width = packing.width
+        width = table.width
         for clamp in product(*(range(peak + 1) for peak in table.peak)):
-            branches = packing.branches(packing.pack(clamp))
-            assert len(branches) == len(table.steps(clamp))
-            for step, (packed, to_arithmetic, to_memory) in zip(table.steps(clamp), branches):
+            steps = truncated_steps(table.maximal, table.weights, clamp)
+            branches = table.steps(table.pack(clamp))
+            assert len(branches) == len(steps)
+            for step, (packed, to_arithmetic, to_memory) in zip(steps, branches):
                 assert packed == sum(c << width * j for j, c in enumerate(step))
                 moved = [sum(map(mul, y, step)) for y, _, _ in table.bounds]
                 assert to_arithmetic == sum((m - cap_any) << width * i for i, (m, (_, cap_any, _)) in enumerate(zip(moved, table.bounds)))
