@@ -4,6 +4,12 @@ Loop runtime per cache line of work decomposes into in-core execution and
 per-level data-transfer cycles, combined by an overlap rule; multi-core
 performance scales the single-core prediction up to the memory-bandwidth
 ceiling. Machines and kernels are declarative (built-in or JSON files).
+
+Records follow one rule: a record built from user input, checked on
+construction (`__post_init__`) or holding a `cached_property` is a frozen
+dataclass; a record that a query computes is a `typing.NamedTuple`, which
+prints, hashes and refuses assignment as the dataclass would, is cheaper to
+build, and also equals the plain tuple of its fields.
 """
 
 from .errors import ECMParseError, SchemaError

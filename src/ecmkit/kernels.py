@@ -11,6 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 from ._schema import build, build_fields, fields, read_json
 from .errors import SchemaError
@@ -98,8 +99,7 @@ class KernelModel:
         return reads, readwrites, writes, nt_writes
 
 
-@dataclass(frozen=True)
-class StreamCounts:
+class StreamCounts(NamedTuple):
     """Stream tally as reported for a kernel: explicit loads, implicit
     write-allocate loads, and written streams."""
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from ._num import as_fraction
 from ._schema import read_text
@@ -33,8 +33,7 @@ from .traffic import traffic
 LEVELS = ("L1", "L2", "L3", "MEM")
 
 
-@dataclass(frozen=True)
-class ECMInput:
+class ECMInput(NamedTuple):
     """Five-component model input, cycles per cache line of work."""
 
     t_ol: Fraction
@@ -44,11 +43,11 @@ class ECMInput:
     t_l3mem: Fraction
 
     def cells(self) -> tuple[Fraction, ...]:
-        return (self.t_ol, self.t_nol, self.t_l1l2, self.t_l2l3, self.t_l3mem)
+        """The five cells in shorthand order: the input itself, already that tuple."""
+        return self
 
 
-@dataclass(frozen=True)
-class ECMPrediction:
+class ECMPrediction(NamedTuple):
     """Predicted cycles per cache line with data held at each hierarchy level."""
 
     t_core: Fraction
@@ -57,7 +56,8 @@ class ECMPrediction:
     t_mem: Fraction
 
     def cells(self) -> tuple[Fraction, ...]:
-        return (self.t_core, self.t_l2, self.t_l3, self.t_mem)
+        """The four levels from L1 to memory: the prediction itself, already that tuple."""
+        return self
 
 
 @dataclass(frozen=True)
@@ -291,8 +291,7 @@ def _reject(text: str) -> NoReturn:
 # measurement comparison
 
 
-@dataclass(frozen=True)
-class ModelError:
+class ModelError(NamedTuple):
     """Per-level relative error in percent, rounded to integers.
 
     `signed_pct` is (predicted - measured) / measured: positive means the

@@ -7,14 +7,14 @@ Every performance figure is an exact Fraction. The single-core figure and
 the ceilings are built from integer numerators and denominators, and the
 curve decides each point's bound by integer cross-multiplication: only
 points below their cap build a Fraction, and bandwidth-bound points share
-their cap's object.
+the Fraction of their cap, built once per curve for each number of occupied
+domains. A point is a named tuple, so it costs one tuple on top of that.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from typing import NamedTuple
 
 from .kernels import KernelModel, bandwidth_signature, with_nt_stores
 from .machine import CACHE_LINE_BYTES, MachineModel
@@ -24,15 +24,13 @@ from .traffic import nt_volume_ratio, traffic
 PINNING_POLICIES = ("domain-sequential", "round-robin")
 
 
-@dataclass(frozen=True)
-class PerformancePoint:
+class PerformancePoint(NamedTuple):
     cores: int
     performance_mups: Fraction
     bandwidth_bound: bool
 
 
-@dataclass(frozen=True)
-class ScalingCurve:
+class ScalingCurve(NamedTuple):
     mode: str
     points: tuple[PerformancePoint, ...]
     # first core count from which every point is bandwidth bound; None if never
@@ -41,15 +39,13 @@ class ScalingCurve:
     ceiling_mups: Fraction | None
 
 
-@dataclass(frozen=True)
-class BandwidthCeiling:
+class BandwidthCeiling(NamedTuple):
     per_domain_mups: Fraction | None
     per_chip_mups: Fraction | None
     compute_bound: bool
 
 
-@dataclass(frozen=True)
-class NtEstimate:
+class NtEstimate(NamedTuple):
     """Expected gain from non-temporal stores: the exact memory-volume ratio
     and the bandwidth-ceiling estimates for both variants."""
 
@@ -74,12 +70,12 @@ def bandwidth_ceiling(kernel: KernelModel, machine: MachineModel, mode: str | No
     mode = machine.resolve_mode(mode)
     bytes_per_it = traffic(kernel).mem_bytes_per_iteration
     if bytes_per_it == 0:
-        return BandwidthCeiling(None, None, compute_bound=True)
+        return BandwidthCeiling(None, None, True)
     gbs = machine.bandwidth(bandwidth_signature(kernel), mode)
     n, d = gbs.numerator * 1000, gbs.denominator * bytes_per_it
     if mode == "cod":
-        return BandwidthCeiling(Fraction(n, d), Fraction(n * machine.numa.n_domains, d), compute_bound=False)
-    return BandwidthCeiling(None, Fraction(n, d), compute_bound=False)
+        return BandwidthCeiling(Fraction(n, d), Fraction(n * machine.numa.n_domains, d), False)
+    return BandwidthCeiling(None, Fraction(n, d), False)
 
 
 def scale(
@@ -114,13 +110,13 @@ def scale(
     a, b = p1.numerator, p1.denominator
     cores = range(1, max_cores + 1)
     if ceiling.compute_bound:
-        points = [PerformancePoint(n, Fraction(n * a, b), bandwidth_bound=False) for n in cores]
+        points = [PerformancePoint(n, Fraction(n * a, b), False) for n in cores]
         last_cap = None
     else:
         if mode == "cod":
             numa = machine.numa
             if pinning == "domain-sequential":
-                domains = [ceil(n / numa.cores_per_domain) for n in cores]
+                domains = [-(-n // numa.cores_per_domain) for n in cores]
             else:
                 domains = [min(n, numa.n_domains) for n in cores]
             unit = ceiling.per_domain_mups
@@ -135,9 +131,9 @@ def scale(
         points = []
         for n, k in zip(cores, domains):
             if n * a * d >= k * c * b:
-                points.append(PerformancePoint(n, caps[k], bandwidth_bound=True))
+                points.append(PerformancePoint(n, caps[k], True))
             else:
-                points.append(PerformancePoint(n, Fraction(n * a, b), bandwidth_bound=False))
+                points.append(PerformancePoint(n, Fraction(n * a, b), False))
         last_cap = caps[domains[-1]]
 
     saturation = None
@@ -145,7 +141,7 @@ def scale(
         if not point.bandwidth_bound:
             break
         saturation = point.cores
-    return ScalingCurve(mode=mode, points=tuple(points), saturation_cores=saturation, ceiling_mups=last_cap)
+    return ScalingCurve(mode, tuple(points), saturation, last_cap)
 
 
 def nt_speedup(kernel: KernelModel, machine: MachineModel, mode: str | None = None) -> NtEstimate:

@@ -26,8 +26,8 @@ the machine's capabilities, not its CoreLayout, to check core_timing's bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 from ._pairing import PatternTable, Unit, least_span, pattern_table, port_set_unions
 from .errors import CapabilityError, SchemaError
@@ -35,9 +35,9 @@ from .kernels import MEMORY_CLASSES, UOP_CLASSES, KernelModel
 from .machine import MachineModel
 
 
-@dataclass(frozen=True)
-class CoreTiming:
-    """Cycles per cache line of work for the two in-core components."""
+class CoreTiming(NamedTuple):
+    """Cycles per cache line of work for the two in-core components, as the
+    pair (t_ol, t_nol)."""
 
     t_ol: int
     t_nol: int
@@ -228,4 +228,4 @@ def core_timing(kernel: KernelModel, machine: MachineModel) -> CoreTiming:
         t_ol, _states = layout.span(units, max(t_nol, raw_ol, fe), raw_ol)
     if max(t_ol, t_nol) < fe:
         t_ol = fe
-    return CoreTiming(t_ol=t_ol, t_nol=t_nol)
+    return CoreTiming(t_ol, t_nol)

@@ -8,14 +8,13 @@ write bypasses the caches and moves one line at the memory boundary only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .kernels import KernelModel, with_nt_stores
 
 
-@dataclass(frozen=True)
-class TrafficProfile:
+class TrafficProfile(NamedTuple):
     # cache lines crossing each boundary per cache line of work
     cls_l1l2: int
     cls_l2l3: int

@@ -23,9 +23,12 @@ from ecmkit import (
     read_measurements,
 )
 from ecmkit.errors import SchemaError
-from ecmkit.kernels import KernelModel, Stream
-from ecmkit.model import LEVELS
+from ecmkit.kernels import KernelModel, Stream, StreamCounts
+from ecmkit.model import LEVELS, ModelError
 from ecmkit.reference import reference_cells, reference_measurements, REFERENCE_KERNELS
+from ecmkit.scaling import BandwidthCeiling, NtEstimate, PerformancePoint, ScalingCurve
+from ecmkit.scheduler import CoreTiming
+from ecmkit.traffic import TrafficProfile
 
 from oracles import (
     decimal_fraction,
@@ -419,3 +422,81 @@ def test_read_measurements_rejects_bad_header(tmp_path):
     path.write_text("name,lvl,cycles\nddot,L1,2.1\n")
     with pytest.raises(SchemaError, match="header"):
         read_measurements(path)
+
+
+_CHIP = BandwidthCeiling(per_domain_mups=None, per_chip_mups=Fraction(2300, 3), compute_bound=False)
+RECORDS = [
+    (CoreTiming(t_ol=3, t_nol=2), ("t_ol", "t_nol"), "CoreTiming(t_ol=3, t_nol=2)"),
+    (
+        TrafficProfile(cls_l1l2=3, cls_l2l3=3, cls_l3mem=3, mem_bytes_per_iteration=24, payload_bytes_per_iteration=16),
+        ("cls_l1l2", "cls_l2l3", "cls_l3mem", "mem_bytes_per_iteration", "payload_bytes_per_iteration"),
+        "TrafficProfile(cls_l1l2=3, cls_l2l3=3, cls_l3mem=3, mem_bytes_per_iteration=24, payload_bytes_per_iteration=16)",
+    ),
+    (
+        ECMInput(t_ol=Fraction(1), t_nol=Fraction(4), t_l1l2=Fraction(6), t_l2l3=Fraction(6), t_l3mem=Fraction(81, 10)),
+        ("t_ol", "t_nol", "t_l1l2", "t_l2l3", "t_l3mem"),
+        "ECMInput(t_ol=Fraction(1, 1), t_nol=Fraction(4, 1), t_l1l2=Fraction(6, 1), t_l2l3=Fraction(6, 1), "
+        "t_l3mem=Fraction(81, 10))",
+    ),
+    (
+        ECMPrediction(t_core=Fraction(4), t_l2=Fraction(10), t_l3=Fraction(16), t_mem=Fraction(241, 10)),
+        ("t_core", "t_l2", "t_l3", "t_mem"),
+        "ECMPrediction(t_core=Fraction(4, 1), t_l2=Fraction(10, 1), t_l3=Fraction(16, 1), t_mem=Fraction(241, 10))",
+    ),
+    (
+        ModelError(absolute_pct={"L1": 5}, signed_pct={"L1": -5}),
+        ("absolute_pct", "signed_pct"),
+        "ModelError(absolute_pct={'L1': 5}, signed_pct={'L1': -5})",
+    ),
+    (
+        StreamCounts(explicit_loads=2, rfo_streams=1, write_streams=1),
+        ("explicit_loads", "rfo_streams", "write_streams"),
+        "StreamCounts(explicit_loads=2, rfo_streams=1, write_streams=1)",
+    ),
+    (
+        PerformancePoint(cores=3, performance_mups=Fraction(300, 7), bandwidth_bound=False),
+        ("cores", "performance_mups", "bandwidth_bound"),
+        "PerformancePoint(cores=3, performance_mups=Fraction(300, 7), bandwidth_bound=False)",
+    ),
+    (
+        ScalingCurve(
+            mode="cod",
+            points=(PerformancePoint(cores=1, performance_mups=Fraction(5), bandwidth_bound=True),),
+            saturation_cores=1,
+            ceiling_mups=Fraction(5),
+        ),
+        ("mode", "points", "saturation_cores", "ceiling_mups"),
+        "ScalingCurve(mode='cod', points=(PerformancePoint(cores=1, performance_mups=Fraction(5, 1), "
+        "bandwidth_bound=True),), saturation_cores=1, ceiling_mups=Fraction(5, 1))",
+    ),
+    (
+        _CHIP,
+        ("per_domain_mups", "per_chip_mups", "compute_bound"),
+        "BandwidthCeiling(per_domain_mups=None, per_chip_mups=Fraction(2300, 3), compute_bound=False)",
+    ),
+    (
+        NtEstimate(volume_ratio=Fraction(3, 2), regular=_CHIP, nontemporal=_CHIP),
+        ("volume_ratio", "regular", "nontemporal"),
+        "NtEstimate(volume_ratio=Fraction(3, 2), "
+        "regular=BandwidthCeiling(per_domain_mups=None, per_chip_mups=Fraction(2300, 3), compute_bound=False), "
+        "nontemporal=BandwidthCeiling(per_domain_mups=None, per_chip_mups=Fraction(2300, 3), compute_bound=False))",
+    ),
+]
+
+
+@pytest.mark.parametrize("record, fields, text", RECORDS, ids=[type(r[0]).__name__ for r in RECORDS])
+def test_query_records_keep_their_fields_repr_hash_and_immutability(record, fields, text):
+    """The records queries return kept the field names and order, repr and
+    hash they had as frozen dataclasses, and still refuse assignment."""
+    assert record._fields == fields
+    assert repr(record) == text
+    values = tuple(getattr(record, name) for name in fields)
+    try:
+        expected = hash(values)
+    except TypeError:  # a dict field makes the record unhashable, as it made the dataclass
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == expected
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], values[0])

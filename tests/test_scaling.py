@@ -1,3 +1,5 @@
+import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import ceil
@@ -13,7 +15,9 @@ from ecmkit import (
     builtin_haswell,
     builtin_kernels,
     ecm_input,
+    format_ecm,
     nt_speedup,
+    parse_ecm,
     predict,
     scale,
     single_core_performance,
@@ -22,6 +26,7 @@ from ecmkit import (
 from ecmkit.kernels import KernelModel
 from ecmkit.machine import MachineModel, MemoryModel, NumaConfig
 from ecmkit.model import PenaltyConfig, apply_penalty
+from ecmkit.scaling import PINNING_POLICIES
 
 from oracles import capped_linear_points, fraction_single_core_performance
 
@@ -301,3 +306,44 @@ def test_one_mode_resolution_for_every_query():
         with pytest.raises(ValueError) as raised:
             query()
         assert str(raised.value) == "mode must be 'cod' or 'noncod', got 'numa'"
+
+
+def test_warm_sweep_queries_run_no_python_init():
+    """The records a query computes are named tuples, so 80 warm sweep-style
+    queries (every built-in kernel x mode x penalty on/off x pinning) run no
+    `__init__` written in Python, such as a dataclass's. This counts work,
+    not time, so the host's speed does not matter."""
+    config = PenaltyConfig()
+    queries = [
+        (kernel, mode, penalty, pinning)
+        for kernel in KERNELS.values()
+        for mode in ("cod", "noncod")
+        for penalty in (None, config)
+        for pinning in PINNING_POLICIES
+    ]
+    assert len(queries) == 80
+
+    def run(kernel, mode, penalty, pinning):
+        scale(kernel, HASWELL, mode, HASWELL.numa.total_cores, pinning, penalty)
+        inp = ecm_input(kernel, HASWELL, mode)
+        pred = predict(inp)
+        shown = pred if penalty is None else apply_penalty(pred, kernel, penalty)
+        for value in (inp, pred, shown):
+            parse_ecm(format_ecm(value))
+
+    for query in queries:
+        run(*query)
+    inits = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "__init__":
+            inits[type(frame.f_locals.get("self")).__name__] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for query in queries:
+            run(*query)
+    finally:
+        sys.setprofile(previous)
+    assert dict(inits) == {}

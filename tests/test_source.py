@@ -1,7 +1,10 @@
 """Checks on the package source itself."""
 
 import ast
+import inspect
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple, get_args, get_type_hints
 
 import ecmkit
 
@@ -175,3 +178,64 @@ def test_the_package_exports_only_what_the_bench_or_the_tests_read():
     bench = [path.read_text() for path in sorted(BENCH.glob("*.py"))]
     tests = [path.read_text() for path in sorted(TESTS.glob("*.py"))]
     assert unread_exports(ecmkit.__all__, bench, tests) == []
+
+
+def records_built_at_dataclass_cost(functions, module: str) -> list[str]:
+    """Classes of `module` reachable from the return annotations of
+    `functions`, through type arguments and the annotations of each class
+    reached, that are neither tuples nor checked on construction: a record
+    a query computes should be a named tuple, not a dataclass that sets
+    every field through object.__setattr__."""
+    todo = [get_type_hints(f).get("return") for f in functions]
+    reached = set()
+    while todo:
+        hint = todo.pop()
+        todo += get_args(hint)
+        if isinstance(hint, type) and hint.__module__.partition(".")[0] == module and hint not in reached:
+            reached.add(hint)
+            todo += get_type_hints(hint).values()
+    return sorted(c.__name__ for c in reached if not issubclass(c, tuple) and not hasattr(c, "__post_init__"))
+
+
+def test_records_built_at_dataclass_cost_are_found():
+    @dataclass(frozen=True)
+    class Checked:
+        size: int
+
+        def __post_init__(self):
+            if self.size < 0:
+                raise ValueError("size must be >= 0")
+
+    class Point(NamedTuple):
+        x: int
+
+    @dataclass(frozen=True)
+    class Result:
+        checked: Checked
+        points: tuple[Point, ...]
+
+    @dataclass(frozen=True)
+    class Inner:
+        value: int
+
+    @dataclass(frozen=True)
+    class Outer:
+        inner: dict[str, Inner]
+
+    def query() -> Result | None:
+        pass
+
+    def nested() -> list[Outer]:
+        pass
+
+    def plain() -> int:
+        pass
+
+    module = __name__.partition(".")[0]
+    assert records_built_at_dataclass_cost([query, nested, plain], module) == ["Inner", "Outer", "Result"]
+
+
+def test_the_records_public_functions_return_are_named_tuples_or_checked():
+    """The record rule of the package docstring, over every public function."""
+    functions = [getattr(ecmkit, name) for name in ecmkit.__all__ if inspect.isfunction(getattr(ecmkit, name))]
+    assert records_built_at_dataclass_cost(functions, "ecmkit") == []
