@@ -2,6 +2,9 @@
 memory bandwidths and NUMA layout, plus the built-in Haswell reference model.
 
 All types are immutable after construction and safe to share across threads.
+A MachineModel memoizes its core layout and its scaling curves on use. An
+entry is only ever the answer for its key, so concurrent queries get equal
+results; two threads that miss on one key both compute it.
 """
 
 from __future__ import annotations
@@ -170,6 +173,14 @@ class MachineModel:
         maps above, not part of ==, repr or serialization."""
         from .scheduler import CoreLayout  # the scheduler imports this module
         return CoreLayout(self)
+
+    @cached_property
+    def _curves(self) -> dict:
+        """The scaling curves scale has built on this machine, keyed by the
+        values each depends on besides the machine (see ecmkit.scaling), at
+        most scaling.CURVE_MEMO_POINTS points in all; like the layout, not
+        part of ==, repr or serialization."""
+        return {}
 
     @cached_property
     def boundary_widths(self) -> dict[str, int]:

@@ -78,9 +78,18 @@ class Measurement:
 @dataclass(frozen=True)
 class PenaltyConfig:
     """Empirical off-core transfer penalty: extra cycles per loading stream and
-    cache level beyond L2, for kernels with low core cycle counts."""
+    cache level beyond L2, for kernels with low core cycle counts. The cycles
+    may be anything _num.as_fraction reads exactly; anything else raises
+    ValueError here, not in a later query."""
 
     cycles_per_load_stream_per_level: Fraction = Fraction(1)
+
+    def __post_init__(self):
+        cycles = self.cycles_per_load_stream_per_level
+        try:
+            as_fraction(cycles)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise ValueError(f"PenaltyConfig: cycles_per_load_stream_per_level must be a number, got {cycles!r}") from None
 
 
 def _memory_cycles(lines: int, bandwidth, frequency) -> Fraction:
@@ -149,10 +158,8 @@ def apply_penalty(pred: ECMPrediction, kernel: KernelModel, config: PenaltyConfi
     write-allocates) costs the configured cycles once at L3 and twice at
     memory; L1 and L2 are unchanged.
     """
-    config = config or PenaltyConfig()
-    cycles = as_fraction(config.cycles_per_load_stream_per_level)
     # the loading streams' cycles per level are extra / d
-    extra, d = load_streams_with_rfo(kernel) * cycles.numerator, cycles.denominator
+    extra, d = penalty_cycles(kernel, config or PenaltyConfig())
     core, l2, l3, mem = pred.cells()
     l3 = Fraction(l3.numerator * d + extra * l3.denominator, l3.denominator * d)
     mem = Fraction(mem.numerator * d + 2 * extra * mem.denominator, mem.denominator * d)
@@ -160,6 +167,13 @@ def apply_penalty(pred: ECMPrediction, kernel: KernelModel, config: PenaltyConfi
         cells = ", ".join(str(c) for c in (core, l2, l3, mem))
         raise ValueError(f"penalized prediction cells must not decrease from L1 to memory, got {cells}")
     return ECMPrediction(core, l2, l3, mem)
+
+
+def penalty_cycles(kernel: KernelModel, config: PenaltyConfig) -> tuple[int, int]:
+    """The cycles the penalty adds at L3, twice at memory, as (numerator,
+    denominator): the kernel's loading streams times the configured cycles."""
+    cycles = as_fraction(config.cycles_per_load_stream_per_level)
+    return load_streams_with_rfo(kernel) * cycles.numerator, cycles.denominator
 
 
 def _at_most(a, b) -> bool:

@@ -9,6 +9,16 @@ curve decides each point's bound by integer cross-multiplication: only
 points below their cap build a Fraction, and bandwidth-bound points share
 the Fraction of their cap, built once per curve for each number of occupied
 domains. A point is a named tuple, so it costs one tuple on top of that.
+
+A machine remembers the curves `scale` has built (`MachineModel._curves`).
+Every call still runs `ecm_input` and `bandwidth_ceiling`; the curve is then
+looked up by the exact values the rest of it depends on: the five input
+cells and the ceilings as integer numerator and denominator pairs, the
+penalty's added cycles (model.penalty_cycles, or None), the element size,
+the resolved mode, the pinning and the core count. The frequency and the
+NUMA layout are the machine's own. A miss builds the curve as described
+above and stores it; the memo is cleared when one more curve could take it
+past CURVE_MEMO_POINTS points, so it holds at most that many.
 """
 
 from __future__ import annotations
@@ -18,10 +28,12 @@ from typing import NamedTuple
 
 from .kernels import KernelModel, bandwidth_signature, with_nt_stores
 from .machine import CACHE_LINE_BYTES, MachineModel
-from .model import ECMPrediction, PenaltyConfig, apply_penalty, ecm_input, predict
+from .model import ECMPrediction, PenaltyConfig, apply_penalty, ecm_input, penalty_cycles, predict
 from .traffic import nt_volume_ratio, traffic
 
 PINNING_POLICIES = ("domain-sequential", "round-robin")
+# the points a machine's curve memo may hold; a curve has one per core
+CURVE_MEMO_POINTS = 16384
 
 
 class PerformancePoint(NamedTuple):
@@ -89,7 +101,13 @@ def scale(
     """Performance for 1..max_cores: linear in the single-core prediction until
     capped by the bandwidth of the occupied domains (clustered mode) or of the
     chip. Domain-sequential pinning fills one domain before the next;
-    round-robin spreads cores across domains.
+    round-robin spreads cores across domains. `max_cores` is an int (not a
+    bool) in 1..total cores.
+
+    Each call runs `ecm_input` and `bandwidth_ceiling`, then returns the
+    machine's stored curve for the same cells, ceilings, penalty cycles,
+    element size, mode, pinning and core count if it has one (see the module
+    docstring); otherwise it builds the curve and stores it.
     """
     mode = machine.resolve_mode(mode)
     if pinning not in PINNING_POLICIES:
@@ -97,14 +115,30 @@ def scale(
     total = machine.numa.total_cores
     if max_cores is None:
         max_cores = total
-    if not 1 <= max_cores <= total:
-        raise ValueError(f"max_cores must be in 1..{total}, got {max_cores}")
+    if type(max_cores) is not int or not 1 <= max_cores <= total:
+        raise ValueError(f"max_cores must be in 1..{total}, got {max_cores!r}")
 
-    pred = predict(ecm_input(kernel, machine, mode))
+    inp = ecm_input(kernel, machine, mode)
+    ceiling = bandwidth_ceiling(kernel, machine, mode)
+    added = None if penalty is None else penalty_cycles(kernel, penalty)
+    ol, nol, l1l2, l2l3, l3mem = inp
+    per_domain, per_chip, _ = ceiling
+    key = (
+        mode, pinning, max_cores, kernel.element_bytes, added,
+        ol.numerator, ol.denominator, nol.numerator, nol.denominator, l1l2.numerator, l1l2.denominator,
+        l2l3.numerator, l2l3.denominator, l3mem.numerator, l3mem.denominator,
+        None if per_domain is None else (per_domain.numerator, per_domain.denominator),
+        None if per_chip is None else (per_chip.numerator, per_chip.denominator),
+    )
+    curves = machine._curves
+    curve = curves.get(key)
+    if curve is not None:
+        return curve
+
+    pred = predict(inp)
     if penalty is not None:
         pred = apply_penalty(pred, kernel, penalty)
     p1 = single_core_performance(pred, kernel, machine)
-    ceiling = bandwidth_ceiling(kernel, machine, mode)
 
     # n cores run n * p1 = n * a / b MUp/s below their cap
     a, b = p1.numerator, p1.denominator
@@ -141,7 +175,11 @@ def scale(
         if not point.bandwidth_bound:
             break
         saturation = point.cores
-    return ScalingCurve(mode, tuple(points), saturation, last_cap)
+    curve = ScalingCurve(mode, tuple(points), saturation, last_cap)
+    if len(curves) >= CURVE_MEMO_POINTS // total:
+        curves.clear()
+    curves[key] = curve
+    return curve
 
 
 def nt_speedup(kernel: KernelModel, machine: MachineModel, mode: str | None = None) -> NtEstimate:

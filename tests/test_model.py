@@ -22,6 +22,7 @@ from ecmkit import (
     predict,
     read_measurements,
 )
+from ecmkit._num import as_fraction
 from ecmkit.errors import SchemaError
 from ecmkit.kernels import KernelModel, Stream, StreamCounts
 from ecmkit.model import LEVELS, ModelError
@@ -200,6 +201,21 @@ def test_penalty_rejects_cells_that_would_decrease():
         apply_penalty(pred, KERNELS["ddot"], PenaltyConfig(cycles_per_load_stream_per_level=Fraction(-3)))
     with pytest.raises(ValueError, match="must not decrease"):
         apply_penalty(ECMPrediction(Fraction(5), Fraction(3), Fraction(6), Fraction(9)), KERNELS["ddot"])
+
+
+@pytest.mark.parametrize("cycles", ["x", True, None, [1], float("nan"), "1/0"])
+def test_penalty_config_rejects_cycles_that_are_not_a_number_on_construction(cycles):
+    with pytest.raises(ValueError) as raised:
+        PenaltyConfig(cycles)
+    assert str(raised.value) == f"PenaltyConfig: cycles_per_load_stream_per_level must be a number, got {cycles!r}"
+
+
+@pytest.mark.parametrize("cycles", [2, Fraction(1, 3), 0.5, "1.5", "3/2", -1])
+def test_penalty_config_keeps_every_value_read_exactly(cycles):
+    config = PenaltyConfig(cycles)
+    assert config.cycles_per_load_stream_per_level is cycles
+    pred = predict(ecm_input(KERNELS["ddot"], HASWELL))
+    assert apply_penalty(pred, KERNELS["ddot"], config).t_l3 == pred.t_l3 + 2 * as_fraction(cycles)
 
 
 def test_penalty_moves_memory_prediction_toward_measurement():

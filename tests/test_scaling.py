@@ -1,4 +1,8 @@
+import gc
+import io
+import random
 import sys
+import weakref
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -23,10 +27,12 @@ from ecmkit import (
     single_core_performance,
     traffic,
 )
-from ecmkit.kernels import KernelModel
+from ecmkit import scaling
+from ecmkit.cli import run
+from ecmkit.kernels import KernelModel, Stream, UopGroup
 from ecmkit.machine import MachineModel, MemoryModel, NumaConfig
 from ecmkit.model import PenaltyConfig, apply_penalty
-from ecmkit.scaling import PINNING_POLICIES
+from ecmkit.scaling import CURVE_MEMO_POINTS, PINNING_POLICIES, ScalingCurve
 
 from oracles import capped_linear_points, fraction_single_core_performance
 
@@ -83,8 +89,6 @@ def test_stream_triad_domain_ceiling_close_to_measured():
 
 
 def test_compute_bound_kernel_flagged():
-    from ecmkit.kernels import UopGroup
-
     kernel = KernelModel("axpy_reg", (), 8, (UopGroup(2, "fma"),))
     ceiling = bandwidth_ceiling(kernel, HASWELL)
     assert ceiling.compute_bound
@@ -347,3 +351,164 @@ def test_warm_sweep_queries_run_no_python_init():
     finally:
         sys.setprofile(previous)
     assert dict(inits) == {}
+
+
+# ---------------------------------------------------------------------------
+# the per-machine curve memo
+
+
+@pytest.mark.parametrize("max_cores", [True, False, 14.0, 2.5, "3", Fraction(2)])
+def test_scale_rejects_a_max_cores_that_is_not_an_int(max_cores):
+    with pytest.raises(ValueError) as raised:
+        scale(KERNELS["ddot"], HASWELL, max_cores=max_cores)
+    assert str(raised.value) == f"max_cores must be in 1..14, got {max_cores!r}"
+
+
+def memo_kernels():
+    """Kernels whose curves share cells and ceilings but differ in element
+    size or loading streams: two reads and one read-modify-write stream move
+    the same lines and bytes, and a kernel without streams is compute bound
+    at every element size."""
+    streams = {
+        "none": (),
+        "two reads": (Stream("a", "read"), Stream("b", "read")),
+        "readwrite": (Stream("a", "readwrite"),),
+        "write": (Stream("a", "write"),),
+        "read nt": (Stream("a", "read"), Stream("b", "write", True)),
+    }
+    uops = {
+        "load": (UopGroup(2, "load", "base-index-offset"),),
+        "fma": (UopGroup(2, "load", "base-index-offset"), UopGroup(1, "store", "offset-only"), UopGroup(3, "fma")),
+    }
+    return [KernelModel(f"{s}/{u}/{size}", streams[s], size, uops[u]) for s in streams for u in uops for size in (4, 8)]
+
+
+def outcome_of(query):
+    try:
+        return query()
+    except ValueError as exc:
+        return f"error: {exc}"
+
+
+def test_warm_machines_answer_every_query_as_a_freshly_built_machine_does():
+    """Queries interleaved on two warm machines, each answer equal to the same
+    query's on a freshly built equal machine: kernels with equal cells and
+    ceilings but other element sizes or loading streams, both modes, both
+    pinnings, penalties with default, other and negative cycles (which
+    raise) and two core counts, in a random order, then again in another."""
+    rng = random.Random(0xC0DE)
+    flat = MemoryModel(default_bandwidth_gbs=Fraction("27.1"))  # every signature at one bandwidth
+    machines = [replace(HASWELL), replace(HASWELL, memory=flat)]
+    penalties = [None, PenaltyConfig(), PenaltyConfig(Fraction(1, 2)), PenaltyConfig(Fraction(-40))]
+    queries = [
+        (machine, kernel, mode, max_cores, pinning, penalty)
+        for machine in machines
+        for kernel in memo_kernels()
+        for mode in ("cod", "noncod")
+        for max_cores in (3, None)
+        for pinning in PINNING_POLICIES
+        for penalty in penalties
+    ]
+    expected = [outcome_of(lambda: scale(kernel, replace(machine), *rest)) for machine, kernel, *rest in queries]
+    outcomes = Counter()
+    order = list(range(len(queries)))
+    for _ in range(2):
+        rng.shuffle(order)
+        for i in order:
+            machine, kernel, *rest = queries[i]
+            got = outcome_of(lambda: scale(kernel, machine, *rest))
+            assert got == expected[i], (kernel.name, *rest)
+            outcomes["error" if isinstance(got, str) else "bound" if got.ceiling_mups else "compute"] += 1
+    assert min(outcomes.values()) > 200, outcomes
+
+
+def test_a_full_memo_is_cleared_and_holds_at_most_its_bound_of_points():
+    machine = replace(HASWELL, numa=NumaConfig(64, 64, True))
+    assert machine.numa.total_cores == 4096
+    curves = machine._curves
+    held = []
+    for kernel in ("ddot", "copy", "stream_triad"):
+        for mode in ("cod", "noncod"):
+            for pinning in PINNING_POLICIES:
+                scale(KERNELS[kernel], machine, mode, None, pinning)
+                held.append(sum(len(curve.points) for curve in curves.values()))
+                assert 4096 <= held[-1] <= CURVE_MEMO_POINTS
+    assert held[:5] == [4096, 8192, 12288, 16384, 4096]
+
+
+def test_a_memo_dies_with_its_machine():
+    """No process-wide cache holds a machine's curves: the memo dies with its
+    machine, and in-process CLI runs, each building its own machine, leave no
+    curve behind."""
+    class Probe:
+        pass
+
+    machine = builtin_haswell()
+    scale(KERNELS["ddot"], machine)
+    machine._curves["probe"] = probe = Probe()
+    held = weakref.ref(probe)
+    del machine, probe
+    gc.collect()
+    assert held() is None
+    before = {id(o) for o in gc.get_objects() if isinstance(o, ScalingCurve)}
+    for name in sorted(KERNELS) * 2:
+        assert run(["scale", "-k", name, "--penalty"], out=io.StringIO()) == 0
+    gc.collect()
+    assert [o for o in gc.get_objects() if isinstance(o, ScalingCurve) and id(o) not in before] == []
+
+
+@pytest.mark.parametrize("field", ["numa", "frequency_ghz", "memory"])
+def test_replaced_machines_start_with_an_empty_memo(field):
+    warm = replace(HASWELL)
+    for kernel in KERNELS.values():
+        scale(kernel, warm, "cod", None, "round-robin", PenaltyConfig())
+    assert len(warm._curves) == len(KERNELS)
+    value = {
+        "numa": NumaConfig(3, 4, True),
+        "frequency_ghz": Fraction("3.1"),
+        "memory": MemoryModel(default_bandwidth_gbs=Fraction("19.7"), noncod_derating=Fraction(9, 10)),
+    }[field]
+    other = replace(warm, **{field: value})
+    assert "_curves" not in vars(other)
+    changed = 0
+    for kernel in KERNELS.values():
+        for mode in ("cod", "noncod"):
+            curve = scale(kernel, other, mode, None, "round-robin", PenaltyConfig())
+            expected, last_cap = oracle_curve(kernel, other, mode, "round-robin", PenaltyConfig(), other.numa.total_cores)
+            assert [(p.cores, p.performance_mups, p.bandwidth_bound) for p in curve.points] == expected
+            assert curve.ceiling_mups == last_cap
+            changed += mode == "cod" and curve != scale(kernel, warm, mode, None, "round-robin", PenaltyConfig())
+    assert changed == len(KERNELS)
+
+
+def test_warm_scale_queries_make_no_prediction_penalty_or_points(monkeypatch):
+    """A deterministic work count: after one pass of the 80 sweep-style
+    queries, a second pass on the same machine makes no prediction, penalty
+    or single-core call from scaling and builds no point or curve, but still
+    one ecm_input and one bandwidth_ceiling call per query."""
+    machine = replace(HASWELL)
+    config = PenaltyConfig()
+    queries = [
+        (kernel, mode, penalty, pinning)
+        for kernel in KERNELS.values()
+        for mode in ("cod", "noncod")
+        for penalty in (None, config)
+        for pinning in PINNING_POLICIES
+    ]
+    total = machine.numa.total_cores
+    expected = [scale(kernel, machine, mode, total, pinning, penalty) for kernel, mode, penalty, pinning in queries]
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("ecm_input", "bandwidth_ceiling", "predict", "apply_penalty", "single_core_performance",
+                 "PerformancePoint", "ScalingCurve"):
+        monkeypatch.setattr(scaling, name, counted(name, getattr(scaling, name)))
+    got = [scale(kernel, machine, mode, total, pinning, penalty) for kernel, mode, penalty, pinning in queries]
+    assert got == expected
+    assert calls == Counter(ecm_input=80, bandwidth_ceiling=80)

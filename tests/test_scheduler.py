@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecmkit import (
+    PenaltyConfig,
     SchemaError,
     builtin_haswell,
     builtin_kernels,
@@ -20,6 +21,7 @@ from ecmkit import (
     core_timing,
     frontend_bound,
     min_cycles,
+    scale,
     serialize_machine,
 )
 from ecmkit import _pairing, scheduler
@@ -754,11 +756,14 @@ def test_replaced_machines_do_not_reuse_a_cached_layout():
 
 
 def test_the_layout_is_not_part_of_equality_repr_or_serialization():
+    """Nor is the machine's memo of scaling curves."""
     cold, warm = replace(HASWELL), replace(HASWELL)
     core_timing(KERNELS["schoenauer_triad_opt"], warm)
+    scale(KERNELS["schoenauer_triad_opt"], warm, penalty=PenaltyConfig())
     assert "_core_layout" in vars(warm) and "_core_layout" not in vars(cold)
+    assert len(vars(warm)["_curves"]) == 1 and "_curves" not in vars(cold)
     assert warm == cold
-    assert repr(warm) == repr(cold) and "Layout" not in repr(warm)
+    assert repr(warm) == repr(cold) and "Layout" not in repr(warm) and "Curve" not in repr(warm)
     assert serialize_machine(warm) == serialize_machine(cold)
 
 

@@ -91,10 +91,78 @@ def test_memoized_functions_with_parameters_are_found():
     assert memoized_functions_with_parameters(source) == ["line 7: solve", "line 10: grow", "line 17: get"]
 
 
+CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+STORING_METHODS = {"setdefault", "update", "append", "extend", "add", "insert"}
+
+
+def stores_into_module_containers(source: str) -> list[str]:
+    """Stores that functions make into containers bound at module level: a
+    subscript assignment, or a call of a storing method such as setdefault,
+    update or append, on the container or an item of it. A function whose
+    parameter or assignment binds the same name stores into its own."""
+    tree = ast.parse(source)
+    containers = set()
+    for node in tree.body:
+        value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+        if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)) or (
+            isinstance(value, ast.Call) and getattr(value.func, "id", getattr(value.func, "attr", None)) in CONTAINER_CALLS
+        ):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            containers |= {t.id for t in targets if isinstance(t, ast.Name)}
+
+    def base(node):
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return node.id if isinstance(node, ast.Name) else None
+
+    found = set()
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = function.args
+        bound = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if arg}
+        body = function.body if isinstance(function.body, list) else [function.body]
+        nodes = [node for statement in body for node in ast.walk(statement)]
+        bound |= {node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+        for node in nodes:
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [base(t) for t in targets if isinstance(t, ast.Subscript)]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in STORING_METHODS:
+                names = [base(node.func.value)]
+            else:
+                continue
+            # a nested function's stores are walked with its own and each outer function
+            found |= {(node.lineno, name) for name in names if name in containers and name not in bound}
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_stores_into_module_containers_are_found():
+    source = (
+        "from collections import defaultdict\n"
+        "_MEMO = {}\n_SEEN: set = set()\n_LOG = []\n_BY = defaultdict(list)\nLIMIT = 4\nTABLE = {'a': 1}\n"
+        "TABLE['b'] = 2\n"
+        "def solve(x):\n    _MEMO[x] = x\n    return _MEMO.setdefault(x, x)\n"
+        "def note(x):\n    _LOG.append(x)\n    _BY[x].append(x)\n    TABLE.update(b=3)\n"
+        "class A:\n    def put(self, x):\n        _SEEN.add(x)\n        self.memo[x] = TABLE['a']\n"
+        "def local(TABLE):\n    TABLE['c'] = 3\n"
+        "def rebound():\n    _LOG = []\n    _LOG.append(LIMIT)\n"
+        "def count(x):\n    _MEMO[x] += 1\n    return sorted(_SEEN)\n"
+    )
+    assert stores_into_module_containers(source) == [
+        "line 10: _MEMO", "line 11: _MEMO", "line 13: _LOG", "line 14: _BY", "line 15: TABLE", "line 18: _SEEN",
+        "line 26: _MEMO",
+    ]
+
+
 def test_package_functions_with_parameters_carry_no_process_wide_memo():
     """A memo keyed by arguments belongs to the object whose lifetime
-    matches its key, as CoreLayout.spans does, not to the process."""
-    found = {path.name: memoized_functions_with_parameters(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    matches its key, as CoreLayout.spans and MachineModel._curves do, not to
+    the process: neither a functools memo nor a module-level container that
+    package functions store into."""
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    found = {name: memoized_functions_with_parameters(source) + stores_into_module_containers(source)
+             for name, source in sources.items()}
     assert {name: names for name, names in found.items() if names} == {}
 
 
