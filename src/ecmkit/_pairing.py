@@ -14,11 +14,11 @@ once adds one column per nonzero entry of y. It keeps every bound, in no
 set order: a state is pruned when any bound fails (see pattern_table).
 
 Whether all units fit in T cycles with the arithmetic in s of them is then
-decided by a memoized search that fills one cycle at a time, branches only
-on the patterns maximal under the counts still to place, and prunes a state
-when a port (Hall) or retire-slot bound shows the rest cannot fit. A state
-carries the slack of every bound, and a child's slack is its parent's plus
-a delta stored with its step. The table holds its vectors packed into
+decided by a memoized search that fills one cycle at a time, branches on
+every maximal pattern truncated to the counts still to place, and prunes a
+state when a port (Hall) or retire-slot bound shows the rest cannot fit. A
+state carries the slack of every bound, and a child's slack is its parent's
+plus a delta stored with its step. The table holds its vectors packed into
 integers with a field per entry, wide enough for any slack of at most
 MAX_UOPS_PER_LINE units, so a child costs a subtraction, its slack an
 addition and its pruning test a mask. The table memoizes its packed step
@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice, product
-from operator import add, ge, mul
+from operator import add, mul
 
 from .kernels import MAX_UOPS_PER_LINE
 
@@ -115,18 +115,14 @@ class PatternTable:
 
     def steps(self, clamp: int) -> tuple[tuple[int, int, int], ...]:
         """The distinct maximal patterns truncated to the packed `clamp`,
-        heaviest first, without those another one contains, each as (packed
-        step, packed delta in an arithmetic cycle, packed delta in a
-        memory-only cycle), kept in `memo`, which a search reads first."""
+        heaviest first, each as (packed step, packed delta in an arithmetic
+        cycle, packed delta in a memory-only cycle), kept in `memo`, which a
+        search reads first. A step that another contains stays: it is a
+        redundant but sound child, so no search answer depends on it."""
         counts = tuple(clamp >> self.width * j & self.field for j in range(len(self.units)))
-        taken: list[tuple[int, ...]] = []
-        # heaviest first, so a step that contains another is kept before it
         truncated = {tuple(map(min, pattern, counts)) for pattern in self.maximal}
-        for step in sorted(truncated, key=lambda v: (-sum(map(mul, v, self.weights)), v)):
-            if not any(all(map(ge, big, step)) for big in taken):
-                taken.append(step)
         steps = []
-        for step in taken:
+        for step in sorted(truncated, key=lambda v: (-sum(map(mul, v, self.weights)), v)):
             load = sum(map(mul, step, self.columns))
             steps.append((self.pack(step), load - self.cap_any, load - self.cap_memory))
         self.memo[clamp] = result = tuple(steps)
@@ -305,19 +301,21 @@ class PackingSearch:
                 memory_cycles, delta = memory_cycles - 1, to_memory
 
 
-def least_span(table: PatternTable, counts: tuple[int, ...], lower: int, raw_ol: int) -> tuple[int, int]:
-    """The least span s >= raw_ol of the arithmetic in the first cycle count
+def least_span(table: PatternTable, counts: tuple[int, ...], lower: int, start: int) -> tuple[int, int]:
+    """The least span s >= start of the arithmetic in the first cycle count
     T >= lower that fits `counts` of the table's kinds, and the search states
-    visited. More than MAX_UOPS_PER_LINE units would overflow the table's
-    packed fields, so they raise ValueError."""
+    visited; lower >= start. More than MAX_UOPS_PER_LINE units would overflow
+    the table's packed fields, so they raise ValueError."""
     if sum(counts) > MAX_UOPS_PER_LINE:
         raise ValueError(f"{sum(counts)} units per cache line, more than {MAX_UOPS_PER_LINE}")
     search = PackingSearch(table)
-    # The first try, span raw_ol at the lowest total, is the common answer.
-    # A fit at any span means the total fits, and span = total fits whenever
-    # the total does, so the first total with a fit is T.
+    # The first try, span `start` at the lowest total, is the common answer.
+    # A fit at span s also fits at s + 1 in the same total (an arithmetic
+    # cycle may hold any memory-only pattern), so span = total fits whenever
+    # the total does, the first total with a fit is T whatever the start,
+    # and the answer is the larger of the start and the least span in T.
     for total in range(lower, sum(counts) + 1):
-        for span in range(raw_ol, total + 1):
+        for span in range(start, total + 1):
             if search.fits(counts, span, total - span):
                 return span, search.states
     raise AssertionError("unreachable: a cycle per unit always fits")

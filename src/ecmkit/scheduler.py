@@ -8,10 +8,11 @@ needed to place its uops on allowed issue ports at one uop per port and
 cycle. The arithmetic component then grows to its pairing span: in the
 first cycle count T, counting up from the port and frontend makespans, that
 fits a joint schedule of all uops under the per-cycle port and retire
-limits, the fewest cycles the arithmetic can be confined to. An exact
-solver over per-cycle patterns finds T and the span. The retirement
-frontend caps total throughput and, when it binds, the deficit is charged
-to the arithmetic component.
+limits, the fewest cycles the arithmetic can be confined to. The retirement
+frontend caps total throughput; when it binds (it exceeds the load/store
+makespan) the span is sought from the frontend bound up, so its deficit is
+charged to the arithmetic component. An exact solver over per-cycle
+patterns finds T and the span.
 
 core_timing reads the machine through its CoreLayout, compiled once per
 MachineModel: each uop class's port sets, all their unions in Hall order
@@ -125,12 +126,12 @@ class CoreLayout:
         self.tables: dict[tuple[bool, ...], PatternTable | None] = {}
         self.spans: dict[tuple[tuple[int, ...], int, int], tuple[int, int]] = {}
 
-    def span(self, counts: list[int], lower: int, raw_ol: int) -> tuple[int, int]:
+    def span(self, counts: list[int], lower: int, start: int) -> tuple[int, int]:
         """(span, search states) for unit counts in `units` order: the least
-        span s >= raw_ol of the arithmetic in the first cycle count T >= lower
-        that fits a joint schedule, or raw_ol as it is when the kernel has no
+        span s >= start of the arithmetic in the first cycle count T >= lower
+        that fits a joint schedule, or `start` as it is when the kernel has no
         memory unit or some unit cannot fit a cycle on its own."""
-        key = (tuple(counts), lower, raw_ol)
+        key = (tuple(counts), lower, start)
         if key not in self.spans:
             present = tuple(map(bool, counts))
             if present not in self.tables:
@@ -140,9 +141,9 @@ class CoreLayout:
             if len(self.spans) == 1024:
                 self.spans.clear()
             if table is None:
-                self.spans[key] = raw_ol, 0
+                self.spans[key] = start, 0
             else:
-                self.spans[key] = least_span(table, tuple(filter(None, counts)), lower, raw_ol)
+                self.spans[key] = least_span(table, tuple(filter(None, counts)), lower, start)
         return self.spans[key]
 
 
@@ -197,12 +198,13 @@ def frontend_bound(kernel: KernelModel, machine: MachineModel) -> int:
 def core_timing(kernel: KernelModel, machine: MachineModel) -> CoreTiming:
     """Both in-core cycle components.
 
-    t_nol is the load/store port makespan. t_ol starts from the arithmetic
-    port makespan and grows to the pairing span when retire pairing forces
-    the arithmetic uops across more cycles: the least number of cycles the
-    arithmetic can be confined to in the first cycle count that fits a
-    joint schedule of all uops. It then absorbs any remaining frontend
-    deficit so that max(t_ol, t_nol) never undercuts the retirement bound.
+    t_nol is the load/store port makespan. t_ol is the pairing span: the
+    least number of cycles, at least `start`, that the arithmetic can be
+    confined to in the first cycle count that fits a joint schedule of all
+    uops. `start` is the arithmetic port makespan, raised to the frontend
+    bound when that exceeds t_nol, so max(t_ol, t_nol) never undercuts the
+    retirement bound. A fit at one span also fits at a larger one in the
+    same cycle count, so the start leaves that count unchanged.
     A missing load/store capability is reported before an arithmetic one.
     """
     layout = machine._core_layout
@@ -223,9 +225,6 @@ def core_timing(kernel: KernelModel, machine: MachineModel) -> CoreTiming:
     raw_ol = _binding_bound(layout.ol_unions, loads)[0]
     fe = frontend_bound(kernel, machine)
 
-    t_ol = raw_ol
-    if raw_ol > 0:
-        t_ol, _states = layout.span(units, max(t_nol, raw_ol, fe), raw_ol)
-    if max(t_ol, t_nol) < fe:
-        t_ol = fe
+    start = max(raw_ol, fe) if fe > t_nol else raw_ol
+    t_ol = layout.span(units, max(t_nol, start), start)[0] if raw_ol else start
     return CoreTiming(t_ol, t_nol)

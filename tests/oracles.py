@@ -144,14 +144,10 @@ def _dot(a, b) -> int:
 
 def truncated_steps(maximal, weights, counts) -> list[tuple[int, ...]]:
     """The steps a pairing search state with `counts` left branches on,
-    recomputed on every call: the maximal patterns truncated to the counts,
-    heaviest first, without those another one contains."""
+    recomputed on every call: the distinct maximal patterns truncated to the
+    counts, heaviest first, those that another one contains included."""
     steps = {tuple(map(min, pattern, counts)) for pattern in maximal}
-    taken = []
-    for step in sorted(steps, key=lambda v: (-_dot(v, weights), v)):
-        if not any(all(b >= s for b, s in zip(big, step)) for big in taken):
-            taken.append(step)
-    return taken
+    return sorted(steps, key=lambda v: (-_dot(v, weights), v))
 
 
 def enumerated_pattern_table(kinds, width: int):
@@ -562,7 +558,10 @@ def _problem_binding_bound(items: list[tuple[frozenset[int], int]]) -> int:
 def problem_core_timing(kernel, machine) -> tuple[int, int]:
     """(t_ol, t_nol), raising the package's
     CapabilityError with its messages: load/store checks in uop order first,
-    then the arithmetic ones."""
+    then the arithmetic ones. The span is sought from the arithmetic port
+    makespan up and raised to the frontend bound afterwards, where that
+    exceeds both components: the rule core_timing replaced with a search that
+    starts at the frontend bound, kept here as the independent reference."""
     from ecmkit._pairing import Unit, least_span, pattern_table
     from ecmkit.errors import CapabilityError
 

@@ -250,16 +250,30 @@ def unit_counts(kernel, machine):
     return counts
 
 
-def pairing_query(kernel, machine):
-    """(unit counts, lower, raw_ol) as core_timing asks CoreLayout.span for
-    them, from the port bounds of the problem builders."""
+def core_bounds(kernel, machine):
+    """(t_nol, raw T_OL, frontend bound) from the problem builders."""
     t_nol = min_cycles(build_nol_problem(kernel, machine))
-    raw_ol = min_cycles(build_ol_problem(kernel, machine))
-    return unit_counts(kernel, machine), max(t_nol, raw_ol, frontend_bound(kernel, machine)), raw_ol
+    return t_nol, min_cycles(build_ol_problem(kernel, machine)), frontend_bound(kernel, machine)
+
+
+def pairing_query(kernel, machine):
+    """(unit counts, lower, raw_ol) for the raw pairing span: the search
+    starts at the arithmetic port makespan, whether or not the frontend
+    binds. core_timing asks for timing_query instead."""
+    t_nol, raw_ol, fe = core_bounds(kernel, machine)
+    return unit_counts(kernel, machine), max(t_nol, raw_ol, fe), raw_ol
+
+
+def timing_query(kernel, machine):
+    """(unit counts, lower, start) as core_timing asks CoreLayout.span for
+    them: the search starts at the frontend bound where that exceeds t_nol."""
+    t_nol, raw_ol, fe = core_bounds(kernel, machine)
+    start = max(raw_ol, fe) if fe > t_nol else raw_ol
+    return unit_counts(kernel, machine), max(t_nol, start), start
 
 
 def pairing(kernel, machine):
-    """(span, search states) as core_timing asks for them."""
+    """(raw pairing span, search states)."""
     return machine._core_layout.span(*pairing_query(kernel, machine))
 
 
@@ -704,19 +718,83 @@ def oracle_timing(kernel, machine):
 
 
 def test_core_timing_equals_the_problem_builder_oracle_on_random_port_layouts():
+    """The oracle raises the raw span to the frontend bound afterwards;
+    core_timing starts its search there. Some cases must take that path."""
     rng = random.Random(0x1A7)
+    frontend_raised = 0
     for _ in range(200):
         machine, memory, arith = random_machine(rng)
         kernel = unrolled(random_kernel(rng, memory, arith, max_uops=8), rng.choice((1, 1, 2, 3)))
         assert core_timing(kernel, machine) == oracle_timing(kernel, machine), (machine.ports, kernel.uops)
+        t_nol, _, fe = core_bounds(kernel, machine)
+        frontend_raised += fe > t_nol and pairing(kernel, machine)[0] < fe
+    # 50 of the 200 at this seed
+    assert frontend_raised >= 40
 
 
 def test_core_timing_equals_the_problem_builder_oracle_on_unrolled_builtins():
+    frontend_starts = 0
     for kernel in KERNELS.values():
         for factor in (1, 2, 4, 8):
             for extras in EXTRAS:
                 scaled = unrolled(kernel, factor, extras)
                 assert core_timing(scaled, HASWELL) == oracle_timing(scaled, HASWELL), (kernel.name, factor, extras)
+                t_nol, raw_ol, fe = core_bounds(scaled, HASWELL)
+                if 0 < raw_ol < fe and t_nol < fe:
+                    # core_timing's own query starts at fe and answers max(raw span, fe)
+                    span, _ = HASWELL._core_layout.span(*timing_query(scaled, HASWELL))
+                    assert span == max(pairing(scaled, HASWELL)[0], fe), (kernel.name, factor, extras)
+                    frontend_starts += 1
+    assert frontend_starts == 76
+
+
+# the layout of ports 0-7 with the given capabilities at retire width 8,
+# where a search from the raw T_OL up visits 281 606 states on this kernel
+EIGHT_PORTS = replace(
+    HASWELL,
+    ports=tuple(
+        PortSpec(i, frozenset(capabilities.split()))
+        for i, capabilities in enumerate(
+            (
+                "add fma load-agu-full mul",
+                "agu-simple lea mul store-data",
+                "add lea load-agu-full store-data",
+                "add fma lea mul store-data",
+                "add agu-simple fma lea load-agu-full mul store-data",
+                "load-agu-full mul",
+                "add agu-simple load-agu-full",
+                "agu-simple",
+            )
+        )
+    ),
+    retire_width=8,
+)
+EIGHT_PORT_KERNEL = KernelModel(
+    "eight-port",
+    (),
+    8,
+    (
+        UopGroup(25, "load", BIO),
+        UopGroup(16, "store", BIO),
+        UopGroup(17, "store", OFFSET),
+        UopGroup(16, "fma"),
+        UopGroup(8, "mul"),
+        UopGroup(9, "add"),
+        UopGroup(8, "lea"),
+    ),
+)
+
+
+@pytest.mark.parametrize("factor, expected", [(1, (17, 12)), (8, (132, 91))])
+def test_frontend_bound_eight_port_layout_answers_within_two_states_a_cycle(factor, expected):
+    """The frontend binds here, so core_timing's search starts at its bound:
+    at most two states per cycle of T_OL."""
+    machine = replace(EIGHT_PORTS)
+    kernel = unrolled(EIGHT_PORT_KERNEL, factor)
+    assert tuple(core_timing(kernel, machine)) == expected
+    [(span, states)] = machine._core_layout.spans.values()
+    assert span == expected[0] == frontend_bound(kernel, machine)
+    assert states <= 2 * span
 
 
 def test_capability_errors_equal_the_oracle_on_machines_that_lack_capabilities():
