@@ -54,6 +54,15 @@ def check(value, kind, context: str):
     raise SchemaError(f"{context}: expected {_EXPECTED[kind]}, got {reprlib.repr(value)}")
 
 
+def require_number(value, context: str, exact: bool = False) -> None:
+    """Raise SchemaError naming `context` unless `value` is an int (a bool is
+    none) or, if `exact`, an int or a Fraction: a record's invariants refuse
+    what the model cannot compute with exactly, such as a float."""
+    if type(value) is not int and not (exact and type(value) is Fraction):
+        kind = "an integer or a Fraction" if exact else "an integer"
+        raise SchemaError(f"{context} must be {kind}, got {reprlib.repr(value)}")
+
+
 def fields(obj, context: str, spec: dict) -> list:
     """The values of the keys in `spec`, in its order, from an object with no
     other keys, each checked by `check`. A `(kind, default)` pair marks an

@@ -11,8 +11,8 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from ._num import as_fraction
 from .kernels import KernelConsistencyWarning, KernelModel, builtin_kernels, load_kernel, stream_counts, stream_signature
@@ -33,8 +33,7 @@ class CliError(ValueError):
     """Input problem reported to the user; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """One command's result. `payload` is the JSON document and `rows` the
     table and CSV body; a table frames the rows with `header` and `footer`.
     A report without rows prints `header` and `footer` as its text in both
@@ -248,6 +247,8 @@ def cmd_list_kernels(args) -> Report:
 
 
 def cmd_show_machine(args) -> Report:
+    if args.machine_name and args.machine:
+        raise CliError("show-machine takes a machine name or -m, not both")
     machine = _resolve_machine(args.machine_name or args.machine)
     rows = [
         {"parameter": "name", "value": machine.name},

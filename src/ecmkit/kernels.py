@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
-from ._schema import build, build_fields, fields, read_json
+from ._schema import build, build_fields, fields, read_json, require_number
 from .errors import SchemaError
 from .machine import CACHE_LINE_BYTES
 
@@ -55,6 +55,7 @@ class UopGroup:
     addressing: str | None = None
 
     def __post_init__(self):
+        require_number(self.count, "uop group: count")
         if self.count < 1:
             raise SchemaError(f"uop group: count must be >= 1, got {self.count}")
         if self.uop_class not in UOP_CLASSES:
@@ -75,6 +76,8 @@ class KernelModel:
     flops_per_iteration: int = 0  # reporting only, feeds no prediction
 
     def __post_init__(self):
+        require_number(self.element_bytes, f"kernel {self.name!r}: element_bytes")
+        require_number(self.flops_per_iteration, f"kernel {self.name!r}: flops_per_iteration")
         if self.element_bytes < 1 or CACHE_LINE_BYTES % self.element_bytes != 0:
             raise SchemaError(f"kernel {self.name!r}: element_bytes must divide {CACHE_LINE_BYTES}")
         names = [s.array_name for s in self.streams]

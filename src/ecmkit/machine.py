@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from ._schema import build, build_fields, check, fields, read_json
+from ._schema import build, build_fields, check, fields, read_json, require_number
 from .errors import SchemaError
 
 CACHE_LINE_BYTES = 64
@@ -48,6 +48,7 @@ class PortSpec:
     capabilities: frozenset[str]
 
     def __post_init__(self):
+        require_number(self.id, "port id")
         if self.id < 0:
             raise SchemaError(f"port id must be non-negative, got {self.id}")
         if not self.capabilities:
@@ -68,6 +69,7 @@ class CacheBoundary:
         if self.name not in BOUNDARY_NAMES:
             raise SchemaError(f"CacheBoundary: name must be one of {BOUNDARY_NAMES}, got {self.name!r}")
         b = self.bytes_per_cycle
+        require_number(b, f"CacheBoundary {self.name}: bytes_per_cycle")
         if b <= 0:
             raise SchemaError(f"CacheBoundary {self.name}: bytes_per_cycle must be positive")
         # cycles per cache line must be an exact small rational
@@ -93,11 +95,14 @@ class MemoryModel:
     noncod_derating: Fraction = Fraction(1)
 
     def __post_init__(self):
+        require_number(self.default_bandwidth_gbs, "memory: default_bandwidth_gbs", exact=True)
         if self.default_bandwidth_gbs <= 0:
             raise SchemaError("memory: default_bandwidth_gbs must be > 0")
         for sig, gbs in self.bandwidth_table.items():
+            require_number(gbs, f"memory: bandwidth for signature {sig}", exact=True)
             if gbs <= 0:
                 raise SchemaError(f"memory: bandwidth for signature {sig} must be > 0")
+        require_number(self.noncod_derating, "memory: noncod_derating", exact=True)
         if self.noncod_derating <= 0:
             raise SchemaError("memory: noncod_derating must be > 0")
 
@@ -114,6 +119,8 @@ class NumaConfig:
     cod_enabled: bool
 
     def __post_init__(self):
+        require_number(self.n_domains, "numa: domains")
+        require_number(self.cores_per_domain, "numa: cores_per_domain")
         if self.n_domains < 1:
             raise SchemaError("numa: domains must be >= 1")
         if self.cores_per_domain < 1:
@@ -140,6 +147,9 @@ class MachineModel:
     numa: NumaConfig
 
     def __post_init__(self):
+        require_number(self.frequency_ghz, "frequency_ghz", exact=True)
+        require_number(self.retire_width, "retire_width")
+        require_number(self.store_uop_weight, "store_uop_weight")
         if self.frequency_ghz <= 0:
             raise SchemaError("frequency_ghz must be > 0")
         if self.retire_width < 1:
@@ -157,20 +167,12 @@ class MachineModel:
         return Fraction(CACHE_LINE_BYTES, self.boundary_widths[boundary_name])
 
     def ports_with(self, capability: str) -> frozenset[int]:
-        return self._ports_by_capability.get(capability, frozenset())
-
-    @cached_property
-    def _ports_by_capability(self) -> dict[str, frozenset[int]]:
-        ports: dict[str, set[int]] = {}
-        for p in self.ports:
-            for capability in p.capabilities:
-                ports.setdefault(capability, set()).add(p.id)
-        return {capability: frozenset(ids) for capability, ids in ports.items()}
+        return frozenset(p.id for p in self.ports if capability in p.capabilities)
 
     @cached_property
     def _core_layout(self):
         """scheduler.CoreLayout of this machine, built on first use; like the
-        maps above, not part of ==, repr or serialization."""
+        other cached properties, not part of ==, repr or serialization."""
         from .scheduler import CoreLayout  # the scheduler imports this module
         return CoreLayout(self)
 

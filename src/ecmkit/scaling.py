@@ -3,12 +3,10 @@ memory-bandwidth ceiling binds, per NUMA domain or per chip, plus
 non-temporal-store speedup estimates. Performance is in MUp/s (million loop
 iterations per second).
 
-Every performance figure is an exact Fraction. The single-core figure and
-the ceilings are built from integer numerators and denominators, and the
-curve decides each point's bound by integer cross-multiplication: only
-points below their cap build a Fraction, and bandwidth-bound points share
-the Fraction of their cap, built once per curve for each number of occupied
-domains. A point is a named tuple, so it costs one tuple on top of that.
+Every performance figure is an exact Fraction, for int inputs too: the
+single-core figure is built with Fraction operators, and each point is the
+smaller of n times it and the cap of the domains its n cores occupy.
+A point is a named tuple.
 
 A machine remembers the curves `scale` has built (`MachineModel._curves`).
 Every call still runs `ecm_input` and `bandwidth_ceiling`; the curve is then
@@ -16,9 +14,9 @@ looked up by the exact values the rest of it depends on: the five input
 cells and the ceilings as integer numerator and denominator pairs, the
 penalty's added cycles (model.penalty_cycles, or None), the element size,
 the resolved mode, the pinning and the core count. The frequency and the
-NUMA layout are the machine's own. A miss builds the curve as described
-above and stores it; the memo is cleared when one more curve could take it
-past CURVE_MEMO_POINTS points, so it holds at most that many.
+NUMA layout are the machine's own. A miss builds the curve and stores it;
+the memo is cleared when one more curve could take it past
+CURVE_MEMO_POINTS points, so it holds at most that many.
 """
 
 from __future__ import annotations
@@ -68,13 +66,9 @@ class NtEstimate(NamedTuple):
 
 def single_core_performance(pred: ECMPrediction, kernel: KernelModel, machine: MachineModel) -> Fraction:
     """MUp/s for one core with data from memory: f * iterations per line / t_mem."""
-    t_mem, frequency = pred.t_mem, machine.frequency_ghz
-    if t_mem.numerator == 0:
+    if not pred.t_mem:
         raise ValueError("prediction has zero memory-level cycles")
-    return Fraction(
-        frequency.numerator * 1000 * (CACHE_LINE_BYTES // kernel.element_bytes) * t_mem.denominator,
-        frequency.denominator * t_mem.numerator,
-    )
+    return Fraction(machine.frequency_ghz) * 1000 * (CACHE_LINE_BYTES // kernel.element_bytes) / pred.t_mem
 
 
 def bandwidth_ceiling(kernel: KernelModel, machine: MachineModel, mode: str | None = None) -> BandwidthCeiling:
@@ -122,7 +116,7 @@ def scale(
     ceiling = bandwidth_ceiling(kernel, machine, mode)
     added = None if penalty is None else penalty_cycles(kernel, penalty)
     ol, nol, l1l2, l2l3, l3mem = inp
-    per_domain, per_chip, _ = ceiling
+    per_domain, per_chip, compute_bound = ceiling
     key = (
         mode, pinning, max_cores, kernel.element_bytes, added,
         ol.numerator, ol.denominator, nol.numerator, nol.denominator, l1l2.numerator, l1l2.denominator,
@@ -140,42 +134,22 @@ def scale(
         pred = apply_penalty(pred, kernel, penalty)
     p1 = single_core_performance(pred, kernel, machine)
 
-    # n cores run n * p1 = n * a / b MUp/s below their cap
-    a, b = p1.numerator, p1.denominator
-    cores = range(1, max_cores + 1)
-    if ceiling.compute_bound:
-        points = [PerformancePoint(n, Fraction(n * a, b), False) for n in cores]
-        last_cap = None
-    else:
-        if mode == "cod":
-            numa = machine.numa
-            if pinning == "domain-sequential":
-                domains = [-(-n // numa.cores_per_domain) for n in cores]
-            else:
-                domains = [min(n, numa.n_domains) for n in cores]
-            unit = ceiling.per_domain_mups
-            # the cap of each number of occupied domains, built once per curve
-            caps = {k: Fraction(k * unit.numerator, unit.denominator) for k in range(2, numa.n_domains)}
-            caps[1], caps[numa.n_domains] = unit, ceiling.per_chip_mups
+    numa = machine.numa
+    points, saturation = [], None
+    for n in range(1, max_cores + 1):
+        perf = n * p1
+        if compute_bound:
+            cap = None
+        elif mode == "noncod":
+            cap = per_chip
+        elif pinning == "domain-sequential":
+            cap = -(-n // numa.cores_per_domain) * per_domain
         else:
-            unit = ceiling.per_chip_mups
-            domains, caps = [1] * max_cores, {1: unit}
-        # k domains cap n cores at k * c / d, which n * a / b reaches iff n * a * d >= k * c * b
-        c, d = unit.numerator, unit.denominator
-        points = []
-        for n, k in zip(cores, domains):
-            if n * a * d >= k * c * b:
-                points.append(PerformancePoint(n, caps[k], True))
-            else:
-                points.append(PerformancePoint(n, Fraction(n * a, b), False))
-        last_cap = caps[domains[-1]]
-
-    saturation = None
-    for point in reversed(points):
-        if not point.bandwidth_bound:
-            break
-        saturation = point.cores
-    curve = ScalingCurve(mode, tuple(points), saturation, last_cap)
+            cap = min(n, numa.n_domains) * per_domain
+        bound = cap is not None and perf >= cap
+        points.append(PerformancePoint(n, cap if bound else perf, bound))
+        saturation = (saturation or n) if bound else None
+    curve = ScalingCurve(mode, tuple(points), saturation, cap)
     if len(curves) >= CURVE_MEMO_POINTS // total:
         curves.clear()
     curves[key] = curve

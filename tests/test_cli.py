@@ -456,6 +456,13 @@ def test_show_machine_from_env_path(tmp_path, monkeypatch):
     assert "custom" in text
 
 
+@pytest.mark.parametrize("machine", ["/nonexistent.json", "haswell"])
+def test_show_machine_refuses_a_name_and_a_machine_option(capsys, machine):
+    code, text = invoke("show-machine", "haswell", "-m", machine)
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == "error: show-machine takes a machine name or -m, not both\n"
+
+
 def test_nt_estimate_stream_triad():
     code, text = invoke("nt-estimate", "-k", "stream_triad", "--format", "json")
     assert code == 0

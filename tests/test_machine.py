@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from ecmkit import SchemaError, builtin_haswell, load_machine, serialize_machine
-from ecmkit.machine import MAX_CORES, CacheBoundary, MemoryModel, machine_from_dict
+from ecmkit import SchemaError, UopGroup, builtin_haswell, builtin_kernels, load_machine, serialize_machine
+from ecmkit.machine import MAX_CORES, CacheBoundary, MemoryModel, PortSpec, machine_from_dict
 
 
 @pytest.fixture
@@ -173,3 +173,38 @@ def test_more_cores_than_the_cap_rejected(haswell):
     data["numa"]["domains"] = 3
     with pytest.raises(SchemaError, match=f"numa: domains x cores_per_domain is {3 * MAX_CORES // 2}, more than {MAX_CORES}"):
         machine_from_dict(data)
+
+
+DDOT = builtin_kernels()["ddot"]
+
+
+@pytest.mark.parametrize(
+    "field,build",
+    [
+        ("frequency_ghz", lambda h: replace(h, frequency_ghz=2.3)),
+        ("frequency_ghz", lambda h: replace(h, frequency_ghz="2.3")),
+        ("frequency_ghz", lambda h: replace(h, frequency_ghz=True)),
+        ("retire_width", lambda h: replace(h, retire_width=4.0)),
+        ("retire_width", lambda h: replace(h, retire_width=True)),
+        ("retire_width", lambda h: replace(h, retire_width=Fraction(4))),
+        ("store_uop_weight", lambda h: replace(h, store_uop_weight=2.0)),
+        ("memory: default_bandwidth_gbs", lambda h: replace(h.memory, default_bandwidth_gbs=27.1)),
+        ("memory: bandwidth for signature (1, 0, 0)", lambda h: replace(h.memory, bandwidth_table={(1, 0, 0): 32.4})),
+        ("memory: noncod_derating", lambda h: replace(h.memory, noncod_derating=0.9)),
+        ("numa: domains", lambda h: replace(h.numa, n_domains=2.0)),
+        ("numa: cores_per_domain", lambda h: replace(h.numa, cores_per_domain=True)),
+        ("CacheBoundary L1L2: bytes_per_cycle", lambda h: CacheBoundary("L1L2", 64.0)),
+        ("port id", lambda h: PortSpec(2.0, frozenset({"fma"}))),
+        ("kernel 'ddot': element_bytes", lambda h: replace(DDOT, element_bytes=8.0)),
+        ("kernel 'ddot': flops_per_iteration", lambda h: replace(DDOT, flops_per_iteration=2.0)),
+        ("uop group: count", lambda h: UopGroup(2.0, "fma")),
+        ("uop group: count", lambda h: UopGroup(True, "fma")),
+    ],
+)
+def test_records_refuse_numbers_the_model_cannot_compute_with(haswell, field, build):
+    """A float, bool or string where the model needs an int, or for GHz,
+    GB/s and the derating an int or Fraction, fails on construction with the
+    field's name, not later inside a query or silently as 1."""
+    with pytest.raises(SchemaError) as caught:
+        build(haswell)
+    assert str(caught.value).startswith(f"{field} must be an integer")

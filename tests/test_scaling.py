@@ -225,6 +225,22 @@ def test_single_core_performance_equals_the_fraction_operator_oracle(t_mem, f, e
     assert type(mups) is Fraction
 
 
+def test_curves_stay_exact_for_int_inputs():
+    """Plain operators on ints would give floats: the single-core figure and
+    every point stay Fractions equal to the Fraction-operator oracle."""
+    machine = replace(HASWELL, frequency_ghz=2, memory=MemoryModel(default_bandwidth_gbs=27, noncod_derating=1))
+    pred = ECMPrediction(2, 4, 8, 17)
+    mups = single_core_performance(pred, KERNELS["ddot"], machine)
+    assert type(mups) is Fraction and mups == fraction_single_core_performance(17, 2, 8)
+    for mode in ("cod", "noncod"):
+        for pinning in PINNING_POLICIES:
+            curve = scale(KERNELS["ddot"], machine, mode=mode, pinning=pinning)
+            expected, last_cap = oracle_curve(KERNELS["ddot"], machine, mode, pinning, None, 14)
+            assert [(p.cores, p.performance_mups, p.bandwidth_bound) for p in curve.points] == expected
+            assert all(type(p.performance_mups) is Fraction for p in curve.points)
+            assert type(curve.ceiling_mups) is Fraction and curve.ceiling_mups == last_cap
+
+
 def oracle_curve(kernel, machine, mode, pinning, penalty, max_cores):
     """The capped-linear points from the package's prediction and a ceiling
     recomputed on Fraction operators."""

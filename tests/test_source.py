@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 import inspect
 from dataclasses import dataclass
 from pathlib import Path
@@ -304,6 +305,17 @@ def test_records_built_at_dataclass_cost_are_found():
 
 
 def test_the_records_public_functions_return_are_named_tuples_or_checked():
-    """The record rule of the package docstring, over every public function."""
-    functions = [getattr(ecmkit, name) for name in ecmkit.__all__ if inspect.isfunction(getattr(ecmkit, name))]
-    assert records_built_at_dataclass_cost(functions, "ecmkit") == []
+    """The record rule of the package docstring, over every public
+    module-level function of every module (`__main__` runs the CLI when
+    imported, and defines none)."""
+    functions = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "__main__":
+            module = importlib.import_module(f"ecmkit.{path.stem}" if path.stem != "__init__" else "ecmkit")
+            functions += [f for name, f in vars(module).items()
+                          if inspect.isfunction(f) and f.__module__ == module.__name__ and not name.startswith("_")]
+    assert len(functions) > len(ecmkit.__all__)
+    # _pairing.pattern_table returns a search table, not a record: a plain
+    # class with methods and a step memo it fills, built once per kind set
+    # and kept by the machine's CoreLayout
+    assert records_built_at_dataclass_cost(functions, "ecmkit") == ["PatternTable"]
