@@ -9,7 +9,9 @@ Records follow one rule: a record built from user input, checked on
 construction (`__post_init__`) or holding a `cached_property` is a frozen
 dataclass; a record that a query computes is a `typing.NamedTuple`, which
 prints, hashes and refuses assignment as the dataclass would, is cheaper to
-build, and also equals the plain tuple of its fields.
+build, and also equals the plain tuple of its fields. Numbers follow one rule:
+records and public functions take ints and Fractions only, and a float is
+read nowhere but in `_schema.check`, by its decimal repr.
 """
 
 from .errors import ECMParseError, SchemaError

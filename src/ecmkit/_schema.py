@@ -5,7 +5,8 @@ message that starts with the file's path: a fault found here names the
 field, one a dataclass invariant finds (through `build`) names the object
 and the field. A file that cannot be opened raises
 OSError. The CLI maps both to one `error:` line and exit code 2. Nothing is
-coerced: a number becomes a Fraction only by its exact decimal reading.
+coerced: a number becomes a Fraction only by its exact decimal reading, and
+this is the one place a float is read at all.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import reprlib
 from fractions import Fraction
 from math import isfinite
 
-from ._num import as_fraction
 from .errors import SchemaError
 
 _EXPECTED = {int: "an integer", Fraction: "a finite number", str: "a string", bool: "a boolean", list: "a list",
@@ -49,7 +49,7 @@ def check(value, kind, context: str):
     if type(value) is kind or kind is object:
         return value
     if kind is Fraction and (type(value) is int or type(value) is float and isfinite(value)):
-        return as_fraction(value)
+        return Fraction(str(value))
     # reprlib bounds the message for huge and deeply nested values
     raise SchemaError(f"{context}: expected {_EXPECTED[kind]}, got {reprlib.repr(value)}")
 
@@ -61,6 +61,13 @@ def require_number(value, context: str, exact: bool = False) -> None:
     if type(value) is not int and not (exact and type(value) is Fraction):
         kind = "an integer or a Fraction" if exact else "an integer"
         raise SchemaError(f"{context} must be {kind}, got {reprlib.repr(value)}")
+
+
+def require_bool(value, context: str) -> None:
+    """Raise SchemaError naming `context` unless `value` is a bool: a record
+    refuses a string such as "false", which Python would read as true."""
+    if type(value) is not bool:
+        raise SchemaError(f"{context} must be a boolean, got {reprlib.repr(value)}")
 
 
 def fields(obj, context: str, spec: dict) -> list:

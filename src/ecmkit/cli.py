@@ -14,7 +14,6 @@ import warnings
 from pathlib import Path
 from typing import NamedTuple
 
-from ._num import as_fraction
 from .kernels import KernelConsistencyWarning, KernelModel, builtin_kernels, load_kernel, stream_counts, stream_signature
 from .machine import MachineModel, builtin_haswell, load_machine, serialize_machine
 from .model import (
@@ -82,8 +81,7 @@ def _display(value, precise: bool):
     if not precise:
         text = format_cycles(value)
         return float(text) if "." in text else int(text)
-    v = as_fraction(value)
-    return int(v) if v.denominator == 1 else float(v)
+    return int(value) if value.denominator == 1 else float(value)
 
 
 def _render(report: Report, fmt: str) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
-from ._schema import build, build_fields, fields, read_json, require_number
+from ._schema import build, build_fields, fields, read_json, require_bool, require_number
 from .errors import SchemaError
 from .machine import CACHE_LINE_BYTES
 
@@ -40,6 +40,7 @@ class Stream:
     nontemporal: bool = False
 
     def __post_init__(self):
+        require_bool(self.nontemporal, f"stream {self.array_name!r}: nontemporal")
         if self.access not in ACCESS_KINDS:
             raise SchemaError(f"stream {self.array_name!r}: access must be one of {ACCESS_KINDS}")
         if self.nontemporal and self.access != "write":

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from ._schema import build, build_fields, check, fields, read_json, require_number
+from ._schema import build, build_fields, check, fields, read_json, require_bool, require_number
 from .errors import SchemaError
 
 CACHE_LINE_BYTES = 64
@@ -121,6 +121,7 @@ class NumaConfig:
     def __post_init__(self):
         require_number(self.n_domains, "numa: domains")
         require_number(self.cores_per_domain, "numa: cores_per_domain")
+        require_bool(self.cod_enabled, "numa: cod")
         if self.n_domains < 1:
             raise SchemaError("numa: domains must be >= 1")
         if self.cores_per_domain < 1:

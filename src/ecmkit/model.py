@@ -4,11 +4,13 @@ heuristic, formats/parses the shorthand notation, and scores predictions
 against measurements.
 
 All cycle values are exact rationals; rounding happens only in the formatter
-(one decimal, halves away from zero). Every cell is a Fraction, but the sums,
-maxima and products behind it run on integer numerators and denominators
-(read through `.numerator` and `.denominator`, which int and Fraction share)
-with one Fraction built per cell, since Fraction operators normalize and
-type-check on every step.
+(one decimal, halves away from zero). Functions and records here take ints
+and Fractions only, and the records refuse anything else on construction;
+only the file reader turns a float into a number. Every cell is a Fraction,
+but the sums, maxima and products behind it run on integer numerators and
+denominators (read through `.numerator` and `.denominator`, which int and
+Fraction share) with one Fraction built per cell, since Fraction operators
+normalize and type-check on every step.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from functools import cache
 from math import lcm
 from typing import NamedTuple, NoReturn
 
-from ._num import as_fraction
-from ._schema import read_text
+from ._schema import read_text, require_number
 from .errors import ECMParseError, SchemaError
 from .kernels import KernelModel, bandwidth_signature, load_streams_with_rfo
 from .machine import CACHE_LINE_BYTES, MachineModel
@@ -62,7 +63,7 @@ class ECMPrediction(NamedTuple):
 
 @dataclass(frozen=True)
 class Measurement:
-    """Measured cycles per cache line, keyed by hierarchy level."""
+    """Measured cycles per cache line, each an int or a Fraction, keyed by hierarchy level."""
 
     kernel: str
     levels: dict[str, Fraction]
@@ -71,6 +72,7 @@ class Measurement:
         for name, value in self.levels.items():
             if name not in LEVELS:
                 raise SchemaError(f"measurement {self.kernel!r}: unknown level {name!r}")
+            require_number(value, f"measurement {self.kernel!r}: {name}", exact=True)
             if value <= 0:
                 raise SchemaError(f"measurement {self.kernel!r}: {name} must be > 0")
 
@@ -79,17 +81,13 @@ class Measurement:
 class PenaltyConfig:
     """Empirical off-core transfer penalty: extra cycles per loading stream and
     cache level beyond L2, for kernels with low core cycle counts. The cycles
-    may be anything _num.as_fraction reads exactly; anything else raises
-    ValueError here, not in a later query."""
+    are an int or a Fraction; anything else raises SchemaError here, not in
+    a later query."""
 
     cycles_per_load_stream_per_level: Fraction = Fraction(1)
 
     def __post_init__(self):
-        cycles = self.cycles_per_load_stream_per_level
-        try:
-            as_fraction(cycles)
-        except (TypeError, ValueError, ZeroDivisionError):
-            raise ValueError(f"PenaltyConfig: cycles_per_load_stream_per_level must be a number, got {cycles!r}") from None
+        require_number(self.cycles_per_load_stream_per_level, "PenaltyConfig: cycles_per_load_stream_per_level", exact=True)
 
 
 def _memory_cycles(lines: int, bandwidth, frequency) -> Fraction:
@@ -103,12 +101,13 @@ def _memory_cycles(lines: int, bandwidth, frequency) -> Fraction:
 
 def mem_cycles_per_cl(bandwidth_gbs, frequency_ghz) -> Fraction:
     """Cycles to move one cache line over the memory interface:
-    64 B * f / b, exact."""
-    bandwidth = as_fraction(bandwidth_gbs)
-    frequency = as_fraction(frequency_ghz)
-    if bandwidth.numerator <= 0 or frequency.numerator <= 0:
+    64 B * f / b, exact. Both arguments are ints or Fractions (SchemaError
+    otherwise) and must be positive (ValueError)."""
+    require_number(bandwidth_gbs, "bandwidth_gbs", exact=True)
+    require_number(frequency_ghz, "frequency_ghz", exact=True)
+    if bandwidth_gbs <= 0 or frequency_ghz <= 0:
         raise ValueError("bandwidth and frequency must be > 0")
-    return _memory_cycles(1, bandwidth, frequency)
+    return _memory_cycles(1, bandwidth_gbs, frequency_ghz)
 
 
 def ecm_input(kernel: KernelModel, machine: MachineModel, mode: str | None = None) -> ECMInput:
@@ -172,7 +171,7 @@ def apply_penalty(pred: ECMPrediction, kernel: KernelModel, config: PenaltyConfi
 def penalty_cycles(kernel: KernelModel, config: PenaltyConfig) -> tuple[int, int]:
     """The cycles the penalty adds at L3, twice at memory, as (numerator,
     denominator): the kernel's loading streams times the configured cycles."""
-    cycles = as_fraction(config.cycles_per_load_stream_per_level)
+    cycles = config.cycles_per_load_stream_per_level
     return load_streams_with_rfo(kernel) * cycles.numerator, cycles.denominator
 
 
@@ -186,11 +185,10 @@ def _at_most(a, b) -> bool:
 
 
 def format_cycles(value) -> str:
-    """Canonical cycle display: minimum digits, fractional values to one
-    decimal, halves away from zero."""
-    v = as_fraction(value)
-    n, d = v.numerator, v.denominator
-    # |v| in tenths, rounded half up: floor((20 |n| + d) / 2d)
+    """Canonical cycle display of an int or a Fraction: minimum digits,
+    fractional values to one decimal, halves away from zero."""
+    n, d = value.numerator, value.denominator
+    # |value| in tenths, rounded half up: floor((20 |n| + d) / 2d)
     tenths = (20 * abs(n) + d) // (2 * d)
     sign = "-" if n < 0 and tenths else ""
     whole, tenth = divmod(tenths, 10)
@@ -323,9 +321,10 @@ def model_error(pred: ECMPrediction, measurement: Measurement) -> ModelError:
         measured = measurement.levels.get(name)
         if measured is None:
             continue
-        rel = as_fraction((predicted - measured) / measured * 100)
+        # rel = n / d = (predicted - measured) / measured * 100, d > 0, and
         # |rel| rounded half away from zero, in integers as in format_cycles
-        n, d = rel.numerator, rel.denominator
+        n = 100 * (predicted.numerator * measured.denominator - measured.numerator * predicted.denominator)
+        d = predicted.denominator * measured.numerator
         absolute[name] = (2 * abs(n) + d) // (2 * d)
         signed[name] = -absolute[name] if n < 0 else absolute[name]
     return ModelError(absolute_pct=absolute, signed_pct=signed)

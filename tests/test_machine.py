@@ -4,7 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from ecmkit import SchemaError, UopGroup, builtin_haswell, builtin_kernels, load_machine, serialize_machine
+from ecmkit import (
+    Measurement, PenaltyConfig, SchemaError, UopGroup, builtin_haswell, builtin_kernels, load_machine,
+    mem_cycles_per_cl, serialize_machine,
+)
+from ecmkit.kernels import Stream
 from ecmkit.machine import MAX_CORES, CacheBoundary, MemoryModel, PortSpec, machine_from_dict
 
 
@@ -199,6 +203,10 @@ DDOT = builtin_kernels()["ddot"]
         ("kernel 'ddot': flops_per_iteration", lambda h: replace(DDOT, flops_per_iteration=2.0)),
         ("uop group: count", lambda h: UopGroup(2.0, "fma")),
         ("uop group: count", lambda h: UopGroup(True, "fma")),
+        ("PenaltyConfig: cycles_per_load_stream_per_level", lambda h: PenaltyConfig(0.5)),
+        ("PenaltyConfig: cycles_per_load_stream_per_level", lambda h: PenaltyConfig("1e3000000")),
+        ("measurement 'k': L1", lambda h: Measurement("k", {"L1": 2.5})),
+        ("bandwidth_gbs", lambda h: mem_cycles_per_cl("32.4", Fraction("2.3"))),
     ],
 )
 def test_records_refuse_numbers_the_model_cannot_compute_with(haswell, field, build):
@@ -208,3 +216,18 @@ def test_records_refuse_numbers_the_model_cannot_compute_with(haswell, field, bu
     with pytest.raises(SchemaError) as caught:
         build(haswell)
     assert str(caught.value).startswith(f"{field} must be an integer")
+
+
+@pytest.mark.parametrize(
+    "field,build",
+    [
+        ("numa: cod", lambda h: replace(h.numa, cod_enabled="false")),
+        ("stream 'A': nontemporal", lambda h: Stream("A", "write", nontemporal="false")),
+    ],
+)
+def test_records_refuse_a_flag_that_is_not_a_bool(haswell, field, build):
+    """A string such as "false" is true to Python; a record refuses it on
+    construction rather than run in COD mode or with non-temporal stores."""
+    with pytest.raises(SchemaError) as caught:
+        build(haswell)
+    assert str(caught.value).startswith(f"{field} must be a boolean")

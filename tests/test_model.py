@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecmkit import (
@@ -22,7 +22,6 @@ from ecmkit import (
     predict,
     read_measurements,
 )
-from ecmkit._num import as_fraction
 from ecmkit.errors import SchemaError
 from ecmkit.kernels import KernelModel, Stream, StreamCounts
 from ecmkit.model import LEVELS, ModelError
@@ -46,18 +45,18 @@ KERNELS = builtin_kernels()
 
 
 def test_mem_cycles_per_cl_examples():
-    c = mem_cycles_per_cl("32.4", "2.3")
+    c = mem_cycles_per_cl(Fraction("32.4"), Fraction("2.3"))
     assert format_cycles(2 * c) == "9.1"
     assert format_cycles(c) == "4.5"
-    assert format_cycles(3 * mem_cycles_per_cl("26.3", "2.3")) == "16.8"
+    assert format_cycles(3 * mem_cycles_per_cl(Fraction("26.3"), Fraction("2.3"))) == "16.8"
     assert mem_cycles_per_cl(64 * Fraction("1.7"), Fraction("1.7")) == 1
 
 
 def test_mem_cycles_rejects_nonpositive():
     with pytest.raises(ValueError):
-        mem_cycles_per_cl(0, 2.3)
+        mem_cycles_per_cl(0, Fraction("2.3"))
     with pytest.raises(ValueError):
-        mem_cycles_per_cl(32.4, -1)
+        mem_cycles_per_cl(Fraction("32.4"), -1)
 
 
 @pytest.mark.parametrize("name", REFERENCE_KERNELS)
@@ -203,19 +202,21 @@ def test_penalty_rejects_cells_that_would_decrease():
         apply_penalty(ECMPrediction(Fraction(5), Fraction(3), Fraction(6), Fraction(9)), KERNELS["ddot"])
 
 
-@pytest.mark.parametrize("cycles", ["x", True, None, [1], float("nan"), "1/0"])
+@pytest.mark.parametrize("cycles", ["x", True, None, [1], float("nan"), "1/0", 0.5, "1.5", "3/2"])
 def test_penalty_config_rejects_cycles_that_are_not_a_number_on_construction(cycles):
     with pytest.raises(ValueError) as raised:
         PenaltyConfig(cycles)
-    assert str(raised.value) == f"PenaltyConfig: cycles_per_load_stream_per_level must be a number, got {cycles!r}"
+    assert str(raised.value) == (
+        f"PenaltyConfig: cycles_per_load_stream_per_level must be an integer or a Fraction, got {cycles!r}"
+    )
 
 
-@pytest.mark.parametrize("cycles", [2, Fraction(1, 3), 0.5, "1.5", "3/2", -1])
+@pytest.mark.parametrize("cycles", [2, Fraction(1, 3), -1])
 def test_penalty_config_keeps_every_value_read_exactly(cycles):
     config = PenaltyConfig(cycles)
     assert config.cycles_per_load_stream_per_level is cycles
     pred = predict(ecm_input(KERNELS["ddot"], HASWELL))
-    assert apply_penalty(pred, KERNELS["ddot"], config).t_l3 == pred.t_l3 + 2 * as_fraction(cycles)
+    assert apply_penalty(pred, KERNELS["ddot"], config).t_l3 == pred.t_l3 + 2 * cycles
 
 
 def test_penalty_moves_memory_prediction_toward_measurement():
@@ -398,13 +399,30 @@ signed_error = st.one_of(
 )
 
 
+# (predicted, measured) cells: a measured Fraction off by a signed error, or
+# two ints, any pair or 40 cycles off by an odd multiple of 2.5%, an exact
+# half that int / int division would round through a float
+error_cells = st.one_of(
+    st.tuples(measured_cycles, signed_error).map(lambda me: (me[0] * (1 + me[1] / 100), me[0])),
+    st.tuples(st.integers(0, 1200), st.integers(1, 400)),
+    st.integers(-20, 39).map(lambda k: (41 + 2 * k, 40)),
+)
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(measured_cycles, signed_error), min_size=4, max_size=4), st.sets(st.sampled_from(LEVELS)))
+@example(cells=[(17, 40)] * 4, missing=set())
+@given(st.lists(error_cells, min_size=4, max_size=4), st.sets(st.sampled_from(LEVELS)))
 def test_model_error_equals_the_fraction_rounding_oracle(cells, missing):
-    predicted = {level: m * (1 + e / 100) for level, (m, e) in zip(LEVELS, cells)}
-    measured = {level: m for level, (m, _) in zip(LEVELS, cells) if level not in missing}
+    predicted = {level: p for level, (p, _) in zip(LEVELS, cells)}
+    measured = {level: m for level, (_, m) in zip(LEVELS, cells) if level not in missing}
     errors = model_error(ECMPrediction(*predicted.values()), Measurement("k", measured))
     assert (errors.absolute_pct, errors.signed_pct) == fraction_model_error(predicted, measured)
+
+
+def test_model_error_is_exact_for_int_cells():
+    """-57.5% rounds away from zero; int / int division gave -57.49999999999999."""
+    errors = model_error(ECMPrediction(17, 18, 19, 20), Measurement("k", {"L1": 40}))
+    assert (errors.absolute_pct, errors.signed_pct) == ({"L1": 58}, {"L1": -58})
 
 
 def test_measurement_requires_positive_cycles():

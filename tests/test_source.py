@@ -3,11 +3,15 @@
 import ast
 import importlib
 import inspect
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
+from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple, get_args, get_type_hints
 
 import ecmkit
+from ecmkit import Measurement, PenaltyConfig, SchemaError
+from ecmkit._schema import require_number
+from ecmkit.kernels import Stream
 
 PACKAGE = Path(ecmkit.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -319,3 +323,68 @@ def test_the_records_public_functions_return_are_named_tuples_or_checked():
     # class with methods and a step memo it fills, built once per kind set
     # and kept by the machine's CoreLayout
     assert records_built_at_dataclass_cost(functions, "ecmkit") == ["PatternTable"]
+
+
+def package_modules() -> list:
+    """Every module of the package but `__main__`, which runs the CLI when imported."""
+    return [importlib.import_module(f"ecmkit.{path.stem}" if path.stem != "__init__" else "ecmkit")
+            for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__main__"]
+
+
+def fields_taking_a_string(examples, names: dict[str, str]) -> list[str]:
+    """`Class.field` for each field annotated int, Fraction or bool of the
+    example records' classes where "1" is not refused with a SchemaError
+    naming the field: by its name in `names` (a file key the messages use),
+    else by its own."""
+    found = []
+    for example in examples:
+        hints = get_type_hints(type(example))
+        for field in fields(example):
+            if hints[field.name] not in (int, Fraction, bool):
+                continue
+            try:
+                replace(example, **{field.name: "1"})
+                message = ""
+            except SchemaError as exc:
+                message = str(exc)
+            except TypeError:  # "1" compared with a number fails the check, unnamed
+                message = ""
+            if f"{names.get(field.name, field.name)} must be" not in message:
+                found.append(f"{type(example).__name__}.{field.name}")
+    return found
+
+
+def test_fields_taking_a_string_are_found():
+    @dataclass(frozen=True)
+    class Record:
+        n_items: int
+        size: Fraction
+        exact: Fraction
+        on: bool
+        label: str
+
+        def __post_init__(self):
+            require_number(self.n_items, "record: items")
+            require_number(self.size, "record: size", exact=True)
+            if self.exact < 0:
+                raise SchemaError("exact must be >= 0")
+
+    example = Record(1, Fraction(1), Fraction(1), True, "x")
+    assert fields_taking_a_string([example], {"n_items": "items"}) == ["Record.exact", "Record.on"]
+
+
+def test_every_checked_record_refuses_a_string_for_a_number_or_a_flag():
+    """Each frozen dataclass with a __post_init__ checks its int, Fraction
+    and bool fields itself, so a value built in Python is held to the rules
+    a file is. The examples are one valid instance of each; the stream is a
+    write stream, since a read stream refuses a true `nontemporal` for
+    another reason."""
+    machine = ecmkit.builtin_haswell()
+    ddot = ecmkit.builtin_kernels()["ddot"]
+    examples = [Stream("A", "write"), ddot.uops[0], ddot, machine.ports[0], machine.boundaries[0], machine.memory,
+                machine.numa, machine, Measurement("k", {"L1": 1}), PenaltyConfig()]
+    checked = {cls for module in package_modules() for cls in vars(module).values()
+               if is_dataclass(cls) and isinstance(cls, type) and cls.__module__ == module.__name__
+               and cls.__dataclass_params__.frozen and "__post_init__" in vars(cls)}
+    assert checked == {type(e) for e in examples}
+    assert fields_taking_a_string(examples, {"n_domains": "domains", "cod_enabled": "cod"}) == []
