@@ -1,17 +1,24 @@
 """Machine descriptions: issue-port inventory, cache-boundary widths, sustained
 memory bandwidths and NUMA layout, plus the built-in Haswell reference model.
 
-All types are immutable after construction and safe to share across threads.
-A MachineModel memoizes its core layout and its scaling curves on use. An
-entry is only ever the answer for its key, so concurrent queries get equal
-results; two threads that miss on one key both compute it.
+All types are immutable after construction and safe to share across threads;
+a MemoryModel holds a read-only copy of the bandwidth table it is given.
+A MachineModel memoizes three things on use: its core layout, its model
+inputs (model.ecm_input) and its scaling curves (scaling.scale). The memos
+key on what a query adds to the machine and never on the machine itself,
+which is sound because the machine cannot change. An entry is only ever the
+answer for its key, so concurrent queries get equal results; two threads
+that miss on one key both compute it.
 """
 
 from __future__ import annotations
 
+import reprlib
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 
 from ._schema import build, build_fields, check, fields, read_json, require_bool, require_number
 from .errors import SchemaError
@@ -87,10 +94,12 @@ class MemoryModel:
     Keys are (load streams, store streams, non-temporal store streams); values
     are GB/s, per NUMA domain when the machine runs with domain clustering
     enabled. Lookups never fail: unknown signatures fall back to the default.
+    The table is stored as a read-only copy, so the caller's dict may change
+    later without changing the model.
     """
 
     default_bandwidth_gbs: Fraction
-    bandwidth_table: dict[Signature, Fraction] = field(default_factory=dict)
+    bandwidth_table: Mapping[Signature, Fraction] = field(default_factory=dict)
     # non-clustered chip bandwidth = n_domains * per-domain * derating
     noncod_derating: Fraction = Fraction(1)
 
@@ -102,6 +111,7 @@ class MemoryModel:
             require_number(gbs, f"memory: bandwidth for signature {sig}", exact=True)
             if gbs <= 0:
                 raise SchemaError(f"memory: bandwidth for signature {sig} must be > 0")
+        object.__setattr__(self, "bandwidth_table", MappingProxyType(dict(self.bandwidth_table)))
         require_number(self.noncod_derating, "memory: noncod_derating", exact=True)
         if self.noncod_derating <= 0:
             raise SchemaError("memory: noncod_derating must be > 0")
@@ -176,6 +186,14 @@ class MachineModel:
         other cached properties, not part of ==, repr or serialization."""
         from .scheduler import CoreLayout  # the scheduler imports this module
         return CoreLayout(self)
+
+    @cached_property
+    def _inputs(self) -> dict:
+        """The model inputs ecm_input has built on this machine, keyed by
+        the core timing, the stream tally and the resolved mode (see
+        ecmkit.model), at most model.INPUT_MEMO_ENTRIES of them; like the
+        layout, not part of ==, repr or serialization."""
+        return {}
 
     @cached_property
     def _curves(self) -> dict:
@@ -314,24 +332,38 @@ def load_machine(path) -> MachineModel:
     return machine_from_dict(read_json(path), context=str(path))
 
 
-def _json_number(value: Fraction):
-    return int(value) if value.denominator == 1 else float(value)
+def _json_number(value: Fraction, context: str):
+    """`value` as an int, or as the float that the file reader, which reads a
+    float by its str, reads back as exactly `value`; a ValueError naming
+    `context` when there is no such float, as for 7/3."""
+    if value.denominator == 1:
+        return int(value)
+    try:
+        number = float(value)
+        if Fraction(str(number)) == value:
+            return number
+    except OverflowError:  # too large for a float
+        pass
+    raise ValueError(f"{context}: {reprlib.repr(value)} does not read back exactly from a machine file")
 
 
 def serialize_machine(machine: MachineModel) -> dict:
-    """Schema-shaped dict for a machine; json.dump of it reloads field-identically."""
+    """Schema-shaped dict for a machine; json.dump of it reloads field-identically.
+    A number that a file cannot hold exactly raises ValueError naming its field."""
+    memory = machine.memory
     out = {
         "name": machine.name,
-        "frequency_ghz": _json_number(machine.frequency_ghz),
+        "frequency_ghz": _json_number(machine.frequency_ghz, "frequency_ghz"),
         "retire_width": machine.retire_width,
         "store_uop_weight": machine.store_uop_weight,
         "ports": [{"id": p.id, "capabilities": sorted(p.capabilities)} for p in machine.ports],
         "boundaries": [{"name": b.name, "bytes_per_cycle": b.bytes_per_cycle} for b in machine.boundaries],
         "memory": {
-            "default_bandwidth_gbs": _json_number(machine.memory.default_bandwidth_gbs),
+            "default_bandwidth_gbs": _json_number(memory.default_bandwidth_gbs, "memory: default_bandwidth_gbs"),
             "table": [
-                {"loads": sig[0], "stores": sig[1], "nt_stores": sig[2], "gbs": _json_number(gbs)}
-                for sig, gbs in sorted(machine.memory.bandwidth_table.items())
+                {"loads": sig[0], "stores": sig[1], "nt_stores": sig[2],
+                 "gbs": _json_number(gbs, f"memory: bandwidth for signature {sig}")}
+                for sig, gbs in sorted(memory.bandwidth_table.items())
             ],
         },
         "numa": {
@@ -340,6 +372,6 @@ def serialize_machine(machine: MachineModel) -> dict:
             "cod": machine.numa.cod_enabled,
         },
     }
-    if machine.memory.noncod_derating != 1:
-        out["memory"]["noncod_derating"] = _json_number(machine.memory.noncod_derating)
+    if memory.noncod_derating != 1:
+        out["memory"]["noncod_derating"] = _json_number(memory.noncod_derating, "memory: noncod_derating")
     return out

@@ -9,14 +9,17 @@ smaller of n times it and the cap of the domains its n cores occupy.
 A point is a named tuple.
 
 A machine remembers the curves `scale` has built (`MachineModel._curves`).
-Every call still runs `ecm_input` and `bandwidth_ceiling`; the curve is then
-looked up by the exact values the rest of it depends on: the five input
-cells and the ceilings as integer numerator and denominator pairs, the
-penalty's added cycles (model.penalty_cycles, or None), the element size,
-the resolved mode, the pinning and the core count. The frequency and the
-NUMA layout are the machine's own. A miss builds the curve and stores it;
-the memo is cleared when one more curve could take it past
-CURVE_MEMO_POINTS points, so it holds at most that many.
+Every call still runs `ecm_input`, which runs the core timing; the curve is
+then looked up by what it depends on besides the machine: t_ol and t_nol
+(the integer numerators of the input's first two cells), the kernel's
+stream tally, the resolved mode, the element size, the penalty's added
+cycles (model.penalty_cycles, or None), the pinning and the core count. On
+one machine the tally and the mode fix the transfer cells, and with the
+element size they fix the bandwidth ceilings, so `bandwidth_ceiling` runs
+on a miss only. The frequency and the NUMA layout are the machine's own,
+which cannot change. A miss builds the curve and stores it; the memo is
+cleared when one more curve could take it past CURVE_MEMO_POINTS points, so
+it holds at most that many.
 """
 
 from __future__ import annotations
@@ -98,10 +101,10 @@ def scale(
     round-robin spreads cores across domains. `max_cores` is an int (not a
     bool) in 1..total cores.
 
-    Each call runs `ecm_input` and `bandwidth_ceiling`, then returns the
-    machine's stored curve for the same cells, ceilings, penalty cycles,
-    element size, mode, pinning and core count if it has one (see the module
-    docstring); otherwise it builds the curve and stores it.
+    Each call runs `ecm_input`, then returns the machine's stored curve for
+    the same core timing, stream tally, mode, element size, penalty cycles,
+    pinning and core count if it has one (see the module docstring);
+    otherwise it takes the bandwidth ceilings, builds the curve and stores it.
     """
     mode = machine.resolve_mode(mode)
     if pinning not in PINNING_POLICIES:
@@ -113,22 +116,14 @@ def scale(
         raise ValueError(f"max_cores must be in 1..{total}, got {max_cores!r}")
 
     inp = ecm_input(kernel, machine, mode)
-    ceiling = bandwidth_ceiling(kernel, machine, mode)
     added = None if penalty is None else penalty_cycles(kernel, penalty)
-    ol, nol, l1l2, l2l3, l3mem = inp
-    per_domain, per_chip, compute_bound = ceiling
-    key = (
-        mode, pinning, max_cores, kernel.element_bytes, added,
-        ol.numerator, ol.denominator, nol.numerator, nol.denominator, l1l2.numerator, l1l2.denominator,
-        l2l3.numerator, l2l3.denominator, l3mem.numerator, l3mem.denominator,
-        None if per_domain is None else (per_domain.numerator, per_domain.denominator),
-        None if per_chip is None else (per_chip.numerator, per_chip.denominator),
-    )
+    key = (inp.t_ol.numerator, inp.t_nol.numerator, kernel._tally, mode, kernel.element_bytes, added, pinning, max_cores)
     curves = machine._curves
     curve = curves.get(key)
     if curve is not None:
         return curve
 
+    per_domain, per_chip, compute_bound = bandwidth_ceiling(kernel, machine, mode)
     pred = predict(inp)
     if penalty is not None:
         pred = apply_penalty(pred, kernel, penalty)

@@ -86,6 +86,53 @@ def test_roundtrip_serialize_load(haswell, tmp_path):
     assert serialize_machine(reloaded) == serialize_machine(haswell)
 
 
+def test_the_bandwidth_table_is_a_read_only_copy(haswell):
+    """The model memos key on what a query adds to the machine, so the
+    machine must not change: its table refuses stores, and a change to the
+    caller's dict after construction reaches neither the table nor an
+    answer. Equality and serialization read the table as before."""
+    table = {(1, 0, 0): Fraction("32.4"), (0, 1, 0): Fraction("23.6")}
+    memory = MemoryModel(default_bandwidth_gbs=Fraction("27.1"), bandwidth_table=table)
+    machine = replace(haswell, memory=memory)
+    before = serialize_machine(machine)
+    with pytest.raises(TypeError):
+        machine.memory.bandwidth_table[(1, 0, 0)] = Fraction(1)
+    with pytest.raises(TypeError):
+        del haswell.memory.bandwidth_table[(2, 0, 0)]
+    table[(1, 0, 0)] = Fraction(1)
+    table[(9, 9, 9)] = Fraction(1)
+    assert dict(machine.memory.bandwidth_table) == {(1, 0, 0): Fraction("32.4"), (0, 1, 0): Fraction("23.6")}
+    assert machine.bandwidth((1, 0, 0), "cod") == Fraction("32.4")
+    assert machine.bandwidth((9, 9, 9), "cod") == Fraction("27.1")
+    assert serialize_machine(machine) == before
+    assert machine == replace(haswell, memory=replace(memory, bandwidth_table=dict(machine.memory.bandwidth_table)))
+    assert machine != haswell and builtin_haswell() == haswell
+    assert machine_from_dict(json.loads(json.dumps(before))) == machine
+
+
+def test_serialize_refuses_a_number_a_file_cannot_hold(haswell):
+    """A Fraction with no exact decimal form, such as 7/3 GHz, would be
+    written as a rounded float and reload unequal, so serialize_machine
+    names its field instead; the built-in machine round-trips exactly."""
+    assert machine_from_dict(json.loads(json.dumps(serialize_machine(haswell)))) == haswell
+    cases = [
+        (replace(haswell, frequency_ghz=Fraction(7, 3)), "frequency_ghz: Fraction(7, 3)"),
+        (replace(haswell, memory=replace(haswell.memory, default_bandwidth_gbs=Fraction(1, 3))),
+         "memory: default_bandwidth_gbs: Fraction(1, 3)"),
+        (replace(haswell, memory=replace(haswell.memory, bandwidth_table={(1, 0, 0): Fraction(10**400 + 1, 2)})),
+         "memory: bandwidth for signature (1, 0, 0): Fraction(1000...0000000001, 2)"),
+        (replace(haswell, memory=replace(haswell.memory, noncod_derating=Fraction(2, 3))),
+         "memory: noncod_derating: Fraction(2, 3)"),
+    ]
+    for machine, message in cases:
+        with pytest.raises(ValueError) as raised:
+            serialize_machine(machine)
+        assert str(raised.value).startswith(message)
+        assert str(raised.value).endswith(" does not read back exactly from a machine file")
+    exact = replace(haswell, frequency_ghz=Fraction(5, 2), memory=replace(haswell.memory, noncod_derating=Fraction(9, 10)))
+    assert machine_from_dict(json.loads(json.dumps(serialize_machine(exact)))) == exact
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_machine(tmp_path / "nope.json")

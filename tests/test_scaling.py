@@ -13,11 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecmkit import (
+    ECMInput,
     ECMPrediction,
     bandwidth_ceiling,
     bandwidth_signature,
     builtin_haswell,
     builtin_kernels,
+    core_timing,
     ecm_input,
     format_ecm,
     nt_speedup,
@@ -30,11 +32,12 @@ from ecmkit import (
 from ecmkit import scaling
 from ecmkit.cli import run
 from ecmkit.kernels import KernelModel, Stream, UopGroup
-from ecmkit.machine import MachineModel, MemoryModel, NumaConfig
-from ecmkit.model import PenaltyConfig, apply_penalty
+from ecmkit.machine import CacheBoundary, MachineModel, MemoryModel, NumaConfig
+from ecmkit.model import INPUT_MEMO_ENTRIES, PenaltyConfig, apply_penalty
 from ecmkit.scaling import CURVE_MEMO_POINTS, PINNING_POLICIES, ScalingCurve
+from ecmkit.traffic import TrafficProfile
 
-from oracles import capped_linear_points, fraction_single_core_performance
+from oracles import capped_linear_points, fraction_mem_cycles_per_cl, fraction_single_core_performance
 
 HASWELL = builtin_haswell()
 KERNELS = builtin_kernels()
@@ -453,24 +456,26 @@ def test_a_full_memo_is_cleared_and_holds_at_most_its_bound_of_points():
 
 
 def test_a_memo_dies_with_its_machine():
-    """No process-wide cache holds a machine's curves: the memo dies with its
-    machine, and in-process CLI runs, each building its own machine, leave no
-    curve behind."""
+    """No process-wide cache holds a machine's curves or inputs: both memos
+    die with their machine, and in-process CLI runs, each building its own
+    machine, leave no curve or input behind."""
     class Probe:
         pass
 
     machine = builtin_haswell()
     scale(KERNELS["ddot"], machine)
-    machine._curves["probe"] = probe = Probe()
-    held = weakref.ref(probe)
-    del machine, probe
+    machine._curves["probe"] = curve_probe = Probe()
+    machine._inputs["probe"] = input_probe = Probe()
+    held = [weakref.ref(curve_probe), weakref.ref(input_probe)]
+    del machine, curve_probe, input_probe
     gc.collect()
-    assert held() is None
-    before = {id(o) for o in gc.get_objects() if isinstance(o, ScalingCurve)}
+    assert [ref() for ref in held] == [None, None]
+    records = (ScalingCurve, ECMInput)
+    before = {id(o) for o in gc.get_objects() if isinstance(o, records)}
     for name in sorted(KERNELS) * 2:
         assert run(["scale", "-k", name, "--penalty"], out=io.StringIO()) == 0
     gc.collect()
-    assert [o for o in gc.get_objects() if isinstance(o, ScalingCurve) and id(o) not in before] == []
+    assert [o for o in gc.get_objects() if isinstance(o, records) and id(o) not in before] == []
 
 
 @pytest.mark.parametrize("field", ["numa", "frequency_ghz", "memory"])
@@ -500,8 +505,8 @@ def test_replaced_machines_start_with_an_empty_memo(field):
 def test_warm_scale_queries_make_no_prediction_penalty_or_points(monkeypatch):
     """A deterministic work count: after one pass of the 80 sweep-style
     queries, a second pass on the same machine makes no prediction, penalty
-    or single-core call from scaling and builds no point or curve, but still
-    one ecm_input and one bandwidth_ceiling call per query."""
+    or single-core call from scaling, takes no bandwidth ceiling and builds
+    no point or curve, but still makes one ecm_input call per query."""
     machine = replace(HASWELL)
     config = PenaltyConfig()
     queries = [
@@ -527,4 +532,178 @@ def test_warm_scale_queries_make_no_prediction_penalty_or_points(monkeypatch):
         monkeypatch.setattr(scaling, name, counted(name, getattr(scaling, name)))
     got = [scale(kernel, machine, mode, total, pinning, penalty) for kernel, mode, penalty, pinning in queries]
     assert got == expected
-    assert calls == Counter(ecm_input=80, bandwidth_ceiling=80)
+    assert calls == Counter(ecm_input=80)
+
+
+# ---------------------------------------------------------------------------
+# the per-machine input memo
+
+
+def sweep_queries():
+    """The 80 sweep-style queries: every built-in kernel x mode x penalty on
+    or off x pinning."""
+    config = PenaltyConfig()
+    return [
+        (kernel, mode, penalty, pinning)
+        for kernel in KERNELS.values()
+        for mode in ("cod", "noncod")
+        for penalty in (None, config)
+        for pinning in PINNING_POLICIES
+    ]
+
+
+def oracle_input(kernel, machine, mode):
+    """The five cells from the core timing, the traffic and the bandwidth
+    table, on Fraction operators."""
+    timing = core_timing(kernel, machine)
+    prof = traffic(kernel)
+    gbs = machine.memory.lookup(bandwidth_signature(kernel))
+    if mode == "noncod":
+        gbs = gbs * machine.numa.n_domains * machine.memory.noncod_derating
+    widths = {b.name: b.bytes_per_cycle for b in machine.boundaries}
+    return ECMInput(
+        Fraction(timing.t_ol),
+        Fraction(timing.t_nol),
+        prof.cls_l1l2 * Fraction(64, widths["L1L2"]),
+        prof.cls_l2l3 * Fraction(64, widths["L2L3"]),
+        prof.cls_l3mem * fraction_mem_cycles_per_cl(gbs, machine.frequency_ghz),
+    )
+
+
+def test_warm_ecm_input_builds_no_input_or_traffic_and_reads_no_bandwidth():
+    """A deterministic work count: after one pass of the 80 sweep-style
+    queries, a second pass on the same machine builds no ECMInput or
+    TrafficProfile, calls neither traffic, the machine's bandwidth nor the
+    bandwidth ceilings, and makes exactly two core_timing calls per query,
+    one from scale's ecm_input and one from the query's own, as the
+    benchmark's traced sweep run requires."""
+    machine = replace(HASWELL)
+    queries = sweep_queries()
+    total = machine.numa.total_cores
+
+    def run_all():
+        answers = []
+        for kernel, mode, penalty, pinning in queries:
+            curve = scale(kernel, machine, mode, total, pinning, penalty)
+            inp = ecm_input(kernel, machine, mode)
+            pred = predict(inp)
+            shown = pred if penalty is None else apply_penalty(pred, kernel, penalty)
+            answers.append((curve, inp, pred, shown, format_ecm(inp), format_ecm(shown)))
+        return answers
+
+    expected = run_all()
+    counted = {
+        ECMInput.__new__.__code__: "ECMInput",
+        TrafficProfile.__new__.__code__: "TrafficProfile",
+        traffic.__code__: "traffic",
+        MachineModel.bandwidth.__code__: "bandwidth",
+        bandwidth_ceiling.__code__: "bandwidth_ceiling",
+        core_timing.__code__: "core_timing",
+    }
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in counted:
+            calls[counted[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        got = run_all()
+    finally:
+        sys.setprofile(previous)
+    assert got == expected
+    assert all(a[1] is b[1] for a, b in zip(got, expected))
+    assert calls == Counter(core_timing=2 * len(queries))
+
+
+MEMO_FIELDS = {
+    "memory": MemoryModel(default_bandwidth_gbs=Fraction("19.7"), noncod_derating=Fraction(9, 10)),
+    "frequency_ghz": Fraction("3.1"),
+    "boundaries": (CacheBoundary("L1L2", 32), CacheBoundary("L2L3", 16)),
+    "numa": NumaConfig(3, 4, True),
+    # fma on port 1 only
+    "ports": tuple(replace(p, capabilities=p.capabilities - {"fma"}) if p.id == 0 else p for p in HASWELL.ports),
+}
+
+
+@pytest.mark.parametrize("field", sorted(MEMO_FIELDS))
+def test_replaced_machines_start_with_empty_input_and_curve_memos(field):
+    """A machine made by `replace` from a warm one shares neither memo, and
+    answers every input and curve as a freshly built machine does."""
+    warm = replace(HASWELL)
+    for kernel in KERNELS.values():
+        for mode in ("cod", "noncod"):
+            scale(kernel, warm, mode, None, "round-robin", PenaltyConfig())
+    assert len(warm._inputs) == 2 * len(KERNELS) and len(warm._curves) == 2 * len(KERNELS)
+    other = replace(warm, **{field: MEMO_FIELDS[field]})
+    assert "_inputs" not in vars(other) and "_curves" not in vars(other)
+    changed = 0
+    for kernel in KERNELS.values():
+        for mode in ("cod", "noncod"):
+            inp = ecm_input(kernel, other, mode)
+            assert inp == oracle_input(kernel, other, mode) == ecm_input(kernel, replace(other), mode)
+            curve = scale(kernel, other, mode, None, "round-robin", PenaltyConfig())
+            assert curve == scale(kernel, replace(other), mode, None, "round-robin", PenaltyConfig())
+            changed += inp != ecm_input(kernel, warm, mode)
+    assert changed > 0
+
+
+WARM = replace(HASWELL)
+memory_uops = st.tuples(
+    st.integers(1, 4), st.sampled_from(("load", "store")), st.sampled_from(("base-index-offset", "offset-only"))
+).map(lambda t: UopGroup(*t))
+arithmetic_uops = st.tuples(st.integers(1, 4), st.sampled_from(("fma", "add", "mul", "lea"))).map(lambda t: UopGroup(*t))
+stream_kinds = st.sampled_from((("read", False), ("readwrite", False), ("write", False), ("write", True)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.tuples(st.lists(stream_kinds, max_size=4), st.sampled_from((4, 8))), min_size=1, max_size=3),
+    st.lists(st.one_of(memory_uops, arithmetic_uops), min_size=1, max_size=4),
+    st.permutations((None, "cod", "noncod")),
+    st.sampled_from((None, PenaltyConfig())),
+)
+def test_a_warm_machine_answers_as_a_cold_one(mixes, uops, modes, penalty):
+    """One machine, warm from every earlier query, gives the input and the
+    curve a freshly built machine gives: kernels with one uop list but
+    random stream mixes and element sizes, each in every mode. Each input
+    equals the Fraction-operator oracle."""
+    for i, (kinds, element_bytes) in enumerate(mixes):
+        streams = tuple(Stream(f"s{j}", access, nt) for j, (access, nt) in enumerate(kinds))
+        kernel = KernelModel(f"k{i}", streams, element_bytes, tuple(uops))
+        for mode in modes:
+            cold = replace(HASWELL)
+            got = outcome_of(lambda: (ecm_input(kernel, WARM, mode), scale(kernel, WARM, mode, None, "round-robin", penalty)))
+            assert got == outcome_of(
+                lambda: (ecm_input(kernel, cold, mode), scale(kernel, cold, mode, None, "round-robin", penalty))
+            )
+            if not isinstance(got, str):
+                assert got[0] == oracle_input(kernel, cold, cold.resolve_mode(mode))
+
+
+def test_kernels_that_differ_only_in_element_size_share_an_input_but_not_a_curve():
+    machine = replace(HASWELL)
+    wide, narrow = (replace(KERNELS["stream_triad"], element_bytes=size) for size in (8, 4))
+    assert ecm_input(wide, machine) is ecm_input(narrow, machine)
+    assert len(machine._inputs) == 1
+    curves = [scale(kernel, machine, max_cores=1) for kernel in (wide, narrow)]
+    assert len(machine._curves) == 2
+    assert curves[1].points[0].performance_mups == 2 * curves[0].points[0].performance_mups
+    assert curves == [scale(kernel, replace(HASWELL), max_cores=1) for kernel in (wide, narrow)]
+
+
+def test_a_full_input_memo_is_cleared():
+    """The memo holds at most INPUT_MEMO_ENTRIES inputs: the one after that
+    clears it, and answers stay those of a cold machine."""
+    machine = replace(HASWELL)
+    inputs = machine._inputs
+    sizes = []
+    for t_nol in range(1, INPUT_MEMO_ENTRIES // 2 + 2):
+        kernel = KernelModel("k", (Stream("a", "read"),), 8, (UopGroup(2 * t_nol, "load", "base-index-offset"),))
+        for mode in ("cod", "noncod"):
+            inp = ecm_input(kernel, machine, mode)
+            sizes.append(len(inputs))
+            assert inp == oracle_input(kernel, machine, mode)
+    assert max(sizes) == INPUT_MEMO_ENTRIES
+    assert sizes[INPUT_MEMO_ENTRIES - 1:] == [INPUT_MEMO_ENTRIES, 1, 2]

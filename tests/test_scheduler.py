@@ -834,14 +834,16 @@ def test_replaced_machines_do_not_reuse_a_cached_layout():
 
 
 def test_the_layout_is_not_part_of_equality_repr_or_serialization():
-    """Nor is the machine's memo of scaling curves."""
+    """Nor are the machine's memos of model inputs and scaling curves."""
     cold, warm = replace(HASWELL), replace(HASWELL)
     core_timing(KERNELS["schoenauer_triad_opt"], warm)
     scale(KERNELS["schoenauer_triad_opt"], warm, penalty=PenaltyConfig())
     assert "_core_layout" in vars(warm) and "_core_layout" not in vars(cold)
+    assert len(vars(warm)["_inputs"]) == 1 and "_inputs" not in vars(cold)
     assert len(vars(warm)["_curves"]) == 1 and "_curves" not in vars(cold)
     assert warm == cold
-    assert repr(warm) == repr(cold) and "Layout" not in repr(warm) and "Curve" not in repr(warm)
+    assert repr(warm) == repr(cold)
+    assert not any(word in repr(warm) for word in ("Layout", "Input", "Curve"))
     assert serialize_machine(warm) == serialize_machine(cold)
 
 
