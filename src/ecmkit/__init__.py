@@ -5,13 +5,22 @@ per-level data-transfer cycles, combined by an overlap rule; multi-core
 performance scales the single-core prediction up to the memory-bandwidth
 ceiling. Machines and kernels are declarative (built-in or JSON files).
 
-Records follow one rule: a record built from user input, checked on
-construction (`__post_init__`) or holding a `cached_property` is a frozen
-dataclass; a record that a query computes is a `typing.NamedTuple`, which
-prints, hashes and refuses assignment as the dataclass would, is cheaper to
-build, and also equals the plain tuple of its fields. Numbers follow one rule:
-records and public functions take ints and Fractions only, and a float is
-read nowhere but in `_schema.check`, by its decimal repr.
+Records follow one rule: a record built from user input or checked on
+construction (`__post_init__`) is a frozen dataclass; a record that a query
+computes is a `typing.NamedTuple`, which prints, hashes and refuses
+assignment as the dataclass would, is cheaper to build, and also equals the
+plain tuple of its fields. Either may keep values derived from its fields
+in a `functools.cached_property`, filled on first use, which is no field,
+so ==, hash and repr ignore it and it lives as long as its record. Of the
+query records only `ECMInput` (its prediction and shorthand) and
+`ECMPrediction` (its shorthand and its penalized predictions by penalty
+cycles) do: each subclasses the named tuple of its fields to get an instance
+`__dict__`, and a record made by `_replace`, `parse_ecm`, copying or
+unpickling starts without kept values.
+
+Numbers follow one rule: records and public functions take ints and
+Fractions only, and a float is read nowhere but in `_schema.check`, by its
+decimal repr.
 """
 
 from .errors import ECMParseError, SchemaError

@@ -20,7 +20,7 @@ import io
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import lcm
 from typing import NamedTuple, NoReturn
 
@@ -34,33 +34,100 @@ from .traffic import traffic
 LEVELS = ("L1", "L2", "L3", "MEM")
 # the inputs a machine's input memo may hold
 INPUT_MEMO_ENTRIES = 1024
+# the penalized predictions a prediction may keep
+PENALTY_MEMO_ENTRIES = 16
 
 
-class ECMInput(NamedTuple):
-    """Five-component model input, cycles per cache line of work."""
-
+class _InputCells(NamedTuple):
     t_ol: Fraction
     t_nol: Fraction
     t_l1l2: Fraction
     t_l2l3: Fraction
     t_l3mem: Fraction
 
+
+class ECMInput(_InputCells):
+    """Five-component model input, cycles per cache line of work.
+
+    The input keeps its prediction and its shorthand once asked for them
+    (`predict`, `format_ecm`); they are no fields, so ==, hash and repr
+    ignore them, and a copy, an unpickled input or one made by `_replace`
+    starts without them.
+    """
+
     def cells(self) -> tuple[Fraction, ...]:
         """The five cells in shorthand order: the input itself, already that tuple."""
         return self
 
+    def __getstate__(self) -> None:
+        """Nothing but the cells: pickling and copying drop the kept values."""
+        return None
 
-class ECMPrediction(NamedTuple):
-    """Predicted cycles per cache line with data held at each hierarchy level."""
+    @cached_property
+    def _prediction(self) -> ECMPrediction:
+        """The per-level prediction, see `predict`. The cells go over one
+        common denominator, so the running sums and maxima are integer
+        operations; each level is then one Fraction, and a level equal to
+        the one before reuses its object."""
+        denominator = lcm(*(c.denominator for c in self))
+        ol, nol, l1l2, l2l3, l3mem = (c.numerator * (denominator // c.denominator) for c in self)
+        levels = []
+        previous = value = None
+        for reach in (nol, nol + l1l2, nol + l1l2 + l2l3, nol + l1l2 + l2l3 + l3mem):
+            level = max(ol, reach)
+            if level != previous:
+                previous, value = level, Fraction(level, denominator)
+            levels.append(value)
+        return ECMPrediction(*levels)
 
+    @cached_property
+    def _shorthand(self) -> str:
+        ol, nol, l1l2, l2l3, l3mem = (format_cycles(c) for c in self)
+        return f"{{{ol} || {nol} | {l1l2} | {l2l3} | {l3mem}}}"
+
+
+class _PredictionCells(NamedTuple):
     t_core: Fraction
     t_l2: Fraction
     t_l3: Fraction
     t_mem: Fraction
 
+
+class ECMPrediction(_PredictionCells):
+    """Predicted cycles per cache line with data held at each hierarchy level.
+
+    The prediction keeps its shorthand and its penalized predictions, by the
+    penalty's `penalty_cycles`, once asked for them (`format_ecm`,
+    `apply_penalty`), on the terms `ECMInput` keeps its values.
+    """
+
     def cells(self) -> tuple[Fraction, ...]:
         """The four levels from L1 to memory: the prediction itself, already that tuple."""
         return self
+
+    __getstate__ = ECMInput.__getstate__
+
+    @cached_property
+    def _shorthand(self) -> str:
+        cells = " \\ ".join(format_cycles(c) for c in self)
+        return f"{{{cells}}}"
+
+    @cached_property
+    def _penalized(self) -> dict[tuple[int, int], ECMPrediction]:
+        """Penalized predictions by penalty cycles (extra, d), at most
+        PENALTY_MEMO_ENTRIES; `apply_penalty` fills it."""
+        return {}
+
+    def _penalize(self, extra: int, d: int) -> ECMPrediction:
+        """The prediction with extra / d cycles added at L3 and twice that at
+        memory; ValueError if the cells then decrease."""
+        core, l2, l3, mem = self
+        l3 = Fraction(l3.numerator * d + extra * l3.denominator, l3.denominator * d)
+        mem = Fraction(mem.numerator * d + 2 * extra * mem.denominator, mem.denominator * d)
+        if not (_at_most(core, l2) and _at_most(l2, l3) and _at_most(l3, mem)):
+            cells = ", ".join(str(c) for c in (core, l2, l3, mem))
+            raise ValueError(f"penalized prediction cells must not decrease from L1 to memory, got {cells}")
+        return ECMPrediction(core, l2, l3, mem)
 
 
 @dataclass(frozen=True)
@@ -151,21 +218,10 @@ def predict(inp: ECMInput) -> ECMPrediction:
     """Per-level prediction: the slower of the overlapping component and the
     non-overlapping component plus all transfers down to that level.
 
-    The cells go over one common denominator, so the running sums and maxima
-    are integer operations; each level is then one Fraction, and a level
-    equal to the one before reuses its object.
+    The input keeps its prediction (ECMInput._prediction): the first call
+    computes it, and every later call returns the same object.
     """
-    cells = inp.cells()
-    denominator = lcm(*(c.denominator for c in cells))
-    ol, nol, l1l2, l2l3, l3mem = (c.numerator * (denominator // c.denominator) for c in cells)
-    levels = []
-    previous = value = None
-    for reach in (nol, nol + l1l2, nol + l1l2 + l2l3, nol + l1l2 + l2l3 + l3mem):
-        level = max(ol, reach)
-        if level != previous:
-            previous, value = level, Fraction(level, denominator)
-        levels.append(value)
-    return ECMPrediction(*levels)
+    return inp._prediction
 
 
 def apply_penalty(pred: ECMPrediction, kernel: KernelModel, config: PenaltyConfig | None = None) -> ECMPrediction:
@@ -173,17 +229,23 @@ def apply_penalty(pred: ECMPrediction, kernel: KernelModel, config: PenaltyConfi
 
     Each stream that loads lines (explicit reads, read-modify-writes and
     write-allocates) costs the configured cycles once at L3 and twice at
-    memory; L1 and L2 are unchanged.
+    memory; L1 and L2 are unchanged. The cells must not decrease from L1 to
+    memory afterwards (ValueError otherwise).
+
+    The penalized prediction depends on the kernel and the config only
+    through penalty_cycles, so the prediction keeps it under those cycles;
+    the map is cleared when it holds PENALTY_MEMO_ENTRIES. A ValueError is
+    stored nowhere and is raised again by the next call.
     """
-    # the loading streams' cycles per level are extra / d
-    extra, d = penalty_cycles(kernel, config or PenaltyConfig())
-    core, l2, l3, mem = pred.cells()
-    l3 = Fraction(l3.numerator * d + extra * l3.denominator, l3.denominator * d)
-    mem = Fraction(mem.numerator * d + 2 * extra * mem.denominator, mem.denominator * d)
-    if not (_at_most(core, l2) and _at_most(l2, l3) and _at_most(l3, mem)):
-        cells = ", ".join(str(c) for c in (core, l2, l3, mem))
-        raise ValueError(f"penalized prediction cells must not decrease from L1 to memory, got {cells}")
-    return ECMPrediction(core, l2, l3, mem)
+    key = penalty_cycles(kernel, config or PenaltyConfig())
+    penalized = pred._penalized
+    shown = penalized.get(key)
+    if shown is None:
+        shown = pred._penalize(*key)
+        if len(penalized) >= PENALTY_MEMO_ENTRIES:
+            penalized.clear()
+        penalized[key] = shown
+    return shown
 
 
 def penalty_cycles(kernel: KernelModel, config: PenaltyConfig) -> tuple[int, int]:
@@ -214,12 +276,11 @@ def format_cycles(value) -> str:
 
 
 def format_ecm(value: ECMInput | ECMPrediction) -> str:
-    if isinstance(value, ECMInput):
-        ol, nol, l1l2, l2l3, l3mem = (format_cycles(c) for c in value.cells())
-        return f"{{{ol} || {nol} | {l1l2} | {l2l3} | {l3mem}}}"
-    if isinstance(value, ECMPrediction):
-        cells = " \\ ".join(format_cycles(c) for c in value.cells())
-        return f"{{{cells}}}"
+    """Shorthand of an input, {ol || nol | l1l2 | l2l3 | l3mem}, or of a
+    prediction, {core \\ l2 \\ l3 \\ mem}, each cell by format_cycles. The
+    record keeps its shorthand: only the first call renders it."""
+    if isinstance(value, (ECMInput, ECMPrediction)):
+        return value._shorthand
     raise TypeError(f"cannot format {type(value).__name__}")
 
 
@@ -241,18 +302,18 @@ def parse_ecm(text: str) -> ECMInput | ECMPrediction:
     """Parse shorthand notation back into a value; inverse of format_ecm on
     canonical strings.
 
-    A value is read from one full match of the input or the prediction
-    shape, each cell an exact decimal. Text that matches neither is scanned
-    token by token only to report where it goes wrong.
+    A value is read from one full match of one shape, each cell an exact
+    decimal: the input shape if the text holds '||', else the prediction
+    shape, since input text holds '||' and prediction text holds no '|'.
+    Text that does not match is scanned token by token only to report where
+    it goes wrong.
     """
     input_shape, prediction_shape = _shapes()
-    match = input_shape.fullmatch(text)
-    if match is not None:
-        return ECMInput(*_decimals(match))
-    match = prediction_shape.fullmatch(text)
-    if match is not None:
-        return ECMPrediction(*_decimals(match))
-    _reject(text)
+    record, shape = (ECMInput, input_shape) if "||" in text else (ECMPrediction, prediction_shape)
+    match = shape.fullmatch(text)
+    if match is None:
+        _reject(text)
+    return record(*_decimals(match))
 
 
 def _decimals(match: re.Match) -> list[Fraction]:

@@ -1,3 +1,7 @@
+import copy
+import gc
+import pickle
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -24,7 +28,7 @@ from ecmkit import (
 )
 from ecmkit.errors import SchemaError
 from ecmkit.kernels import KernelModel, Stream, StreamCounts
-from ecmkit.model import LEVELS, ModelError
+from ecmkit.model import LEVELS, PENALTY_MEMO_ENTRIES, ModelError
 from ecmkit.reference import reference_cells, reference_measurements, REFERENCE_KERNELS
 from ecmkit.scaling import BandwidthCeiling, NtEstimate, PerformancePoint, ScalingCurve
 from ecmkit.scheduler import CoreTiming
@@ -534,3 +538,156 @@ def test_query_records_keep_their_fields_repr_hash_and_immutability(record, fiel
         assert hash(record) == expected
     with pytest.raises(AttributeError):
         setattr(record, fields[0], values[0])
+
+
+# ---------------------------------------------------------------------------
+# the values an input and a prediction keep
+
+
+def oracle_shorthand(cells) -> str:
+    """The shorthand of five input or four prediction cells, each cell by Fraction rounding."""
+    shown = [rational_format_cycles(c) for c in cells]
+    if len(shown) == 5:
+        return "{%s || %s | %s | %s | %s}" % tuple(shown)
+    return "{" + " \\ ".join(shown) + "}"
+
+
+def oracle_answers(cells, penalties) -> list:
+    """By the Fraction-operator oracles, for an input's five cells: the
+    prediction and both shorthands; for a prediction's four: its shorthand.
+    Then each penalty's prediction and shorthand, or its error message; all
+    twice over, as `answers` asks twice."""
+    if len(cells) == 5:
+        pred = fraction_predict(*cells)
+        once = [(pred, oracle_shorthand(cells), oracle_shorthand(pred))]
+    else:
+        pred = tuple(cells)
+        once = [oracle_shorthand(pred)]
+    for kernel, config in penalties:
+        try:
+            shown = fraction_penalty(pred, load_streams(kernel), config.cycles_per_load_stream_per_level)
+            once.append((shown, oracle_shorthand(shown)))
+        except ValueError as exc:
+            once.append(str(exc))
+    return once * 2
+
+
+def answers(record, penalties) -> list:
+    """What the package answers for `oracle_answers`' queries on an input or
+    a prediction, asking each twice: the second time from kept values."""
+    got = []
+    for _ in range(2):
+        if isinstance(record, ECMInput):
+            pred = predict(record)
+            assert all_fractions(pred)
+            got.append((pred, format_ecm(record), format_ecm(pred)))
+        else:
+            pred = record
+            got.append(format_ecm(pred))
+        for kernel, config in penalties:
+            try:
+                shown = apply_penalty(pred, kernel, config)
+                got.append((shown, format_ecm(shown)))
+            except ValueError as exc:
+                got.append(str(exc))
+    return got
+
+
+def load_streams(kernel) -> int:
+    return sum(1 for s in kernel.streams if not s.nontemporal)
+
+
+signed_cell = st.one_of(st.integers(-10**4, 10**4), fraction_cell, fraction_cell.map(lambda f: -f))
+penalty = st.tuples(
+    st.lists(stream_kinds, max_size=4).map(streams_kernel),
+    st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-40, 40), st.integers(1, 6))).map(PenaltyConfig),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(signed_cell, min_size=5, max_size=5), st.lists(penalty, max_size=6))
+def test_records_answer_as_the_uncached_arithmetic_on_every_call(cells, penalties):
+    """An input and the predictions made from it answer predict,
+    apply_penalty and format_ecm as the Fraction-operator oracles do, on the
+    first call and from their kept values on the second. Records made by
+    `_replace`, pickling, copying and `parse_ecm` start with nothing kept and
+    answer for their own cells; keeping changes no ==, hash or repr."""
+    inp = ECMInput(*cells)
+    fresh = (repr(inp), hash(inp))
+    assert answers(inp, penalties) == oracle_answers(cells, penalties)
+    assert (repr(inp), hash(inp)) == fresh and inp == tuple(cells)
+    assert {"_prediction", "_shorthand"} <= vars(inp).keys()
+    pred = predict(inp)
+    moved = cells[:4] + [cells[4] + 1]
+    made = [
+        (inp._replace(), cells),
+        (inp._replace(t_l3mem=moved[4]), moved),
+        (pickle.loads(pickle.dumps(inp)), cells),
+        (copy.copy(inp), cells),
+        (copy.deepcopy(inp), cells),
+        (pred._replace(), pred),
+        (pickle.loads(pickle.dumps(pred)), pred),
+        (copy.copy(pred), pred),
+    ]
+    for value in (inp, pred):
+        text = format_ecm(value)
+        if "-" not in text:  # the shorthand has no negative numbers
+            parsed = parse_ecm(text)
+            made.append((parsed, list(parsed)))
+    for record, record_cells in made:
+        assert type(record) in (ECMInput, ECMPrediction) and vars(record) == {}
+        assert answers(record, penalties) == oracle_answers(record_cells, penalties)
+
+
+def test_penalized_predictions_are_kept_by_both_parts_of_the_penalty_cycles():
+    """penalty_cycles gives (extra, d) with extra / d cycles: (2, 1), (2, 2)
+    and (4, 1) for two loading streams and 1, 1/2 and 2 cycles. Each key
+    keeps its own prediction, so pairs that share one part answer apart."""
+    kernel = streams_kernel([("read", False), ("write", False)])
+    pred = predict(ECMInput(Fraction(1), Fraction(2), Fraction(2), Fraction(4), Fraction(9)))
+    for cycles in (1, Fraction(1, 2), 2, 1, Fraction(1, 2), 2):
+        shown = apply_penalty(pred, kernel, PenaltyConfig(cycles))
+        assert shown == fraction_penalty(pred, 2, cycles)
+    assert sorted(pred._penalized) == [(2, 1), (2, 2), (4, 1)]
+
+
+def test_a_refused_penalty_is_kept_nowhere_and_refused_again():
+    pred = predict(ECMInput(Fraction(1), Fraction(2), Fraction(2), Fraction(4), Fraction(9)))
+    config = PenaltyConfig(Fraction(-3))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError, match="must not decrease") as raised:
+            apply_penalty(pred, KERNELS["ddot"], config)
+        messages.append(str(raised.value))
+        assert pred._penalized == {}
+    assert messages[0] == messages[1]
+
+
+def test_the_penalized_map_is_cleared_when_full():
+    kernel = streams_kernel([("read", False)])
+    pred = predict(ECMInput(Fraction(1), Fraction(2), Fraction(2), Fraction(4), Fraction(9)))
+    sizes = []
+    for numerator in range(1, 2 * PENALTY_MEMO_ENTRIES + 2):
+        cycles = Fraction(numerator, 3)
+        assert apply_penalty(pred, kernel, PenaltyConfig(cycles)) == fraction_penalty(pred, 1, cycles)
+        sizes.append(len(pred._penalized))
+    assert max(sizes) == PENALTY_MEMO_ENTRIES
+    assert sizes[PENALTY_MEMO_ENTRIES - 1:PENALTY_MEMO_ENTRIES + 2] == [PENALTY_MEMO_ENTRIES, 1, 2]
+
+
+def test_kept_values_die_with_their_record():
+    """No process-wide cache holds what a record keeps: a probe put beside
+    the kept prediction, shorthand and penalized map dies with the record."""
+    class Probe:
+        pass
+
+    inp = ECMInput(Fraction(1), Fraction(2), Fraction(2), Fraction(4), Fraction(9))
+    pred = predict(inp)
+    apply_penalty(pred, KERNELS["ddot"])
+    format_ecm(inp), format_ecm(pred)
+    vars(inp)["probe"] = input_probe = Probe()
+    pred._penalized["probe"] = penalty_probe = Probe()
+    held = [weakref.ref(input_probe), weakref.ref(penalty_probe)]
+    del inp, pred, input_probe, penalty_probe
+    gc.collect()
+    assert [ref() for ref in held] == [None, None]

@@ -21,6 +21,7 @@ from ecmkit import (
     builtin_kernels,
     core_timing,
     ecm_input,
+    format_cycles,
     format_ecm,
     nt_speedup,
     parse_ecm,
@@ -458,7 +459,7 @@ def test_a_full_memo_is_cleared_and_holds_at_most_its_bound_of_points():
 def test_a_memo_dies_with_its_machine():
     """No process-wide cache holds a machine's curves or inputs: both memos
     die with their machine, and in-process CLI runs, each building its own
-    machine, leave no curve or input behind."""
+    machine, leave no curve, input or prediction kept by an input behind."""
     class Probe:
         pass
 
@@ -470,7 +471,7 @@ def test_a_memo_dies_with_its_machine():
     del machine, curve_probe, input_probe
     gc.collect()
     assert [ref() for ref in held] == [None, None]
-    records = (ScalingCurve, ECMInput)
+    records = (ScalingCurve, ECMInput, ECMPrediction)
     before = {id(o) for o in gc.get_objects() if isinstance(o, records)}
     for name in sorted(KERNELS) * 2:
         assert run(["scale", "-k", name, "--penalty"], out=io.StringIO()) == 0
@@ -570,36 +571,9 @@ def oracle_input(kernel, machine, mode):
     )
 
 
-def test_warm_ecm_input_builds_no_input_or_traffic_and_reads_no_bandwidth():
-    """A deterministic work count: after one pass of the 80 sweep-style
-    queries, a second pass on the same machine builds no ECMInput or
-    TrafficProfile, calls neither traffic, the machine's bandwidth nor the
-    bandwidth ceilings, and makes exactly two core_timing calls per query,
-    one from scale's ecm_input and one from the query's own, as the
-    benchmark's traced sweep run requires."""
-    machine = replace(HASWELL)
-    queries = sweep_queries()
-    total = machine.numa.total_cores
-
-    def run_all():
-        answers = []
-        for kernel, mode, penalty, pinning in queries:
-            curve = scale(kernel, machine, mode, total, pinning, penalty)
-            inp = ecm_input(kernel, machine, mode)
-            pred = predict(inp)
-            shown = pred if penalty is None else apply_penalty(pred, kernel, penalty)
-            answers.append((curve, inp, pred, shown, format_ecm(inp), format_ecm(shown)))
-        return answers
-
-    expected = run_all()
-    counted = {
-        ECMInput.__new__.__code__: "ECMInput",
-        TrafficProfile.__new__.__code__: "TrafficProfile",
-        traffic.__code__: "traffic",
-        MachineModel.bandwidth.__code__: "bandwidth",
-        bandwidth_ceiling.__code__: "bandwidth_ceiling",
-        core_timing.__code__: "core_timing",
-    }
+def calls_by_code(counted: dict, run):
+    """run() under a profile hook that counts calls of the code objects in
+    `counted` under their names; returns its answer and the counts."""
     calls = Counter()
 
     def profile(frame, event, arg):
@@ -609,12 +583,74 @@ def test_warm_ecm_input_builds_no_input_or_traffic_and_reads_no_bandwidth():
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        got = run_all()
+        return run(), calls
     finally:
         sys.setprofile(previous)
+
+
+def sweep_answers(machine, queries) -> list:
+    """Each query's curve, input, prediction, shown prediction and the
+    shorthand of all three, as a sweep op asks for them."""
+    answers = []
+    for kernel, mode, penalty, pinning in queries:
+        curve = scale(kernel, machine, mode, machine.numa.total_cores, pinning, penalty)
+        inp = ecm_input(kernel, machine, mode)
+        pred = predict(inp)
+        shown = pred if penalty is None else apply_penalty(pred, kernel, penalty)
+        answers.append((curve, inp, pred, shown, format_ecm(inp), format_ecm(pred), format_ecm(shown)))
+    return answers
+
+
+def test_warm_ecm_input_builds_no_input_or_traffic_and_reads_no_bandwidth():
+    """A deterministic work count: after one pass of the 80 sweep-style
+    queries, a second pass on the same machine builds no ECMInput or
+    TrafficProfile, calls neither traffic, the machine's bandwidth nor the
+    bandwidth ceilings, and makes exactly two core_timing calls per query,
+    one from scale's ecm_input and one from the query's own, as the
+    benchmark's traced sweep run requires."""
+    machine = replace(HASWELL)
+    queries = sweep_queries()
+    expected = sweep_answers(machine, queries)
+    counted = {
+        ECMInput.__new__.__code__: "ECMInput",
+        TrafficProfile.__new__.__code__: "TrafficProfile",
+        traffic.__code__: "traffic",
+        MachineModel.bandwidth.__code__: "bandwidth",
+        bandwidth_ceiling.__code__: "bandwidth_ceiling",
+        core_timing.__code__: "core_timing",
+    }
+    got, calls = calls_by_code(counted, lambda: sweep_answers(machine, queries))
     assert got == expected
     assert all(a[1] is b[1] for a, b in zip(got, expected))
     assert calls == Counter(core_timing=2 * len(queries))
+
+
+def test_warm_sweep_queries_recompute_no_prediction_penalty_or_shorthand():
+    """A deterministic work count: after one pass of the 80 sweep-style
+    queries, a second pass on the same machine runs the prediction
+    arithmetic, the penalty arithmetic and the shorthand rendering zero
+    times, since the input keeps its prediction and shorthand and the
+    prediction its shorthand and penalized predictions; predict,
+    apply_penalty and format_ecm are still called once per query, once per
+    penalized query and three times per query."""
+    machine = replace(HASWELL)
+    queries = sweep_queries()
+    expected = sweep_answers(machine, queries)
+    counted = {
+        predict.__code__: "predict",
+        apply_penalty.__code__: "apply_penalty",
+        format_ecm.__code__: "format_ecm",
+        ECMInput._prediction.func.__code__: "prediction arithmetic",
+        ECMPrediction._penalize.__code__: "penalty arithmetic",
+        ECMInput._shorthand.func.__code__: "input shorthand",
+        ECMPrediction._shorthand.func.__code__: "prediction shorthand",
+        format_cycles.__code__: "format_cycles",
+        ECMPrediction.__new__.__code__: "ECMPrediction",
+    }
+    got, calls = calls_by_code(counted, lambda: sweep_answers(machine, queries))
+    assert got == expected
+    assert all(a[2] is b[2] and a[3] is b[3] for a, b in zip(got, expected))
+    assert calls == Counter(predict=80, apply_penalty=40, format_ecm=240)
 
 
 MEMO_FIELDS = {

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import re
 from dataclasses import dataclass, fields, is_dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -323,6 +324,49 @@ def test_the_records_public_functions_return_are_named_tuples_or_checked():
     # class with methods and a step memo it fills, built once per kind set
     # and kept by the machine's CoreLayout
     assert records_built_at_dataclass_cost(functions, "ecmkit") == ["PatternTable"]
+
+
+def records_keeping_values_unnamed(classes, docstring: str) -> list[str]:
+    """Tuple subclasses among `classes` whose instances have a `__dict__`
+    (a class below tuple without `__slots__`), so they can keep values
+    beside their fields, and that `docstring` does not name in backquotes."""
+    named = set(re.findall(r"`(\w+)`", docstring))
+    return sorted(c.__name__ for c in classes if issubclass(c, tuple) and c.__dictoffset__ and c.__name__ not in named)
+
+
+def test_records_keeping_values_unnamed_are_found():
+    class Point(NamedTuple):
+        x: int
+
+    class Kept(Point):
+        pass
+
+    class Slotted(Point):
+        __slots__ = ()
+
+    class Named(Point):
+        pass
+
+    class Deeper(Slotted):
+        pass
+
+    @dataclass(frozen=True)
+    class Plain:
+        x: int
+
+    docstring = "Only `Named` keeps values; `Point` and `Slotted` are tuples, Kept is not named."
+    assert records_keeping_values_unnamed([Point, Kept, Slotted, Named, Deeper, Plain], docstring) == ["Deeper", "Kept"]
+
+
+def test_only_the_records_the_package_docstring_names_keep_values():
+    """A query record that keeps values derived from its fields holds them
+    in an instance `__dict__`; the package docstring's record rule names
+    each such record, so a new one is reviewed with the rule."""
+    classes = [cls for module in package_modules() for cls in vars(module).values()
+               if isinstance(cls, type) and cls.__module__ == module.__name__]
+    assert records_keeping_values_unnamed(classes, ecmkit.__doc__) == []
+    kept = sorted(c.__name__ for c in classes if issubclass(c, tuple) and c.__dictoffset__)
+    assert kept == ["ECMInput", "ECMPrediction"]
 
 
 def package_modules() -> list:
