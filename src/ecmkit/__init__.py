@@ -20,7 +20,9 @@ unpickling starts without kept values.
 
 Numbers follow one rule: records and public functions take ints and
 Fractions only, and a float is read nowhere but in `_schema.check`, by its
-decimal repr.
+decimal repr. Each cell and ceiling is one `Fraction`-operator formula run
+behind the memos; only warm keys, the formatter and `model_error` read
+integer numerators.
 """
 
 from .errors import ECMParseError, SchemaError

@@ -262,6 +262,8 @@ def cmd_show_machine(args) -> Report:
     rows.append({"parameter": "default GB/s", "value": _display(machine.memory.default_bandwidth_gbs, args.precise)})
     for sig, gbs in sorted(machine.memory.bandwidth_table.items()):
         rows.append({"parameter": f"GB/s {sig[0]}/{sig[1]}/{sig[2]} (loads/stores/nt)", "value": _display(gbs, args.precise)})
+    if machine.memory.noncod_derating != 1:
+        rows.append({"parameter": "noncod derating", "value": _display(machine.memory.noncod_derating, args.precise)})
     return Report(serialize_machine(machine), rows)
 
 

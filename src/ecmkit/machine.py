@@ -4,11 +4,12 @@ memory bandwidths and NUMA layout, plus the built-in Haswell reference model.
 All types are immutable after construction and safe to share across threads;
 a MemoryModel holds a read-only copy of the bandwidth table it is given.
 A MachineModel memoizes three things on use: its core layout, its model
-inputs (model.ecm_input) and its scaling curves (scaling.scale). The memos
-key on what a query adds to the machine and never on the machine itself,
-which is sound because the machine cannot change. An entry is only ever the
-answer for its key, so concurrent queries get equal results; two threads
-that miss on one key both compute it.
+inputs (model.ecm_input) and its scaling curves (scaling.scale); the cycles
+per line and bandwidths behind them are Fraction formulas run on a miss. The
+memos key on what a query adds to the machine and never on the machine
+itself, which is sound because the machine cannot change. An entry is only
+ever the answer for its key, so concurrent queries get equal results; two
+threads that miss on one key both compute it.
 """
 
 from __future__ import annotations
@@ -175,7 +176,8 @@ class MachineModel:
             raise SchemaError(f"boundaries must contain exactly one of each of {BOUNDARY_NAMES}")
 
     def cycles_per_cl(self, boundary_name: str) -> Fraction:
-        return Fraction(CACHE_LINE_BYTES, self.boundary_widths[boundary_name])
+        widths = {b.name: b.bytes_per_cycle for b in self.boundaries}
+        return Fraction(CACHE_LINE_BYTES, widths[boundary_name])
 
     def ports_with(self, capability: str) -> frozenset[int]:
         return frozenset(p.id for p in self.ports if capability in p.capabilities)
@@ -203,11 +205,6 @@ class MachineModel:
         part of ==, repr or serialization."""
         return {}
 
-    @cached_property
-    def boundary_widths(self) -> dict[str, int]:
-        """Bytes per cycle of each cache boundary, by boundary name."""
-        return {b.name: b.bytes_per_cycle for b in self.boundaries}
-
     def resolve_mode(self, mode: str | None) -> str:
         """The bandwidth interpretation a query runs in: `mode` itself, or the
         machine's configured mode when it is None."""
@@ -223,11 +220,7 @@ class MachineModel:
         per_domain = self.memory.lookup(signature)
         if self.resolve_mode(mode) == "cod":
             return per_domain
-        derating = self.memory.noncod_derating
-        return Fraction(
-            per_domain.numerator * self.numa.n_domains * derating.numerator,
-            per_domain.denominator * derating.denominator,
-        )
+        return Fraction(per_domain) * self.numa.n_domains * self.memory.noncod_derating
 
 
 def builtin_haswell() -> MachineModel:

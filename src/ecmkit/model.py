@@ -6,11 +6,10 @@ against measurements.
 All cycle values are exact rationals; rounding happens only in the formatter
 (one decimal, halves away from zero). Functions and records here take ints
 and Fractions only, and the records refuse anything else on construction;
-only the file reader turns a float into a number. Every cell is a Fraction,
-but the sums, maxima and products behind it run on integer numerators and
-denominators (read through `.numerator` and `.denominator`, which int and
-Fraction share) with one Fraction built per cell, since Fraction operators
-normalize and type-check on every step.
+only the file reader turns a float into a number. Each computed cell is one
+Fraction-operator formula, a Fraction for int inputs too, run once behind
+the machine's input memo and the records' kept values; warm queries read
+integer numerators only in the penalty key, the formatter and `model_error`.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import lcm
 from typing import NamedTuple, NoReturn
 
 from ._schema import read_text, require_number
@@ -65,20 +63,11 @@ class ECMInput(_InputCells):
 
     @cached_property
     def _prediction(self) -> ECMPrediction:
-        """The per-level prediction, see `predict`. The cells go over one
-        common denominator, so the running sums and maxima are integer
-        operations; each level is then one Fraction, and a level equal to
-        the one before reuses its object."""
-        denominator = lcm(*(c.denominator for c in self))
-        ol, nol, l1l2, l2l3, l3mem = (c.numerator * (denominator // c.denominator) for c in self)
-        levels = []
-        previous = value = None
-        for reach in (nol, nol + l1l2, nol + l1l2 + l2l3, nol + l1l2 + l2l3 + l3mem):
-            level = max(ol, reach)
-            if level != previous:
-                previous, value = level, Fraction(level, denominator)
-            levels.append(value)
-        return ECMPrediction(*levels)
+        """The per-level prediction, see `predict`: Fractions, for int cells too."""
+        ol, nol, l1l2, l2l3, l3mem = map(Fraction, self)
+        to_l2 = nol + l1l2
+        to_l3 = to_l2 + l2l3
+        return ECMPrediction(max(ol, nol), max(ol, to_l2), max(ol, to_l3), max(ol, to_l3 + l3mem))
 
     @cached_property
     def _shorthand(self) -> str:
@@ -122,9 +111,8 @@ class ECMPrediction(_PredictionCells):
         """The prediction with extra / d cycles added at L3 and twice that at
         memory; ValueError if the cells then decrease."""
         core, l2, l3, mem = self
-        l3 = Fraction(l3.numerator * d + extra * l3.denominator, l3.denominator * d)
-        mem = Fraction(mem.numerator * d + 2 * extra * mem.denominator, mem.denominator * d)
-        if not (_at_most(core, l2) and _at_most(l2, l3) and _at_most(l3, mem)):
+        l3, mem = l3 + Fraction(extra, d), mem + Fraction(2 * extra, d)
+        if not core <= l2 <= l3 <= mem:
             cells = ", ".join(str(c) for c in (core, l2, l3, mem))
             raise ValueError(f"penalized prediction cells must not decrease from L1 to memory, got {cells}")
         return ECMPrediction(core, l2, l3, mem)
@@ -159,15 +147,6 @@ class PenaltyConfig:
         require_number(self.cycles_per_load_stream_per_level, "PenaltyConfig: cycles_per_load_stream_per_level", exact=True)
 
 
-def _memory_cycles(lines: int, bandwidth, frequency) -> Fraction:
-    """Cycles to move `lines` cache lines over the memory interface:
-    lines * 64 B * f / b, exact."""
-    return Fraction(
-        lines * CACHE_LINE_BYTES * frequency.numerator * bandwidth.denominator,
-        frequency.denominator * bandwidth.numerator,
-    )
-
-
 def mem_cycles_per_cl(bandwidth_gbs, frequency_ghz) -> Fraction:
     """Cycles to move one cache line over the memory interface:
     64 B * f / b, exact. Both arguments are ints or Fractions (SchemaError
@@ -176,7 +155,7 @@ def mem_cycles_per_cl(bandwidth_gbs, frequency_ghz) -> Fraction:
     require_number(frequency_ghz, "frequency_ghz", exact=True)
     if bandwidth_gbs <= 0 or frequency_ghz <= 0:
         raise ValueError("bandwidth and frequency must be > 0")
-    return _memory_cycles(1, bandwidth_gbs, frequency_ghz)
+    return CACHE_LINE_BYTES * Fraction(frequency_ghz) / bandwidth_gbs
 
 
 def ecm_input(kernel: KernelModel, machine: MachineModel, mode: str | None = None) -> ECMInput:
@@ -200,13 +179,12 @@ def ecm_input(kernel: KernelModel, machine: MachineModel, mode: str | None = Non
     if inp is None:
         prof = traffic(kernel)
         bandwidth = machine.bandwidth(bandwidth_signature(kernel), mode)
-        widths = machine.boundary_widths
         inp = ECMInput(
             t_ol=Fraction(timing.t_ol),
             t_nol=Fraction(timing.t_nol),
-            t_l1l2=Fraction(prof.cls_l1l2 * CACHE_LINE_BYTES, widths["L1L2"]),
-            t_l2l3=Fraction(prof.cls_l2l3 * CACHE_LINE_BYTES, widths["L2L3"]),
-            t_l3mem=_memory_cycles(prof.cls_l3mem, bandwidth, machine.frequency_ghz),
+            t_l1l2=prof.cls_l1l2 * machine.cycles_per_cl("L1L2"),
+            t_l2l3=prof.cls_l2l3 * machine.cycles_per_cl("L2L3"),
+            t_l3mem=prof.cls_l3mem * mem_cycles_per_cl(bandwidth, machine.frequency_ghz),
         )
         if len(inputs) >= INPUT_MEMO_ENTRIES:
             inputs.clear()
@@ -253,11 +231,6 @@ def penalty_cycles(kernel: KernelModel, config: PenaltyConfig) -> tuple[int, int
     denominator): the kernel's loading streams times the configured cycles."""
     cycles = config.cycles_per_load_stream_per_level
     return load_streams_with_rfo(kernel) * cycles.numerator, cycles.denominator
-
-
-def _at_most(a, b) -> bool:
-    """a <= b for ints and Fractions, by integer cross-multiplication."""
-    return a.numerator * b.denominator <= b.numerator * a.denominator
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ non-temporal-store speedup estimates. Performance is in MUp/s (million loop
 iterations per second).
 
 Every performance figure is an exact Fraction, for int inputs too: the
-single-core figure is built with Fraction operators, and each point is the
-smaller of n times it and the cap of the domains its n cores occupy.
-A point is a named tuple.
+single-core figure and the ceilings are built with Fraction operators, and
+each point is the smaller of n times it and the cap of the domains its n
+cores occupy. A point is a named tuple.
 
 A machine remembers the curves `scale` has built (`MachineModel._curves`).
 Every call still runs `ecm_input`, which runs the core timing; the curve is
@@ -81,10 +81,10 @@ def bandwidth_ceiling(kernel: KernelModel, machine: MachineModel, mode: str | No
     if bytes_per_it == 0:
         return BandwidthCeiling(None, None, True)
     gbs = machine.bandwidth(bandwidth_signature(kernel), mode)
-    n, d = gbs.numerator * 1000, gbs.denominator * bytes_per_it
+    mups = Fraction(gbs) * 1000 / bytes_per_it
     if mode == "cod":
-        return BandwidthCeiling(Fraction(n, d), Fraction(n * machine.numa.n_domains, d), False)
-    return BandwidthCeiling(None, Fraction(n, d), False)
+        return BandwidthCeiling(mups, mups * machine.numa.n_domains, False)
+    return BandwidthCeiling(None, mups, False)
 
 
 def scale(

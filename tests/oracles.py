@@ -401,9 +401,11 @@ def decimal_fraction(text: str) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # The model arithmetic on Fraction operators, one step at a time, and the
-# token-by-token shorthand scanner: the package's earlier forms of predict,
-# the penalty, the memory cycles, the single-core figure, the capped-linear
-# curve and parse_ecm.
+# token-by-token shorthand scanner. The package also runs this arithmetic on
+# Fraction operators, behind its memos, keeping integer numerators for its
+# warm keys, the formatter and model_error; these stay independent
+# restatements of predict, the penalty, the memory cycles, the single-core
+# figure, the capped-linear curve and its saturation, and parse_ecm.
 
 
 def fraction_predict(t_ol, t_nol, t_l1l2, t_l2l3, t_l3mem) -> tuple:
@@ -460,6 +462,15 @@ def capped_linear_points(p1, cap_of_cores, max_cores: int) -> list[tuple[int, Fr
         bound = cap is not None and linear >= cap
         points.append((n, cap if bound else linear, bound))
     return points
+
+
+def saturation_of(points: list[tuple[int, Fraction, bool]]) -> int | None:
+    """The first core count from which every point is bandwidth bound, or
+    None if the last point is not."""
+    for n, _, _ in points:
+        if all(bound for _, _, bound in points[n - 1:]):
+            return n
+    return None
 
 
 def scan_ecm(text: str) -> tuple:

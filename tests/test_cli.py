@@ -456,6 +456,22 @@ def test_show_machine_from_env_path(tmp_path, monkeypatch):
     assert "custom" in text
 
 
+@pytest.mark.parametrize("precise", [(), ("--precise",)])
+def test_show_machine_shows_the_noncod_derating_in_every_format(tmp_path, precise):
+    path = tmp_path / "derated.json"
+    data = serialize_machine(builtin_haswell())
+    data["memory"]["noncod_derating"] = 0.9
+    path.write_text(json.dumps(data))
+    texts = {fmt: invoke("show-machine", "-m", str(path), "--format", fmt, *precise) for fmt in ("table", "csv", "json")}
+    assert all(code == 0 for code, _ in texts.values())
+    assert json.loads(texts["json"][1])["memory"]["noncod_derating"] == 0.9
+    assert {"parameter": "noncod derating", "value": "0.9"} in list(csv.DictReader(io.StringIO(texts["csv"][1])))
+    assert [line.split() for line in texts["table"][1].splitlines() if line.startswith("noncod")] == [["noncod", "derating", "0.9"]]
+    for fmt in ("table", "csv"):
+        _, underated = invoke("show-machine", "haswell", "--format", fmt, *precise)
+        assert "derating" not in underated
+
+
 @pytest.mark.parametrize("machine", ["/nonexistent.json", "haswell"])
 def test_show_machine_refuses_a_name_and_a_machine_option(capsys, machine):
     code, text = invoke("show-machine", "haswell", "-m", machine)

@@ -21,7 +21,6 @@ def test_builtin_reference_parameters(haswell):
     assert haswell.frequency_ghz == Fraction("2.3")
     assert haswell.retire_width == 4
     assert haswell.store_uop_weight == 2
-    assert haswell.boundary_widths == {"L1L2": 64, "L2L3": 32}
     assert (haswell.cycles_per_cl("L1L2"), haswell.cycles_per_cl("L2L3")) == (1, 2)
     assert haswell.numa.n_domains == 2
     assert haswell.numa.cores_per_domain == 7

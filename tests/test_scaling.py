@@ -23,6 +23,7 @@ from ecmkit import (
     ecm_input,
     format_cycles,
     format_ecm,
+    mem_cycles_per_cl,
     nt_speedup,
     parse_ecm,
     predict,
@@ -38,7 +39,7 @@ from ecmkit.model import INPUT_MEMO_ENTRIES, PenaltyConfig, apply_penalty
 from ecmkit.scaling import CURVE_MEMO_POINTS, PINNING_POLICIES, ScalingCurve
 from ecmkit.traffic import TrafficProfile
 
-from oracles import capped_linear_points, fraction_mem_cycles_per_cl, fraction_single_core_performance
+from oracles import capped_linear_points, fraction_mem_cycles_per_cl, fraction_single_core_performance, saturation_of
 
 HASWELL = builtin_haswell()
 KERNELS = builtin_kernels()
@@ -288,9 +289,19 @@ def test_scale_equals_the_capped_linear_oracle(name, f, gbs, derating, domains, 
     curve = scale(KERNELS[name], machine, mode=mode, max_cores=max_cores, pinning=pinning, penalty=penalty)
     expected, last_cap = oracle_curve(KERNELS[name], machine, mode, pinning, penalty, max_cores)
     assert [(p.cores, p.performance_mups, p.bandwidth_bound) for p in curve.points] == expected
+    assert curve.saturation_cores == saturation_of(expected)
     assert curve.ceiling_mups == last_cap
     assert all(type(p.performance_mups) is Fraction for p in curve.points)
     assert last_cap is None or type(curve.ceiling_mups) is Fraction
+
+
+def test_saturation_is_where_the_points_stay_bound_not_where_they_first_bind():
+    """With 120 GB/s per domain, ddot is bound at 5 to 7 cores, falls below
+    the cap at 8, where the second domain opens, and is bound from 9 on."""
+    machine = replace(HASWELL, memory=MemoryModel(default_bandwidth_gbs=120))
+    curve = scale(KERNELS["ddot"], machine, mode="cod", pinning="domain-sequential")
+    assert "".join("B" if p.bandwidth_bound else "." for p in curve.points) == "....BBB.BBBBBB"
+    assert curve.saturation_cores == 9
 
 
 @settings(max_examples=30, deadline=None)
@@ -604,10 +615,11 @@ def sweep_answers(machine, queries) -> list:
 def test_warm_ecm_input_builds_no_input_or_traffic_and_reads_no_bandwidth():
     """A deterministic work count: after one pass of the 80 sweep-style
     queries, a second pass on the same machine builds no ECMInput or
-    TrafficProfile, calls neither traffic, the machine's bandwidth nor the
-    bandwidth ceilings, and makes exactly two core_timing calls per query,
-    one from scale's ecm_input and one from the query's own, as the
-    benchmark's traced sweep run requires."""
+    TrafficProfile, calls neither traffic, the machine's bandwidth, the
+    bandwidth ceilings nor the transfer and memory cycles per cache line,
+    and makes exactly two core_timing calls per query, one from scale's
+    ecm_input and one from the query's own, as the benchmark's traced sweep
+    run requires."""
     machine = replace(HASWELL)
     queries = sweep_queries()
     expected = sweep_answers(machine, queries)
@@ -617,6 +629,8 @@ def test_warm_ecm_input_builds_no_input_or_traffic_and_reads_no_bandwidth():
         traffic.__code__: "traffic",
         MachineModel.bandwidth.__code__: "bandwidth",
         bandwidth_ceiling.__code__: "bandwidth_ceiling",
+        mem_cycles_per_cl.__code__: "mem_cycles_per_cl",
+        MachineModel.cycles_per_cl.__code__: "cycles_per_cl",
         core_timing.__code__: "core_timing",
     }
     got, calls = calls_by_code(counted, lambda: sweep_answers(machine, queries))
