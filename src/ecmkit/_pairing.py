@@ -26,7 +26,10 @@ list and the deltas per count vector clamped to the largest count of each
 kind in a maximal pattern. The search is exact and has no budget; it keeps
 its path on an explicit stack, so its depth is not bounded by recursion.
 This module keeps no solve: the caller that owns the table memoizes
-least_span's answers (CoreLayout.span does, per machine).
+least_span's answers (CoreLayout.span does, per machine). CoreLayout also
+packs fit_rule, the single-cycle test the enumeration stops on, over all of
+a machine's kinds, to check one schedule at least_span's first candidate:
+when every cycle of it fits, that candidate is the answer with no table.
 """
 
 from __future__ import annotations
@@ -152,41 +155,27 @@ def pattern_table(kinds: tuple[Unit, ...], width: int) -> PatternTable | None:
     """
     n = len(kinds)
     weights = tuple(k.weight for k in kinds)
-    # needs of each kind inside each union of port sets, with the smallest
-    # union per need vector; by Hall's theorem the units of a pattern get
-    # distinct ports iff no union holds more needs than it has ports
-    hall = {
-        tuple(sum(map(subset.issuperset, k.port_choices)) for k in kinds): len(subset)
-        for subset in reversed(port_set_unions(p for k in kinds for p in k.port_choices))
-    }
-    sizes = tuple(hall.values())
+    hall, bits, packed, top, limit, guard = fit_rule(kinds, width)
     if any(w > width for w in weights) or any(y[j] > size for y, size in hall.items() for j in range(n)):
         return None
-    # patterns and needs are packed, a guard bit on top of each field (see
-    # PatternTable); no count or need gets past max(width, sizes) plus one
-    # kind's needs before its kind stops
-    bits = (max(width, *sizes) + max(map(max, hall), default=0)).bit_length() + 1
-    guard = _pack((1 << bits - 1,) * len(sizes), bits)
-    limit = _pack(sizes, bits) + guard  # needs fit iff limit - needs keeps every guard bit
-    # (pattern so far, its retire weight, its needs inside each union)
-    partial = [(0, 0, 0)]
-    for j, w in enumerate(weights):
-        column, unit = _pack((y[j] for y in hall), bits), 1 << bits * j
+    # (pattern so far, one count per `bits`-bit field; its packed needs and weight)
+    partial = [(0, 0)]
+    for j, column in enumerate(packed):
+        unit = 1 << bits * j
         grown = []
-        for v, weight, needs in partial:
+        for v, load in partial:
             while True:
-                grown.append((v, weight, needs))
-                weight += w
-                needs += column
-                if weight > width or (limit - needs) & guard != guard:
+                grown.append((v, load))
+                load += column
+                if load >= top or (limit - load) & guard != guard:
                     break
                 v += unit
         partial = grown
-    feasible = {v for v, _, _ in partial}
+    feasible = {v for v, _ in partial}
     # v has a feasible successor iff v = f - unit for some feasible f
     grows = set().union(*({f - (1 << bits * j) for f in feasible} for j in range(n)))
     field = (1 << bits - 1) - 1
-    maximal = tuple(tuple(v >> bits * j & field for j in range(n)) for v, _, _ in partial if v not in grows)
+    maximal = tuple(tuple(v >> bits * j & field for j in range(n)) for v, _ in partial if v not in grows)
     arithmetic = tuple(j for j, k in enumerate(kinds) if k.overlapping)
     ys = set(hall)
     for mask in islice(product((0, 1), repeat=n), 1, None):
@@ -197,6 +186,28 @@ def pattern_table(kinds: tuple[Unit, ...], width: int) -> PatternTable | None:
     peak = tuple(map(max, columns))
     bounds = tuple(_caps(ys, columns, arithmetic))
     return PatternTable(weights, arithmetic, maximal, bounds, peak)
+
+
+def fit_rule(kinds: tuple[Unit, ...], width: int) -> tuple[dict[tuple[int, ...], int], int, tuple[int, ...], int, int, int]:
+    """(hall, bits, columns, top, limit, guard): `hall` maps the needs of each
+    kind inside a union of their port sets to the smallest such union's size
+    (by Hall's theorem a pattern's units get distinct ports iff no union
+    holds more needs than it has ports). columns[j] packs kind j's needs in
+    `bits`-bit fields, a guard bit on top of each, and its retire weight
+    above them, so a pattern c fits a cycle iff v = sum(c[j] * columns[j])
+    is below `top` (its weight fits) and limit - v keeps every guard bit. As
+    every weight is at least 1, the fields hold any count of one kind, and
+    the needs, of a pattern whose weight fits."""
+    hall = {
+        tuple(sum(map(subset.issuperset, k.port_choices)) for k in kinds): len(subset)
+        for subset in reversed(port_set_unions(p for k in kinds for p in k.port_choices))
+    }
+    sizes = tuple(hall.values())
+    bits = max(width * max(map(max, hall)), *sizes).bit_length() + 1
+    guard = _pack((1 << bits - 1,) * len(sizes), bits)
+    above = bits * len(sizes)  # where the retire weight goes
+    columns = tuple(_pack((y[j] for y in hall), bits) + (k.weight << above) for j, k in enumerate(kinds))
+    return hall, bits, columns, (width + 1) << above, _pack(sizes, bits) + guard, guard
 
 
 def _pack(vector, bits: int) -> int:

@@ -248,9 +248,11 @@ def cmd_show_machine(args) -> Report:
     if args.machine_name and args.machine:
         raise CliError("show-machine takes a machine name or -m, not both")
     machine = _resolve_machine(args.machine_name or args.machine)
+    document = serialize_machine(machine)  # exact numbers for every format, so --precise changes none
+    memory = document["memory"]
     rows = [
         {"parameter": "name", "value": machine.name},
-        {"parameter": "frequency_ghz", "value": _display(machine.frequency_ghz, args.precise)},
+        {"parameter": "frequency_ghz", "value": document["frequency_ghz"]},
         {"parameter": "retire_width", "value": machine.retire_width},
         {"parameter": "store_uop_weight", "value": machine.store_uop_weight},
     ]
@@ -259,12 +261,12 @@ def cmd_show_machine(args) -> Report:
     rows.append({"parameter": "numa", "value": f"{machine.numa.n_domains}x{machine.numa.cores_per_domain} cores, cod={'on' if machine.numa.cod_enabled else 'off'}"})
     for p in machine.ports:
         rows.append({"parameter": f"port {p.id}", "value": ",".join(sorted(p.capabilities))})
-    rows.append({"parameter": "default GB/s", "value": _display(machine.memory.default_bandwidth_gbs, args.precise)})
-    for sig, gbs in sorted(machine.memory.bandwidth_table.items()):
-        rows.append({"parameter": f"GB/s {sig[0]}/{sig[1]}/{sig[2]} (loads/stores/nt)", "value": _display(gbs, args.precise)})
-    if machine.memory.noncod_derating != 1:
-        rows.append({"parameter": "noncod derating", "value": _display(machine.memory.noncod_derating, args.precise)})
-    return Report(serialize_machine(machine), rows)
+    rows.append({"parameter": "default GB/s", "value": memory["default_bandwidth_gbs"]})
+    for entry in memory["table"]:
+        rows.append({"parameter": f"GB/s {entry['loads']}/{entry['stores']}/{entry['nt_stores']} (loads/stores/nt)", "value": entry["gbs"]})
+    if "noncod_derating" in memory:
+        rows.append({"parameter": "noncod derating", "value": memory["noncod_derating"]})
+    return Report(document, rows)
 
 
 def cmd_nt(args) -> Report:

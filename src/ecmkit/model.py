@@ -257,14 +257,14 @@ def format_ecm(value: ECMInput | ECMPrediction) -> str:
     raise TypeError(f"cannot format {type(value).__name__}")
 
 
-_NUMBER = re.compile(r"(\d+)(?:\.(\d+))?")
+_NUMBER = re.compile(r"([0-9]+)(?:\.([0-9]+))?")  # ASCII digits: \d takes any Unicode digit
 
 
 @cache
 def _shapes() -> tuple[re.Pattern, re.Pattern]:
     """The input and the prediction shape, whitespace allowed around every
     token; compiled on the first parse rather than at import."""
-    cell = r"\s*(\d+)(?:\.(\d+))?\s*"
+    cell = r"\s*([0-9]+)(?:\.([0-9]+))?\s*"
     return (
         re.compile(rf"\s*\{{{cell}\|\|{cell}\|{cell}\|{cell}\|{cell}\}}\s*"),
         re.compile(rf"\s*\{{{cell}\\{cell}\\{cell}\\{cell}\}}\s*"),

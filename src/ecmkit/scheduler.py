@@ -12,12 +12,15 @@ limits, the fewest cycles the arithmetic can be confined to. The retirement
 frontend caps total throughput; when it binds (it exceeds the load/store
 makespan) the span is sought from the frontend bound up, so its deficit is
 charged to the arithmetic component. An exact solver over per-cycle
-patterns finds T and the span.
+patterns finds T and the span, unless an even split of the uops over the
+solver's first candidate (T at its lower bound, the span at its start)
+fits every cycle, which proves that candidate the answer.
 
 core_timing reads the machine through its CoreLayout, compiled once per
 MachineModel: each uop class's port sets, all their unions in Hall order
-(port_set_unions), the unit kinds and the pattern table of each kind set
-used, and its pairing solves. Port bounds over the machine's unions equal
+(port_set_unions), the unit kinds, their packed single-cycle fit rule, the
+pattern table of each kind set that the even split does not settle, and its
+pairing solves. Port bounds over the machine's unions equal
 those over the kernel's own (see _binding_bound). core_timing returns the
 two cycle counts only.
 build_nol_problem and build_ol_problem give the two port problems as
@@ -30,7 +33,7 @@ from __future__ import annotations
 from itertools import compress
 from typing import NamedTuple
 
-from ._pairing import PatternTable, Unit, least_span, pattern_table, port_set_unions
+from ._pairing import PatternTable, Unit, fit_rule, least_span, pattern_table, port_set_unions
 from .errors import CapabilityError, SchemaError
 from .kernels import MEMORY_CLASSES, UOP_CLASSES, KernelModel
 from .machine import MachineModel
@@ -123,6 +126,9 @@ class CoreLayout:
             members = tuple(nol.index(s) for s in nol_sets if s) + tuple(len(nol) + ol.index(s) for s in ol_sets if s)
             self.needs[key] = (nol_missing, ol_missing, members, self.units.index(unit))
         self.width = machine.retire_width
+        # the fit rule over every kind: a union no kind set of a pattern uses
+        # only repeats a Hall condition its units must meet anyway
+        _, _, self.columns, self.top, self.limit, self.guard = fit_rule(self.units, self.width)
         self.tables: dict[tuple[bool, ...], PatternTable | None] = {}
         self.spans: dict[tuple[tuple[int, ...], int, int], tuple[int, int]] = {}
 
@@ -130,21 +136,46 @@ class CoreLayout:
         """(span, search states) for unit counts in `units` order: the least
         span s >= start of the arithmetic in the first cycle count T >= lower
         that fits a joint schedule, or `start` as it is when the kernel has no
-        memory unit or some unit cannot fit a cycle on its own."""
+        memory unit or some unit cannot fit a cycle on its own; lower >= start.
+        A miss first tries the search's first candidate, T = lower and s =
+        start, by one schedule (_splits_evenly): if it fits, the answer is
+        (start, 0 states) and no table is built or searched."""
         key = (tuple(counts), lower, start)
         if key not in self.spans:
-            present = tuple(map(bool, counts))
-            if present not in self.tables:
-                kinds = tuple(compress(self.units, present))
-                self.tables[present] = None if all(k.overlapping for k in kinds) else pattern_table(kinds, self.width)
-            table = self.tables[present]
             if len(self.spans) == 1024:
                 self.spans.clear()
-            if table is None:
+            if start and self._splits_evenly(counts, lower, start):
                 self.spans[key] = start, 0
             else:
-                self.spans[key] = least_span(table, tuple(filter(None, counts)), lower, start)
+                present = tuple(map(bool, counts))
+                if present not in self.tables:
+                    kinds = tuple(compress(self.units, present))
+                    self.tables[present] = None if all(k.overlapping for k in kinds) else pattern_table(kinds, self.width)
+                table = self.tables[present]
+                self.spans[key] = (start, 0) if table is None else least_span(table, tuple(filter(None, counts)), lower, start)
         return self.spans[key]
+
+    def _splits_evenly(self, counts: list[int], lower: int, start: int) -> bool:
+        """Whether every cycle passes the fit rule in a schedule of `lower`
+        cycles that splits each kind's count evenly over the first `start`
+        (arithmetic) or all (memory) of them, the remainders in consecutive
+        cyclic runs, the memory ones from cycle `start` on."""
+        shares, runs = [0, 0], []  # packed even shares of the memory, the arithmetic kinds
+        for unit, count, column in zip(self.units, counts, self.columns):
+            if count:
+                each, rest = divmod(count, start if unit.overlapping else lower)
+                shares[unit.overlapping] += each * column
+                runs.append((unit.overlapping, rest, column))
+        memory, arithmetic = shares
+        cycles = [memory + arithmetic] * start + [memory] * (lower - start)
+        first = [start, 0]  # where the next memory, arithmetic remainder run begins
+        for overlapping, rest, column in runs:
+            at = first[overlapping]
+            first[overlapping] += rest
+            for t in range(at, at + rest):
+                cycles[t % (start if overlapping else lower)] += column
+        top, limit, guard = self.top, self.limit, self.guard
+        return all(v < top and (limit - v) & guard == guard for v in set(cycles))
 
 
 def build_nol_problem(kernel: KernelModel, machine: MachineModel) -> dict[frozenset[int], int]:

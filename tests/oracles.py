@@ -496,19 +496,22 @@ def scan_ecm(text: str) -> tuple:
             fail(f"expected {token!r}")
         pos += len(token)
 
+    def digit(at):
+        return at < len(text) and text[at] in "0123456789"  # ASCII only, not str.isdecimal
+
     def number():
         nonlocal pos
         skip_ws()
         start = pos
-        while pos < len(text) and text[pos].isdecimal():
+        while digit(pos):
             pos += 1
         if pos == start:
             fail("expected a number")
         whole, frac = text[start:pos], ""
-        if pos + 1 < len(text) and text[pos] == "." and text[pos + 1].isdecimal():
+        if pos < len(text) and text[pos] == "." and digit(pos + 1):
             pos += 1
             begin = pos
-            while pos < len(text) and text[pos].isdecimal():
+            while digit(pos):
                 pos += 1
             frac = text[begin:pos]
         return Fraction(int(whole + frac), 10 ** len(frac))

@@ -220,8 +220,9 @@ def test_file_the_reader_rejects_is_a_one_line_error(tmp_path, capsys, kind, old
         ("1" * 131_073, "field larger than field limit"),
         ("1e-5000", "plain decimal"),
         ("1e2000000", "plain decimal"),
+        ("\u0661\u0667.\u0660\u0668", "positive plain decimal"),
     ],
-    ids=["long-field", "tiny-exponent", "huge-exponent"],
+    ids=["long-field", "tiny-exponent", "huge-exponent", "arabic-indic-digits"],
 )
 def test_measurement_the_reader_rejects_is_a_quick_one_line_error(tmp_path, capsys, cycles, message):
     meas = tmp_path / "meas.csv"
@@ -460,13 +461,20 @@ def test_show_machine_from_env_path(tmp_path, monkeypatch):
 def test_show_machine_shows_the_noncod_derating_in_every_format(tmp_path, precise):
     path = tmp_path / "derated.json"
     data = serialize_machine(builtin_haswell())
-    data["memory"]["noncod_derating"] = 0.9
-    path.write_text(json.dumps(data))
-    texts = {fmt: invoke("show-machine", "-m", str(path), "--format", fmt, *precise) for fmt in ("table", "csv", "json")}
-    assert all(code == 0 for code, _ in texts.values())
-    assert json.loads(texts["json"][1])["memory"]["noncod_derating"] == 0.9
-    assert {"parameter": "noncod derating", "value": "0.9"} in list(csv.DictReader(io.StringIO(texts["csv"][1])))
-    assert [line.split() for line in texts["table"][1].splitlines() if line.startswith("noncod")] == [["noncod", "derating", "0.9"]]
+    for derating, default in ((0.9, 27.2), (0.95, 27.15)):
+        data["memory"]["noncod_derating"] = derating
+        data["memory"]["default_bandwidth_gbs"] = default
+        path.write_text(json.dumps(data))
+        texts = {fmt: invoke("show-machine", "-m", str(path), "--format", fmt, *precise) for fmt in ("table", "csv", "json")}
+        assert all(code == 0 for code, _ in texts.values())
+        memory = json.loads(texts["json"][1])["memory"]
+        assert (memory["noncod_derating"], memory["default_bandwidth_gbs"]) == (derating, default)
+        rows = list(csv.DictReader(io.StringIO(texts["csv"][1])))
+        assert {"parameter": "noncod derating", "value": str(derating)} in rows
+        assert {"parameter": "default GB/s", "value": str(default)} in rows
+        lines = [line.split() for line in texts["table"][1].splitlines()]
+        assert [line for line in lines if line[0] == "noncod"] == [["noncod", "derating", str(derating)]]
+        assert [line for line in lines if line[:2] == ["default", "GB/s"]] == [["default", "GB/s", str(default)]]
     for fmt in ("table", "csv"):
         _, underated = invoke("show-machine", "haswell", "--format", fmt, *precise)
         assert "derating" not in underated

@@ -278,6 +278,13 @@ def test_parse_maps_a_cell_too_long_for_int_to_a_parse_error():
         assert raised.value.position == position
 
 
+def test_parse_reads_ascii_digits_only():
+    # \d matches any Unicode decimal digit, so the Arabic-Indic three read as 3
+    with pytest.raises(ECMParseError) as raised:
+        parse_ecm("{\u0663 \\ 4 \\ 5 \\ 6}")
+    assert raised.value.position == 1
+
+
 def test_parse_rejects_trailing_garbage():
     with pytest.raises(ECMParseError):
         parse_ecm("{1 || 2 | 2 | 4 | 9.1} q")
@@ -368,7 +375,7 @@ def test_parse_agrees_with_the_scanner_on_canonical_text_and_one_character_edits
         "{1 || 2 | 3 | 4 | 5 | 6}",
         " {1\\2\\3\\4} ",
         "{1 |2||3|4|5}",
-        # any Unicode whitespace between tokens, any decimal digits in cells
+        # any Unicode whitespace between tokens, ASCII digits only in cells
         "\t{1\n||\t2 | 3 |\u00a04 | 5}\n",
         "{\u0661.5 \\ 2 \\ 3 \\ 4}",
     ],
@@ -452,6 +459,14 @@ def test_read_measurements_rejects_bad_level(tmp_path):
     path = tmp_path / "meas.csv"
     path.write_text("kernel,level,cycles_per_cl\nddot,L9,2.1\n")
     with pytest.raises(SchemaError, match="row 2"):
+        read_measurements(path)
+
+
+def test_read_measurements_reads_ascii_digits_only(tmp_path):
+    # Arabic-Indic 17.08, which \d would read as 17.08
+    path = tmp_path / "meas.csv"
+    path.write_text("kernel,level,cycles_per_cl\nddot,L1,\u0661\u0667.\u0660\u0668\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match="row 2: cycles_per_cl must be a positive plain decimal"):
         read_measurements(path)
 
 

@@ -395,7 +395,7 @@ def test_pairing_search_work_stays_bounded_on_unrolled_builtins():
             continue
         for factor in (1, 2, 4, 8):
             for extras in EXTRAS:
-                _, states = pairing(unrolled(kernel, factor, extras), HASWELL)
+                _, states = searched(unrolled(kernel, factor, extras), HASWELL)
                 if states > PAIRING_STATE_LIMIT:
                     over.append((name, factor, extras, states))
     assert not over
@@ -439,14 +439,70 @@ PAIRING_STATES = {
 }
 
 
+# the raw pairing queries of each unrolled built-in, in EXTRAS order, that
+# the even split answers with no table or search (+) or leaves to them (.);
+# it is not tried at start 0, where copy and store have no arithmetic
+CERTIFIED = {
+    ("copy", 1): ".++++.....",
+    ("copy", 2): ".++++.....",
+    ("copy", 4): ".++++.....",
+    ("copy", 8): ".++++.....",
+    ("ddot", 1): "+++.++++++",
+    ("ddot", 2): "+++.+++++.",
+    ("ddot", 4): "+++.+++++.",
+    ("ddot", 8): "+++.+++++.",
+    ("load", 1): "++++++++++",
+    ("load", 2): "++++++++++",
+    ("load", 4): "++++++++++",
+    ("load", 8): "++++++++++",
+    ("schoenauer_triad", 1): "+++.++++++",
+    ("schoenauer_triad", 2): "+++.+++++.",
+    ("schoenauer_triad", 4): "+++.+++++.",
+    ("schoenauer_triad", 8): "+++.+++++.",
+    ("schoenauer_triad_opt", 1): ".+++......",
+    ("schoenauer_triad_opt", 2): "..........",
+    ("schoenauer_triad_opt", 4): "..........",
+    ("schoenauer_triad_opt", 8): "..........",
+    ("store", 1): ".+++++++++",
+    ("store", 2): ".+++++++++",
+    ("store", 4): ".+++++++++",
+    ("store", 8): ".+++++++++",
+    ("stream_triad", 1): "+.........",
+    ("stream_triad", 2): "+.........",
+    ("stream_triad", 4): "+.........",
+    ("stream_triad", 8): "+.........",
+    ("update", 1): ".+++++++++",
+    ("update", 2): "..........",
+    ("update", 4): "..........",
+    ("update", 8): "..........",
+}
+
+
+# core_timing's queries on every unrolled built-in (x{1,2,4,8} with EXTRAS)
+# that the even split answers: 215 of the 392 kernels with arithmetic
+CERTIFIED_TIMINGS = 215
+
+
+def searched(kernel, machine, query=pairing_query):
+    """(span, search states) from least_span on the kind set's own table,
+    with no even split tried first."""
+    counts, lower, start = query(kernel, machine)
+    table = pattern_table(tuple(compress(machine._core_layout.units, counts)), machine.retire_width)
+    return least_span(table, tuple(filter(None, counts)), lower, start)
+
+
 def test_pairing_search_visits_the_pinned_states_on_unrolled_builtins():
-    states = {
-        (name, factor): tuple(pairing(unrolled(kernel, factor, extras), HASWELL)[1] for extras in EXTRAS)
-        for name, kernel in sorted(KERNELS.items())
-        if not any(s.nontemporal for s in kernel.streams)
-        for factor in (1, 2, 4, 8)
-    }
+    """The search's states on every query, and which queries CoreLayout.span
+    answers by the even split: those report 0 states."""
+    states, certified = {}, {}
+    for name, kernel in sorted(KERNELS.items()):
+        if not any(s.nontemporal for s in kernel.streams):
+            for factor in (1, 2, 4, 8):
+                kernels = [unrolled(kernel, factor, extras) for extras in EXTRAS]
+                states[name, factor] = tuple(searched(k, HASWELL)[1] for k in kernels)
+                certified[name, factor] = "".join(".+"[pairing(k, HASWELL)[1] == 0] for k in kernels)
     assert states == PAIRING_STATES
+    assert certified == CERTIFIED
 
 
 def random_kinds(rng):
@@ -570,8 +626,7 @@ def test_bounds_that_others_imply_change_no_search():
         for factor in (1, 2, 4, 8):
             for extras in EXTRAS:
                 counts, lower, raw_ol = pairing_query(unrolled(kernel, factor, extras), HASWELL)
-                layout.span(counts, lower, raw_ol)  # builds the kind set's table
-                table = layout.tables[tuple(map(bool, counts))]
+                table = pattern_table(tuple(compress(layout.units, counts)), HASWELL.retire_width)
                 if table is not None:
                     same_search(table, tuple(filter(None, counts)), lower, raw_ol)
     # random kind sets and port layouts
@@ -640,13 +695,15 @@ def test_pairing_search_depth_is_not_bounded_by_recursion():
     kernel = KernelModel("deep", (), 8, (UopGroup(1500, "load", BIO), UopGroup(1500, "store", BIO), UopGroup(1500, "mul")))
     timing = core_timing(kernel, HASWELL)
     assert (timing.t_ol, timing.t_nol) == (1500, 1500)
-    # a few states per cycle (5 248 in all), not a blow-up with the depth
-    _, states = pairing(kernel, HASWELL)
+    # a few states per cycle (5 248 in all), not a blow-up with the depth;
+    # on the table itself, so that an even split cannot skip the search
+    _, states = searched(kernel, HASWELL)
     assert states <= 4 * 1500
 
 
 def test_equal_unit_counts_share_one_pairing_solve(monkeypatch):
-    """One search per machine for kernels with equal unit counts."""
+    """One search per machine for kernels with equal unit counts (on a
+    kernel whose query the even split leaves to the search)."""
     searches = []
 
     class CountedSearch(PackingSearch):
@@ -656,7 +713,7 @@ def test_equal_unit_counts_share_one_pairing_solve(monkeypatch):
 
     monkeypatch.setattr(_pairing, "PackingSearch", CountedSearch)
     machine = builtin_haswell()
-    kernel = unrolled(KERNELS["update"], 3, ("lea",))
+    kernel = unrolled(KERNELS["update"], 2, ("add", "lea"))
     expected = core_timing(kernel, machine)
     assert len(searches) == 1
     for other in (replace(kernel, name="renamed"), replace(kernel, uops=tuple(replace(g) for g in kernel.uops))):
@@ -672,7 +729,7 @@ def test_pattern_tables_and_solves_die_with_their_machine():
     with its machine, and in-process CLI runs, each building its own machine,
     leave no table behind."""
     machine = builtin_haswell()
-    core_timing(KERNELS["stream_triad"], machine)
+    core_timing(unrolled(KERNELS["update"], 2, ("add", "lea")), machine)  # the even split does not fit
     table = weakref.ref(next(t for t in machine._core_layout.tables.values() if t is not None))
     del machine
     gc.collect()
@@ -746,6 +803,105 @@ def test_core_timing_equals_the_problem_builder_oracle_on_unrolled_builtins():
                     assert span == max(pairing(scaled, HASWELL)[0], fe), (kernel.name, factor, extras)
                     frontend_starts += 1
     assert frontend_starts == 76
+
+
+def test_core_timing_equals_a_search_only_run_on_unrolled_builtins():
+    """T_OL from least_span on the kind set's own table, with no even split
+    tried first; the even split answers many of these queries."""
+    certified = 0
+    for kernel in KERNELS.values():
+        for factor in (1, 2, 4, 8):
+            for extras in EXTRAS:
+                scaled = unrolled(kernel, factor, extras)
+                t_nol, raw_ol, _ = core_bounds(scaled, HASWELL)
+                t_ol = searched(scaled, HASWELL, timing_query)[0] if raw_ol else 0
+                assert core_timing(scaled, HASWELL) == (t_ol, t_nol), (kernel.name, factor, extras)
+                certified += raw_ol > 0 and HASWELL._core_layout.span(*timing_query(scaled, HASWELL))[1] == 0
+    assert certified == CERTIFIED_TIMINGS
+
+
+def random_layout(rng):
+    """A machine of 2-8 ports with 1-4 random capabilities each, a retire
+    width of 1-6 and a store weight of 1-3, like random_kinds."""
+    ports = tuple(PortSpec(i, frozenset(rng.sample(CAPABILITIES, rng.randint(1, 4)))) for i in range(rng.randint(2, 8)))
+    return replace(HASWELL, ports=ports, retire_width=rng.randint(1, 6), store_uop_weight=rng.randint(1, 3))
+
+
+def test_an_even_split_that_fits_is_the_first_fit_of_the_search():
+    """Soundness of the even split: where CoreLayout.span takes it, the
+    search fits the same candidate, lower cycles with the arithmetic in
+    `start` of them, and least_span finds the same span; where it does not,
+    span answers as least_span does, states and all."""
+    rng = random.Random(0x5B1)
+    outcomes = Counter()
+    for _ in range(2800):
+        layout = random_layout(rng)._core_layout
+        counts = [rng.choice((0, 0, rng.randint(1, 8))) for _ in layout.units]
+        kinds = tuple(compress(layout.units, counts))
+        table = pattern_table(kinds, layout.width) if not all(k.overlapping for k in kinds) else None
+        if table is None:
+            continue
+        lower = rng.randint(1, sum(counts))
+        start = rng.randint(0, lower)
+        kind_counts = tuple(filter(None, counts))
+        span, expected = layout.span(counts, lower, start), least_span(table, kind_counts, lower, start)
+        if span == (start, 0):
+            assert PackingSearch(table).fits(kind_counts, start, lower - start), (kinds, kind_counts, lower, start)
+            assert span[0] == expected[0], (kinds, kind_counts, lower, start)
+            outcomes["fits"] += 1
+        else:
+            assert span == expected, (kinds, kind_counts, lower, start)
+            outcomes["searched"] += 1
+    assert min(outcomes["fits"], outcomes["searched"]) >= 300, outcomes  # 326 fit and 747 searched at this seed
+
+
+def test_a_one_cycle_split_fits_iff_the_enumeration_fits_the_pattern():
+    """In one cycle the even split is the pattern itself, so the layout's
+    packed rule over all its kinds must accept exactly the patterns that the
+    enumeration oracle fits in a cycle: on Haswell's layout and on random
+    ones, every pattern of retire weight up to the width. A bound left out
+    of the rule lets some through."""
+    rng = random.Random(0x1C7)
+    checked = Counter()
+    for machine in [replace(HASWELL)] + [random_layout(rng) for _ in range(100)]:
+        layout = machine._core_layout
+        units = [(k.port_choices, k.weight, k.overlapping) for k in layout.units]
+        alone = [j for j, unit in enumerate(units) if enumerated_pattern_table([unit], layout.width) is not None]
+        maximal, _ = enumerated_pattern_table([units[j] for j in alone], layout.width)
+        fit = {v for pattern in maximal for v in product(*(range(c + 1) for c in pattern))}
+        weights = [k.weight for k in layout.units]
+        patterns = [()]
+        for _ in weights:
+            patterns = [p + (c,) for p in patterns for c in range(layout.width + 1) if sum(map(mul, p + (c,), weights)) <= layout.width]
+        for counts in patterns:
+            expected = not any(counts[j] for j in range(len(units)) if j not in alone) and tuple(counts[j] for j in alone) in fit
+            assert layout._splits_evenly(list(counts), 1, 1) == expected, (layout.units, counts)
+            checked[expected] += 1
+    assert min(checked.values()) >= 5000, checked  # 5 290 fit and 14 567 do not at this seed
+
+
+FRESH_EXTRAS = ((), ("add",), ("mul",), ("lea",), ("add", "lea"))
+
+
+def test_fresh_workload_kernels_build_8_of_their_19_tables_and_run_52_searches(monkeypatch):
+    """A work-count gate on the kernels of the fresh benchmark workload, the
+    built-ins without non-temporal stores unrolled x{1,2,4,8} with no extra
+    arithmetic or one add, mul, lea or add and lea. On one new machine, 152
+    of them pose a pairing query (the other 8 have no arithmetic); the even
+    split answers 100, so 11 of the 19 kind sets build no table."""
+    tables, searches = [], []
+    table_of, search = scheduler.pattern_table, scheduler.least_span
+    monkeypatch.setattr(scheduler, "pattern_table", lambda kinds, width: tables.append(kinds) or table_of(kinds, width))
+    monkeypatch.setattr(scheduler, "least_span", lambda *query: searches.append(query) or search(*query))
+    machine = builtin_haswell()
+    for name, kernel in sorted(KERNELS.items()):
+        if not any(s.nontemporal for s in kernel.streams):
+            for factor in (1, 2, 4, 8):
+                for extras in FRESH_EXTRAS:
+                    core_timing(unrolled(kernel, factor, extras), machine)
+    spans = machine._core_layout.spans
+    assert (len(spans), len({tuple(map(bool, counts)) for counts, _, _ in spans})) == (152, 19)
+    assert (len(tables), len(set(tables)), len(searches)) == (8, 8, 52)
 
 
 # the layout of ports 0-7 with the given capabilities at retire width 8,
@@ -848,11 +1004,19 @@ def test_the_layout_is_not_part_of_equality_repr_or_serialization():
 
 
 def test_warm_core_timing_builds_no_units_problems_unions_or_tables(monkeypatch):
-    """A deterministic work count: after a machine's first call for each kind
-    set, core_timing constructs no Unit and enumerates no port-set unions or
-    pattern tables."""
+    """A deterministic work count: a repeated query constructs no Unit and
+    enumerates no port-set unions or pattern tables, and a machine builds
+    each kind set's table at most once, enumerating its unions then only."""
     machine = replace(HASWELL)
     kernels = [unrolled(kernel, 1, extras) for kernel in KERNELS.values() for extras in EXTRAS]
+    built = Counter()  # kind set -> tables built for it
+    table_of = scheduler.pattern_table
+
+    def counted_table(kinds, width):
+        built[kinds] += 1
+        return table_of(kinds, width)
+
+    monkeypatch.setattr(scheduler, "pattern_table", counted_table)
     expected = [core_timing(kernel, machine) for kernel in kernels]
     calls = Counter()
 
@@ -869,7 +1033,12 @@ def test_warm_core_timing_builds_no_units_problems_unions_or_tables(monkeypatch)
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     assert [core_timing(kernel, machine) for kernel in kernels] == expected
-    # other counts of the same kind sets are new solves, not new tables
+    assert calls == Counter()
+    # other counts of the same kind sets are new solves; one that the even
+    # split refuses builds its kind set's table unless an earlier one did
+    tables = sum(built.values())
     for kernel in kernels:
         core_timing(unrolled(kernel, 3), machine)
-    assert calls == Counter()
+    assert calls["Unit"] == 0
+    assert calls["pattern_table"] == calls["port_set_unions"] == sum(built.values()) - tables > 0
+    assert max(built.values()) == 1
