@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
@@ -75,12 +76,12 @@ def _resolve_kernel(spec: str) -> KernelModel:
 
 def _display(value, precise: bool):
     """Canonical numeric display value: the shorthand's one-decimal rounding
-    unless --precise. None stays None."""
+    unless --precise, an int if whole, else a float (OverflowError if too
+    large for one). None stays None."""
     if value is None:
         return None
     if not precise:
-        text = format_cycles(value)
-        return float(text) if "." in text else int(text)
+        value = Fraction(format_cycles(value))
     return int(value) if value.denominator == 1 else float(value)
 
 

@@ -1,7 +1,7 @@
 """Model core: assembles inputs from core timing and traffic, predicts
 per-level runtimes via the max-overlap rule, applies the off-core penalty
-heuristic, formats/parses the shorthand notation, and scores predictions
-against measurements.
+heuristic, formats and parses the shorthand notation by one token grammar,
+and scores predictions against measurements.
 
 All cycle values are exact rationals; rounding happens only in the formatter
 (one decimal, halves away from zero). Functions and records here take ints
@@ -257,18 +257,26 @@ def format_ecm(value: ECMInput | ECMPrediction) -> str:
     raise TypeError(f"cannot format {type(value).__name__}")
 
 
-_NUMBER = re.compile(r"([0-9]+)(?:\.([0-9]+))?")  # ASCII digits: \d takes any Unicode digit
+_DECIMAL = r"([0-9]+)(?:\.([0-9]+))?"  # groups (whole, fraction); ASCII digits: \d takes any Unicode digit
+_NUMBER = re.compile(_DECIMAL)
 
 
 @cache
 def _shapes() -> tuple[re.Pattern, re.Pattern]:
     """The input and the prediction shape, whitespace allowed around every
     token; compiled on the first parse rather than at import."""
-    cell = r"\s*([0-9]+)(?:\.([0-9]+))?\s*"
+    cell = rf"\s*{_DECIMAL}\s*"
     return (
         re.compile(rf"\s*\{{{cell}\|\|{cell}\|{cell}\|{cell}\|{cell}\}}\s*"),
         re.compile(rf"\s*\{{{cell}\\{cell}\\{cell}\\{cell}\}}\s*"),
     )
+
+
+@cache
+def _token() -> re.Pattern:
+    """Optional whitespace, then group 1: a decimal cell (groups 2 and 3), a
+    '{', '}', '||', '|' or '\\', or nothing; compiled on the first malformed text."""
+    return re.compile(rf"\s*({_DECIMAL}|\|\||[{{}}|\\])?")
 
 
 def parse_ecm(text: str) -> ECMInput | ECMPrediction:
@@ -278,8 +286,8 @@ def parse_ecm(text: str) -> ECMInput | ECMPrediction:
     A value is read from one full match of one shape, each cell an exact
     decimal: the input shape if the text holds '||', else the prediction
     shape, since input text holds '||' and prediction text holds no '|'.
-    Text that does not match is scanned token by token only to report where
-    it goes wrong.
+    Text that does not match is read again by the token loop of `_reject`
+    only to report where it goes wrong.
     """
     input_shape, prediction_shape = _shapes()
     record, shape = (ECMInput, input_shape) if "||" in text else (ECMPrediction, prediction_shape)
@@ -303,50 +311,28 @@ def _decimals(match: re.Match) -> list[Fraction]:
     return values
 
 
+# per token, the tokens the notation allows next ("end": the end of the text) and the error if another follows
+_FOLLOWERS = {
+    "start": ({"{"}, "expected '{'"),
+    **dict.fromkeys(("{", "||", "|", "\\"), ({"number"}, "expected a number")),
+    "number": ({"||", "|", "\\", "}"}, "expected '||', '|', '\\' or '}'"),
+    "}": ({"end"}, "trailing characters after '}'"),
+}
+
+
 def _reject(text: str) -> NoReturn:
-    """Raise the ECMParseError for text that matches neither shape: scan it
-    token by token to the first that does not fit, or report its shape."""
-    pos = 0
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def expect(token: str):
-        nonlocal pos
-        skip_ws()
-        if not text.startswith(token, pos):
-            raise ECMParseError(f"expected {token!r}", pos)
-        pos += len(token)
-
-    def number():
-        nonlocal pos
-        skip_ws()
-        match = _NUMBER.match(text, pos)
-        if not match:
-            raise ECMParseError("expected a number", pos)
+    """Raise the ECMParseError at the first token the notation does not allow
+    where it stands or, if there is none, for separators that fit no shape."""
+    token, pos = "start", 0
+    while token != "end":
+        allowed, error = _FOLLOWERS[token]
+        match = _token().match(text, pos)
         pos = match.end()
-
-    expect("{")
-    number()
-    while True:
-        skip_ws()
-        if pos >= len(text):
-            raise ECMParseError("unterminated value, expected '}'", pos)
-        if text[pos] == "}":
-            pos += 1
-            break
-        for sep in ("||", "|", "\\"):
-            if text.startswith(sep, pos):
-                pos += len(sep)
-                break
-        else:
-            raise ECMParseError("expected '||', '|', '\\' or '}'", pos)
-        number()
-    skip_ws()
-    if pos != len(text):
-        raise ECMParseError("trailing characters after '}'", pos)
+        token = "number" if match[2] else match[1] or ("end" if pos == len(text) else None)
+        if token not in allowed:
+            if token == "end" and "}" in allowed:
+                error = "unterminated value, expected '}'"
+            raise ECMParseError(error, pos - len(match[1] or ""))
     # every token is well formed, but the separators fit neither shape
     raise ECMParseError("malformed shorthand: expected {a || b | c | d | e} or {a \\ b \\ c \\ d}", len(text) - 1)
 

@@ -139,12 +139,13 @@ class CoreLayout:
         memory unit or some unit cannot fit a cycle on its own; lower >= start.
         A miss first tries the search's first candidate, T = lower and s =
         start, by one schedule (_splits_evenly): if it fits, the answer is
-        (start, 0 states) and no table is built or searched."""
+        (start, 0 states) and no table is built or searched. Lower past the
+        unit count means some unit fits no cycle: no schedule is tried."""
         key = (tuple(counts), lower, start)
         if key not in self.spans:
             if len(self.spans) == 1024:
                 self.spans.clear()
-            if start and self._splits_evenly(counts, lower, start):
+            if start and lower <= sum(counts) and self._splits_evenly(counts, lower, start):
                 self.spans[key] = start, 0
             else:
                 present = tuple(map(bool, counts))

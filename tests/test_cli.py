@@ -3,6 +3,8 @@ import csv
 import io
 import json
 import os
+import re
+import resource
 import subprocess
 import sys
 import time
@@ -17,12 +19,31 @@ from ecmkit.cli import run
 from ecmkit.machine import PortSpec
 
 SRC = str(Path(ecmkit.__file__).resolve().parent.parent)
+# the address space a capped child run may take
+CHILD_MEMORY_BYTES = 1 << 30
+# a number JSON or Python prints for a value no float holds
+NON_FINITE = re.compile(r"\b(?:inf|nan|Infinity|NaN)\b")
 
 
 def invoke(*argv):
     out = io.StringIO()
     code = run(list(argv), out=out)
     return code, out.getvalue()
+
+
+def run_capped(*argv: str, flags=(), timeout=60) -> subprocess.CompletedProcess:
+    """`python [flags] -m ecmkit argv` in a child process whose address space
+    is capped at CHILD_MEMORY_BYTES, so a run that asks for gigabytes fails
+    in the child alone; PYTHONWARNINGS unset, text output, killed after
+    `timeout` seconds."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONWARNINGS", None)
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY_BYTES, CHILD_MEMORY_BYTES))
+
+    argv = [sys.executable, *flags, "-m", "ecmkit", *argv]
+    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=timeout, preexec_fn=cap_memory)
 
 
 def test_predict_ddot_shorthand():
@@ -111,6 +132,48 @@ def test_predict_value_too_large_for_a_float_is_an_error(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ") and "too large" in err[0]
 
 
+def regression_machine(tmp_path, kind: str) -> str:
+    """A machine file that once broke a CLI run: "store-weight", a store of
+    10^9 retire slots, which no retire cycle holds; "tiny-bandwidth", a
+    default bandwidth of 3e-320 GB/s and no table, so T_L3Mem and the cells
+    built on it are too large for a float."""
+    data = serialize_machine(builtin_haswell())
+    if kind == "store-weight":
+        data["store_uop_weight"] = 10**9
+    else:
+        data["memory"].update(default_bandwidth_gbs=3e-320, table=[])
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["predict", "scale"])
+@pytest.mark.parametrize("kind", ["store-weight", "tiny-bandwidth"])
+def test_regression_machine_runs_within_contract_in_a_capped_child(tmp_path, kind, command):
+    result = run_capped(command, "-k", "update", "-m", regression_machine(tmp_path, kind))
+    assert result.returncode in (0, 2), result.stderr
+    assert "Traceback" not in result.stderr, result.stderr
+    assert not NON_FINITE.search(result.stdout), result.stdout
+
+
+def test_store_no_retire_cycle_holds_is_answered_without_a_cycle_list(tmp_path):
+    """The even-split certificate is skipped when T exceeds the unit count,
+    so it allocates nothing per cycle of T = 500 000 001."""
+    result = run_capped("predict", "-k", "update", "-m", regression_machine(tmp_path, "store-weight"))
+    assert result.returncode == 0, result.stderr
+    assert "input:      {500000001 || 2 | 2 | 4 | 12.5}\n" in result.stdout
+
+
+@pytest.mark.parametrize("precise", [[], ["--precise"]])
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_display_too_large_for_a_float_is_an_error_in_every_format(tmp_path, capsys, fmt, precise):
+    path = regression_machine(tmp_path, "tiny-bandwidth")
+    code, out = invoke("predict", "-m", path, "-k", "ddot", "--format", fmt, *precise)
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "too large" in err[0]
+
+
 @pytest.mark.parametrize("section", ["ports", "boundaries", "table"])
 def test_predict_machine_section_that_is_not_a_list_is_an_error(tmp_path, capsys, section):
     data = serialize_machine(builtin_haswell())
@@ -130,9 +193,7 @@ def test_predict_runs_at_any_retire_width(tmp_path):
     for width in (64, 10**9):
         path = tmp_path / f"width{width}.json"
         path.write_text(json.dumps(serialize_machine(replace(builtin_haswell(), retire_width=width))))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
-        argv = [sys.executable, "-m", "ecmkit", "predict", "-m", str(path), "-k", "stream_triad"]
-        result = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        result = run_capped("predict", "-m", str(path), "-k", "stream_triad")
         assert result.returncode == 0, result.stderr
         outputs.append(result.stdout)
     assert outputs[0] == outputs[1]
@@ -143,12 +204,7 @@ def test_kernel_consistency_warnings_are_warning_lines_under_any_filter(tmp_path
     output, also when Python's warnings are errors."""
     load = {"count": 3, "class": "load", "addressing": "base-index-offset"}
     path = write_kernel(tmp_path, [{"array": "A", "access": "read"}], [load, {"count": 1, "class": "add"}])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
-    env.pop("PYTHONWARNINGS", None)
-    results = []
-    for flags in ([], ["-W", "error"]):
-        argv = [sys.executable, *flags, "-m", "ecmkit", "predict", "-k", path]
-        results.append(subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60))
+    results = [run_capped("predict", "-k", path, flags=flags) for flags in ([], ["-W", "error"])]
     for result in results:
         assert result.returncode == 0, result.stderr
         assert result.stderr == "warning: kernel 'k': 3 load uops per cache line, but streams imply 2\n"

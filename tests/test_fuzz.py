@@ -1,14 +1,14 @@
 """Loader fuzz: mutated machine, kernel and measurement files stay inside the
 input contract. A loader returns a value or raises SchemaError; `cli.run`
-returns 0, 1 or 2, raises nothing, and on 2 prints one `error:` line and no
-output.
+returns 0, 1 or 2, raises nothing, prints no non-finite number, and on 2
+prints one `error:` line and no output.
 
 Each example mutates a seed file: type swaps, dropped and extra keys, NaN,
 1e400, integers of 10^6 and more (and one longer than int() converts), wrong
 and deep nesting, and bytes that are not UTF-8. Kernel files run through
 `traffic` and `predict`, machine files through `show-machine`, `predict`
-and `scale`: the loaders cap the uop and core counts that set what those
-commands cost.
+(also of `update`, which stores, without `--precise`) and `scale`: the
+loaders cap the uop and core counts that set what those commands cost.
 """
 
 import contextlib
@@ -25,7 +25,7 @@ from ecmkit import SchemaError, builtin_haswell, builtin_kernels, load_kernel, l
 from ecmkit import serialize_machine
 from ecmkit.cli import run
 
-from test_cli import kernel_dict
+from test_cli import NON_FINITE, kernel_dict
 
 MACHINE_SEED = serialize_machine(builtin_haswell())
 KERNEL_SEED = kernel_dict(builtin_kernels()["schoenauer_triad_opt"])
@@ -138,6 +138,7 @@ def runs_within_contract(argv):
         code = run(argv, out=out)
     lines = err.getvalue().splitlines()
     assert code in (0, 1, 2)
+    assert not NON_FINITE.search(out.getvalue()), out.getvalue()
     assert all(line.startswith(("error: ", "warning: ")) for line in lines), lines
     if code == 2:
         assert out.getvalue() == "" and len(lines) == 1 and lines[0].startswith("error: "), lines
@@ -151,6 +152,7 @@ def test_mutated_machine_file(work, data):
     loads_or_schema_error(load_machine, path)
     runs_within_contract(["show-machine", "-m", str(path)])
     runs_within_contract(["predict", "-k", "ddot", "--precise", "-m", str(path)])
+    runs_within_contract(["predict", "-k", "update", "--format", "json", "-m", str(path)])
     runs_within_contract(["scale", "-k", "ddot", "-m", str(path)])
 
 

@@ -378,6 +378,15 @@ def test_parse_agrees_with_the_scanner_on_canonical_text_and_one_character_edits
         # any Unicode whitespace between tokens, ASCII digits only in cells
         "\t{1\n||\t2 | 3 |\u00a04 | 5}\n",
         "{\u0661.5 \\ 2 \\ 3 \\ 4}",
+        # token boundaries: Unicode whitespace, a dot without digits, a token
+        # where another kind belongs, and text after the closing brace
+        "\u2003{1\x1c||\u20032 |\x1c3 | 4 | 5}\u2003",
+        "{1\u2003\\\x1c2 \\ 3 \\ 4 x",
+        "{2.}",
+        "{{1",
+        "{1 ||| 2 | 3 | 4 | 5}",
+        "{1 |\\ 2}",
+        "{1 \\ 2 \\ 3 \\ 4}}",
     ],
 )
 def test_parse_errors_and_values_match_the_scanner_on_edge_cases(text):
