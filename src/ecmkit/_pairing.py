@@ -4,11 +4,12 @@ A unit takes one port from each of its port choice sets, all distinct
 within its cycle, and `weight` of the cycle's retire slots. Overlapping
 units are the arithmetic ones, the others the memory units. Cycles are
 interchangeable, so a schedule is a multiset of per-cycle patterns: count
-vectors over the unit kinds whose units get distinct ports and whose weight
-fits the retire width. A pattern table is enumerated one kind at a time,
-each kind's count stopping at the first that does not fit, so its cost
-depends on the port layout and not on the width; the caller holds each
-table it builds (a machine's scheduler.CoreLayout keeps one per kind set).
+vectors over the unit kinds whose units get distinct ports (by the Hall
+bounds of hall_bounds, which the scheduler's port makespans read too) and
+whose weight fits the retire width. A pattern table is enumerated one kind
+at a time, each kind's count stopping at the first that does not fit, so
+its cost depends on the port layout and not on the width; the caller holds
+each table it builds (a machine's scheduler.CoreLayout keeps one per kind set).
 Its bounds come from column sums: y . pattern over all maximal patterns at
 once adds one column per nonzero entry of y. It keeps every bound, in no
 set order: a state is pruned when any bound fails (see pattern_table).
@@ -26,10 +27,8 @@ list and the deltas per count vector clamped to the largest count of each
 kind in a maximal pattern. The search is exact and has no budget; it keeps
 its path on an explicit stack, so its depth is not bounded by recursion.
 This module keeps no solve: the caller that owns the table memoizes
-least_span's answers (CoreLayout.span does, per machine). CoreLayout also
-packs fit_rule, the single-cycle test the enumeration stops on, over all of
-a machine's kinds, to check one schedule at least_span's first candidate:
-when every cycle of it fits, that candidate is the answer with no table.
+least_span's answers (CoreLayout.span does, per machine, and first tests
+least_span's first candidate with fit_rule, which needs no table).
 """
 
 from __future__ import annotations
@@ -60,6 +59,16 @@ def port_set_unions(sets) -> list[frozenset[int]]:
         closure |= {s | u for u in closure}
         closure.add(s)
     return sorted(closure, key=lambda union: (len(union), sorted(union)))
+
+
+def hall_bounds(choices) -> dict[tuple[int, ...], frozenset[int]]:
+    """The kinds' Hall bounds: for each union of their port choice sets, the
+    needs of each kind (its choices inside the union), mapped to the first
+    union in Hall order with those needs."""
+    bounds: dict[tuple[int, ...], frozenset[int]] = {}
+    for union in port_set_unions(p for c in choices for p in c):
+        bounds.setdefault(tuple(sum(map(union.issuperset, c)) for c in choices), union)
+    return bounds
 
 
 class PatternTable:
@@ -144,14 +153,14 @@ def pattern_table(kinds: tuple[Unit, ...], width: int) -> PatternTable | None:
     A cycle holds at most cap_any of y . pattern, and a cycle without
     arithmetic at most cap_memory, so counts that fit a cycles and m more
     memory-only cycles have y . counts <= cap_any * a + cap_memory * m.
-    The table keeps that bound for y over the port needs inside each union
-    of the kinds' port sets (Hall bounds), and over the unit count and the
-    retire weight of each subset of kinds. The retire weight of all kinds
-    gives the retire-slot bound and the memory-weight bound: the memory
-    weight that the memory-only cycles cannot take must fit in the slots the
-    arithmetic leaves free. Every bound is kept: a search state is pruned when
-    any slack is negative, so a bound that others imply prunes nothing they
-    do not, and the order of the bounds does not matter.
+    The table keeps that bound for y over the needs of each Hall bound
+    (hall_bounds), and over the unit count and the retire weight of each
+    subset of kinds. The retire weight of all kinds gives the retire-slot
+    bound and the memory-weight bound: the memory weight that the
+    memory-only cycles cannot take must fit in the slots the arithmetic
+    leaves free. Every bound is kept: a search state is pruned when any
+    slack is negative, so a bound that others imply prunes nothing they do
+    not, and the order of the bounds does not matter.
     """
     n = len(kinds)
     weights = tuple(k.weight for k in kinds)
@@ -189,19 +198,15 @@ def pattern_table(kinds: tuple[Unit, ...], width: int) -> PatternTable | None:
 
 
 def fit_rule(kinds: tuple[Unit, ...], width: int) -> tuple[dict[tuple[int, ...], int], int, tuple[int, ...], int, int, int]:
-    """(hall, bits, columns, top, limit, guard): `hall` maps the needs of each
-    kind inside a union of their port sets to the smallest such union's size
-    (by Hall's theorem a pattern's units get distinct ports iff no union
-    holds more needs than it has ports). columns[j] packs kind j's needs in
-    `bits`-bit fields, a guard bit on top of each, and its retire weight
-    above them, so a pattern c fits a cycle iff v = sum(c[j] * columns[j])
-    is below `top` (its weight fits) and limit - v keeps every guard bit. As
-    every weight is at least 1, the fields hold any count of one kind, and
-    the needs, of a pattern whose weight fits."""
-    hall = {
-        tuple(sum(map(subset.issuperset, k.port_choices)) for k in kinds): len(subset)
-        for subset in reversed(port_set_unions(p for k in kinds for p in k.port_choices))
-    }
+    """(hall, bits, columns, top, limit, guard): `hall` maps each Hall
+    bound's needs (hall_bounds) to its union's size; a pattern's units get
+    distinct ports iff no union holds more needs than it has ports. Kind
+    j's column packs its needs in `bits`-bit fields, a guard bit on each,
+    and its retire weight above them: a pattern c fits a cycle iff v =
+    sum(c[j] * columns[j]) is below `top` (its weight fits) and limit - v
+    keeps every guard bit. As every weight is at least 1, the fields hold
+    any count of one kind, and the needs, of a pattern whose weight fits."""
+    hall = {y: len(union) for y, union in hall_bounds([k.port_choices for k in kinds]).items()}
     sizes = tuple(hall.values())
     bits = max(width * max(map(max, hall)), *sizes).bit_length() + 1
     guard = _pack((1 << bits - 1,) * len(sizes), bits)

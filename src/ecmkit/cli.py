@@ -74,15 +74,21 @@ def _resolve_kernel(spec: str) -> KernelModel:
     raise CliError(f"unknown kernel {spec!r}; built-in kernels: {', '.join(sorted(builtins))}")
 
 
-def _display(value, precise: bool):
-    """Canonical numeric display value: the shorthand's one-decimal rounding
-    unless --precise, an int if whole, else a float (OverflowError if too
-    large for one). None stays None."""
+def _display(value, precise: bool, name: str):
+    """Canonical numeric display value of the quantity `name`: the
+    shorthand's one-decimal rounding unless --precise, an int if whole, else
+    a float (an OverflowError naming the quantity if too large for one).
+    None stays None."""
     if value is None:
         return None
     if not precise:
         value = Fraction(format_cycles(value))
-    return int(value) if value.denominator == 1 else float(value)
+    if value.denominator == 1:
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise OverflowError(f"{name} is too large for a float") from None
 
 
 def _render(report: Report, fmt: str) -> str:
@@ -113,11 +119,11 @@ def cmd_predict(args) -> Report:
     mups = single_core_performance(shown, kernel, machine)
     rows = []
     for level, cycles in zip(LEVELS, shown.cells()):
-        level_mups = _display(mups * shown.t_mem / cycles, args.precise) if cycles else ""
-        rows.append({"level": level, "cycles_per_cl": _display(cycles, args.precise), "mups": level_mups})
-    memory_mups = _display(mups, args.precise)
-    gbs_write_allocate = _display(mups * prof.mem_bytes_per_iteration / 1000, args.precise)
-    gbs_explicit = _display(mups * prof.payload_bytes_per_iteration / 1000, args.precise)
+        level_mups = _display(mups * shown.t_mem / cycles, args.precise, f"{level} mups") if cycles else ""
+        rows.append({"level": level, "cycles_per_cl": _display(cycles, args.precise, f"{level} cycles_per_cl"), "mups": level_mups})
+    memory_mups = _display(mups, args.precise, "memory_mups")
+    gbs_write_allocate = _display(mups * prof.mem_bytes_per_iteration / 1000, args.precise, "memory_gbs_write_allocate")
+    gbs_explicit = _display(mups * prof.payload_bytes_per_iteration / 1000, args.precise, "memory_gbs_explicit")
     payload = {"kernel": kernel.name, "machine": machine.name, "input": format_ecm(inp), "prediction": format_ecm(pred),
                "levels": rows, "memory_mups": memory_mups, "memory_gbs_write_allocate": gbs_write_allocate,
                "memory_gbs_explicit": gbs_explicit}
@@ -158,8 +164,9 @@ def cmd_scale(args) -> Report:
     rows = []
     for p in curve.points:
         bound = "bandwidth" if p.bandwidth_bound else "core"
-        rows.append({"cores": p.cores, "mups": _display(p.performance_mups, args.precise), "bound": bound})
-    ceiling = _display(curve.ceiling_mups, args.precise)
+        rows.append({"cores": p.cores, "mups": _display(p.performance_mups, args.precise, f"mups at {p.cores} cores"),
+                     "bound": bound})
+    ceiling = _display(curve.ceiling_mups, args.precise, "ceiling_mups")
     payload = {"kernel": kernel.name, "machine": machine.name, "mode": curve.mode, "points": rows,
                "saturation_cores": curve.saturation_cores, "ceiling_mups": ceiling}
     if ceiling is None:
@@ -196,11 +203,12 @@ def cmd_compare(args) -> Report:
             if level not in measurement.levels:
                 print(f"warning: kernel {name!r} has no {level} measurement; skipped", file=sys.stderr)
                 continue
-            row = {"kernel": name, "level": level, "predicted": _display(predicted, args.precise),
-                   "measured": _display(measurement.levels[level], args.precise),
+            cell = f"{name} {level}"
+            row = {"kernel": name, "level": level, "predicted": _display(predicted, args.precise, f"{cell} predicted"),
+                   "measured": _display(measurement.levels[level], args.precise, f"{cell} measured"),
                    "signed_error_pct": errors.signed_pct[level], "abs_error_pct": errors.absolute_pct[level]}
             if adjusted:
-                row["predicted_penalty"] = _display(with_penalty, args.precise)
+                row["predicted_penalty"] = _display(with_penalty, args.precise, f"{cell} predicted_penalty")
                 row["abs_error_penalty_pct"] = adj_errors.absolute_pct[level]
             rows.append(row)
     return Report(rows, rows)
@@ -281,7 +289,7 @@ def cmd_nt(args) -> Report:
         "regular_chip_mups": estimate.regular.per_chip_mups,
         "nt_chip_mups": estimate.nontemporal.per_chip_mups,
     }
-    quantities = {key: _display(value, args.precise) for key, value in quantities.items()}
+    quantities = {key: _display(value, args.precise, key) for key, value in quantities.items()}
     reference = nt_reference().get(kernel.name)
     rows = [{"quantity": "kernel", "value": kernel.name}]
     rows += [{"quantity": key, "value": value if value is not None else ""} for key, value in quantities.items()]

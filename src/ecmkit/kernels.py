@@ -161,7 +161,8 @@ def consistency_warnings(kernel: KernelModel) -> list[str]:
     """Mismatches between declared uops and what the streams imply.
 
     Only meaningful for 8-byte elements with 32-byte vector memory ops (two
-    per cache line and stream); scalar or exotic kernels simply warn.
+    per cache line and stream); a kernel of any other element size is not
+    checked and gets no warning.
     """
     if kernel.element_bytes != 8:
         return []

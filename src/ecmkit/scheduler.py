@@ -17,12 +17,10 @@ solver's first candidate (T at its lower bound, the span at its start)
 fits every cycle, which proves that candidate the answer.
 
 core_timing reads the machine through its CoreLayout, compiled once per
-MachineModel: each uop class's port sets, all their unions in Hall order
-(port_set_unions), the unit kinds, their packed single-cycle fit rule, the
-pattern table of each kind set that the even split does not settle, and its
-pairing solves. Port bounds over the machine's unions equal
-those over the kernel's own (see _binding_bound). core_timing returns the
-two cycle counts only.
+MachineModel: the unit kinds, their Hall bounds (hall_bounds, the one form
+of every port bound here and in the pattern tables), the packed fit rule,
+the pattern tables the even split leaves to the solver, and the solves.
+core_timing returns the two cycle counts only.
 build_nol_problem and build_ol_problem give the two port problems as
 {allowed ports: uop count} maps for min_cycles, with the port sets taken from
 the machine's capabilities, not its CoreLayout, to check core_timing's bounds.
@@ -33,7 +31,7 @@ from __future__ import annotations
 from itertools import compress
 from typing import NamedTuple
 
-from ._pairing import PatternTable, Unit, fit_rule, least_span, pattern_table, port_set_unions
+from ._pairing import PatternTable, Unit, fit_rule, hall_bounds, least_span, pattern_table
 from .errors import CapabilityError, SchemaError
 from .kernels import MEMORY_CLASSES, UOP_CLASSES, KernelModel
 from .machine import MachineModel
@@ -47,43 +45,40 @@ class CoreTiming(NamedTuple):
     t_nol: int
 
 
-def _hall_unions(sets: list[frozenset[int]], start: int = 0) -> tuple:
-    """Every union of the port sets in Hall order (see port_set_unions), as
-    (union, its size, the indices from `start` of the sets inside it)."""
+def _port_bounds(choices) -> tuple:
+    """hall_bounds(choices) in Hall order less the empty union, as (union, size, kind indices, one per choice inside)."""
     return tuple(
-        (union, len(union), tuple(i for i, s in enumerate(sets, start) if s <= union))
-        for union in port_set_unions(sets)
+        (union, len(union), tuple(j for j, n in enumerate(needs) for _ in range(n)))
+        for needs, union in hall_bounds(choices).items() if union
     )
 
 
 def min_cycles(problem: dict[frozenset[int], int]) -> int:
     """Minimum T such that every uop fits on an allowed port with no port
     receiving more than T uops, for `problem[ports]` uops that may each
-    issue on any one of `ports`."""
+    issue on any one of `ports`: each set is a kind of one port choice."""
     if not all(problem) or min(problem.values(), default=1) < 1:
         raise SchemaError("every allowed-port set must be non-empty and every uop count >= 1")
-    return _binding_bound(_hall_unions(list(problem)), list(problem.values()))[0]
+    return _binding_bound(_port_bounds([(ports,) for ports in problem]), list(problem.values()))[0]
 
 
-def _binding_bound(unions: tuple, loads: list[int]) -> tuple[int, frozenset[int] | None]:
-    """Makespan and the port subset that forces it, for `loads[i]` uops on
-    port set i and the unions of those sets from _hall_unions.
+def _binding_bound(bounds: tuple, counts: list[int]) -> tuple[int, frozenset[int] | None]:
+    """Makespan and the port subset that forces it, for `counts[j]` units of
+    kind j and the kinds' Hall bounds from _port_bounds.
 
     By a Hall-condition argument the optimum equals the maximum over port
-    subsets S of ceil(load(S) / |S|), where load(S) counts uops whose whole
-    allowed set lies inside S; ties break toward the first S in Hall order.
-    The unions of any family of sets that holds the loaded ones suffice: for
-    S with load(S) > 0, the union S' of the loaded sets inside S has the
-    same load and |S'| <= |S|, so S' bounds at least as high and comes first
-    unless S' = S. So the unions of all the machine's sets give the maximum
-    and first maximizer that the unions of a kernel's own sets give.
-    """
+    subsets S of ceil(load(S) / |S|), where load(S) counts each unit once
+    per port choice of it inside S. The union of the loaded choices inside S
+    has S's load on no more ports, and of unions with equal needs the first
+    in Hall order (kept by hall_bounds) bounds highest. Ties break toward
+    the first bound: the binding union is the first maximizer in Hall order
+    among all unions, the same over the machine's kinds as a kernel's own."""
     best_cycles = 0
     best_subset: frozenset[int] | None = None
-    for subset, size, members in unions:
+    for subset, size, members in bounds:
         load = 0
-        for i in members:
-            load += loads[i]
+        for j in members:
+            load += counts[j]
         bound = -(-load // size)
         if bound > best_cycles:
             best_cycles, best_subset = bound, subset
@@ -94,37 +89,32 @@ class CoreLayout:
     """A machine's issue ports compiled for core_timing, once per MachineModel.
 
     `needs` maps (uop class, addressing) to (missing load/store capability,
-    missing arithmetic capability, indices of the port sets it loads, index of
-    its kind in `units`). Load/store sets precede arithmetic ones, `units` is
+    missing arithmetic capability, index of its kind in `units`). `units` is
     in pattern table order (memory kinds first, heavier first, then by port
-    ids), `tables` maps flags over `units` to tables, and `spans` memoizes
-    span's answers, at most 1 024 of them, so the solves of equal unit counts
-    live as long as the machine."""
+    ids), `nol_bounds` and `ol_bounds` are the memory and the arithmetic
+    kinds' _port_bounds over `units`, `tables` maps flags over `units` to
+    tables, and `spans` memoizes span's answers, at most 1 024 of them, so
+    the solves of equal unit counts live as long as the machine."""
 
     def __init__(self, machine: MachineModel):
         full = machine.ports_with("load-agu-full")
         data = machine.ports_with("store-data")
-        rows = []  # (key, missing capabilities as in needs, load/store sets, arithmetic sets, unit)
+        rows = []  # (key, missing capabilities as in needs, unit)
         for addressing, address in (("base-index-offset", full), ("offset-only", full | machine.ports_with("agu-simple"))):
-            rows.append((("load", addressing), None if full else "load-agu-full", None, (full,), (), Unit((full,), 1, False)))
+            rows.append((("load", addressing), None if full else "load-agu-full", None, Unit((full,), 1, False)))
             missing = "address-generation" if not address else None if data else "store-data"
             unit = Unit((address, data), machine.store_uop_weight, False)
-            rows.append((("store", addressing), missing, None, (address, data), (), unit))
+            rows.append((("store", addressing), missing, None, unit))
         for uop_class in UOP_CLASSES:
             if uop_class not in MEMORY_CLASSES:
                 ports = machine.ports_with(uop_class)
-                rows.append(((uop_class, None), None, None if ports else uop_class, (), (ports,), Unit((ports,), 1, True)))
-        nol = [s for s in dict.fromkeys(s for row in rows for s in row[3]) if s]
-        ol = [s for s in dict.fromkeys(s for row in rows for s in row[4]) if s]
-        self.n_sets = len(nol) + len(ol)
-        self.nol_unions = _hall_unions(nol)
-        self.ol_unions = _hall_unions(ol, len(nol))
-        kinds = dict.fromkeys(row[5] for row in rows)
+                rows.append(((uop_class, None), None, None if ports else uop_class, Unit((ports,), 1, True)))
+        kinds = dict.fromkeys(row[3] for row in rows)
         self.units = tuple(sorted(kinds, key=lambda u: (u.overlapping, -u.weight, [sorted(p) for p in u.port_choices])))
-        self.needs = {}
-        for key, nol_missing, ol_missing, nol_sets, ol_sets, unit in rows:
-            members = tuple(nol.index(s) for s in nol_sets if s) + tuple(len(nol) + ol.index(s) for s in ol_sets if s)
-            self.needs[key] = (nol_missing, ol_missing, members, self.units.index(unit))
+        self.needs = {key: (*missing, self.units.index(unit)) for key, *missing, unit in rows}
+        self.nol_bounds, self.ol_bounds = (  # a kind of the other component has no port choice
+            _port_bounds([u.port_choices if u.overlapping is side else () for u in self.units]) for side in (False, True)
+        )
         self.width = machine.retire_width
         # the fit rule over every kind: a union no kind set of a pattern uses
         # only repeats a Hall condition its units must meet anyway
@@ -240,21 +230,18 @@ def core_timing(kernel: KernelModel, machine: MachineModel) -> CoreTiming:
     A missing load/store capability is reported before an arithmetic one.
     """
     layout = machine._core_layout
-    loads = [0] * layout.n_sets
     units = [0] * len(layout.units)
     ol_missing = None
     for g in kernel.uops:
-        nol_missing, missing, members, unit = layout.needs[g.uop_class, g.addressing]
+        nol_missing, missing, unit = layout.needs[g.uop_class, g.addressing]
         if nol_missing:
             raise CapabilityError(f"kernel {kernel.name!r} needs {nol_missing} ports")
         ol_missing = ol_missing or missing
-        for i in members:
-            loads[i] += g.count
         units[unit] += g.count
     if ol_missing:
         raise CapabilityError(f"kernel {kernel.name!r} needs {ol_missing} ports")
-    t_nol = _binding_bound(layout.nol_unions, loads)[0]
-    raw_ol = _binding_bound(layout.ol_unions, loads)[0]
+    t_nol = _binding_bound(layout.nol_bounds, units)[0]
+    raw_ol = _binding_bound(layout.ol_bounds, units)[0]
     fe = frontend_bound(kernel, machine)
 
     start = max(raw_ol, fe) if fe > t_nol else raw_ol

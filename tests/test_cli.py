@@ -172,6 +172,16 @@ def test_display_too_large_for_a_float_is_an_error_in_every_format(tmp_path, cap
     assert (code, out) == (2, "")
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "too large" in err[0]
+    assert "MEM cycles_per_cl" in err[0]
+
+
+@pytest.mark.parametrize("precise", [[], ["--precise"]])
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_compare_display_too_large_for_a_float_names_the_cell(tmp_path, capsys, fmt, precise):
+    path = regression_machine(tmp_path, "tiny-bandwidth")
+    code, out = invoke("compare", "-m", path, "-k", "ddot", "--format", fmt, *precise)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.splitlines() == ["error: ddot MEM predicted is too large for a float"]
 
 
 @pytest.mark.parametrize("section", ["ports", "boundaries", "table"])

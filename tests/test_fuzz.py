@@ -4,11 +4,14 @@ returns 0, 1 or 2, raises nothing, prints no non-finite number, and on 2
 prints one `error:` line and no output.
 
 Each example mutates a seed file: type swaps, dropped and extra keys, NaN,
-1e400, integers of 10^6 and more (and one longer than int() converts), wrong
-and deep nesting, and bytes that are not UTF-8. Kernel files run through
-`traffic` and `predict`, machine files through `show-machine`, `predict`
-(also of `update`, which stores, without `--precise`) and `scale`: the
-loaders cap the uop and core counts that set what those commands cost.
+1e400, the least subnormal float, integers of 10^6 and more (and one longer
+than int() converts), wrong and deep nesting, and bytes that are not UTF-8.
+Machine files start from the built-in machine or from the same machine with
+an empty bandwidth table, whose kernels all take the default bandwidth.
+Kernel files run through `traffic` and `predict`, machine files through
+`show-machine`, `predict` (also of `update`, which stores, without
+`--precise`) and `scale`: the loaders cap the uop and core counts that set
+what those commands cost.
 """
 
 import contextlib
@@ -28,6 +31,9 @@ from ecmkit.cli import run
 from test_cli import NON_FINITE, kernel_dict
 
 MACHINE_SEED = serialize_machine(builtin_haswell())
+# the built-in machine, and the same with no bandwidth table, so that every
+# signature falls back to a (mutated) default bandwidth
+MACHINE_SEEDS = [MACHINE_SEED, {**MACHINE_SEED, "memory": {**MACHINE_SEED["memory"], "table": []}}]
 KERNEL_SEED = kernel_dict(builtin_kernels()["schoenauer_triad_opt"])
 CSV_SEED = (resources.files("ecmkit.data") / "measurements_haswell.csv").read_text()
 
@@ -41,7 +47,7 @@ LITERALS = {
 }
 SWAPS = st.one_of(
     st.sampled_from(sorted(LITERALS)),
-    st.sampled_from([None, True, False, 0, -1, 1.5, 64.0, 1e-300, 1.7e308, 10**306, "", "x", "false"]),
+    st.sampled_from([None, True, False, 0, -1, 1.5, 64.0, 1e-300, 5e-324, 1.7e308, 10**306, "", "x", "false"]),
     st.sampled_from([[], {}, [1], {"k": 1}, [[]], {"name": "x"}]),
     st.integers(min_value=10**6, max_value=10**40),
 )
@@ -148,7 +154,7 @@ def runs_within_contract(argv):
 @given(st.data())
 def test_mutated_machine_file(work, data):
     path = work / "machine.json"
-    path.write_bytes(mutated_json(MACHINE_SEED, data))
+    path.write_bytes(mutated_json(data.draw(st.sampled_from(MACHINE_SEEDS)), data))
     loads_or_schema_error(load_machine, path)
     runs_within_contract(["show-machine", "-m", str(path)])
     runs_within_contract(["predict", "-k", "ddot", "--precise", "-m", str(path)])

@@ -40,6 +40,14 @@ def test_builtins_validate_without_warnings(name):
     assert consistency_warnings(kernel) == []
 
 
+def test_kernels_of_other_element_sizes_are_not_checked():
+    """ddot with one load uop a cache line instead of the four its two read
+    streams imply: a mismatch at 8 bytes, unchecked at 4."""
+    kernel = replace(builtin_kernels()["ddot"], uops=(UopGroup(1, "load", "base-index-offset"), UopGroup(2, "fma")))
+    assert consistency_warnings(kernel) == ["kernel 'ddot': 1 load uops per cache line, but streams imply 4"]
+    assert consistency_warnings(replace(kernel, element_bytes=4)) == []
+
+
 # expected (explicit loads, RFO streams, write streams) per kernel
 STREAM_COLUMNS = {
     "ddot": (2, 0, 0),

@@ -246,7 +246,7 @@ def unit_counts(kernel, machine):
     layout = machine._core_layout
     counts = [0] * len(layout.units)
     for g in kernel.uops:
-        counts[layout.needs[g.uop_class, g.addressing][3]] += g.count
+        counts[layout.needs[g.uop_class, g.addressing][-1]] += g.count
     return counts
 
 
@@ -752,7 +752,7 @@ def test_each_unit_kind_is_one_object_in_pattern_table_order():
     """Memory kinds first, heavier first, then by port ids."""
     layout = HASWELL._core_layout
     assert len(set(layout.units)) == len(layout.units)
-    assert {need[3] for need in layout.needs.values()} == set(range(len(layout.units)))
+    assert {need[-1] for need in layout.needs.values()} == set(range(len(layout.units)))
     orders = [(unit.overlapping, -unit.weight, [sorted(p) for p in unit.port_choices]) for unit in layout.units]
     assert orders == sorted(orders)
     assert [unit.overlapping for unit in layout.units] == [False] * 3 + [True] * 3
@@ -970,6 +970,36 @@ def test_capability_errors_equal_the_oracle_on_machines_that_lack_capabilities()
     assert set(outcomes) == {"timing", "load-agu-full ports", "address-generation ports", "store-data ports"} | {
         f"{a} ports" for a in ARITH_UOPS
     }
+
+
+def test_haswell_port_bounds_list_a_kind_once_per_port_choice_inside():
+    """Memory kinds: base-addressed store, offset-only store, load; the
+    arithmetic kinds: fma/mul on {0, 1}, add on {1}, lea on {1, 5}. A union
+    that holds a store's address and data set counts the store twice."""
+    layout = HASWELL._core_layout
+    assert [(sorted(union), size, members) for union, size, members in layout.nol_bounds] == [
+        ([4], 1, (0, 1)),
+        ([2, 3], 2, (0, 2)),
+        ([2, 3, 4], 3, (0, 0, 1, 2)),
+        ([2, 3, 7], 3, (0, 1, 2)),
+        ([2, 3, 4, 7], 4, (0, 0, 1, 1, 2)),
+    ]
+    assert [(sorted(union), size, members) for union, size, members in layout.ol_bounds] == [
+        ([1], 1, (4,)),
+        ([0, 1], 2, (3, 4)),
+        ([1, 5], 2, (4, 5)),
+        ([0, 1, 5], 3, (3, 4, 5)),
+    ]
+
+
+def test_a_store_whose_address_and_data_share_one_port_takes_it_twice():
+    """The machine lacks add, mul and lea, whose empty port sets give the
+    empty union; no bound keeps it, so a kernel without them is timed."""
+    ports = (PortSpec(0, frozenset({"load-agu-full", "store-data"})), PortSpec(1, frozenset({"fma"})))
+    machine = replace(HASWELL, ports=ports)
+    kernel = KernelModel("k", (), 8, (UopGroup(3, "store", "base-index-offset"), UopGroup(1, "fma")))
+    assert core_timing(kernel, machine) == oracle_timing(kernel, machine) == (1, 6)
+    assert all(size for _, size, _ in machine._core_layout.ol_bounds)
 
 
 def test_replaced_machines_do_not_reuse_a_cached_layout():

@@ -71,6 +71,41 @@ def test_package_modules_import_no_private_name_of_a_public_sibling():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def uses_of(name: str, sources: dict[str, str]) -> list[str]:
+    """Where the modules of `sources` (name -> source) call `name`, as a
+    function or an attribute, or import it: "module.function" inside a
+    function (the innermost), "module" at module level."""
+    found = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        owner = {}  # node -> its innermost function; ast.walk reaches outer functions first
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(function), f"{module}.{function.name}"))
+        for node in ast.walk(tree):
+            called = isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            if called or isinstance(node, ast.ImportFrom) and any(alias.name == name for alias in node.names):
+                found.add(owner.get(node, module))
+    return sorted(found)
+
+
+def test_uses_of_a_name_are_found():
+    sources = {
+        "a": "from ._pairing import port_set_unions as unions\n",
+        "b": "def f(s):\n    def g():\n        return _pairing.port_set_unions(s)\n    return g\n",
+        "c": "port_set_unions = None\nx = [port_set_unions]\n",
+        "d": "class C:\n    def m(self):\n        return port_set_unions([])\n",
+    }
+    assert uses_of("port_set_unions", sources) == ["a", "b.g", "d.m"]
+
+
+def test_only_hall_bounds_enumerates_port_set_unions():
+    """Every port bound of the package is a Hall bound from
+    _pairing.hall_bounds, so no second form of the condition grows unseen."""
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert uses_of("port_set_unions", sources) == ["_pairing.hall_bounds"]
+
+
 def memoized_functions_with_parameters(source: str) -> list[str]:
     """Functions that take parameters and carry functools.cache or
     lru_cache, which would keep every argument alive for the process."""
