@@ -34,15 +34,14 @@ least_span's first candidate with fit_rule, which needs no table).
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import islice, product
 from operator import add, mul
+from typing import NamedTuple
 
 from .kernels import MAX_UOPS_PER_LINE
 
 
-@dataclass(frozen=True)
-class Unit:
+class Unit(NamedTuple):
     """What issues and retires in one cycle: a load, a store's address and
     data, or an arithmetic uop."""
 

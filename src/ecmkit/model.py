@@ -237,12 +237,16 @@ def penalty_cycles(kernel: KernelModel, config: PenaltyConfig) -> tuple[int, int
 # shorthand notation
 
 
+def _rounded_magnitude(n: int, d: int) -> int:
+    """|n / d| rounded half away from zero, for d > 0: floor((2 |n| + d) / 2d)."""
+    return (2 * abs(n) + d) // (2 * d)
+
+
 def format_cycles(value) -> str:
     """Canonical cycle display of an int or a Fraction: minimum digits,
     fractional values to one decimal, halves away from zero."""
-    n, d = value.numerator, value.denominator
-    # |value| in tenths, rounded half up: floor((20 |n| + d) / 2d)
-    tenths = (20 * abs(n) + d) // (2 * d)
+    n = value.numerator
+    tenths = _rounded_magnitude(10 * n, value.denominator)  # |value| in tenths
     sign = "-" if n < 0 and tenths else ""
     whole, tenth = divmod(tenths, 10)
     return f"{sign}{whole}" if not tenth else f"{sign}{whole}.{tenth}"
@@ -359,11 +363,10 @@ def model_error(pred: ECMPrediction, measurement: Measurement) -> ModelError:
         measured = measurement.levels.get(name)
         if measured is None:
             continue
-        # rel = n / d = (predicted - measured) / measured * 100, d > 0, and
-        # |rel| rounded half away from zero, in integers as in format_cycles
+        # rel = n / d = (predicted - measured) / measured * 100, d > 0
         n = 100 * (predicted.numerator * measured.denominator - measured.numerator * predicted.denominator)
         d = predicted.denominator * measured.numerator
-        absolute[name] = (2 * abs(n) + d) // (2 * d)
+        absolute[name] = _rounded_magnitude(n, d)
         signed[name] = -absolute[name] if n < 0 else absolute[name]
     return ModelError(absolute_pct=absolute, signed_pct=signed)
 

@@ -28,13 +28,9 @@ class TrafficProfile(NamedTuple):
 def traffic(kernel: KernelModel) -> TrafficProfile:
     reads, readwrites, writes, nt_writes = kernel._tally
     cache_cls = reads + 2 * readwrites + 2 * writes
-    return TrafficProfile(
-        cls_l1l2=cache_cls,
-        cls_l2l3=cache_cls,
-        cls_l3mem=cache_cls + nt_writes,
-        mem_bytes_per_iteration=kernel.element_bytes * (reads + 2 * readwrites + 2 * writes + nt_writes),
-        payload_bytes_per_iteration=kernel.element_bytes * (reads + 2 * readwrites + writes + nt_writes),
-    )
+    mem_cls = cache_cls + nt_writes
+    mem_bytes = kernel.element_bytes * mem_cls
+    return TrafficProfile(cache_cls, cache_cls, mem_cls, mem_bytes, mem_bytes - kernel.element_bytes * writes)
 
 
 def nt_volume_ratio(kernel: KernelModel) -> Fraction:

@@ -66,6 +66,15 @@ def test_predict_unknown_kernel_lists_builtins(capsys):
     assert "ddot" in err and "schoenauer_triad" in err
 
 
+def test_predict_unknown_machine_lists_builtins(monkeypatch, capsys):
+    monkeypatch.delenv("ECM_MACHINE_PATH", raising=False)
+    code, text = invoke("predict", "-m", "nosuch", "-k", "ddot")
+    assert (code, text) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: unknown machine 'nosuch'; built-in machines: haswell "
+                   "(or pass a machine file path, searched also under ECM_MACHINE_PATH)"]
+
+
 def test_predict_invalid_machine_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
@@ -327,6 +336,13 @@ def test_scale_ddot_ceiling():
     code, text = invoke("scale", "-k", "ddot", "--mode", "cod", "--cores", "14")
     assert code == 0
     assert "ceiling: 4050 MUp/s" in text
+
+
+def test_scale_kernel_without_streams_has_no_ceiling(tmp_path):
+    path = write_kernel(tmp_path, [], [{"count": 2, "class": "fma"}])
+    code, text = invoke("scale", "-k", path, "--cores", "3")
+    assert code == 0
+    assert text.splitlines()[-3:] == ["3      55200  core", "", "compute bound: no bandwidth ceiling"]
 
 
 def test_scale_single_core_matches_predict():

@@ -12,6 +12,12 @@ Kernel files run through `traffic` and `predict`, machine files through
 `show-machine`, `predict` (also of `update`, which stores, without
 `--precise`) and `scale`: the loaders cap the uop and core counts that set
 what those commands cost.
+
+A mutated machine file rarely loads, so the same commands also run on the
+machine seeds with every value redrawn within what the loader accepts: port
+capabilities, retire width, store weight, boundary widths, GHz, bandwidths
+and derating from the least subnormal float to 1.7e308, and NUMA shapes up
+to the core cap. Each of those machines loads and reaches the model.
 """
 
 import contextlib
@@ -27,6 +33,7 @@ from hypothesis import strategies as st
 from ecmkit import SchemaError, builtin_haswell, builtin_kernels, load_kernel, load_machine, read_measurements
 from ecmkit import serialize_machine
 from ecmkit.cli import run
+from ecmkit.machine import MAX_CORES, PORT_CAPABILITIES
 
 from test_cli import NON_FINITE, kernel_dict
 
@@ -56,6 +63,21 @@ CELLS = [
     "9" * 5000, "0." + "0" * 4999 + "1", "9" * 200_000, '"', 'a"b', "L9", "MEM", "foo", "ddot", "\x00",
 ]
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# the commands test_mutated_machine_file runs, without the machine file
+MACHINE_ARGVS = [
+    ["show-machine"],
+    ["predict", "-k", "ddot", "--precise"],
+    ["predict", "-k", "update", "--format", "json"],
+    ["scale", "-k", "ddot"],
+]
+# GHz, bandwidths and the derating: any positive float, the extremes often
+POSITIVE = st.one_of(st.sampled_from([5e-324, 3e-320, 1e-300, 1.7e308]), st.floats(5e-324, 1.7e308))
+# a boundary width divides a cache line or is a multiple of one
+BOUNDARY_WIDTHS = st.sampled_from([1, 2, 4, 8, 16, 32, 64, 128, 64 * 10**6])
+# retire width and store weight have no cap; the built-in weight is drawn
+# most, then 10^9, which no retire cycle holds
+RETIRE_WIDTHS = st.sampled_from([1, 2, 3, 4, 6, 8, 10**9])
+STORE_WEIGHTS = st.sampled_from([2, 10**9, 1, 3, 10**6])
 
 
 def mutate(tree, data):
@@ -115,6 +137,31 @@ def mutated_csv(data) -> bytes:
     return not_utf8("".join(",".join(row) + "\n" for row in rows).encode(), data)
 
 
+def redrawn_machine(seed, data) -> dict:
+    """`seed` with each value redrawn within what the loader accepts; the
+    keys, port ids and bandwidth-table signatures stay."""
+    domains = data.draw(st.integers(1, 64))
+    capabilities = st.sets(st.sampled_from(sorted(PORT_CAPABILITIES)), min_size=1)
+    return {
+        **seed,
+        "frequency_ghz": data.draw(POSITIVE),
+        "retire_width": data.draw(RETIRE_WIDTHS),
+        "store_uop_weight": data.draw(STORE_WEIGHTS),
+        "ports": [
+            {"id": port["id"], "capabilities": sorted(data.draw(st.just(port["capabilities"]) | capabilities))}
+            for port in seed["ports"]
+        ],
+        "boundaries": [{**boundary, "bytes_per_cycle": data.draw(BOUNDARY_WIDTHS)} for boundary in seed["boundaries"]],
+        "memory": {
+            "default_bandwidth_gbs": data.draw(POSITIVE),
+            "table": [{**row, "gbs": data.draw(POSITIVE)} for row in seed["memory"]["table"]],
+            "noncod_derating": data.draw(POSITIVE),
+        },
+        "numa": {"domains": domains, "cores_per_domain": data.draw(st.integers(1, MAX_CORES // domains)),
+                 "cod": data.draw(st.booleans())},
+    }
+
+
 def not_utf8(raw: bytes, data) -> bytes:
     """`raw`, or `raw` with a byte that breaks UTF-8 at a position `data` picks."""
     if not data.draw(st.integers(0, 9)) == 0:
@@ -160,6 +207,16 @@ def test_mutated_machine_file(work, data):
     runs_within_contract(["predict", "-k", "ddot", "--precise", "-m", str(path)])
     runs_within_contract(["predict", "-k", "update", "--format", "json", "-m", str(path)])
     runs_within_contract(["scale", "-k", "ddot", "-m", str(path)])
+
+
+@SETTINGS
+@given(st.data())
+def test_redrawn_machine_file(work, data):
+    path = work / "redrawn-machine.json"
+    path.write_text(json.dumps(redrawn_machine(data.draw(st.sampled_from(MACHINE_SEEDS)), data)))
+    load_machine(path)
+    for argv in MACHINE_ARGVS:
+        runs_within_contract([*argv, "-m", str(path)])
 
 
 @SETTINGS

@@ -234,6 +234,7 @@ def test_element_bytes_must_divide_cacheline():
         ({"element_bytes": 3}, "kernel 'ddot': element_bytes must divide 64"),
         ({"streams": [{"array": "A", "access": "append"}]}, "streams[0]: stream 'A': access must be one of"),
         ({"uops": [{"count": 0, "class": "fma"}]}, "uops[0]: uop group: count must be >= 1, got 0"),
+        ({"uops": [{"count": 1, "class": "div"}]}, "uops[0]: uop group: class must be one of"),
     ],
 )
 def test_a_dataclass_invariant_error_names_the_file(tmp_path, change, message):

@@ -204,6 +204,16 @@ def test_unknown_capability_rejected(haswell):
         (None, "retire_width", 0, "retire_width must be >= 1"),
         ("numa", "domains", 0, "numa: domains must be >= 1"),
         ("memory", "default_bandwidth_gbs", 0, "memory: default_bandwidth_gbs must be > 0"),
+        (None, "frequency_ghz", 0, "frequency_ghz must be > 0"),
+        (None, "store_uop_weight", 0, "store_uop_weight must be >= 1"),
+        ("memory", "noncod_derating", 0, "memory: noncod_derating must be > 0"),
+        ("numa", "cores_per_domain", 0, "numa: cores_per_domain must be >= 1"),
+        ("ports", 0, {"id": -1, "capabilities": ["fma"]}, "ports[0]: port id must be non-negative, got -1"),
+        ("ports", 0, {"id": 0, "capabilities": []}, "ports[0]: port 0: capabilities must be non-empty"),
+        ("boundaries", 0, {"name": "L3", "bytes_per_cycle": 64},
+         "boundaries[0]: CacheBoundary: name must be one of ('L1L2', 'L2L3'), got 'L3'"),
+        ("memory", "table", [{"loads": 1, "stores": 0, "nt_stores": 0, "gbs": 30}] * 2,
+         "memory: table[1]: duplicate signature (1, 0, 0)"),
     ],
 )
 def test_a_dataclass_invariant_error_names_the_file(haswell, tmp_path, section, key, value, message):

@@ -237,6 +237,13 @@ def test_format_examples():
     assert format_ecm(predict(inp)) == "{2 \\ 4 \\ 8 \\ 17.1}"
 
 
+@pytest.mark.parametrize("value", [Fraction(9), (1, 2, 2, 4, 9), CoreTiming(1, 2)])
+def test_format_ecm_refuses_what_is_neither_an_input_nor_a_prediction(value):
+    with pytest.raises(TypeError) as raised:
+        format_ecm(value)
+    assert str(raised.value) == f"cannot format {type(value).__name__}"
+
+
 def test_format_cycles_rounding():
     assert format_cycles(Fraction(9)) == "9"
     assert format_cycles(Fraction("9.05")) == "9.1"  # halves away from zero
@@ -448,6 +455,12 @@ def test_model_error_is_exact_for_int_cells():
 def test_measurement_requires_positive_cycles():
     with pytest.raises(SchemaError):
         Measurement("x", {"L1": Fraction(0)})
+
+
+def test_measurement_refuses_an_unknown_level():
+    with pytest.raises(SchemaError) as raised:
+        Measurement("x", {"L4": Fraction(1)})
+    assert str(raised.value) == "measurement 'x': unknown level 'L4'"
 
 
 def test_read_measurements_roundtrip(tmp_path):

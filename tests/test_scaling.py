@@ -200,6 +200,12 @@ def test_scale_rejects_out_of_range_cores():
         scale(KERNELS["ddot"], HASWELL, max_cores=15)
 
 
+def test_scale_rejects_an_unknown_pinning():
+    with pytest.raises(ValueError) as raised:
+        scale(KERNELS["ddot"], HASWELL, pinning="scatter")
+    assert str(raised.value) == f"pinning must be one of {PINNING_POLICIES}"
+
+
 def test_nt_speedup_ratios_exact():
     assert nt_speedup(KERNELS["stream_triad"], HASWELL).volume_ratio == Fraction(4, 3)
     assert nt_speedup(KERNELS["schoenauer_triad"], HASWELL).volume_ratio == Fraction(5, 4)

@@ -178,6 +178,23 @@ def test_missing_capability_raises():
         build_ol_problem(KERNELS["ddot"], no_fma)
 
 
+@pytest.mark.parametrize(
+    "kernel,capabilities,missing",
+    [
+        ("ddot", ["fma", "agu-simple", "store-data"], "load-agu-full"),
+        ("store", ["agu-simple", "store-data"], "address-generation"),
+        ("store", ["load-agu-full", "agu-simple"], "store-data"),
+    ],
+)
+def test_missing_memory_capability_raises(kernel, capabilities, missing):
+    """A base-index-offset store takes its address from a load-agu-full port
+    only, so the simple AGU alone serves it no address."""
+    ports = tuple(PortSpec(i, frozenset({c})) for i, c in enumerate(capabilities))
+    with pytest.raises(CapabilityError) as raised:
+        build_nol_problem(KERNELS[kernel], replace(HASWELL, ports=ports))
+    assert str(raised.value) == f"kernel {kernel!r} needs {missing} ports"
+
+
 def _random_problem(rng, max_uops=10, max_ports=8):
     n_ports = rng.randint(1, max_ports)
     universe = rng.sample(range(8), n_ports)
@@ -1057,7 +1074,7 @@ def test_warm_core_timing_builds_no_units_problems_unions_or_tables(monkeypatch)
 
         return wrapper
 
-    monkeypatch.setattr(Unit, "__init__", counted("Unit", Unit.__init__))
+    monkeypatch.setattr(Unit, "__new__", counted("Unit", Unit.__new__))
     for module in (scheduler, _pairing):
         for name in ("port_set_unions", "pattern_table"):
             if hasattr(module, name):

@@ -72,9 +72,10 @@ def test_package_modules_import_no_private_name_of_a_public_sibling():
 
 
 def uses_of(name: str, sources: dict[str, str]) -> list[str]:
-    """Where the modules of `sources` (name -> source) call `name`, as a
-    function or an attribute, or import it: "module.function" inside a
-    function (the innermost), "module" at module level."""
+    """Where the modules of `sources` (name -> source) read `name`, as a
+    name or an attribute (a call reads it too), or import it:
+    "module.function" inside a function (the innermost), "module" at module
+    level."""
     found = set()
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -83,8 +84,8 @@ def uses_of(name: str, sources: dict[str, str]) -> list[str]:
             if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 owner.update(dict.fromkeys(ast.walk(function), f"{module}.{function.name}"))
         for node in ast.walk(tree):
-            called = isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-            if called or isinstance(node, ast.ImportFrom) and any(alias.name == name for alias in node.names):
+            read = isinstance(getattr(node, "ctx", None), ast.Load) and name in (getattr(node, "id", None), getattr(node, "attr", None))
+            if read or isinstance(node, ast.ImportFrom) and any(alias.name == name for alias in node.names):
                 found.add(owner.get(node, module))
     return sorted(found)
 
@@ -95,8 +96,9 @@ def test_uses_of_a_name_are_found():
         "b": "def f(s):\n    def g():\n        return _pairing.port_set_unions(s)\n    return g\n",
         "c": "port_set_unions = None\nx = [port_set_unions]\n",
         "d": "class C:\n    def m(self):\n        return port_set_unions([])\n",
+        "e": "port_set_unions = None\n",
     }
-    assert uses_of("port_set_unions", sources) == ["a", "b.g", "d.m"]
+    assert uses_of("port_set_unions", sources) == ["a", "b.g", "c", "d.m"]
 
 
 def test_only_hall_bounds_enumerates_port_set_unions():
@@ -104,6 +106,15 @@ def test_only_hall_bounds_enumerates_port_set_unions():
     _pairing.hall_bounds, so no second form of the condition grows unseen."""
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert uses_of("port_set_unions", sources) == ["_pairing.hall_bounds"]
+
+
+def test_only_the_stream_rule_reads_the_vector_op_width():
+    """The built-in kernels' load and store groups and the consistency check
+    both take their counts from kernels._implied_memory_uops, so the rule
+    that a stream costs a vector op per VECTOR_OP_BYTES of a line is stated
+    once."""
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert uses_of("VECTOR_OP_BYTES", sources) == ["kernels._implied_memory_uops"]
 
 
 def memoized_functions_with_parameters(source: str) -> list[str]:
