@@ -1,4 +1,5 @@
-"""The one reader of machine, kernel and measurement files.
+"""The one reader of machine and kernel files, and the text reader of the
+measurement CSV, whose rows `model.read_measurements` checks.
 
 A loader returns a checked value or raises SchemaError with a one-line
 message that starts with the file's path: a fault found here names the
@@ -61,6 +62,14 @@ def require_number(value, context: str, exact: bool = False) -> None:
     if type(value) is not int and not (exact and type(value) is Fraction):
         kind = "an integer or a Fraction" if exact else "an integer"
         raise SchemaError(f"{context} must be {kind}, got {reprlib.repr(value)}")
+
+
+def require_positive(value, context: str, exact: bool = False) -> None:
+    """`require_number`, then raise SchemaError naming `context` unless `value`
+    is positive: "must be > 0" if `exact`, "must be >= 1" for an integer."""
+    require_number(value, context, exact)
+    if value <= 0:
+        raise SchemaError(f"{context} must be {'> 0' if exact else '>= 1'}")
 
 
 def require_bool(value, context: str) -> None:

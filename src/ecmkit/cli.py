@@ -16,12 +16,12 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .kernels import KernelConsistencyWarning, KernelModel, builtin_kernels, load_kernel, stream_counts, stream_signature
-from .machine import MachineModel, builtin_haswell, load_machine, serialize_machine
+from .machine import MODES, MachineModel, builtin_haswell, load_machine, serialize_machine
 from .model import (
     LEVELS, PenaltyConfig, apply_penalty, ecm_input, format_cycles, format_ecm, model_error, predict, read_measurements
 )
 from .reference import REFERENCE_KERNELS, nt_reference, reference_cells, reference_measurements
-from .scaling import nt_speedup, scale, single_core_performance
+from .scaling import PINNING_POLICIES, nt_speedup, scale, single_core_performance
 from .traffic import traffic
 
 BUILTIN_MACHINES = {"haswell": builtin_haswell}
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("table", "csv", "json"), default="table")
     display = argparse.ArgumentParser(add_help=False)
     display.add_argument("--precise", action="store_true", help="print unrounded values")
-    display.add_argument("--mode", choices=("cod", "noncod"), default=None, help="bandwidth interpretation")
+    display.add_argument("--mode", choices=MODES, default=None, help="bandwidth interpretation")
     kernel_arg = argparse.ArgumentParser(add_help=False)
     kernel_arg.add_argument("-k", "--kernel", required=True, help="built-in kernel name or kernel file path")
 
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scale", parents=[common, display, kernel_arg], help="multi-core scaling curve")
     p.add_argument("--cores", type=int, default=None, help="core counts to evaluate (1..N)")
-    p.add_argument("--pinning", choices=("domain-sequential", "round-robin"), default="domain-sequential")
+    p.add_argument("--pinning", choices=PINNING_POLICIES, default="domain-sequential")
     p.add_argument("--penalty", action="store_true", help="scale the penalty-adjusted prediction")
     p.set_defaults(func=cmd_scale)
 

@@ -99,14 +99,19 @@ class KernelModel:
 
     @cached_property
     def _tally(self) -> tuple[int, int, int, int]:
-        """(reads, read-modify-writes, writes, non-temporal writes), counted
-        once per kernel object. Other streams make a new object, and the
-        cache is no field, so it takes no part in ==, hash or repr."""
-        reads = sum(1 for s in self.streams if s.access == "read")
-        readwrites = sum(1 for s in self.streams if s.access == "readwrite")
-        writes = sum(1 for s in self.streams if s.access == "write" and not s.nontemporal)
-        nt_writes = sum(1 for s in self.streams if s.access == "write" and s.nontemporal)
-        return reads, readwrites, writes, nt_writes
+        """_stream_tally of the streams, counted once per kernel object.
+        Other streams make a new object, and the cache is no field, so it
+        takes no part in ==, hash or repr."""
+        return _stream_tally(self.streams)
+
+
+def _stream_tally(streams) -> tuple[int, int, int, int]:
+    """(reads, read-modify-writes, writes, non-temporal writes) among `streams`."""
+    reads = sum(1 for s in streams if s.access == "read")
+    readwrites = sum(1 for s in streams if s.access == "readwrite")
+    writes = sum(1 for s in streams if s.access == "write" and not s.nontemporal)
+    nt_writes = sum(1 for s in streams if s.access == "write" and s.nontemporal)
+    return reads, readwrites, writes, nt_writes
 
 
 class StreamCounts(NamedTuple):
@@ -163,11 +168,12 @@ def with_nt_stores(kernel: KernelModel, nontemporal: bool = True) -> KernelModel
     return replace(kernel, streams=streams)
 
 
-def _implied_memory_uops(kernel: KernelModel) -> tuple[int, int]:
-    """(loads, stores) per cache line that the streams imply: a vector op per
-    VECTOR_OP_BYTES of each line a stream loads, and of each line it stores."""
+def _implied_memory_uops(tally: tuple[int, int, int, int]) -> tuple[int, int]:
+    """(loads, stores) per cache line that streams with this _stream_tally
+    imply: a vector op per VECTOR_OP_BYTES of each line a stream loads, and
+    of each line it stores."""
     ops_per_cl = CACHE_LINE_BYTES // VECTOR_OP_BYTES
-    reads, readwrites, writes, nt_writes = kernel._tally
+    reads, readwrites, writes, nt_writes = tally
     return ops_per_cl * (reads + readwrites), ops_per_cl * (writes + nt_writes + readwrites)
 
 
@@ -183,7 +189,7 @@ def consistency_warnings(kernel: KernelModel) -> list[str]:
     return [
         f"kernel {kernel.name!r}: {actual} {uop_class} uops per cache line, "
         f"but streams imply {expected}"
-        for uop_class, expected in zip(MEMORY_CLASSES, _implied_memory_uops(kernel))
+        for uop_class, expected in zip(MEMORY_CLASSES, _implied_memory_uops(kernel._tally))
         if (actual := kernel.uop_count(uop_class)) != expected
     ]
 
@@ -191,9 +197,10 @@ def consistency_warnings(kernel: KernelModel) -> list[str]:
 def _kernel(name, streams, uops=(), flops=0, store_addressing="base-index-offset") -> KernelModel:
     """A built-in kernel: the load and store groups its streams imply
     (_implied_memory_uops), stores with `store_addressing`, then `uops`."""
-    kernel = KernelModel(name=name, streams=tuple(streams), element_bytes=8, uops=(), flops_per_iteration=flops)
-    memory = zip(_implied_memory_uops(kernel), MEMORY_CLASSES, ("base-index-offset", store_addressing))
-    return replace(kernel, uops=(*(UopGroup(*group) for group in memory if group[0]), *uops))
+    streams = tuple(streams)
+    memory = zip(_implied_memory_uops(_stream_tally(streams)), MEMORY_CLASSES, ("base-index-offset", store_addressing))
+    uops = (*(UopGroup(*group) for group in memory if group[0]), *uops)
+    return KernelModel(name=name, streams=streams, element_bytes=8, uops=uops, flops_per_iteration=flops)
 
 
 def builtin_kernels() -> dict[str, KernelModel]:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
-from ._schema import build, build_fields, check, fields, read_json, require_bool, require_number
+from ._schema import build, build_fields, check, fields, read_json, require_bool, require_number, require_positive
 from .errors import SchemaError
 
 CACHE_LINE_BYTES = 64
@@ -41,6 +41,8 @@ PORT_CAPABILITIES = frozenset(
 )
 
 BOUNDARY_NAMES = ("L1L2", "L2L3")
+# bandwidth interpretations: per NUMA domain (cluster on die) or full chip
+MODES = ("cod", "noncod")
 # a scaling curve has a point per core, so a chip may have no more
 MAX_CORES = 4096
 
@@ -77,9 +79,7 @@ class CacheBoundary:
         if self.name not in BOUNDARY_NAMES:
             raise SchemaError(f"CacheBoundary: name must be one of {BOUNDARY_NAMES}, got {self.name!r}")
         b = self.bytes_per_cycle
-        require_number(b, f"CacheBoundary {self.name}: bytes_per_cycle")
-        if b <= 0:
-            raise SchemaError(f"CacheBoundary {self.name}: bytes_per_cycle must be positive")
+        require_positive(b, f"CacheBoundary {self.name}: bytes_per_cycle")
         # cycles per cache line must be an exact small rational
         if CACHE_LINE_BYTES % b != 0 and b % CACHE_LINE_BYTES != 0:
             raise SchemaError(
@@ -105,17 +105,11 @@ class MemoryModel:
     noncod_derating: Fraction = Fraction(1)
 
     def __post_init__(self):
-        require_number(self.default_bandwidth_gbs, "memory: default_bandwidth_gbs", exact=True)
-        if self.default_bandwidth_gbs <= 0:
-            raise SchemaError("memory: default_bandwidth_gbs must be > 0")
+        require_positive(self.default_bandwidth_gbs, "memory: default_bandwidth_gbs", exact=True)
         for sig, gbs in self.bandwidth_table.items():
-            require_number(gbs, f"memory: bandwidth for signature {sig}", exact=True)
-            if gbs <= 0:
-                raise SchemaError(f"memory: bandwidth for signature {sig} must be > 0")
+            require_positive(gbs, f"memory: bandwidth for signature {sig}", exact=True)
         object.__setattr__(self, "bandwidth_table", MappingProxyType(dict(self.bandwidth_table)))
-        require_number(self.noncod_derating, "memory: noncod_derating", exact=True)
-        if self.noncod_derating <= 0:
-            raise SchemaError("memory: noncod_derating must be > 0")
+        require_positive(self.noncod_derating, "memory: noncod_derating", exact=True)
 
     def lookup(self, signature: Signature) -> Fraction:
         return self.bandwidth_table.get(tuple(signature), self.default_bandwidth_gbs)
@@ -130,13 +124,9 @@ class NumaConfig:
     cod_enabled: bool
 
     def __post_init__(self):
-        require_number(self.n_domains, "numa: domains")
-        require_number(self.cores_per_domain, "numa: cores_per_domain")
+        require_positive(self.n_domains, "numa: domains")
+        require_positive(self.cores_per_domain, "numa: cores_per_domain")
         require_bool(self.cod_enabled, "numa: cod")
-        if self.n_domains < 1:
-            raise SchemaError("numa: domains must be >= 1")
-        if self.cores_per_domain < 1:
-            raise SchemaError("numa: cores_per_domain must be >= 1")
         if self.total_cores > MAX_CORES:
             raise SchemaError(f"numa: domains x cores_per_domain is {self.total_cores}, more than {MAX_CORES}")
 
@@ -159,15 +149,9 @@ class MachineModel:
     numa: NumaConfig
 
     def __post_init__(self):
-        require_number(self.frequency_ghz, "frequency_ghz", exact=True)
-        require_number(self.retire_width, "retire_width")
-        require_number(self.store_uop_weight, "store_uop_weight")
-        if self.frequency_ghz <= 0:
-            raise SchemaError("frequency_ghz must be > 0")
-        if self.retire_width < 1:
-            raise SchemaError("retire_width must be >= 1")
-        if self.store_uop_weight < 1:
-            raise SchemaError("store_uop_weight must be >= 1")
+        require_positive(self.frequency_ghz, "frequency_ghz", exact=True)
+        require_positive(self.retire_width, "retire_width")
+        require_positive(self.store_uop_weight, "store_uop_weight")
         ids = [p.id for p in self.ports]
         if len(ids) != len(set(ids)):
             raise SchemaError("port ids must be unique")
@@ -210,8 +194,8 @@ class MachineModel:
         machine's configured mode when it is None."""
         if mode is None:
             return "cod" if self.numa.cod_enabled else "noncod"
-        if mode not in ("cod", "noncod"):
-            raise ValueError(f"mode must be 'cod' or 'noncod', got {mode!r}")
+        if mode not in MODES:
+            raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
         return mode
 
     def bandwidth(self, signature: Signature, mode: str | None = None) -> Fraction:

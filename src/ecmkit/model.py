@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import NamedTuple, NoReturn
 
-from ._schema import read_text, require_number
+from ._schema import read_text, require_number, require_positive
 from .errors import ECMParseError, SchemaError
 from .kernels import KernelModel, bandwidth_signature, load_streams_with_rfo
 from .machine import CACHE_LINE_BYTES, MachineModel
@@ -129,9 +129,7 @@ class Measurement:
         for name, value in self.levels.items():
             if name not in LEVELS:
                 raise SchemaError(f"measurement {self.kernel!r}: unknown level {name!r}")
-            require_number(value, f"measurement {self.kernel!r}: {name}", exact=True)
-            if value <= 0:
-                raise SchemaError(f"measurement {self.kernel!r}: {name} must be > 0")
+            require_positive(value, f"measurement {self.kernel!r}: {name}", exact=True)
 
 
 @dataclass(frozen=True)
@@ -149,12 +147,10 @@ class PenaltyConfig:
 
 def mem_cycles_per_cl(bandwidth_gbs, frequency_ghz) -> Fraction:
     """Cycles to move one cache line over the memory interface:
-    64 B * f / b, exact. Both arguments are ints or Fractions (SchemaError
-    otherwise) and must be positive (ValueError)."""
-    require_number(bandwidth_gbs, "bandwidth_gbs", exact=True)
-    require_number(frequency_ghz, "frequency_ghz", exact=True)
-    if bandwidth_gbs <= 0 or frequency_ghz <= 0:
-        raise ValueError("bandwidth and frequency must be > 0")
+    64 B * f / b, exact. Both arguments are positive ints or Fractions; a
+    SchemaError (a ValueError) names the first that is not."""
+    require_positive(bandwidth_gbs, "bandwidth_gbs", exact=True)
+    require_positive(frequency_ghz, "frequency_ghz", exact=True)
     return CACHE_LINE_BYTES * Fraction(frequency_ghz) / bandwidth_gbs
 
 

@@ -17,13 +17,16 @@ A mutated machine file rarely loads, so the same commands also run on the
 machine seeds with every value redrawn within what the loader accepts: port
 capabilities, retire width, store weight, boundary widths, GHz, bandwidths
 and derating from the least subnormal float to 1.7e308, and NUMA shapes up
-to the core cap. Each of those machines loads and reaches the model.
+to the core cap. Each of those machines loads and reaches the model, and
+`test_redrawn_machine_file` requires a floor of examples that load, that
+take the default bandwidth and that end in a number too large for a float.
 """
 
 import contextlib
 import io
 import json
 import warnings
+from collections import Counter
 from importlib import resources
 
 import pytest
@@ -33,7 +36,7 @@ from hypothesis import strategies as st
 from ecmkit import SchemaError, builtin_haswell, builtin_kernels, load_kernel, load_machine, read_measurements
 from ecmkit import serialize_machine
 from ecmkit.cli import run
-from ecmkit.machine import MAX_CORES, PORT_CAPABILITIES
+from ecmkit.machine import MAX_CORES, PORT_CAPABILITIES, MemoryModel
 
 from test_cli import NON_FINITE, kernel_dict
 
@@ -184,7 +187,8 @@ def loads_or_schema_error(loader, path):
         pass
 
 
-def runs_within_contract(argv):
+def runs_within_contract(argv) -> list[str]:
+    """The run's stderr lines, once its exit code and output keep the contract."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -195,6 +199,7 @@ def runs_within_contract(argv):
     assert all(line.startswith(("error: ", "warning: ")) for line in lines), lines
     if code == 2:
         assert out.getvalue() == "" and len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines
 
 
 @SETTINGS
@@ -210,13 +215,40 @@ def test_mutated_machine_file(work, data):
 
 
 @SETTINGS
-@given(st.data())
-def test_redrawn_machine_file(work, data):
+@given(data=st.data())
+def redrawn_machine_examples(work, reach, fallbacks, data):
+    """Each example loads a redrawn machine and runs MACHINE_ARGVS on it;
+    `reach` counts the examples that load, that take the default bandwidth
+    (a lookup appends to `fallbacks`) and that end in a number too large for
+    a float."""
     path = work / "redrawn-machine.json"
     path.write_text(json.dumps(redrawn_machine(data.draw(st.sampled_from(MACHINE_SEEDS)), data)))
     load_machine(path)
-    for argv in MACHINE_ARGVS:
-        runs_within_contract([*argv, "-m", str(path)])
+    reach["load"] += 1
+    fallbacks.clear()
+    errors = [line for argv in MACHINE_ARGVS for line in runs_within_contract([*argv, "-m", str(path)])]
+    reach["default bandwidth"] += bool(fallbacks)
+    reach["too large for a float"] += any(line.endswith("too large for a float") for line in errors)
+
+
+def test_redrawn_machine_file(work, monkeypatch):
+    """The redrawn examples keep their reach: a derandomized draw moves with
+    the source text of the function that draws it, so an edit that left most
+    examples at one branch would fail here, not pass unseen."""
+    reach, fallbacks = Counter(), []
+    lookup = MemoryModel.lookup
+
+    def counted_lookup(memory, signature):
+        if tuple(signature) not in memory.bandwidth_table:
+            fallbacks.append(signature)
+        return lookup(memory, signature)
+
+    monkeypatch.setattr(MemoryModel, "lookup", counted_lookup)
+    redrawn_machine_examples(work, reach, fallbacks)
+    # the draw gives 60 loads, 35 defaults and 32 too large; a floor allows
+    # for a redraw, not for a collapse to a few examples
+    assert reach["load"] >= 54 and reach["default bandwidth"] >= 10, reach
+    assert reach["too large for a float"] >= 10, reach
 
 
 @SETTINGS

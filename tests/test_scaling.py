@@ -31,12 +31,11 @@ from ecmkit import (
     single_core_performance,
     traffic,
 )
-from ecmkit import scaling
 from ecmkit.cli import run
 from ecmkit.kernels import KernelModel, Stream, UopGroup
 from ecmkit.machine import CacheBoundary, MachineModel, MemoryModel, NumaConfig
 from ecmkit.model import INPUT_MEMO_ENTRIES, PenaltyConfig, apply_penalty
-from ecmkit.scaling import CURVE_MEMO_POINTS, PINNING_POLICIES, ScalingCurve
+from ecmkit.scaling import CURVE_MEMO_POINTS, PINNING_POLICIES, PerformancePoint, ScalingCurve
 from ecmkit.traffic import TrafficProfile
 
 from oracles import capped_linear_points, fraction_mem_cycles_per_cl, fraction_single_core_performance, saturation_of
@@ -349,19 +348,42 @@ def test_one_mode_resolution_for_every_query():
         assert str(raised.value) == "mode must be 'cod' or 'noncod', got 'numa'"
 
 
-def test_warm_sweep_queries_run_no_python_init():
-    """The records a query computes are named tuples, so 80 warm sweep-style
-    queries (every built-in kernel x mode x penalty on/off x pinning) run no
-    `__init__` written in Python, such as a dataclass's. This counts work,
-    not time, so the host's speed does not matter."""
+def sweep_queries():
+    """The 80 sweep-style queries: every built-in kernel x mode x penalty on
+    or off x pinning."""
     config = PenaltyConfig()
-    queries = [
+    return [
         (kernel, mode, penalty, pinning)
         for kernel in KERNELS.values()
         for mode in ("cod", "noncod")
         for penalty in (None, config)
         for pinning in PINNING_POLICIES
     ]
+
+
+def calls_by_code(counted: dict, run):
+    """run() under a profile hook that counts calls of the code objects in
+    `counted` under their names; returns its answer and the counts."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in counted:
+            calls[counted[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        return run(), calls
+    finally:
+        sys.setprofile(previous)
+
+
+def test_warm_sweep_queries_run_no_python_init():
+    """The records a query computes are named tuples, so 80 warm sweep-style
+    queries (every built-in kernel x mode x penalty on/off x pinning) run no
+    `__init__` written in Python, such as a dataclass's. This counts work,
+    not time, so the host's speed does not matter."""
+    queries = sweep_queries()
     assert len(queries) == 80
 
     def run(kernel, mode, penalty, pinning):
@@ -520,54 +542,35 @@ def test_replaced_machines_start_with_an_empty_memo(field):
     assert changed == len(KERNELS)
 
 
-def test_warm_scale_queries_make_no_prediction_penalty_or_points(monkeypatch):
+def test_warm_scale_queries_make_no_prediction_penalty_or_points():
     """A deterministic work count: after one pass of the 80 sweep-style
     queries, a second pass on the same machine makes no prediction, penalty
-    or single-core call from scaling, takes no bandwidth ceiling and builds
-    no point or curve, but still makes one ecm_input call per query."""
+    or single-core call, takes no bandwidth ceiling and builds no point or
+    curve, but still makes one ecm_input call per query."""
     machine = replace(HASWELL)
-    config = PenaltyConfig()
-    queries = [
-        (kernel, mode, penalty, pinning)
-        for kernel in KERNELS.values()
-        for mode in ("cod", "noncod")
-        for penalty in (None, config)
-        for pinning in PINNING_POLICIES
-    ]
+    queries = sweep_queries()
     total = machine.numa.total_cores
-    expected = [scale(kernel, machine, mode, total, pinning, penalty) for kernel, mode, penalty, pinning in queries]
-    calls = Counter()
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def run():
+        return [scale(kernel, machine, mode, total, pinning, penalty) for kernel, mode, penalty, pinning in queries]
 
-        return wrapper
-
-    for name in ("ecm_input", "bandwidth_ceiling", "predict", "apply_penalty", "single_core_performance",
-                 "PerformancePoint", "ScalingCurve"):
-        monkeypatch.setattr(scaling, name, counted(name, getattr(scaling, name)))
-    got = [scale(kernel, machine, mode, total, pinning, penalty) for kernel, mode, penalty, pinning in queries]
+    expected = run()
+    counted = {
+        ecm_input.__code__: "ecm_input",
+        bandwidth_ceiling.__code__: "bandwidth_ceiling",
+        predict.__code__: "predict",
+        apply_penalty.__code__: "apply_penalty",
+        single_core_performance.__code__: "single_core_performance",
+        PerformancePoint.__new__.__code__: "PerformancePoint",
+        ScalingCurve.__new__.__code__: "ScalingCurve",
+    }
+    got, calls = calls_by_code(counted, run)
     assert got == expected
     assert calls == Counter(ecm_input=80)
 
 
 # ---------------------------------------------------------------------------
 # the per-machine input memo
-
-
-def sweep_queries():
-    """The 80 sweep-style queries: every built-in kernel x mode x penalty on
-    or off x pinning."""
-    config = PenaltyConfig()
-    return [
-        (kernel, mode, penalty, pinning)
-        for kernel in KERNELS.values()
-        for mode in ("cod", "noncod")
-        for penalty in (None, config)
-        for pinning in PINNING_POLICIES
-    ]
 
 
 def oracle_input(kernel, machine, mode):
@@ -586,23 +589,6 @@ def oracle_input(kernel, machine, mode):
         prof.cls_l2l3 * Fraction(64, widths["L2L3"]),
         prof.cls_l3mem * fraction_mem_cycles_per_cl(gbs, machine.frequency_ghz),
     )
-
-
-def calls_by_code(counted: dict, run):
-    """run() under a profile hook that counts calls of the code objects in
-    `counted` under their names; returns its answer and the counts."""
-    calls = Counter()
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code in counted:
-            calls[counted[frame.f_code]] += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        return run(), calls
-    finally:
-        sys.setprofile(previous)
 
 
 def sweep_answers(machine, queries) -> list:

@@ -117,6 +117,31 @@ def test_only_the_stream_rule_reads_the_vector_op_width():
     assert uses_of("VECTOR_OP_BYTES", sources) == ["kernels._implied_memory_uops"]
 
 
+BOUND_MESSAGE = re.compile(r"must be (> 0|>= 1)$")
+
+
+def bound_messages(source: str) -> list[str]:
+    """String pieces, plain or of an f-string, that end in a positive-bound
+    message, as "line N: text"."""
+    return sorted(
+        f"line {node.lineno}: {node.value}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and BOUND_MESSAGE.search(node.value)
+    )
+
+
+def test_bound_messages_are_found():
+    source = 'a = "x must be > 0"\nb = f"{c} must be >= 1"\nd = f"count must be >= 1, got {n}"\ne = "must be > 01"\n'
+    assert bound_messages(source) == ["line 1: x must be > 0", "line 2:  must be >= 1"]
+
+
+def test_only_the_schema_writes_the_positive_bound_message():
+    """Every record field that must be positive is checked by
+    _schema.require_positive, so its message is written once."""
+    found = {path.name: bound_messages(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines and name != "_schema.py"} == {}
+
+
 def memoized_functions_with_parameters(source: str) -> list[str]:
     """Functions that take parameters and carry functools.cache or
     lru_cache, which would keep every argument alive for the process."""
