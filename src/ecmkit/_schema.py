@@ -4,10 +4,11 @@ measurement CSV, whose rows `model.read_measurements` checks.
 A loader returns a checked value or raises SchemaError with a one-line
 message that starts with the file's path: a fault found here names the
 field, one a dataclass invariant finds (through `build`) names the object
-and the field. A file that cannot be opened raises
-OSError. The CLI maps both to one `error:` line and exit code 2. Nothing is
-coerced: a number becomes a Fraction only by its exact decimal reading, and
-this is the one place a float is read at all.
+and the field, and a list entry is named by its place, as `ports[2]`. A spec
+says what each key holds, lists included (see `check`). A file that cannot
+be opened raises OSError. The CLI maps both to one `error:` line and exit
+code 2. Nothing is coerced: a number becomes a Fraction only by its exact
+decimal reading, and this is the one place a float is read at all.
 """
 
 from __future__ import annotations
@@ -46,13 +47,21 @@ def read_json(path):
 
 def check(value, kind, context: str):
     """`value` if of `kind` (a bool is no int); for Fraction, an int or finite
-    float by its decimal repr; for object, any value, for its dataclass to check."""
+    float by its decimal repr; for object, any value, for its dataclass to
+    check. `[item]` reads a list of `item`s and `[cls, spec]` a list of objects,
+    each built into `cls` from its `fields`, as a tuple; entry i is `{context}[{i}]`."""
+    if type(kind) is list and type(value) is list:
+        entries = []
+        for i, entry in enumerate(value):
+            ctx = f"{context}[{i}]"
+            entries.append(check(entry, kind[0], ctx) if len(kind) == 1 else build(kind[0], ctx, *fields(entry, ctx, kind[1])))
+        return tuple(entries)
     if type(value) is kind or kind is object:
         return value
     if kind is Fraction and (type(value) is int or type(value) is float and isfinite(value)):
         return Fraction(str(value))
     # reprlib bounds the message for huge and deeply nested values
-    raise SchemaError(f"{context}: expected {_EXPECTED[kind]}, got {reprlib.repr(value)}")
+    raise SchemaError(f"{context}: expected {_EXPECTED[list if type(kind) is list else kind]}, got {reprlib.repr(value)}")
 
 
 def require_number(value, context: str, exact: bool = False) -> None:
@@ -81,8 +90,8 @@ def require_bool(value, context: str) -> None:
 
 def fields(obj, context: str, spec: dict) -> list:
     """The values of the keys in `spec`, in its order, from an object with no
-    other keys, each checked by `check`. A `(kind, default)` pair marks an
-    optional key, whose default is returned as given."""
+    other keys, each read by `check` (a list kind gives a tuple). A `(kind,
+    default)` pair marks an optional key, whose default is returned as given."""
     if type(obj) is not dict:
         raise SchemaError(f"{context}: expected an object, got {reprlib.repr(obj)}")
     if not obj.keys() <= spec.keys():
@@ -109,8 +118,3 @@ def build(cls, context: str, *args, **kwargs):
         return cls(*args, **kwargs)
     except SchemaError as exc:
         raise SchemaError(f"{context}: {exc}") from None
-
-
-def build_fields(cls, obj, context: str, spec: dict):
-    """cls built from the `fields` of `obj`."""
-    return build(cls, context, *fields(obj, context, spec))

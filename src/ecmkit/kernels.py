@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
-from ._schema import build, build_fields, fields, read_json, require_bool, require_number
+from ._schema import build, fields, read_json, require_bool, require_number
 from .errors import SchemaError
 from .machine import CACHE_LINE_BYTES
 
@@ -78,6 +78,10 @@ class KernelModel:
     flops_per_iteration: int = 0  # reporting only, feeds no prediction
 
     def __post_init__(self):
+        # tuple copies of a caller's lists, which it may change later; the file reader gives tuples, kept as they are
+        if type(self.streams) is not tuple or type(self.uops) is not tuple:
+            object.__setattr__(self, "streams", tuple(self.streams))
+            object.__setattr__(self, "uops", tuple(self.uops))
         require_number(self.element_bytes, f"kernel {self.name!r}: element_bytes")
         require_number(self.flops_per_iteration, f"kernel {self.name!r}: flops_per_iteration")
         if self.element_bytes < 1 or CACHE_LINE_BYTES % self.element_bytes != 0:
@@ -267,16 +271,14 @@ def builtin_kernels() -> dict[str, KernelModel]:
 # ---------------------------------------------------------------------------
 # file schema
 
-_KERNEL = {"name": str, "element_bytes": int, "streams": list, "uops": list, "flops_per_iteration": (int, 0)}
 _STREAM = {"array": str, "access": object, "nontemporal": (bool, False)}
 _UOP_GROUP = {"count": int, "class": object, "addressing": (object, None)}
+_KERNEL = {"name": str, "streams": [Stream, _STREAM], "element_bytes": int, "uops": [UopGroup, _UOP_GROUP],
+           "flops_per_iteration": (int, 0)}  # in KernelModel's field order
 
 
 def kernel_from_dict(data: dict, context: str = "kernel") -> KernelModel:
-    name, element_bytes, streams, uops, flops = fields(data, context, _KERNEL)
-    streams = tuple(build_fields(Stream, s, f"{context}: streams[{i}]", _STREAM) for i, s in enumerate(streams))
-    uops = tuple(build_fields(UopGroup, u, f"{context}: uops[{i}]", _UOP_GROUP) for i, u in enumerate(uops))
-    return build(KernelModel, context, name, streams, element_bytes, uops, flops)
+    return build(KernelModel, context, *fields(data, context, _KERNEL))
 
 
 def load_kernel(path) -> KernelModel:

@@ -2,7 +2,8 @@
 memory bandwidths and NUMA layout, plus the built-in Haswell reference model.
 
 All types are immutable after construction and safe to share across threads;
-a MemoryModel holds a read-only copy of the bandwidth table it is given.
+a MemoryModel holds a read-only copy of the bandwidth table it is given, and
+a MachineModel tuple copies of its ports and boundaries.
 A MachineModel memoizes three things on use: its core layout, its model
 inputs (model.ecm_input) and its scaling curves (scaling.scale); the cycles
 per line and bandwidths behind them are Fraction formulas run on a miss. The
@@ -21,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
-from ._schema import build, build_fields, check, fields, read_json, require_bool, require_number, require_positive
+from ._schema import build, fields, read_json, require_bool, require_number, require_positive
 from .errors import SchemaError
 
 CACHE_LINE_BYTES = 64
@@ -61,6 +62,7 @@ class PortSpec:
         require_number(self.id, "port id")
         if self.id < 0:
             raise SchemaError(f"port id must be non-negative, got {self.id}")
+        object.__setattr__(self, "capabilities", frozenset(self.capabilities))
         if not self.capabilities:
             raise SchemaError(f"port {self.id}: capabilities must be non-empty")
         unknown = set(self.capabilities) - PORT_CAPABILITIES
@@ -149,6 +151,8 @@ class MachineModel:
     numa: NumaConfig
 
     def __post_init__(self):
+        object.__setattr__(self, "ports", tuple(self.ports))
+        object.__setattr__(self, "boundaries", tuple(self.boundaries))
         require_positive(self.frequency_ghz, "frequency_ghz", exact=True)
         require_positive(self.retire_width, "retire_width")
         require_positive(self.store_uop_weight, "store_uop_weight")
@@ -259,49 +263,36 @@ def builtin_haswell() -> MachineModel:
 # ---------------------------------------------------------------------------
 # file schema
 
-_MACHINE = {"name": str, "frequency_ghz": Fraction, "retire_width": int, "store_uop_weight": int, "ports": list,
-            "boundaries": list, "memory": dict, "numa": dict}
-_PORT = {"id": int, "capabilities": list}
+_PORT = {"id": int, "capabilities": [str]}
 _BOUNDARY = {"name": object, "bytes_per_cycle": int}
-_MEMORY = {"default_bandwidth_gbs": Fraction, "table": (list, ()), "noncod_derating": (Fraction, Fraction(1))}
 _TABLE_ROW = {"loads": int, "stores": int, "nt_stores": int, "gbs": Fraction}
 _NUMA = {"domains": int, "cores_per_domain": int, "cod": bool}
 
 
+def _table_row(loads: int, stores: int, nt_stores: int, gbs: Fraction) -> tuple[Signature, Fraction]:
+    """A row of a machine file's bandwidth table as (signature, GB/s)."""
+    return (loads, stores, nt_stores), gbs
+
+
+_MEMORY = {"default_bandwidth_gbs": Fraction, "table": ([_table_row, _TABLE_ROW], ()),
+           "noncod_derating": (Fraction, Fraction(1))}
+_MACHINE = {"name": str, "frequency_ghz": Fraction, "retire_width": int, "store_uop_weight": int,
+            "ports": [PortSpec, _PORT], "boundaries": [CacheBoundary, _BOUNDARY], "memory": dict, "numa": dict}
+
+
 def machine_from_dict(data: dict, context: str = "machine") -> MachineModel:
     """Build and validate a MachineModel from a parsed machine file."""
-    name, frequency, retire_width, store_uop_weight, ports, boundaries, memory, numa = fields(data, context, _MACHINE)
-    port_specs = []
-    for i, entry in enumerate(ports):
-        ctx = f"{context}: ports[{i}]"
-        port_id, capabilities = fields(entry, ctx, _PORT)
-        capabilities = frozenset(check(c, str, f"{ctx}: capabilities[{j}]") for j, c in enumerate(capabilities))
-        port_specs.append(build(PortSpec, ctx, port_id, capabilities))
-
+    *head, memory, numa = fields(data, context, _MACHINE)  # name to boundaries, in MachineModel's field order
     default_gbs, rows, derating = fields(memory, f"{context}: memory", _MEMORY)
     table: dict[Signature, Fraction] = {}
-    for i, row in enumerate(rows):
-        ctx = f"{context}: memory: table[{i}]"
-        loads, stores, nt_stores, gbs = fields(row, ctx, _TABLE_ROW)
-        if (loads, stores, nt_stores) in table:
-            raise SchemaError(f"{ctx}: duplicate signature {(loads, stores, nt_stores)}")
-        table[loads, stores, nt_stores] = gbs
+    for i, (signature, gbs) in enumerate(rows):
+        if signature in table:
+            raise SchemaError(f"{context}: memory: table[{i}]: duplicate signature {signature}")
+        table[signature] = gbs
 
-    domains, cores_per_domain, cod = fields(numa, f"{context}: numa", _NUMA)
-    return build(
-        MachineModel,
-        context,
-        name=name,
-        frequency_ghz=frequency,
-        retire_width=retire_width,
-        store_uop_weight=store_uop_weight,
-        ports=tuple(port_specs),
-        boundaries=tuple(
-            build_fields(CacheBoundary, entry, f"{context}: boundaries[{i}]", _BOUNDARY) for i, entry in enumerate(boundaries)
-        ),
-        memory=build(MemoryModel, context, default_bandwidth_gbs=default_gbs, bandwidth_table=table, noncod_derating=derating),
-        numa=build(NumaConfig, context, n_domains=domains, cores_per_domain=cores_per_domain, cod_enabled=cod),
-    )
+    numa = fields(numa, f"{context}: numa", _NUMA)  # in NumaConfig's field order
+    memory = build(MemoryModel, context, default_bandwidth_gbs=default_gbs, bandwidth_table=table, noncod_derating=derating)
+    return build(MachineModel, context, *head, memory, build(NumaConfig, context, *numa))
 
 
 def load_machine(path) -> MachineModel:

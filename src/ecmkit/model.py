@@ -17,9 +17,11 @@ from __future__ import annotations
 import csv
 import io
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from types import MappingProxyType
 from typing import NamedTuple, NoReturn
 
 from ._schema import read_text, require_number, require_positive
@@ -120,12 +122,15 @@ class ECMPrediction(_PredictionCells):
 
 @dataclass(frozen=True)
 class Measurement:
-    """Measured cycles per cache line, each an int or a Fraction, keyed by hierarchy level."""
+    """Measured cycles per cache line, each an int or a Fraction, keyed by
+    hierarchy level. The levels are stored as a read-only copy, so the
+    caller's dict may change later without changing the measurement."""
 
     kernel: str
-    levels: dict[str, Fraction]
+    levels: Mapping[str, Fraction]
 
     def __post_init__(self):
+        object.__setattr__(self, "levels", MappingProxyType(dict(self.levels)))
         for name, value in self.levels.items():
             if name not in LEVELS:
                 raise SchemaError(f"measurement {self.kernel!r}: unknown level {name!r}")

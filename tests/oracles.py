@@ -4,6 +4,7 @@ traffic code paths."""
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import OrderedDict
 from fractions import Fraction
@@ -622,3 +623,82 @@ def problem_core_timing(kernel, machine) -> tuple[int, int]:
     if max(t_ol, t_nol) < fe:
         t_ol = fe
     return t_ol, t_nol
+
+
+# ---------------------------------------------------------------------------
+# loader messages of a parsed file with one fault, from a test-side statement
+# of what each place of the file holds
+
+# a value of another type for each kind a file reader names
+WRONG_VALUE = {"a string": 5, "an integer": True, "a finite number": [], "a boolean": 0, "a list": {}, "an object": []}
+
+
+def _places(value, path=()):
+    """(path, value) for `value` and every value nested in it, a path being
+    its keys and list positions from the top."""
+    yield path, value
+    if type(value) is dict:
+        for key, item in value.items():
+            yield from _places(item, (*path, key))
+    elif type(value) is list:
+        for i, item in enumerate(value):
+            yield from _places(item, (*path, i))
+
+
+def place_name(path, pattern: bool = False) -> str:
+    """A path as a loader message names it, keys joined by ": " and positions
+    as "[i]" ("[]" if `pattern`), as in "ports[3]: capabilities[0]"."""
+    name = ""
+    for step in path:
+        if type(step) is int:
+            name += "[]" if pattern else f"[{step}]"
+        else:
+            name += f": {step}" if name else step
+    return name
+
+
+def _message(path, text: str) -> str:
+    """A loader message after the file's name for a fault at `path`."""
+    return f"{place_name(path)}: {text}" if path else text
+
+
+def _with(data, path, value=None, delete: bool = False):
+    """A deep copy of `data` with `value` at `path`, or without the key there."""
+    if not path:
+        return value
+    data = copy.deepcopy(data)
+    holder = data
+    for step in path[:-1]:
+        holder = holder[step]
+    if delete:
+        del holder[path[-1]]
+    else:
+        holder[path[-1]] = value
+    return data
+
+
+def type_fault_cases(data, kinds: dict) -> list[tuple[object, str]]:
+    """(faulty file, message after the file's name) for each place of `data`
+    whose pattern (`place_name(path, pattern=True)`) `kinds` maps to the kind
+    the message names, with a value of another type there. A pattern mapped
+    to None takes any value in the reader; one not in `kinds` raises
+    KeyError, so `kinds` states every place of the file."""
+    cases = []
+    for path, _ in _places(data):
+        kind = kinds[place_name(path, pattern=True)]
+        if kind is not None:
+            cases.append((_with(data, path, WRONG_VALUE[kind]), _message(path, f"expected {kind}, got {WRONG_VALUE[kind]!r}")))
+    return cases
+
+
+def key_fault_cases(data) -> list[tuple[object, str]]:
+    """(faulty file, message after the file's name) for each object of
+    `data`: once without its first key, which must be a required one, and
+    once with the unknown key "surplus"."""
+    cases = []
+    for path, value in _places(data):
+        if type(value) is dict:
+            first = next(iter(value))
+            cases.append((_with(data, (*path, first), delete=True), _message(path, f"missing key(s) [{first!r}]")))
+            cases.append((_with(data, (*path, "surplus"), 1), _message(path, "unknown key(s) ['surplus']")))
+    return cases

@@ -14,7 +14,11 @@ from ecmkit import (
     traffic,
     with_nt_stores,
 )
-from ecmkit.kernels import MAX_UOPS_PER_LINE, KernelModel, Stream, UopGroup, consistency_warnings, load_streams_with_rfo
+from ecmkit.kernels import (
+    MAX_UOPS_PER_LINE, KernelModel, Stream, UopGroup, consistency_warnings, kernel_from_dict, load_streams_with_rfo,
+)
+
+from oracles import key_fault_cases, type_fault_cases
 
 ALL_BUILTINS = (
     "ddot",
@@ -250,3 +254,78 @@ def test_more_uops_per_line_than_the_cap_rejected():
     assert KernelModel("big", (), 8, uops).uop_count("fma") == MAX_UOPS_PER_LINE // 2
     with pytest.raises(SchemaError, match=f"kernel 'bigger': {MAX_UOPS_PER_LINE + 1} uops per cache line, more than"):
         KernelModel("bigger", (), 8, uops + (UopGroup(1, "add"),))
+
+
+def test_a_kernel_keeps_no_list_its_caller_can_change():
+    """Streams and uop groups given as lists are kept as tuple copies, so
+    the uop cap, the stream tally and equality hold after the caller's
+    lists change."""
+    streams, uops = [Stream("A", "read")], [UopGroup(2, "load", "base-index-offset"), UopGroup(2, "add")]
+    kernel = KernelModel("k", streams, 8, uops)
+    streams.append(Stream("B", "write"))
+    uops.append(UopGroup(MAX_UOPS_PER_LINE, "fma"))
+    assert type(kernel.streams) is tuple and type(kernel.uops) is tuple
+    assert sum(g.count for g in kernel.uops) == 4 and stream_signature(kernel) == (1, 0, 0)
+    assert kernel == KernelModel("k", (Stream("A", "read"),), 8, (UopGroup(2, "load", "base-index-offset"), UopGroup(2, "add")))
+    assert replace(kernel) == kernel
+
+
+# the file of the built-in schoenauer_triad_opt, every key written
+TRIAD_OPT_FILE = {
+    "name": "schoenauer_triad_opt",
+    "element_bytes": 8,
+    "streams": [
+        {"array": "B", "access": "read", "nontemporal": False},
+        {"array": "C", "access": "read", "nontemporal": False},
+        {"array": "D", "access": "read", "nontemporal": False},
+        {"array": "A", "access": "write", "nontemporal": False},
+    ],
+    "uops": [
+        {"count": 6, "class": "load", "addressing": "base-index-offset"},
+        {"count": 2, "class": "store", "addressing": "offset-only"},
+        {"count": 1, "class": "lea"},
+        {"count": 2, "class": "fma"},
+    ],
+    "flops_per_iteration": 2,
+}
+
+# what each place of a kernel file holds, as the loader's messages name it;
+# None where the reader takes any value for a record to check
+KERNEL_FILE_KINDS = {
+    "": "an object",
+    "name": "a string",
+    "element_bytes": "an integer",
+    "streams": "a list",
+    "streams[]": "an object",
+    "streams[]: array": "a string",
+    "streams[]: access": None,
+    "streams[]: nontemporal": "a boolean",
+    "uops": "a list",
+    "uops[]": "an object",
+    "uops[]: count": "an integer",
+    "uops[]: class": None,
+    "uops[]: addressing": None,
+    "flops_per_iteration": "an integer",
+}
+
+
+def test_every_place_of_a_kernel_file_is_named_in_its_message():
+    """A value of the wrong type at each place of a built-in kernel's file,
+    and a missing and an unknown key in each of its objects, each give one
+    message naming the place."""
+    assert kernel_from_dict(TRIAD_OPT_FILE) == builtin_kernels()["schoenauer_triad_opt"]
+    cases = type_fault_cases(TRIAD_OPT_FILE, KERNEL_FILE_KINDS) + key_fault_cases(TRIAD_OPT_FILE)
+    messages = []
+    for faulty, message in cases:
+        with pytest.raises(SchemaError) as caught:
+            kernel_from_dict(faulty, "F")
+        messages.append(str(caught.value))
+    assert messages == [f"F: {message}" for _, message in cases]
+    # 26 typed places; two cases for each of 9 objects: the file, 4 streams, 4 uop groups
+    assert len(cases) == 26 + 2 * 9
+    for message in ("F: streams[3]: nontemporal: expected a boolean, got 0",
+                    "F: uops[1]: count: expected an integer, got True",
+                    "F: uops: expected a list, got {}",
+                    "F: streams[0]: missing key(s) ['array']",
+                    "F: uops[2]: unknown key(s) ['surplus']"):
+        assert message in messages

@@ -5,11 +5,14 @@ from fractions import Fraction
 import pytest
 
 from ecmkit import (
-    Measurement, PenaltyConfig, SchemaError, UopGroup, builtin_haswell, builtin_kernels, load_machine,
-    mem_cycles_per_cl, serialize_machine,
+    Measurement, PenaltyConfig, SchemaError, UopGroup, builtin_haswell, builtin_kernels, ecm_input, format_ecm,
+    load_machine, mem_cycles_per_cl, serialize_machine,
 )
+from ecmkit.errors import CapabilityError
 from ecmkit.kernels import Stream
 from ecmkit.machine import MAX_CORES, CacheBoundary, MemoryModel, PortSpec, machine_from_dict
+
+from oracles import key_fault_cases, type_fault_cases
 
 
 @pytest.fixture
@@ -107,6 +110,23 @@ def test_the_bandwidth_table_is_a_read_only_copy(haswell):
     assert machine == replace(haswell, memory=replace(memory, bandwidth_table=dict(machine.memory.bandwidth_table)))
     assert machine != haswell and builtin_haswell() == haswell
     assert machine_from_dict(json.loads(json.dumps(before))) == machine
+
+
+def test_a_machine_keeps_no_list_its_caller_can_change(haswell):
+    """The memos key on what a query adds to the machine, so the machine
+    must not change: ports and boundaries given as lists are kept as tuple
+    copies, and a later change to the caller's lists reaches neither the
+    machine nor an answer."""
+    ddot = builtin_kernels()["ddot"]
+    ports, boundaries = list(haswell.ports), list(haswell.boundaries)
+    machine = replace(haswell, ports=ports, boundaries=boundaries)
+    assert format_ecm(ecm_input(ddot, machine)) == "{1 || 2 | 2 | 4 | 9.1}"
+    ports[:] = [p for p in ports if "fma" not in p.capabilities]
+    boundaries.reverse()
+    with pytest.raises(CapabilityError):
+        ecm_input(ddot, replace(haswell, ports=ports))
+    assert machine == haswell and type(machine.ports) is tuple and type(machine.boundaries) is tuple
+    assert format_ecm(ecm_input(ddot, replace(machine))) == format_ecm(ecm_input(ddot, machine)) == "{1 || 2 | 2 | 4 | 9.1}"
 
 
 def test_serialize_refuses_a_number_a_file_cannot_hold(haswell):
@@ -287,3 +307,63 @@ def test_records_refuse_a_flag_that_is_not_a_bool(haswell, field, build):
     with pytest.raises(SchemaError) as caught:
         build(haswell)
     assert str(caught.value).startswith(f"{field} must be a boolean")
+
+
+# what each place of a machine file holds, as the loader's messages name it;
+# None where the reader takes any value for a record to check
+MACHINE_FILE_KINDS = {
+    "": "an object",
+    "name": "a string",
+    "frequency_ghz": "a finite number",
+    "retire_width": "an integer",
+    "store_uop_weight": "an integer",
+    "ports": "a list",
+    "ports[]": "an object",
+    "ports[]: id": "an integer",
+    "ports[]: capabilities": "a list",
+    "ports[]: capabilities[]": "a string",
+    "boundaries": "a list",
+    "boundaries[]": "an object",
+    "boundaries[]: name": None,
+    "boundaries[]: bytes_per_cycle": "an integer",
+    "memory": "an object",
+    "memory: default_bandwidth_gbs": "a finite number",
+    "memory: table": "a list",
+    "memory: table[]": "an object",
+    "memory: table[]: loads": "an integer",
+    "memory: table[]: stores": "an integer",
+    "memory: table[]: nt_stores": "an integer",
+    "memory: table[]: gbs": "a finite number",
+    "memory: noncod_derating": "a finite number",
+    "numa": "an object",
+    "numa: domains": "an integer",
+    "numa: cores_per_domain": "an integer",
+    "numa: cod": "a boolean",
+}
+
+
+def test_every_place_of_a_machine_file_is_named_in_its_message(haswell):
+    """A value of the wrong type at each place of the built-in machine's
+    file (with a derating, so every key is written), and a missing and an
+    unknown key in each of its objects, each give one message naming the
+    place, down to a port's capability."""
+    data = serialize_machine(replace(haswell, memory=replace(haswell.memory, noncod_derating=Fraction("0.9"))))
+    cases = type_fault_cases(data, MACHINE_FILE_KINDS) + key_fault_cases(data)
+    messages = []
+    for faulty, message in cases:
+        with pytest.raises(SchemaError) as caught:
+            machine_from_dict(faulty, "F")
+        messages.append(str(caught.value))
+    assert messages == [f"F: {message}" for _, message in cases]
+    # 102 typed places; two cases for each of 22 objects: the file, 8 ports,
+    # 2 boundaries, the memory, 9 table rows and the NUMA layout
+    assert len(cases) == 102 + 2 * 22
+    for message in ("F: ports[3]: capabilities[0]: expected a string, got 5",
+                    "F: memory: table[2]: gbs: expected a finite number, got []",
+                    "F: numa: cod: expected a boolean, got 0",
+                    "F: boundaries: expected a list, got {}",
+                    "F: memory: expected an object, got []",
+                    "F: expected an object, got []",
+                    "F: ports[7]: missing key(s) ['id']",
+                    "F: memory: table[8]: unknown key(s) ['surplus']"):
+        assert message in messages

@@ -463,6 +463,19 @@ def test_measurement_refuses_an_unknown_level():
     assert str(raised.value) == "measurement 'x': unknown level 'L4'"
 
 
+def test_a_measurement_keeps_a_read_only_copy_of_its_levels():
+    """A change to the caller's dict after construction reaches no
+    measurement, and the measurement's levels refuse stores."""
+    levels = {"L1": Fraction(2), "MEM": Fraction(19)}
+    measurement = Measurement("ddot", levels)
+    levels["L5"] = -3
+    levels["L1"] = Fraction(7)
+    assert dict(measurement.levels) == {"L1": Fraction(2), "MEM": Fraction(19)}
+    with pytest.raises(TypeError):
+        measurement.levels["L2"] = Fraction(4)
+    assert measurement == Measurement("ddot", {"L1": Fraction(2), "MEM": Fraction(19)})
+
+
 def test_read_measurements_roundtrip(tmp_path):
     path = tmp_path / "meas.csv"
     path.write_text("kernel,level,cycles_per_cl\nddot,L1,2.1\nddot,MEM,19.4\n")
