@@ -12,7 +12,6 @@ import os
 import sys
 import warnings
 from fractions import Fraction
-from functools import cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -298,7 +297,6 @@ def cmd_nt(args) -> Report:
     return Report({"kernel": kernel.name, **quantities, "measured_reference": reference}, rows, footer=footer)
 
 
-@cache  # once per process: building it took more than half of an in-process `predict` run
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ecmkit", description="Analytic runtime prediction for streaming loop kernels.")
     common = argparse.ArgumentParser(add_help=False)

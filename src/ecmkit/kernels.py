@@ -78,10 +78,9 @@ class KernelModel:
     flops_per_iteration: int = 0  # reporting only, feeds no prediction
 
     def __post_init__(self):
-        # tuple copies of a caller's lists, which it may change later; the file reader gives tuples, kept as they are
-        if type(self.streams) is not tuple or type(self.uops) is not tuple:
-            object.__setattr__(self, "streams", tuple(self.streams))
-            object.__setattr__(self, "uops", tuple(self.uops))
+        # tuple copies of a caller's lists, which it may change later
+        object.__setattr__(self, "streams", tuple(self.streams))
+        object.__setattr__(self, "uops", tuple(self.uops))
         require_number(self.element_bytes, f"kernel {self.name!r}: element_bytes")
         require_number(self.flops_per_iteration, f"kernel {self.name!r}: flops_per_iteration")
         if self.element_bytes < 1 or CACHE_LINE_BYTES % self.element_bytes != 0:

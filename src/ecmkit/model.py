@@ -124,7 +124,8 @@ class ECMPrediction(_PredictionCells):
 class Measurement:
     """Measured cycles per cache line, each an int or a Fraction, keyed by
     hierarchy level. The levels are stored as a read-only copy, so the
-    caller's dict may change later without changing the measurement."""
+    caller's dict may change later without changing the measurement; pickle
+    and copy rebuild a measurement from a dict of its levels."""
 
     kernel: str
     levels: Mapping[str, Fraction]
@@ -135,6 +136,9 @@ class Measurement:
             if name not in LEVELS:
                 raise SchemaError(f"measurement {self.kernel!r}: unknown level {name!r}")
             require_positive(value, f"measurement {self.kernel!r}: {name}", exact=True)
+
+    def __reduce__(self):  # a mappingproxy cannot be pickled
+        return Measurement, (self.kernel, dict(self.levels))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import csv
 import io
@@ -81,17 +80,6 @@ def test_predict_invalid_machine_file(tmp_path, capsys):
     bad.write_text("{}")
     code, _ = invoke("predict", "-m", str(bad), "-k", "ddot")
     assert code == 2
-
-
-def test_runs_in_a_row_share_one_parser(monkeypatch):
-    """The parser is built once per process: two runs after the first build
-    no ArgumentParser, and they print the same bytes."""
-    invoke("predict", "-k", "ddot")
-    built = []
-    init = argparse.ArgumentParser.__init__
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k))
-    first, second = invoke("predict", "-k", "ddot", "--format", "json"), invoke("predict", "-k", "ddot", "--format", "json")
-    assert first == second and first[0] == 0 and built == []
 
 
 def write_kernel(tmp_path, streams, uops):

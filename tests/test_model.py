@@ -476,6 +476,15 @@ def test_a_measurement_keeps_a_read_only_copy_of_its_levels():
     assert measurement == Measurement("ddot", {"L1": Fraction(2), "MEM": Fraction(19)})
 
 
+def test_a_measurement_pickles_and_copies():
+    """Pickle and copy rebuild a measurement with read-only levels of its own."""
+    measurement = Measurement("ddot", {"L1": Fraction(2), "MEM": Fraction(39, 2)})
+    for twin in (pickle.loads(pickle.dumps(measurement)), copy.deepcopy(measurement), copy.copy(measurement)):
+        assert twin == measurement and repr(twin) == repr(measurement)
+        with pytest.raises(TypeError):
+            twin.levels["L2"] = Fraction(4)
+
+
 def test_read_measurements_roundtrip(tmp_path):
     path = tmp_path / "meas.csv"
     path.write_text("kernel,level,cycles_per_cl\nddot,L1,2.1\nddot,MEM,19.4\n")
