@@ -8,9 +8,8 @@ A MachineModel memoizes three things on use: its core layout, its model
 inputs (model.ecm_input) and its scaling curves (scaling.scale); the cycles
 per line and bandwidths behind them are Fraction formulas run on a miss. The
 memos key on what a query adds to the machine and never on the machine
-itself, which is sound because the machine cannot change. An entry is only
-ever the answer for its key, so concurrent queries get equal results; two
-threads that miss on one key both compute it.
+itself, which is sound because the machine cannot change. Each is a `Memo`,
+which states its bound and how concurrent queries fare.
 """
 
 from __future__ import annotations
@@ -49,6 +48,32 @@ MAX_CORES = 4096
 
 # stream-signature key of a bandwidth table entry
 Signature = tuple[int, int, int]
+# the entries a machine's input memo and its layout's span memo may each hold
+MEMO_ENTRIES = 1024
+# the points a machine's curve memo may hold; a curve has one per core
+CURVE_MEMO_POINTS = 16384
+
+
+class Memo(dict):
+    """A memo of at most `limit` answers: `put(key, value)` clears a full memo
+    first, then stores the value and returns it, counting the answers stored
+    (`misses`) and the clears (`clears`); a lookup is the dict's own `get`,
+    not counted. An entry is only ever the answer for its key, so concurrent
+    queries get equal results (two threads that miss on one key both compute
+    it), but concurrent puts may lose a count: counts are exact in one thread."""
+
+    __slots__ = ("limit", "misses", "clears")
+
+    def __init__(self, limit: int):
+        self.limit, self.misses, self.clears = limit, 0, 0
+
+    def put(self, key, value):
+        if len(self) >= self.limit:
+            self.clear()
+            self.clears += 1
+        self[key] = value
+        self.misses += 1
+        return value
 
 
 @dataclass(frozen=True)
@@ -98,7 +123,7 @@ class MemoryModel:
     are GB/s, per NUMA domain when the machine runs with domain clustering
     enabled. Lookups never fail: unknown signatures fall back to the default.
     The table is stored as a read-only copy, so the caller's dict may change
-    later without changing the model.
+    later without changing the model; a copy or pickle rebuilds it from a dict.
     """
 
     default_bandwidth_gbs: Fraction
@@ -112,6 +137,9 @@ class MemoryModel:
             require_positive(gbs, f"memory: bandwidth for signature {sig}", exact=True)
         object.__setattr__(self, "bandwidth_table", MappingProxyType(dict(self.bandwidth_table)))
         require_positive(self.noncod_derating, "memory: noncod_derating", exact=True)
+
+    def __reduce__(self):  # a mappingproxy cannot be pickled
+        return MemoryModel, (self.default_bandwidth_gbs, dict(self.bandwidth_table), self.noncod_derating)
 
     def lookup(self, signature: Signature) -> Fraction:
         return self.bandwidth_table.get(tuple(signature), self.default_bandwidth_gbs)
@@ -178,20 +206,20 @@ class MachineModel:
         return CoreLayout(self)
 
     @cached_property
-    def _inputs(self) -> dict:
+    def _inputs(self) -> Memo:
         """The model inputs ecm_input has built on this machine, keyed by
         the core timing, the stream tally and the resolved mode (see
-        ecmkit.model), at most model.INPUT_MEMO_ENTRIES of them; like the
-        layout, not part of ==, repr or serialization."""
-        return {}
+        ecmkit.model), at most MEMO_ENTRIES of them; like the layout, not
+        part of ==, repr or serialization."""
+        return Memo(MEMO_ENTRIES)
 
     @cached_property
-    def _curves(self) -> dict:
+    def _curves(self) -> Memo:
         """The scaling curves scale has built on this machine, keyed by the
         values each depends on besides the machine (see ecmkit.scaling), at
-        most scaling.CURVE_MEMO_POINTS points in all; like the layout, not
-        part of ==, repr or serialization."""
-        return {}
+        most CURVE_MEMO_POINTS points in all; like the layout, not part of
+        ==, repr or serialization."""
+        return Memo(CURVE_MEMO_POINTS // self.numa.total_cores)
 
     def resolve_mode(self, mode: str | None) -> str:
         """The bandwidth interpretation a query runs in: `mode` itself, or the

@@ -27,13 +27,11 @@ from typing import NamedTuple, NoReturn
 from ._schema import read_text, require_number, require_positive
 from .errors import ECMParseError, SchemaError
 from .kernels import KernelModel, bandwidth_signature, load_streams_with_rfo
-from .machine import CACHE_LINE_BYTES, MachineModel
+from .machine import CACHE_LINE_BYTES, MachineModel, Memo
 from .scheduler import core_timing
 from .traffic import traffic
 
 LEVELS = ("L1", "L2", "L3", "MEM")
-# the inputs a machine's input memo may hold
-INPUT_MEMO_ENTRIES = 1024
 # the penalized predictions a prediction may keep
 PENALTY_MEMO_ENTRIES = 16
 
@@ -104,10 +102,10 @@ class ECMPrediction(_PredictionCells):
         return f"{{{cells}}}"
 
     @cached_property
-    def _penalized(self) -> dict[tuple[int, int], ECMPrediction]:
+    def _penalized(self) -> Memo:
         """Penalized predictions by penalty cycles (extra, d), at most
         PENALTY_MEMO_ENTRIES; `apply_penalty` fills it."""
-        return {}
+        return Memo(PENALTY_MEMO_ENTRIES)
 
     def _penalize(self, extra: int, d: int) -> ECMPrediction:
         """The prediction with extra / d cycles added at L3 and twice that at
@@ -174,26 +172,22 @@ def ecm_input(kernel: KernelModel, machine: MachineModel, mode: str | None = Non
     tally and the resolved mode, which fix every cell on a given machine:
     the line counts of traffic and the bandwidth signature are functions of
     the tally, and the element size enters no cell. A miss builds the input
-    and stores it; the memo is cleared when it holds INPUT_MEMO_ENTRIES.
+    and stores it in that `Memo`.
     """
     timing = core_timing(kernel, machine)
     mode = machine.resolve_mode(mode)
     key = (timing, kernel._tally, mode)
-    inputs = machine._inputs
-    inp = inputs.get(key)
+    inp = machine._inputs.get(key)
     if inp is None:
         prof = traffic(kernel)
         bandwidth = machine.bandwidth(bandwidth_signature(kernel), mode)
-        inp = ECMInput(
+        inp = machine._inputs.put(key, ECMInput(
             t_ol=Fraction(timing.t_ol),
             t_nol=Fraction(timing.t_nol),
             t_l1l2=prof.cls_l1l2 * machine.cycles_per_cl("L1L2"),
             t_l2l3=prof.cls_l2l3 * machine.cycles_per_cl("L2L3"),
             t_l3mem=prof.cls_l3mem * mem_cycles_per_cl(bandwidth, machine.frequency_ghz),
-        )
-        if len(inputs) >= INPUT_MEMO_ENTRIES:
-            inputs.clear()
-        inputs[key] = inp
+        ))
     return inp
 
 
@@ -216,18 +210,14 @@ def apply_penalty(pred: ECMPrediction, kernel: KernelModel, config: PenaltyConfi
     memory afterwards (ValueError otherwise).
 
     The penalized prediction depends on the kernel and the config only
-    through penalty_cycles, so the prediction keeps it under those cycles;
-    the map is cleared when it holds PENALTY_MEMO_ENTRIES. A ValueError is
-    stored nowhere and is raised again by the next call.
+    through penalty_cycles, so the prediction keeps it under those cycles,
+    in a `Memo` (ECMPrediction._penalized). A ValueError is stored nowhere
+    and is raised again by the next call.
     """
     key = penalty_cycles(kernel, config or PenaltyConfig())
-    penalized = pred._penalized
-    shown = penalized.get(key)
+    shown = pred._penalized.get(key)
     if shown is None:
-        shown = pred._penalize(*key)
-        if len(penalized) >= PENALTY_MEMO_ENTRIES:
-            penalized.clear()
-        penalized[key] = shown
+        shown = pred._penalized.put(key, pred._penalize(*key))
     return shown
 
 

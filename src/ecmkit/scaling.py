@@ -17,9 +17,8 @@ cycles (model.penalty_cycles, or None), the pinning and the core count. On
 one machine the tally and the mode fix the transfer cells, and with the
 element size they fix the bandwidth ceilings, so `bandwidth_ceiling` runs
 on a miss only. The frequency and the NUMA layout are the machine's own,
-which cannot change. A miss builds the curve and stores it; the memo is
-cleared when one more curve could take it past CURVE_MEMO_POINTS points, so
-it holds at most that many.
+which cannot change. A miss builds the curve and stores it in that `Memo`,
+which holds at most machine.CURVE_MEMO_POINTS points (a curve has one per core).
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ from .model import ECMPrediction, PenaltyConfig, apply_penalty, ecm_input, penal
 from .traffic import nt_volume_ratio, traffic
 
 PINNING_POLICIES = ("domain-sequential", "round-robin")
-# the points a machine's curve memo may hold; a curve has one per core
-CURVE_MEMO_POINTS = 16384
 
 
 class PerformancePoint(NamedTuple):
@@ -118,8 +115,7 @@ def scale(
     inp = ecm_input(kernel, machine, mode)
     added = None if penalty is None else penalty_cycles(kernel, penalty)
     key = (inp.t_ol.numerator, inp.t_nol.numerator, kernel._tally, mode, kernel.element_bytes, added, pinning, max_cores)
-    curves = machine._curves
-    curve = curves.get(key)
+    curve = machine._curves.get(key)
     if curve is not None:
         return curve
 
@@ -144,11 +140,7 @@ def scale(
         bound = cap is not None and perf >= cap
         points.append(PerformancePoint(n, cap if bound else perf, bound))
         saturation = (saturation or n) if bound else None
-    curve = ScalingCurve(mode, tuple(points), saturation, cap)
-    if len(curves) >= CURVE_MEMO_POINTS // total:
-        curves.clear()
-    curves[key] = curve
-    return curve
+    return machine._curves.put(key, ScalingCurve(mode, tuple(points), saturation, cap))
 
 
 def nt_speedup(kernel: KernelModel, machine: MachineModel, mode: str | None = None) -> NtEstimate:

@@ -34,7 +34,7 @@ from typing import NamedTuple
 from ._pairing import PatternTable, Unit, fit_rule, hall_bounds, least_span, pattern_table
 from .errors import CapabilityError, SchemaError
 from .kernels import MEMORY_CLASSES, UOP_CLASSES, KernelModel
-from .machine import MachineModel
+from .machine import MEMO_ENTRIES, MachineModel, Memo
 
 
 class CoreTiming(NamedTuple):
@@ -92,9 +92,10 @@ class CoreLayout:
     missing arithmetic capability, index of its kind in `units`). `units` is
     in pattern table order (memory kinds first, heavier first, then by port
     ids), `nol_bounds` and `ol_bounds` are the memory and the arithmetic
-    kinds' _port_bounds over `units`, `tables` maps flags over `units` to
-    tables, and `spans` memoizes span's answers, at most 1 024 of them, so
-    the solves of equal unit counts live as long as the machine."""
+    kinds' _port_bounds over `units`, and two `Memo`s: `tables` maps flags
+    over `units` to tables and is never cleared, and `spans` holds span's
+    answers, at most MEMO_ENTRIES, so the solves of equal unit counts live
+    as long as the machine."""
 
     def __init__(self, machine: MachineModel):
         full = machine.ports_with("load-agu-full")
@@ -119,8 +120,8 @@ class CoreLayout:
         # the fit rule over every kind: a union no kind set of a pattern uses
         # only repeats a Hall condition its units must meet anyway
         _, _, self.columns, self.top, self.limit, self.guard = fit_rule(self.units, self.width)
-        self.tables: dict[tuple[bool, ...], PatternTable | None] = {}
-        self.spans: dict[tuple[tuple[int, ...], int, int], tuple[int, int]] = {}
+        self.tables: Memo[tuple[bool, ...], PatternTable | None] = Memo(2 ** len(self.units))
+        self.spans: Memo[tuple[tuple[int, ...], int, int], tuple[int, int]] = Memo(MEMO_ENTRIES)
 
     def span(self, counts: list[int], lower: int, start: int) -> tuple[int, int]:
         """(span, search states) for unit counts in `units` order: the least
@@ -132,19 +133,17 @@ class CoreLayout:
         (start, 0 states) and no table is built or searched. Lower past the
         unit count means some unit fits no cycle: no schedule is tried."""
         key = (tuple(counts), lower, start)
-        if key not in self.spans:
-            if len(self.spans) == 1024:
-                self.spans.clear()
-            if start and lower <= sum(counts) and self._splits_evenly(counts, lower, start):
-                self.spans[key] = start, 0
-            else:
-                present = tuple(map(bool, counts))
-                if present not in self.tables:
-                    kinds = tuple(compress(self.units, present))
-                    self.tables[present] = None if all(k.overlapping for k in kinds) else pattern_table(kinds, self.width)
-                table = self.tables[present]
-                self.spans[key] = (start, 0) if table is None else least_span(table, tuple(filter(None, counts)), lower, start)
-        return self.spans[key]
+        answer = self.spans.get(key)
+        if answer is not None:
+            return answer
+        if start and lower <= sum(counts) and self._splits_evenly(counts, lower, start):
+            return self.spans.put(key, (start, 0))
+        present = tuple(map(bool, counts))
+        if present not in self.tables:  # a stored None is an answer: no memory unit, no table
+            kinds = tuple(compress(self.units, present))
+            self.tables.put(present, None if all(k.overlapping for k in kinds) else pattern_table(kinds, self.width))
+        table = self.tables[present]
+        return self.spans.put(key, (start, 0) if table is None else least_span(table, tuple(filter(None, counts)), lower, start))
 
     def _splits_evenly(self, counts: list[int], lower: int, start: int) -> bool:
         """Whether every cycle passes the fit rule in a schedule of `lower`

@@ -732,6 +732,7 @@ def test_the_penalized_map_is_cleared_when_full():
         sizes.append(len(pred._penalized))
     assert max(sizes) == PENALTY_MEMO_ENTRIES
     assert sizes[PENALTY_MEMO_ENTRIES - 1:PENALTY_MEMO_ENTRIES + 2] == [PENALTY_MEMO_ENTRIES, 1, 2]
+    assert (pred._penalized.misses, pred._penalized.clears) == (2 * PENALTY_MEMO_ENTRIES + 1, 2)
 
 
 def test_kept_values_die_with_their_record():

@@ -1,5 +1,7 @@
+import copy
 import gc
 import io
+import pickle
 import random
 import sys
 import weakref
@@ -33,9 +35,9 @@ from ecmkit import (
 )
 from ecmkit.cli import run
 from ecmkit.kernels import KernelModel, Stream, UopGroup
-from ecmkit.machine import CacheBoundary, MachineModel, MemoryModel, NumaConfig
-from ecmkit.model import INPUT_MEMO_ENTRIES, PenaltyConfig, apply_penalty
-from ecmkit.scaling import CURVE_MEMO_POINTS, PINNING_POLICIES, PerformancePoint, ScalingCurve
+from ecmkit.machine import CURVE_MEMO_POINTS, MEMO_ENTRIES, CacheBoundary, MachineModel, MemoryModel, NumaConfig
+from ecmkit.model import PenaltyConfig, apply_penalty
+from ecmkit.scaling import PINNING_POLICIES, PerformancePoint, ScalingCurve
 from ecmkit.traffic import TrafficProfile
 
 from oracles import capped_linear_points, fraction_mem_cycles_per_cl, fraction_single_core_performance, saturation_of
@@ -493,6 +495,7 @@ def test_a_full_memo_is_cleared_and_holds_at_most_its_bound_of_points():
                 held.append(sum(len(curve.points) for curve in curves.values()))
                 assert 4096 <= held[-1] <= CURVE_MEMO_POINTS
     assert held[:5] == [4096, 8192, 12288, 16384, 4096]
+    assert (curves.misses, curves.clears) == (12, 2)
 
 
 def test_a_memo_dies_with_its_machine():
@@ -546,7 +549,8 @@ def test_warm_scale_queries_make_no_prediction_penalty_or_points():
     """A deterministic work count: after one pass of the 80 sweep-style
     queries, a second pass on the same machine makes no prediction, penalty
     or single-core call, takes no bandwidth ceiling and builds no point or
-    curve, but still makes one ecm_input call per query."""
+    curve, but still makes one ecm_input call per query; no memo of the
+    machine, its layout or its predictions counts a miss or a clear."""
     machine = replace(HASWELL)
     queries = sweep_queries()
     total = machine.numa.total_cores
@@ -555,6 +559,7 @@ def test_warm_scale_queries_make_no_prediction_penalty_or_points():
         return [scale(kernel, machine, mode, total, pinning, penalty) for kernel, mode, penalty, pinning in queries]
 
     expected = run()
+    counts = memo_counts(machine)
     counted = {
         ecm_input.__code__: "ecm_input",
         bandwidth_ceiling.__code__: "bandwidth_ceiling",
@@ -567,6 +572,7 @@ def test_warm_scale_queries_make_no_prediction_penalty_or_points():
     got, calls = calls_by_code(counted, run)
     assert got == expected
     assert calls == Counter(ecm_input=80)
+    assert memo_counts(machine) == counts
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +610,21 @@ def sweep_answers(machine, queries) -> list:
     return answers
 
 
+def machine_memos(machine) -> list:
+    """The memos of a machine and of its core layout."""
+    layout = machine._core_layout
+    return [machine._inputs, machine._curves, layout.spans, layout.tables]
+
+
+def memo_counts(machine) -> list[tuple[int, int]]:
+    """(misses, clears) of each memo of a machine, of its core layout and of
+    the predictions its stored inputs keep."""
+    predictions = [vars(inp)["_prediction"] for inp in machine._inputs.values() if "_prediction" in vars(inp)]
+    memos = machine_memos(machine) + [vars(pred)["_penalized"] for pred in predictions if "_penalized" in vars(pred)]
+    assert len(memos) > 4
+    return [(memo.misses, memo.clears) for memo in memos]
+
+
 def test_warm_ecm_input_builds_no_input_or_traffic_and_reads_no_bandwidth():
     """A deterministic work count: after one pass of the 80 sweep-style
     queries, a second pass on the same machine builds no ECMInput or
@@ -611,10 +632,11 @@ def test_warm_ecm_input_builds_no_input_or_traffic_and_reads_no_bandwidth():
     bandwidth ceilings nor the transfer and memory cycles per cache line,
     and makes exactly two core_timing calls per query, one from scale's
     ecm_input and one from the query's own, as the benchmark's traced sweep
-    run requires."""
+    run requires; no memo counts a miss or a clear."""
     machine = replace(HASWELL)
     queries = sweep_queries()
     expected = sweep_answers(machine, queries)
+    counts = memo_counts(machine)
     counted = {
         ECMInput.__new__.__code__: "ECMInput",
         TrafficProfile.__new__.__code__: "TrafficProfile",
@@ -629,6 +651,7 @@ def test_warm_ecm_input_builds_no_input_or_traffic_and_reads_no_bandwidth():
     assert got == expected
     assert all(a[1] is b[1] for a, b in zip(got, expected))
     assert calls == Counter(core_timing=2 * len(queries))
+    assert memo_counts(machine) == counts
 
 
 def test_warm_sweep_queries_recompute_no_prediction_penalty_or_shorthand():
@@ -638,10 +661,12 @@ def test_warm_sweep_queries_recompute_no_prediction_penalty_or_shorthand():
     times, since the input keeps its prediction and shorthand and the
     prediction its shorthand and penalized predictions; predict,
     apply_penalty and format_ecm are still called once per query, once per
-    penalized query and three times per query."""
+    penalized query and three times per query; no memo counts a miss or a
+    clear."""
     machine = replace(HASWELL)
     queries = sweep_queries()
     expected = sweep_answers(machine, queries)
+    counts = memo_counts(machine)
     counted = {
         predict.__code__: "predict",
         apply_penalty.__code__: "apply_penalty",
@@ -657,6 +682,30 @@ def test_warm_sweep_queries_recompute_no_prediction_penalty_or_shorthand():
     assert got == expected
     assert all(a[2] is b[2] and a[3] is b[3] for a, b in zip(got, expected))
     assert calls == Counter(predict=80, apply_penalty=40, format_ecm=240)
+    assert memo_counts(machine) == counts
+
+
+COPIERS = {"pickle": lambda machine: pickle.loads(pickle.dumps(machine)), "deepcopy": copy.deepcopy, "copy": copy.copy}
+
+
+@pytest.mark.parametrize("copier", sorted(COPIERS))
+def test_cold_and_warm_machines_survive_pickle_and_copy(copier):
+    """A copy of a machine equals it, shows its repr but for the order of
+    each port's capabilities, and answers every sweep-style query as it
+    does. A warm machine's memos go along with their counts, so its copy
+    answers with no further miss or clear."""
+    queries = sweep_queries()
+    cold, warm = replace(HASWELL), replace(HASWELL)
+    sweep_answers(warm, queries)
+    state = [(memo.misses, memo.clears, list(memo)) for memo in machine_memos(warm)]
+    cold_copy, warm_copy = COPIERS[copier](cold), COPIERS[copier](warm)
+    assert "_inputs" not in vars(cold_copy)
+    for machine, other in ((cold, cold_copy), (warm, warm_copy)):
+        assert other == machine
+        # a rebuilt frozenset may iterate in another order, so a port's repr may differ
+        assert repr(replace(other, ports=machine.ports)) == repr(machine)
+        assert sweep_answers(other, queries) == sweep_answers(machine, queries)
+    assert [(memo.misses, memo.clears, list(memo)) for memo in machine_memos(warm_copy)] == state
 
 
 MEMO_FIELDS = {
@@ -736,16 +785,17 @@ def test_kernels_that_differ_only_in_element_size_share_an_input_but_not_a_curve
 
 
 def test_a_full_input_memo_is_cleared():
-    """The memo holds at most INPUT_MEMO_ENTRIES inputs: the one after that
+    """The memo holds at most MEMO_ENTRIES inputs: the one after that
     clears it, and answers stay those of a cold machine."""
     machine = replace(HASWELL)
     inputs = machine._inputs
     sizes = []
-    for t_nol in range(1, INPUT_MEMO_ENTRIES // 2 + 2):
+    for t_nol in range(1, MEMO_ENTRIES // 2 + 2):
         kernel = KernelModel("k", (Stream("a", "read"),), 8, (UopGroup(2 * t_nol, "load", "base-index-offset"),))
         for mode in ("cod", "noncod"):
             inp = ecm_input(kernel, machine, mode)
             sizes.append(len(inputs))
             assert inp == oracle_input(kernel, machine, mode)
-    assert max(sizes) == INPUT_MEMO_ENTRIES
-    assert sizes[INPUT_MEMO_ENTRIES - 1:] == [INPUT_MEMO_ENTRIES, 1, 2]
+    assert max(sizes) == MEMO_ENTRIES
+    assert sizes[MEMO_ENTRIES - 1:] == [MEMO_ENTRIES, 1, 2]
+    assert (inputs.misses, inputs.clears) == (MEMO_ENTRIES + 2, 1)

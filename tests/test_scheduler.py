@@ -27,7 +27,7 @@ from ecmkit import (
 from ecmkit import _pairing, scheduler
 from ecmkit.errors import CapabilityError
 from ecmkit.kernels import MAX_UOPS_PER_LINE, KernelModel, UopGroup
-from ecmkit.machine import MachineModel, MemoryModel, NumaConfig, PortSpec
+from ecmkit.machine import MEMO_ENTRIES, MachineModel, MemoryModel, NumaConfig, PortSpec
 from ecmkit._pairing import PackingSearch, PatternTable, Unit, least_span, pattern_table
 from ecmkit.cli import run
 from ecmkit.scheduler import CoreTiming
@@ -758,11 +758,12 @@ def test_pattern_tables_and_solves_die_with_their_machine():
     assert [o for o in gc.get_objects() if isinstance(o, PatternTable) and o not in before] == []
 
 
-def test_span_memo_is_cleared_when_it_holds_1024_solves():
+def test_span_memo_is_cleared_when_it_holds_memo_entries_solves():
     layout = builtin_haswell()._core_layout
-    for count in range(1, 1026):  # arithmetic alone: no table, raw_ol as it is
+    for count in range(1, MEMO_ENTRIES + 2):  # arithmetic alone: no table, raw_ol as it is
         assert layout.span([0, 0, 0, count, 0, 0], count, count) == (count, 0)
     assert len(layout.spans) == 1
+    assert (layout.spans.misses, layout.spans.clears) == (MEMO_ENTRIES + 1, 1)
 
 
 def test_each_unit_kind_is_one_object_in_pattern_table_order():
@@ -905,10 +906,11 @@ def test_fresh_workload_kernels_build_8_of_their_19_tables_and_run_52_searches(m
     built-ins without non-temporal stores unrolled x{1,2,4,8} with no extra
     arithmetic or one add, mul, lea or add and lea. On one new machine, 152
     of them pose a pairing query (the other 8 have no arithmetic); the even
-    split answers 100, so 11 of the 19 kind sets build no table."""
-    tables, searches = [], []
-    table_of, search = scheduler.pattern_table, scheduler.least_span
-    monkeypatch.setattr(scheduler, "pattern_table", lambda kinds, width: tables.append(kinds) or table_of(kinds, width))
+    split answers 100, so 11 of the 19 kind sets build no table. The layout's
+    memos count the solves and the tables; a patch counts the searches,
+    which no memo sees."""
+    searches = []
+    search = scheduler.least_span
     monkeypatch.setattr(scheduler, "least_span", lambda *query: searches.append(query) or search(*query))
     machine = builtin_haswell()
     for name, kernel in sorted(KERNELS.items()):
@@ -916,9 +918,10 @@ def test_fresh_workload_kernels_build_8_of_their_19_tables_and_run_52_searches(m
             for factor in (1, 2, 4, 8):
                 for extras in FRESH_EXTRAS:
                     core_timing(unrolled(kernel, factor, extras), machine)
-    spans = machine._core_layout.spans
-    assert (len(spans), len({tuple(map(bool, counts)) for counts, _, _ in spans})) == (152, 19)
-    assert (len(tables), len(set(tables)), len(searches)) == (8, 8, 52)
+    spans, tables = machine._core_layout.spans, machine._core_layout.tables
+    assert (spans.misses, len(spans), len({tuple(map(bool, counts)) for counts, _, _ in spans})) == (152, 152, 19)
+    built = [table for table in tables.values() if table is not None]
+    assert (tables.misses, len(tables), len(built), len(searches)) == (8, 8, 8, 52)
 
 
 # the layout of ports 0-7 with the given capabilities at retire width 8,

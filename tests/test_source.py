@@ -271,6 +271,35 @@ def test_package_functions_with_parameters_carry_no_process_wide_memo():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def clear_calls(source: str) -> list[str]:
+    """Calls of a `clear` method anywhere but in Memo.put, the one place a
+    memo is cleared when full."""
+    tree = ast.parse(source)
+    put = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "Memo"
+           for function in cls.body if isinstance(function, ast.FunctionDef) and function.name == "put"
+           for node in ast.walk(function)}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "clear" and id(node) not in put]
+    return [f"line {node.lineno}: {ast.unparse(node)}" for node in sorted(calls, key=lambda node: node.lineno)]
+
+
+def test_clear_calls_are_found():
+    source = (
+        "class Memo(dict):\n    def put(self, key, value):\n        self.clear()\n"
+        "    def drop(self):\n        self.clear()\n"
+        "class Other:\n    def put(self):\n        self.memo.clear()\n"
+        "def f(memo):\n    memo.clear()\n    memo.clearly()\n    clear()\n"
+    )
+    assert clear_calls(source) == ["line 5: self.clear()", "line 8: self.memo.clear()", "line 10: memo.clear()"]
+
+
+def test_only_memo_put_clears_a_memo():
+    """The clear-when-full policy is written once, in machine.Memo.put:
+    every memo of the package stores through it."""
+    found = {path.name: clear_calls(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
 def unread_private_names(sources: dict[str, str]) -> list[str]:
     """Private module-level names (one leading underscore, not dunder) that
     no code of the given modules reads outside the name's own definition. A
