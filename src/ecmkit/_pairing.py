@@ -27,8 +27,8 @@ list and the deltas per count vector clamped to the largest count of each
 kind in a maximal pattern. The search is exact and has no budget; it keeps
 its path on an explicit stack, so its depth is not bounded by recursion.
 This module keeps no solve: the caller that owns the table memoizes
-least_span's answers (CoreLayout.span does, per machine, and first tests
-least_span's first candidate with fit_rule, which needs no table).
+least_span's answers (CoreLayout.span does, per machine, and first tries an
+even split, root bounds over maximal_patterns and a fill, with no table).
 """
 
 from __future__ import annotations
@@ -140,14 +140,36 @@ class PatternTable:
         return result
 
 
+def maximal_patterns(bits: int, columns: tuple[int, ...], top: int, limit: int, guard: int) -> tuple[tuple[int, ...], ...]:
+    """The patterns no unit can be added to under a fit_rule (bits, columns,
+    top, limit, guard), as count vectors, enumerated one kind at a time.
+    Each partial pattern carries its retire weight and its port needs inside
+    each union, and a kind's count stops at the first count that does not
+    fit: adding a unit never makes a pattern fit, and a kind cannot
+    outnumber the ports of its own port sets, so the cost depends on the
+    port layout, not on the width. A kind that fits no cycle alone is 0."""
+    # (pattern so far, one count per `bits`-bit field; its packed needs and weight)
+    partial = [(0, 0)]
+    for j, column in enumerate(columns):
+        unit = 1 << bits * j
+        grown = []
+        for v, load in partial:
+            while True:
+                grown.append((v, load))
+                load += column
+                if load >= top or (limit - load) & guard != guard:
+                    break
+                v += unit
+        partial = grown
+    feasible = {v for v, _ in partial}
+    # v has a feasible successor iff v = f - unit for some feasible f
+    grows = set().union(*({f - (1 << bits * j) for f in feasible} for j in range(len(columns))))
+    field = (1 << bits - 1) - 1
+    return tuple(tuple(v >> bits * j & field for j in range(len(columns))) for v, _ in partial if v not in grows)
+
+
 def pattern_table(kinds: tuple[Unit, ...], width: int) -> PatternTable | None:
     """The pattern table, or None if some unit cannot fit a cycle on its own.
-
-    The patterns are enumerated one kind at a time. Each partial pattern
-    carries its retire weight and its port needs inside each union, and a
-    kind's count stops at the first count that does not fit: adding a unit
-    never makes a pattern fit, and a kind cannot outnumber the ports of its
-    own port sets, so the cost depends on the port layout, not on `width`.
 
     A cycle holds at most cap_any of y . pattern, and a cycle without
     arithmetic at most cap_memory, so counts that fit a cycles and m more
@@ -163,27 +185,10 @@ def pattern_table(kinds: tuple[Unit, ...], width: int) -> PatternTable | None:
     """
     n = len(kinds)
     weights = tuple(k.weight for k in kinds)
-    hall, bits, packed, top, limit, guard = fit_rule(kinds, width)
+    hall, *rule = fit_rule(kinds, width)
     if any(w > width for w in weights) or any(y[j] > size for y, size in hall.items() for j in range(n)):
         return None
-    # (pattern so far, one count per `bits`-bit field; its packed needs and weight)
-    partial = [(0, 0)]
-    for j, column in enumerate(packed):
-        unit = 1 << bits * j
-        grown = []
-        for v, load in partial:
-            while True:
-                grown.append((v, load))
-                load += column
-                if load >= top or (limit - load) & guard != guard:
-                    break
-                v += unit
-        partial = grown
-    feasible = {v for v, _ in partial}
-    # v has a feasible successor iff v = f - unit for some feasible f
-    grows = set().union(*({f - (1 << bits * j) for f in feasible} for j in range(n)))
-    field = (1 << bits - 1) - 1
-    maximal = tuple(tuple(v >> bits * j & field for j in range(n)) for v, _ in partial if v not in grows)
+    maximal = maximal_patterns(*rule)
     arithmetic = tuple(j for j, k in enumerate(kinds) if k.overlapping)
     ys = set(hall)
     for mask in islice(product((0, 1), repeat=n), 1, None):

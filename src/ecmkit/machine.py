@@ -87,12 +87,16 @@ class PortSpec:
         require_number(self.id, "port id")
         if self.id < 0:
             raise SchemaError(f"port id must be non-negative, got {self.id}")
-        object.__setattr__(self, "capabilities", frozenset(self.capabilities))
-        if not self.capabilities:
+        capabilities = set(self.capabilities)
+        if not capabilities:
             raise SchemaError(f"port {self.id}: capabilities must be non-empty")
-        unknown = set(self.capabilities) - PORT_CAPABILITIES
+        unknown = capabilities - PORT_CAPABILITIES
         if unknown:
             raise SchemaError(f"port {self.id}: unknown capabilities {sorted(unknown)}")
+        object.__setattr__(self, "capabilities", frozenset(sorted(capabilities)))  # one order, one repr
+
+    def __reduce__(self):  # a set rebuilt from its items, not sorted, may show another order
+        return PortSpec, (self.id, self.capabilities)
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,14 @@ limits, the fewest cycles the arithmetic can be confined to. The retirement
 frontend caps total throughput; when it binds (it exceeds the load/store
 makespan) the span is sought from the frontend bound up, so its deficit is
 charged to the arithmetic component. An exact solver over per-cycle
-patterns finds T and the span, unless an even split of the uops over the
-solver's first candidate (T at its lower bound, the span at its start)
-fits every cycle, which proves that candidate the answer.
+patterns finds T and the span, unless an even split of the uops fits its
+first candidate (T at its lower bound, the span at its start), or root
+bounds refute (fit no schedule to) the spans below one that a fill fits.
 
 core_timing reads the machine through its CoreLayout, compiled once per
 MachineModel: the unit kinds, their Hall bounds (hall_bounds, the one form
 of every port bound here and in the pattern tables), the packed fit rule,
-the pattern tables the even split leaves to the solver, and the solves.
+the root bounds, the pattern tables the solver needs, and the solves.
 core_timing returns the two cycle counts only.
 build_nol_problem and build_ol_problem give the two port problems as
 {allowed ports: uop count} maps for min_cycles, with the port sets taken from
@@ -31,7 +31,7 @@ from __future__ import annotations
 from itertools import compress
 from typing import NamedTuple
 
-from ._pairing import PatternTable, Unit, fit_rule, hall_bounds, least_span, pattern_table
+from ._pairing import PatternTable, Unit, _caps, fit_rule, hall_bounds, least_span, maximal_patterns, pattern_table
 from .errors import CapabilityError, SchemaError
 from .kernels import MEMORY_CLASSES, UOP_CLASSES, KernelModel
 from .machine import MEMO_ENTRIES, MachineModel, Memo
@@ -92,10 +92,10 @@ class CoreLayout:
     missing arithmetic capability, index of its kind in `units`). `units` is
     in pattern table order (memory kinds first, heavier first, then by port
     ids), `nol_bounds` and `ol_bounds` are the memory and the arithmetic
-    kinds' _port_bounds over `units`, and two `Memo`s: `tables` maps flags
-    over `units` to tables and is never cleared, and `spans` holds span's
-    answers, at most MEMO_ENTRIES, so the solves of equal unit counts live
-    as long as the machine."""
+    kinds' _port_bounds over `units`, and three `Memo`s: `tables` and `caps`
+    map flags over `units` to tables and to root bounds and are never
+    cleared, and `spans` holds span's answers, at most MEMO_ENTRIES, so the
+    solves of equal unit counts live as long as the machine."""
 
     def __init__(self, machine: MachineModel):
         full = machine.ports_with("load-agu-full")
@@ -119,8 +119,11 @@ class CoreLayout:
         self.width = machine.retire_width
         # the fit rule over every kind: a union no kind set of a pattern uses
         # only repeats a Hall condition its units must meet anyway
-        _, _, self.columns, self.top, self.limit, self.guard = fit_rule(self.units, self.width)
+        _, self.bits, self.columns, self.top, self.limit, self.guard = fit_rule(self.units, self.width)
         self.tables: Memo[tuple[bool, ...], PatternTable | None] = Memo(2 ** len(self.units))
+        self.arithmetic = tuple(j for j, unit in enumerate(self.units) if unit.overlapping)
+        self.maximal: list[tuple[int, ...]] | None = None  # each kind's count in every maximal pattern
+        self.caps: Memo[tuple[bool, ...], tuple[tuple[tuple[bool | int, ...], int, int], ...]] = Memo(2 ** len(self.units))
         self.spans: Memo[tuple[tuple[int, ...], int, int], tuple[int, int]] = Memo(MEMO_ENTRIES)
 
     def span(self, counts: list[int], lower: int, start: int) -> tuple[int, int]:
@@ -128,16 +131,20 @@ class CoreLayout:
         span s >= start of the arithmetic in the first cycle count T >= lower
         that fits a joint schedule, or `start` as it is when the kernel has no
         memory unit or some unit cannot fit a cycle on its own; lower >= start.
-        A miss first tries the search's first candidate, T = lower and s =
-        start, by one schedule (_splits_evenly): if it fits, the answer is
-        (start, 0 states) and no table is built or searched. Lower past the
-        unit count means some unit fits no cycle: no schedule is tried."""
+        A miss tries, with no table at T = lower, _splits_evenly at s = start,
+        _unrefuted from s = start up and _fill at the first s left, answering
+        (s, 0 states) if one settles s. Lower past the unit count means some
+        unit fits no cycle: no schedule is tried."""
         key = (tuple(counts), lower, start)
         answer = self.spans.get(key)
         if answer is not None:
             return answer
-        if start and lower <= sum(counts) and self._splits_evenly(counts, lower, start):
-            return self.spans.put(key, (start, 0))
+        if start and lower <= sum(counts):
+            if self._splits_evenly(counts, lower, start):
+                return self.spans.put(key, (start, 0))
+            span = self._unrefuted(counts, lower, start)
+            if span <= lower and self._fill(counts, lower, span):
+                return self.spans.put(key, (span, 0))
         present = tuple(map(bool, counts))
         if present not in self.tables:  # a stored None is an answer: no memory unit, no table
             kinds = tuple(compress(self.units, present))
@@ -166,6 +173,50 @@ class CoreLayout:
                 cycles[t % (start if overlapping else lower)] += column
         top, limit, guard = self.top, self.limit, self.guard
         return all(v < top and (limit - v) & guard == guard for v in set(cycles))
+
+    def _fill(self, counts: list[int], lower: int, start: int) -> list[tuple[int, ...]] | None:
+        """The per-cycle count vectors of a schedule of `lower` cycles with
+        the arithmetic in the first `start`, or None where this fill finds
+        none. From the last cycle, so the memory-only ones first, each kind in
+        `units` order takes its remaining count spread evenly over its cycles
+        left, or what the fit rule admits; a run of equal cycles is one step."""
+        top, limit, guard = self.top, self.limit, self.guard
+        left, schedule = list(counts), []  # the schedule from its last cycle
+        while len(schedule) < lower:
+            cycles = lower - len(schedule)  # left to fill, this one included
+            pattern, v, run = [0] * len(counts), 0, cycles - start if cycles > start else cycles
+            for j, (unit, column) in enumerate(zip(self.units, self.columns)):
+                if not left[j] or unit.overlapping and cycles > start:
+                    continue
+                share = placed = -(-left[j] // cycles)
+                while placed and not (v + placed * column < top and (limit - v - placed * column) & guard == guard):
+                    placed -= 1
+                # a full share holds while its remainder lasts, a cut one while the share grows
+                run = min(run, cycles if placed < share else left[j] % cycles or cycles)
+                pattern[j], v = placed, v + placed * column
+            left = [n - placed * run for n, placed in zip(left, pattern)]
+            schedule += [tuple(pattern)] * run
+        return None if any(left) else schedule[::-1]
+
+    def _unrefuted(self, counts: list[int], lower: int, start: int) -> int:
+        """The least span s >= start in `lower` cycles that no root bound
+        refutes, or lower + 1: y refutes s, and every span below (cap_any >=
+        cap_memory), if y . counts > cap_any * s + cap_memory * (lower - s).
+        The y are the present kinds' retire weights and unit counts, capped
+        over the machine's maximal patterns, as over the kind set's own."""
+        present = tuple(map(bool, counts))
+        bounds = self.caps.get(present)
+        if bounds is None:
+            if self.maximal is None:  # the first refutation enumerates them
+                self.maximal = list(zip(*maximal_patterns(self.bits, self.columns, self.top, self.limit, self.guard)))
+            weights = tuple(unit.weight * p for unit, p in zip(self.units, present))
+            bounds = self.caps.put(present, tuple(_caps((weights, present), self.maximal, self.arithmetic)))
+        span = start
+        for y, cap_any, cap_memory in bounds:
+            load = sum(a * b for a, b in zip(y, counts))
+            while span <= lower and load > cap_any * span + cap_memory * (lower - span):
+                span += 1
+        return span
 
 
 def build_nol_problem(kernel: KernelModel, machine: MachineModel) -> dict[frozenset[int], int]:

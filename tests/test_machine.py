@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ecmkit
 from ecmkit import (
     Measurement, PenaltyConfig, SchemaError, UopGroup, builtin_haswell, builtin_kernels, ecm_input, format_ecm,
     load_machine, mem_cycles_per_cl, serialize_machine,
@@ -13,6 +18,8 @@ from ecmkit.kernels import Stream
 from ecmkit.machine import MAX_CORES, CacheBoundary, MemoryModel, PortSpec, machine_from_dict
 
 from oracles import key_fault_cases, type_fault_cases
+
+SRC = str(Path(ecmkit.__file__).resolve().parent.parent)
 
 
 @pytest.fixture
@@ -86,6 +93,32 @@ def test_roundtrip_serialize_load(haswell, tmp_path):
     assert reloaded == haswell
     # and once more through the serializer to be sure nothing drifts
     assert serialize_machine(reloaded) == serialize_machine(haswell)
+
+
+# a child run: is the repr of each machine's ports the same after a pickle
+# round trip, a copy and a deep copy? Port 8 holds every capability.
+COPIED_REPR = """
+import copy, pickle
+from dataclasses import replace
+from ecmkit import builtin_haswell
+from ecmkit.machine import PORT_CAPABILITIES, PortSpec
+haswell = builtin_haswell()
+wide = replace(haswell, ports=haswell.ports + (PortSpec(8, PORT_CAPABILITIES),))
+copiers = (lambda m: pickle.loads(pickle.dumps(m)), copy.copy, copy.deepcopy)
+print(all(repr(copier(m)) == repr(m) for m in (haswell, wide) for copier in copiers))
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1", "3", "7"])
+def test_a_copied_machine_shows_the_repr_of_its_original(hash_seed):
+    """A port's capabilities are a frozenset, whose iteration order depends
+    on how it was built and on the string hash seed; a copied or unpickled
+    port must still show them in the original's order. The seed is fixed
+    per child run; under seed 3, a frozenset rebuilt from the iteration
+    order of Haswell's port 1 iterates in another order."""
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.run([sys.executable, "-c", COPIED_REPR], capture_output=True, text=True, env=env, timeout=60)
+    assert (child.returncode, child.stdout, child.stderr) == (0, "True\n", "")
 
 
 def test_the_bandwidth_table_is_a_read_only_copy(haswell):

@@ -1,5 +1,6 @@
 import gc
 import io
+import json
 import random
 import weakref
 from collections import Counter
@@ -34,6 +35,8 @@ from ecmkit.scheduler import CoreTiming
 
 from oracles import (
     ReferenceSearch,
+    _co_schedulable,
+    _dot,
     backtracking_pairing_span,
     brute_force_min_cycles,
     enumerated_pattern_table,
@@ -457,52 +460,55 @@ PAIRING_STATES = {
 
 
 # the raw pairing queries of each unrolled built-in, in EXTRAS order, that
-# the even split answers with no table or search (+) or leaves to them (.);
-# it is not tried at start 0, where copy and store have no arithmetic
+# CoreLayout.span answers with no table or search (+: the even split or the
+# fill fits the answer, after root bounds refute every span below it) or
+# leaves to them (.); nothing is tried at start 0, where copy and store have
+# no arithmetic
 CERTIFIED = {
-    ("copy", 1): ".++++.....",
-    ("copy", 2): ".++++.....",
-    ("copy", 4): ".++++.....",
-    ("copy", 8): ".++++.....",
-    ("ddot", 1): "+++.++++++",
-    ("ddot", 2): "+++.+++++.",
-    ("ddot", 4): "+++.+++++.",
-    ("ddot", 8): "+++.+++++.",
+    ("copy", 1): ".+++++++++",
+    ("copy", 2): ".+++++++++",
+    ("copy", 4): ".+++++++++",
+    ("copy", 8): ".+++++++++",
+    ("ddot", 1): "++++++++++",
+    ("ddot", 2): "++++++++++",
+    ("ddot", 4): "++++++++++",
+    ("ddot", 8): "++++++++++",
     ("load", 1): "++++++++++",
     ("load", 2): "++++++++++",
     ("load", 4): "++++++++++",
     ("load", 8): "++++++++++",
-    ("schoenauer_triad", 1): "+++.++++++",
-    ("schoenauer_triad", 2): "+++.+++++.",
-    ("schoenauer_triad", 4): "+++.+++++.",
-    ("schoenauer_triad", 8): "+++.+++++.",
-    ("schoenauer_triad_opt", 1): ".+++......",
-    ("schoenauer_triad_opt", 2): "..........",
-    ("schoenauer_triad_opt", 4): "..........",
-    ("schoenauer_triad_opt", 8): "..........",
+    ("schoenauer_triad", 1): "++++++++++",
+    ("schoenauer_triad", 2): "++++++++++",
+    ("schoenauer_triad", 4): "++++++++++",
+    ("schoenauer_triad", 8): "++++++++++",
+    ("schoenauer_triad_opt", 1): "++++++++++",
+    ("schoenauer_triad_opt", 2): "++++++++++",
+    ("schoenauer_triad_opt", 4): "++++++++++",
+    ("schoenauer_triad_opt", 8): "+.........",
     ("store", 1): ".+++++++++",
     ("store", 2): ".+++++++++",
     ("store", 4): ".+++++++++",
     ("store", 8): ".+++++++++",
-    ("stream_triad", 1): "+.........",
-    ("stream_triad", 2): "+.........",
-    ("stream_triad", 4): "+.........",
-    ("stream_triad", 8): "+.........",
-    ("update", 1): ".+++++++++",
-    ("update", 2): "..........",
-    ("update", 4): "..........",
-    ("update", 8): "..........",
+    ("stream_triad", 1): "++++.+++++",
+    ("stream_triad", 2): "++++++++++",
+    ("stream_triad", 4): "++++++++++",
+    ("stream_triad", 8): "++++++++++",
+    ("update", 1): "++++++++++",
+    ("update", 2): "+.........",
+    ("update", 4): "+.........",
+    ("update", 8): "+.........",
 }
 
 
 # core_timing's queries on every unrolled built-in (x{1,2,4,8} with EXTRAS)
-# that the even split answers: 215 of the 392 kernels with arithmetic
-CERTIFIED_TIMINGS = 215
+# that CoreLayout.span answers with no search: 386 of the 392 kernels with
+# arithmetic (the even split alone answered 215)
+CERTIFIED_TIMINGS = 386
 
 
 def searched(kernel, machine, query=pairing_query):
     """(span, search states) from least_span on the kind set's own table,
-    with no even split tried first."""
+    with no certificate tried first."""
     counts, lower, start = query(kernel, machine)
     table = pattern_table(tuple(compress(machine._core_layout.units, counts)), machine.retire_width)
     return least_span(table, tuple(filter(None, counts)), lower, start)
@@ -510,7 +516,7 @@ def searched(kernel, machine, query=pairing_query):
 
 def test_pairing_search_visits_the_pinned_states_on_unrolled_builtins():
     """The search's states on every query, and which queries CoreLayout.span
-    answers by the even split: those report 0 states."""
+    answers by a built schedule: those report 0 states."""
     states, certified = {}, {}
     for name, kernel in sorted(KERNELS.items()):
         if not any(s.nontemporal for s in kernel.streams):
@@ -713,14 +719,14 @@ def test_pairing_search_depth_is_not_bounded_by_recursion():
     timing = core_timing(kernel, HASWELL)
     assert (timing.t_ol, timing.t_nol) == (1500, 1500)
     # a few states per cycle (5 248 in all), not a blow-up with the depth;
-    # on the table itself, so that an even split cannot skip the search
+    # on the table itself, so that no certificate can skip the search
     _, states = searched(kernel, HASWELL)
     assert states <= 4 * 1500
 
 
 def test_equal_unit_counts_share_one_pairing_solve(monkeypatch):
     """One search per machine for kernels with equal unit counts (on a
-    kernel whose query the even split leaves to the search)."""
+    kernel whose query no built schedule answers, so the search runs)."""
     searches = []
 
     class CountedSearch(PackingSearch):
@@ -730,7 +736,7 @@ def test_equal_unit_counts_share_one_pairing_solve(monkeypatch):
 
     monkeypatch.setattr(_pairing, "PackingSearch", CountedSearch)
     machine = builtin_haswell()
-    kernel = unrolled(KERNELS["update"], 2, ("add", "lea"))
+    kernel = unrolled(KERNELS["update"], 2, ("add", "add"))
     expected = core_timing(kernel, machine)
     assert len(searches) == 1
     for other in (replace(kernel, name="renamed"), replace(kernel, uops=tuple(replace(g) for g in kernel.uops))):
@@ -741,20 +747,30 @@ def test_equal_unit_counts_share_one_pairing_solve(monkeypatch):
     assert len(searches) == 2
 
 
-def test_pattern_tables_and_solves_die_with_their_machine():
+def test_pattern_tables_and_solves_die_with_their_machine(tmp_path, monkeypatch):
     """No process-wide cache holds a machine's tables or solves: a table dies
     with its machine, and in-process CLI runs, each building its own machine,
-    leave no table behind."""
+    leave no table behind. The built-ins' own queries need no table, so the
+    runs also time a kernel file whose query builds one."""
     machine = builtin_haswell()
-    core_timing(unrolled(KERNELS["update"], 2, ("add", "lea")), machine)  # the even split does not fit
+    kernel = unrolled(KERNELS["update"], 2, ("add", "add"))
+    core_timing(kernel, machine)  # no built schedule fits
     table = weakref.ref(next(t for t in machine._core_layout.tables.values() if t is not None))
     del machine
     gc.collect()
     assert table() is None
+    searched = tmp_path / "searched.json"
+    uops = [{"count": g.count, "class": g.uop_class, **({"addressing": g.addressing} if g.addressing else {})} for g in kernel.uops]
+    streams = [{"array": s.array_name, "access": s.access} for s in kernel.streams]
+    searched.write_text(json.dumps({"name": "searched", "element_bytes": 8, "streams": streams, "uops": uops, "flops_per_iteration": 1}))
+    tables = []
+    table_of = scheduler.pattern_table
+    monkeypatch.setattr(scheduler, "pattern_table", lambda *kinds: tables.append(kinds) or table_of(*kinds))
     before = weakref.WeakSet(o for o in gc.get_objects() if isinstance(o, PatternTable))
-    for name in sorted(KERNELS) * 4:
+    for name in sorted(KERNELS) * 4 + [str(searched)] * 4:
         assert run(["predict", "-k", name, "--penalty"], out=io.StringIO()) == 0
     gc.collect()
+    assert len(tables) == 4
     assert [o for o in gc.get_objects() if isinstance(o, PatternTable) and o not in before] == []
 
 
@@ -824,8 +840,8 @@ def test_core_timing_equals_the_problem_builder_oracle_on_unrolled_builtins():
 
 
 def test_core_timing_equals_a_search_only_run_on_unrolled_builtins():
-    """T_OL from least_span on the kind set's own table, with no even split
-    tried first; the even split answers many of these queries."""
+    """T_OL from least_span on the kind set's own table, with no schedule
+    built first; a built schedule answers most of these queries."""
     certified = 0
     for kernel in KERNELS.values():
         for factor in (1, 2, 4, 8):
@@ -846,10 +862,11 @@ def random_layout(rng):
 
 
 def test_an_even_split_that_fits_is_the_first_fit_of_the_search():
-    """Soundness of the even split: where CoreLayout.span takes it, the
-    search fits the same candidate, lower cycles with the arithmetic in
-    `start` of them, and least_span finds the same span; where it does not,
-    span answers as least_span does, states and all."""
+    """Soundness of the built schedules: where CoreLayout.span answers with
+    no search (by the even split, or by the fill at the first span the root
+    bounds leave), the search fits the same candidate, lower cycles
+    with the arithmetic in `span` of them, and least_span finds the same
+    span; where it searches, span answers as least_span does, states and all."""
     rng = random.Random(0x5B1)
     outcomes = Counter()
     for _ in range(2800):
@@ -863,14 +880,100 @@ def test_an_even_split_that_fits_is_the_first_fit_of_the_search():
         start = rng.randint(0, lower)
         kind_counts = tuple(filter(None, counts))
         span, expected = layout.span(counts, lower, start), least_span(table, kind_counts, lower, start)
-        if span == (start, 0):
-            assert PackingSearch(table).fits(kind_counts, start, lower - start), (kinds, kind_counts, lower, start)
-            assert span[0] == expected[0], (kinds, kind_counts, lower, start)
+        assert span[0] == expected[0], (kinds, kind_counts, lower, start)
+        if span[1] == 0:
+            assert PackingSearch(table).fits(kind_counts, span[0], lower - span[0]), (kinds, kind_counts, lower, start)
             outcomes["fits"] += 1
         else:
             assert span == expected, (kinds, kind_counts, lower, start)
             outcomes["searched"] += 1
-    assert min(outcomes["fits"], outcomes["searched"]) >= 300, outcomes  # 326 fit and 747 searched at this seed
+    assert min(outcomes["fits"], outcomes["searched"]) >= 300, outcomes  # 348 fit and 725 searched at this seed
+
+
+def even_split(layout, counts, lower, start):
+    """The per-cycle count vectors of the schedule CoreLayout._splits_evenly
+    checks: each kind's count split evenly over the first `start`
+    (arithmetic) or all (memory) of `lower` cycles, the remainders in
+    consecutive cyclic runs, the memory ones from cycle `start` on."""
+    cycles = [[0] * len(counts) for _ in range(lower)]
+    first = {True: 0, False: start}  # where the next arithmetic, memory remainder run begins
+    for j, (unit, count) in enumerate(zip(layout.units, counts)):
+        window = start if unit.overlapping else lower
+        each, rest = divmod(count, window)
+        for t in range(window):
+            cycles[t][j] += each
+        for t in range(first[unit.overlapping], first[unit.overlapping] + rest):
+            cycles[t % window][j] += 1
+        first[unit.overlapping] += rest
+    return [tuple(cycle) for cycle in cycles]
+
+
+def certified_outcome(layout, counts, lower, start, enumerated) -> tuple:
+    """How CoreLayout.span answers a query, after checking its answer: the
+    span equals least_span's on the kind set's own table, and an answer with
+    no search has its certificates. The schedule built for it (the even
+    split's where that fits at `start`, else the fill's) has `lower` cycles,
+    each placed on distinct ports within the retire width by the brute-force
+    oracle, no arithmetic from cycle `span` on, and column sums equal to the
+    counts; and every span from `start` below it fails a root bound of the
+    enumeration oracle's (memoized per kind set in `enumerated`): y . counts
+    > cap_any * span + cap_memory * (lower - span)."""
+    kinds = tuple(compress(layout.units, counts))
+    kind_counts = tuple(filter(None, counts))
+    query = (kinds, kind_counts, lower, start)
+    span, states = layout.span(counts, lower, start)
+    assert span == least_span(pattern_table(kinds, layout.width), kind_counts, lower, start)[0], query
+    if states:
+        return ("searched",)
+    split = span == start and layout._splits_evenly(counts, lower, span)
+    schedule = even_split(layout, counts, lower, span) if split else layout._fill(counts, lower, span)
+    assert schedule is not None and len(schedule) == lower, query
+    units = [(k.port_choices, k.weight, k.overlapping) for k in layout.units]
+    for t, cycle in enumerate(schedule):
+        assert _co_schedulable([units[j] for j, c in enumerate(cycle) for _ in range(c)], 1, 1, layout.width), (query, t)
+        assert t < span or not any(c for c, unit in zip(cycle, layout.units) if unit.overlapping), (query, t)
+    assert [sum(column) for column in zip(*schedule)] == counts, query
+    if span > start:
+        if kinds not in enumerated:
+            enumerated[kinds] = enumerated_pattern_table([(k.port_choices, k.weight, k.overlapping) for k in kinds], layout.width)[1]
+        for below in range(start, span):
+            assert any(
+                _dot(y, kind_counts) > cap_any * below + cap_memory * (lower - below)
+                for y, cap_any, cap_memory in enumerated[kinds]
+            ), (query, below)
+    return ("split" if split else "fill", "after refutations" if span > start else "at start")
+
+
+def test_pairing_answers_with_no_search_carry_a_schedule_and_a_refutation_of_each_span_below():
+    """certified_outcome on core_timing's queries, on random layouts with
+    counts drawn as in the even-split test and on every unrolled built-in
+    with EXTRAS on Haswell. Each way to answer is taken."""
+    rng = random.Random(0xCE27)
+    outcomes, enumerated = Counter(), {}
+    for _ in range(1000):
+        layout = random_layout(rng)._core_layout
+        counts = [rng.choice((0, 0, rng.randint(1, 8))) for _ in layout.units]
+        # lower and start as core_timing takes them from the port and frontend bounds
+        t_nol, raw_ol = (scheduler._binding_bound(bounds, counts)[0] for bounds in (layout.nol_bounds, layout.ol_bounds))
+        fe = -(-sum(k.weight * c for k, c in zip(layout.units, counts)) // layout.width)
+        start = max(raw_ol, fe) if fe > t_nol else raw_ol
+        lower = max(t_nol, start)
+        kinds = tuple(compress(layout.units, counts))
+        if start and lower <= sum(counts) and pattern_table(kinds, layout.width) is not None:
+            outcomes["random", *certified_outcome(layout, counts, lower, start, enumerated)] += 1
+    enumerated = {}
+    for kernel in KERNELS.values():
+        for factor in (1, 2, 4, 8):
+            for extras in EXTRAS:
+                counts, lower, start = timing_query(unrolled(kernel, factor, extras), HASWELL)
+                if start:
+                    outcomes["built-in", *certified_outcome(HASWELL._core_layout, counts, lower, start, enumerated)] += 1
+    ways = Counter()
+    for (_, *way), n in outcomes.items():
+        ways[tuple(way)] += n
+    # at this seed: 515 random queries (87 searched, 18 filled after
+    # refutations) and 392 built-in ones (6 searched, 99 filled after them)
+    assert len(ways) == 4 and min(ways.values()) >= 10, outcomes
 
 
 def test_a_one_cycle_split_fits_iff_the_enumeration_fits_the_pattern():
@@ -901,17 +1004,48 @@ def test_a_one_cycle_split_fits_iff_the_enumeration_fits_the_pattern():
 FRESH_EXTRAS = ((), ("add",), ("mul",), ("lea",), ("add", "lea"))
 
 
-def test_fresh_workload_kernels_build_8_of_their_19_tables_and_run_52_searches(monkeypatch):
+def test_fresh_workload_kernels_build_no_table_and_run_no_search(monkeypatch):
     """A work-count gate on the kernels of the fresh benchmark workload, the
     built-ins without non-temporal stores unrolled x{1,2,4,8} with no extra
     arithmetic or one add, mul, lea or add and lea. On one new machine, 152
-    of them pose a pairing query (the other 8 have no arithmetic); the even
-    split answers 100, so 11 of the 19 kind sets build no table. The layout's
-    memos count the solves and the tables; a patch counts the searches,
-    which no memo sees."""
-    searches = []
+    of them pose a pairing query (the other 8 have no arithmetic) over 19
+    kind sets. The even split answers 100 at their first candidate and the
+    fill 28 more; root bounds refute 35 candidates, and the fill answers the
+    other 24 at the first span they leave, so no table is built and nothing
+    is searched. The layout's memos count the solves and the tables; patches
+    count the rest, which no memo sees. One dict holds it all, so a failure
+    shows the whole census."""
+    census = Counter(searches=0)
+    starts = []  # the start of the query being answered
+    span, split, fill, unrefuted = (getattr(scheduler.CoreLayout, name) for name in ("span", "_splits_evenly", "_fill", "_unrefuted"))
+
+    def counted_span(layout, counts, lower, start):
+        starts.append(start)
+        try:
+            return span(layout, counts, lower, start)
+        finally:
+            starts.pop()
+
+    def counted_split(layout, counts, lower, start):
+        fits = split(layout, counts, lower, start)
+        census["split answers"] += fits
+        return fits
+
+    def counted_fill(layout, counts, lower, start):
+        schedule = fill(layout, counts, lower, start)
+        census["first-candidate fills" if start == starts[-1] else "later fills"] += schedule is not None
+        return schedule
+
+    def counted_unrefuted(layout, counts, lower, start):
+        first = unrefuted(layout, counts, lower, start)
+        census["refuted candidates"] += first - start
+        return first
+
+    for name, method in (("span", counted_span), ("_splits_evenly", counted_split), ("_fill", counted_fill),
+                         ("_unrefuted", counted_unrefuted)):
+        monkeypatch.setattr(scheduler.CoreLayout, name, method)
     search = scheduler.least_span
-    monkeypatch.setattr(scheduler, "least_span", lambda *query: searches.append(query) or search(*query))
+    monkeypatch.setattr(scheduler, "least_span", lambda *query: census.update(searches=1) or search(*query))
     machine = builtin_haswell()
     for name, kernel in sorted(KERNELS.items()):
         if not any(s.nontemporal for s in kernel.streams):
@@ -919,9 +1053,14 @@ def test_fresh_workload_kernels_build_8_of_their_19_tables_and_run_52_searches(m
                 for extras in FRESH_EXTRAS:
                     core_timing(unrolled(kernel, factor, extras), machine)
     spans, tables = machine._core_layout.spans, machine._core_layout.tables
-    assert (spans.misses, len(spans), len({tuple(map(bool, counts)) for counts, _, _ in spans})) == (152, 152, 19)
-    built = [table for table in tables.values() if table is not None]
-    assert (tables.misses, len(tables), len(built), len(searches)) == (8, 8, 8, 52)
+    census["queries"], census["answers"] = spans.misses, len(spans)
+    census["kind sets"] = len({tuple(map(bool, counts)) for counts, _, _ in spans})
+    census["table misses"], census["tables kept"] = tables.misses, len(tables)
+    census["tables"] = sum(table is not None for table in tables.values())
+    assert dict(census) == {
+        "queries": 152, "answers": 152, "kind sets": 19, "split answers": 100, "first-candidate fills": 28,
+        "refuted candidates": 35, "later fills": 24, "table misses": 0, "tables kept": 0, "tables": 0, "searches": 0,
+    }
 
 
 # the layout of ports 0-7 with the given capabilities at retire width 8,
@@ -1084,8 +1223,8 @@ def test_warm_core_timing_builds_no_units_problems_unions_or_tables(monkeypatch)
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     assert [core_timing(kernel, machine) for kernel in kernels] == expected
     assert calls == Counter()
-    # other counts of the same kind sets are new solves; one that the even
-    # split refuses builds its kind set's table unless an earlier one did
+    # other counts of the same kind sets are new solves; one that no
+    # certificate settles builds its kind set's table unless an earlier one did
     tables = sum(built.values())
     for kernel in kernels:
         core_timing(unrolled(kernel, 3), machine)
