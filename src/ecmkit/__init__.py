@@ -20,9 +20,9 @@ unpickling starts without kept values.
 
 Numbers follow one rule: records and public functions take ints and
 Fractions only, and a float is read nowhere but in `_schema.check`, by its
-decimal repr. Each cell and ceiling is one `Fraction`-operator formula run
-behind the memos; only warm keys, the formatter and `model_error` read
-integer numerators.
+decimal repr. A core cycle count or a whole number read from text is an int;
+every other value, `predict`'s cells too, is a Fraction built behind the
+memos. Only the penalty key, the formatter and `model_error` read numerators.
 """
 
 from .errors import ECMParseError, SchemaError

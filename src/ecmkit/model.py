@@ -6,9 +6,9 @@ and scores predictions against measurements.
 All cycle values are exact rationals; rounding happens only in the formatter
 (one decimal, halves away from zero). Functions and records here take ints
 and Fractions only, and the records refuse anything else on construction;
-only the file reader turns a float into a number. Each computed cell is one
-Fraction-operator formula, a Fraction for int inputs too, run once behind
-the machine's input memo and the records' kept values; warm queries read
+only the file reader turns a float into a number. Core cells and whole
+decimals read from text are ints; every other cell is one Fraction-operator
+formula, run once behind the memos and kept values; warm queries read
 integer numerators only in the penalty key, the formatter and `model_error`.
 """
 
@@ -37,11 +37,11 @@ PENALTY_MEMO_ENTRIES = 16
 
 
 class _InputCells(NamedTuple):
-    t_ol: Fraction
-    t_nol: Fraction
-    t_l1l2: Fraction
-    t_l2l3: Fraction
-    t_l3mem: Fraction
+    t_ol: int | Fraction
+    t_nol: int | Fraction
+    t_l1l2: int | Fraction
+    t_l2l3: int | Fraction
+    t_l3mem: int | Fraction
 
 
 class ECMInput(_InputCells):
@@ -53,7 +53,7 @@ class ECMInput(_InputCells):
     starts without them.
     """
 
-    def cells(self) -> tuple[Fraction, ...]:
+    def cells(self) -> tuple[int | Fraction, ...]:
         """The five cells in shorthand order: the input itself, already that tuple."""
         return self
 
@@ -76,10 +76,10 @@ class ECMInput(_InputCells):
 
 
 class _PredictionCells(NamedTuple):
-    t_core: Fraction
-    t_l2: Fraction
-    t_l3: Fraction
-    t_mem: Fraction
+    t_core: int | Fraction
+    t_l2: int | Fraction
+    t_l3: int | Fraction
+    t_mem: int | Fraction
 
 
 class ECMPrediction(_PredictionCells):
@@ -90,7 +90,7 @@ class ECMPrediction(_PredictionCells):
     `apply_penalty`), on the terms `ECMInput` keeps its values.
     """
 
-    def cells(self) -> tuple[Fraction, ...]:
+    def cells(self) -> tuple[int | Fraction, ...]:
         """The four levels from L1 to memory: the prediction itself, already that tuple."""
         return self
 
@@ -126,7 +126,7 @@ class Measurement:
     and copy rebuild a measurement from a dict of its levels."""
 
     kernel: str
-    levels: Mapping[str, Fraction]
+    levels: Mapping[str, int | Fraction]
 
     def __post_init__(self):
         object.__setattr__(self, "levels", MappingProxyType(dict(self.levels)))
@@ -182,8 +182,8 @@ def ecm_input(kernel: KernelModel, machine: MachineModel, mode: str | None = Non
         prof = traffic(kernel)
         bandwidth = machine.bandwidth(bandwidth_signature(kernel), mode)
         inp = machine._inputs.put(key, ECMInput(
-            t_ol=Fraction(timing.t_ol),
-            t_nol=Fraction(timing.t_nol),
+            t_ol=timing.t_ol,
+            t_nol=timing.t_nol,
             t_l1l2=prof.cls_l1l2 * machine.cycles_per_cl("L1L2"),
             t_l2l3=prof.cls_l2l3 * machine.cycles_per_cl("L2L3"),
             t_l3mem=prof.cls_l3mem * mem_cycles_per_cl(bandwidth, machine.frequency_ghz),
@@ -283,8 +283,8 @@ def parse_ecm(text: str) -> ECMInput | ECMPrediction:
     canonical strings.
 
     A value is read from one full match of one shape, each cell an exact
-    decimal: the input shape if the text holds '||', else the prediction
-    shape, since input text holds '||' and prediction text holds no '|'.
+    decimal (`_decimals`: an int if whole): the input shape if the text holds
+    '||', else the prediction shape, as only input text holds '||'.
     Text that does not match is read again by the token loop of `_reject`
     only to report where it goes wrong.
     """
@@ -296,15 +296,15 @@ def parse_ecm(text: str) -> ECMInput | ECMPrediction:
     return record(*_decimals(match))
 
 
-def _decimals(match: re.Match) -> list[Fraction]:
-    """Exact values of the matched cells, given as (whole, fraction digits)
-    group pairs; a cell too long for int() raises ECMParseError at the cell."""
+def _decimals(match: re.Match) -> list[int | Fraction]:
+    """Exact values of the matched (whole, fraction digits) group pairs, an int
+    if whole; a cell too long for int() raises ECMParseError at the cell."""
     groups = match.groups()
     values = []
     for i in range(0, len(groups), 2):
         whole, frac = groups[i], groups[i + 1]
         try:
-            values.append(Fraction(int(whole)) if frac is None else Fraction(int(whole + frac), 10 ** len(frac)))
+            values.append(int(whole) if frac is None else Fraction(int(whole + frac), 10 ** len(frac)))
         except ValueError:  # more digits than int() converts
             raise ECMParseError("number has too many digits", match.start(i + 1)) from None
     return values
@@ -369,9 +369,9 @@ def model_error(pred: ECMPrediction, measurement: Measurement) -> ModelError:
 def read_measurements(path) -> dict[str, Measurement]:
     """Read a measurement CSV (header kernel,level,cycles_per_cl) into
     Measurement values keyed by kernel name. A cycle count is a plain decimal
-    such as 2 or 17.08, read exactly."""
+    such as 2 or 17.08, read exactly as `_decimals` reads a shorthand cell."""
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    rows: dict[str, dict[str, Fraction]] = {}
+    rows: dict[str, dict[str, int | Fraction]] = {}
     try:
         if next(reader, None) != ["kernel", "level", "cycles_per_cl"]:
             raise SchemaError(f"{path}: header must be 'kernel,level,cycles_per_cl'")

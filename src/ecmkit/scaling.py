@@ -11,7 +11,7 @@ cores occupy. A point is a named tuple.
 A machine remembers the curves `scale` has built (`MachineModel._curves`).
 Every call still runs `ecm_input`, which runs the core timing; the curve is
 then looked up by what it depends on besides the machine: t_ol and t_nol
-(the integer numerators of the input's first two cells), the kernel's
+(the input's first two cells, core_timing's ints), the kernel's
 stream tally, the resolved mode, the element size, the penalty's added
 cycles (model.penalty_cycles, or None), the pinning and the core count. On
 one machine the tally and the mode fix the transfer cells, and with the
@@ -114,7 +114,7 @@ def scale(
 
     inp = ecm_input(kernel, machine, mode)
     added = None if penalty is None else penalty_cycles(kernel, penalty)
-    key = (inp.t_ol.numerator, inp.t_nol.numerator, kernel._tally, mode, kernel.element_bytes, added, pinning, max_cores)
+    key = (inp.t_ol, inp.t_nol, kernel._tally, mode, kernel.element_bytes, added, pinning, max_cores)
     curve = machine._curves.get(key)
     if curve is not None:
         return curve

@@ -321,8 +321,13 @@ decimal_text = st.builds(lambda whole, frac: whole if frac is None else f"{whole
 @settings(max_examples=100, deadline=None)
 @given(decimal_text, decimal_text, decimal_text, decimal_text)
 def test_parse_reads_decimals_as_fraction_does(a, b, c, d):
+    """Each cell equals and hashes like Fraction's reading of its text, and is
+    an int exactly when the text has no fraction digits."""
     value = parse_ecm(f"{{{a} \\ {b} \\ {c} \\ {d}}}")
     assert value.cells() == tuple(decimal_fraction(text) for text in (a, b, c, d))
+    for cell, text in zip(value.cells(), (a, b, c, d)):
+        assert type(cell) is (Fraction if "." in text else int)
+        assert hash(cell) == hash(decimal_fraction(text))
 
 
 @settings(max_examples=200, deadline=None)
@@ -490,6 +495,21 @@ def test_read_measurements_roundtrip(tmp_path):
     path.write_text("kernel,level,cycles_per_cl\nddot,L1,2.1\nddot,MEM,19.4\n")
     result = read_measurements(path)
     assert result["ddot"].levels == {"L1": Fraction("2.1"), "MEM": Fraction("19.4")}
+
+
+def test_read_measurements_reads_a_whole_count_as_an_int(tmp_path):
+    """The reader shares the shorthand's cell rule: 2 is an int, 2.0 and 19.4
+    Fractions; each measurement still pickles, copies and scores alike."""
+    path = tmp_path / "meas.csv"
+    path.write_text("kernel,level,cycles_per_cl\nddot,L1,2\nddot,L2,2.0\nddot,MEM,19.4\n")
+    measurement = read_measurements(path)["ddot"]
+    assert [type(v) for v in measurement.levels.values()] == [int, Fraction, Fraction]
+    assert measurement.levels == {"L1": 2, "L2": 2, "MEM": Fraction("19.4")}
+    for twin in (pickle.loads(pickle.dumps(measurement)), copy.deepcopy(measurement)):
+        assert twin == measurement and [type(v) for v in twin.levels.values()] == [int, Fraction, Fraction]
+    pred = ECMPrediction(Fraction(2), Fraction(4), Fraction(8), Fraction(39, 2))
+    fractions = Measurement("ddot", {name: Fraction(v) for name, v in measurement.levels.items()})
+    assert model_error(pred, measurement) == model_error(pred, fractions)
 
 
 def test_read_measurements_rejects_duplicates(tmp_path):

@@ -414,6 +414,30 @@ def test_warm_sweep_queries_run_no_python_init():
     assert dict(inits) == {}
 
 
+def test_warm_sweep_queries_build_a_fraction_only_per_decimal_cell():
+    """A work count: after one pass of the 80 sweep-style queries, a second
+    pass that also parses each query's three shorthand texts calls
+    Fraction.__new__ once per cell with fraction digits and never else. The
+    memos and kept values hold every computed cell, and parse_ecm reads a
+    whole cell as an int. Each text has one such cell, the memory cell: 240
+    calls of 1 040 cells (one call per cell when whole cells were Fractions)."""
+    machine = replace(HASWELL)
+    queries = sweep_queries()
+
+    def run():
+        answers = sweep_answers(machine, queries)
+        return answers, [parse_ecm(text) for answer in answers for text in answer[4:]]
+
+    expected = run()
+    texts = [text for answer in expected[0] for text in answer[4:]]
+    cells = sum(len(value) for value in expected[1])
+    decimal_cells = sum(text.count(".") for text in texts)
+    assert (len(texts), cells, decimal_cells) == (240, 1040, 240)
+    got, calls = calls_by_code({Fraction.__new__.__code__: "Fraction"}, run)
+    assert got == expected
+    assert calls == Counter(Fraction=decimal_cells)
+
+
 # ---------------------------------------------------------------------------
 # the per-machine curve memo
 
