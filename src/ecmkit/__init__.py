@@ -19,10 +19,13 @@ cycles) do: each subclasses the named tuple of its fields to get an instance
 unpickling starts without kept values.
 
 Numbers follow one rule: records and public functions take ints and
-Fractions only, and a float is read nowhere but in `_schema.check`, by its
-decimal repr. A core cycle count or a whole number read from text is an int;
-every other value, `predict`'s cells too, is a Fraction built behind the
-memos. Only the penalty key, the formatter and `model_error` read numerators.
+Fractions only, and a float is read nowhere but in the file reader, by its
+decimal repr. A whole value stays an int: a core cycle count, the cycles per
+line of a boundary whose width divides the line, a whole number read from
+text, whole penalty cycles, and any sum of ints in `predict`'s cells. Every
+other value is a Fraction built behind the memos. `ECMInput` and
+`ECMPrediction` check their cells on first use, not on construction. Only
+the penalty key, the formatter and `model_error` read numerators.
 """
 
 from .errors import ECMParseError, SchemaError

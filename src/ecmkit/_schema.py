@@ -9,10 +9,16 @@ says what each key holds, lists included (see `check`). A file that cannot
 be opened raises OSError. The CLI maps both to one `error:` line and exit
 code 2. Nothing is coerced: a number becomes a Fraction only by its exact
 decimal reading, and this is the one place a float is read at all.
+
+A loader first reads an object by the function `reader` generates from the
+spec, which runs every test of `fields` inline and forms no message; where
+that reader declines, `fields` and `build` read the object again, only to
+raise the error, so `fields` stays the one place a message is formed.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import reprlib
 from fractions import Fraction
@@ -27,7 +33,7 @@ _ABSENT = object()
 
 def read_text(path) -> str:
     """The file's UTF-8 text, newlines untranslated."""
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=0) as fh:  # one raw read: no buffer object, no isatty probe
         data = fh.read()
     try:
         return data.decode("utf-8")
@@ -118,3 +124,71 @@ def build(cls, context: str, *args, **kwargs):
         return cls(*args, **kwargs)
     except SchemaError as exc:
         raise SchemaError(f"{context}: {exc}") from None
+
+
+def reader(cls, spec: dict):
+    """A function that reads an object by `spec` into `cls(*values)` as
+    `build(cls, context, *fields(obj, context, spec))` does, or returns None
+    where that would raise SchemaError; `cls` may return None to decline too.
+
+    It is generated as Python source, as `dataclasses` generates `__init__`:
+    every key, type and default test of `fields` and `check`, those of list
+    entries too, runs inline in the order `fields` runs it, the records are
+    built by direct calls and no context is formed. The source is built from
+    the package's own specs, never from file contents."""
+    lines, names = [], {"Fraction": Fraction, "isfinite": isfinite, "SchemaError": SchemaError, "_ABSENT": _ABSENT}
+
+    def bind(value) -> str:
+        """A global of the reader that holds `value`."""
+        names[f"_g{len(names)}"] = value
+        return f"_g{len(names) - 1}"
+
+    count = itertools.count()
+
+    def local() -> str:
+        return f"v{next(count)}"
+
+    def value(var: str, kind, pad: str) -> None:
+        """Lines that test `var` against `kind` and leave its read value in `var`."""
+        if kind is object:
+            return
+        if type(kind) is list:
+            entries, entry = local(), local()
+            lines.extend((f"{pad}if type({var}) is not list: return None", f"{pad}{entries} = []",
+                          f"{pad}for {entry} in {var}:"))
+            if len(kind) == 1:
+                value(entry, kind[0], pad + "    ")
+            else:
+                entry = record(entry, kind[0], kind[1], pad + "    ")
+            lines.extend((f"{pad}    {entries}.append({entry})", f"{pad}{var} = tuple({entries})"))
+        elif kind is Fraction:
+            lines.extend((f"{pad}if type({var}) is not Fraction:",
+                          f"{pad}    if type({var}) is not int and not (type({var}) is float and isfinite({var})): return None",
+                          f"{pad}    {var} = Fraction(str({var}))"))
+        else:
+            lines.append(f"{pad}if type({var}) is not {bind(kind)}: return None")
+
+    def record(obj: str, cls, spec: dict, pad: str) -> str:
+        """Lines that read the object `obj` by `spec`; the expression building `cls`."""
+        lines.append(f"{pad}if type({obj}) is not dict or not {obj}.keys() <= {bind(spec.keys())}: return None")
+        args = []
+        for key, kind in spec.items():
+            args.append(var := local())
+            kind, default = kind if type(kind) is tuple else (kind, _ABSENT)
+            tested = pad
+            if default is _ABSENT:  # a missing key raises KeyError
+                lines.append(f"{pad}{var} = {obj}[{key!r}]")
+            elif kind is object or type(default) is kind:  # the default passes the test as it is
+                lines.append(f"{pad}{var} = {obj}.get({key!r}, {bind(default)})")
+            else:
+                lines.extend((f"{pad}{var} = {obj}.get({key!r}, _ABSENT)",
+                              f"{pad}if {var} is _ABSENT: {var} = {bind(default)}", f"{pad}else:"))
+                tested = pad + "    "
+            value(var, kind, tested)
+        return f"{bind(cls)}({', '.join(args)})"
+
+    built = record("obj", cls, spec, "        ")
+    source = "\n".join(("def read(obj):", "    try:", *lines, f"        return {built}",
+                        "    except (KeyError, SchemaError):", "        return None", ""))
+    exec(source, names)  # the source holds only the spec's keys and the names bound above
+    return names["read"]

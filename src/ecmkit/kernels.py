@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
-from ._schema import build, fields, read_json, require_bool, require_number
+from ._schema import build, fields, read_json, reader, require_bool, require_number
 from .errors import SchemaError
 from .machine import CACHE_LINE_BYTES
 
@@ -276,8 +276,16 @@ _KERNEL = {"name": str, "streams": [Stream, _STREAM], "element_bytes": int, "uop
            "flops_per_iteration": (int, 0)}  # in KernelModel's field order
 
 
+@cache
+def _kernel_reader():
+    """The reader `_schema.reader` generates from _KERNEL, once per process."""
+    return reader(KernelModel, _KERNEL)
+
+
 def kernel_from_dict(data: dict, context: str = "kernel") -> KernelModel:
-    return build(KernelModel, context, *fields(data, context, _KERNEL))
+    """Build and validate a KernelModel from a parsed kernel file: by the
+    generated reader, or, where it declines, by `fields`, which raises the error."""
+    return _kernel_reader()(data) or build(KernelModel, context, *fields(data, context, _KERNEL))
 
 
 def load_kernel(path) -> KernelModel:

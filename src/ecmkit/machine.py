@@ -6,7 +6,9 @@ a MemoryModel holds a read-only copy of the bandwidth table it is given, and
 a MachineModel tuple copies of its ports and boundaries.
 A MachineModel memoizes three things on use: its core layout, its model
 inputs (model.ecm_input) and its scaling curves (scaling.scale); the cycles
-per line and bandwidths behind them are Fraction formulas run on a miss. The
+per line (an int when the boundary's width divides the line, see `quotient`)
+and the bandwidths behind them are computed on a miss. A machine file is
+read by the readers `_schema.reader` generates from its specs. The
 memos key on what a query adds to the machine and never on the machine
 itself, which is sound because the machine cannot change. Each is a `Memo`,
 which states its bound and how concurrent queries fare.
@@ -18,10 +20,10 @@ import reprlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from types import MappingProxyType
 
-from ._schema import build, fields, read_json, require_bool, require_number, require_positive
+from ._schema import build, fields, read_json, reader, require_bool, require_number, require_positive
 from .errors import SchemaError
 
 CACHE_LINE_BYTES = 64
@@ -52,6 +54,12 @@ Signature = tuple[int, int, int]
 MEMO_ENTRIES = 1024
 # the points a machine's curve memo may hold; a curve has one per core
 CURVE_MEMO_POINTS = 16384
+
+
+def quotient(n: int, d: int) -> int | Fraction:
+    """n / d exactly, for ints with d > 0: an int when d divides n, else a Fraction."""
+    whole, rest = divmod(n, d)
+    return Fraction(n, d) if rest else whole
 
 
 class Memo(dict):
@@ -195,9 +203,11 @@ class MachineModel:
         if sorted(names) != sorted(BOUNDARY_NAMES):
             raise SchemaError(f"boundaries must contain exactly one of each of {BOUNDARY_NAMES}")
 
-    def cycles_per_cl(self, boundary_name: str) -> Fraction:
+    def cycles_per_cl(self, boundary_name: str) -> int | Fraction:
+        """Cycles to move one cache line over the boundary: an int when its
+        width divides the line, as Haswell's 64 and 32 B/cycle do."""
         widths = {b.name: b.bytes_per_cycle for b in self.boundaries}
-        return Fraction(CACHE_LINE_BYTES, widths[boundary_name])
+        return quotient(CACHE_LINE_BYTES, widths[boundary_name])
 
     def ports_with(self, capability: str) -> frozenset[int]:
         return frozenset(p.id for p in self.ports if capability in p.capabilities)
@@ -312,8 +322,36 @@ _MACHINE = {"name": str, "frequency_ghz": Fraction, "retire_width": int, "store_
             "ports": [PortSpec, _PORT], "boundaries": [CacheBoundary, _BOUNDARY], "memory": dict, "numa": dict}
 
 
+def _machine(*values) -> MachineModel | None:
+    """The machine of a file's values in _MACHINE's order, its memory and NUMA
+    objects read by their generated readers; None if either declines."""
+    *head, memory, numa = values
+    _, read_memory, read_numa = _readers()
+    memory, numa = read_memory(memory), read_numa(numa)
+    return None if memory is None or numa is None else MachineModel(*head, memory, numa)
+
+
+def _memory(default_gbs: Fraction, rows: tuple, derating: Fraction) -> MemoryModel | None:
+    """The memory model of a file's memory values; None if a signature repeats."""
+    table = dict(rows)
+    return MemoryModel(default_gbs, table, derating) if len(table) == len(rows) else None
+
+
+@cache
+def _readers():
+    """The readers `_schema.reader` generates for a machine file and its
+    memory and NUMA objects, once per process."""
+    return reader(_machine, _MACHINE), reader(_memory, _MEMORY), reader(NumaConfig, _NUMA)
+
+
 def machine_from_dict(data: dict, context: str = "machine") -> MachineModel:
-    """Build and validate a MachineModel from a parsed machine file."""
+    """Build and validate a MachineModel from a parsed machine file: by the
+    generated readers, or, where one declines, by `fields`, which raises the error."""
+    return _readers()[0](data) or _machine_by_fields(data, context)
+
+
+def _machine_by_fields(data: dict, context: str) -> MachineModel:
+    """machine_from_dict by `fields` and `build`, which form every message."""
     *head, memory, numa = fields(data, context, _MACHINE)  # name to boundaries, in MachineModel's field order
     default_gbs, rows, derating = fields(memory, f"{context}: memory", _MEMORY)
     table: dict[Signature, Fraction] = {}

@@ -5,11 +5,15 @@ and scores predictions against measurements.
 
 All cycle values are exact rationals; rounding happens only in the formatter
 (one decimal, halves away from zero). Functions and records here take ints
-and Fractions only, and the records refuse anything else on construction;
-only the file reader turns a float into a number. Core cells and whole
-decimals read from text are ints; every other cell is one Fraction-operator
-formula, run once behind the memos and kept values; warm queries read
-integer numerators only in the penalty key, the formatter and `model_error`.
+and Fractions only. `Measurement` and `PenaltyConfig` refuse anything else
+on construction; `ECMInput` and `ECMPrediction`, which `parse_ecm` and the
+memos build, refuse it with a TypeError on first use (`_check_cells`). Only
+the file reader turns a float into a number. A cell is an int when it is
+whole by construction: core cells, whole decimals read from text, whole
+cycles per line and penalty cycles (`machine.quotient`), and sums of those.
+Every other cell is a Fraction, run once behind the memos and kept values;
+warm queries read integer numerators only in the penalty key, the formatter
+and `model_error`.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+import reprlib
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,13 +32,24 @@ from typing import NamedTuple, NoReturn
 from ._schema import read_text, require_number, require_positive
 from .errors import ECMParseError, SchemaError
 from .kernels import KernelModel, bandwidth_signature, load_streams_with_rfo
-from .machine import CACHE_LINE_BYTES, MachineModel, Memo
+from .machine import CACHE_LINE_BYTES, MachineModel, Memo, quotient
 from .scheduler import core_timing
 from .traffic import traffic
 
 LEVELS = ("L1", "L2", "L3", "MEM")
 # the penalized predictions a prediction may keep
 PENALTY_MEMO_ENTRIES = 16
+# the types a record's cells may have
+_EXACT = frozenset((int, Fraction))
+
+
+def _check_cells(record: ECMInput | ECMPrediction) -> None:
+    """Raise TypeError naming the record and its first cell that is not an
+    int or a Fraction (a bool is neither): a record checks its cells on first
+    use, not on construction, so parse_ecm and the memos build it unchecked."""
+    if not set(map(type, record)) <= _EXACT:
+        field, cell = next((f, c) for f, c in zip(record._fields, record) if type(c) not in _EXACT)
+        raise TypeError(f"{type(record).__name__}: {field} must be an int or a Fraction, got {reprlib.repr(cell)}")
 
 
 class _InputCells(NamedTuple):
@@ -63,14 +79,17 @@ class ECMInput(_InputCells):
 
     @cached_property
     def _prediction(self) -> ECMPrediction:
-        """The per-level prediction, see `predict`: Fractions, for int cells too."""
-        ol, nol, l1l2, l2l3, l3mem = map(Fraction, self)
+        """The per-level prediction, see `predict`: a cell is an int when the
+        term `max` picks is a sum of ints, else a Fraction."""
+        _check_cells(self)
+        ol, nol, l1l2, l2l3, l3mem = self
         to_l2 = nol + l1l2
         to_l3 = to_l2 + l2l3
         return ECMPrediction(max(ol, nol), max(ol, to_l2), max(ol, to_l3), max(ol, to_l3 + l3mem))
 
     @cached_property
     def _shorthand(self) -> str:
+        _check_cells(self)
         ol, nol, l1l2, l2l3, l3mem = (format_cycles(c) for c in self)
         return f"{{{ol} || {nol} | {l1l2} | {l2l3} | {l3mem}}}"
 
@@ -98,6 +117,7 @@ class ECMPrediction(_PredictionCells):
 
     @cached_property
     def _shorthand(self) -> str:
+        _check_cells(self)
         cells = " \\ ".join(format_cycles(c) for c in self)
         return f"{{{cells}}}"
 
@@ -109,9 +129,10 @@ class ECMPrediction(_PredictionCells):
 
     def _penalize(self, extra: int, d: int) -> ECMPrediction:
         """The prediction with extra / d cycles added at L3 and twice that at
-        memory; ValueError if the cells then decrease."""
+        memory, an int if d divides it; ValueError if the cells then decrease."""
+        _check_cells(self)
         core, l2, l3, mem = self
-        l3, mem = l3 + Fraction(extra, d), mem + Fraction(2 * extra, d)
+        l3, mem = l3 + quotient(extra, d), mem + quotient(2 * extra, d)
         if not core <= l2 <= l3 <= mem:
             cells = ", ".join(str(c) for c in (core, l2, l3, mem))
             raise ValueError(f"penalized prediction cells must not decrease from L1 to memory, got {cells}")

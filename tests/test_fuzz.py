@@ -20,6 +20,10 @@ and derating from the least subnormal float to 1.7e308, and NUMA shapes up
 to the core cap. Each of those machines loads and reaches the model, and
 `test_redrawn_machine_file` requires a floor of examples that load, that
 take the default bandwidth and that end in a number too large for a float.
+
+The readers generated from the file specs (`_schema.reader`) must read every
+such dict, and every place of the seed files set to a value of each JSON
+type, as `fields` and the records read it: the same record, or a refusal.
 """
 
 import contextlib
@@ -35,9 +39,12 @@ from hypothesis import strategies as st
 
 from ecmkit import SchemaError, builtin_haswell, builtin_kernels, load_kernel, load_machine, read_measurements
 from ecmkit import serialize_machine
+from ecmkit._schema import build, fields
 from ecmkit.cli import run
-from ecmkit.machine import MAX_CORES, PORT_CAPABILITIES, MemoryModel
+from ecmkit.kernels import _KERNEL, ADDRESSING_MODES, UOP_CLASSES, KernelModel, _kernel_reader
+from ecmkit.machine import MAX_CORES, PORT_CAPABILITIES, MemoryModel, _machine_by_fields, _readers
 
+from oracles import _places, _with
 from test_cli import NON_FINITE, kernel_dict
 
 MACHINE_SEED = serialize_machine(builtin_haswell())
@@ -109,14 +116,19 @@ def mutate(tree, data):
     return data.draw(SWAPS)
 
 
+def json_text(tree) -> str:
+    """`tree` as JSON text, each LITERALS name swapped for its literal."""
+    text = json.dumps(tree)
+    for name, literal in LITERALS.items():
+        text = text.replace(json.dumps(name), literal)
+    return text
+
+
 def mutated_json(seed, data) -> bytes:
     tree = seed
     for _ in range(data.draw(st.integers(1, 3))):
         tree = mutate(tree, data)
-    text = json.dumps(tree)
-    for name, literal in LITERALS.items():
-        text = text.replace(json.dumps(name), literal)
-    return not_utf8(text.encode(), data)
+    return not_utf8(json_text(tree).encode(), data)
 
 
 def mutated_csv(data) -> bytes:
@@ -268,3 +280,98 @@ def test_mutated_measurement_file(work, data):
     path.write_bytes(mutated_csv(data))
     loads_or_schema_error(read_measurements, path)
     runs_within_contract(["compare", "--measurements", str(path)])
+
+
+# a kernel file's values: mostly accepted ones, and near misses that a type
+# test or a record refuses
+STREAM_ENTRIES = st.one_of(
+    st.fixed_dictionaries({"array": st.sampled_from("ABCD"), "access": st.sampled_from(["read", "readwrite"])}),
+    st.fixed_dictionaries({"array": st.sampled_from("EFG"), "access": st.just("write")},
+                          optional={"nontemporal": st.booleans()}),
+    st.fixed_dictionaries({"array": st.sampled_from("AE"), "access": st.sampled_from(["read", "write", "Read", 1])},
+                          optional={"nontemporal": st.sampled_from([True, 0, "false"])}),
+)
+UOP_ENTRIES = st.one_of(
+    st.fixed_dictionaries({"count": st.integers(1, 64), "class": st.sampled_from(["load", "store"]),
+                           "addressing": st.sampled_from(ADDRESSING_MODES)}),
+    st.fixed_dictionaries({"count": st.integers(1, 64), "class": st.sampled_from(["fma", "add", "mul", "lea"])}),
+    st.fixed_dictionaries({"count": st.sampled_from([0, -1, 10_001, True, 2.0]), "class": st.sampled_from([*UOP_CLASSES, "div"])},
+                          optional={"addressing": st.sampled_from([*ADDRESSING_MODES, None, "x"])}),
+)
+GENERATED_KERNELS = st.fixed_dictionaries(
+    {"name": st.sampled_from(["k", "", "ké"]), "streams": st.lists(STREAM_ENTRIES, max_size=4),
+     "element_bytes": st.sampled_from([8, 4, 64, 1, 3, 0]), "uops": st.lists(UOP_ENTRIES, max_size=5)},
+    optional={"flops_per_iteration": st.sampled_from([0, 2, -1])},
+)
+READER_SOURCES = ["machine seed", "redrawn machine", "kernel seed", "built-in kernel", "generated kernel"]
+# the machine seeds, and the built-in machine with no bandwidth table key,
+# whose default the reader takes as given, not as a list it reads
+READER_MACHINES = [*MACHINE_SEEDS, {**MACHINE_SEED, "memory": {"default_bandwidth_gbs": 27.1}}]
+# values for every place of a seed file: one of each JSON type, unhashable ones too
+PLACE_VALUES = [None, True, 0, 1.5, float("nan"), "x", [], {}, ["x"], {"k": 1}]
+
+
+def reads_as_fields(tree, machine: bool) -> bool:
+    """Whether `tree` loads, once the generated reader has returned a record
+    equal in == and repr to the one `fields` and `build` read, or declined
+    exactly where they or a record raise SchemaError."""
+    generated = (_readers()[0] if machine else _kernel_reader())(tree)
+    try:
+        expected = _machine_by_fields(tree, "machine") if machine else build(KernelModel, "kernel", *fields(tree, "kernel", _KERNEL))
+    except SchemaError:
+        expected = None
+    assert (generated is None) == (expected is None), tree
+    assert generated == expected and repr(generated) == repr(expected)
+    return generated is not None
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def reader_examples(outcomes, data):
+    """Each example draws a machine or kernel dict and mutates it 1-3 times.
+    The dict and each mutation, read back from its JSON text, must read as
+    `fields` reads it (`reads_as_fields`), so that a valid file never takes
+    the slow path; `outcomes` counts (source, loads) pairs."""
+    source = data.draw(st.sampled_from(READER_SOURCES))
+    if source == "machine seed":
+        tree = data.draw(st.sampled_from(READER_MACHINES))
+    elif source == "redrawn machine":
+        tree = redrawn_machine(data.draw(st.sampled_from(MACHINE_SEEDS)), data)
+    elif source == "built-in kernel":
+        tree = kernel_dict(data.draw(st.sampled_from(sorted(builtin_kernels().values(), key=repr))))
+    else:
+        tree = KERNEL_SEED if source == "kernel seed" else data.draw(GENERATED_KERNELS)
+    trees = [tree]
+    for _ in range(data.draw(st.integers(1, 3))):
+        trees.append(mutate(trees[-1], data))
+    for tree in trees:
+        try:
+            tree = json.loads(json_text(tree))
+        except (ValueError, RecursionError):  # no JSON value: the loader stops before either reader
+            outcomes[source, "not JSON"] += 1
+            continue
+        outcomes[source, reads_as_fields(tree, "machine" in source)] += 1
+
+
+def test_the_generated_readers_read_as_fields_does():
+    """The reader equivalence holds over valid files, the fuzz tests'
+    mutations and generated values, and each source reaches both outcomes."""
+    outcomes = Counter()
+    reader_examples(outcomes)
+    # the draw gives 16 to 130 of each; a floor allows for a redraw, not for a collapse
+    assert min(outcomes[source, loads] for source in READER_SOURCES for loads in (True, False)) >= 10, outcomes
+
+
+def test_the_generated_readers_read_as_fields_does_at_every_place_of_a_seed():
+    """The same equivalence, with each place of each seed file and built-in
+    kernel set in turn to each of PLACE_VALUES, and with each key dropped."""
+    seeds = [(tree, True) for tree in READER_MACHINES]
+    seeds += [(kernel_dict(kernel), False) for kernel in builtin_kernels().values()]
+    loads = Counter()
+    for seed, machine in seeds:
+        for path, value in _places(seed):
+            variants = [_with(seed, path, other) for other in PLACE_VALUES]
+            variants += [_with(seed, (*path, key), delete=True) for key in value] if type(value) is dict else []
+            for variant in variants:
+                loads[reads_as_fields(variant, machine)] += 1
+    assert loads[True] >= 100 and loads[False] >= 1000, loads  # 157 and 4 901 of 5 058 variants

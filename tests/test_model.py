@@ -119,16 +119,66 @@ transfer = st.one_of(st.just(0), st.just(Fraction(0)), cell)
 overlapping = st.one_of(cell, st.integers(10**7, 10**8), st.just(0))
 
 
-def all_fractions(values) -> bool:
-    return all(type(v) is Fraction for v in values)
+def predicted_types(ol, nol, l1l2, l2l3, l3mem) -> list[type]:
+    """The type of each predicted cell: an int exactly when the term `max`
+    picks, t_ol if it is at least the sum and else the sum, was summed from
+    ints only; a Fraction otherwise."""
+    types, terms = [], [nol]
+    for transfer in ((), (l1l2,), (l2l3,), (l3mem,)):
+        terms += transfer
+        picked = [ol] if ol >= sum(terms) else terms
+        types.append(int if all(type(term) is int for term in picked) else Fraction)
+    return types
+
+
+def penalized_types(cells, load_streams: int, cycles_per_stream) -> list[type]:
+    """The type of each penalized cell: L1 and L2 keep theirs; L3 and memory,
+    which gain the cycles once and twice, are ints exactly when the cell is
+    an int and the cycles it gains are whole."""
+    per_level = load_streams * Fraction(cycles_per_stream)
+    core, l2, l3, mem = (type(c) for c in cells)
+    return [core, l2, *(int if t is int and (times * per_level).denominator == 1 else Fraction
+                        for t, times in ((l3, 1), (mem, 2)))]
+
+
+def exactly_like(got, expected, types) -> bool:
+    """`got` equals and hashes like the oracle's cells, with the given types."""
+    return (tuple(got) == tuple(expected) and [hash(c) for c in got] == [hash(c) for c in expected]
+            and [type(c) for c in got] == list(types))
 
 
 @settings(max_examples=100, deadline=None)
 @given(overlapping, cell, transfer, transfer, transfer)
 def test_predict_equals_the_fraction_operator_oracle(ol, nol, l1l2, l2l3, l3mem):
     pred = predict(ECMInput(ol, nol, l1l2, l2l3, l3mem))
-    assert pred.cells() == fraction_predict(ol, nol, l1l2, l2l3, l3mem)
-    assert all_fractions(pred.cells())
+    expected = fraction_predict(ol, nol, l1l2, l2l3, l3mem)
+    assert exactly_like(pred.cells(), expected, predicted_types(ol, nol, l1l2, l2l3, l3mem))
+
+
+inexact = st.one_of(st.floats(allow_nan=False), st.booleans(), st.text(max_size=3), st.none())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(cell, min_size=5, max_size=5), st.integers(0, 4), inexact)
+def test_records_refuse_an_inexact_cell_at_first_use(cells, at, bad):
+    """A float, bool, str or None cell is built unchecked, so parse_ecm and
+    the memos build records at no extra cost, and refused at first use: the
+    prediction, each shorthand and the penalty raise one TypeError naming
+    the record and the field, never an AttributeError or a quiet Fraction."""
+    kernel = streams_kernel([("read", False)])
+    for record, queries in (
+        (ECMInput, (predict, format_ecm)),
+        (ECMPrediction, (format_ecm, lambda pred: apply_penalty(pred, kernel))),
+    ):
+        fields = list(cells[:len(record._fields)])
+        fields[at % len(fields)] = bad
+        value = record(*fields)
+        field = record._fields[at % len(fields)]
+        for query in queries:
+            for _ in range(2):  # a refusal is kept nowhere
+                with pytest.raises(TypeError, match=rf"^{record.__name__}: {field} must be an int or a Fraction, got "):
+                    query(value)
+        assert vars(value) in ({}, {"_penalized": {}})
 
 
 stream_kinds = st.sampled_from((("read", False), ("readwrite", False), ("write", False), ("write", True)))
@@ -162,8 +212,7 @@ def test_apply_penalty_equals_the_fraction_operator_oracle(ol, nol, l1l2, l2l3, 
         assert str(raised.value) == str(exc)
         return
     adjusted = apply_penalty(pred, kernel, config)
-    assert adjusted.cells() == expected
-    assert all_fractions(adjusted.cells())
+    assert exactly_like(adjusted.cells(), expected, penalized_types(pred.cells(), loading, cycles))
 
 
 positive = st.one_of(st.integers(1, 10**4), st.builds(Fraction, st.integers(1, 10**7), st.integers(1, 10**6)))
@@ -658,7 +707,7 @@ def answers(record, penalties) -> list:
     for _ in range(2):
         if isinstance(record, ECMInput):
             pred = predict(record)
-            assert all_fractions(pred)
+            assert exactly_like(pred, fraction_predict(*record), predicted_types(*record))
             got.append((pred, format_ecm(record), format_ecm(pred)))
         else:
             pred = record

@@ -1,9 +1,11 @@
 import copy
 import gc
 import io
+import json
 import pickle
 import random
 import sys
+import warnings
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -33,14 +35,17 @@ from ecmkit import (
     single_core_performance,
     traffic,
 )
+from ecmkit import _schema
 from ecmkit.cli import run
-from ecmkit.kernels import KernelModel, Stream, UopGroup
+from ecmkit.kernels import KernelModel, Stream, UopGroup, load_kernel
 from ecmkit.machine import CURVE_MEMO_POINTS, MEMO_ENTRIES, CacheBoundary, MachineModel, MemoryModel, NumaConfig
 from ecmkit.model import PenaltyConfig, apply_penalty
 from ecmkit.scaling import PINNING_POLICIES, PerformancePoint, ScalingCurve
 from ecmkit.traffic import TrafficProfile
 
 from oracles import capped_linear_points, fraction_mem_cycles_per_cl, fraction_single_core_performance, saturation_of
+from test_cli import kernel_dict
+from test_scheduler import FRESH_EXTRAS, unrolled
 
 HASWELL = builtin_haswell()
 KERNELS = builtin_kernels()
@@ -436,6 +441,76 @@ def test_warm_sweep_queries_build_a_fraction_only_per_decimal_cell():
     got, calls = calls_by_code({Fraction.__new__.__code__: "Fraction"}, run)
     assert got == expected
     assert calls == Counter(Fraction=decimal_cells)
+
+
+# ---------------------------------------------------------------------------
+# cold kernel queries: a new kernel file each
+
+
+def fresh_kernel_files(directory) -> dict:
+    """The kernels of the fresh benchmark workload, the built-ins without
+    non-temporal stores unrolled x{1,2,4,8} with each of FRESH_EXTRAS, written
+    as kernel files into `directory`: {path: kernel}."""
+    files = {}
+    for name, kernel in sorted(KERNELS.items()):
+        if not any(s.nontemporal for s in kernel.streams):
+            for factor in (1, 2, 4, 8):
+                for extras in FRESH_EXTRAS:
+                    fresh = replace(unrolled(kernel, factor, extras), name=f"{name}_x{factor}_{'_'.join(extras)}")
+                    path = directory / f"{fresh.name}.json"
+                    path.write_text(json.dumps(kernel_dict(fresh)))
+                    files[path] = fresh
+    assert len(files) == 160
+    return files
+
+
+def test_loading_fresh_kernel_files_forms_no_loader_message(tmp_path):
+    """A work count: loading the 160 fresh kernel files runs the reader
+    generated from the kernel spec only, so `_schema.fields`, `check` and
+    `build`, which form the loader messages, run 0 times (1 080, 320 and
+    1 080 times when `fields` read every file)."""
+    files = fresh_kernel_files(tmp_path)
+    counted = {getattr(_schema, name).__code__: name for name in ("fields", "check", "build")}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        loaded, calls = calls_by_code(counted, lambda: [load_kernel(path) for path in files])
+    assert loaded == list(files.values())
+    assert calls == Counter()
+
+
+# Fraction.__new__ calls of one cold pass over the fresh kernel files; 1 400
+# when every prediction cell and cycles per line was a Fraction
+COLD_PASS_FRACTIONS = 418
+
+
+def test_a_cold_pass_over_fresh_kernel_files_builds_few_fractions(tmp_path):
+    """A work count: on a new machine, loading each of the 160 fresh kernel
+    files, then its input, prediction, penalized prediction and their three
+    shorthands calls Fraction.__new__ at most COLD_PASS_FRACTIONS times.
+    Whole cycles per line, core cycles and penalty cycles stay ints, so the
+    Fractions are the memory cells and the sums that take one in."""
+    files = fresh_kernel_files(tmp_path)
+    machine, penalty = replace(HASWELL), PenaltyConfig()
+
+    def cold_pass():
+        answers = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for path in files:
+                kernel = load_kernel(path)
+                inp = ecm_input(kernel, machine)
+                pred = predict(inp)
+                adjusted = apply_penalty(pred, kernel, penalty)
+                answers.append((format_ecm(inp), format_ecm(pred), format_ecm(adjusted)))
+        return answers
+
+    expected = [
+        (format_ecm(inp), format_ecm(predict(inp)), format_ecm(apply_penalty(predict(inp), kernel, penalty)))
+        for kernel in files.values() for inp in [ecm_input(kernel, HASWELL)]
+    ]
+    got, calls = calls_by_code({Fraction.__new__.__code__: "Fraction"}, cold_pass)
+    assert got == expected
+    assert calls["Fraction"] <= COLD_PASS_FRACTIONS
 
 
 # ---------------------------------------------------------------------------
