@@ -3,22 +3,19 @@ measurement CSV, whose rows `model.read_measurements` checks.
 
 A loader returns a checked value or raises SchemaError with a one-line
 message that starts with the file's path: a fault found here names the
-field, one a dataclass invariant finds (through `build`) names the object
-and the field, and a list entry is named by its place, as `ports[2]`. A spec
-says what each key holds, lists included (see `check`). A file that cannot
-be opened raises OSError. The CLI maps both to one `error:` line and exit
-code 2. Nothing is coerced: a number becomes a Fraction only by its exact
-decimal reading, and this is the one place a float is read at all.
-
-A loader first reads an object by the function `reader` generates from the
-spec, which runs every test of `fields` inline and forms no message; where
-that reader declines, `fields` and `build` read the object again, only to
-raise the error, so `fields` stays the one place a message is formed.
+field, one a dataclass invariant finds names the object and the field, and
+a list entry is named by its place, as `ports[2]`. A spec says what each key
+holds, lists included (see `check`), and `fields` reads each object of a
+file once. A valid file forms no message: a fault raises one that names its
+place below the object, and each enclosing key, list entry and record puts
+its part in front as the error passes up, the loader the path last. A file
+that cannot be opened raises OSError. The CLI maps both to one `error:` line
+and exit code 2. Nothing is coerced: a number becomes a Fraction only by its
+exact decimal reading, and this is the one place a float is read at all.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import reprlib
 from fractions import Fraction
@@ -51,23 +48,31 @@ def read_json(path):
         raise SchemaError(f"{path}: not valid JSON: {exc}") from None
 
 
-def check(value, kind, context: str):
+def check(value, kind):
     """`value` if of `kind` (a bool is no int); for Fraction, an int or finite
     float by its decimal repr; for object, any value, for its dataclass to
     check. `[item]` reads a list of `item`s and `[cls, spec]` a list of objects,
-    each built into `cls` from its `fields`, as a tuple; entry i is `{context}[{i}]`."""
+    each read by `fields(entry, spec, cls)`, as a tuple; a fault in entry i is
+    raised with `[i]` in front of its message."""
     if type(kind) is list and type(value) is list:
         entries = []
-        for i, entry in enumerate(value):
-            ctx = f"{context}[{i}]"
-            entries.append(check(entry, kind[0], ctx) if len(kind) == 1 else build(kind[0], ctx, *fields(entry, ctx, kind[1])))
+        try:
+            if len(kind) == 1:
+                for entry in value:
+                    entries.append(entry if type(entry) is kind[0] else check(entry, kind[0]))
+            else:
+                cls, spec = kind
+                for entry in value:
+                    entries.append(fields(entry, spec, cls))
+        except SchemaError as exc:
+            raise SchemaError(f"[{len(entries)}]{exc}") from None  # the entries read are those before the fault
         return tuple(entries)
     if type(value) is kind or kind is object:
         return value
     if kind is Fraction and (type(value) is int or type(value) is float and isfinite(value)):
         return Fraction(str(value))
     # reprlib bounds the message for huge and deeply nested values
-    raise SchemaError(f"{context}: expected {_EXPECTED[list if type(kind) is list else kind]}, got {reprlib.repr(value)}")
+    raise SchemaError(f": expected {_EXPECTED[list if type(kind) is list else kind]}, got {reprlib.repr(value)}")
 
 
 def require_number(value, context: str, exact: bool = False) -> None:
@@ -94,101 +99,38 @@ def require_bool(value, context: str) -> None:
         raise SchemaError(f"{context} must be a boolean, got {reprlib.repr(value)}")
 
 
-def fields(obj, context: str, spec: dict) -> list:
+def fields(obj, spec: dict, cls=None):
     """The values of the keys in `spec`, in its order, from an object with no
-    other keys, each read by `check` (a list kind gives a tuple). A `(kind,
-    default)` pair marks an optional key, whose default is returned as given."""
+    other keys, each read by `check` (a list kind gives a tuple); given `cls`,
+    `cls(*values)`. A `(kind, default)` pair marks an optional key, whose
+    default is returned as given. A fault raises SchemaError with a message
+    that names its place below the object and starts with ": ", such as
+    `: streams[2]: count: expected an integer, got 'x'`; one that `cls`
+    raises gets ": " in front of its own message."""
     if type(obj) is not dict:
-        raise SchemaError(f"{context}: expected an object, got {reprlib.repr(obj)}")
+        raise SchemaError(f": expected an object, got {reprlib.repr(obj)}")
     if not obj.keys() <= spec.keys():
-        raise SchemaError(f"{context}: unknown key(s) {sorted(obj.keys() - spec.keys())}")
+        raise SchemaError(f": unknown key(s) {sorted(obj.keys() - spec.keys())}")
     values = []
-    for key, kind in spec.items():
-        value = obj.get(key, _ABSENT)
-        if type(kind) is tuple:
-            kind, default = kind
-            if value is _ABSENT:
-                values.append(default)
-                continue
-        elif value is _ABSENT:
-            missing = sorted(k for k, kd in spec.items() if type(kd) is not tuple and k not in obj)
-            raise SchemaError(f"{context}: missing key(s) {missing}")
-        values.append(value if type(value) is kind or kind is object else check(value, kind, f"{context}: {key}"))
-    return values
-
-
-def build(cls, context: str, *args, **kwargs):
-    """cls(*args, **kwargs), with `context` put in front of the message of a
-    SchemaError that the dataclass's own invariants raise."""
     try:
-        return cls(*args, **kwargs)
-    except SchemaError as exc:
-        raise SchemaError(f"{context}: {exc}") from None
-
-
-def reader(cls, spec: dict):
-    """A function that reads an object by `spec` into `cls(*values)` as
-    `build(cls, context, *fields(obj, context, spec))` does, or returns None
-    where that would raise SchemaError; `cls` may return None to decline too.
-
-    It is generated as Python source, as `dataclasses` generates `__init__`:
-    every key, type and default test of `fields` and `check`, those of list
-    entries too, runs inline in the order `fields` runs it, the records are
-    built by direct calls and no context is formed. The source is built from
-    the package's own specs, never from file contents."""
-    lines, names = [], {"Fraction": Fraction, "isfinite": isfinite, "SchemaError": SchemaError, "_ABSENT": _ABSENT}
-
-    def bind(value) -> str:
-        """A global of the reader that holds `value`."""
-        names[f"_g{len(names)}"] = value
-        return f"_g{len(names) - 1}"
-
-    count = itertools.count()
-
-    def local() -> str:
-        return f"v{next(count)}"
-
-    def value(var: str, kind, pad: str) -> None:
-        """Lines that test `var` against `kind` and leave its read value in `var`."""
-        if kind is object:
-            return
-        if type(kind) is list:
-            entries, entry = local(), local()
-            lines.extend((f"{pad}if type({var}) is not list: return None", f"{pad}{entries} = []",
-                          f"{pad}for {entry} in {var}:"))
-            if len(kind) == 1:
-                value(entry, kind[0], pad + "    ")
-            else:
-                entry = record(entry, kind[0], kind[1], pad + "    ")
-            lines.extend((f"{pad}    {entries}.append({entry})", f"{pad}{var} = tuple({entries})"))
-        elif kind is Fraction:
-            lines.extend((f"{pad}if type({var}) is not Fraction:",
-                          f"{pad}    if type({var}) is not int and not (type({var}) is float and isfinite({var})): return None",
-                          f"{pad}    {var} = Fraction(str({var}))"))
-        else:
-            lines.append(f"{pad}if type({var}) is not {bind(kind)}: return None")
-
-    def record(obj: str, cls, spec: dict, pad: str) -> str:
-        """Lines that read the object `obj` by `spec`; the expression building `cls`."""
-        lines.append(f"{pad}if type({obj}) is not dict or not {obj}.keys() <= {bind(spec.keys())}: return None")
-        args = []
         for key, kind in spec.items():
-            args.append(var := local())
-            kind, default = kind if type(kind) is tuple else (kind, _ABSENT)
-            tested = pad
-            if default is _ABSENT:  # a missing key raises KeyError
-                lines.append(f"{pad}{var} = {obj}[{key!r}]")
-            elif kind is object or type(default) is kind:  # the default passes the test as it is
-                lines.append(f"{pad}{var} = {obj}.get({key!r}, {bind(default)})")
-            else:
-                lines.extend((f"{pad}{var} = {obj}.get({key!r}, _ABSENT)",
-                              f"{pad}if {var} is _ABSENT: {var} = {bind(default)}", f"{pad}else:"))
-                tested = pad + "    "
-            value(var, kind, tested)
-        return f"{bind(cls)}({', '.join(args)})"
-
-    built = record("obj", cls, spec, "        ")
-    source = "\n".join(("def read(obj):", "    try:", *lines, f"        return {built}",
-                        "    except (KeyError, SchemaError):", "        return None", ""))
-    exec(source, names)  # the source holds only the spec's keys and the names bound above
-    return names["read"]
+            value = obj.get(key, _ABSENT)
+            if type(kind) is tuple:
+                kind, default = kind
+                if value is _ABSENT:
+                    values.append(default)
+                    continue
+            elif value is _ABSENT:
+                break
+            values.append(value if type(value) is kind or kind is object else check(value, kind))
+    except SchemaError as exc:
+        raise SchemaError(f": {key}{exc}") from None
+    if len(values) < len(spec):  # the loop stopped at a missing key
+        missing = sorted(k for k, kd in spec.items() if type(kd) is not tuple and k not in obj)
+        raise SchemaError(f": missing key(s) {missing}")
+    if cls is None:
+        return values
+    try:
+        return cls(*values)
+    except SchemaError as exc:
+        raise SchemaError(f": {exc}") from None

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cached_property
 from typing import NamedTuple
 
-from ._schema import build, fields, read_json, reader, require_bool, require_number
+from ._schema import fields, read_json, require_bool, require_number
 from .errors import SchemaError
 from .machine import CACHE_LINE_BYTES
 
@@ -276,16 +276,13 @@ _KERNEL = {"name": str, "streams": [Stream, _STREAM], "element_bytes": int, "uop
            "flops_per_iteration": (int, 0)}  # in KernelModel's field order
 
 
-@cache
-def _kernel_reader():
-    """The reader `_schema.reader` generates from _KERNEL, once per process."""
-    return reader(KernelModel, _KERNEL)
-
-
 def kernel_from_dict(data: dict, context: str = "kernel") -> KernelModel:
-    """Build and validate a KernelModel from a parsed kernel file: by the
-    generated reader, or, where it declines, by `fields`, which raises the error."""
-    return _kernel_reader()(data) or build(KernelModel, context, *fields(data, context, _KERNEL))
+    """Build and validate a KernelModel from a parsed kernel file, read once
+    by `fields`; a fault raises SchemaError with `context` in front."""
+    try:
+        return fields(data, _KERNEL, KernelModel)
+    except SchemaError as exc:
+        raise SchemaError(f"{context}{exc}") from None
 
 
 def load_kernel(path) -> KernelModel:

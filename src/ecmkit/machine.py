@@ -8,7 +8,7 @@ A MachineModel memoizes three things on use: its core layout, its model
 inputs (model.ecm_input) and its scaling curves (scaling.scale); the cycles
 per line (an int when the boundary's width divides the line, see `quotient`)
 and the bandwidths behind them are computed on a miss. A machine file is
-read by the readers `_schema.reader` generates from its specs. The
+read by `_schema.fields`, each object once, by the specs at the end. The
 memos key on what a query adds to the machine and never on the machine
 itself, which is sound because the machine cannot change. Each is a `Memo`,
 which states its bound and how concurrent queries fare.
@@ -20,10 +20,10 @@ import reprlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from types import MappingProxyType
 
-from ._schema import build, fields, read_json, reader, require_bool, require_number, require_positive
+from ._schema import fields, read_json, require_bool, require_number, require_positive
 from .errors import SchemaError
 
 CACHE_LINE_BYTES = 64
@@ -95,16 +95,17 @@ class PortSpec:
         require_number(self.id, "port id")
         if self.id < 0:
             raise SchemaError(f"port id must be non-negative, got {self.id}")
-        capabilities = set(self.capabilities)
+        capabilities = frozenset(self.capabilities)
         if not capabilities:
             raise SchemaError(f"port {self.id}: capabilities must be non-empty")
         unknown = capabilities - PORT_CAPABILITIES
         if unknown:
             raise SchemaError(f"port {self.id}: unknown capabilities {sorted(unknown)}")
-        object.__setattr__(self, "capabilities", frozenset(sorted(capabilities)))  # one order, one repr
+        object.__setattr__(self, "capabilities", capabilities)
 
-    def __reduce__(self):  # a set rebuilt from its items, not sorted, may show another order
-        return PortSpec, (self.id, self.capabilities)
+    def __repr__(self):  # sorted: a frozenset's own order follows the string hash seed of the process
+        listed = ", ".join(map(repr, sorted(self.capabilities)))
+        return f"PortSpec(id={self.id!r}, capabilities=frozenset({{{listed}}}))"
 
 
 @dataclass(frozen=True)
@@ -322,47 +323,34 @@ _MACHINE = {"name": str, "frequency_ghz": Fraction, "retire_width": int, "store_
             "ports": [PortSpec, _PORT], "boundaries": [CacheBoundary, _BOUNDARY], "memory": dict, "numa": dict}
 
 
-def _machine(*values) -> MachineModel | None:
-    """The machine of a file's values in _MACHINE's order, its memory and NUMA
-    objects read by their generated readers; None if either declines."""
-    *head, memory, numa = values
-    _, read_memory, read_numa = _readers()
-    memory, numa = read_memory(memory), read_numa(numa)
-    return None if memory is None or numa is None else MachineModel(*head, memory, numa)
-
-
-def _memory(default_gbs: Fraction, rows: tuple, derating: Fraction) -> MemoryModel | None:
-    """The memory model of a file's memory values; None if a signature repeats."""
-    table = dict(rows)
-    return MemoryModel(default_gbs, table, derating) if len(table) == len(rows) else None
-
-
-@cache
-def _readers():
-    """The readers `_schema.reader` generates for a machine file and its
-    memory and NUMA objects, once per process."""
-    return reader(_machine, _MACHINE), reader(_memory, _MEMORY), reader(NumaConfig, _NUMA)
-
-
 def machine_from_dict(data: dict, context: str = "machine") -> MachineModel:
-    """Build and validate a MachineModel from a parsed machine file: by the
-    generated readers, or, where one declines, by `fields`, which raises the error."""
-    return _readers()[0](data) or _machine_by_fields(data, context)
-
-
-def _machine_by_fields(data: dict, context: str) -> MachineModel:
-    """machine_from_dict by `fields` and `build`, which form every message."""
-    *head, memory, numa = fields(data, context, _MACHINE)  # name to boundaries, in MachineModel's field order
-    default_gbs, rows, derating = fields(memory, f"{context}: memory", _MEMORY)
-    table: dict[Signature, Fraction] = {}
-    for i, (signature, gbs) in enumerate(rows):
-        if signature in table:
-            raise SchemaError(f"{context}: memory: table[{i}]: duplicate signature {signature}")
-        table[signature] = gbs
-
-    numa = fields(numa, f"{context}: numa", _NUMA)  # in NumaConfig's field order
-    memory = build(MemoryModel, context, default_bandwidth_gbs=default_gbs, bandwidth_table=table, noncod_derating=derating)
-    return build(MachineModel, context, *head, memory, build(NumaConfig, context, *numa))
+    """Build and validate a MachineModel from a parsed machine file, each
+    object read once by `fields`; a fault raises SchemaError with `context`
+    in front. Every object is read before a record is built (the memory
+    model, then the NUMA layout and the machine), and of several faults the
+    first in that order is reported."""
+    try:
+        *head, memory, numa = fields(data, _MACHINE)  # name to boundaries, in MachineModel's field order
+        try:
+            default_gbs, rows, derating = fields(memory, _MEMORY)
+            table: dict[Signature, Fraction] = {}
+            for i, (signature, gbs) in enumerate(rows):
+                if signature in table:
+                    raise SchemaError(f": table[{i}]: duplicate signature {signature}")
+                table[signature] = gbs
+        except SchemaError as exc:
+            raise SchemaError(f": memory{exc}") from None
+        try:
+            numa = fields(numa, _NUMA)  # in NumaConfig's field order
+        except SchemaError as exc:
+            raise SchemaError(f": numa{exc}") from None
+        try:
+            memory = MemoryModel(default_bandwidth_gbs=default_gbs, bandwidth_table=table, noncod_derating=derating)
+            return MachineModel(*head, memory, NumaConfig(*numa))
+        except SchemaError as exc:
+            raise SchemaError(f": {exc}") from None
+    except SchemaError as exc:
+        raise SchemaError(f"{context}{exc}") from None
 
 
 def load_machine(path) -> MachineModel:

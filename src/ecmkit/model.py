@@ -373,6 +373,7 @@ class ModelError(NamedTuple):
 
 
 def model_error(pred: ECMPrediction, measurement: Measurement) -> ModelError:
+    _check_cells(pred)
     absolute: dict[str, int] = {}
     signed: dict[str, int] = {}
     for name, predicted in zip(LEVELS, pred.cells()):

@@ -21,12 +21,16 @@ to the core cap. Each of those machines loads and reaches the model, and
 `test_redrawn_machine_file` requires a floor of examples that load, that
 take the default bandwidth and that end in a number too large for a float.
 
-The readers generated from the file specs (`_schema.reader`) must read every
-such dict, and every place of the seed files set to a value of each JSON
-type, as `fields` and the records read it: the same record, or a refusal.
+The loaders read each object of a file once, by `_schema.fields`, and form
+a message only on a fault, from the parts each enclosing key, list entry
+and record puts in front. Their outcomes, each record's repr or refusal
+message, are pinned by digest over such dicts and over every place of the
+seed files set to a value of each JSON type, so a change to how a file is
+read shows as a changed record or message.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import warnings
@@ -39,10 +43,9 @@ from hypothesis import strategies as st
 
 from ecmkit import SchemaError, builtin_haswell, builtin_kernels, load_kernel, load_machine, read_measurements
 from ecmkit import serialize_machine
-from ecmkit._schema import build, fields
 from ecmkit.cli import run
-from ecmkit.kernels import _KERNEL, ADDRESSING_MODES, UOP_CLASSES, KernelModel, _kernel_reader
-from ecmkit.machine import MAX_CORES, PORT_CAPABILITIES, MemoryModel, _machine_by_fields, _readers
+from ecmkit.kernels import ADDRESSING_MODES, UOP_CLASSES, kernel_from_dict
+from ecmkit.machine import MAX_CORES, PORT_CAPABILITIES, MemoryModel, machine_from_dict
 
 from oracles import _places, _with
 from test_cli import NON_FINITE, kernel_dict
@@ -305,33 +308,34 @@ GENERATED_KERNELS = st.fixed_dictionaries(
 )
 READER_SOURCES = ["machine seed", "redrawn machine", "kernel seed", "built-in kernel", "generated kernel"]
 # the machine seeds, and the built-in machine with no bandwidth table key,
-# whose default the reader takes as given, not as a list it reads
+# whose default the loader takes as given, not as a list it reads
 READER_MACHINES = [*MACHINE_SEEDS, {**MACHINE_SEED, "memory": {"default_bandwidth_gbs": 27.1}}]
 # values for every place of a seed file: one of each JSON type, unhashable ones too
 PLACE_VALUES = [None, True, 0, 1.5, float("nan"), "x", [], {}, ["x"], {"k": 1}]
+# the outcome lines of reader_examples' draw, those that load, and their digest
+READER_EXAMPLES, READER_EXAMPLE_LOADS, READER_EXAMPLES_DIGEST = 643, 203, "3feb48215d4de2fd"
+# the digest of the outcome lines of the 5 058 place variants
+PLACE_DIGEST = "2ebff52055372383"
 
 
-def reads_as_fields(tree, machine: bool) -> bool:
-    """Whether `tree` loads, once the generated reader has returned a record
-    equal in == and repr to the one `fields` and `build` read, or declined
-    exactly where they or a record raise SchemaError."""
-    generated = (_readers()[0] if machine else _kernel_reader())(tree)
+def outcome(tree, machine: bool) -> str:
+    """The loader's outcome for `tree`: the record's repr, or the refusal."""
     try:
-        expected = _machine_by_fields(tree, "machine") if machine else build(KernelModel, "kernel", *fields(tree, "kernel", _KERNEL))
-    except SchemaError:
-        expected = None
-    assert (generated is None) == (expected is None), tree
-    assert generated == expected and repr(generated) == repr(expected)
-    return generated is not None
+        return repr(machine_from_dict(tree) if machine else kernel_from_dict(tree))
+    except SchemaError as exc:
+        return f"SchemaError: {exc}"
+
+
+def digest(lines: list[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
 
 @settings(max_examples=250, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
-def reader_examples(outcomes, data):
+def reader_examples(outcomes, lines, data):
     """Each example draws a machine or kernel dict and mutates it 1-3 times.
-    The dict and each mutation, read back from its JSON text, must read as
-    `fields` reads it (`reads_as_fields`), so that a valid file never takes
-    the slow path; `outcomes` counts (source, loads) pairs."""
+    The dict and each mutation are read back from their JSON text and loaded;
+    `lines` collects the outcomes and `outcomes` counts (source, loads) pairs."""
     source = data.draw(st.sampled_from(READER_SOURCES))
     if source == "machine seed":
         tree = data.draw(st.sampled_from(READER_MACHINES))
@@ -347,31 +351,48 @@ def reader_examples(outcomes, data):
     for tree in trees:
         try:
             tree = json.loads(json_text(tree))
-        except (ValueError, RecursionError):  # no JSON value: the loader stops before either reader
+        except (ValueError, RecursionError):  # no JSON value: the loader stops before reading an object
             outcomes[source, "not JSON"] += 1
             continue
-        outcomes[source, reads_as_fields(tree, "machine" in source)] += 1
+        lines.append(outcome(tree, "machine" in source))
+        outcomes[source, not lines[-1].startswith("SchemaError: ")] += 1
 
 
-def test_the_generated_readers_read_as_fields_does():
-    """The reader equivalence holds over valid files, the fuzz tests'
-    mutations and generated values, and each source reaches both outcomes."""
-    outcomes = Counter()
-    reader_examples(outcomes)
-    # the draw gives 16 to 130 of each; a floor allows for a redraw, not for a collapse
+def test_the_loaders_keep_their_outcomes_on_mutated_files(monkeypatch):
+    """The loaders' outcomes over valid files, the fuzz tests' mutations and
+    generated values are those pinned, and each source reaches both outcomes.
+    The digest holds under any string hash seed (a port lists its
+    capabilities sorted). The draw moves with the source text of
+    `reader_examples` and with the Hypothesis version; Hypothesis also draws
+    literals of the local modules loaded, which tests run before this one
+    and edits anywhere in the package or the tests would change, so the
+    draw runs without them."""
+    from hypothesis.internal.conjecture import providers  # internal: only this test breaks if it moves
+
+    monkeypatch.setattr(providers, "_get_local_constants", providers.Constants)
+    providers.CONSTANTS_CACHE.cache.clear()  # values cached with the local literals
+    outcomes, lines = Counter(), []
+    try:
+        reader_examples(outcomes, lines)
+    finally:
+        providers.CONSTANTS_CACHE.cache.clear()
+    # the draw gives 14 to 145 of each; a floor allows for a redraw, not for a collapse
     assert min(outcomes[source, loads] for source in READER_SOURCES for loads in (True, False)) >= 10, outcomes
+    assert (len(lines), sum(not line.startswith("SchemaError: ") for line in lines)) == (READER_EXAMPLES, READER_EXAMPLE_LOADS)
+    assert digest(lines) == READER_EXAMPLES_DIGEST
 
 
-def test_the_generated_readers_read_as_fields_does_at_every_place_of_a_seed():
-    """The same equivalence, with each place of each seed file and built-in
-    kernel set in turn to each of PLACE_VALUES, and with each key dropped."""
+def test_the_loaders_keep_their_outcomes_at_every_place_of_a_seed():
+    """The same, with each place of each seed file and built-in kernel set in
+    turn to each of PLACE_VALUES, and with each key dropped."""
     seeds = [(tree, True) for tree in READER_MACHINES]
     seeds += [(kernel_dict(kernel), False) for kernel in builtin_kernels().values()]
-    loads = Counter()
+    lines = []
     for seed, machine in seeds:
         for path, value in _places(seed):
             variants = [_with(seed, path, other) for other in PLACE_VALUES]
             variants += [_with(seed, (*path, key), delete=True) for key in value] if type(value) is dict else []
-            for variant in variants:
-                loads[reads_as_fields(variant, machine)] += 1
-    assert loads[True] >= 100 and loads[False] >= 1000, loads  # 157 and 4 901 of 5 058 variants
+            lines += [outcome(variant, machine) for variant in variants]
+    loads = sum(not line.startswith("SchemaError: ") for line in lines)
+    assert (loads, len(lines) - loads) == (157, 4901)
+    assert digest(lines) == PLACE_DIGEST

@@ -9,13 +9,14 @@ from pathlib import Path
 import pytest
 
 import ecmkit
+from ecmkit import _schema
 from ecmkit import (
     Measurement, PenaltyConfig, SchemaError, UopGroup, builtin_haswell, builtin_kernels, ecm_input, format_ecm,
     load_machine, mem_cycles_per_cl, serialize_machine,
 )
 from ecmkit.errors import CapabilityError
 from ecmkit.kernels import Stream
-from ecmkit.machine import MAX_CORES, CacheBoundary, MemoryModel, PortSpec, machine_from_dict
+from ecmkit.machine import MAX_CORES, PORT_CAPABILITIES, CacheBoundary, MemoryModel, PortSpec, machine_from_dict
 
 from oracles import key_fault_cases, type_fault_cases
 
@@ -95,6 +96,27 @@ def test_roundtrip_serialize_load(haswell, tmp_path):
     assert serialize_machine(reloaded) == serialize_machine(haswell)
 
 
+def test_loading_a_machine_file_reads_each_object_once(haswell, tmp_path):
+    """A work count: `_schema.fields` reads the file, each port, boundary
+    and bandwidth-table row, the memory and the NUMA object once each."""
+    path = tmp_path / "haswell.json"
+    path.write_text(json.dumps(serialize_machine(haswell)))
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is _schema.fields.__code__:
+            calls.append(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        loaded = load_machine(path)
+    finally:
+        sys.setprofile(previous)
+    assert loaded == haswell
+    assert len(calls) == 3 + len(haswell.ports) + len(haswell.boundaries) + len(haswell.memory.bandwidth_table) == 22
+
+
 # a child run: is the repr of each machine's ports the same after a pickle
 # round trip, a copy and a deep copy? Port 8 holds every capability.
 COPIED_REPR = """
@@ -119,6 +141,25 @@ def test_a_copied_machine_shows_the_repr_of_its_original(hash_seed):
     env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
     child = subprocess.run([sys.executable, "-c", COPIED_REPR], capture_output=True, text=True, env=env, timeout=60)
     assert (child.returncode, child.stdout, child.stderr) == (0, "True\n", "")
+
+
+def test_a_machine_file_shows_one_repr_under_any_hash_seed(haswell, tmp_path):
+    """A port lists its capabilities sorted, so one machine file loaded in
+    child runs with different string hash seeds shows one repr, this
+    process's too; the frozenset's own order differs between seeds 1 and 2
+    for Haswell's port 0. Port 8 holds every capability."""
+    wide = replace(haswell, ports=haswell.ports + (PortSpec(8, PORT_CAPABILITIES),))
+    path = tmp_path / "machine.json"
+    path.write_text(json.dumps(serialize_machine(wide)))
+    script = "import sys\nfrom ecmkit import load_machine\nprint(repr(load_machine(sys.argv[1])))"
+    shown = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+        child = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, text=True, env=env, timeout=60)
+        assert (child.returncode, child.stderr) == (0, "")
+        shown.append(child.stdout)
+    assert shown == [repr(load_machine(path)) + "\n"] * 2
+    assert "PortSpec(id=0, capabilities=frozenset({'branch', 'fma', 'mul'}))" in shown[0]
 
 
 def test_the_bandwidth_table_is_a_read_only_copy(haswell):

@@ -163,12 +163,15 @@ inexact = st.one_of(st.floats(allow_nan=False), st.booleans(), st.text(max_size=
 def test_records_refuse_an_inexact_cell_at_first_use(cells, at, bad):
     """A float, bool, str or None cell is built unchecked, so parse_ecm and
     the memos build records at no extra cost, and refused at first use: the
-    prediction, each shorthand and the penalty raise one TypeError naming
-    the record and the field, never an AttributeError or a quiet Fraction."""
+    prediction, each shorthand, the penalty and the model error raise one
+    TypeError naming the record and the field, never an AttributeError or a
+    quiet Fraction."""
     kernel = streams_kernel([("read", False)])
+    measurement = Measurement("k", {"L1": 2})
     for record, queries in (
         (ECMInput, (predict, format_ecm)),
-        (ECMPrediction, (format_ecm, lambda pred: apply_penalty(pred, kernel))),
+        (ECMPrediction, (format_ecm, lambda pred: apply_penalty(pred, kernel),
+                         lambda pred: model_error(pred, measurement))),
     ):
         fields = list(cells[:len(record._fields)])
         fields[at % len(fields)] = bad

@@ -37,7 +37,7 @@ from ecmkit import (
 )
 from ecmkit import _schema
 from ecmkit.cli import run
-from ecmkit.kernels import KernelModel, Stream, UopGroup, load_kernel
+from ecmkit.kernels import KernelModel, Stream, UopGroup, kernel_from_dict, load_kernel
 from ecmkit.machine import CURVE_MEMO_POINTS, MEMO_ENTRIES, CacheBoundary, MachineModel, MemoryModel, NumaConfig
 from ecmkit.model import PenaltyConfig, apply_penalty
 from ecmkit.scaling import PINNING_POLICIES, PerformancePoint, ScalingCurve
@@ -465,17 +465,38 @@ def fresh_kernel_files(directory) -> dict:
 
 
 def test_loading_fresh_kernel_files_forms_no_loader_message(tmp_path):
-    """A work count: loading the 160 fresh kernel files runs the reader
-    generated from the kernel spec only, so `_schema.fields`, `check` and
-    `build`, which form the loader messages, run 0 times (1 080, 320 and
-    1 080 times when `fields` read every file)."""
+    """A work count: loading the 160 fresh kernel files reads each object
+    once, so `_schema.fields` runs once per file, stream and uop group, and
+    no exception passes through the loader, `fields` or `check`, where a
+    message would be formed."""
     files = fresh_kernel_files(tmp_path)
-    counted = {getattr(_schema, name).__code__: name for name in ("fields", "check", "build")}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        loaded, calls = calls_by_code(counted, lambda: [load_kernel(path) for path in files])
+    counted = {code: code.co_name for code in (_schema.fields.__code__, _schema.check.__code__,
+                                               kernel_from_dict.__code__)}
+    calls, raised = Counter(), Counter()
+
+    def on_exception(frame, event, arg):
+        if event == "exception":
+            raised[counted[frame.f_code]] += 1
+        return on_exception
+
+    def trace(frame, event, arg):
+        if frame.f_code in counted:
+            calls[counted[frame.f_code]] += 1
+            return on_exception
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            loaded = [load_kernel(path) for path in files]
+    finally:
+        sys.settrace(previous)
     assert loaded == list(files.values())
-    assert calls == Counter()
+    objects = sum(1 + len(kernel.streams) + len(kernel.uops) for kernel in loaded)
+    assert calls["fields"] == objects == 1080 and calls["kernel_from_dict"] == len(files), calls
+    assert raised == Counter()
 
 
 # Fraction.__new__ calls of one cold pass over the fresh kernel files; 1 400

@@ -300,6 +300,35 @@ def test_only_memo_put_clears_a_memo():
     assert {name: calls for name, calls in found.items() if calls} == {}
 
 
+def code_built_at_run_time(source: str) -> list[str]:
+    """Calls of the built-ins `exec`, `eval` and `compile`, by name or as
+    attributes of `builtins`: code they run is built while the program runs,
+    so no review reads it in the source."""
+    names = {"exec", "eval", "compile"}
+    calls = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id in names
+        or isinstance(node.func, ast.Attribute) and node.func.attr in names
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "builtins")]
+    return [f"line {node.lineno}: {ast.unparse(node)}" for node in sorted(calls, key=lambda node: node.lineno)]
+
+
+def test_code_built_at_run_time_is_found():
+    source = (
+        "import builtins, re\ndef f(source, names):\n    exec(source, names)\n"
+        "    return eval('1') + builtins.compile(source, 'f', 'exec')\n"
+        "pattern = re.compile('x')\nkind = 'exec'\ncompiled = compile\n"
+    )
+    assert code_built_at_run_time(source) == [
+        "line 3: exec(source, names)", "line 4: eval('1')", "line 4: builtins.compile(source, 'f', 'exec')"]
+
+
+def test_package_modules_build_no_code_at_run_time():
+    """Every line the package runs is in its source: no module builds code
+    from strings with `exec`, `eval` or `compile`."""
+    found = {path.name: code_built_at_run_time(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
 def unread_private_names(sources: dict[str, str]) -> list[str]:
     """Private module-level names (one leading underscore, not dunder) that
     no code of the given modules reads outside the name's own definition. A
