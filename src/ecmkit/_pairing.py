@@ -27,8 +27,8 @@ list and the deltas per count vector clamped to the largest count of each
 kind in a maximal pattern. The search is exact and has no budget; it keeps
 its path on an explicit stack, so its depth is not bounded by recursion.
 This module keeps no solve: the caller that owns the table memoizes
-least_span's answers (CoreLayout.span does, per machine, and first tries an
-even split, root bounds over maximal_patterns and a fill, with no table).
+least_span's answers (CoreLayout.span does, per machine, and first tries,
+with no table, a built schedule and root bounds over maximal_patterns).
 """
 
 from __future__ import annotations

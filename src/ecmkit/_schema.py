@@ -109,9 +109,7 @@ def fields(obj, spec: dict, cls=None):
     raises gets ": " in front of its own message."""
     if type(obj) is not dict:
         raise SchemaError(f": expected an object, got {reprlib.repr(obj)}")
-    if not obj.keys() <= spec.keys():
-        raise SchemaError(f": unknown key(s) {sorted(obj.keys() - spec.keys())}")
-    values = []
+    values, read = [], 0  # `read` counts the keys of obj read: an unknown key leaves it below len(obj)
     try:
         for key, kind in spec.items():
             value = obj.get(key, _ABSENT)
@@ -122,10 +120,14 @@ def fields(obj, spec: dict, cls=None):
                     continue
             elif value is _ABSENT:
                 break
+            read += 1
             values.append(value if type(value) is kind or kind is object else check(value, kind))
     except SchemaError as exc:
-        raise SchemaError(f": {key}{exc}") from None
-    if len(values) < len(spec):  # the loop stopped at a missing key
+        if obj.keys() <= spec.keys():  # else the unknown key, the first fault, leaves `read` short
+            raise SchemaError(f": {key}{exc}") from None
+    if read < len(obj) or len(values) < len(spec):  # an unknown key, or the loop stopped at a missing one
+        if not obj.keys() <= spec.keys():
+            raise SchemaError(f": unknown key(s) {sorted(obj.keys() - spec.keys())}")
         missing = sorted(k for k, kd in spec.items() if type(kd) is not tuple and k not in obj)
         raise SchemaError(f": missing key(s) {missing}")
     if cls is None:

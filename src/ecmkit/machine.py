@@ -4,14 +4,15 @@ memory bandwidths and NUMA layout, plus the built-in Haswell reference model.
 All types are immutable after construction and safe to share across threads;
 a MemoryModel holds a read-only copy of the bandwidth table it is given, and
 a MachineModel tuple copies of its ports and boundaries.
-A MachineModel memoizes three things on use: its core layout, its model
-inputs (model.ecm_input) and its scaling curves (scaling.scale); the cycles
-per line (an int when the boundary's width divides the line, see `quotient`)
-and the bandwidths behind them are computed on a miss. A machine file is
-read by `_schema.fields`, each object once, by the specs at the end. The
-memos key on what a query adds to the machine and never on the machine
-itself, which is sound because the machine cannot change. Each is a `Memo`,
-which states its bound and how concurrent queries fare.
+A MachineModel memoizes four things on use: its core layout, its model
+inputs and their transfer cells (model.ecm_input) and its scaling curves
+(scaling.scale); the cycles per line (an int when the boundary's width
+divides the line, see `quotient`) and the bandwidths behind them are
+computed on a miss. A machine file is read by `_schema.fields`, each object
+once, by the specs at the end. The memos key on what a query adds to the
+machine and never on the machine itself, which is sound because the machine
+cannot change. Each is a `Memo`, which states its bound and how concurrent
+queries fare.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ MAX_CORES = 4096
 
 # stream-signature key of a bandwidth table entry
 Signature = tuple[int, int, int]
-# the entries a machine's input memo and its layout's span memo may each hold
+# the entries a machine's input and transfer memos and its layout's span memo may each hold
 MEMO_ENTRIES = 1024
 # the points a machine's curve memo may hold; a curve has one per core
 CURVE_MEMO_POINTS = 16384
@@ -226,6 +227,12 @@ class MachineModel:
         the core timing, the stream tally and the resolved mode (see
         ecmkit.model), at most MEMO_ENTRIES of them; like the layout, not
         part of ==, repr or serialization."""
+        return Memo(MEMO_ENTRIES)
+
+    @cached_property
+    def _transfers(self) -> Memo:
+        """The transfer cells (t_l1l2, t_l2l3, t_l3mem) an `_inputs` miss takes,
+        keyed by the stream tally and the resolved mode; bounded and kept as `_inputs` is."""
         return Memo(MEMO_ENTRIES)
 
     @cached_property

@@ -190,25 +190,27 @@ def ecm_input(kernel: KernelModel, machine: MachineModel, mode: str | None = Non
 
     Every call runs core_timing. The input is then looked up in the
     machine's memo (MachineModel._inputs) by the timing, the kernel's stream
-    tally and the resolved mode, which fix every cell on a given machine:
-    the line counts of traffic and the bandwidth signature are functions of
-    the tally, and the element size enters no cell. A miss builds the input
-    and stores it in that `Memo`.
+    tally and the resolved mode, which fix every cell on a given machine. A
+    miss takes the transfer cells from MachineModel._transfers, keyed by the
+    tally and the mode alone: the line counts of traffic and the bandwidth
+    signature are functions of the tally, and the element size enters no
+    cell. Only a miss there calls traffic and reads the bandwidth.
     """
     timing = core_timing(kernel, machine)
     mode = machine.resolve_mode(mode)
     key = (timing, kernel._tally, mode)
     inp = machine._inputs.get(key)
     if inp is None:
-        prof = traffic(kernel)
-        bandwidth = machine.bandwidth(bandwidth_signature(kernel), mode)
-        inp = machine._inputs.put(key, ECMInput(
-            t_ol=timing.t_ol,
-            t_nol=timing.t_nol,
-            t_l1l2=prof.cls_l1l2 * machine.cycles_per_cl("L1L2"),
-            t_l2l3=prof.cls_l2l3 * machine.cycles_per_cl("L2L3"),
-            t_l3mem=prof.cls_l3mem * mem_cycles_per_cl(bandwidth, machine.frequency_ghz),
-        ))
+        cells = machine._transfers.get(key[1:])
+        if cells is None:
+            prof = traffic(kernel)
+            bandwidth = machine.bandwidth(bandwidth_signature(kernel), mode)
+            cells = machine._transfers.put(key[1:], (
+                prof.cls_l1l2 * machine.cycles_per_cl("L1L2"),
+                prof.cls_l2l3 * machine.cycles_per_cl("L2L3"),
+                prof.cls_l3mem * mem_cycles_per_cl(bandwidth, machine.frequency_ghz),
+            ))
+        inp = machine._inputs.put(key, ECMInput(*timing, *cells))
     return inp
 
 

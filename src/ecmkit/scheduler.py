@@ -12,9 +12,9 @@ limits, the fewest cycles the arithmetic can be confined to. The retirement
 frontend caps total throughput; when it binds (it exceeds the load/store
 makespan) the span is sought from the frontend bound up, so its deficit is
 charged to the arithmetic component. An exact solver over per-cycle
-patterns finds T and the span, unless an even split of the uops fits its
-first candidate (T at its lower bound, the span at its start), or root
-bounds refute (fit no schedule to) the spans below one that a fill fits.
+patterns finds T and the span, unless one builder, placing the units in
+runs of equal cycles, fits T at its lower bound with the span at its start
+or at the first span that root bounds leave (they fit no schedule below).
 
 core_timing reads the machine through its CoreLayout, compiled once per
 MachineModel: the unit kinds, their Hall bounds (hall_bounds, the one form
@@ -91,11 +91,11 @@ class CoreLayout:
     `needs` maps (uop class, addressing) to (missing load/store capability,
     missing arithmetic capability, index of its kind in `units`). `units` is
     in pattern table order (memory kinds first, heavier first, then by port
-    ids), `nol_bounds` and `ol_bounds` are the memory and the arithmetic
-    kinds' _port_bounds over `units`, and three `Memo`s: `tables` and `caps`
-    map flags over `units` to tables and to root bounds and are never
-    cleared, and `spans` holds span's answers, at most MEMO_ENTRIES, so the
-    solves of equal unit counts live as long as the machine."""
+    ids), `order` in _place's, `nol_bounds` and `ol_bounds` the memory and
+    the arithmetic kinds' _port_bounds over `units`; then the fit rule and
+    three `Memo`s: `tables` and `caps` map flags over `units` to tables and
+    to root bounds and are never cleared, and `spans` holds span's answers,
+    at most MEMO_ENTRIES, so equal unit counts share a solve for life."""
 
     def __init__(self, machine: MachineModel):
         full = machine.ports_with("load-agu-full")
@@ -122,6 +122,9 @@ class CoreLayout:
         _, self.bits, self.columns, self.top, self.limit, self.guard = fit_rule(self.units, self.width)
         self.tables: Memo[tuple[bool, ...], PatternTable | None] = Memo(2 ** len(self.units))
         self.arithmetic = tuple(j for j, unit in enumerate(self.units) if unit.overlapping)
+        # (kind index, column, weight, overlapping) in _place's order: memory kinds first, heavier first, then the fewest ports
+        self.order = sorted(((j, self.columns[j], u.weight, u.overlapping) for j, u in enumerate(self.units)),
+                            key=lambda kind: (kind[3], -kind[2], len(frozenset().union(*self.units[kind[0]].port_choices))))
         self.maximal: list[tuple[int, ...]] | None = None  # each kind's count in every maximal pattern
         self.caps: Memo[tuple[bool, ...], tuple[tuple[tuple[bool | int, ...], int, int], ...]] = Memo(2 ** len(self.units))
         self.spans: Memo[tuple[tuple[int, ...], int, int], tuple[int, int]] = Memo(MEMO_ENTRIES)
@@ -131,19 +134,19 @@ class CoreLayout:
         span s >= start of the arithmetic in the first cycle count T >= lower
         that fits a joint schedule, or `start` as it is when the kernel has no
         memory unit or some unit cannot fit a cycle on its own; lower >= start.
-        A miss tries, with no table at T = lower, _splits_evenly at s = start,
-        _unrefuted from s = start up and _fill at the first s left, answering
-        (s, 0 states) if one settles s. Lower past the unit count means some
-        unit fits no cycle: no schedule is tried."""
+        A miss tries _place at T = lower and s = start, then, if _unrefuted
+        refutes start, at the first s it leaves, answering (s, 0 states) if
+        one fits; else the table and the search answer. Lower past the unit
+        count means some unit fits no cycle: no schedule is tried."""
         key = (tuple(counts), lower, start)
         answer = self.spans.get(key)
         if answer is not None:
             return answer
         if start and lower <= sum(counts):
-            if self._splits_evenly(counts, lower, start):
+            if self._place(counts, lower, start):
                 return self.spans.put(key, (start, 0))
             span = self._unrefuted(counts, lower, start)
-            if span <= lower and self._fill(counts, lower, span):
+            if start < span <= lower and self._place(counts, lower, span):
                 return self.spans.put(key, (span, 0))
         present = tuple(map(bool, counts))
         if present not in self.tables:  # a stored None is an answer: no memory unit, no table
@@ -152,51 +155,37 @@ class CoreLayout:
         table = self.tables[present]
         return self.spans.put(key, (start, 0) if table is None else least_span(table, tuple(filter(None, counts)), lower, start))
 
-    def _splits_evenly(self, counts: list[int], lower: int, start: int) -> bool:
-        """Whether every cycle passes the fit rule in a schedule of `lower`
-        cycles that splits each kind's count evenly over the first `start`
-        (arithmetic) or all (memory) of them, the remainders in consecutive
-        cyclic runs, the memory ones from cycle `start` on."""
-        shares, runs = [0, 0], []  # packed even shares of the memory, the arithmetic kinds
-        for unit, count, column in zip(self.units, counts, self.columns):
-            if count:
-                each, rest = divmod(count, start if unit.overlapping else lower)
-                shares[unit.overlapping] += each * column
-                runs.append((unit.overlapping, rest, column))
-        memory, arithmetic = shares
-        cycles = [memory + arithmetic] * start + [memory] * (lower - start)
-        first = [start, 0]  # where the next memory, arithmetic remainder run begins
-        for overlapping, rest, column in runs:
-            at = first[overlapping]
-            first[overlapping] += rest
-            for t in range(at, at + rest):
-                cycles[t % (start if overlapping else lower)] += column
-        top, limit, guard = self.top, self.limit, self.guard
-        return all(v < top and (limit - v) & guard == guard for v in set(cycles))
-
-    def _fill(self, counts: list[int], lower: int, start: int) -> list[tuple[int, ...]] | None:
-        """The per-cycle count vectors of a schedule of `lower` cycles with
-        the arithmetic in the first `start`, or None where this fill finds
-        none. From the last cycle, so the memory-only ones first, each kind in
-        `units` order takes its remaining count spread evenly over its cycles
-        left, or what the fit rule admits; a run of equal cycles is one step."""
-        top, limit, guard = self.top, self.limit, self.guard
-        left, schedule = list(counts), []  # the schedule from its last cycle
-        while len(schedule) < lower:
-            cycles = lower - len(schedule)  # left to fill, this one included
-            pattern, v, run = [0] * len(counts), 0, cycles - start if cycles > start else cycles
-            for j, (unit, column) in enumerate(zip(self.units, self.columns)):
-                if not left[j] or unit.overlapping and cycles > start:
-                    continue
-                share = placed = -(-left[j] // cycles)
-                while placed and not (v + placed * column < top and (limit - v - placed * column) & guard == guard):
-                    placed -= 1
-                # a full share holds while its remainder lasts, a cut one while the share grows
-                run = min(run, cycles if placed < share else left[j] % cycles or cycles)
-                pattern[j], v = placed, v + placed * column
-            left = [n - placed * run for n, placed in zip(left, pattern)]
-            schedule += [tuple(pattern)] * run
-        return None if any(left) else schedule[::-1]
+    def _place(self, counts: list[int], lower: int, span: int) -> list[tuple[int, list[int]]] | None:
+        """A schedule of `lower` cycles with the arithmetic in the first
+        `span`, as runs (cycles, count vector) in cycle order, or None where
+        this builder finds none. It places the kinds in `order`, one unit per
+        cycle of a group of equal cycles at a time, in the group of least
+        rank it fits; a group with more cycles than units left splits. Each
+        addition passes the fit rule, so a schedule returned is sound."""
+        top, limit, guard, width = self.top, self.limit, self.guard, self.width
+        # [cycles, packed load, rank, count vector] of each group, in cycle order; the rank is the retire
+        # weight, plus width + 1 where arithmetic is allowed, so a memory unit takes a memory-only group first
+        groups = [[n, 0, rank, [0] * len(counts)] for n, rank in ((span, width + 1), (lower - span, 0)) if n]
+        for j, column, weight, overlapping in self.order:
+            left, floor = counts[j], width if overlapping else -1  # the kind's groups rank above floor
+            while left:
+                best, least = None, 2 * width + 2  # above every rank
+                for group in groups:
+                    if floor < group[2] < least:
+                        v = group[1] + column
+                        if v < top and (limit - v) & guard == guard:
+                            best, least = group, group[2]
+                if best is None:
+                    return None
+                cycles = best[0]
+                if left < cycles:  # the units left take that many of its cycles, the rest stay as they are
+                    best[0] = left
+                    groups.insert(groups.index(best) + 1, [cycles - left, best[1], best[2], best[3][:]])
+                best[1] += column
+                best[2] += weight
+                best[3][j] += 1
+                left -= best[0]
+        return [(group[0], group[3]) for group in groups]
 
     def _unrefuted(self, counts: list[int], lower: int, start: int) -> int:
         """The least span s >= start in `lower` cycles that no root bound

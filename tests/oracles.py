@@ -702,3 +702,22 @@ def key_fault_cases(data) -> list[tuple[object, str]]:
             cases.append((_with(data, (*path, first), delete=True), _message(path, f"missing key(s) [{first!r}]")))
             cases.append((_with(data, (*path, "surplus"), 1), _message(path, "unknown key(s) ['surplus']")))
     return cases
+
+
+def unknown_key_first_cases(data, kinds: dict) -> list[tuple[object, str]]:
+    """(faulty file, message after the file's name) for each object of
+    `data` with the unknown key "surplus" and one more fault: its first key
+    dropped, or a value of another type at a place below it (as in
+    type_fault_cases). An unknown key is the first fault of its object, so
+    each message names it."""
+    cases = []
+    for path, value in _places(data):
+        if type(value) is dict:
+            surplus = _with(data, (*path, "surplus"), 1)
+            faults = [_with(surplus, (*path, next(iter(value))), delete=True)]
+            for place, _ in _places(value, path):
+                kind = kinds[place_name(place, pattern=True)]
+                if place != path and kind is not None:
+                    faults.append(_with(surplus, place, WRONG_VALUE[kind]))
+            cases += [(fault, _message(path, "unknown key(s) ['surplus']")) for fault in faults]
+    return cases

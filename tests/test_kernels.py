@@ -18,7 +18,7 @@ from ecmkit.kernels import (
     MAX_UOPS_PER_LINE, KernelModel, Stream, UopGroup, consistency_warnings, kernel_from_dict, load_streams_with_rfo,
 )
 
-from oracles import key_fault_cases, type_fault_cases
+from oracles import key_fault_cases, type_fault_cases, unknown_key_first_cases
 
 ALL_BUILTINS = (
     "ddot",
@@ -307,6 +307,18 @@ KERNEL_FILE_KINDS = {
     "uops[]: addressing": None,
     "flops_per_iteration": "an integer",
 }
+
+
+def test_an_unknown_key_is_the_first_fault_of_its_object():
+    """An object of a kernel file with an unknown key and another fault
+    (its first key dropped, or a wrong type below it) reports the unknown
+    key: the reader looks for one only after a fault, yet reports it first."""
+    cases = unknown_key_first_cases(TRIAD_OPT_FILE, KERNEL_FILE_KINDS)
+    for faulty, message in cases:
+        with pytest.raises(SchemaError) as caught:
+            kernel_from_dict(faulty, "F")
+        assert str(caught.value) == f"F: {message}"
+    assert len(cases) == 9 + 37  # 9 objects without their first key, 37 (object, typed place below it) pairs
 
 
 def test_every_place_of_a_kernel_file_is_named_in_its_message():

@@ -18,7 +18,7 @@ from ecmkit.errors import CapabilityError
 from ecmkit.kernels import Stream
 from ecmkit.machine import MAX_CORES, PORT_CAPABILITIES, CacheBoundary, MemoryModel, PortSpec, machine_from_dict
 
-from oracles import key_fault_cases, type_fault_cases
+from oracles import key_fault_cases, type_fault_cases, unknown_key_first_cases
 
 SRC = str(Path(ecmkit.__file__).resolve().parent.parent)
 
@@ -414,6 +414,19 @@ MACHINE_FILE_KINDS = {
     "numa: cores_per_domain": "an integer",
     "numa: cod": "a boolean",
 }
+
+
+def test_an_unknown_key_is_the_first_fault_of_its_object(haswell):
+    """An object of a machine file with an unknown key and another fault
+    (its first key dropped, or a wrong type below it) reports the unknown
+    key: the reader looks for one only after a fault, yet reports it first."""
+    data = serialize_machine(replace(haswell, memory=replace(haswell.memory, noncod_derating=Fraction("0.9"))))
+    cases = unknown_key_first_cases(data, MACHINE_FILE_KINDS)
+    for faulty, message in cases:
+        with pytest.raises(SchemaError) as caught:
+            machine_from_dict(faulty, "F")
+        assert str(caught.value) == f"F: {message}"
+    assert len(cases) == 22 + 220  # 22 objects without their first key, 220 (object, typed place below it) pairs
 
 
 def test_every_place_of_a_machine_file_is_named_in_its_message(haswell):

@@ -447,20 +447,25 @@ def test_warm_sweep_queries_build_a_fraction_only_per_decimal_cell():
 # cold kernel queries: a new kernel file each
 
 
-def fresh_kernel_files(directory) -> dict:
+def fresh_kernels() -> list[KernelModel]:
     """The kernels of the fresh benchmark workload, the built-ins without
-    non-temporal stores unrolled x{1,2,4,8} with each of FRESH_EXTRAS, written
-    as kernel files into `directory`: {path: kernel}."""
+    non-temporal stores unrolled x{1,2,4,8} with each of FRESH_EXTRAS."""
+    kernels = [
+        replace(unrolled(kernel, factor, extras), name=f"{name}_x{factor}_{'_'.join(extras)}")
+        for name, kernel in sorted(KERNELS.items()) if not any(s.nontemporal for s in kernel.streams)
+        for factor in (1, 2, 4, 8) for extras in FRESH_EXTRAS
+    ]
+    assert len(kernels) == 160
+    return kernels
+
+
+def fresh_kernel_files(directory) -> dict:
+    """fresh_kernels written as kernel files into `directory`: {path: kernel}."""
     files = {}
-    for name, kernel in sorted(KERNELS.items()):
-        if not any(s.nontemporal for s in kernel.streams):
-            for factor in (1, 2, 4, 8):
-                for extras in FRESH_EXTRAS:
-                    fresh = replace(unrolled(kernel, factor, extras), name=f"{name}_x{factor}_{'_'.join(extras)}")
-                    path = directory / f"{fresh.name}.json"
-                    path.write_text(json.dumps(kernel_dict(fresh)))
-                    files[path] = fresh
-    assert len(files) == 160
+    for fresh in fresh_kernels():
+        path = directory / f"{fresh.name}.json"
+        path.write_text(json.dumps(kernel_dict(fresh)))
+        files[path] = fresh
     return files
 
 
@@ -500,8 +505,9 @@ def test_loading_fresh_kernel_files_forms_no_loader_message(tmp_path):
 
 
 # Fraction.__new__ calls of one cold pass over the fresh kernel files; 1 400
-# when every prediction cell and cycles per line was a Fraction
-COLD_PASS_FRACTIONS = 418
+# when every prediction cell and cycles per line was a Fraction, 418 when
+# each input miss built its own transfer cells
+COLD_PASS_FRACTIONS = 166
 
 
 def test_a_cold_pass_over_fresh_kernel_files_builds_few_fractions(tmp_path):
@@ -532,6 +538,23 @@ def test_a_cold_pass_over_fresh_kernel_files_builds_few_fractions(tmp_path):
     got, calls = calls_by_code({Fraction.__new__.__code__: "Fraction"}, cold_pass)
     assert got == expected
     assert calls["Fraction"] <= COLD_PASS_FRACTIONS
+
+
+def test_a_cold_fresh_pass_builds_transfer_cells_once_per_stream_tally_and_mode():
+    """A work count: on a new machine, the inputs of the 160 fresh kernels
+    miss the input memo 70 times (a miss per distinct core timing and stream
+    tally), but call traffic and the machine's bandwidth only on the 7
+    misses of the transfer memo, once per stream tally. A second pass in
+    the other mode misses both memos as often again. Every input equals the
+    Fraction-operator oracle's in its mode."""
+    machine = replace(HASWELL)
+    kernels = fresh_kernels()
+    counted = {traffic.__code__: "traffic", MachineModel.bandwidth.__code__: "bandwidth"}
+    for passes, mode in enumerate((machine.resolve_mode(None), "noncod"), 1):
+        inputs, calls = calls_by_code(counted, lambda: [ecm_input(kernel, machine, mode) for kernel in kernels])
+        assert inputs == [oracle_input(kernel, machine, mode) for kernel in kernels]
+        assert calls == Counter(traffic=7, bandwidth=7)
+        assert (machine._inputs.misses, machine._transfers.misses) == (70 * passes, 7 * passes)
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +756,7 @@ def sweep_answers(machine, queries) -> list:
 def machine_memos(machine) -> list:
     """The memos of a machine and of its core layout."""
     layout = machine._core_layout
-    return [machine._inputs, machine._curves, layout.spans, layout.tables, layout.caps]
+    return [machine._inputs, machine._transfers, machine._curves, layout.spans, layout.tables, layout.caps]
 
 
 def memo_counts(machine) -> list[tuple[int, int]]:

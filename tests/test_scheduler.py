@@ -27,7 +27,7 @@ from ecmkit import (
 )
 from ecmkit import _pairing, scheduler
 from ecmkit.errors import CapabilityError
-from ecmkit.kernels import MAX_UOPS_PER_LINE, KernelModel, UopGroup
+from ecmkit.kernels import MAX_UOPS_PER_LINE, KernelModel, Stream, UopGroup
 from ecmkit.machine import MEMO_ENTRIES, MachineModel, MemoryModel, NumaConfig, PortSpec
 from ecmkit._pairing import PackingSearch, PatternTable, Unit, least_span, pattern_table
 from ecmkit.cli import run
@@ -460,10 +460,9 @@ PAIRING_STATES = {
 
 
 # the raw pairing queries of each unrolled built-in, in EXTRAS order, that
-# CoreLayout.span answers with no table or search (+: the even split or the
-# fill fits the answer, after root bounds refute every span below it) or
-# leaves to them (.); nothing is tried at start 0, where copy and store have
-# no arithmetic
+# CoreLayout.span answers with no table or search (+: _place fits the
+# answer, after root bounds refute every span below it) or leaves to them
+# (.); nothing is tried at start 0, where copy and store have no arithmetic
 CERTIFIED = {
     ("copy", 1): ".+++++++++",
     ("copy", 2): ".+++++++++",
@@ -489,21 +488,21 @@ CERTIFIED = {
     ("store", 2): ".+++++++++",
     ("store", 4): ".+++++++++",
     ("store", 8): ".+++++++++",
-    ("stream_triad", 1): "++++.+++++",
+    ("stream_triad", 1): "++++++++++",
     ("stream_triad", 2): "++++++++++",
     ("stream_triad", 4): "++++++++++",
     ("stream_triad", 8): "++++++++++",
     ("update", 1): "++++++++++",
-    ("update", 2): "+.........",
-    ("update", 4): "+.........",
-    ("update", 8): "+.........",
+    ("update", 2): "++++++++++",
+    ("update", 4): "++++++++++",
+    ("update", 8): "++++++++++",
 }
 
 
 # core_timing's queries on every unrolled built-in (x{1,2,4,8} with EXTRAS)
-# that CoreLayout.span answers with no search: 386 of the 392 kernels with
-# arithmetic (the even split alone answered 215)
-CERTIFIED_TIMINGS = 386
+# that CoreLayout.span answers with no search: all 392 kernels with
+# arithmetic (291 placed at the start, 101 after refutations)
+CERTIFIED_TIMINGS = 392
 
 
 def searched(kernel, machine, query=pairing_query):
@@ -724,6 +723,16 @@ def test_pairing_search_depth_is_not_bounded_by_recursion():
     assert states <= 4 * 1500
 
 
+# Haswell kernels whose core_timing query no placed schedule answers, so a
+# table is built and searched: SEARCHED's (2 offset-only stores, a load, an
+# fma and 2 lea: lower 2, start 1), and SEARCHED_AT_X3's once it is unrolled
+# x3 (_place answers it x1), over a kind set of its own
+SEARCHED = KernelModel("searched", (Stream("a", "read"), Stream("b", "write")), 8, (
+    UopGroup(2, "store", OFFSET), UopGroup(1, "load", BIO), UopGroup(1, "fma"), UopGroup(2, "lea")))
+SEARCHED_AT_X3 = KernelModel("searched-at-x3", (), 8, (
+    UopGroup(1, "store", BIO), UopGroup(1, "store", OFFSET), UopGroup(1, "load", BIO), UopGroup(1, "add"), UopGroup(2, "lea")))
+
+
 def test_equal_unit_counts_share_one_pairing_solve(monkeypatch):
     """One search per machine for kernels with equal unit counts (on a
     kernel whose query no built schedule answers, so the search runs)."""
@@ -736,7 +745,7 @@ def test_equal_unit_counts_share_one_pairing_solve(monkeypatch):
 
     monkeypatch.setattr(_pairing, "PackingSearch", CountedSearch)
     machine = builtin_haswell()
-    kernel = unrolled(KERNELS["update"], 2, ("add", "add"))
+    kernel = SEARCHED
     expected = core_timing(kernel, machine)
     assert len(searches) == 1
     for other in (replace(kernel, name="renamed"), replace(kernel, uops=tuple(replace(g) for g in kernel.uops))):
@@ -753,7 +762,7 @@ def test_pattern_tables_and_solves_die_with_their_machine(tmp_path, monkeypatch)
     leave no table behind. The built-ins' own queries need no table, so the
     runs also time a kernel file whose query builds one."""
     machine = builtin_haswell()
-    kernel = unrolled(KERNELS["update"], 2, ("add", "add"))
+    kernel = SEARCHED
     core_timing(kernel, machine)  # no built schedule fits
     table = weakref.ref(next(t for t in machine._core_layout.tables.values() if t is not None))
     del machine
@@ -861,12 +870,12 @@ def random_layout(rng):
     return replace(HASWELL, ports=ports, retire_width=rng.randint(1, 6), store_uop_weight=rng.randint(1, 3))
 
 
-def test_an_even_split_that_fits_is_the_first_fit_of_the_search():
-    """Soundness of the built schedules: where CoreLayout.span answers with
-    no search (by the even split, or by the fill at the first span the root
-    bounds leave), the search fits the same candidate, lower cycles
-    with the arithmetic in `span` of them, and least_span finds the same
-    span; where it searches, span answers as least_span does, states and all."""
+def test_an_answer_with_no_search_is_the_first_fit_of_the_search():
+    """Soundness of the placed schedules: where CoreLayout.span answers with
+    no search (by _place at the start, or at the first span the root bounds
+    leave), the search fits the same candidate, lower cycles with the
+    arithmetic in `span` of them, and least_span finds the same span; where
+    it searches, span answers as least_span does, states and all."""
     rng = random.Random(0x5B1)
     outcomes = Counter()
     for _ in range(2800):
@@ -887,37 +896,34 @@ def test_an_even_split_that_fits_is_the_first_fit_of_the_search():
         else:
             assert span == expected, (kinds, kind_counts, lower, start)
             outcomes["searched"] += 1
-    assert min(outcomes["fits"], outcomes["searched"]) >= 300, outcomes  # 348 fit and 725 searched at this seed
+    assert min(outcomes["fits"], outcomes["searched"]) >= 300, outcomes  # 372 fit and 701 searched at this seed
 
 
-def even_split(layout, counts, lower, start):
-    """The per-cycle count vectors of the schedule CoreLayout._splits_evenly
-    checks: each kind's count split evenly over the first `start`
-    (arithmetic) or all (memory) of `lower` cycles, the remainders in
-    consecutive cyclic runs, the memory ones from cycle `start` on."""
-    cycles = [[0] * len(counts) for _ in range(lower)]
-    first = {True: 0, False: start}  # where the next arithmetic, memory remainder run begins
-    for j, (unit, count) in enumerate(zip(layout.units, counts)):
-        window = start if unit.overlapping else lower
-        each, rest = divmod(count, window)
-        for t in range(window):
-            cycles[t][j] += each
-        for t in range(first[unit.overlapping], first[unit.overlapping] + rest):
-            cycles[t % window][j] += 1
-        first[unit.overlapping] += rest
-    return [tuple(cycle) for cycle in cycles]
+def placed_cycles(layout, counts, lower, span) -> list[tuple[int, ...]] | None:
+    """The per-cycle count vectors of the schedule CoreLayout._place builds,
+    its runs expanded in cycle order, or None."""
+    runs = layout._place(counts, lower, span)
+    return None if runs is None else [tuple(cycle) for cycles, cycle in runs for _ in range(cycles)]
+
+
+def layout_query(layout, counts) -> tuple[int, int]:
+    """(lower, start) as core_timing takes them from the port and frontend
+    bounds, for unit counts in the layout's `units` order."""
+    t_nol, raw_ol = (scheduler._binding_bound(bounds, counts)[0] for bounds in (layout.nol_bounds, layout.ol_bounds))
+    fe = -(-sum(k.weight * c for k, c in zip(layout.units, counts)) // layout.width)
+    start = max(raw_ol, fe) if fe > t_nol else raw_ol
+    return max(t_nol, start), start
 
 
 def certified_outcome(layout, counts, lower, start, enumerated) -> tuple:
     """How CoreLayout.span answers a query, after checking its answer: the
     span equals least_span's on the kind set's own table, and an answer with
-    no search has its certificates. The schedule built for it (the even
-    split's where that fits at `start`, else the fill's) has `lower` cycles,
-    each placed on distinct ports within the retire width by the brute-force
-    oracle, no arithmetic from cycle `span` on, and column sums equal to the
-    counts; and every span from `start` below it fails a root bound of the
-    enumeration oracle's (memoized per kind set in `enumerated`): y . counts
-    > cap_any * span + cap_memory * (lower - span)."""
+    no search has its certificates. The schedule _place builds for it has
+    `lower` cycles, each placed on distinct ports within the retire width by
+    the brute-force oracle, no arithmetic from cycle `span` on, and column
+    sums equal to the counts; and every span from `start` below it fails a
+    root bound of the enumeration oracle's (memoized per kind set in
+    `enumerated`): y . counts > cap_any * span + cap_memory * (lower - span)."""
     kinds = tuple(compress(layout.units, counts))
     kind_counts = tuple(filter(None, counts))
     query = (kinds, kind_counts, lower, start)
@@ -925,8 +931,7 @@ def certified_outcome(layout, counts, lower, start, enumerated) -> tuple:
     assert span == least_span(pattern_table(kinds, layout.width), kind_counts, lower, start)[0], query
     if states:
         return ("searched",)
-    split = span == start and layout._splits_evenly(counts, lower, span)
-    schedule = even_split(layout, counts, lower, span) if split else layout._fill(counts, lower, span)
+    schedule = placed_cycles(layout, counts, lower, span)
     assert schedule is not None and len(schedule) == lower, query
     units = [(k.port_choices, k.weight, k.overlapping) for k in layout.units]
     for t, cycle in enumerate(schedule):
@@ -941,23 +946,19 @@ def certified_outcome(layout, counts, lower, start, enumerated) -> tuple:
                 _dot(y, kind_counts) > cap_any * below + cap_memory * (lower - below)
                 for y, cap_any, cap_memory in enumerated[kinds]
             ), (query, below)
-    return ("split" if split else "fill", "after refutations" if span > start else "at start")
+    return ("placed after refutations" if span > start else "placed at start",)
 
 
 def test_pairing_answers_with_no_search_carry_a_schedule_and_a_refutation_of_each_span_below():
     """certified_outcome on core_timing's queries, on random layouts with
-    counts drawn as in the even-split test and on every unrolled built-in
+    counts drawn as in the first-fit test and on every unrolled built-in
     with EXTRAS on Haswell. Each way to answer is taken."""
     rng = random.Random(0xCE27)
     outcomes, enumerated = Counter(), {}
     for _ in range(1000):
         layout = random_layout(rng)._core_layout
         counts = [rng.choice((0, 0, rng.randint(1, 8))) for _ in layout.units]
-        # lower and start as core_timing takes them from the port and frontend bounds
-        t_nol, raw_ol = (scheduler._binding_bound(bounds, counts)[0] for bounds in (layout.nol_bounds, layout.ol_bounds))
-        fe = -(-sum(k.weight * c for k, c in zip(layout.units, counts)) // layout.width)
-        start = max(raw_ol, fe) if fe > t_nol else raw_ol
-        lower = max(t_nol, start)
+        lower, start = layout_query(layout, counts)
         kinds = tuple(compress(layout.units, counts))
         if start and lower <= sum(counts) and pattern_table(kinds, layout.width) is not None:
             outcomes["random", *certified_outcome(layout, counts, lower, start, enumerated)] += 1
@@ -971,17 +972,46 @@ def test_pairing_answers_with_no_search_carry_a_schedule_and_a_refutation_of_eac
     ways = Counter()
     for (_, *way), n in outcomes.items():
         ways[tuple(way)] += n
-    # at this seed: 515 random queries (87 searched, 18 filled after
-    # refutations) and 392 built-in ones (6 searched, 99 filled after them)
-    assert len(ways) == 4 and min(ways.values()) >= 10, outcomes
+    # at this seed: 515 random queries (74 searched, 18 placed after
+    # refutations) and 392 built-in ones (101 placed after them, none searched)
+    assert len(ways) == 3 and min(ways.values()) >= 10, outcomes
 
 
-def test_a_one_cycle_split_fits_iff_the_enumeration_fits_the_pattern():
-    """In one cycle the even split is the pattern itself, so the layout's
-    packed rule over all its kinds must accept exactly the patterns that the
-    enumeration oracle fits in a cycle: on Haswell's layout and on random
-    ones, every pattern of retire weight up to the width. A bound left out
-    of the rule lets some through."""
+# how CoreLayout.span answers every Haswell query with each unit count at
+# most 4 and both a memory unit and arithmetic (15 376 queries): a ratchet.
+# A change may lower the searched count, and records the new counts.
+HASWELL_CENSUS = {"placed at start": 11575, "placed after refutations": 1044, "searched": 2757}
+
+
+def test_haswell_queries_of_up_to_four_units_a_kind_answer_as_least_span():
+    """Each query as core_timing poses it, on one new machine: the answer
+    equals least_span's on the kind set's own table, and the census of the
+    ways it was answered is HASWELL_CENSUS."""
+    layout = builtin_haswell()._core_layout
+    census, tables = Counter(), {}
+    for counts in product(range(5), repeat=len(layout.units)):
+        present = tuple(map(bool, counts))
+        if not (any(p for p, unit in zip(present, layout.units) if not unit.overlapping) and any(
+                p for p, unit in zip(present, layout.units) if unit.overlapping)):
+            continue
+        counts = list(counts)
+        lower, start = layout_query(layout, counts)
+        span, states = layout.span(counts, lower, start)
+        if present not in tables:
+            tables[present] = pattern_table(tuple(compress(layout.units, present)), layout.width)
+        assert span == least_span(tables[present], tuple(filter(None, counts)), lower, start)[0], (counts, lower, start)
+        census["searched" if states else "placed at start" if span == start else "placed after refutations"] += 1
+    assert sum(census.values()) == 15376
+    assert census == HASWELL_CENSUS
+
+
+def test_a_one_cycle_placement_fits_iff_the_enumeration_fits_the_pattern():
+    """In one cycle that takes arithmetic, _place places the pattern itself
+    (a unit at a time, each addition checked), so the layout's packed rule
+    over all its kinds must accept exactly the patterns that the enumeration
+    oracle fits in a cycle: on Haswell's layout and on random ones, every
+    pattern of retire weight up to the width. A bound left out of the rule
+    lets some through."""
     rng = random.Random(0x1C7)
     checked = Counter()
     for machine in [replace(HASWELL)] + [random_layout(rng) for _ in range(100)]:
@@ -996,7 +1026,7 @@ def test_a_one_cycle_split_fits_iff_the_enumeration_fits_the_pattern():
             patterns = [p + (c,) for p in patterns for c in range(layout.width + 1) if sum(map(mul, p + (c,), weights)) <= layout.width]
         for counts in patterns:
             expected = not any(counts[j] for j in range(len(units)) if j not in alone) and tuple(counts[j] for j in alone) in fit
-            assert layout._splits_evenly(list(counts), 1, 1) == expected, (layout.units, counts)
+            assert (layout._place(list(counts), 1, 1) is not None) == expected, (layout.units, counts)
             checked[expected] += 1
     assert min(checked.values()) >= 5000, checked  # 5 290 fit and 14 567 do not at this seed
 
@@ -1009,15 +1039,15 @@ def test_fresh_workload_kernels_build_no_table_and_run_no_search(monkeypatch):
     built-ins without non-temporal stores unrolled x{1,2,4,8} with no extra
     arithmetic or one add, mul, lea or add and lea. On one new machine, 152
     of them pose a pairing query (the other 8 have no arithmetic) over 19
-    kind sets. The even split answers 100 at their first candidate and the
-    fill 28 more; root bounds refute 35 candidates, and the fill answers the
-    other 24 at the first span they leave, so no table is built and nothing
-    is searched. The layout's memos count the solves and the tables; patches
+    kind sets. _place answers 128 at their first candidate; root bounds,
+    run only on the other 24, refute 35 candidates, and _place answers those
+    24 at the first span they leave, so no table is built and nothing is
+    searched. The layout's memos count the solves and the tables; patches
     count the rest, which no memo sees. One dict holds it all, so a failure
     shows the whole census."""
     census = Counter(searches=0)
     starts = []  # the start of the query being answered
-    span, split, fill, unrefuted = (getattr(scheduler.CoreLayout, name) for name in ("span", "_splits_evenly", "_fill", "_unrefuted"))
+    span, place, unrefuted = (getattr(scheduler.CoreLayout, name) for name in ("span", "_place", "_unrefuted"))
 
     def counted_span(layout, counts, lower, start):
         starts.append(start)
@@ -1026,23 +1056,18 @@ def test_fresh_workload_kernels_build_no_table_and_run_no_search(monkeypatch):
         finally:
             starts.pop()
 
-    def counted_split(layout, counts, lower, start):
-        fits = split(layout, counts, lower, start)
-        census["split answers"] += fits
-        return fits
-
-    def counted_fill(layout, counts, lower, start):
-        schedule = fill(layout, counts, lower, start)
-        census["first-candidate fills" if start == starts[-1] else "later fills"] += schedule is not None
-        return schedule
+    def counted_place(layout, counts, lower, start):
+        runs = place(layout, counts, lower, start)
+        census["placed at start" if start == starts[-1] else "placed after refutations"] += runs is not None
+        return runs
 
     def counted_unrefuted(layout, counts, lower, start):
         first = unrefuted(layout, counts, lower, start)
+        census["root bound runs"] += 1
         census["refuted candidates"] += first - start
         return first
 
-    for name, method in (("span", counted_span), ("_splits_evenly", counted_split), ("_fill", counted_fill),
-                         ("_unrefuted", counted_unrefuted)):
+    for name, method in (("span", counted_span), ("_place", counted_place), ("_unrefuted", counted_unrefuted)):
         monkeypatch.setattr(scheduler.CoreLayout, name, method)
     search = scheduler.least_span
     monkeypatch.setattr(scheduler, "least_span", lambda *query: census.update(searches=1) or search(*query))
@@ -1058,8 +1083,9 @@ def test_fresh_workload_kernels_build_no_table_and_run_no_search(monkeypatch):
     census["table misses"], census["tables kept"] = tables.misses, len(tables)
     census["tables"] = sum(table is not None for table in tables.values())
     assert dict(census) == {
-        "queries": 152, "answers": 152, "kind sets": 19, "split answers": 100, "first-candidate fills": 28,
-        "refuted candidates": 35, "later fills": 24, "table misses": 0, "tables kept": 0, "tables": 0, "searches": 0,
+        "queries": 152, "answers": 152, "kind sets": 19, "placed at start": 128, "root bound runs": 24,
+        "refuted candidates": 35, "placed after refutations": 24, "table misses": 0, "tables kept": 0, "tables": 0,
+        "searches": 0,
     }
 
 
@@ -1179,12 +1205,14 @@ def test_replaced_machines_do_not_reuse_a_cached_layout():
 
 
 def test_the_layout_is_not_part_of_equality_repr_or_serialization():
-    """Nor are the machine's memos of model inputs and scaling curves."""
+    """Nor are the machine's memos of model inputs, transfer cells and
+    scaling curves."""
     cold, warm = replace(HASWELL), replace(HASWELL)
     core_timing(KERNELS["schoenauer_triad_opt"], warm)
     scale(KERNELS["schoenauer_triad_opt"], warm, penalty=PenaltyConfig())
     assert "_core_layout" in vars(warm) and "_core_layout" not in vars(cold)
     assert len(vars(warm)["_inputs"]) == 1 and "_inputs" not in vars(cold)
+    assert len(vars(warm)["_transfers"]) == 1 and "_transfers" not in vars(cold)
     assert len(vars(warm)["_curves"]) == 1 and "_curves" not in vars(cold)
     assert warm == cold
     assert repr(warm) == repr(cold)
@@ -1197,7 +1225,7 @@ def test_warm_core_timing_builds_no_units_problems_unions_or_tables(monkeypatch)
     enumerates no port-set unions or pattern tables, and a machine builds
     each kind set's table at most once, enumerating its unions then only."""
     machine = replace(HASWELL)
-    kernels = [unrolled(kernel, 1, extras) for kernel in KERNELS.values() for extras in EXTRAS]
+    kernels = [unrolled(kernel, 1, extras) for kernel in KERNELS.values() for extras in EXTRAS] + [SEARCHED, SEARCHED_AT_X3]
     built = Counter()  # kind set -> tables built for it
     table_of = scheduler.pattern_table
 
