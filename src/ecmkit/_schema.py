@@ -5,12 +5,13 @@ A loader returns a checked value or raises SchemaError with a one-line
 message that starts with the file's path: a fault found here names the
 field, one a dataclass invariant finds names the object and the field, and
 a list entry is named by its place, as `ports[2]`. A spec says what each key
-holds, lists included (see `check`), and `fields` reads each object of a
-file once. A valid file forms no message: a fault raises one that names its
-place below the object, and each enclosing key, list entry and record puts
-its part in front as the error passes up, the loader the path last. A file
-that cannot be opened raises OSError. The CLI maps both to one `error:` line
-and exit code 2. Nothing is coerced: a number becomes a Fraction only by its
+holds, lists and objects included (see `check`), so one `fields` call reads
+a whole file, each object once, depth first in spec order. A valid file
+forms no message: a fault raises one that names its place below the
+object, and each enclosing key, list entry and record puts its part in
+front as the error passes up, the loader the path last. A file that cannot
+be opened raises OSError. The CLI maps both to one `error:` line and exit
+code 2. Nothing is coerced: a number becomes a Fraction only by its
 exact decimal reading, and this is the one place a float is read at all.
 """
 
@@ -23,8 +24,7 @@ from math import isfinite
 
 from .errors import SchemaError
 
-_EXPECTED = {int: "an integer", Fraction: "a finite number", str: "a string", bool: "a boolean", list: "a list",
-             dict: "an object"}
+_EXPECTED = {int: "an integer", Fraction: "a finite number", str: "a string", bool: "a boolean", list: "a list"}
 _ABSENT = object()
 
 
@@ -51,9 +51,12 @@ def read_json(path):
 def check(value, kind):
     """`value` if of `kind` (a bool is no int); for Fraction, an int or finite
     float by its decimal repr; for object, any value, for its dataclass to
-    check. `[item]` reads a list of `item`s and `[cls, spec]` a list of objects,
+    check. A spec dict reads an object by `fields(value, spec)`, as a list.
+    `[item]` reads a list of `item`s and `[cls, spec]` a list of objects,
     each read by `fields(entry, spec, cls)`, as a tuple; a fault in entry i is
     raised with `[i]` in front of its message."""
+    if type(kind) is dict:
+        return fields(value, kind)
     if type(kind) is list and type(value) is list:
         entries = []
         try:
@@ -101,12 +104,12 @@ def require_bool(value, context: str) -> None:
 
 def fields(obj, spec: dict, cls=None):
     """The values of the keys in `spec`, in its order, from an object with no
-    other keys, each read by `check` (a list kind gives a tuple); given `cls`,
-    `cls(*values)`. A `(kind, default)` pair marks an optional key, whose
-    default is returned as given. A fault raises SchemaError with a message
-    that names its place below the object and starts with ": ", such as
-    `: streams[2]: count: expected an integer, got 'x'`; one that `cls`
-    raises gets ": " in front of its own message."""
+    other keys, each read by `check` (a list kind gives a tuple, a spec dict
+    a list); given `cls`, `cls(*values)`. A `(kind, default)` pair marks an
+    optional key, whose default is returned as given. A fault raises
+    SchemaError with a message that names its place below the object and
+    starts with ": ", such as `: streams[2]: count: expected an integer, got
+    'x'`; one that `cls` raises gets ": " in front of its own message."""
     if type(obj) is not dict:
         raise SchemaError(f": expected an object, got {reprlib.repr(obj)}")
     values, read = [], 0  # `read` counts the keys of obj read: an unknown key leaves it below len(obj)

@@ -8,10 +8,12 @@ A MachineModel memoizes four things on use: its core layout, its model
 inputs and their transfer cells (model.ecm_input) and its scaling curves
 (scaling.scale); the cycles per line (an int when the boundary's width
 divides the line, see `quotient`) and the bandwidths behind them are
-computed on a miss. A machine file is read by `_schema.fields`, each object
-once, by the specs at the end. The memos key on what a query adds to the
-machine and never on the machine itself, which is sound because the machine
-cannot change. Each is a `Memo`, which states its bound and how concurrent
+computed on a miss. A machine file is read by one `_schema.fields` call,
+each object once, by the specs at the end; as in a kernel file, its first
+fault in spec order is reported before a duplicate table signature or a
+record's invariant. The memos key on what a query adds to the machine and
+never on the machine itself, which is sound because the machine cannot
+change. Each is a `Memo`, which states its bound and how concurrent
 queries fare.
 """
 
@@ -327,33 +329,25 @@ def _table_row(loads: int, stores: int, nt_stores: int, gbs: Fraction) -> tuple[
 _MEMORY = {"default_bandwidth_gbs": Fraction, "table": ([_table_row, _TABLE_ROW], ()),
            "noncod_derating": (Fraction, Fraction(1))}
 _MACHINE = {"name": str, "frequency_ghz": Fraction, "retire_width": int, "store_uop_weight": int,
-            "ports": [PortSpec, _PORT], "boundaries": [CacheBoundary, _BOUNDARY], "memory": dict, "numa": dict}
+            "ports": [PortSpec, _PORT], "boundaries": [CacheBoundary, _BOUNDARY], "memory": _MEMORY, "numa": _NUMA}
 
 
 def machine_from_dict(data: dict, context: str = "machine") -> MachineModel:
-    """Build and validate a MachineModel from a parsed machine file, each
-    object read once by `fields`; a fault raises SchemaError with `context`
-    in front. Every object is read before a record is built (the memory
-    model, then the NUMA layout and the machine), and of several faults the
-    first in that order is reported."""
+    """Build and validate a MachineModel from a parsed machine file, read once
+    by `fields`; a fault raises SchemaError with `context` in front. Of
+    several faults the first is reported: in the file, depth first in spec
+    order; then a duplicate table signature; then the invariants of the
+    memory model, the NUMA layout and the machine, in that order."""
     try:
-        *head, memory, numa = fields(data, _MACHINE)  # name to boundaries, in MachineModel's field order
+        *head, (default_gbs, rows, derating), numa = fields(data, _MACHINE)  # in MachineModel's field order
         try:
-            default_gbs, rows, derating = fields(memory, _MEMORY)
             table: dict[Signature, Fraction] = {}
             for i, (signature, gbs) in enumerate(rows):
                 if signature in table:
-                    raise SchemaError(f": table[{i}]: duplicate signature {signature}")
+                    raise SchemaError(f"memory: table[{i}]: duplicate signature {signature}")
                 table[signature] = gbs
-        except SchemaError as exc:
-            raise SchemaError(f": memory{exc}") from None
-        try:
-            numa = fields(numa, _NUMA)  # in NumaConfig's field order
-        except SchemaError as exc:
-            raise SchemaError(f": numa{exc}") from None
-        try:
             memory = MemoryModel(default_bandwidth_gbs=default_gbs, bandwidth_table=table, noncod_derating=derating)
-            return MachineModel(*head, memory, NumaConfig(*numa))
+            return MachineModel(*head, memory, NumaConfig(*numa))  # numa in NumaConfig's field order
         except SchemaError as exc:
             raise SchemaError(f": {exc}") from None
     except SchemaError as exc:

@@ -132,8 +132,8 @@ class CoreLayout:
     def span(self, counts: list[int], lower: int, start: int) -> tuple[int, int]:
         """(span, search states) for unit counts in `units` order: the least
         span s >= start of the arithmetic in the first cycle count T >= lower
-        that fits a joint schedule, or `start` as it is when the kernel has no
-        memory unit or some unit cannot fit a cycle on its own; lower >= start.
+        that fits a joint schedule, or `start` as it is when some unit cannot
+        fit a cycle on its own; lower >= start.
         A miss tries _place at T = lower and s = start, then, if _unrefuted
         refutes start, at the first s it leaves, answering (s, 0 states) if
         one fits; else the table and the search answer. Lower past the unit
@@ -149,9 +149,8 @@ class CoreLayout:
             if start < span <= lower and self._place(counts, lower, span):
                 return self.spans.put(key, (span, 0))
         present = tuple(map(bool, counts))
-        if present not in self.tables:  # a stored None is an answer: no memory unit, no table
-            kinds = tuple(compress(self.units, present))
-            self.tables.put(present, None if all(k.overlapping for k in kinds) else pattern_table(kinds, self.width))
+        if present not in self.tables:  # a stored None is an answer: some unit fits no cycle
+            self.tables.put(present, pattern_table(tuple(compress(self.units, present)), self.width))
         table = self.tables[present]
         return self.spans.put(key, (start, 0) if table is None else least_span(table, tuple(filter(None, counts)), lower, start))
 
@@ -265,7 +264,8 @@ def core_timing(kernel: KernelModel, machine: MachineModel) -> CoreTiming:
     uops. `start` is the arithmetic port makespan, raised to the frontend
     bound when that exceeds t_nol, so max(t_ol, t_nol) never undercuts the
     retirement bound. A fit at one span also fits at a larger one in the
-    same cycle count, so the start leaves that count unchanged.
+    same cycle count, so the start leaves that count unchanged. A kernel
+    without arithmetic or without a memory unit pairs nothing: t_ol = start.
     A missing load/store capability is reported before an arithmetic one.
     """
     layout = machine._core_layout
@@ -284,5 +284,5 @@ def core_timing(kernel: KernelModel, machine: MachineModel) -> CoreTiming:
     fe = frontend_bound(kernel, machine)
 
     start = max(raw_ol, fe) if fe > t_nol else raw_ol
-    t_ol = layout.span(units, max(t_nol, start), start)[0] if raw_ol else start
+    t_ol = layout.span(units, max(t_nol, start), start)[0] if raw_ol and t_nol else start
     return CoreTiming(t_ol, t_nol)

@@ -248,8 +248,11 @@ def redrawn_machine_examples(work, reach, fallbacks, data):
 
 def test_redrawn_machine_file(work, monkeypatch):
     """The redrawn examples keep their reach: a derandomized draw moves with
-    the source text of the function that draws it, so an edit that left most
-    examples at one branch would fail here, not pass unseen."""
+    the source text of the function that draws it, and with the literals of
+    every local module loaded before it draws (Hypothesis mixes the short
+    strings and most numbers of the package, the tests and the benchmark
+    into its choices), so an edit anywhere that left most examples at one
+    branch would fail here, not pass unseen."""
     reach, fallbacks = Counter(), []
     lookup = MemoryModel.lookup
 

@@ -320,6 +320,31 @@ def test_a_dataclass_invariant_error_names_the_file(haswell, tmp_path, section, 
     assert str(caught.value) == f"{path}: {message}"
 
 
+def test_a_fault_in_an_object_is_reported_before_a_later_missing_key(haswell):
+    """The reader reads the file depth first in spec order, as a kernel
+    file: a fault inside `memory` comes before `numa`, which it never reaches."""
+    data = serialize_machine(haswell)
+    del data["numa"]
+    data["memory"]["default_bandwidth_gbs"] = "x"
+    with pytest.raises(SchemaError) as caught:
+        machine_from_dict(data, "F")
+    assert str(caught.value) == "F: memory: default_bandwidth_gbs: expected a finite number, got 'x'"
+
+
+def test_a_fault_in_the_file_is_reported_before_a_duplicate_signature(haswell):
+    """The table's signatures are checked only once the whole file reads."""
+    data = serialize_machine(haswell)
+    data["memory"]["table"].append(data["memory"]["table"][0])
+    data["numa"]["cod"] = "yes"
+    with pytest.raises(SchemaError) as caught:
+        machine_from_dict(data, "F")
+    assert str(caught.value) == "F: numa: cod: expected a boolean, got 'yes'"
+    data["numa"]["cod"] = True
+    with pytest.raises(SchemaError) as caught:
+        machine_from_dict(data, "F")
+    assert str(caught.value) == "F: memory: table[9]: duplicate signature (0, 0, 1)"
+
+
 def test_more_cores_than_the_cap_rejected(haswell):
     data = serialize_machine(haswell)
     data["numa"] = {"domains": 2, "cores_per_domain": MAX_CORES // 2, "cod": True}

@@ -143,16 +143,17 @@ def test_only_the_schema_writes_the_positive_bound_message():
 
 
 def specs_naming_no_entries(source: str) -> list[str]:
-    """Keys of module-level dicts that map a key to the bare `list`, alone or
-    as the kind of a `(kind, default)` pair: a file spec should say what its
-    lists hold, as `[str]` or `[cls, spec]`, so `_schema.fields` reads them."""
+    """Keys of module-level dicts that map a key to the bare `list` or `dict`,
+    alone or as the kind of a `(kind, default)` pair: a file spec should say
+    what its lists and objects hold, as `[str]`, `[cls, spec]` or a nested
+    spec, so one `_schema.fields` call reads the whole file."""
     found = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict):
             name = ast.unparse(node.targets[0] if isinstance(node, ast.Assign) else node.target)
             for key, value in zip(node.value.keys, node.value.values):
                 kind = value.elts[0] if isinstance(value, ast.Tuple) and value.elts else value
-                if isinstance(kind, ast.Name) and kind.id == "list":
+                if isinstance(kind, ast.Name) and kind.id in ("list", "dict"):
                     found.append(f"line {node.lineno}: {name}[{ast.unparse(key)}]")
     return found
 
@@ -161,11 +162,15 @@ def test_specs_naming_no_entries_are_found():
     source = (
         '_A = {"ports": list, "name": str}\n_B = {"table": (list, ()), "rows": [str], list: "a list"}\n'
         'def f():\n    _C = {"x": list}\n_D: dict = {"ids": [int], "other": (int, list)}\n'
+        '_E = {"memory": dict, "numa": (dict, {}), "row": _D, dict: "an object"}\n'
     )
-    assert specs_naming_no_entries(source) == ["line 1: _A['ports']", "line 2: _B['table']"]
+    assert specs_naming_no_entries(source) == [
+        "line 1: _A['ports']", "line 2: _B['table']", "line 6: _E['memory']", "line 6: _E['numa']",
+    ]
 
 
 def test_every_file_spec_names_what_its_lists_hold():
+    """And what its objects hold: no spec names a bare `list` or `dict`."""
     found = {path.name: specs_naming_no_entries(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
