@@ -1,6 +1,7 @@
 """Command-line frontend: predict, traffic, scale, compare, validate,
-list-kernels, show-machine, nt-estimate. Exit codes: 0 success, 1 validation
-failure, 2 usage or input error."""
+list-kernels, show-machine, nt-estimate. Warnings go to stderr as `warning:`
+lines, before the output or the `error:` line. Exit codes: 0 success, 1
+validation failure, 2 usage or input error."""
 
 from __future__ import annotations
 
@@ -10,12 +11,11 @@ import io
 import json
 import os
 import sys
-import warnings
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from .kernels import KernelConsistencyWarning, KernelModel, builtin_kernels, load_kernel, stream_counts, stream_signature
+from .kernels import KernelModel, builtin_kernels, consistency_warnings, load_kernel, stream_counts, stream_signature
 from .machine import MODES, MachineModel, builtin_haswell, load_machine, serialize_machine
 from .model import (
     LEVELS, PenaltyConfig, apply_penalty, ecm_input, format_cycles, format_ecm, model_error, predict, read_measurements
@@ -64,13 +64,16 @@ def _resolve_machine(spec: str | None) -> MachineModel:
     )
 
 
-def _resolve_kernel(spec: str) -> KernelModel:
+def _resolve_kernel(spec: str, warned: list[str]) -> KernelModel:
+    """The built-in kernel `spec`, or the kernel file at that path with its consistency findings added to `warned`."""
     builtins = builtin_kernels()
     if spec in builtins:
         return builtins[spec]
     path = Path(spec)
     if path.is_file():
-        return load_kernel(path)
+        kernel = load_kernel(path)
+        warned += consistency_warnings(kernel)
+        return kernel
     raise CliError(f"unknown kernel {spec!r}; built-in kernels: {', '.join(sorted(builtins))}")
 
 
@@ -110,7 +113,7 @@ def _render(report: Report, fmt: str) -> str:
 
 def cmd_predict(args) -> Report:
     machine = _resolve_machine(args.machine)
-    kernel = _resolve_kernel(args.kernel)
+    kernel = _resolve_kernel(args.kernel, args.warned)
     inp = ecm_input(kernel, machine, args.mode)
     pred = predict(inp)
     adjusted = apply_penalty(pred, kernel, PenaltyConfig()) if args.penalty else None
@@ -142,7 +145,7 @@ def cmd_predict(args) -> Report:
 
 
 def cmd_traffic(args) -> Report:
-    kernel = _resolve_kernel(args.kernel)
+    kernel = _resolve_kernel(args.kernel, args.warned)
     prof = traffic(kernel)
     rows = [
         {"boundary": "L1L2", "cachelines_per_cl": prof.cls_l1l2},
@@ -158,7 +161,7 @@ def cmd_traffic(args) -> Report:
 
 def cmd_scale(args) -> Report:
     machine = _resolve_machine(args.machine)
-    kernel = _resolve_kernel(args.kernel)
+    kernel = _resolve_kernel(args.kernel, args.warned)
     penalty = PenaltyConfig() if args.penalty else None
     curve = scale(kernel, machine, mode=args.mode, max_cores=args.cores, pinning=args.pinning, penalty=penalty)
     rows = []
@@ -187,12 +190,12 @@ def cmd_compare(args) -> Report:
     rows = []
     for name in kernel_names:
         if name not in measurements:
-            print(f"warning: no measurement rows for kernel {name!r}; skipped", file=sys.stderr)
+            args.warned.append(f"no measurement rows for kernel {name!r}; skipped")
             continue
         try:
-            kernel = _resolve_kernel(name)
+            kernel = _resolve_kernel(name, args.warned)
         except CliError:
-            print(f"warning: unknown kernel {name!r}; skipped", file=sys.stderr)
+            args.warned.append(f"unknown kernel {name!r}; skipped")
             continue
         pred = predict(ecm_input(kernel, machine, args.mode))
         adjusted = apply_penalty(pred, kernel, penalty) if penalty else None
@@ -201,7 +204,7 @@ def cmd_compare(args) -> Report:
         adj_errors = model_error(adjusted, measurement) if adjusted else None
         for level, predicted, with_penalty in zip(LEVELS, pred.cells(), (adjusted or pred).cells()):
             if level not in measurement.levels:
-                print(f"warning: kernel {name!r} has no {level} measurement; skipped", file=sys.stderr)
+                args.warned.append(f"kernel {name!r} has no {level} measurement; skipped")
                 continue
             cell = f"{name} {level}"
             row = {"kernel": name, "level": level, "predicted": _display(predicted, args.precise, f"{cell} predicted"),
@@ -280,7 +283,7 @@ def cmd_show_machine(args) -> Report:
 
 def cmd_nt(args) -> Report:
     machine = _resolve_machine(args.machine)
-    kernel = _resolve_kernel(args.kernel)
+    kernel = _resolve_kernel(args.kernel, args.warned)
     estimate = nt_speedup(kernel, machine, args.mode)
     quantities = {
         "volume_ratio": estimate.volume_ratio,
@@ -347,20 +350,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None, out=None) -> int:
-    """Run one command and write its report to `out` (default stdout). Each
-    kernel-consistency warning is one `warning:` line under any filter. A
-    ValueError, the base of every package error, an OSError or an
-    OverflowError, also from rendering, is one `error:` line and exit 2."""
+    """Run one command and write its report to `out` (default stdout). The
+    command adds its warnings to one list, `args.warned`, which is printed to
+    stderr as `warning:` lines in the order they arrived, before the output
+    or the error. A ValueError, the base of every package error, an OSError
+    or an OverflowError, also from rendering, is one `error:` line and exit 2."""
     args = build_parser().parse_args(argv)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", KernelConsistencyWarning)
-        try:
-            report = args.func(args)
-            text = _render(report, args.format)
-        except (ValueError, OSError, OverflowError) as exc:
-            report, text = None, f"error: {exc}"
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
+    args.warned = []
+    try:
+        report = args.func(args)
+        text = _render(report, args.format)
+    except (ValueError, OSError, OverflowError) as exc:
+        report, text = None, f"error: {exc}"
+    for message in args.warned:
+        print(f"warning: {message}", file=sys.stderr)
     if report is None:
         print(text, file=sys.stderr)
         return 2

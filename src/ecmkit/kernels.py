@@ -9,7 +9,6 @@ are the ones this rule gives, as the consistency check expects of a file.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -26,10 +25,6 @@ ADDRESSING_MODES = ("base-index-offset", "offset-only")
 VECTOR_OP_BYTES = 32  # width of a vector memory op, as _implied_memory_uops assumes
 # the core timing's cost grows with the uop count, so a kernel may have no more
 MAX_UOPS_PER_LINE = 10_000
-
-
-class KernelConsistencyWarning(UserWarning):
-    """Uop counts do not match what the declared streams imply."""
 
 
 @dataclass(frozen=True)
@@ -93,7 +88,7 @@ class KernelModel:
             raise SchemaError(f"kernel {self.name!r}: {uops} uops per cache line, more than {MAX_UOPS_PER_LINE}")
 
     def uop_count(self, uop_class: str) -> int:
-        # a third of the time of sum() over a generator; load_kernel calls it twice
+        # a third of the time of sum() over a generator; consistency_warnings calls it twice
         count = 0
         for group in self.uops:
             if group.uop_class == uop_class:
@@ -286,8 +281,6 @@ def kernel_from_dict(data: dict, context: str = "kernel") -> KernelModel:
 
 
 def load_kernel(path) -> KernelModel:
-    """Load and validate a kernel file; uop/stream mismatches warn, not fail."""
-    kernel = kernel_from_dict(read_json(path), context=str(path))
-    for message in consistency_warnings(kernel):
-        warnings.warn(message, KernelConsistencyWarning, stacklevel=2)
-    return kernel
+    """Load and validate a kernel file. Uop counts that do not match the
+    streams load all the same; consistency_warnings(kernel) lists them."""
+    return kernel_from_dict(read_json(path), context=str(path))

@@ -230,6 +230,40 @@ def test_kernel_consistency_warnings_are_warning_lines_under_any_filter(tmp_path
     assert results[0].stdout == results[1].stdout != ""
 
 
+INCONSISTENT_UOPS = [{"count": 3, "class": "load", "addressing": "base-index-offset"}, {"count": 1, "class": "add"}]
+INCONSISTENT_WARNING = "warning: kernel 'k': 3 load uops per cache line, but streams imply 2\n"
+
+
+def test_a_warning_is_printed_before_the_error_of_a_failing_command(tmp_path):
+    """The inconsistent kernel on a machine with no add port: its warning
+    line comes first, then the error, also when Python's warnings are errors."""
+    path = write_kernel(tmp_path, [{"array": "A", "access": "read"}], INCONSISTENT_UOPS)
+    data = serialize_machine(builtin_haswell())
+    for port in data["ports"]:
+        port["capabilities"] = [c for c in port["capabilities"] if c != "add"]
+    machine = tmp_path / "no-add.json"
+    machine.write_text(json.dumps(data))
+    result = run_capped("predict", "-k", path, "-m", str(machine), flags=["-W", "error"])
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == INCONSISTENT_WARNING + "error: kernel 'k' needs add ports\n"
+
+
+def test_compare_warnings_are_printed_in_the_order_they_arise(tmp_path, capsys):
+    """A kernel file's consistency line comes where the file is loaded,
+    among the skip lines of the kernels named before and after it."""
+    path = write_kernel(tmp_path, [{"array": "A", "access": "read"}], INCONSISTENT_UOPS)
+    meas = tmp_path / "meas.csv"
+    meas.write_text(f"kernel,level,cycles_per_cl\n{path},L1,3\nddot,L1,2\n")
+    code, text = invoke("compare", "--measurements", str(meas), "-k", path, "-k", "nosuch", "-k", "ddot", "--format", "csv")
+    assert code == 0
+    assert [row["kernel"] for row in csv.DictReader(io.StringIO(text))] == [path, "ddot"]
+    assert capsys.readouterr().err == INCONSISTENT_WARNING + "".join(
+        [f"warning: kernel {path!r} has no {level} measurement; skipped\n" for level in ("L2", "L3", "MEM")]
+        + ["warning: no measurement rows for kernel 'nosuch'; skipped\n"]
+        + [f"warning: kernel 'ddot' has no {level} measurement; skipped\n" for level in ("L2", "L3", "MEM")]
+    )
+
+
 @pytest.mark.parametrize(
     "argv,content",
     [

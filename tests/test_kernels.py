@@ -1,5 +1,6 @@
 import json
 import random
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -208,16 +209,19 @@ def test_load_kernel_unknown_key_rejected(tmp_path):
         load_kernel(path)
 
 
-def test_inconsistent_uops_warn_but_load(tmp_path):
+def test_inconsistent_uops_load_without_warning_and_are_listed(tmp_path):
+    """load_kernel warns nothing; consistency_warnings names the mismatch."""
     data = dict(
         DDOT_FILE,
         uops=[{"count": 3, "class": "load", "addressing": "base-index-offset"}, {"count": 2, "class": "fma"}],
     )
     path = tmp_path / "odd.json"
     path.write_text(json.dumps(data))
-    with pytest.warns(UserWarning, match="3 load uops"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         kernel = load_kernel(path)
     assert kernel.uop_count("load") == 3
+    assert consistency_warnings(kernel) == ["kernel 'ddot': 3 load uops per cache line, but streams imply 4"]
 
 
 def test_addressing_required_for_memory_uops():

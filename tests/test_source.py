@@ -117,6 +117,37 @@ def test_only_the_stream_rule_reads_the_vector_op_width():
     assert uses_of("VECTOR_OP_BYTES", sources) == ["kernels._implied_memory_uops"]
 
 
+def diagnostics_outside_run(sources: dict[str, str]) -> list[str]:
+    """Modules of `sources` that import `warnings`, and places (as
+    `uses_of` names them) that read `stderr` other than `cli.run`."""
+    found = {f"{module}: imports warnings" for module, source in sources.items() for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Import) and any(alias.name.partition(".")[0] == "warnings" for alias in node.names)
+             or isinstance(node, ast.ImportFrom) and node.module == "warnings"}
+    return sorted(found | {f"{place}: names stderr" for place in uses_of("stderr", sources) if place != "cli.run"})
+
+
+def test_diagnostics_outside_run_are_found():
+    sources = {
+        "cli": "import sys\ndef run():\n    print('x', file=sys.stderr)\ndef cmd():\n    print('y', file=sys.stderr)\n",
+        "kernels": "import warnings\nwarnings.warn('z')\n",
+        "model": "from warnings import warn\nfrom sys import stderr\n",
+        "scaling": "import os, warnings as w\n",
+        "traffic": "import warningsx\nimport contextlib\nredirect = contextlib.redirect_stderr\n",
+    }
+    assert diagnostics_outside_run(sources) == [
+        "cli.cmd: names stderr", "kernels: imports warnings", "model: imports warnings", "model: names stderr",
+        "scaling: imports warnings",
+    ]
+
+
+def test_only_cli_run_writes_diagnostics():
+    """Every warning the package reports is a `warning:` line that cli.run
+    prints from one list, so no module raises Python warnings and no other
+    function writes to stderr."""
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert diagnostics_outside_run(sources) == []
+
+
 BOUND_MESSAGE = re.compile(r"must be (> 0|>= 1)$")
 
 
