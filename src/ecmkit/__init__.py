@@ -10,13 +10,14 @@ construction (`__post_init__`) is a frozen dataclass; a record that a query
 computes is a `typing.NamedTuple`, which prints, hashes and refuses
 assignment as the dataclass would, is cheaper to build, and also equals the
 plain tuple of its fields. Either may keep values derived from its fields
-in a `functools.cached_property`, filled on first use, which is no field,
-so ==, hash and repr ignore it and it lives as long as its record. Of the
-query records only `ECMInput` (its prediction and shorthand) and
-`ECMPrediction` (its shorthand and its penalized predictions by penalty
-cycles) do: each subclasses the named tuple of its fields to get an instance
-`__dict__`, and a record made by `_replace`, `parse_ecm`, copying or
-unpickling starts without kept values.
+as a `machine.kept` attribute, computed on first use and stored in the
+instance `__dict__`, from which every later read takes it without running
+Python code; it is no field, so ==, hash and repr ignore it, and it lives
+as long as its record. Of the query records only `ECMInput` (its
+prediction and shorthand) and `ECMPrediction` (its shorthand and its
+penalized predictions by penalty cycles) do: each subclasses the named
+tuple of its fields to get an instance `__dict__`, and a record made by
+`_replace`, `parse_ecm`, copying or unpickling starts without kept values.
 
 Numbers follow one rule: records and public functions take ints and
 Fractions only, and a float is read nowhere but in the file reader, by its
@@ -24,8 +25,10 @@ decimal repr. A whole value stays an int: a core cycle count, the cycles per
 line of a boundary whose width divides the line, a whole number read from
 text, whole penalty cycles, and any sum of ints in `predict`'s cells. Every
 other value is a Fraction built behind the memos. `ECMInput` and
-`ECMPrediction` check their cells on first use, not on construction. Only
-the penalty key, the formatter and `model_error` read numerators.
+`ECMPrediction` check their cells on first use, not on construction. The
+prediction and the penalty read the memory cell's numerator and
+denominator and sum and compare over it in ints; the penalty key, the
+formatter and `model_error` read numerators too.
 """
 
 from .errors import ECMParseError, SchemaError

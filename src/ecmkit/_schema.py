@@ -78,28 +78,31 @@ def check(value, kind):
     raise SchemaError(f": expected {_EXPECTED[list if type(kind) is list else kind]}, got {reprlib.repr(value)}")
 
 
-def require_number(value, context: str, exact: bool = False) -> None:
+def require_number(value, context: str, *args, exact: bool = False) -> None:
     """Raise SchemaError naming `context` unless `value` is an int (a bool is
     none) or, if `exact`, an int or a Fraction: a record's invariants refuse
-    what the model cannot compute with exactly, such as a float."""
+    what the model cannot compute with exactly, such as a float. `context`
+    is a format string, filled with `args` only for a refusal, so a valid
+    value forms no message."""
     if type(value) is not int and not (exact and type(value) is Fraction):
         kind = "an integer or a Fraction" if exact else "an integer"
-        raise SchemaError(f"{context} must be {kind}, got {reprlib.repr(value)}")
+        raise SchemaError(f"{context.format(*args)} must be {kind}, got {reprlib.repr(value)}")
 
 
-def require_positive(value, context: str, exact: bool = False) -> None:
+def require_positive(value, context: str, *args, exact: bool = False) -> None:
     """`require_number`, then raise SchemaError naming `context` unless `value`
     is positive: "must be > 0" if `exact`, "must be >= 1" for an integer."""
-    require_number(value, context, exact)
+    require_number(value, context, *args, exact=exact)
     if value <= 0:
-        raise SchemaError(f"{context} must be {'> 0' if exact else '>= 1'}")
+        raise SchemaError(f"{context.format(*args)} must be {'> 0' if exact else '>= 1'}")
 
 
-def require_bool(value, context: str) -> None:
-    """Raise SchemaError naming `context` unless `value` is a bool: a record
-    refuses a string such as "false", which Python would read as true."""
+def require_bool(value, context: str, *args) -> None:
+    """Raise SchemaError naming `context`, filled with `args` as `require_number`
+    fills it, unless `value` is a bool: a record refuses a string such as
+    "false", which Python would read as true."""
     if type(value) is not bool:
-        raise SchemaError(f"{context} must be a boolean, got {reprlib.repr(value)}")
+        raise SchemaError(f"{context.format(*args)} must be a boolean, got {reprlib.repr(value)}")
 
 
 def fields(obj, spec: dict, cls=None):

@@ -10,12 +10,11 @@ are the ones this rule gives, as the consistency check expects of a file.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import NamedTuple
 
 from ._schema import fields, read_json, require_bool, require_number
 from .errors import SchemaError
-from .machine import CACHE_LINE_BYTES
+from .machine import CACHE_LINE_BYTES, kept
 
 ACCESS_KINDS = ("read", "write", "readwrite")
 UOP_CLASSES = ("load", "store", "fma", "add", "mul", "lea")
@@ -36,7 +35,7 @@ class Stream:
     nontemporal: bool = False
 
     def __post_init__(self):
-        require_bool(self.nontemporal, f"stream {self.array_name!r}: nontemporal")
+        require_bool(self.nontemporal, "stream {!r}: nontemporal", self.array_name)
         if self.access not in ACCESS_KINDS:
             raise SchemaError(f"stream {self.array_name!r}: access must be one of {ACCESS_KINDS}")
         if self.nontemporal and self.access != "write":
@@ -76,14 +75,16 @@ class KernelModel:
         # tuple copies of a caller's lists, which it may change later
         object.__setattr__(self, "streams", tuple(self.streams))
         object.__setattr__(self, "uops", tuple(self.uops))
-        require_number(self.element_bytes, f"kernel {self.name!r}: element_bytes")
-        require_number(self.flops_per_iteration, f"kernel {self.name!r}: flops_per_iteration")
+        require_number(self.element_bytes, "kernel {!r}: element_bytes", self.name)
+        require_number(self.flops_per_iteration, "kernel {!r}: flops_per_iteration", self.name)
         if self.element_bytes < 1 or CACHE_LINE_BYTES % self.element_bytes != 0:
             raise SchemaError(f"kernel {self.name!r}: element_bytes must divide {CACHE_LINE_BYTES}")
         names = [s.array_name for s in self.streams]
         if len(names) != len(set(names)):
             raise SchemaError(f"kernel {self.name!r}: stream array names must be unique")
-        uops = sum(g.count for g in self.uops)
+        uops = 0
+        for group in self.uops:
+            uops += group.count
         if uops > MAX_UOPS_PER_LINE:
             raise SchemaError(f"kernel {self.name!r}: {uops} uops per cache line, more than {MAX_UOPS_PER_LINE}")
 
@@ -95,20 +96,28 @@ class KernelModel:
                 count += group.count
         return count
 
-    @cached_property
+    @kept
     def _tally(self) -> tuple[int, int, int, int]:
         """_stream_tally of the streams, counted once per kernel object.
-        Other streams make a new object, and the cache is no field, so it
-        takes no part in ==, hash or repr."""
+        Other streams make a new object, and the kept value is no field, so
+        it takes no part in ==, hash or repr."""
         return _stream_tally(self.streams)
 
 
 def _stream_tally(streams) -> tuple[int, int, int, int]:
-    """(reads, read-modify-writes, writes, non-temporal writes) among `streams`."""
-    reads = sum(1 for s in streams if s.access == "read")
-    readwrites = sum(1 for s in streams if s.access == "readwrite")
-    writes = sum(1 for s in streams if s.access == "write" and not s.nontemporal)
-    nt_writes = sum(1 for s in streams if s.access == "write" and s.nontemporal)
+    """(reads, read-modify-writes, writes, non-temporal writes) among `streams`,
+    in one pass: any other stream is a write, as `Stream` allows no other
+    access and a non-temporal flag on writes only."""
+    reads = readwrites = writes = nt_writes = 0
+    for stream in streams:
+        if stream.access == "read":
+            reads += 1
+        elif stream.access == "readwrite":
+            readwrites += 1
+        elif stream.nontemporal:
+            nt_writes += 1
+        else:
+            writes += 1
     return reads, readwrites, writes, nt_writes
 
 
@@ -271,9 +280,10 @@ _KERNEL = {"name": str, "streams": [Stream, _STREAM], "element_bytes": int, "uop
            "flops_per_iteration": (int, 0)}  # in KernelModel's field order
 
 
-def kernel_from_dict(data: dict, context: str = "kernel") -> KernelModel:
+def kernel_from_dict(data: dict, context: object = "kernel") -> KernelModel:
     """Build and validate a KernelModel from a parsed kernel file, read once
-    by `fields`; a fault raises SchemaError with `context` in front."""
+    by `fields`; a fault raises SchemaError with `context` (a str or a
+    path, formatted only then) in front."""
     try:
         return fields(data, _KERNEL, KernelModel)
     except SchemaError as exc:
@@ -283,4 +293,4 @@ def kernel_from_dict(data: dict, context: str = "kernel") -> KernelModel:
 def load_kernel(path) -> KernelModel:
     """Load and validate a kernel file. Uop counts that do not match the
     streams load all the same; consistency_warnings(kernel) lists them."""
-    return kernel_from_dict(read_json(path), context=str(path))
+    return kernel_from_dict(read_json(path), context=path)

@@ -23,7 +23,6 @@ import reprlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from types import MappingProxyType
 
 from ._schema import fields, read_json, require_bool, require_number, require_positive
@@ -63,6 +62,25 @@ def quotient(n: int, d: int) -> int | Fraction:
     """n / d exactly, for ints with d > 0: an int when d divides n, else a Fraction."""
     whole, rest = divmod(n, d)
     return Fraction(n, d) if rest else whole
+
+
+class kept:
+    """A value derived from a record's fields, computed by the decorated
+    method on first use and kept in the instance `__dict__` under its name,
+    where every later read finds it without running Python code (this is a
+    non-data descriptor). It is no field, so ==, hash and repr ignore it.
+    Unlike Python 3.11's `functools.cached_property`, a miss takes no lock:
+    threads that miss together may each compute the value, and the last one
+    stored is kept, so a memo kept this way may lose the others' entries."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return self
+        value = record.__dict__[self.name] = self.func(record)
+        return value
 
 
 class Memo(dict):
@@ -122,7 +140,7 @@ class CacheBoundary:
         if self.name not in BOUNDARY_NAMES:
             raise SchemaError(f"CacheBoundary: name must be one of {BOUNDARY_NAMES}, got {self.name!r}")
         b = self.bytes_per_cycle
-        require_positive(b, f"CacheBoundary {self.name}: bytes_per_cycle")
+        require_positive(b, "CacheBoundary {}: bytes_per_cycle", self.name)
         # cycles per cache line must be an exact small rational
         if CACHE_LINE_BYTES % b != 0 and b % CACHE_LINE_BYTES != 0:
             raise SchemaError(
@@ -150,7 +168,7 @@ class MemoryModel:
     def __post_init__(self):
         require_positive(self.default_bandwidth_gbs, "memory: default_bandwidth_gbs", exact=True)
         for sig, gbs in self.bandwidth_table.items():
-            require_positive(gbs, f"memory: bandwidth for signature {sig}", exact=True)
+            require_positive(gbs, "memory: bandwidth for signature {}", sig, exact=True)
         object.__setattr__(self, "bandwidth_table", MappingProxyType(dict(self.bandwidth_table)))
         require_positive(self.noncod_derating, "memory: noncod_derating", exact=True)
 
@@ -216,14 +234,14 @@ class MachineModel:
     def ports_with(self, capability: str) -> frozenset[int]:
         return frozenset(p.id for p in self.ports if capability in p.capabilities)
 
-    @cached_property
+    @kept
     def _core_layout(self):
         """scheduler.CoreLayout of this machine, built on first use; like the
-        other cached properties, not part of ==, repr or serialization."""
+        other kept values, not part of ==, repr or serialization."""
         from .scheduler import CoreLayout  # the scheduler imports this module
         return CoreLayout(self)
 
-    @cached_property
+    @kept
     def _inputs(self) -> Memo:
         """The model inputs ecm_input has built on this machine, keyed by
         the core timing, the stream tally and the resolved mode (see
@@ -231,13 +249,13 @@ class MachineModel:
         part of ==, repr or serialization."""
         return Memo(MEMO_ENTRIES)
 
-    @cached_property
+    @kept
     def _transfers(self) -> Memo:
         """The transfer cells (t_l1l2, t_l2l3, t_l3mem) an `_inputs` miss takes,
         keyed by the stream tally and the resolved mode; bounded and kept as `_inputs` is."""
         return Memo(MEMO_ENTRIES)
 
-    @cached_property
+    @kept
     def _curves(self) -> Memo:
         """The scaling curves scale has built on this machine, keyed by the
         values each depends on besides the machine (see ecmkit.scaling), at
@@ -332,9 +350,10 @@ _MACHINE = {"name": str, "frequency_ghz": Fraction, "retire_width": int, "store_
             "ports": [PortSpec, _PORT], "boundaries": [CacheBoundary, _BOUNDARY], "memory": _MEMORY, "numa": _NUMA}
 
 
-def machine_from_dict(data: dict, context: str = "machine") -> MachineModel:
+def machine_from_dict(data: dict, context: object = "machine") -> MachineModel:
     """Build and validate a MachineModel from a parsed machine file, read once
-    by `fields`; a fault raises SchemaError with `context` in front. Of
+    by `fields`; a fault raises SchemaError with `context` (a str or a
+    path, formatted only then) in front. Of
     several faults the first is reported: in the file, depth first in spec
     order; then a duplicate table signature; then the invariants of the
     memory model, the NUMA layout and the machine, in that order."""
@@ -356,7 +375,7 @@ def machine_from_dict(data: dict, context: str = "machine") -> MachineModel:
 
 def load_machine(path) -> MachineModel:
     """Load and validate a machine file (JSON, schema above)."""
-    return machine_from_dict(read_json(path), context=str(path))
+    return machine_from_dict(read_json(path), context=path)
 
 
 def _json_number(value: Fraction, context: str):

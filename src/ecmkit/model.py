@@ -11,9 +11,13 @@ memos build, refuse it with a TypeError on first use (`_check_cells`). Only
 the file reader turns a float into a number. A cell is an int when it is
 whole by construction: core cells, whole decimals read from text, whole
 cycles per line and penalty cycles (`machine.quotient`), and sums of those.
-Every other cell is a Fraction, run once behind the memos and kept values;
-warm queries read integer numerators only in the penalty key, the formatter
-and `model_error`.
+Every other cell is a Fraction, run once behind the memos and kept values
+(`machine.kept`). The prediction and the penalty take the memory cell, the
+one Fraction of an input `ecm_input` builds on Haswell, as numerator and
+denominator and sum and compare over its denominator in ints, so a new
+input's memory level builds at most one Fraction and runs no Fraction
+operator; the penalty key, the formatter and `model_error` read numerators
+too.
 """
 
 from __future__ import annotations
@@ -25,14 +29,14 @@ import reprlib
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from types import MappingProxyType
 from typing import NamedTuple, NoReturn
 
 from ._schema import read_text, require_number, require_positive
 from .errors import ECMParseError, SchemaError
 from .kernels import KernelModel, bandwidth_signature, load_streams_with_rfo
-from .machine import CACHE_LINE_BYTES, MachineModel, Memo, quotient
+from .machine import CACHE_LINE_BYTES, MachineModel, Memo, kept, quotient
 from .scheduler import core_timing
 from .traffic import traffic
 
@@ -77,21 +81,32 @@ class ECMInput(_InputCells):
         """Nothing but the cells: pickling and copying drop the kept values."""
         return None
 
-    @cached_property
+    @kept
     def _prediction(self) -> ECMPrediction:
         """The per-level prediction, see `predict`: a cell is an int when the
-        term `max` picks is a sum of ints, else a Fraction."""
+        term `max` picks is a sum of ints, else a Fraction. The memory level
+        takes the memory cell as n / d and compares and sums over d."""
         _check_cells(self)
         ol, nol, l1l2, l2l3, l3mem = self
         to_l2 = nol + l1l2
         to_l3 = to_l2 + l2l3
-        return ECMPrediction(max(ol, nol), max(ol, to_l2), max(ol, to_l3), max(ol, to_l3 + l3mem))
+        n, d = l3mem.numerator, l3mem.denominator
+        to_mem = to_l3 * d + n  # (to_l3 + l3mem) * d
+        mem = _over(l3mem, to_mem, d) if to_mem > ol * d else ol  # max(ol, to_l3 + l3mem)
+        return ECMPrediction(max(ol, nol), max(ol, to_l2), max(ol, to_l3), mem)
 
-    @cached_property
+    @kept
     def _shorthand(self) -> str:
         _check_cells(self)
-        ol, nol, l1l2, l2l3, l3mem = (format_cycles(c) for c in self)
+        ol, nol, l1l2, l2l3, l3mem = map(format_cycles, self)
         return f"{{{ol} || {nol} | {l1l2} | {l2l3} | {l3mem}}}"
+
+
+def _over(cell, numerator, d):
+    """numerator / d, a sum that takes in `cell` = n / d, in the type the sum
+    would have: a Fraction if `cell` is one, whole or not; else `numerator`
+    itself, as d is then 1 and `numerator` the sum of `cell` and the rest."""
+    return Fraction(numerator, d) if type(cell) is Fraction else numerator
 
 
 class _PredictionCells(NamedTuple):
@@ -115,25 +130,29 @@ class ECMPrediction(_PredictionCells):
 
     __getstate__ = ECMInput.__getstate__
 
-    @cached_property
+    @kept
     def _shorthand(self) -> str:
         _check_cells(self)
-        cells = " \\ ".join(format_cycles(c) for c in self)
+        cells = " \\ ".join(map(format_cycles, self))
         return f"{{{cells}}}"
 
-    @cached_property
+    @kept
     def _penalized(self) -> Memo:
         """Penalized predictions by penalty cycles (extra, d), at most
         PENALTY_MEMO_ENTRIES; `apply_penalty` fills it."""
         return Memo(PENALTY_MEMO_ENTRIES)
 
-    def _penalize(self, extra: int, d: int) -> ECMPrediction:
-        """The prediction with extra / d cycles added at L3 and twice that at
-        memory, an int if d divides it; ValueError if the cells then decrease."""
+    def _penalize(self, extra: int, per: int) -> ECMPrediction:
+        """The prediction with extra / per cycles added at L3 and twice that at
+        memory, an int if per divides it; ValueError if the cells then
+        decrease. The memory cell is taken as n / d, as `predict` takes it."""
         _check_cells(self)
         core, l2, l3, mem = self
-        l3, mem = l3 + quotient(extra, d), mem + quotient(2 * extra, d)
-        if not core <= l2 <= l3 <= mem:
+        n, d = mem.numerator, mem.denominator
+        l3 = l3 + quotient(extra, per)
+        to_mem = n + quotient(2 * extra, per) * d  # (mem + 2 extra / per) * d
+        mem = _over(mem, to_mem, d)
+        if not (core <= l2 <= l3 and l3 * d <= to_mem):
             cells = ", ".join(str(c) for c in (core, l2, l3, mem))
             raise ValueError(f"penalized prediction cells must not decrease from L1 to memory, got {cells}")
         return ECMPrediction(core, l2, l3, mem)
@@ -154,7 +173,7 @@ class Measurement:
         for name, value in self.levels.items():
             if name not in LEVELS:
                 raise SchemaError(f"measurement {self.kernel!r}: unknown level {name!r}")
-            require_positive(value, f"measurement {self.kernel!r}: {name}", exact=True)
+            require_positive(value, "measurement {!r}: {}", self.kernel, name, exact=True)
 
     def __reduce__(self):  # a mappingproxy cannot be pickled
         return Measurement, (self.kernel, dict(self.levels))
@@ -263,8 +282,10 @@ def _rounded_magnitude(n: int, d: int) -> int:
 def format_cycles(value) -> str:
     """Canonical cycle display of an int or a Fraction: minimum digits,
     fractional values to one decimal, halves away from zero."""
-    n = value.numerator
-    tenths = _rounded_magnitude(10 * n, value.denominator)  # |value| in tenths
+    n, d = value.numerator, value.denominator
+    if d == 1:  # whole: an int's own str
+        return str(n)
+    tenths = _rounded_magnitude(10 * n, d)  # |value| in tenths
     sign = "-" if n < 0 and tenths else ""
     whole, tenth = divmod(tenths, 10)
     return f"{sign}{whole}" if not tenth else f"{sign}{whole}.{tenth}"

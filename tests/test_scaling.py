@@ -5,12 +5,12 @@ import json
 import pickle
 import random
 import sys
-import warnings
 import weakref
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import ceil
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -368,14 +368,17 @@ def sweep_queries():
     ]
 
 
-def calls_by_code(counted: dict, run):
+def calls_by_code(counted, run):
     """run() under a profile hook that counts calls of the code objects in
-    `counted` under their names; returns its answer and the counts."""
+    `counted` under their names; returns its answer and the counts.
+    `counted` maps a code object to its name, as a dict or as a function
+    that gives None for a code object not counted."""
     calls = Counter()
+    name_of = counted.get if isinstance(counted, dict) else counted
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code in counted:
-            calls[counted[frame.f_code]] += 1
+        if event == "call" and (name := name_of(frame.f_code)) is not None:
+            calls[name] += 1
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -493,9 +496,7 @@ def test_loading_fresh_kernel_files_forms_no_loader_message(tmp_path):
     previous = sys.gettrace()
     sys.settrace(trace)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            loaded = [load_kernel(path) for path in files]
+        loaded = [load_kernel(path) for path in files]
     finally:
         sys.settrace(previous)
     assert loaded == list(files.values())
@@ -507,7 +508,37 @@ def test_loading_fresh_kernel_files_forms_no_loader_message(tmp_path):
 # Fraction.__new__ calls of one cold pass over the fresh kernel files; 1 400
 # when every prediction cell and cycles per line was a Fraction, 418 when
 # each input miss built its own transfer cells
-COLD_PASS_FRACTIONS = 166
+COLD_PASS_FRACTIONS = 164
+# Python-level calls of the same pass, in all and in the modules named; 20 239
+# in all, 513 in functools and 1 868 in fractions while kept values were
+# functools.cached_property values and the memory level was summed and
+# compared with Fraction operators. The pass makes 15 911 or 15 912 in all: a
+# cold `numbers.Rational` subclass cache adds one `__subclasscheck__`, so the
+# count moves with what the process ran before. A change may lower these,
+# never raise them.
+COLD_PASS_CALLS = {"all": 16_071, "functools": 0, "fractions": 1_314}
+
+
+def cold_pass_answers(files, penalty) -> list[tuple[str, str, str]]:
+    """The three shorthands of each kernel file's input, prediction and
+    penalized prediction (PenaltyConfig `penalty`), loaded and computed on a
+    new machine."""
+    machine, answers = replace(HASWELL), []
+    for path in files:
+        kernel = load_kernel(path)
+        inp = ecm_input(kernel, machine)
+        pred = predict(inp)
+        adjusted = apply_penalty(pred, kernel, penalty)
+        answers.append((format_ecm(inp), format_ecm(pred), format_ecm(adjusted)))
+    return answers
+
+
+def fresh_shorthands(files, penalty) -> list[tuple[str, str, str]]:
+    """cold_pass_answers of the kernels the files hold, on the shared machine."""
+    return [
+        (format_ecm(inp), format_ecm(predict(inp)), format_ecm(apply_penalty(predict(inp), kernel, penalty)))
+        for kernel in files.values() for inp in [ecm_input(kernel, HASWELL)]
+    ]
 
 
 def test_a_cold_pass_over_fresh_kernel_files_builds_few_fractions(tmp_path):
@@ -516,28 +547,24 @@ def test_a_cold_pass_over_fresh_kernel_files_builds_few_fractions(tmp_path):
     shorthands calls Fraction.__new__ at most COLD_PASS_FRACTIONS times.
     Whole cycles per line, core cycles and penalty cycles stay ints, so the
     Fractions are the memory cells and the sums that take one in."""
-    files = fresh_kernel_files(tmp_path)
-    machine, penalty = replace(HASWELL), PenaltyConfig()
-
-    def cold_pass():
-        answers = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for path in files:
-                kernel = load_kernel(path)
-                inp = ecm_input(kernel, machine)
-                pred = predict(inp)
-                adjusted = apply_penalty(pred, kernel, penalty)
-                answers.append((format_ecm(inp), format_ecm(pred), format_ecm(adjusted)))
-        return answers
-
-    expected = [
-        (format_ecm(inp), format_ecm(predict(inp)), format_ecm(apply_penalty(predict(inp), kernel, penalty)))
-        for kernel in files.values() for inp in [ecm_input(kernel, HASWELL)]
-    ]
-    got, calls = calls_by_code({Fraction.__new__.__code__: "Fraction"}, cold_pass)
-    assert got == expected
+    files, penalty = fresh_kernel_files(tmp_path), PenaltyConfig()
+    got, calls = calls_by_code({Fraction.__new__.__code__: "Fraction"}, lambda: cold_pass_answers(files, penalty))
+    assert got == fresh_shorthands(files, penalty)
     assert calls["Fraction"] <= COLD_PASS_FRACTIONS
+
+
+def test_a_cold_pass_over_fresh_kernel_files_makes_few_python_calls(tmp_path):
+    """A work count: the cold pass above makes at most COLD_PASS_CALLS
+    Python-level calls (profile "call" events, a generator's resumptions
+    included), none of them in functools, as kept values are read from an
+    instance `__dict__` and missed without `functools.cached_property`, and
+    at most COLD_PASS_CALLS["fractions"] in fractions, as the memory level
+    adds and compares the memory cell as n / d in ints."""
+    files, penalty = fresh_kernel_files(tmp_path), PenaltyConfig()
+    got, calls = calls_by_code(lambda code: Path(code.co_filename).stem, lambda: cold_pass_answers(files, penalty))
+    assert got == fresh_shorthands(files, penalty)
+    counts = {"all": sum(calls.values()), "functools": calls["functools"], "fractions": calls["fractions"]}
+    assert all(counts[name] <= bound for name, bound in COLD_PASS_CALLS.items()), counts
 
 
 def test_a_cold_fresh_pass_builds_transfer_cells_once_per_stream_tally_and_mode():

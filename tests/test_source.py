@@ -9,10 +9,13 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple, get_args, get_type_hints
 
+import pytest
+
 import ecmkit
-from ecmkit import Measurement, PenaltyConfig, SchemaError
+from ecmkit import Measurement, PenaltyConfig, SchemaError, UopGroup
 from ecmkit._schema import require_number
-from ecmkit.kernels import Stream
+from ecmkit.kernels import KernelModel, Stream
+from ecmkit.machine import CacheBoundary, MemoryModel
 
 PACKAGE = Path(ecmkit.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -625,3 +628,47 @@ def test_every_checked_record_refuses_a_string_for_a_number_or_a_flag():
                and cls.__dataclass_params__.frozen and "__post_init__" in vars(cls)}
     assert checked == {type(e) for e in examples}
     assert fields_taking_a_string(examples, {"n_domains": "domains", "cod_enabled": "cod"}) == []
+
+
+def test_checked_records_form_no_message_for_a_valid_value():
+    """A record's invariants name the record in a message only when they
+    refuse a value: building valid records from strings that count how often
+    they are shown, by repr or by format, shows none of them, and each
+    refusal shows them in the message it always gave."""
+    shown = []
+
+    class Shown(str):
+        def __repr__(self):
+            shown.append("repr")
+            return str.__repr__(self)
+
+        def __format__(self, spec):
+            shown.append("format")
+            return str.__format__(self, spec)
+
+    streams = (Stream(Shown("A"), "read"), Stream(Shown("B"), "write", nontemporal=True))
+    KernelModel(Shown("k"), streams, 8, (UopGroup(2, "load", "base-index-offset"),), 2)
+    CacheBoundary(Shown("L1L2"), 64)
+    MemoryModel(Fraction(27), {(1, 0, Shown("0")): Fraction(32)})
+    Measurement(Shown("k"), {Shown("L1"): 2, Shown("MEM"): Fraction(17, 2)})
+    assert shown == []
+
+    refusals = {
+        "stream 'A': nontemporal must be a boolean, got 'no'": lambda: Stream(Shown("A"), "write", nontemporal="no"),
+        "kernel 'k': element_bytes must be an integer, got '8'": lambda: KernelModel(Shown("k"), (), "8", ()),
+        "kernel 'k': flops_per_iteration must be an integer, got 1.5":
+            lambda: KernelModel(Shown("k"), (), 8, (), 1.5),
+        "CacheBoundary L1L2: bytes_per_cycle must be >= 1": lambda: CacheBoundary(Shown("L1L2"), 0),
+        "CacheBoundary L2L3: bytes_per_cycle must be an integer, got '64'": lambda: CacheBoundary(Shown("L2L3"), "64"),
+        "memory: bandwidth for signature (1, 0, '0') must be > 0":
+            lambda: MemoryModel(Fraction(27), {(1, 0, Shown("0")): 0}),
+        "memory: bandwidth for signature (1, 0, 0) must be an integer or a Fraction, got 1.5":
+            lambda: MemoryModel(Fraction(27), {(1, 0, 0): 1.5}),
+        "measurement 'k': L1 must be > 0": lambda: Measurement(Shown("k"), {Shown("L1"): 0}),
+        "measurement 'k': MEM must be an integer or a Fraction, got 2.5": lambda: Measurement(Shown("k"), {"MEM": 2.5}),
+    }
+    for message, build in refusals.items():
+        with pytest.raises(SchemaError) as refused:
+            build()
+        assert str(refused.value) == message
+    assert shown
