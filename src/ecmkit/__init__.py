@@ -27,8 +27,8 @@ text, whole penalty cycles, and any sum of ints in `predict`'s cells. Every
 other value is a Fraction built behind the memos. `ECMInput` and
 `ECMPrediction` check their cells on first use, not on construction. The
 prediction and the penalty read the memory cell's numerator and
-denominator and sum and compare over it in ints; the penalty key, the
-formatter and `model_error` read numerators too.
+denominator and sum and compare over it in ints; the penalty key and the
+formatter read numerators too, and `model_error` uses Fraction operators.
 """
 
 from .errors import ECMParseError, SchemaError

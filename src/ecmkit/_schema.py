@@ -49,12 +49,13 @@ def read_json(path):
 
 
 def check(value, kind):
-    """`value` if of `kind` (a bool is no int); for Fraction, an int or finite
-    float by its decimal repr; for object, any value, for its dataclass to
-    check. A spec dict reads an object by `fields(value, spec)`, as a list.
-    `[item]` reads a list of `item`s and `[cls, spec]` a list of objects,
-    each read by `fields(entry, spec, cls)`, as a tuple; a fault in entry i is
-    raised with `[i]` in front of its message."""
+    """`value` if its type is `kind` (a bool is no int), the one type test of
+    a list entry and of a value `fields` does not take inline; for Fraction,
+    an int or finite float by its decimal repr; for object, any value, for
+    its dataclass to check. A spec dict reads an object by `fields(value,
+    spec)`, as a list. `[item]` reads a list of `item`s, each by `check`, and
+    `[cls, spec]` a list of objects, each read by `fields(entry, spec, cls)`,
+    as a tuple; a fault in entry i is raised with `[i]` in front of its message."""
     if type(kind) is dict:
         return fields(value, kind)
     if type(kind) is list and type(value) is list:
@@ -62,7 +63,7 @@ def check(value, kind):
         try:
             if len(kind) == 1:
                 for entry in value:
-                    entries.append(entry if type(entry) is kind[0] else check(entry, kind[0]))
+                    entries.append(check(entry, kind[0]))
             else:
                 cls, spec = kind
                 for entry in value:

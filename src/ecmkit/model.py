@@ -16,8 +16,8 @@ Every other cell is a Fraction, run once behind the memos and kept values
 one Fraction of an input `ecm_input` builds on Haswell, as numerator and
 denominator and sum and compare over its denominator in ints, so a new
 input's memory level builds at most one Fraction and runs no Fraction
-operator; the penalty key, the formatter and `model_error` read numerators
-too.
+operator; the penalty key and the formatter read numerators too.
+`model_error`, which no timed benchmark op runs, uses Fraction operators.
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ class PenaltyConfig:
     are an int or a Fraction; anything else raises SchemaError here, not in
     a later query."""
 
-    cycles_per_load_stream_per_level: Fraction = Fraction(1)
+    cycles_per_load_stream_per_level: int | Fraction = 1
 
     def __post_init__(self):
         require_number(self.cycles_per_load_stream_per_level, "PenaltyConfig: cycles_per_load_stream_per_level", exact=True)
@@ -403,11 +403,9 @@ def model_error(pred: ECMPrediction, measurement: Measurement) -> ModelError:
         measured = measurement.levels.get(name)
         if measured is None:
             continue
-        # rel = n / d = (predicted - measured) / measured * 100, d > 0
-        n = 100 * (predicted.numerator * measured.denominator - measured.numerator * predicted.denominator)
-        d = predicted.denominator * measured.numerator
-        absolute[name] = _rounded_magnitude(n, d)
-        signed[name] = -absolute[name] if n < 0 else absolute[name]
+        rel = Fraction(100 * (predicted - measured), measured)  # in percent
+        absolute[name] = _rounded_magnitude(rel.numerator, rel.denominator)
+        signed[name] = -absolute[name] if rel < 0 else absolute[name]
     return ModelError(absolute_pct=absolute, signed_pct=signed)
 
 

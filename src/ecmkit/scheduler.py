@@ -136,13 +136,13 @@ class CoreLayout:
         fit a cycle on its own; lower >= start.
         A miss tries _place at T = lower and s = start, then, if _unrefuted
         refutes start, at the first s it leaves, answering (s, 0 states) if
-        one fits; else the table and the search answer. Lower past the unit
-        count means some unit fits no cycle: no schedule is tried."""
+        one fits; else the table and the search answer. A unit that fits no
+        cycle fits no group of _place, and pattern_table gives None."""
         key = (tuple(counts), lower, start)
         answer = self.spans.get(key)
         if answer is not None:
             return answer
-        if start and lower <= sum(counts):
+        if start:
             if self._place(counts, lower, start):
                 return self.spans.put(key, (start, 0))
             span = self._unrefuted(counts, lower, start)

@@ -404,7 +404,7 @@ def decimal_fraction(text: str) -> Fraction:
 # The model arithmetic on Fraction operators, one step at a time, and the
 # token-by-token shorthand scanner. The package also runs this arithmetic on
 # Fraction operators, behind its memos, keeping integer numerators for its
-# warm keys, the formatter and model_error; these stay independent
+# warm keys and the formatter; these stay independent
 # restatements of predict, the penalty, the memory cycles, the single-core
 # figure, the capped-linear curve and its saturation, and parse_ecm.
 

@@ -166,8 +166,10 @@ def test_regression_machine_runs_within_contract_in_a_capped_child(tmp_path, kin
 
 
 def test_store_no_retire_cycle_holds_is_answered_without_a_cycle_list(tmp_path):
-    """The even-split certificate is skipped when T exceeds the unit count,
-    so it allocates nothing per cycle of T = 500 000 001."""
+    """A store no retire cycle holds fits no group of the schedule builder,
+    which places units in runs of equal cycles, so nothing is allocated per
+    cycle of T = 500 000 001; the kind set has no pattern table, and the
+    span is the start."""
     result = run_capped("predict", "-k", "update", "-m", regression_machine(tmp_path, "store-weight"))
     assert result.returncode == 0, result.stderr
     assert "input:      {500000001 || 2 | 2 | 4 | 12.5}\n" in result.stdout
