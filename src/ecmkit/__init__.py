@@ -5,15 +5,17 @@ per-level data-transfer cycles, combined by an overlap rule; multi-core
 performance scales the single-core prediction up to the memory-bandwidth
 ceiling. Machines and kernels are declarative (built-in or JSON files).
 
-Records follow one rule: a record built from user input or checked on
-construction (`__post_init__`) is a frozen dataclass; a record that a query
-computes is a `typing.NamedTuple`, which prints, hashes and refuses
-assignment as the dataclass would, is cheaper to build, and also equals the
-plain tuple of its fields. Either may keep values derived from its fields
-as a `machine.kept` attribute, computed on first use and stored in the
-instance `__dict__`, from which every later read takes it without running
-Python code; it is no field, so ==, hash and repr ignore it, and it lives
-as long as its record. Of the query records only `ECMInput` (its
+Records follow one rule: a record built from user input is a
+`_schema.Record` that checks its fields in its own `__init__`; its
+`@dataclass(init=False, repr=False, eq=False)` generates no method, and the
+base gives it a frozen dataclass's ==, hash, repr and immutability. A record
+that a query computes is a `typing.NamedTuple`, which prints, hashes and
+refuses assignment as an input record does, is cheaper to build, and also
+equals the plain tuple of its fields. Either may keep values derived from
+its fields as a `machine.kept` attribute, computed on first use and stored
+in the instance `__dict__`, from which every later read takes it without
+running Python code; it is no field, so ==, hash and repr ignore it, and it
+lives as long as its record. Of the query records only `ECMInput` (its
 prediction and shorthand) and `ECMPrediction` (its shorthand and its
 penalized predictions by penalty cycles) do: each subclasses the named
 tuple of its fields to get an instance `__dict__`, and a record made by

@@ -3,7 +3,7 @@ measurement CSV, whose rows `model.read_measurements` checks.
 
 A loader returns a checked value or raises SchemaError with a one-line
 message that starts with the file's path: a fault found here names the
-field, one a dataclass invariant finds names the object and the field, and
+field, one a record's `__init__` finds names the object and the field, and
 a list entry is named by its place, as `ports[2]`. A spec says what each key
 holds, lists and objects included (see `check`), so one `fields` call reads
 a whole file, each object once, depth first in spec order. A valid file
@@ -13,12 +13,14 @@ front as the error passes up, the loader the path last. A file that cannot
 be opened raises OSError. The CLI maps both to one `error:` line and exit
 code 2. Nothing is coerced: a number becomes a Fraction only by its
 exact decimal reading, and this is the one place a float is read at all.
+`Record` is the base of the input records that the objects of a file become.
 """
 
 from __future__ import annotations
 
 import json
 import reprlib
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import isfinite
 
@@ -52,10 +54,11 @@ def check(value, kind):
     """`value` if its type is `kind` (a bool is no int), the one type test of
     a list entry and of a value `fields` does not take inline; for Fraction,
     an int or finite float by its decimal repr; for object, any value, for
-    its dataclass to check. A spec dict reads an object by `fields(value,
-    spec)`, as a list. `[item]` reads a list of `item`s, each by `check`, and
-    `[cls, spec]` a list of objects, each read by `fields(entry, spec, cls)`,
-    as a tuple; a fault in entry i is raised with `[i]` in front of its message."""
+    its record's `__init__` to check. A spec dict reads an object by
+    `fields(value, spec)`, as a list. `[item]` reads a list of `item`s, each
+    by `check`, and `[cls, spec]` a list of objects, each read by
+    `fields(entry, spec, cls)`, as a tuple; a fault in entry i is raised with
+    `[i]` in front of its message."""
     if type(kind) is dict:
         return fields(value, kind)
     if type(kind) is list and type(value) is list:
@@ -104,6 +107,40 @@ def require_bool(value, context: str, *args) -> None:
     "false", which Python would read as true."""
     if type(value) is not bool:
         raise SchemaError(f"{context.format(*args)} must be a boolean, got {reprlib.repr(value)}")
+
+
+class Record:
+    """The base of the input records. Each is declared `@dataclass(init=False,
+    repr=False, eq=False)`, which records its fields for `dataclasses.fields`
+    and `replace` and generates no method, and its own `__init__` checks its
+    arguments, then stores them with `object.__setattr__`. This base gives
+    what a frozen dataclass gives, with the same values and text: ==, hash
+    and repr over the fields in `__match_args__` order, and
+    FrozenInstanceError on assignment and on deletion. `machine.kept` values
+    live in the instance `__dict__` and take no part in any of them."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def fields(obj, spec: dict, cls=None):

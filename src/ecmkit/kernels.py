@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from ._schema import fields, read_json, require_bool, require_number
+from ._schema import Record, fields, read_json, require_bool, require_number
 from .errors import SchemaError
 from .machine import CACHE_LINE_BYTES, kept
 
@@ -26,67 +26,81 @@ VECTOR_OP_BYTES = 32  # width of a vector memory op, as _implied_memory_uops ass
 MAX_UOPS_PER_LINE = 10_000
 
 
-@dataclass(frozen=True)
-class Stream:
+@dataclass(init=False, repr=False, eq=False)
+class Stream(Record):
     """One array touched by the loop."""
 
     array_name: str
     access: str
-    nontemporal: bool = False
+    nontemporal: bool
 
-    def __post_init__(self):
-        require_bool(self.nontemporal, "stream {!r}: nontemporal", self.array_name)
-        if self.access not in ACCESS_KINDS:
-            raise SchemaError(f"stream {self.array_name!r}: access must be one of {ACCESS_KINDS}")
-        if self.nontemporal and self.access != "write":
-            raise SchemaError(f"stream {self.array_name!r}: nontemporal is only valid with access='write'")
+    def __init__(self, array_name: str, access: str, nontemporal: bool = False):
+        require_bool(nontemporal, "stream {!r}: nontemporal", array_name)
+        if access not in ACCESS_KINDS:
+            raise SchemaError(f"stream {array_name!r}: access must be one of {ACCESS_KINDS}")
+        if nontemporal and access != "write":
+            raise SchemaError(f"stream {array_name!r}: nontemporal is only valid with access='write'")
+        object.__setattr__(self, "array_name", array_name)
+        object.__setattr__(self, "access", access)
+        object.__setattr__(self, "nontemporal", nontemporal)
 
 
-@dataclass(frozen=True)
-class UopGroup:
+@dataclass(init=False, repr=False, eq=False)
+class UopGroup(Record):
     """A number of identical uops issued per cache line of work."""
 
     count: int
     uop_class: str
-    addressing: str | None = None
+    addressing: str | None
 
-    def __post_init__(self):
-        require_number(self.count, "uop group: count")
-        if self.count < 1:
-            raise SchemaError(f"uop group: count must be >= 1, got {self.count}")
-        if self.uop_class not in UOP_CLASSES:
-            raise SchemaError(f"uop group: class must be one of {UOP_CLASSES}, got {self.uop_class!r}")
-        if self.uop_class in MEMORY_CLASSES:
-            if self.addressing not in ADDRESSING_MODES:
-                raise SchemaError(f"uop group ({self.uop_class}): addressing must be one of {ADDRESSING_MODES}")
-        elif self.addressing is not None:
-            raise SchemaError(f"uop group ({self.uop_class}): addressing only applies to load/store uops")
+    def __init__(self, count: int, uop_class: str, addressing: str | None = None):
+        require_number(count, "uop group: count")
+        if count < 1:
+            raise SchemaError(f"uop group: count must be >= 1, got {count}")
+        if uop_class not in UOP_CLASSES:
+            raise SchemaError(f"uop group: class must be one of {UOP_CLASSES}, got {uop_class!r}")
+        if uop_class in MEMORY_CLASSES:
+            if addressing not in ADDRESSING_MODES:
+                raise SchemaError(f"uop group ({uop_class}): addressing must be one of {ADDRESSING_MODES}")
+        elif addressing is not None:
+            raise SchemaError(f"uop group ({uop_class}): addressing only applies to load/store uops")
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "uop_class", uop_class)
+        object.__setattr__(self, "addressing", addressing)
 
 
-@dataclass(frozen=True)
-class KernelModel:
+@dataclass(init=False, repr=False, eq=False)
+class KernelModel(Record):
+    """A loop kernel: its named streams, element size and uop groups per
+    cache line of work, and its flops per iteration."""
+
     name: str
     streams: tuple[Stream, ...]
     element_bytes: int
     uops: tuple[UopGroup, ...]
-    flops_per_iteration: int = 0  # reporting only, feeds no prediction
+    flops_per_iteration: int  # reporting only, feeds no prediction
 
-    def __post_init__(self):
+    def __init__(self, name: str, streams: tuple[Stream, ...], element_bytes: int, uops: tuple[UopGroup, ...],
+                 flops_per_iteration: int = 0):
         # tuple copies of a caller's lists, which it may change later
-        object.__setattr__(self, "streams", tuple(self.streams))
-        object.__setattr__(self, "uops", tuple(self.uops))
-        require_number(self.element_bytes, "kernel {!r}: element_bytes", self.name)
-        require_number(self.flops_per_iteration, "kernel {!r}: flops_per_iteration", self.name)
-        if self.element_bytes < 1 or CACHE_LINE_BYTES % self.element_bytes != 0:
-            raise SchemaError(f"kernel {self.name!r}: element_bytes must divide {CACHE_LINE_BYTES}")
-        names = [s.array_name for s in self.streams]
+        streams, uops = tuple(streams), tuple(uops)
+        require_number(element_bytes, "kernel {!r}: element_bytes", name)
+        require_number(flops_per_iteration, "kernel {!r}: flops_per_iteration", name)
+        if element_bytes < 1 or CACHE_LINE_BYTES % element_bytes != 0:
+            raise SchemaError(f"kernel {name!r}: element_bytes must divide {CACHE_LINE_BYTES}")
+        names = [s.array_name for s in streams]
         if len(names) != len(set(names)):
-            raise SchemaError(f"kernel {self.name!r}: stream array names must be unique")
-        uops = 0
-        for group in self.uops:
-            uops += group.count
-        if uops > MAX_UOPS_PER_LINE:
-            raise SchemaError(f"kernel {self.name!r}: {uops} uops per cache line, more than {MAX_UOPS_PER_LINE}")
+            raise SchemaError(f"kernel {name!r}: stream array names must be unique")
+        total = 0
+        for group in uops:
+            total += group.count
+        if total > MAX_UOPS_PER_LINE:
+            raise SchemaError(f"kernel {name!r}: {total} uops per cache line, more than {MAX_UOPS_PER_LINE}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "streams", streams)
+        object.__setattr__(self, "element_bytes", element_bytes)
+        object.__setattr__(self, "uops", uops)
+        object.__setattr__(self, "flops_per_iteration", flops_per_iteration)
 
     def uop_count(self, uop_class: str) -> int:
         return sum(group.count for group in self.uops if group.uop_class == uop_class)

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import reprlib
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
-from ._schema import fields, read_json, require_bool, require_number, require_positive
+from ._schema import Record, fields, read_json, require_bool, require_number, require_positive
 from .errors import SchemaError
 
 CACHE_LINE_BYTES = 64
@@ -105,23 +105,24 @@ class Memo(dict):
         return value
 
 
-@dataclass(frozen=True)
-class PortSpec:
+@dataclass(init=False, repr=False, eq=False)
+class PortSpec(Record):
     """One issue port and the uop classes it can execute."""
 
     id: int
     capabilities: frozenset[str]
 
-    def __post_init__(self):
-        require_number(self.id, "port id")
-        if self.id < 0:
-            raise SchemaError(f"port id must be non-negative, got {self.id}")
-        capabilities = frozenset(self.capabilities)
+    def __init__(self, id: int, capabilities: frozenset[str]):
+        require_number(id, "port id")
+        if id < 0:
+            raise SchemaError(f"port id must be non-negative, got {id}")
+        capabilities = frozenset(capabilities)
         if not capabilities:
-            raise SchemaError(f"port {self.id}: capabilities must be non-empty")
+            raise SchemaError(f"port {id}: capabilities must be non-empty")
         unknown = capabilities - PORT_CAPABILITIES
         if unknown:
-            raise SchemaError(f"port {self.id}: unknown capabilities {sorted(unknown)}")
+            raise SchemaError(f"port {id}: unknown capabilities {sorted(unknown)}")
+        object.__setattr__(self, "id", id)
         object.__setattr__(self, "capabilities", capabilities)
 
     def __repr__(self):  # sorted: a frozenset's own order follows the string hash seed of the process
@@ -129,28 +130,30 @@ class PortSpec:
         return f"PortSpec(id={self.id!r}, capabilities=frozenset({{{listed}}}))"
 
 
-@dataclass(frozen=True)
-class CacheBoundary:
+@dataclass(init=False, repr=False, eq=False)
+class CacheBoundary(Record):
     """Width of one cache-hierarchy boundary in bytes per core cycle."""
 
     name: str
     bytes_per_cycle: int
 
-    def __post_init__(self):
-        if self.name not in BOUNDARY_NAMES:
-            raise SchemaError(f"CacheBoundary: name must be one of {BOUNDARY_NAMES}, got {self.name!r}")
-        b = self.bytes_per_cycle
-        require_positive(b, "CacheBoundary {}: bytes_per_cycle", self.name)
+    def __init__(self, name: str, bytes_per_cycle: int):
+        if name not in BOUNDARY_NAMES:
+            raise SchemaError(f"CacheBoundary: name must be one of {BOUNDARY_NAMES}, got {name!r}")
+        b = bytes_per_cycle
+        require_positive(b, "CacheBoundary {}: bytes_per_cycle", name)
         # cycles per cache line must be an exact small rational
         if CACHE_LINE_BYTES % b != 0 and b % CACHE_LINE_BYTES != 0:
             raise SchemaError(
-                f"CacheBoundary {self.name}: bytes_per_cycle {b} must divide "
+                f"CacheBoundary {name}: bytes_per_cycle {b} must divide "
                 f"{CACHE_LINE_BYTES} or be a multiple of it"
             )
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "bytes_per_cycle", bytes_per_cycle)
 
 
-@dataclass(frozen=True)
-class MemoryModel:
+@dataclass(init=False, repr=False, eq=False)
+class MemoryModel(Record):
     """Sustained-bandwidth table keyed by stream signature.
 
     Keys are (load streams, store streams, non-temporal store streams); values
@@ -161,16 +164,20 @@ class MemoryModel:
     """
 
     default_bandwidth_gbs: Fraction
-    bandwidth_table: Mapping[Signature, Fraction] = field(default_factory=dict)
+    bandwidth_table: Mapping[Signature, Fraction]
     # non-clustered chip bandwidth = n_domains * per-domain * derating
-    noncod_derating: Fraction = Fraction(1)
+    noncod_derating: Fraction
 
-    def __post_init__(self):
-        require_positive(self.default_bandwidth_gbs, "memory: default_bandwidth_gbs", exact=True)
-        for sig, gbs in self.bandwidth_table.items():
+    def __init__(self, default_bandwidth_gbs: Fraction,
+                 bandwidth_table: Mapping[Signature, Fraction] = MappingProxyType({}),
+                 noncod_derating: Fraction = Fraction(1)):
+        require_positive(default_bandwidth_gbs, "memory: default_bandwidth_gbs", exact=True)
+        for sig, gbs in bandwidth_table.items():
             require_positive(gbs, "memory: bandwidth for signature {}", sig, exact=True)
-        object.__setattr__(self, "bandwidth_table", MappingProxyType(dict(self.bandwidth_table)))
-        require_positive(self.noncod_derating, "memory: noncod_derating", exact=True)
+        require_positive(noncod_derating, "memory: noncod_derating", exact=True)
+        object.__setattr__(self, "default_bandwidth_gbs", default_bandwidth_gbs)
+        object.__setattr__(self, "bandwidth_table", MappingProxyType(dict(bandwidth_table)))
+        object.__setattr__(self, "noncod_derating", noncod_derating)
 
     def __reduce__(self):  # a mappingproxy cannot be pickled
         return MemoryModel, (self.default_bandwidth_gbs, dict(self.bandwidth_table), self.noncod_derating)
@@ -179,28 +186,32 @@ class MemoryModel:
         return self.bandwidth_table.get(tuple(signature), self.default_bandwidth_gbs)
 
 
-@dataclass(frozen=True)
-class NumaConfig:
+@dataclass(init=False, repr=False, eq=False)
+class NumaConfig(Record):
     """NUMA domain layout of one chip."""
 
     n_domains: int
     cores_per_domain: int
     cod_enabled: bool
 
-    def __post_init__(self):
-        require_positive(self.n_domains, "numa: domains")
-        require_positive(self.cores_per_domain, "numa: cores_per_domain")
-        require_bool(self.cod_enabled, "numa: cod")
-        if self.total_cores > MAX_CORES:
-            raise SchemaError(f"numa: domains x cores_per_domain is {self.total_cores}, more than {MAX_CORES}")
+    def __init__(self, n_domains: int, cores_per_domain: int, cod_enabled: bool):
+        require_positive(n_domains, "numa: domains")
+        require_positive(cores_per_domain, "numa: cores_per_domain")
+        require_bool(cod_enabled, "numa: cod")
+        total = n_domains * cores_per_domain
+        if total > MAX_CORES:
+            raise SchemaError(f"numa: domains x cores_per_domain is {total}, more than {MAX_CORES}")
+        object.__setattr__(self, "n_domains", n_domains)
+        object.__setattr__(self, "cores_per_domain", cores_per_domain)
+        object.__setattr__(self, "cod_enabled", cod_enabled)
 
     @property
     def total_cores(self) -> int:
         return self.n_domains * self.cores_per_domain
 
 
-@dataclass(frozen=True)
-class MachineModel:
+@dataclass(init=False, repr=False, eq=False)
+class MachineModel(Record):
     """Everything the model needs to know about one processor."""
 
     name: str
@@ -212,18 +223,27 @@ class MachineModel:
     memory: MemoryModel
     numa: NumaConfig
 
-    def __post_init__(self):
-        object.__setattr__(self, "ports", tuple(self.ports))
-        object.__setattr__(self, "boundaries", tuple(self.boundaries))
-        require_positive(self.frequency_ghz, "frequency_ghz", exact=True)
-        require_positive(self.retire_width, "retire_width")
-        require_positive(self.store_uop_weight, "store_uop_weight")
-        ids = [p.id for p in self.ports]
+    def __init__(self, name: str, frequency_ghz: Fraction, retire_width: int, store_uop_weight: int,
+                 ports: tuple[PortSpec, ...], boundaries: tuple[CacheBoundary, ...], memory: MemoryModel,
+                 numa: NumaConfig):
+        ports, boundaries = tuple(ports), tuple(boundaries)
+        require_positive(frequency_ghz, "frequency_ghz", exact=True)
+        require_positive(retire_width, "retire_width")
+        require_positive(store_uop_weight, "store_uop_weight")
+        ids = [p.id for p in ports]
         if len(ids) != len(set(ids)):
             raise SchemaError("port ids must be unique")
-        names = [b.name for b in self.boundaries]
+        names = [b.name for b in boundaries]
         if sorted(names) != sorted(BOUNDARY_NAMES):
             raise SchemaError(f"boundaries must contain exactly one of each of {BOUNDARY_NAMES}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "frequency_ghz", frequency_ghz)
+        object.__setattr__(self, "retire_width", retire_width)
+        object.__setattr__(self, "store_uop_weight", store_uop_weight)
+        object.__setattr__(self, "ports", ports)
+        object.__setattr__(self, "boundaries", boundaries)
+        object.__setattr__(self, "memory", memory)
+        object.__setattr__(self, "numa", numa)
 
     def cycles_per_cl(self, boundary_name: str) -> int | Fraction:
         """Cycles to move one cache line over the boundary: an int when its

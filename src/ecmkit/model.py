@@ -33,7 +33,7 @@ from functools import cache
 from types import MappingProxyType
 from typing import NamedTuple, NoReturn
 
-from ._schema import read_text, require_number, require_positive
+from ._schema import Record, read_text, require_number, require_positive
 from .errors import ECMParseError, SchemaError
 from .kernels import KernelModel, bandwidth_signature, load_streams_with_rfo
 from .machine import CACHE_LINE_BYTES, MachineModel, Memo, kept, quotient
@@ -158,8 +158,8 @@ class ECMPrediction(_PredictionCells):
         return ECMPrediction(core, l2, l3, mem)
 
 
-@dataclass(frozen=True)
-class Measurement:
+@dataclass(init=False, repr=False, eq=False)
+class Measurement(Record):
     """Measured cycles per cache line, each an int or a Fraction, keyed by
     hierarchy level. The levels are stored as a read-only copy, so the
     caller's dict may change later without changing the measurement; pickle
@@ -168,28 +168,31 @@ class Measurement:
     kernel: str
     levels: Mapping[str, int | Fraction]
 
-    def __post_init__(self):
-        object.__setattr__(self, "levels", MappingProxyType(dict(self.levels)))
-        for name, value in self.levels.items():
+    def __init__(self, kernel: str, levels: Mapping[str, int | Fraction]):
+        levels = MappingProxyType(dict(levels))
+        for name, value in levels.items():
             if name not in LEVELS:
-                raise SchemaError(f"measurement {self.kernel!r}: unknown level {name!r}")
-            require_positive(value, "measurement {!r}: {}", self.kernel, name, exact=True)
+                raise SchemaError(f"measurement {kernel!r}: unknown level {name!r}")
+            require_positive(value, "measurement {!r}: {}", kernel, name, exact=True)
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "levels", levels)
 
     def __reduce__(self):  # a mappingproxy cannot be pickled
         return Measurement, (self.kernel, dict(self.levels))
 
 
-@dataclass(frozen=True)
-class PenaltyConfig:
+@dataclass(init=False, repr=False, eq=False)
+class PenaltyConfig(Record):
     """Empirical off-core transfer penalty: extra cycles per loading stream and
     cache level beyond L2, for kernels with low core cycle counts. The cycles
     are an int or a Fraction; anything else raises SchemaError here, not in
     a later query."""
 
-    cycles_per_load_stream_per_level: int | Fraction = 1
+    cycles_per_load_stream_per_level: int | Fraction
 
-    def __post_init__(self):
-        require_number(self.cycles_per_load_stream_per_level, "PenaltyConfig: cycles_per_load_stream_per_level", exact=True)
+    def __init__(self, cycles_per_load_stream_per_level: int | Fraction = 1):
+        require_number(cycles_per_load_stream_per_level, "PenaltyConfig: cycles_per_load_stream_per_level", exact=True)
+        object.__setattr__(self, "cycles_per_load_stream_per_level", cycles_per_load_stream_per_level)
 
 
 def mem_cycles_per_cl(bandwidth_gbs, frequency_ghz) -> Fraction:

@@ -520,11 +520,12 @@ COLD_PASS_FRACTIONS = 164
 # functools.cached_property values and the memory level was summed and
 # compared with Fraction operators; 15 912 in all and 1 314 in fractions while
 # the default penalty cycles were Fraction(1), whose numerator and denominator
-# are Python-level properties. The pass makes 15 591 in the suite and 15 592
-# alone: a cold `numbers.Rational` subclass cache adds one
-# `__subclasscheck__`, so the count moves with what the process ran before. A
-# change may lower these, never raise them.
-COLD_PASS_CALLS = {"all": 15_592, "functools": 0, "fractions": 994}
+# are Python-level properties; 15 592 in all while each input record ran a
+# dataclass `__post_init__` after its generated `__init__`. The pass makes
+# 14 510 in the suite and 14 511 alone: a cold `numbers.Rational` subclass
+# cache adds one `__subclasscheck__`, so the count moves with what the process
+# ran before. A change may lower these, never raise them.
+COLD_PASS_CALLS = {"all": 14_511, "functools": 0, "fractions": 994}
 
 
 def cold_pass_answers(files, penalty) -> list[tuple[str, str, str]]:

@@ -1,10 +1,16 @@
 """Checks on the package source itself."""
 
 import ast
+import copy
 import importlib
 import inspect
+import json
+import pickle
 import re
-from dataclasses import dataclass, fields, is_dataclass, replace
+import subprocess
+import sys
+from collections.abc import Mapping
+from dataclasses import FrozenInstanceError, dataclass, fields, is_dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple, get_args, get_type_hints
@@ -13,9 +19,9 @@ import pytest
 
 import ecmkit
 from ecmkit import Measurement, PenaltyConfig, SchemaError, UopGroup
-from ecmkit._schema import require_number
+from ecmkit._schema import Record, require_number
 from ecmkit.kernels import KernelModel, Stream
-from ecmkit.machine import CacheBoundary, MemoryModel
+from ecmkit.machine import CacheBoundary, MemoryModel, NumaConfig
 
 PACKAGE = Path(ecmkit.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -368,6 +374,60 @@ def test_package_modules_build_no_code_at_run_time():
     assert {name: calls for name, calls in found.items() if calls} == {}
 
 
+def standard_imports(sources) -> list[str]:
+    """The modules the given sources import by absolute name, such as
+    `dataclasses` and `collections.abc`, sorted."""
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module != "__future__":
+                names.add(node.module)
+    return sorted(names)
+
+
+def generated_sources_by_module(preload: list[str], statement: str) -> dict[str, int]:
+    """In a new interpreter that has imported `preload`, the sources compiled
+    from a string (file name `<string>`, as `exec` and `eval` of generated
+    text are) while `statement` runs, counted by the module whose code
+    asked: an audit hook sees each `compile` event, and the frame above it
+    is the caller's."""
+    program = "\n".join([
+        "import collections, importlib, json, sys",
+        f"sys.path.insert(0, {str(PACKAGE.parent)!r})",
+        f"for name in {preload!r}: importlib.import_module(name)",
+        "counts = collections.Counter()",
+        "def hook(event, args):",
+        "    if event == 'compile' and args[1] == '<string>':",
+        "        counts[sys._getframe(1).f_globals['__name__']] += 1",
+        "sys.addaudithook(hook)",
+        statement,
+        "print(json.dumps(counts))",
+    ])
+    run = subprocess.run([sys.executable, "-I", "-c", program], capture_output=True, text=True, check=True)
+    return json.loads(run.stdout)
+
+
+def test_generated_sources_are_charged_to_the_module_that_made_them():
+    assert standard_imports(["import os.path, re\nfrom . import x\nfrom __future__ import annotations\n"
+                             "from dataclasses import dataclass\n"]) == ["dataclasses", "os.path", "re"]
+    statement = "import dataclasses\n@dataclasses.dataclass(frozen=True)\nclass Point: x: int\nexec('y = 1')"
+    counts = generated_sources_by_module(["dataclasses"], statement)
+    assert counts.pop("__main__") == 1 and set(counts) == {"dataclasses"}  # 6 methods, in as many sources on 3.11
+
+
+def test_importing_the_package_compiles_no_dataclass_method():
+    """An import work count: with the standard modules the package imports
+    already loaded, importing the package makes `dataclasses` generate no
+    source, as the input records generate no method (`_schema.Record`). The
+    named tuples' `__new__` by `collections` and the forward references of
+    their annotations by `typing` are what remains."""
+    preload = standard_imports(path.read_text() for path in sorted(PACKAGE.glob("*.py")))
+    counts = generated_sources_by_module(preload, "import ecmkit")
+    assert "dataclasses" not in counts, counts
+
+
 def unread_private_names(sources: dict[str, str]) -> list[str]:
     """Private module-level names (one leading underscore, not dunder) that
     no code of the given modules reads outside the name's own definition. A
@@ -453,9 +513,10 @@ def test_the_package_exports_only_what_the_bench_or_the_tests_read():
 def records_built_at_dataclass_cost(functions, module: str) -> list[str]:
     """Classes of `module` reachable from the return annotations of
     `functions`, through type arguments and the annotations of each class
-    reached, that are neither tuples nor checked on construction: a record
-    a query computes should be a named tuple, not a dataclass that sets
-    every field through object.__setattr__."""
+    reached, that are neither tuples nor checked on construction (a `Record`
+    subclass that defines its own `__init__`): a record a query computes
+    should be a named tuple, not a dataclass that sets every field through
+    object.__setattr__."""
     todo = [get_type_hints(f).get("return") for f in functions]
     reached = set()
     while todo:
@@ -464,17 +525,24 @@ def records_built_at_dataclass_cost(functions, module: str) -> list[str]:
         if isinstance(hint, type) and hint.__module__.partition(".")[0] == module and hint not in reached:
             reached.add(hint)
             todo += get_type_hints(hint).values()
-    return sorted(c.__name__ for c in reached if not issubclass(c, tuple) and not hasattr(c, "__post_init__"))
+    return sorted(c.__name__ for c in reached if not issubclass(c, tuple) and not checked_record(c))
+
+
+def checked_record(cls) -> bool:
+    """Whether `cls` is a record checked on construction: a `Record`
+    subclass that defines its own `__init__`."""
+    return isinstance(cls, type) and issubclass(cls, Record) and "__init__" in vars(cls)
 
 
 def test_records_built_at_dataclass_cost_are_found():
-    @dataclass(frozen=True)
-    class Checked:
+    @dataclass(init=False, repr=False, eq=False)
+    class Checked(Record):
         size: int
 
-        def __post_init__(self):
-            if self.size < 0:
+        def __init__(self, size: int):
+            if size < 0:
                 raise ValueError("size must be >= 0")
+            object.__setattr__(self, "size", size)
 
     class Point(NamedTuple):
         x: int
@@ -613,21 +681,86 @@ def test_fields_taking_a_string_are_found():
     assert fields_taking_a_string([example], {"n_items": "items"}) == ["Record.exact", "Record.on"]
 
 
-def test_every_checked_record_refuses_a_string_for_a_number_or_a_flag():
-    """Each frozen dataclass with a __post_init__ checks its int, Fraction
-    and bool fields itself, so a value built in Python is held to the rules
-    a file is. The examples are one valid instance of each; the stream is a
-    write stream, since a read stream refuses a true `nontemporal` for
-    another reason."""
+def input_records() -> list:
+    """One valid instance of each input record; the stream is a write
+    stream, since a read stream refuses a true `nontemporal` for another
+    reason."""
     machine = ecmkit.builtin_haswell()
     ddot = ecmkit.builtin_kernels()["ddot"]
-    examples = [Stream("A", "write"), ddot.uops[0], ddot, machine.ports[0], machine.boundaries[0], machine.memory,
-                machine.numa, machine, Measurement("k", {"L1": 1}), PenaltyConfig()]
+    return [Stream("A", "write"), ddot.uops[0], ddot, machine.ports[0], machine.boundaries[0], machine.memory,
+            machine.numa, machine, Measurement("k", {"L1": 1}), PenaltyConfig()]
+
+
+def test_every_checked_record_refuses_a_string_for_a_number_or_a_flag():
+    """Each `Record` subclass with its own `__init__` checks its int,
+    Fraction and bool fields itself, so a value built in Python is held to
+    the rules a file is. The examples are one valid instance of each."""
+    examples = input_records()
     checked = {cls for module in package_modules() for cls in vars(module).values()
-               if is_dataclass(cls) and isinstance(cls, type) and cls.__module__ == module.__name__
-               and cls.__dataclass_params__.frozen and "__post_init__" in vars(cls)}
+               if checked_record(cls) and cls.__module__ == module.__name__}
     assert checked == {type(e) for e in examples}
     assert fields_taking_a_string(examples, {"n_domains": "domains", "cod_enabled": "cod"}) == []
+
+
+# for each input record, a change of one of `input_records()` that
+# `dataclasses.replace` must refuse, and a change of its last field it accepts
+RECORD_CHANGES = {
+    "Stream": ({"access": "scan"}, {"nontemporal": True}),
+    "UopGroup": ({"count": 0}, {"addressing": "offset-only"}),
+    "KernelModel": ({"element_bytes": 3}, {"flops_per_iteration": 3}),
+    "PortSpec": ({"capabilities": ()}, {"capabilities": frozenset({"fma"})}),
+    "CacheBoundary": ({"bytes_per_cycle": 0}, {"bytes_per_cycle": 32}),
+    "MemoryModel": ({"default_bandwidth_gbs": 0}, {"noncod_derating": Fraction(1, 2)}),
+    "NumaConfig": ({"n_domains": 0}, {"cod_enabled": False}),
+    "MachineModel": ({"retire_width": 0}, {"numa": NumaConfig(1, 7, True)}),
+    "Measurement": ({"levels": {"L9": 1}}, {"levels": {"L1": 2}}),
+    "PenaltyConfig": ({"cycles_per_load_stream_per_level": 1.5}, {"cycles_per_load_stream_per_level": 2}),
+}
+
+
+@pytest.mark.parametrize("record", input_records(), ids=lambda record: type(record).__name__)
+def test_input_records_keep_the_frozen_dataclass_protocol(record):
+    """What the bench and the tests rely on of an input record, as a frozen
+    dataclass gave it: `fields` in `__match_args__` order, a repr over them,
+    == and hash over the tuple of them (a record with one field changed is
+    unequal) and never equal to that tuple, FrozenInstanceError with the
+    dataclass's message on assignment and on deletion, `replace` running the
+    checks again (it refuses a bad change, and a list given for a tuple
+    field is stored as a tuple, a dict as a read-only mapping), and pickle
+    and copy round trips."""
+    cls, names = type(record), tuple(f.name for f in fields(record))
+    assert is_dataclass(record) and names == cls.__match_args__
+    values = tuple(getattr(record, name) for name in names)
+    if "__repr__" not in vars(cls):  # PortSpec sorts its capabilities
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+        assert repr(record) == f"{cls.__name__}({shown})"
+    assert record == replace(record) and record != values
+    try:
+        expected = hash(values)
+    except TypeError:  # a mapping field makes the record unhashable, as it made the dataclass
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == expected
+    with pytest.raises(FrozenInstanceError) as refused:
+        setattr(record, names[0], values[0])
+    assert str(refused.value) == f"cannot assign to field {names[0]!r}"
+    with pytest.raises(FrozenInstanceError) as refused:
+        delattr(record, names[-1])
+    assert str(refused.value) == f"cannot delete field {names[-1]!r}"
+
+    refused, accepted = RECORD_CHANGES[cls.__name__]
+    with pytest.raises(SchemaError):
+        replace(record, **refused)
+    changed = replace(record, **accepted)
+    assert changed != record and getattr(changed, names[-1]) == accepted[names[-1]]
+    given = {name: list(value) if isinstance(value, (tuple, frozenset)) else dict(value)
+             for name, value in zip(names, values) if isinstance(value, (tuple, frozenset, Mapping))}
+    copied = replace(record, **given)
+    assert copied == record and all(type(getattr(copied, name)) is type(getattr(record, name)) for name in given)
+
+    for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(twin) is cls and twin == record and repr(twin) == repr(record)
 
 
 def test_checked_records_form_no_message_for_a_valid_value():
