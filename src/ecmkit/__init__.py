@@ -6,9 +6,10 @@ performance scales the single-core prediction up to the memory-bandwidth
 ceiling. Machines and kernels are declarative (built-in or JSON files).
 
 Records follow one rule: a record built from user input is a
-`_schema.Record` that checks its fields in its own `__init__`; its
-`@dataclass(init=False, repr=False, eq=False)` generates no method, and the
-base gives it a frozen dataclass's ==, hash, repr and immutability. A record
+`_schema.Record` whose fields are its own `__init__`'s parameters, which
+that `__init__` checks; the base records them as dataclass fields without
+generating a method, gives it a frozen dataclass's ==, hash, repr and
+immutability, and copies and pickles it through its `__init__`. A record
 that a query computes is a `typing.NamedTuple`, which prints, hashes and
 refuses assignment as an input record does, is cheaper to build, and also
 equals the plain tuple of its fields. Either may keep values derived from

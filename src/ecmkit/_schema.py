@@ -13,16 +13,18 @@ front as the error passes up, the loader the path last. A file that cannot
 be opened raises OSError. The CLI maps both to one `error:` line and exit
 code 2. Nothing is coerced: a number becomes a Fraction only by its
 exact decimal reading, and this is the one place a float is read at all.
-`Record` is the base of the input records that the objects of a file become.
+`Record` is the base of the input records that the objects of a file become:
+a record's fields are its `__init__` parameters.
 """
 
 from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from math import isfinite
+from types import MappingProxyType
 
 from .errors import SchemaError
 
@@ -110,16 +112,27 @@ def require_bool(value, context: str, *args) -> None:
 
 
 class Record:
-    """The base of the input records. Each is declared `@dataclass(init=False,
-    repr=False, eq=False)`, which records its fields for `dataclasses.fields`
-    and `replace` and generates no method, and its own `__init__` checks its
-    arguments, then stores them with `object.__setattr__`. This base gives
-    what a frozen dataclass gives, with the same values and text: ==, hash
-    and repr over the fields in `__match_args__` order, and
+    """The base of the input records. A record's own `__init__` checks its
+    arguments, then stores them with `object.__setattr__`, and its fields are
+    that `__init__`'s parameters after `self`, in order and with their
+    annotations: the base applies `dataclass(init=False, repr=False,
+    eq=False)` to each subclass with them, which records the fields for
+    `dataclasses.fields` and `replace` and generates no method. This base
+    gives what a frozen dataclass gives, with the same values and text: ==,
+    hash and repr over the fields in `__match_args__` order, and
     FrozenInstanceError on assignment and on deletion. `machine.kept` values
-    live in the instance `__dict__` and take no part in any of them."""
+    live in the instance `__dict__` and take no part in any of them. Pickle
+    and copy rebuild a record by its class from its fields, each read-only
+    mapping as a dict, so its `__init__` checks them again and no kept
+    value goes along."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        init = cls.__init__
+        names = init.__code__.co_varnames[1:init.__code__.co_argcount]
+        cls.__annotations__ = {name: init.__annotations__[name] for name in names}
+        dataclass(init=False, repr=False, eq=False)(cls)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
@@ -141,6 +154,9 @@ class Record:
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # a mappingproxy cannot be pickled
+        return self.__class__, tuple([dict(v) if type(v) is MappingProxyType else v for v in self._values()])
 
 
 def fields(obj, spec: dict, cls=None):

@@ -9,7 +9,7 @@ are the ones this rule gives, as the consistency check expects of a file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import NamedTuple
 
 from ._schema import Record, fields, read_json, require_bool, require_number
@@ -26,13 +26,8 @@ VECTOR_OP_BYTES = 32  # width of a vector memory op, as _implied_memory_uops ass
 MAX_UOPS_PER_LINE = 10_000
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Stream(Record):
     """One array touched by the loop."""
-
-    array_name: str
-    access: str
-    nontemporal: bool
 
     def __init__(self, array_name: str, access: str, nontemporal: bool = False):
         require_bool(nontemporal, "stream {!r}: nontemporal", array_name)
@@ -45,13 +40,8 @@ class Stream(Record):
         object.__setattr__(self, "nontemporal", nontemporal)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class UopGroup(Record):
     """A number of identical uops issued per cache line of work."""
-
-    count: int
-    uop_class: str
-    addressing: str | None
 
     def __init__(self, count: int, uop_class: str, addressing: str | None = None):
         require_number(count, "uop group: count")
@@ -69,16 +59,10 @@ class UopGroup(Record):
         object.__setattr__(self, "addressing", addressing)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class KernelModel(Record):
     """A loop kernel: its named streams, element size and uop groups per
-    cache line of work, and its flops per iteration."""
-
-    name: str
-    streams: tuple[Stream, ...]
-    element_bytes: int
-    uops: tuple[UopGroup, ...]
-    flops_per_iteration: int  # reporting only, feeds no prediction
+    cache line of work, and its flops per iteration, which are reporting
+    only and feed no prediction."""
 
     def __init__(self, name: str, streams: tuple[Stream, ...], element_bytes: int, uops: tuple[UopGroup, ...],
                  flops_per_iteration: int = 0):

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import reprlib
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -105,12 +104,8 @@ class Memo(dict):
         return value
 
 
-@dataclass(init=False, repr=False, eq=False)
 class PortSpec(Record):
     """One issue port and the uop classes it can execute."""
-
-    id: int
-    capabilities: frozenset[str]
 
     def __init__(self, id: int, capabilities: frozenset[str]):
         require_number(id, "port id")
@@ -130,12 +125,8 @@ class PortSpec(Record):
         return f"PortSpec(id={self.id!r}, capabilities=frozenset({{{listed}}}))"
 
 
-@dataclass(init=False, repr=False, eq=False)
 class CacheBoundary(Record):
     """Width of one cache-hierarchy boundary in bytes per core cycle."""
-
-    name: str
-    bytes_per_cycle: int
 
     def __init__(self, name: str, bytes_per_cycle: int):
         if name not in BOUNDARY_NAMES:
@@ -152,7 +143,6 @@ class CacheBoundary(Record):
         object.__setattr__(self, "bytes_per_cycle", bytes_per_cycle)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class MemoryModel(Record):
     """Sustained-bandwidth table keyed by stream signature.
 
@@ -161,12 +151,8 @@ class MemoryModel(Record):
     enabled. Lookups never fail: unknown signatures fall back to the default.
     The table is stored as a read-only copy, so the caller's dict may change
     later without changing the model; a copy or pickle rebuilds it from a dict.
+    Non-clustered chip bandwidth = n_domains * per-domain * noncod_derating.
     """
-
-    default_bandwidth_gbs: Fraction
-    bandwidth_table: Mapping[Signature, Fraction]
-    # non-clustered chip bandwidth = n_domains * per-domain * derating
-    noncod_derating: Fraction
 
     def __init__(self, default_bandwidth_gbs: Fraction,
                  bandwidth_table: Mapping[Signature, Fraction] = MappingProxyType({}),
@@ -179,20 +165,12 @@ class MemoryModel(Record):
         object.__setattr__(self, "bandwidth_table", MappingProxyType(dict(bandwidth_table)))
         object.__setattr__(self, "noncod_derating", noncod_derating)
 
-    def __reduce__(self):  # a mappingproxy cannot be pickled
-        return MemoryModel, (self.default_bandwidth_gbs, dict(self.bandwidth_table), self.noncod_derating)
-
     def lookup(self, signature: Signature) -> Fraction:
         return self.bandwidth_table.get(tuple(signature), self.default_bandwidth_gbs)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class NumaConfig(Record):
     """NUMA domain layout of one chip."""
-
-    n_domains: int
-    cores_per_domain: int
-    cod_enabled: bool
 
     def __init__(self, n_domains: int, cores_per_domain: int, cod_enabled: bool):
         require_positive(n_domains, "numa: domains")
@@ -210,18 +188,8 @@ class NumaConfig(Record):
         return self.n_domains * self.cores_per_domain
 
 
-@dataclass(init=False, repr=False, eq=False)
 class MachineModel(Record):
     """Everything the model needs to know about one processor."""
-
-    name: str
-    frequency_ghz: Fraction
-    retire_width: int
-    store_uop_weight: int
-    ports: tuple[PortSpec, ...]
-    boundaries: tuple[CacheBoundary, ...]
-    memory: MemoryModel
-    numa: NumaConfig
 
     def __init__(self, name: str, frequency_ghz: Fraction, retire_width: int, store_uop_weight: int,
                  ports: tuple[PortSpec, ...], boundaries: tuple[CacheBoundary, ...], memory: MemoryModel,

@@ -27,7 +27,6 @@ import io
 import re
 import reprlib
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from types import MappingProxyType
@@ -158,15 +157,11 @@ class ECMPrediction(_PredictionCells):
         return ECMPrediction(core, l2, l3, mem)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Measurement(Record):
     """Measured cycles per cache line, each an int or a Fraction, keyed by
     hierarchy level. The levels are stored as a read-only copy, so the
     caller's dict may change later without changing the measurement; pickle
     and copy rebuild a measurement from a dict of its levels."""
-
-    kernel: str
-    levels: Mapping[str, int | Fraction]
 
     def __init__(self, kernel: str, levels: Mapping[str, int | Fraction]):
         levels = MappingProxyType(dict(levels))
@@ -177,18 +172,12 @@ class Measurement(Record):
         object.__setattr__(self, "kernel", kernel)
         object.__setattr__(self, "levels", levels)
 
-    def __reduce__(self):  # a mappingproxy cannot be pickled
-        return Measurement, (self.kernel, dict(self.levels))
 
-
-@dataclass(init=False, repr=False, eq=False)
 class PenaltyConfig(Record):
     """Empirical off-core transfer penalty: extra cycles per loading stream and
     cache level beyond L2, for kernels with low core cycle counts. The cycles
     are an int or a Fraction; anything else raises SchemaError here, not in
     a later query."""
-
-    cycles_per_load_stream_per_level: int | Fraction
 
     def __init__(self, cycles_per_load_stream_per_level: int | Fraction = 1):
         require_number(cycles_per_load_stream_per_level, "PenaltyConfig: cycles_per_load_stream_per_level", exact=True)

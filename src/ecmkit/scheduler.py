@@ -142,12 +142,11 @@ class CoreLayout:
         answer = self.spans.get(key)
         if answer is not None:
             return answer
-        if start:
-            if self._place(counts, lower, start):
-                return self.spans.put(key, (start, 0))
-            span = self._unrefuted(counts, lower, start)
-            if start < span <= lower and self._place(counts, lower, span):
-                return self.spans.put(key, (span, 0))
+        if self._place(counts, lower, start):
+            return self.spans.put(key, (start, 0))
+        span = self._unrefuted(counts, lower, start)
+        if start < span <= lower and self._place(counts, lower, span):
+            return self.spans.put(key, (span, 0))
         present = tuple(map(bool, counts))
         if present not in self.tables:  # a stored None is an answer: some unit fits no cycle
             self.tables.put(present, pattern_table(tuple(compress(self.units, present)), self.width))

@@ -870,8 +870,9 @@ COPIERS = {"pickle": lambda machine: pickle.loads(pickle.dumps(machine)), "deepc
 @pytest.mark.parametrize("copier", sorted(COPIERS))
 def test_cold_and_warm_machines_survive_pickle_and_copy(copier):
     """A copy of a machine equals it, shows its repr, and answers every
-    sweep-style query as it does. A warm machine's memos go along with their
-    counts, so its copy answers with no further miss or clear."""
+    sweep-style query as it does. A copy starts with no memo, even of a warm
+    machine, and answering the queries fills its memos to the warm
+    machine's misses, clears and entries."""
     queries = sweep_queries()
     cold, warm = replace(HASWELL), replace(HASWELL)
     sweep_answers(warm, queries)
@@ -883,6 +884,21 @@ def test_cold_and_warm_machines_survive_pickle_and_copy(copier):
         assert repr(other) == repr(machine)
         assert sweep_answers(other, queries) == sweep_answers(machine, queries)
     assert [(memo.misses, memo.clears, list(memo)) for memo in machine_memos(warm_copy)] == state
+
+
+@pytest.mark.parametrize("copier", sorted(COPIERS))
+def test_copies_carry_no_kept_value(copier):
+    """A copy of a warm machine, or of a kernel whose stream tally was read,
+    is rebuilt from its fields and holds none of the values they keep; a
+    warm machine pickles to the bytes of a cold one."""
+    cold, warm, kernel = replace(HASWELL), replace(HASWELL), replace(KERNELS["stream_triad"])
+    sweep_answers(warm, sweep_queries())
+    assert kernel._tally and {"_core_layout", "_inputs", "_transfers", "_curves"} <= vars(warm).keys()
+    for record in (warm, kernel):
+        twin = COPIERS[copier](record)
+        assert twin == record
+        assert not vars(twin).keys() & {"_core_layout", "_inputs", "_transfers", "_curves", "_tally"}
+    assert pickle.dumps(warm) == pickle.dumps(cold)
 
 
 MEMO_FIELDS = {

@@ -417,6 +417,36 @@ def test_generated_sources_are_charged_to_the_module_that_made_them():
     assert counts.pop("__main__") == 1 and set(counts) == {"dataclasses"}  # 6 methods, in as many sources on 3.11
 
 
+RECORD_MAKERS = {"dataclass", "FrozenInstanceError"}
+
+
+def record_makers_used(source: str) -> list[str]:
+    """The names in RECORD_MAKERS that a module takes from `dataclasses`, by
+    a from-import or as an attribute of the module, sorted."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            found |= {alias.name for alias in node.names} & RECORD_MAKERS
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "dataclasses":
+            found |= {node.attr} & RECORD_MAKERS
+    return sorted(found)
+
+
+def test_record_makers_used_are_found():
+    source = ("import dataclasses\nfrom dataclasses import replace, dataclass as record\n"
+              "raise dataclasses.FrozenInstanceError(dataclasses.fields(x))\n")
+    assert record_makers_used(source) == ["FrozenInstanceError", "dataclass"]
+    assert record_makers_used("from dataclasses import fields, replace\nreplace(x)\n") == []
+
+
+def test_only_the_record_base_declares_records_with_dataclasses():
+    """`_schema.Record` applies `dataclass` to each input record and raises
+    FrozenInstanceError for it, so no other module declares a record's
+    fields or its immutability a second way."""
+    found = {path.name: record_makers_used(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {"_schema.py": ["FrozenInstanceError", "dataclass"]}
+
+
 def test_importing_the_package_compiles_no_dataclass_method():
     """An import work count: with the standard modules the package imports
     already loaded, importing the package makes `dataclasses` generate no
@@ -535,10 +565,7 @@ def checked_record(cls) -> bool:
 
 
 def test_records_built_at_dataclass_cost_are_found():
-    @dataclass(init=False, repr=False, eq=False)
     class Checked(Record):
-        size: int
-
         def __init__(self, size: int):
             if size < 0:
                 raise ValueError("size must be >= 0")
@@ -761,6 +788,38 @@ def test_input_records_keep_the_frozen_dataclass_protocol(record):
 
     for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
         assert type(twin) is cls and twin == record and repr(twin) == repr(record)
+
+
+@pytest.mark.parametrize("record", input_records(), ids=lambda record: type(record).__name__)
+def test_a_records_fields_are_its_constructors_parameters(record):
+    """One statement of a record's fields: `fields` names the parameters of
+    its `__init__` after `self`, in order, and each field's type is that
+    parameter's annotation."""
+    parameters = list(inspect.signature(type(record).__init__).parameters.values())[1:]
+    assert [(f.name, f.type) for f in fields(record)] == [(p.name, p.annotation) for p in parameters]
+
+
+def test_a_record_declared_by_its_constructor_alone_keeps_the_protocol():
+    """A `Record` subclass with only an `__init__`, no decorator and no
+    class annotations, gets its fields from that `__init__`, ==, hash and
+    repr over them, and a `replace` that keeps every value it is not given
+    and runs the checks again."""
+    class Span(Record):
+        def __init__(self, start: int, stop: int = 10, label: str = "span"):
+            if start > stop:
+                raise SchemaError("span: start must be <= stop")
+            object.__setattr__(self, "start", start)
+            object.__setattr__(self, "stop", stop)
+            object.__setattr__(self, "label", label)
+
+    span = Span(1, 5, "x")
+    assert [(f.name, f.type) for f in fields(Span)] == [("start", int), ("stop", int), ("label", str)]
+    assert is_dataclass(Span) and Span.__match_args__ == ("start", "stop", "label")
+    assert span == Span(1, 5, "x") != Span(1, 5) and hash(span) == hash((1, 5, "x"))
+    assert repr(span) == f"{Span.__qualname__}(start=1, stop=5, label='x')"
+    assert replace(span, stop=7) == Span(1, 7, "x")
+    with pytest.raises(SchemaError):
+        replace(span, start=6)
 
 
 def test_checked_records_form_no_message_for_a_valid_value():
